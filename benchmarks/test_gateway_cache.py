@@ -134,10 +134,6 @@ def test_cache_economics_and_trajectory(measured):
             }
             for t in on.tenants
         ],
-        "host_wall_seconds": {
-            "cached": round(cached.host_seconds, 3),
-            "uncached": round(uncached.host_seconds, 3),
-        },
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nGateway goodput at {RATE_HZ:,.0f} req/s offered "

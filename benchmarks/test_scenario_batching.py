@@ -2,15 +2,19 @@
 
 This is the loop-to-array transformation the paper's CPU baseline makes
 with OpenMP/``-O3`` inner-loop vectorisation (Section II.B), applied to
-the risk subsystem's hottest path: instead of one ``price_packed`` call
-per scenario, the whole ``(scenarios x options x timepoints)`` tensor is
-priced by a few chunked ``price_packed_many`` kernel invocations.
+the risk subsystem's hottest path: instead of one ``price_packed_book``
+call per scenario, the whole ``(scenarios x options x timepoints)``
+tensor is priced by a few chunked ``price_packed_many`` kernel
+invocations.
 
 The run times both paths on the acceptance grid (1000 Monte Carlo
-scenarios x 100 contracts), asserts the batched path is bit-identical
-and >= 5x faster, and persists the numbers to ``BENCH_risk.json`` at the
-repository root — the first entry of the repo's benchmark trajectory
-(uploaded as a CI artifact by the workflow's non-blocking benchmark job).
+scenarios x 100 contracts), asserts the batched path is bit-identical,
+and persists the numbers to ``BENCH_risk.json`` at the repository root
+(uploaded as a CI artifact by the workflow's non-blocking benchmark
+job).  The speedup itself is wall-clock and machine-dependent, so this
+test records it without gating on it: ``repro-cds bench-check``'s risk
+leg and the ``perfbench`` harness's ``risk_mc_grid`` workload gate host
+speed.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from repro.workloads.scenarios import PaperScenario
 
 N_SCENARIOS = 1000
 N_POSITIONS = 100
-SPEEDUP_FLOOR = 5.0
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_risk.json"
 #: Bump when the BENCH_risk.json payload shape changes.
 BENCH_SCHEMA_VERSION = 1
@@ -79,7 +82,7 @@ def test_batched_grid_is_bit_identical(measured):
 
 
 def test_batched_grid_speedup_and_trajectory(measured):
-    """>= 5x on the 1000 x 100 grid, recorded to BENCH_risk.json."""
+    """The 1000 x 100 grid's speedup, recorded to BENCH_risk.json."""
     _, _, looped_s, batched_s = measured
     speedup = looped_s / batched_s
     payload = {
@@ -101,7 +104,6 @@ def test_batched_grid_speedup_and_trajectory(measured):
     print(f"  looped : {looped_s:.3f}s ({N_SCENARIOS / looped_s:,.0f} scen/s)")
     print(f"  batched: {batched_s:.3f}s ({N_SCENARIOS / batched_s:,.0f} scen/s)")
     print(f"  speedup: {speedup:.1f}x  ->  {BENCH_PATH.name}")
-    assert speedup >= SPEEDUP_FLOOR
 
 
 def test_chunked_runs_match_auto(grid):

@@ -71,7 +71,6 @@ from repro.core import (
     HazardCurve,
     YieldCurve,
     price_cds,
-    price_portfolio,
 )
 from repro.api import (
     BackendCapabilities,
@@ -99,7 +98,7 @@ from repro.gateway import Gateway
 from repro.workloads import PaperScenario
 from repro.errors import ReproError
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "CDSOption",
@@ -108,7 +107,6 @@ __all__ = [
     "YieldCurve",
     "HazardCurve",
     "price_cds",
-    "price_portfolio",
     "XilinxBaselineEngine",
     "OptimisedDataflowEngine",
     "InterOptionDataflowEngine",

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from repro.cluster.interconnect import HostLinkModel
 from repro.cluster.node import ClusterNode
 from repro.errors import ValidationError
+from repro.faults.health import ClusterHealth
+from repro.faults.plan import FaultPlan
 from repro.sim import Reservation, Resource, Simulation
 
-__all__ = ["DispatchCostModel", "ClusterTimingRig"]
+__all__ = ["DispatchCostModel", "ClusterTimingRig", "FailedWindow"]
 
 #: PCIe payload sizes reused from :meth:`~repro.fpga.pcie.PCIeModel.
 #: batch_seconds`: one rate-table entry (two doubles), one option down
@@ -155,44 +157,15 @@ class DispatchCostModel:
             + n_cells * self.cell_kernel_seconds
         )
 
-    def reserve(
-        self,
-        resource: Resource,
-        ready_s: float,
-        n_rows: int,
-        n_cells: int,
-        *,
-        contention: float = 1.0,
-        span_args=None,
-    ) -> Reservation:
-        """Reserve one dispatch's busy window on a simulated card.
 
-        The :mod:`repro.sim` spelling of :meth:`service_seconds`: the
-        chunk becomes ready at ``ready_s`` (its host dispatch completed)
-        and occupies ``resource`` from ``max(ready_s, busy_until)`` for
-        exactly the modelled service time.
+@dataclass(frozen=True)
+class FailedWindow(Reservation):
+    """A chunk's card window that a fault cut short.
 
-        Parameters
-        ----------
-        resource:
-            The card's :class:`~repro.sim.Resource`.
-        ready_s:
-            Instant the dispatched chunk reaches the card.
-        n_rows / n_cells / contention:
-            As for :meth:`service_seconds`.
-        span_args:
-            Telemetry metadata forwarded to the card resource's busy
-            span (only read when the resource records spans).
-        """
-        return resource.reserve(
-            ready_s,
-            self.service_seconds(n_rows, n_cells, contention=contention),
-            span_name="chunk",
-            span_kind="dispatch",
-            span_args=span_args
-            if span_args is not None
-            else {"rows": n_rows, "cells": n_cells},
-        )
+    The chunk died at ``done_s``; ``service_s`` is the card time it
+    burned first, zero when the card was already down as the chunk
+    reached the head of its queue.
+    """
 
 
 class ClusterTimingRig:
@@ -206,6 +179,9 @@ class ClusterTimingRig:
     each, in issue order) and one resource per card (busy windows granted
     by the backend's :class:`DispatchCostModel`).  All three surfaces
     share the rig's single clock — the unified-simulation invariant.
+    Every dispatch is timed against the rig's :attr:`health`, which is
+    the empty fault plan's (every card up, nothing stretched) until
+    :meth:`inject` installs another plan.
 
     Parameters
     ----------
@@ -250,11 +226,24 @@ class ClusterTimingRig:
         #: the "issued" half of the chained pair, which the serving
         #: layer reads to attribute host-link time per request.
         self.last_host_window: Reservation | None = None
+        #: The availability view every dispatch is timed against.
+        self.health = ClusterHealth(FaultPlan(), n_cards)
 
     @property
     def n_cards(self) -> int:
         """Cards on the rig."""
         return len(self.cards)
+
+    def inject(self, plan: FaultPlan) -> ClusterHealth:
+        """Time every later dispatch against ``plan``; returns its health.
+
+        The plan's host-link outages become downtime on the host
+        resource, so no dispatch issues inside one.
+        """
+        self.health = ClusterHealth(plan, self.n_cards)
+        for outage in plan.link_outages:
+            self.host.add_downtime(outage.at_s, outage.until_s)
+        return self.health
 
     def dispatch(
         self,
@@ -272,19 +261,42 @@ class ClusterTimingRig:
         card then starts when both the dispatch and its own previous
         window have completed — the exact legacy ``host_free`` /
         ``busy_until`` recurrence, now two chained reservations.
+
+        Both windows are timed against :attr:`health`: a degraded link
+        stretches the host dispatch and a straggler the card window.  A
+        chunk that dies comes back as a :class:`FailedWindow` — the
+        card was down when the chunk reached the head of its queue, or
+        a crash cut its window short.  Under the empty plan every
+        factor is exactly 1 and no window fails.
         """
+        health = self.health
         issued = self.host.reserve(
             ready_s,
-            self.link.dispatch_seconds(1),
+            self.link.dispatch_seconds(1)
+            * health.link_factor(self.host.peek_start(ready_s)),
             span_name="dispatch",
             span_kind="host_link",
             span_args={"card": card_index},
         )
         self.last_host_window = issued
-        return self.cost_model.reserve(
-            self.cards[card_index],
-            issued.done_s,
-            n_rows,
-            n_cells,
-            contention=contention,
+        card = self.cards[card_index]
+        start = card.peek_start(issued.done_s)
+        if health.card_down(card_index, start):
+            return FailedWindow(card.name, issued.done_s, start, start, 0.0)
+        service = self.cost_model.service_seconds(
+            n_rows, n_cells, contention=contention
         )
+        service *= health.service_factor(card_index, start, service)
+        span = {
+            "span_name": "chunk",
+            "span_kind": "dispatch",
+            "span_args": {"rows": n_rows, "cells": n_cells},
+        }
+        crash_s = health.crash_during(card_index, start, start + service)
+        if crash_s is not None:
+            # The card genuinely burned [start, crash) before dying.
+            card.reserve(issued.done_s, crash_s - start, **span)
+            return FailedWindow(
+                card.name, issued.done_s, start, crash_s, crash_s - start
+            )
+        return card.reserve(issued.done_s, service, **span)

@@ -39,7 +39,7 @@ from repro.core.curves import Curve, HazardCurve, YieldCurve
 from repro.core.daycount import DayCount, year_fraction
 from repro.core.schedule import PaymentSchedule, build_schedule
 from repro.core.pricing import CDSPricer, price_cds
-from repro.core.vector_pricing import VectorCDSPricer, price_portfolio
+from repro.core.vector_pricing import VectorCDSPricer
 
 __all__ = [
     "CDSOption",
@@ -56,5 +56,4 @@ __all__ = [
     "CDSPricer",
     "price_cds",
     "VectorCDSPricer",
-    "price_portfolio",
 ]

@@ -15,8 +15,9 @@ masked.
 
 Two batch depths are exposed:
 
-* :func:`price_packed` — one market state, the whole portfolio.  Used by
-  :class:`VectorCDSPricer` and by per-scenario revaluation loops.
+* :func:`price_packed_book` — one market state, the whole packed
+  portfolio.  Used by :class:`VectorCDSPricer` and by per-scenario
+  revaluation loops.
 * :func:`price_packed_many` — many market states at once: the scenario
   axis of a risk grid becomes a leading array dimension, the curves are
   evaluated for every scenario in one vectorised pass
@@ -24,8 +25,8 @@ Two batch depths are exposed:
   :func:`~repro.core.curves.discount_factors_many`), and the leg math runs
   on a single ``(n_scenarios * n_options, max_len)`` layout — the same
   einsum calls as the single-state kernel, just on a taller portfolio.
-  Results are **bit-identical** to calling :func:`price_packed` once per
-  scenario; a ``chunk_size`` knob bounds peak memory on large grids.
+  Results are **bit-identical** to calling :func:`price_packed_book`
+  once per scenario; a ``chunk_size`` knob bounds peak memory on large grids.
 """
 
 from __future__ import annotations
@@ -45,16 +46,13 @@ from repro.core.curves import (
 )
 from repro.core.pricing import BASIS_POINTS
 from repro.core.schedule import build_schedule
-from repro.core.types import CDSOption, CDSResult, LegBreakdown
-from repro.deprecation import deprecated_call
+from repro.core.types import CDSOption, LegBreakdown
 from repro.errors import ValidationError
 
 __all__ = [
     "VectorCDSPricer",
     "PackedPortfolio",
-    "price_portfolio",
     "portfolio_arrays",
-    "price_packed",
     "price_packed_book",
     "price_packed_many",
     "shifted_recovery",
@@ -249,27 +247,6 @@ class VectorCDSPricer:
     yield_curve: YieldCurve
     hazard_curve: HazardCurve
 
-    def price_portfolio(self, options: list[CDSOption]) -> list[CDSResult]:
-        """Price every option in ``options``; order is preserved.
-
-        .. deprecated:: 1.5
-            Open a pricing session instead
-            (``repro.api.open_session("vectorized", options)``): the
-            session's :class:`~repro.api.PriceResult` surfaces replace
-            the per-option :class:`CDSResult` list.  Bit-identical; warns
-            once per process.
-        """
-        deprecated_call(
-            "repro.core.vector_pricing.VectorCDSPricer.price_portfolio",
-            "VectorCDSPricer.price_portfolio() is deprecated; use "
-            "repro.api.open_session('vectorized', options)."
-            "price_state(yc, hc, want_legs=True) instead",
-        )
-        spreads, legs = self.price_portfolio_detailed(options)
-        return [
-            CDSResult(spread_bps=float(s), legs=lb) for s, lb in zip(spreads, legs)
-        ]
-
     def spreads(self, options: list[CDSOption]) -> np.ndarray:
         """Par spreads in basis points as a float64 array (fast path)."""
         spreads, _ = self._compute(options, want_legs=False)
@@ -370,10 +347,9 @@ def price_packed_book(
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
     """Price a :class:`PackedPortfolio` under one market state.
 
-    The pre-packed variant of :func:`price_packed`: the state-independent
-    intermediates are read off ``packed`` instead of being re-derived, so
-    per-state callers (revaluation loops) pay only the curve evaluation
-    and the leg reductions.
+    The state-independent intermediates are read off ``packed`` instead
+    of being re-derived, so per-state callers (revaluation loops) pay
+    only the curve evaluation and the leg reductions.
 
     Parameters
     ----------
@@ -401,63 +377,6 @@ def price_packed_book(
         rec,
         packed.last_idx,
         want_legs=want_legs,
-    )
-
-
-def price_packed(
-    times: np.ndarray,
-    accruals: np.ndarray,
-    mask: np.ndarray,
-    recovery: np.ndarray,
-    yield_curve: YieldCurve,
-    hazard_curve: HazardCurve,
-    *,
-    want_legs: bool = True,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
-    """Price a pre-packed portfolio (see :func:`portfolio_arrays`).
-
-    .. deprecated:: 1.5
-        This raw-array entry point predates the unified pricing API;
-        open a session instead (``repro.api.open_session("vectorized",
-        options)``) or call :func:`price_packed_book` on a
-        :class:`PackedPortfolio`.  The shim stays bit-identical and
-        warns once per process.
-
-    The packing depends only on the contracts, not on the market state, so
-    callers repricing one portfolio under many curve scenarios (the risk
-    subsystem's bump-and-reprice grid) pack once and call this per
-    scenario — or, better, hand the whole scenario tensor to
-    :func:`price_packed_many` in one call.
-
-    Parameters
-    ----------
-    times / accruals / mask / recovery:
-        Arrays in the :func:`portfolio_arrays` layout.  The padding must
-        be *benign* — padded slots repeat the row's final payment time
-        with zero accrual — because the kernel relies on that invariant
-        instead of masking; other paddings raise ``ValidationError``.
-        ``recovery`` may be scenario-shifted relative to the contracts'
-        own rates.
-    yield_curve / hazard_curve:
-        The market state to price under.
-    want_legs:
-        When false, skip the leg breakdown and return ``(spreads, None)``.
-
-    Returns
-    -------
-    tuple
-        ``(spreads_bps, legs)`` with ``legs`` either ``None`` or the
-        ``(premium, protection, accrual, survival_at_maturity)`` arrays.
-    """
-    deprecated_call(
-        "repro.core.vector_pricing.price_packed",
-        "price_packed() is deprecated; open a pricing session via "
-        "repro.api.open_session('vectorized', options) or use "
-        "price_packed_book() on a PackedPortfolio",
-    )
-    packed = PackedPortfolio(times, accruals, mask, recovery)
-    return price_packed_book(
-        packed, yield_curve, hazard_curve, want_legs=want_legs
     )
 
 
@@ -554,7 +473,7 @@ def price_packed_many(
     ``hazard_values`` is one complete market state on the shared knot
     grids.  Curves for all scenarios are evaluated in one vectorised pass
     and the leg math runs on an ``(n_scenarios * n_options, max_len)``
-    layout — the identical reductions as :func:`price_packed`, making the
+    layout — the identical reductions as :func:`price_packed_book`, making the
     result bit-identical to a per-scenario loop.
 
     Parameters
@@ -662,36 +581,3 @@ def price_packed_many(
         if hook is not None:
             hook.on_chunk(m, rows, time.perf_counter() - chunk_t0)
     return spreads, legs
-
-
-def price_portfolio(
-    options: list[CDSOption],
-    yield_curve: YieldCurve,
-    hazard_curve: HazardCurve,
-) -> np.ndarray:
-    """Convenience wrapper: par spreads (bps) for a portfolio.
-
-    .. deprecated:: 1.5
-        Superseded by the unified pricing API::
-
-            from repro.api import open_session
-            open_session("vectorized", options).spreads(yc, hc)
-
-        The shim stays bit-identical and warns once per process.
-
-    Examples
-    --------
-    >>> from repro.core import CDSOption, YieldCurve, HazardCurve
-    >>> yc = YieldCurve([1.0, 5.0], [0.02, 0.03])
-    >>> hc = HazardCurve([1.0, 5.0], [0.01, 0.02])
-    >>> opts = [CDSOption(2.0, 4, 0.4), CDSOption(5.0, 2, 0.25)]
-    >>> price_portfolio(opts, yc, hc).shape
-    (2,)
-    """
-    deprecated_call(
-        "repro.core.vector_pricing.price_portfolio",
-        "price_portfolio() is deprecated; use "
-        "repro.api.open_session('vectorized', options).spreads(yc, hc) "
-        "instead",
-    )
-    return VectorCDSPricer(yield_curve, hazard_curve).spreads(options)

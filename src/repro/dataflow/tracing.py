@@ -11,18 +11,14 @@ module is an *adapter*: a :class:`Trace` can mirror every event into a
 telemetry span recorder (``Trace(recorder=...)``), and :attr:`Trace.spans`
 views the recorded events as :class:`~repro.telemetry.Span` instants, so
 dataflow traces export through the same Chrome-trace/CSV pipeline as
-serving and risk runs.  Constructing a standalone :class:`Trace` stays
-supported for the occupancy analyses, but its direct use as a recording
-surface is deprecated in favour of :class:`~repro.telemetry.SpanRecorder`
-(announced once per process via :mod:`repro.deprecation`).
+serving and risk runs.  A standalone :class:`Trace` (no recorder) keeps
+its events for the occupancy analyses only.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-
-from repro.deprecation import deprecated_call
 
 __all__ = ["TraceEvent", "Trace"]
 
@@ -70,14 +66,6 @@ class Trace:
 
     def record(self, kind: str, time: float, process: str, stream: str) -> None:
         """Called by the simulator scheduler on every committed transfer."""
-        if self.recorder is None:
-            deprecated_call(
-                "repro.dataflow.tracing.Trace.record",
-                "recording through a bare repro.dataflow.tracing.Trace is "
-                "deprecated; attach a repro.telemetry.SpanRecorder "
-                "(Trace(recorder=...)) or record spans with the telemetry "
-                "layer directly",
-            )
         self.events.append(
             TraceEvent(kind=kind, time=time, process=process, stream=stream)
         )

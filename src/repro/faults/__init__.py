@@ -17,9 +17,10 @@
 * :mod:`~repro.faults.report` — :class:`FaultReport` with per-phase
   goodput/p99, recovery time, and the duplicate-work ratio.
 
-The contract with the rest of the repo: with an empty plan (or no plan
-at all) every consuming layer takes its legacy code path and produces
-byte-identical output — faults are strictly additive.
+The contract with the rest of the repo: a fault-free run *is* the empty
+plan (``faults=None`` means ``FaultPlan()``).  Serving and the risk grid
+have one dispatch path each, and under the empty plan it reproduces the
+committed goldens byte for byte.
 """
 
 from repro.faults.breaker import BreakerBank, CircuitBreaker

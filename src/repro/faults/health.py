@@ -10,7 +10,8 @@ failure-aware layers ask:
   committing them, so a dispatch that would die mid-flight is detected
   and charged as wasted work up to the crash instant);
 * *how much slower is this card right now?* — :meth:`service_factor`
-  integrates straggler windows over a busy interval;
+  integrates straggler windows over a busy interval (:meth:`straggles`
+  says whether a card has any);
 * *how stretched is the host link?* — :meth:`link_factor` /
   :meth:`link_blocked_until`;
 * *is the cluster degraded at all?* — :meth:`capacity_reduced`, the
@@ -18,7 +19,9 @@ failure-aware layers ask:
 
 The view is pure arithmetic over the plan — no mutable state — so the
 same plan gives the same answers in every run, which is what keeps
-fault reports bit-reproducible.
+fault reports bit-reproducible.  Every dispatch consults it, fault-free
+runs included (they carry the empty plan), so the questions a run asks
+per dispatch answer in O(1) when no card ever goes down.
 """
 
 from __future__ import annotations
@@ -67,15 +70,22 @@ class ClusterHealth:
             (d.at_s, d.until_s, d.factor) for d in plan.link_degradations
         ]
         self._link_out = [(o.at_s, o.until_s) for o in plan.link_outages]
+        self._all_cards = tuple(range(n_cards))
+        self._never_down = not plan.crashes
 
     # ------------------------------------------------------------------
     # Card availability
     def card_down(self, card: int, t: float) -> bool:
         """Whether ``card`` is inside an outage window at instant ``t``."""
-        return any(s <= t < e for s, e in self._down[card])
+        for s, e in self._down[card]:
+            if s <= t < e:
+                return True
+        return False
 
     def healthy_cards(self, t: float) -> tuple[int, ...]:
         """Cards outside every outage window at instant ``t``."""
+        if self._never_down:
+            return self._all_cards
         return tuple(
             c for c in range(self.n_cards) if not self.card_down(c, t)
         )
@@ -104,6 +114,10 @@ class ClusterHealth:
 
     # ------------------------------------------------------------------
     # Straggler inflation
+    def straggles(self, card: int) -> bool:
+        """Whether any straggler window ever slows ``card``."""
+        return bool(self._slow[card])
+
     def service_factor(self, card: int, start_s: float, service_s: float) -> float:
         """Effective service inflation for work on ``card`` at ``start_s``.
 
@@ -167,7 +181,7 @@ class ClusterHealth:
     # ------------------------------------------------------------------
     def capacity_reduced(self, t: float) -> bool:
         """Whether any card is down at ``t`` (degradation-ladder gate)."""
-        return len(self.healthy_cards(t)) < self.n_cards
+        return not self._never_down and len(self.healthy_cards(t)) < self.n_cards
 
     def first_fault_s(self) -> float:
         """Instant the first fault begins (inf for an empty plan)."""

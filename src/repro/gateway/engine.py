@@ -14,40 +14,38 @@ stages inside its arrival event:
    joiner (single-flight dedup), a miss makes it the key's leader;
 3. **route** — the consistent-hash ring picks the owning server, so
    identical keys always share a server (and a micro-batch row);
-4. **dispatch** — the server lane runs the *exact*
-   :meth:`~repro.serving.engine.QuoteServer.serve` event-loop sequence
-   (fire linger timers, drain the in-flight window, reap expired work,
-   bounded-queue admission, offer to the coalescer), with every lane's
-   timing rig sharing the gateway's clock.
+4. **dispatch** — the owning server's :class:`~repro.serving.lane.Lane`
+   admits the request (bounded queue, degradation ladder) and coalesces
+   it: the same lane :meth:`~repro.serving.engine.QuoteServer.serve`
+   drives, with every lane's timing rig on the gateway's clock.
 
-With one server, one unlimited tenant and the cache off, the gateway
-adds no behaviour: its lane result is pinned **equal** to
-``QuoteServer.serve`` on the same trace, and cached/deduped values are
-pinned bit-identical to cache-off replies — both by the property suite.
+The gateway itself keeps only tenant admission, the cache and routing.
+With one server, one unlimited tenant and the cache off it adds no
+behaviour: its lane result is pinned **equal** to ``QuoteServer.serve``
+on the same trace, and cached/deduped values are pinned bit-identical
+to cache-off replies — both by the property suite.
 
-Fault plans compose: a plan applied to one lane routes that lane's
-dispatch through the failure-aware layer (retries, breakers, the
-degradation ladder) while the other lanes run clean — the
-"crash-1of4 behind the gateway" chaos cell.
+A fault plan applies to one lane (retries, breakers, the degradation
+ladder) while the others carry the empty plan — the "crash-1of4 behind
+the gateway" chaos cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.api import PricingBackend
-from repro.api.cost import ClusterTimingRig
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
 from repro.errors import ValidationError
+from repro.faults.plan import FaultPlan
+from repro.faults.retry import HedgePolicy, RetryPolicy
 from repro.risk.engine import Portfolio
 from repro.risk.tensor import ScenarioTensor
-from repro.serving.coalescer import MicroBatch, MicroBatchCoalescer
 from repro.serving.engine import QuoteServer
-from repro.serving.metrics import CardLoad, LatencyStats, ServingResult
+from repro.serving.metrics import LatencyStats
 from repro.serving.request import (
     FailRecord,
     PricingRequest,
@@ -55,93 +53,16 @@ from repro.serving.request import (
     ShedReason,
     ShedRecord,
 )
-from repro.sim import CompletionTracker, Simulation
+from repro.sim import Simulation
 from repro.telemetry import NULL_TELEMETRY, MetricsRegistry, Telemetry
 from repro.workloads.scenarios import PaperScenario
 
 from repro.gateway.cache import DEFAULT_HIT_LATENCY_S, QuoteCache, cache_key
 from repro.gateway.metrics import GatewayResult, per_tenant_stats
-from repro.gateway.routing import DEFAULT_REPLICAS, HashRing, route_key
+from repro.gateway.routing import DEFAULT_REPLICAS, HashRing
 from repro.gateway.tenancy import DEFAULT_TENANTS, TenantBook, TenantProfile
 
-if TYPE_CHECKING:  # fault types are optional at runtime (lazy import)
-    from repro.faults import FaultPlan, HedgePolicy, RetryPolicy
-
 __all__ = ["Gateway"]
-
-
-class _Lane:
-    """One server's per-replay surfaces behind the gateway."""
-
-    def __init__(
-        self, index: int, server: QuoteServer, sim: Simulation
-    ) -> None:
-        self.index = index
-        self.server = server
-        self.rig = ClusterTimingRig(
-            server.cost_model,
-            server.link,
-            server.n_cards,
-            sim=sim,
-            telemetry=server.telemetry,
-        )
-        self.coalescer = MicroBatchCoalescer(server.queue)
-        self.in_flight = CompletionTracker()
-        self.metrics = MetricsRegistry()
-        self.n_batches = self.metrics.counter(
-            "serving_batches_total", "micro-batches dispatched"
-        )
-        self.batch_requests = self.metrics.counter(
-            "serving_batch_requests_total", "requests carried by batches"
-        )
-        self.batch_rows = self.metrics.counter(
-            "serving_batch_rows_total", "deduplicated market rows batched"
-        )
-        self.shed_queue = self.metrics.counter(
-            "serving_requests_shed_queue_total", "arrivals shed on backpressure"
-        )
-        self.trace: list[PricingRequest] = []
-        self.responses: list[PricingResponse] = []
-        self.queue_sheds: list[ShedRecord] = []
-        self.dispatcher = None  # FaultedDispatcher in fault mode
-        # Scan cursors for the gateway's cache-resolution sweep.
-        self.seen_responses = 0
-        self.seen_sheds = 0
-        self.seen_fails = 0
-
-    @property
-    def all_responses(self) -> list[PricingResponse]:
-        """The lane's responses so far (fault or fault-free path)."""
-        return (
-            self.dispatcher.responses if self.dispatcher is not None
-            else self.responses
-        )
-
-    @property
-    def n_outstanding(self) -> int:
-        """Admitted-but-incomplete requests on this lane."""
-        extra = self.dispatcher.n_outstanding if self.dispatcher else 0
-        return self.coalescer.n_pending + len(self.in_flight) + extra
-
-    def run(self, batches: list[MicroBatch]) -> None:
-        """Dispatch formed batches through the lane's server."""
-        for batch in batches:
-            if self.dispatcher is not None:
-                self.dispatcher.run_batch(batch)
-            else:
-                done = self.server._run_batch(batch, self.rig, self.metrics)
-                self.responses.extend(done)
-                for resp in done:
-                    self.in_flight.push(resp.completion_s)
-            self.n_batches.inc()
-            self.batch_requests.inc(batch.n_requests)
-            self.batch_rows.inc(len(batch.rows))
-
-    def tick(self, now: float) -> None:
-        """The per-arrival housekeeping of ``QuoteServer.serve``."""
-        self.run(self.coalescer.advance(now))
-        self.in_flight.drain(now)
-        self.coalescer.reap(now)
 
 
 class Gateway:
@@ -242,10 +163,10 @@ class Gateway:
         requests,
         *,
         ticks=None,
-        faults: "FaultPlan | None" = None,
+        faults: FaultPlan | None = None,
         fault_server: int = 0,
-        hedge: "HedgePolicy | None" = None,
-        retry: "RetryPolicy | None" = None,
+        hedge: HedgePolicy | None = None,
+        retry: RetryPolicy | None = None,
         monitor=None,
     ) -> GatewayResult:
         """Replay a multi-tenant trace through the gateway tier.
@@ -260,12 +181,11 @@ class Gateway:
             cached quote keyed on its row (ignored with the cache off).
         faults:
             Optional :class:`~repro.faults.FaultPlan` applied to the
-            ``fault_server`` lane, which then dispatches through the
-            failure-aware layer while the other lanes run clean.
+            ``fault_server`` lane; the other lanes carry the empty plan.
         fault_server:
             Which lane the plan hits.
         hedge / retry:
-            Fault-mode policies for the faulted lane.
+            Dispatch policies of the ``fault_server`` lane.
         monitor:
             Optional :class:`~repro.monitor.Monitor`; attached to the
             shared clock with a cluster-wide ``cards_up`` probe and
@@ -284,24 +204,18 @@ class Gateway:
         for req in trace:
             self.servers[0]._check_request(req)
             book.profile(req.tenant)  # unknown tenants fail fast
-        faulted = faults is not None and not faults.is_empty
-        if faulted and not 0 <= fault_server < self.n_servers:
+        if faults is not None and not 0 <= fault_server < self.n_servers:
             raise ValidationError(
                 f"fault_server must index a server, got {fault_server}"
             )
 
         sim = Simulation()
         lanes = [
-            _Lane(i, server, sim) for i, server in enumerate(self.servers)
+            server.lane(faults, sim=sim, hedge=hedge, retry=retry)
+            if i == fault_server
+            else server.lane(sim=sim)
+            for i, server in enumerate(self.servers)
         ]
-        if faulted:
-            from repro.serving.faulted import FaultedDispatcher
-
-            lane = lanes[fault_server]
-            lane.dispatcher = FaultedDispatcher(
-                lane.server, lane.rig, faults, retry=retry, hedge=hedge,
-                metrics=lane.metrics, in_flight=lane.in_flight,
-            )
         cache = (
             QuoteCache(hit_latency_s=self.cache_hit_latency_s)
             if self.cache_enabled
@@ -327,18 +241,18 @@ class Gateway:
         quota_sheds: list[ShedRecord] = []
         waiter_sheds: list[ShedRecord] = []
         waiter_fails: list[FailRecord] = []
+        # Scan cursors per lane for the cache-resolution sweep:
+        # responses, coalescer sheds and fail records already seen.
+        seen = [[0, 0, 0] for _ in lanes]
 
         if monitor is not None:
-            total_cards = sum(lane.server.n_cards for lane in lanes)
-            probe = None
-            if faulted:
-                flane = lanes[fault_server]
-                clean = total_cards - flane.server.n_cards
-                health = flane.dispatcher.health
-                probe = lambda t: clean + float(  # noqa: E731
-                    len(health.healthy_cards(t))
-                )
-            monitor.attach(sim, gw, n_cards=total_cards, probe=probe)
+            monitor.attach(
+                sim, gw,
+                n_cards=sum(lane.rig.n_cards for lane in lanes),
+                probe=lambda t: float(sum(
+                    len(lane.health.healthy_cards(t)) for lane in lanes
+                )),
+            )
 
         def emit_cache_response(
             req: PricingRequest, entry, completion: float, formed: float
@@ -361,11 +275,11 @@ class Gateway:
 
         def resolve_outcomes() -> None:
             """Sweep new lane outcomes into cache entries and waiters."""
-            for lane in lanes:
-                responses = lane.all_responses
-                while lane.seen_responses < len(responses):
-                    resp = responses[lane.seen_responses]
-                    lane.seen_responses += 1
+            for lane, cursor in zip(lanes, seen):
+                responses = lane.dispatcher.responses
+                sheds = lane.coalescer.sheds
+                fails = lane.dispatcher.fails
+                for resp in responses[cursor[0]:]:
                     entry = cache.fulfil(
                         resp.request_id,
                         value=resp.value,
@@ -383,51 +297,24 @@ class Gateway:
                                 max(waiter.arrival_s, entry.formed_s),
                             )
                         entry.waiters.clear()
-                sheds = lane.coalescer.sheds
-                while lane.seen_sheds < len(sheds):
-                    rec = sheds[lane.seen_sheds]
-                    lane.seen_sheds += 1
-                    entry = cache.abandon(rec.request.request_id)
-                    if entry is not None:
-                        # Single-flight ties a joiner's fate to its
-                        # leader: nobody repriced the key for them.
-                        for waiter in entry.waiters:
-                            waiter_sheds.append(
-                                ShedRecord(waiter, rec.time_s, rec.reason)
-                            )
-                        entry.waiters.clear()
-                if lane.dispatcher is not None:
-                    fails = lane.dispatcher.fails
-                    while lane.seen_fails < len(fails):
-                        rec = fails[lane.seen_fails]
-                        lane.seen_fails += 1
-                        entry = cache.abandon(rec.request.request_id)
-                        if entry is not None:
-                            for waiter in entry.waiters:
-                                waiter_fails.append(
-                                    FailRecord(
-                                        request=waiter,
-                                        time_s=rec.time_s,
-                                        attempts=rec.attempts,
-                                        reason=rec.reason,
-                                    )
-                                )
-                            entry.waiters.clear()
+                for rec in sheds[cursor[1]:]:
+                    abandon(rec, waiter_sheds)
+                for rec in fails[cursor[2]:]:
+                    abandon(rec, waiter_fails)
+                cursor[:] = len(responses), len(sheds), len(fails)
 
-        def shed_at_lane(
-            lane: _Lane, req: PricingRequest, now: float, reason: ShedReason
-        ) -> None:
-            lane.queue_sheds.append(ShedRecord(req, now, reason))
-            if reason is ShedReason.BACKPRESSURE:
-                lane.shed_queue.inc()
-            else:
-                lane.dispatcher.counters.n_shed_degraded += 1
-            if recorder.enabled:
-                recorder.record(
-                    "shed", now, now, track="server", category="request",
-                    trace_id=req.request_id, kind=req.kind,
-                    args={"reason": reason.value},
+        def abandon(rec, waiter_records: list) -> None:
+            """A leader that was shed or failed takes its joiners along.
+
+            Single-flight ties a joiner's fate to its leader: nobody
+            repriced the key for them.
+            """
+            entry = cache.abandon(rec.request.request_id)
+            if entry is not None:
+                waiter_records.extend(
+                    replace(rec, request=waiter) for waiter in entry.waiters
                 )
+                entry.waiters.clear()
 
         def on_arrival(req: PricingRequest) -> None:
             now = req.arrival_s
@@ -497,31 +384,18 @@ class Gateway:
                     return
                 cache.stats.misses += 1
                 misses_total.inc()
-            lane = lanes[self.ring.route_request(req)]
+            index = self.ring.route_request(req)
             gw.counter(
                 "gateway_routed_total", "requests routed to servers",
-                labels={"server": str(lane.index)},
+                labels={"server": str(index)},
             ).inc()
             boosted = (
                 req
                 if profile.priority_boost == 0
                 else replace(req, priority=req.priority + profile.priority_boost)
             )
-            lane.trace.append(boosted)
-            outstanding = lane.n_outstanding
-            if outstanding >= self.queue_depth:
-                shed_at_lane(lane, boosted, now, ShedReason.BACKPRESSURE)
-                return
-            if lane.dispatcher is not None and lane.dispatcher.health.capacity_reduced(now):
-                from repro.serving.faulted import DEGRADE_FRACTIONS
-
-                frac = DEGRADE_FRACTIONS[req.kind]
-                if frac < 1.0 and outstanding >= frac * self.queue_depth:
-                    shed_at_lane(lane, boosted, now, ShedReason.DEGRADED)
-                    return
-            if key is not None:
+            if lanes[index].offer(boosted, now) and key is not None:
                 cache.begin(key, boosted)
-            lane.run(lane.coalescer.offer(boosted))
 
         def on_tick(payload) -> None:
             _, row = payload
@@ -544,35 +418,18 @@ class Gateway:
                 sim.schedule_at(t, on_tick, payload=tick, label="tick")
         sim.run()
         for lane in lanes:
-            lane.run(lane.coalescer.flush())
-        if faulted:
-            sim.run()  # tail batches may have scheduled retries
+            lane.flush()
+        sim.run()  # tail batches may have scheduled retries
         if cache is not None:
             resolve_outcomes()
 
         return self._summarise(
             trace, lanes, book, cache,
             cache_responses, quota_sheds, waiter_sheds, waiter_fails,
-            gw, monitor=monitor, faults=faults if faulted else None,
+            gw, monitor=monitor, faults=faults,
         )
 
     # ------------------------------------------------------------------
-    def _empty_lane_result(self, lane: _Lane) -> ServingResult:
-        return ServingResult(
-            n_offered=0, n_completed=0, n_shed_queue=0, n_shed_deadline=0,
-            n_deadline_met=0, n_late=0, span_seconds=0.0, throughput_rps=0.0,
-            goodput_rps=0.0, shed_rate=0.0, deadline_hit_rate=0.0,
-            latency=LatencyStats.from_latencies(np.asarray([])),
-            n_dispatches=0, mean_batch_requests=0.0, mean_batch_rows=0.0,
-            cards=tuple(
-                CardLoad(
-                    card_id=c, dispatches=0, n_rows=0, n_cells=0,
-                    busy_seconds=0.0, utilisation=0.0,
-                )
-                for c in range(lane.server.n_cards)
-            ),
-        )
-
     def _summarise(
         self,
         trace,
@@ -588,63 +445,16 @@ class Gateway:
         monitor=None,
         faults=None,
     ) -> GatewayResult:
-        recorder = self.telemetry.recorder
         server_results = []
         all_responses = list(cache_responses)
         all_sheds = quota_sheds + waiter_sheds
         all_fails = list(waiter_fails)
         for lane in lanes:
-            if lane.dispatcher is not None:
-                counters = lane.dispatcher.counters
-                counters.n_breaker_trips = lane.dispatcher.breakers.n_trips
-                counters.n_breaker_probes = lane.dispatcher.breakers.n_probes
-                lane.metrics.counter(
-                    "serving_retries_total", "failed dispatches re-dispatched"
-                ).inc(counters.n_retries)
-                lane.metrics.counter(
-                    "serving_hedges_total", "duplicate straggler dispatches"
-                ).inc(counters.n_hedges)
-                lane.metrics.counter(
-                    "serving_breaker_trips_total",
-                    "circuit-breaker open transitions",
-                ).inc(counters.n_breaker_trips)
-                lane.metrics.counter(
-                    "serving_requests_failed_total",
-                    "requests failed after retries",
-                ).inc(counters.n_failed_requests)
-                lane.metrics.counter(
-                    "serving_requests_shed_degraded_total",
-                    "arrivals shed by the degradation ladder",
-                ).inc(counters.n_shed_degraded)
-            lane_fails = (
-                sorted(lane.dispatcher.fails, key=lambda f: f.time_s)
-                if lane.dispatcher is not None
-                else []
-            )
-            lane_sheds = sorted(
-                lane.queue_sheds + list(lane.coalescer.sheds),
-                key=lambda s: s.time_s,
-            )
-            if recorder.enabled:
-                for rec in lane.coalescer.sheds:
-                    recorder.record(
-                        "shed", rec.time_s, rec.time_s, track="server",
-                        category="request", trace_id=rec.request.request_id,
-                        kind=rec.request.kind, args={"reason": str(rec.reason)},
-                    )
-            if lane.trace:
-                server_results.append(
-                    lane.server._summarise(
-                        lane.trace, lane.all_responses, lane_sheds,
-                        lane.rig, lane.metrics,
-                        n_failed=len(lane_fails), fails=lane_fails,
-                    )
-                )
-            else:
-                server_results.append(self._empty_lane_result(lane))
-            all_responses.extend(lane.all_responses)
-            all_sheds.extend(lane_sheds)
-            all_fails.extend(lane_fails)
+            result = lane.result()
+            server_results.append(result)
+            all_responses.extend(result.responses)
+            all_sheds.extend(result.sheds)
+            all_fails.extend(result.fails)
 
         all_responses.sort(key=lambda r: (r.completion_s, r.request_id))
         all_sheds.sort(key=lambda s: (s.time_s, s.request.request_id))

@@ -223,9 +223,8 @@ def fresh_serving_snapshot() -> dict:
 
     Replicates ``benchmarks/test_serving_latency.py`` exactly — the
     12k-request trace at 60k req/s offered, coalesced and batch-1 —
-    and returns a dict in the committed ``BENCH_serving.json`` schema
-    (minus the volatile ``host_wall_seconds`` block, which no check
-    reads).  Simulated time throughout: deterministic in the seed.
+    and returns a dict in the committed ``BENCH_serving.json`` schema.
+    Simulated time throughout: deterministic in the seed.
     """
     from repro.cluster.batching import BatchQueue
     from repro.risk.engine import make_book
@@ -339,8 +338,7 @@ def fresh_gateway_snapshot() -> dict:
     Replicates ``benchmarks/test_gateway_cache.py`` exactly — the
     16k-request multi-tenant trace at 600k req/s offered through the
     two-server gateway, cache on and cache off — and returns a dict in
-    the committed ``BENCH_gateway.json`` schema (minus the volatile
-    ``host_wall_seconds`` block, which no check reads).  Simulated time
+    the committed ``BENCH_gateway.json`` schema.  Simulated time
     throughout: deterministic in the seed.
     """
     from repro.analysis.gateway import generate_gateway_report

@@ -21,10 +21,12 @@ and batching queue compose cleanly:
   by the :class:`~repro.cluster.interconnect.HostLinkModel` contention
   factor, exactly as in a portfolio-sharded batch.
 
-Timing replay runs on the unified :mod:`repro.sim` core — each card is a
-:class:`~repro.sim.Resource` and its scenario chunk one busy-window
-reservation — pinned bit-identical to the pre-``repro.sim`` roll-up by
-the timing-conformance suite.
+The timing replay is one walk per card against a fault plan's
+:class:`~repro.faults.ClusterHealth`.  Without faults (the empty plan)
+each card's scenario chunk is a single busy window of ``len(chunk)``
+batch quanta from t=0, pinned bit-identical to the legacy roll-up by
+the timing-conformance suite; crashes and stragglers make the same walk
+re-partition and stretch work.
 
 Numerical results never depend on the sharding — only the simulated
 timing and power roll-up (:class:`ClusterTiming`) do.  Under batched
@@ -36,10 +38,10 @@ module's timing simulation is unchanged by the batching layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.cluster.batching import BatchQueue
-from repro.workloads.cluster import Arrival
 from repro.cluster.interconnect import HostLinkModel
 from repro.cluster.node import ClusterNode
 from repro.cluster.scheduler import (
@@ -50,7 +52,8 @@ from repro.cluster.scheduler import (
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
 from repro.errors import ValidationError
-from repro.sim import Resource, Simulation
+from repro.faults.health import ClusterHealth
+from repro.faults.plan import FaultPlan
 from repro.workloads.scenarios import PaperScenario
 
 __all__ = [
@@ -235,13 +238,17 @@ def simulate_grid_run(
     batch (same contracts, same table sizes — only the table *values*
     differ, which the timing model is invariant to).
 
-    With a non-empty ``faults`` plan the run is routed through the
-    failure-aware walk instead: a card crash destroys its in-progress
-    scenario (wasted work) and the surviving work is re-partitioned
-    across the healthy cards at the crash instant, straggler windows
-    inflate a card's batch quantum, and the roll-up comes back as a
-    :class:`FaultedClusterTiming`.  ``None`` or an empty plan takes
-    exactly the legacy path (byte-identical roll-up).
+    Each card then walks its queue against the fault plan's
+    :class:`~repro.faults.ClusterHealth`.  A segment of work on a card
+    no straggler touches, finishing before the card's next crash, is one
+    busy window of ``count * batch_seconds``; otherwise the card walks
+    it scenario by scenario, stretching each batch quantum through
+    straggler windows.  A crash destroys the in-progress scenario
+    (wasted work) and re-partitions the card's remaining work across the
+    cards healthy at the crash instant.  The empty plan (``faults=None``)
+    walks every chunk in one window from t=0 and returns a plain
+    :class:`ClusterTiming`; a non-empty plan returns a
+    :class:`FaultedClusterTiming`.
 
     Parameters
     ----------
@@ -254,7 +261,8 @@ def simulate_grid_run(
     scenario:
         Experimental configuration shared by every card.
     policy:
-        Scheduling policy name, for the roll-up.
+        Scheduling policy name, for the roll-up (and for re-partitioning
+        work off crashed cards).
     n_engines:
         CDS engines per card (floorplan-validated).
     link:
@@ -266,9 +274,11 @@ def simulate_grid_run(
         Optional :class:`~repro.telemetry.Telemetry` handle: card busy
         windows are recorded as spans when it records, and the grid
         roll-up is published into its registry (``risk_grid_*``
-        metrics).  The roll-up itself is identical either way.
+        metrics, plus the fault counters under a non-empty plan).  The
+        roll-up itself is identical either way.
     faults:
-        Optional :class:`~repro.faults.FaultPlan`; see above.
+        Optional :class:`~repro.faults.FaultPlan`; ``None`` is the
+        empty plan.
     """
     if not options:
         raise ValidationError("grid run needs at least one position")
@@ -276,179 +286,47 @@ def simulate_grid_run(
         raise ValidationError("grid run needs at least one card")
     link = link if link is not None else HostLinkModel()
     queue = queue if queue is not None else BatchQueue()
+    plan = faults if faults is not None else FaultPlan()
     recorder = telemetry.recorder if telemetry is not None else None
 
-    n_scenarios = sum(len(chunk) for chunk in assignment)
+    n_sharded = sum(len(chunk) for chunk in assignment)
     n_cards = len(assignment)
-    active = sum(1 for chunk in assignment if chunk)
-    factor = link.contention_factor(active)
+    factor = link.contention_factor(sum(1 for chunk in assignment if chunk))
 
     # One representative batch on card 0; all scenarios share its cost.
     node = ClusterNode(0, scenario, n_engines=n_engines)
     result = node.price(options, yield_curve, hazard_curve)
     kernel = scenario.clock.seconds(result.kernel_cycles)
     batch_seconds = kernel + result.pcie_seconds * factor
+    health = ClusterHealth(plan, n_cards)
 
-    if faults is not None and not faults.is_empty:
-        return _simulate_grid_faulted(
-            assignment, options, node, batch_seconds, link, queue,
-            policy, faults, telemetry,
-        )
-
-    # Unified-clock replay: one sim Resource per card; a card's scenario
-    # chunk occupies a single busy window of ``len(chunk)`` batch quanta
-    # reserved from t=0 (the whole grid is available at run start).
-    sim = Simulation()
-    shards: list[CardShard] = []
-    busy: list[float] = []
-    dispatches = 0
-    for card_id, chunk in enumerate(assignment):
-        if not chunk:
-            shards.append(
-                CardShard(
-                    card_id=card_id,
-                    n_scenarios=0,
-                    dispatches=0,
-                    seconds=0.0,
-                    utilisation=0.0,
-                    watts=node.idle_watts,
-                )
-            )
-            continue
-        # Scenario revaluation requests for this card coalesce into host
-        # dispatches under the standard size-or-linger rule; all requests
-        # are present at t=0 so only the size cap shapes the chunking.
-        token = options[0]
-        card_dispatches = len(
-            queue.coalesce([Arrival(time_s=0.0, options=[token] * len(chunk))])
-        )
-        resource = Resource(f"card{card_id}", sim=sim, recorder=recorder)
-        window = resource.reserve(
-            0.0,
-            len(chunk) * batch_seconds,
-            span_name="scenario_shard",
-            span_kind="grid",
-            span_args={"scenarios": len(chunk), "dispatches": card_dispatches},
-        )
-        dispatches += card_dispatches
-        busy.append(window.done_s)
-        shards.append(
-            CardShard(
-                card_id=card_id,
-                n_scenarios=len(chunk),
-                dispatches=card_dispatches,
-                seconds=resource.busy_seconds,
-                utilisation=0.0,  # filled once the makespan is known
-                watts=node.active_watts,
-            )
-        )
-
-    makespan = max(busy) + link.dispatch_seconds(dispatches)
-    shards = [
-        CardShard(
-            card_id=s.card_id,
-            n_scenarios=s.n_scenarios,
-            dispatches=s.dispatches,
-            seconds=s.seconds,
-            utilisation=s.seconds / makespan,
-            watts=s.watts,
-        )
-        for s in shards
-    ]
-    watts = sum(s.watts for s in shards)
-    repricings = n_scenarios * len(options)
-    if telemetry is not None:
-        out = telemetry.metrics
-        out.counter(
-            "risk_grid_scenarios_total", "scenarios revalued on the grid"
-        ).inc(n_scenarios)
-        out.counter(
-            "risk_grid_dispatches_total", "host dispatches feeding the grid"
-        ).inc(dispatches)
-        out.counter(
-            "risk_grid_repricings_total", "grid cells (scenario x position)"
-        ).inc(repricings)
-        out.gauge(
-            "risk_grid_makespan_seconds", "slowest card plus serial dispatch"
-        ).set(makespan)
-        out.gauge(
-            "risk_grid_batch_seconds", "one scenario's batch cost quantum"
-        ).set(batch_seconds)
-        out.gauge(
-            "risk_grid_repricings_per_watt", "power efficiency of the run"
-        ).set(repricings / makespan / watts)
-    return ClusterTiming(
-        n_scenarios=n_scenarios,
-        n_positions=len(options),
-        n_cards=n_cards,
-        n_active_cards=active,
-        policy=policy,
-        batch_seconds=batch_seconds,
-        makespan_seconds=makespan,
-        scenarios_per_second=n_scenarios / makespan,
-        repricings_per_second=repricings / makespan,
-        total_watts=watts,
-        repricings_per_watt=repricings / makespan / watts,
-        dispatches=dispatches,
-        cards=tuple(shards),
-    )
-
-
-def _simulate_grid_faulted(
-    assignment: list[list[int]],
-    options: list[CDSOption],
-    node: ClusterNode,
-    batch_seconds: float,
-    link: HostLinkModel,
-    queue: BatchQueue,
-    policy: str,
-    faults,
-    telemetry,
-) -> FaultedClusterTiming:
-    """The failure-aware scenario-grid walk behind :func:`simulate_grid_run`.
-
-    Each card walks its queue scenario by scenario on the shared clock:
-    a batch quantum stretches through straggler windows, a crash wastes
-    the in-progress scenario and hands every remaining one back to the
-    scheduler, which re-partitions them across the cards healthy *at the
-    crash instant*.  Scenarios stranded with no healthy card fail (the
-    conservation roll-up: sharded = completed + failed).  The walk is
-    pure arithmetic over the plan — deterministic for a given plan and
-    assignment.
-    """
-    import math
-
-    from repro.faults.health import ClusterHealth
-
-    n_cards = len(assignment)
-    n_sharded = sum(len(chunk) for chunk in assignment)
-    health = ClusterHealth(faults, n_cards)
-    sched = make_scheduler(policy)
+    def n_dispatches(count: int) -> int:
+        # All of a segment's scenarios are present at once, so only the
+        # queue's size cap shapes the host dispatches.
+        return math.ceil(count / queue.max_batch)
 
     # Per-card work: (available-from, scenario count) segments; counts
     # are all that matter — scenario cost is uniform.
     segments: list[list[tuple[float, int]]] = [
         [(0.0, len(chunk))] if chunk else [] for chunk in assignment
     ]
+    dispatches_per_card = [n_dispatches(len(chunk)) for chunk in assignment]
     cursor = [0.0] * n_cards
     completed = [0] * n_cards
     busy = [0.0] * n_cards
     done_time = [0.0] * n_cards
-    dispatches_per_card = [0] * n_cards
     wasted = 0.0
     n_repartitions = 0
     n_rescheduled = 0
     n_failed = 0
-    token = options[0]
 
-    def segment_dispatches(count: int) -> int:
-        return len(
-            queue.coalesce([Arrival(time_s=0.0, options=[token] * count)])
-        )
-
-    for card, segs in enumerate(segments):
-        if segs:
-            dispatches_per_card[card] += segment_dispatches(segs[0][1])
+    def record(card: int, start: float, end: float, count: int) -> None:
+        if recorder is not None and recorder.enabled:
+            recorder.record(
+                "scenario_shard", start, end, track=f"card{card}",
+                category="resource", kind="grid",
+                args={"scenarios": count, "dispatches": n_dispatches(count)},
+            )
 
     def run_until(card: int, limit: float) -> int:
         """Walk ``card``'s queue up to ``limit``; returns stranded count."""
@@ -456,58 +334,63 @@ def _simulate_grid_faulted(
         segs = segments[card]
         while segs:
             avail, count = segs[0]
-            t = max(cursor[card], avail)
-            for k in range(count):
-                service = batch_seconds * health.service_factor(
-                    card, t, batch_seconds
-                )
-                if t + service > limit:
-                    # The crash lands mid-scenario: burn the partial
-                    # window, strand this scenario and everything after.
-                    if t < limit:
-                        wasted += limit - t
-                        busy[card] += limit - t
-                    stranded = (count - k) + sum(c for _, c in segs[1:])
-                    segs.clear()
-                    cursor[card] = limit
-                    return stranded
-                t += service
-                busy[card] += service
-                completed[card] += 1
+            start = t = max(cursor[card], avail)
+            window = count * batch_seconds
+            if not health.straggles(card) and t + window <= limit:
+                t += window
+                busy[card] += window
+                completed[card] += count
+            else:
+                for k in range(count):
+                    service = batch_seconds * health.service_factor(
+                        card, t, batch_seconds
+                    )
+                    if t + service > limit:
+                        # The crash lands mid-scenario: burn the partial
+                        # window, strand this scenario and everything
+                        # after it.
+                        if t < limit:
+                            wasted += limit - t
+                            busy[card] += limit - t
+                        record(card, start, max(t, limit), k)
+                        stranded = (count - k) + sum(c for _, c in segs[1:])
+                        segs.clear()
+                        cursor[card] = limit
+                        return stranded
+                    t += service
+                    busy[card] += service
+                    completed[card] += 1
+            record(card, start, t, count)
             cursor[card] = t
             done_time[card] = max(done_time[card], t)
             segs.pop(0)
         return 0
 
-    for crash in faults.crashes:
+    for crash in plan.crashes:
         stranded = run_until(crash.card, crash.at_s)
         if stranded:
-            healthy = tuple(
-                c for c in range(n_cards)
-                if not health.card_down(c, crash.at_s)
-            )
+            healthy = health.healthy_cards(crash.at_s)
             if not healthy:
                 n_failed += stranded
             else:
                 n_repartitions += 1
                 n_rescheduled += stranded
-                sub = sched.partition([1.0] * stranded, len(healthy))
+                sub = make_scheduler(policy).partition(
+                    [1.0] * stranded, len(healthy)
+                )
                 for slot, chunk in enumerate(sub):
                     if chunk:
-                        segments[healthy[slot]].append(
-                            (crash.at_s, len(chunk))
-                        )
-                        dispatches_per_card[healthy[slot]] += (
-                            segment_dispatches(len(chunk))
+                        segments[healthy[slot]].append((crash.at_s, len(chunk)))
+                        dispatches_per_card[healthy[slot]] += n_dispatches(
+                            len(chunk)
                         )
         # The card resumes (with whatever is later re-sharded to it, if
         # anything) only once repaired.
         cursor[crash.card] = max(cursor[crash.card], crash.down_until_s)
 
     for card in range(n_cards):
-        leftover = run_until(card, math.inf)
-        if leftover:  # permanently down with work still queued
-            n_failed += leftover
+        # Work still queued on a permanently dead card fails.
+        n_failed += run_until(card, math.inf)
 
     dispatches = sum(dispatches_per_card)
     makespan = max(done_time) + link.dispatch_seconds(dispatches)
@@ -525,7 +408,7 @@ def _simulate_grid_faulted(
     )
     watts = sum(s.watts for s in shards)
     repricings = n_completed * len(options)
-    timing = FaultedClusterTiming(
+    rollup = dict(
         n_scenarios=n_sharded,
         n_positions=len(options),
         n_cards=n_cards,
@@ -541,24 +424,53 @@ def _simulate_grid_faulted(
         ),
         dispatches=dispatches,
         cards=shards,
-        fault_spec=faults.spec(),
-        n_repartitions=n_repartitions,
-        n_rescheduled=n_rescheduled,
-        n_failed_scenarios=n_failed,
-        wasted_seconds=wasted,
     )
+    if plan.is_empty:
+        timing = ClusterTiming(**rollup)
+    else:
+        timing = FaultedClusterTiming(
+            **rollup,
+            fault_spec=plan.spec(),
+            n_repartitions=n_repartitions,
+            n_rescheduled=n_rescheduled,
+            n_failed_scenarios=n_failed,
+            wasted_seconds=wasted,
+        )
     if telemetry is not None:
-        out = telemetry.metrics
-        out.counter(
-            "risk_grid_repartitions_total", "card deaths that re-sharded work"
-        ).inc(n_repartitions)
-        out.counter(
-            "risk_grid_rescheduled_total", "scenarios moved off dead cards"
-        ).inc(n_rescheduled)
-        out.counter(
-            "risk_grid_failed_scenarios_total", "scenarios stranded by faults"
-        ).inc(n_failed)
-        out.gauge(
-            "risk_grid_wasted_seconds", "busy time destroyed by crashes"
-        ).set(wasted)
+        _publish_grid(telemetry.metrics, timing, repricings)
     return timing
+
+
+def _publish_grid(out, timing: ClusterTiming, repricings: int) -> None:
+    """The grid roll-up as ``risk_grid_*`` metrics (fault counters too)."""
+    counters = [
+        ("scenarios_total", "scenarios revalued on the grid", timing.n_scenarios),
+        ("dispatches_total", "host dispatches feeding the grid",
+         timing.dispatches),
+        ("repricings_total", "grid cells (scenario x position)", repricings),
+    ]
+    gauges = [
+        ("makespan_seconds", "slowest card plus serial dispatch",
+         timing.makespan_seconds),
+        ("batch_seconds", "one scenario's batch cost quantum",
+         timing.batch_seconds),
+        ("repricings_per_watt", "power efficiency of the run",
+         timing.repricings_per_watt),
+    ]
+    if isinstance(timing, FaultedClusterTiming):
+        counters += [
+            ("repartitions_total", "card deaths that re-sharded work",
+             timing.n_repartitions),
+            ("rescheduled_total", "scenarios moved off dead cards",
+             timing.n_rescheduled),
+            ("failed_scenarios_total", "scenarios stranded by faults",
+             timing.n_failed_scenarios),
+        ]
+        gauges.append(
+            ("wasted_seconds", "busy time destroyed by crashes",
+             timing.wasted_seconds)
+        )
+    for name, help_, value in counters:
+        out.counter(f"risk_grid_{name}", help_).inc(value)
+    for name, help_, value in gauges:
+        out.gauge(f"risk_grid_{name}", help_).set(value)

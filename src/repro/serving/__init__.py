@@ -16,10 +16,14 @@ and shards its market-state rows across cluster cards:
     size-or-linger micro-batcher (reusing the cluster
     :class:`~repro.cluster.batching.BatchQueue` as its policy), with
     causal linger timers, priority fill and shed-on-deadline.
+``lane``
+    :class:`~repro.serving.lane.Lane` — one replay's coalescer,
+    in-flight window, bounded admission with the degradation ladder,
+    and the health-aware dispatcher of ``faulted`` (retries, breakers,
+    hedging; a fault-free run is the empty fault plan).
 ``engine``
-    :class:`~repro.serving.engine.QuoteServer` — admission control
-    (bounded outstanding work), per-card in-flight tracking, host-link
-    dispatch serialisation and contention, one negotiated
+    :class:`~repro.serving.engine.QuoteServer` — drives one lane per
+    replay: host-link dispatch serialisation and contention, one negotiated
     :class:`~repro.api.PricingSession` call per micro-batch via
     :meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` (any
     ``supports_streaming`` backend from the :mod:`repro.api` registry);

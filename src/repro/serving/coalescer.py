@@ -18,7 +18,7 @@ server needs on top of the offline replay:
   the batch fills in ``(priority desc, arrival, id)`` order.
 
 Admission control (the bounded queue) lives one level up in
-:class:`~repro.serving.engine.QuoteServer`, which knows the in-flight
+:class:`~repro.serving.lane.Lane`, which knows the in-flight
 population; the coalescer itself never rejects an offered request.
 """
 

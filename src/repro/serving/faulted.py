@@ -1,21 +1,22 @@
-"""Failure-aware micro-batch dispatch: retries, hedging, breakers.
+"""Health-aware micro-batch dispatch: retries, hedging, breakers.
 
-This module is the serving engine's fault-mode twin of
-``QuoteServer._run_batch``.  The legacy path stays byte-identical under
-an empty fault plan because :class:`FaultedDispatcher` is only
-instantiated when a non-empty :class:`~repro.faults.FaultPlan` is in
-play; everything here is additive.
+:class:`FaultedDispatcher` is the quote server's one dispatch path.  It
+times every chunk through :meth:`~repro.api.cost.ClusterTimingRig.
+dispatch` against the replay's :class:`~repro.faults.FaultPlan`.  A
+fault-free replay carries the empty plan: no card is ever down, no
+window stretches or fails, nothing retries, and every chunk is the plain
+host-then-card busy-window recurrence the timing-conformance suite pins.
 
 The model, per micro-batch:
 
-* **numerics run once** — one negotiated ``quote_rows`` call when the
-  batch forms, exactly as fault-free.  Faults, retries and hedges only
-  ever duplicate *simulated* card time; response values are bit-identical
-  to the fault-free run.
-* **dispatch is prospective** — before committing a card busy window the
-  dispatcher peeks at where it would land.  Work reaching the head of a
-  down card's queue fails immediately; a window a crash would cut short
-  is charged as wasted work up to the crash instant and fails there.
+* **numerics run once** — the server prices the batch's rows with one
+  negotiated ``quote_rows`` call when the batch forms.  Faults, retries
+  and hedges only ever duplicate *simulated* card time; response values
+  are bit-identical to the fault-free run.
+* **dispatch is prospective** — the rig peeks at where a window would
+  land before committing it.  Work reaching the head of a down card's
+  queue fails immediately; a window a crash would cut short is charged
+  as wasted work up to the crash instant and fails there.
 * **failures retry with capped exponential backoff** — surviving rows of
   a failed chunk are re-dispatched over the currently healthy, breaker-
   admitted cards after a seeded full-jitter backoff; the retry budget is
@@ -31,20 +32,22 @@ The model, per micro-batch:
 Conservation is the load-bearing invariant: every admitted request
 finalises exactly once — as a response or a fail record — no matter how
 many times its rows were re-dispatched.  The property suite pins
-``offered == completed + shed + failed`` across schedulers × plans.
+``offered == completed + shed + failed`` over generated plans.
 """
 
 from __future__ import annotations
 
 import math
 
+from repro.api.cost import FailedWindow
+from repro.cluster.scheduler import validate_partition
 from repro.faults.breaker import BreakerBank
-from repro.faults.health import ClusterHealth
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultCounters
 from repro.faults.retry import HedgePolicy, RetryPolicy
 from repro.serving.coalescer import MicroBatch
 from repro.serving.request import FailRecord, PricingResponse, ShedReason
+from repro.sim import Reservation
 
 __all__ = ["FaultedDispatcher", "DEGRADE_FRACTIONS"]
 
@@ -55,37 +58,37 @@ DEGRADE_FRACTIONS = {"quote": 1.0, "reval": 0.5, "var": 0.25}
 
 
 class _BatchState:
-    """Mutable progress of one micro-batch through faulted dispatch."""
+    """Mutable progress of one micro-batch through dispatch."""
 
-    __slots__ = ("batch", "values", "weight", "row_done", "row_card",
-                 "failed", "pending", "attempts", "finalised")
+    __slots__ = ("batch", "values", "weight", "placed", "failed", "pending",
+                 "attempts", "finalised")
 
     def __init__(self, batch: MicroBatch, values: list[float],
                  weight: dict[int, int]) -> None:
         self.batch = batch
         self.values = values
         self.weight = weight
-        self.row_done: dict[int, float] = {}
-        self.row_card: dict[int, int] = {}
+        #: row -> (card, host issue window, card window) of its last
+        #: successful dispatch.
+        self.placed: dict[int, tuple[int, Reservation, Reservation]] = {}
         self.failed: dict[int, tuple[float, ShedReason]] = {}
-        self.pending: set[int] = set(batch.rows)
+        self.pending: set[int] = set(weight)
         self.attempts = 1
         self.finalised = False
 
 
 class FaultedDispatcher:
-    """Drives micro-batches through a faulted cluster on the sim clock.
+    """Drives priced micro-batches through the cluster on the sim clock.
 
     Parameters
     ----------
     server:
-        The owning :class:`~repro.serving.engine.QuoteServer` (numerics,
-        scheduler, link and cost model are borrowed from it).
+        The owning :class:`~repro.serving.engine.QuoteServer` (scheduler,
+        link and telemetry are borrowed from it).
     rig:
-        The replay's timing rig; host-link outages from the plan are
-        registered as downtime on its host resource here.
+        The replay's timing rig; the plan is injected into it here.
     plan:
-        The (non-empty) fault plan.
+        The fault plan (the empty plan for a fault-free replay).
     retry / hedge:
         Policies; ``None`` picks the defaults (retry seeded from the
         plan, hedging disabled).
@@ -103,28 +106,26 @@ class FaultedDispatcher:
         self.rig = rig
         self.sim = rig.sim
         self.plan = plan
-        self.health = ClusterHealth(plan, server.n_cards)
+        self.health = rig.inject(plan)
         self.breakers = BreakerBank(server.n_cards)
         self.retry = retry if retry is not None else RetryPolicy(seed=plan.seed)
         self.hedge = hedge if hedge is not None else HedgePolicy(enabled=False)
         self.metrics = metrics
         self.in_flight = in_flight
+        self.recorder = server.telemetry.recorder
+        #: card -> its (rows, cells) counters, bound on first use.
+        self._card_counters: dict[int, tuple] = {}
         self.counters = FaultCounters()
         self.responses: list[PricingResponse] = []
         self.fails: list[FailRecord] = []
         #: Requests dispatched whose terminal state is not yet known —
         #: part of the admission controller's outstanding count.
         self.n_outstanding = 0
-        # The host link cannot issue dispatches during an outage window;
-        # Resource downtime models that directly.
-        for outage in plan.link_outages:
-            rig.host.add_downtime(outage.at_s, outage.until_s)
         self._record_fault_spans()
 
     def _record_fault_spans(self) -> None:
         """Mirror the plan's events as spans on a dedicated trace track."""
-        recorder = self.server.telemetry.recorder
-        if not recorder.enabled:
+        if not self.recorder.enabled:
             return
         for event in self.plan.events:
             end = getattr(event, "down_until_s", None)
@@ -133,34 +134,42 @@ class FaultedDispatcher:
             if math.isinf(end):
                 end = event.at_s  # permanent: render as an instant
             name = f"fault:{event.spec().split(':', 1)[0]}"
-            recorder.record(
+            self.recorder.record(
                 name, event.at_s, end, track="faults", category="fault",
                 args={"spec": event.spec()},
             )
 
     # ------------------------------------------------------------------
-    def run_batch(self, batch: MicroBatch) -> None:
-        """Price a batch (numerics once) and start its faulted dispatch."""
-        weight = self.server._batch_weights(batch)
-        rows = batch.rows
-        spreads, pv = self.server.engine.quote_rows(
-            self.server.tape, rows, chunk_size=self.server.chunk_size
-        )
-        values = self.server._values(batch.requests, rows, spreads, pv)
+    def run_batch(self, batch: MicroBatch, values: list[float],
+                  weight: dict[int, int]) -> None:
+        """Start a priced batch's dispatch at its formation instant.
+
+        ``values`` are the batch's per-request answers and ``weight``
+        maps each of its rows, in order, to the kernel cells it costs.
+        """
         state = _BatchState(batch, values, weight)
-        self.n_outstanding += len(batch.requests)
-        self._dispatch(state, list(rows), batch.formed_s, attempt=0)
+        self.n_outstanding += batch.n_requests
+        self._dispatch(state, list(weight), batch.formed_s, attempt=0)
 
     # ------------------------------------------------------------------
     def _dispatch(self, state: _BatchState, rows: list[int], t: float,
                   attempt: int) -> None:
-        """Dispatch ``rows`` (one attempt) over healthy, admitted cards."""
+        """Dispatch ``rows`` (one attempt) over healthy, admitted cards.
+
+        The rows are sharded by kernel-cell weight; the heaviest chunks
+        land on the least-busy cards (online in-flight balancing).
+        """
         rows = [r for r in rows if r in state.pending]
         if not rows:
             return
         state.attempts = max(state.attempts, attempt + 1)
         healthy = self.health.healthy_cards(t)
-        allowed = self.breakers.allowed_cards(healthy, t)
+        # Breakers only leave the closed state after a failed dispatch.
+        allowed = (
+            self.breakers.allowed_cards(healthy, t)
+            if self.counters.n_failed_dispatches
+            else healthy
+        )
         if not allowed:
             reason = (
                 ShedReason.BREAKER_OPEN if healthy else ShedReason.CARD_FAILURE
@@ -170,6 +179,7 @@ class FaultedDispatcher:
 
         weights = [float(state.weight[r]) for r in rows]
         sub = self.server.scheduler.partition(weights, len(allowed))
+        validate_partition(sub, len(rows))
         chunks = sorted(
             (chunk for chunk in sub if chunk),
             key=lambda chunk: -sum(weights[i] for i in chunk),
@@ -179,24 +189,22 @@ class FaultedDispatcher:
         )
         factor = self.server.link.contention_factor(len(chunks))
 
-        successes: list[tuple[list[int], int, float, float]] = []
+        successes: list[tuple[list[int], int, Reservation, Reservation]] = []
         failures: list[tuple[list[int], float]] = []
         for slot, chunk in enumerate(chunks):
             card = by_busy[slot]
             chunk_rows = [rows[i] for i in chunk]
-            n_cells = sum(state.weight[r] for r in chunk_rows)
-            outcome = self._dispatch_chunk(
-                chunk_rows, card, t, n_cells, factor
-            )
-            if outcome[0] == "fail":
-                failures.append((chunk_rows, outcome[1]))
+            window = self._dispatch_chunk(state, chunk_rows, card, t, factor)
+            if isinstance(window, FailedWindow):
+                failures.append((chunk_rows, window.done_s))
             else:
-                successes.append((chunk_rows, card, outcome[1], outcome[2]))
+                successes.append(
+                    (chunk_rows, card, self.rig.last_host_window, window)
+                )
         self._maybe_hedge(state, successes, by_busy, t, factor)
-        for chunk_rows, card, done_s, _ in successes:
+        for chunk_rows, card, issued, window in successes:
             for r in chunk_rows:
-                state.row_done[r] = done_s
-                state.row_card[r] = card
+                state.placed[r] = (card, issued, window)
                 state.pending.discard(r)
         for chunk_rows, fail_s in failures:
             self._retry_or_fail(
@@ -204,53 +212,33 @@ class FaultedDispatcher:
             )
         self._maybe_finalise(state)
 
-    def _dispatch_chunk(self, chunk_rows: list[int], card: int, t: float,
-                        n_cells: int, factor: float):
-        """One chunk onto one card.
-
-        Returns ``("ok", done_s, service_s)`` for a committed window or
-        ``("fail", fail_s)`` when the dispatch died (card already down
-        at its queue head, or a crash cut the window short).
-        """
-        host = self.rig.host
-        link_factor = self.health.link_factor(host.peek_start(t))
-        issue = host.reserve(
-            t, self.server.link.dispatch_seconds(1) * link_factor
-        )
-        card_res = self.rig.cards[card]
-        start = max(issue.done_s, card_res.busy_until)
-        base = self.server.cost_model.service_seconds(
-            len(chunk_rows), n_cells, contention=factor
+    def _dispatch_chunk(self, state: _BatchState, chunk_rows: list[int],
+                        card: int, t: float, factor: float) -> Reservation:
+        """One chunk onto one card; returns its (possibly failed) window."""
+        n_cells = sum(state.weight[r] for r in chunk_rows)
+        window = self.rig.dispatch(
+            t, card, len(chunk_rows), n_cells, contention=factor
         )
         breaker = self.breakers[card]
-        if self.health.card_down(card, start):
-            # The card died before this work reached the head of its
-            # queue; the host dispatch is the only wasted time.
+        if isinstance(window, FailedWindow):
             self.counters.n_failed_dispatches += 1
-            self.counters.wasted_work_s += issue.service_s
-            breaker.record_failure(start)
-            return ("fail", start)
-        slow = self.health.service_factor(card, start, base)
-        service = base * slow
-        crash_s = self.health.crash_during(card, start, start + service)
-        if crash_s is not None:
-            # Mid-window crash: the card genuinely burned [start, crash)
-            # before dying, so reserve exactly that truncated window.
-            card_res.reserve(issue.done_s, crash_s - start)
-            self.counters.n_failed_dispatches += 1
-            self.counters.wasted_work_s += (crash_s - start) + issue.service_s
-            breaker.record_failure(crash_s)
-            return ("fail", crash_s)
-        window = card_res.reserve(issue.done_s, service)
-        self.counters.useful_work_s += service
+            self.counters.wasted_work_s += (
+                window.service_s + self.rig.last_host_window.service_s
+            )
+            breaker.record_failure(window.done_s)
+            return window
+        self.counters.useful_work_s += window.service_s
         breaker.record_success(window.done_s)
-        self.metrics.counter(
-            "serving_card_rows_total", labels={"card": str(card)}
-        ).inc(len(chunk_rows))
-        self.metrics.counter(
-            "serving_card_cells_total", labels={"card": str(card)}
-        ).inc(n_cells)
-        return ("ok", window.done_s, service)
+        counters = self._card_counters.get(card)
+        if counters is None:
+            labels = {"card": str(card)}
+            counters = self._card_counters[card] = (
+                self.metrics.counter("serving_card_rows_total", labels=labels),
+                self.metrics.counter("serving_card_cells_total", labels=labels),
+            )
+        counters[0].inc(len(chunk_rows))
+        counters[1].inc(n_cells)
+        return window
 
     def _maybe_hedge(self, state: _BatchState, successes, by_busy,
                      t: float, factor: float) -> None:
@@ -258,38 +246,40 @@ class FaultedDispatcher:
         if not self.hedge.enabled or len(successes) < 2 or len(by_busy) < 2:
             return
         budget = self.hedge.max_hedges_per_batch
-        dones = sorted(d for _, _, d, _ in successes)
+        dones = sorted(window.done_s for *_, window in successes)
         # Lower median: with two chunks the straggler is judged against
         # the faster one, otherwise no two-card cluster could ever hedge.
         median = dones[(len(dones) - 1) // 2]
         order = sorted(
-            range(len(successes)), key=lambda i: -successes[i][2]
+            range(len(successes)), key=lambda i: -successes[i][3].done_s
         )
         for i in order:
             if budget <= 0:
                 break
-            chunk_rows, card, done_s, service_s = successes[i]
-            if not self.hedge.should_hedge(done_s, median, state.batch.formed_s):
+            chunk_rows, card, _, window = successes[i]
+            if not self.hedge.should_hedge(
+                window.done_s, median, state.batch.formed_s
+            ):
                 continue
             alt = next((c for c in by_busy if c != card), None)
             if alt is None:
                 continue
             budget -= 1
             self.counters.n_hedges += 1
-            n_cells = sum(state.weight[r] for r in chunk_rows)
-            hedged = self._dispatch_chunk(chunk_rows, alt, t, n_cells, factor)
-            if hedged[0] == "fail":
+            hedged = self._dispatch_chunk(state, chunk_rows, alt, t, factor)
+            if isinstance(hedged, FailedWindow):
                 continue
-            _, hedge_done, hedge_service = hedged
-            if hedge_done < done_s:
+            if hedged.done_s < window.done_s:
                 # The hedge won: the primary window becomes the waste.
                 self.counters.n_hedge_wins += 1
-                self.counters.useful_work_s -= service_s
-                self.counters.wasted_work_s += service_s
-                successes[i] = (chunk_rows, alt, hedge_done, hedge_service)
+                self.counters.useful_work_s -= window.service_s
+                self.counters.wasted_work_s += window.service_s
+                successes[i] = (
+                    chunk_rows, alt, self.rig.last_host_window, hedged
+                )
             else:
-                self.counters.useful_work_s -= hedge_service
-                self.counters.wasted_work_s += hedge_service
+                self.counters.useful_work_s -= hedged.service_s
+                self.counters.wasted_work_s += hedged.service_s
 
     # ------------------------------------------------------------------
     def _retry_or_fail(self, state: _BatchState, rows: list[int], t: float,
@@ -326,7 +316,7 @@ class FaultedDispatcher:
         state.finalised = True
         batch = state.batch
         for req, value in zip(batch.requests, state.values):
-            failed = [r for r in req.rows if r in state.failed]
+            failed = [r for r in req.rows if r in state.failed] if state.failed else ()
             if failed:
                 fail_s = max(state.failed[r][0] for r in failed)
                 reason = state.failed[max(failed, key=lambda r: state.failed[r][0])][1]
@@ -339,22 +329,48 @@ class FaultedDispatcher:
                     )
                 )
                 self.counters.n_failed_requests += 1
-            else:
-                completion = max(state.row_done[r] for r in req.rows)
-                self.responses.append(
-                    PricingResponse(
-                        request_id=req.request_id,
-                        kind=req.kind,
-                        value=value,
-                        arrival_s=req.arrival_s,
-                        formed_s=batch.formed_s,
-                        completion_s=completion,
-                        latency_s=completion - req.arrival_s,
-                        met_deadline=completion <= req.deadline_s,
-                        batch_id=batch.batch_id,
-                        cards=tuple(sorted({state.row_card[r] for r in req.rows})),
-                        tenant=req.tenant,
-                    )
+                continue
+            placed = state.placed
+            completion = max(placed[r][2].done_s for r in req.rows)
+            if self.recorder.enabled:
+                self._record_phases(req, batch, placed, completion)
+            self.responses.append(
+                PricingResponse(
+                    request_id=req.request_id,
+                    kind=req.kind,
+                    value=value,
+                    arrival_s=req.arrival_s,
+                    formed_s=batch.formed_s,
+                    completion_s=completion,
+                    latency_s=completion - req.arrival_s,
+                    met_deadline=completion <= req.deadline_s,
+                    batch_id=batch.batch_id,
+                    cards=tuple(sorted({placed[r][0] for r in req.rows})),
+                    tenant=req.tenant,
                 )
-                self.in_flight.push(completion)
+            )
+            self.in_flight.push(completion)
         self.n_outstanding -= len(batch.requests)
+
+    def _record_phases(self, req, batch: MicroBatch, placed,
+                       completion: float) -> None:
+        """The request's four phase spans, along its critical row.
+
+        The critical row is the one whose card window completes last.
+        The phases tile ``[arrival, completion]`` with no gaps, so their
+        durations sum exactly to the reported latency; ``host_link``
+        also covers any failed attempts and retry backoff.
+        """
+        crit = max(req.rows, key=lambda r: (placed[r][2].done_s, r))
+        card, issued, window = placed[crit]
+        for name, start, end, args in (
+            ("coalesce", req.arrival_s, batch.formed_s,
+             {"batch": batch.batch_id}),
+            ("host_link", batch.formed_s, issued.done_s, {"card": card}),
+            ("card_queue", issued.done_s, window.start_s, {"card": card}),
+            ("card_service", window.start_s, completion, {"card": card}),
+        ):
+            self.recorder.record(
+                name, start, end, track="requests", category="request",
+                trace_id=req.request_id, kind=req.kind, args=args,
+            )

@@ -6,9 +6,10 @@ import pytest
 from repro.core.pricing import CDSPricer
 from repro.core.types import CDSOption
 from repro.core.vector_pricing import (
+    PackedPortfolio,
     VectorCDSPricer,
     portfolio_arrays,
-    price_portfolio,
+    price_packed_book,
 )
 from repro.errors import ValidationError
 
@@ -70,28 +71,18 @@ class TestVectorPricerAgainstReference:
                 ref.survival_at_maturity, rel=1e-12
             )
 
-    def test_price_portfolio_results(self, yield_curve, hazard_curve, mixed_options):
-        results = VectorCDSPricer(yield_curve, hazard_curve).price_portfolio(
-            mixed_options
-        )
-        assert len(results) == len(mixed_options)
-        assert all(r.legs is not None for r in results)
-
-    def test_wrapper(self, yield_curve, hazard_curve, mixed_options):
-        a = price_portfolio(mixed_options, yield_curve, hazard_curve)
-        b = VectorCDSPricer(yield_curve, hazard_curve).spreads(mixed_options)
-        assert np.array_equal(a, b)
-
     def test_order_preserved(self, yield_curve, hazard_curve, mixed_options):
-        fwd = price_portfolio(mixed_options, yield_curve, hazard_curve)
-        rev = price_portfolio(mixed_options[::-1], yield_curve, hazard_curve)
+        fwd, _ = price_packed_book(
+            PackedPortfolio.pack(mixed_options), yield_curve, hazard_curve
+        )
+        rev, _ = price_packed_book(
+            PackedPortfolio.pack(mixed_options[::-1]), yield_curve, hazard_curve
+        )
         assert fwd == pytest.approx(rev[::-1])
 
 
 class TestPackedPortfolio:
     def test_pack_matches_portfolio_arrays(self, mixed_options):
-        from repro.core.vector_pricing import PackedPortfolio
-
         times, accruals, mask, recovery = portfolio_arrays(mixed_options)
         packed = PackedPortfolio.pack(mixed_options)
         np.testing.assert_array_equal(packed.times, times)
@@ -102,8 +93,6 @@ class TestPackedPortfolio:
         assert packed.max_len == times.shape[1]
 
     def test_unique_times_cover_flat_times(self, mixed_options):
-        from repro.core.vector_pricing import PackedPortfolio
-
         packed = PackedPortfolio.pack(mixed_options)
         assert packed.unique_times.size <= packed.flat_times.size
         np.testing.assert_array_equal(
@@ -111,8 +100,6 @@ class TestPackedPortfolio:
         )
 
     def test_shape_mismatch_rejected(self):
-        from repro.core.vector_pricing import PackedPortfolio
-
         with pytest.raises(ValidationError):
             PackedPortfolio(
                 np.zeros((2, 3)),
@@ -125,8 +112,6 @@ class TestPackedPortfolio:
         """The mask-free kernels demand the portfolio_arrays padding
         (final time repeated, zero accrual) — other paddings must fail
         loudly instead of pricing wrong."""
-        from repro.core.vector_pricing import PackedPortfolio
-
         times, accruals, mask, recovery = portfolio_arrays(mixed_options)
         if mask.all():  # needs at least one ragged row to exercise
             pytest.skip("mixed_options produced a rectangular book")
@@ -141,31 +126,35 @@ class TestPackedPortfolio:
 
 
 class TestPricePackedBook:
-    def test_matches_price_packed(self, yield_curve, hazard_curve, mixed_options):
-        from repro.core.vector_pricing import (
-            PackedPortfolio,
-            price_packed,
-            price_packed_book,
+    def test_matches_vector_pricer(
+        self, yield_curve, hazard_curve, mixed_options
+    ):
+        pricer = VectorCDSPricer(yield_curve, hazard_curve)
+        spreads, legs = pricer.price_portfolio_detailed(mixed_options)
+        sp, (premium, protection, accrual, surv) = price_packed_book(
+            PackedPortfolio.pack(mixed_options), yield_curve, hazard_curve
         )
+        np.testing.assert_array_equal(sp, spreads)
+        for i, lb in enumerate(legs):
+            assert lb.premium_leg == premium[i]
+            assert lb.protection_leg == protection[i]
+            assert lb.accrual_leg == accrual[i]
+            assert lb.survival_at_maturity == surv[i]
 
-        packed = PackedPortfolio.pack(mixed_options)
-        sp_a, legs_a = price_packed(
-            packed.times,
-            packed.accruals,
-            packed.mask,
-            packed.recovery,
+    def test_want_legs_false(self, yield_curve, hazard_curve, mixed_options):
+        spreads, legs = price_packed_book(
+            PackedPortfolio.pack(mixed_options),
             yield_curve,
             hazard_curve,
+            want_legs=False,
         )
-        sp_b, legs_b = price_packed_book(packed, yield_curve, hazard_curve)
-        np.testing.assert_array_equal(sp_a, sp_b)
-        for a, b in zip(legs_a, legs_b):
-            np.testing.assert_array_equal(a, b)
+        assert legs is None
+        assert spreads.shape == (len(mixed_options),)
 
 
 class TestPricePackedMany:
     def test_scenario_axis_leads(self, yield_curve, hazard_curve, mixed_options):
-        from repro.core.vector_pricing import PackedPortfolio, price_packed_many
+        from repro.core.vector_pricing import price_packed_many
 
         packed = PackedPortfolio.pack(mixed_options)
         n_scen = 3
@@ -183,7 +172,7 @@ class TestPricePackedMany:
     def test_empty_scenario_axis_rejected(
         self, yield_curve, hazard_curve, mixed_options
     ):
-        from repro.core.vector_pricing import PackedPortfolio, price_packed_many
+        from repro.core.vector_pricing import price_packed_many
 
         packed = PackedPortfolio.pack(mixed_options)
         with pytest.raises(ValidationError):
@@ -198,7 +187,7 @@ class TestPricePackedMany:
     def test_scenario_count_mismatch_rejected(
         self, yield_curve, hazard_curve, mixed_options
     ):
-        from repro.core.vector_pricing import PackedPortfolio, price_packed_many
+        from repro.core.vector_pricing import price_packed_many
 
         packed = PackedPortfolio.pack(mixed_options)
         with pytest.raises(ValidationError):
@@ -213,7 +202,7 @@ class TestPricePackedMany:
     def test_recovery_shift_shape_rejected(
         self, yield_curve, hazard_curve, mixed_options
     ):
-        from repro.core.vector_pricing import PackedPortfolio, price_packed_many
+        from repro.core.vector_pricing import price_packed_many
 
         packed = PackedPortfolio.pack(mixed_options)
         with pytest.raises(ValidationError):
@@ -227,7 +216,7 @@ class TestPricePackedMany:
             )
 
     def test_want_legs_false(self, yield_curve, hazard_curve, mixed_options):
-        from repro.core.vector_pricing import PackedPortfolio, price_packed_many
+        from repro.core.vector_pricing import price_packed_many
 
         packed = PackedPortfolio.pack(mixed_options)
         spreads, legs = price_packed_many(

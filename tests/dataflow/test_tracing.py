@@ -92,34 +92,21 @@ class TestTelemetryAdapter:
         assert {s.category for s in spans} == {"dataflow"}
         assert {s.name for s in spans} == {"read", "write"}
 
-    def test_bare_record_warns_once_per_process(self):
-        from repro.deprecation import reset_deprecation_registry
+    def test_bare_record_keeps_events_without_warning(self):
+        import warnings
 
-        reset_deprecation_registry()
-        try:
-            trace = Trace()
-            with pytest.warns(DeprecationWarning, match="SpanRecorder"):
-                trace.record("write", 0.0, "p", "s")
-            # Second record: registry already holds the key, no warning.
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                trace.record("read", 1.0, "p", "s")
-        finally:
-            reset_deprecation_registry()
+        trace = Trace()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace.record("write", 0.0, "p", "s")
+        assert [e.kind for e in trace.events] == ["write"]
 
     def test_recorder_attached_does_not_warn(self):
         import warnings
 
-        from repro.deprecation import reset_deprecation_registry
         from repro.telemetry import SpanRecorder
 
-        reset_deprecation_registry()
-        try:
-            trace = Trace(recorder=SpanRecorder())
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                trace.record("write", 0.0, "p", "s")
-        finally:
-            reset_deprecation_registry()
+        trace = Trace(recorder=SpanRecorder())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace.record("write", 0.0, "p", "s")

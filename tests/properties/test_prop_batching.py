@@ -2,11 +2,12 @@
 
 The batched scenario-tensor kernel is a pure throughput optimisation: for
 any book, any scenario set, any chunk size and any cluster shape it must
-produce **bit-identical** floats to the per-scenario ``price_packed``
-loop.  These tests enforce that with ``numpy.testing.assert_array_equal``
+produce **bit-identical** floats to the per-scenario
+``price_packed_book`` loop.  These tests enforce that with ``numpy.testing.assert_array_equal``
 (no tolerance) at three levels:
 
-1. the raw kernel: ``price_packed_many`` versus a ``price_packed`` loop;
+1. the raw kernel: ``price_packed_many`` versus a ``price_packed_book``
+   loop;
 2. the batched curve evaluation: ``interp_many`` versus ``np.interp``;
 3. the risk stack: engine PVs/P&L, VaR/ES and CS01/IR01 ladders with
    ``batch=True`` versus ``batch=False``.
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.curves import HazardCurve, YieldCurve, interp_many
 from repro.core.vector_pricing import (
     PackedPortfolio,
-    price_packed,
+    price_packed_book,
     price_packed_many,
 )
 from repro.risk.engine import ScenarioRiskEngine, make_book
@@ -99,13 +100,8 @@ class TestKernelBitIdentity:
             recovery = packed.recovery
             if s.recovery_shift != 0.0:
                 recovery = np.clip(recovery + s.recovery_shift, 0.0, 0.999)
-            sp_i, legs_i = price_packed(
-                packed.times,
-                packed.accruals,
-                packed.mask,
-                recovery,
-                s.yield_curve,
-                s.hazard_curve,
+            sp_i, legs_i = price_packed_book(
+                packed, s.yield_curve, s.hazard_curve, recovery=recovery
             )
             np.testing.assert_array_equal(spreads[i], sp_i)
             for batched_leg, looped_leg in zip(legs, legs_i):

@@ -6,14 +6,21 @@ Two load-bearing invariants across schedulers × fault plans:
   serving pins ``offered == completed + shed + failed`` and the risk
   grid pins ``scenarios == completed + failed``, no matter how often the
   rows or chunks were re-dispatched.
-* **Zero-fault identity** — ``faults=None`` and an empty plan take the
-  legacy code path byte-for-byte, so resilience machinery costs nothing
-  when it is not in play.
+* **Zero-fault identity** — ``faults=None`` is the empty plan, so both
+  replay byte-for-byte the same: resilience machinery costs nothing when
+  it is not in play.
+
+The serving invariants run over *generated* inputs: Hypothesis draws
+the fault-plan spec, the scheduler, the card count, the batch/linger
+policy and the queue depth (derandomised, so tier-1 stays
+deterministic).
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.batching import BatchQueue
 from repro.faults import FaultPlan
@@ -30,17 +37,6 @@ N_POSITIONS = 10
 N_STATES = 32
 
 SCHEDULERS = ["round-robin", "least-loaded", "work-stealing"]
-
-#: Serving plans: a repairable crash, a permanent one, a crash buried
-#: under a straggler (forces mid-window failures and retries), a link
-#: outage, and a correlated double failure.
-SERVE_PLANS = [
-    "crash:card=1,at=0.05,repair=0.05",
-    "crash:card=0,at=0.04",
-    "slow:card=1,at=0.005,for=0.06,factor=80;crash:card=1,at=0.03,repair=0.03",
-    "linkout:at=0.05,for=0.02",
-    "correlated:cards=0+1,at=0.1,repair=0.05",
-]
 
 #: Grid plans on the risk-sharding timescale (batch quanta of ~ms).
 GRID_PLANS = [
@@ -80,27 +76,96 @@ def stream():
     )
 
 
-def _server(scenario, tape, book, scheduler: str) -> QuoteServer:
+def _server(scenario, tape, book, scheduler: str, *, n_cards: int = 2,
+            max_batch: int = 16, linger_s: float = 1e-3,
+            queue_depth: int = 256) -> QuoteServer:
     return QuoteServer(
         book,
         tape,
         scenario=scenario,
-        n_cards=2,
+        n_cards=n_cards,
         n_engines=2,
         scheduler=scheduler,
-        queue=BatchQueue(max_batch=16, linger_s=1e-3),
-        queue_depth=256,
+        queue=BatchQueue(max_batch=max_batch, linger_s=linger_s),
+        queue_depth=queue_depth,
     )
 
 
+#: A crash buried under a straggler: service windows on card 1 stretch
+#: 80x, so the crash lands mid-window and forces retries.
+OVERLAP = "slow:card=1,at=0.005,for=0.06,factor=80;crash:card=1,at=0.03,repair=0.03"
+
+# Fault instants and windows on the ~0.13 s span of the 400-request
+# stream at 3000 req/s.
+_at = st.sampled_from([0.0, 0.001, 0.01, 0.03, 0.05, 0.1])
+_span = st.sampled_from([0.002, 0.02, 0.05, 0.2])
+_repair = st.one_of(st.none(), _span)
+
+
+def _repair_spec(repair) -> str:
+    return "" if repair is None else f",repair={repair:g}"
+
+
+@st.composite
+def fault_specs(draw, n_cards: int) -> str:
+    """A ``--faults`` spec of up to three events on ``n_cards`` cards."""
+    card = st.integers(min_value=0, max_value=n_cards - 1)
+    event = st.one_of(
+        st.builds(
+            lambda c, t, r: f"crash:card={c},at={t:g}{_repair_spec(r)}",
+            card, _at, _repair,
+        ),
+        st.builds(
+            lambda c, t, d, f: f"slow:card={c},at={t:g},for={d:g},factor={f:g}",
+            card, _at, _span, st.sampled_from([2, 6, 80]),
+        ),
+        st.builds(
+            lambda t, d, f: f"link:at={t:g},for={d:g},factor={f:g}",
+            _at, _span, st.sampled_from([1.5, 4]),
+        ),
+        st.builds(lambda t, d: f"linkout:at={t:g},for={d:g}", _at, _span),
+        st.builds(
+            lambda cs, t, r: "correlated:cards="
+            + "+".join(str(c) for c in sorted(cs))
+            + f",at={t:g}{_repair_spec(r)}",
+            st.sets(card, min_size=1), _at, _repair,
+        ),
+    )
+    return ";".join(draw(st.lists(event, max_size=3)))
+
+
+@st.composite
+def serve_cases(draw) -> tuple[dict, str]:
+    """A server shape (``_server`` keywords) plus a plan that fits it."""
+    n_cards = draw(st.integers(min_value=1, max_value=4))
+    shape = {
+        "scheduler": draw(st.sampled_from(SCHEDULERS)),
+        "n_cards": n_cards,
+        "max_batch": draw(st.sampled_from([1, 4, 16, 64])),
+        "linger_s": draw(st.sampled_from([0.0, 5e-4, 2e-3])),
+        "queue_depth": draw(st.sampled_from([8, 64, 512])),
+    }
+    return shape, draw(fault_specs(n_cards))
+
+
+@pytest.fixture(scope="module")
+def reference(scenario, tape, book, stream) -> dict[int, float]:
+    """Every request priced alone: what any replay must answer."""
+    srv = _server(scenario, tape, book, "least-loaded")
+    values = srv.price_individually(stream)
+    return {req.request_id: v for req, v in zip(stream, values)}
+
+
 class TestServingConservation:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    @pytest.mark.parametrize("spec", SERVE_PLANS)
-    def test_offered_equals_completed_plus_shed_plus_failed(
-        self, scenario, tape, book, stream, scheduler, spec
+    @given(case=serve_cases())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_generated_replays_conserve_and_price_exactly(
+        self, scenario, tape, book, stream, reference, case
     ):
-        srv = _server(scenario, tape, book, scheduler)
-        res = srv.serve(stream, faults=FaultPlan.from_spec(spec, seed=7))
+        shape, spec = case
+        plan = FaultPlan.from_spec(spec, seed=7)
+        srv = _server(scenario, tape, book, **shape)
+        res = srv.serve(stream, faults=plan)
         assert res.n_offered == res.n_completed + res.n_shed + res.n_failed
         assert res.n_completed == len(res.responses)
         assert res.n_failed == len(res.fails)
@@ -111,6 +176,11 @@ class TestServingConservation:
             + [f.request.request_id for f in res.fails]
         )
         assert sorted(ids) == [r.request_id for r in stream]
+        # Faults only ever move timing: every answer is the lone price.
+        for resp in res.responses:
+            assert resp.value == reference[resp.request_id]
+        if plan.is_empty:
+            assert res == srv.serve(stream)
 
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_zero_fault_identity(self, scenario, tape, book, stream, scheduler):
@@ -181,7 +251,7 @@ class TestDeterminism:
     def test_faulted_serve_reproducible(
         self, scenario, tape, book, stream, scheduler
     ):
-        plan = FaultPlan.from_spec(SERVE_PLANS[2], seed=11)
+        plan = FaultPlan.from_spec(OVERLAP, seed=11)
         a = _server(scenario, tape, book, scheduler).serve(stream, faults=plan)
         b = _server(scenario, tape, book, scheduler).serve(stream, faults=plan)
         assert a == b

@@ -5,7 +5,10 @@ import pytest
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
 from repro.errors import ValidationError
+from repro.faults import FaultPlan
 from repro.risk.sharding import shard_scenarios, simulate_grid_run
+from repro.telemetry import Telemetry
+from repro.workloads.cluster import Arrival
 
 
 class TestShardScenarios:
@@ -106,6 +109,22 @@ class TestSimulateGridRun:
             queue=BatchQueue(max_batch=3),
         )
         assert timing.dispatches == 4  # ceil(10 / 3)
+
+    @pytest.mark.parametrize("max_batch", [2, 256])
+    def test_dispatch_count_matches_batch_queue_at_boundaries(
+        self, risk_scenario, book, max_batch
+    ):
+        """Arithmetic dispatch counts equal replaying the batch queue."""
+        queue = BatchQueue(max_batch=max_batch)
+        token = book.options[0]
+        yc, hc = risk_scenario.yield_curve(), risk_scenario.hazard_curve()
+        for n in sorted({1, max_batch - 1, max_batch, max_batch + 1, 1000} - {0}):
+            timing = simulate_grid_run(
+                [list(range(n))], book.options, yc, hc,
+                scenario=risk_scenario, policy="least-loaded", queue=queue,
+            )
+            replayed = queue.coalesce([Arrival(time_s=0.0, options=[token] * n)])
+            assert timing.dispatches == len(replayed), n
 
     def test_ideal_link_scales_with_cards(self, risk_scenario, book):
         """With an ideal host link, 4 cards cut the makespan 4x."""
@@ -210,3 +229,56 @@ class TestFaultedGridRun:
         spec = "crash:card=1,at=0.0005,repair=0.0005"
         timing = self._run(risk_scenario, book, spec)
         assert timing.fault_spec == spec
+
+
+class TestGridTelemetry:
+    """The ``risk_grid_*`` roll-up is published with and without faults."""
+
+    BASE = (
+        "risk_grid_scenarios_total",
+        "risk_grid_dispatches_total",
+        "risk_grid_repricings_total",
+        "risk_grid_makespan_seconds",
+        "risk_grid_batch_seconds",
+        "risk_grid_repricings_per_watt",
+    )
+    FAULTS = (
+        "risk_grid_repartitions_total",
+        "risk_grid_rescheduled_total",
+        "risk_grid_failed_scenarios_total",
+        "risk_grid_wasted_seconds",
+    )
+
+    @pytest.mark.parametrize(
+        "spec", [None, "crash:card=1,at=0.0005,repair=0.0005"]
+    )
+    def test_rollup_published_and_spans_cover_busy_time(
+        self, risk_scenario, book, spec
+    ):
+        telemetry = Telemetry.recording()
+        timing = simulate_grid_run(
+            shard_scenarios(40, 4),
+            book.options,
+            risk_scenario.yield_curve(),
+            risk_scenario.hazard_curve(),
+            scenario=risk_scenario,
+            policy="least-loaded",
+            telemetry=telemetry,
+            faults=FaultPlan.from_spec(spec, seed=7) if spec else None,
+        )
+        m = telemetry.metrics
+        names = set(m.names())
+        assert set(self.BASE) <= names
+        assert bool(set(self.FAULTS) & names) == (spec is not None)
+        n_failed = getattr(timing, "n_failed_scenarios", 0)
+        assert m.get("risk_grid_scenarios_total").value == timing.n_scenarios
+        assert m.get("risk_grid_dispatches_total").value == timing.dispatches
+        assert m.get("risk_grid_repricings_total").value == (
+            (timing.n_scenarios - n_failed) * timing.n_positions
+        )
+        assert m.get("risk_grid_makespan_seconds").value == timing.makespan_seconds
+        assert m.get("risk_grid_batch_seconds").value == timing.batch_seconds
+        for card in timing.cards:
+            spans = telemetry.recorder.for_track(f"card{card.card_id}")
+            busy = sum(s.duration_s for s in spans if s.category == "resource")
+            assert busy == pytest.approx(card.seconds, rel=1e-9, abs=1e-15)

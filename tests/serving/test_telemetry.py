@@ -7,6 +7,9 @@ Two contracts pin the tentpole acceptance criteria at engine level:
   the response latency;
 * with the default no-op handle, the :class:`ServingResult` is
   *identical* to a recorded run's (telemetry observes, never perturbs).
+
+Both hold for a fault-free replay and for one under a crash plan, whose
+retried requests still emit exactly the four phases.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.batching import BatchQueue
+from repro.faults import FaultPlan
 from repro.risk.engine import make_book
 from repro.serving import QuoteServer
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -22,6 +26,23 @@ from .conftest import N_POSITIONS
 
 #: Request-phase spans in pipeline order.
 PHASES = ("coalesce", "host_link", "card_queue", "card_service")
+
+#: The replays every contract must hold for: fault-free, and a crash
+#: buried under a straggler so card windows die mid-flight and retry.
+PLANS = {
+    "fault-free": None,
+    "crash": "slow:card=1,at=0.005,for=0.06,factor=80;"
+    "crash:card=1,at=0.03,repair=0.03",
+}
+
+#: Fault counters a replay publishes only under a non-empty plan.
+FAULT_COUNTERS = (
+    "serving_retries_total",
+    "serving_hedges_total",
+    "serving_breaker_trips_total",
+    "serving_requests_failed_total",
+    "serving_requests_shed_degraded_total",
+)
 
 
 def _make_server(serving_scenario, tape, telemetry=None) -> QuoteServer:
@@ -37,11 +58,17 @@ def _make_server(serving_scenario, tape, telemetry=None) -> QuoteServer:
     )
 
 
+@pytest.fixture(scope="module", params=sorted(PLANS))
+def plan(request) -> FaultPlan | None:
+    spec = PLANS[request.param]
+    return None if spec is None else FaultPlan.from_spec(spec, seed=7)
+
+
 @pytest.fixture(scope="module")
-def recorded(serving_scenario, tape, stream):
+def recorded(serving_scenario, tape, stream, plan):
     telemetry = Telemetry.recording()
     server = _make_server(serving_scenario, tape, telemetry)
-    result = server.serve(stream)
+    result = server.serve(stream, faults=plan)
     return telemetry, result
 
 
@@ -105,13 +132,22 @@ class TestMetricsPublication:
         assert h.count == result.n_completed
         assert h.max == pytest.approx(result.latency.max_s)
 
+    def test_fault_counters_only_under_faults(self, recorded, plan):
+        telemetry, _ = recorded
+        names = telemetry.metrics.names()
+        if plan is None:
+            assert not set(FAULT_COUNTERS) & set(names)
+        else:
+            assert set(FAULT_COUNTERS) <= set(names)
+            assert telemetry.metrics.get("serving_retries_total").value > 0
+
 
 class TestNoOpIdentity:
     def test_default_run_identical_to_recorded_run(
-        self, serving_scenario, tape, stream, recorded
+        self, serving_scenario, tape, stream, recorded, plan
     ):
         _, with_telemetry = recorded
-        bare = _make_server(serving_scenario, tape).serve(stream)
+        bare = _make_server(serving_scenario, tape).serve(stream, faults=plan)
         # Frozen-dataclass equality over every simulated number.
         assert bare == with_telemetry
 

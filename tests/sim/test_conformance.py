@@ -340,10 +340,8 @@ def test_serving_timing_conformance(server, traffic):
 # ---------------------------------------------------------------------------
 def test_bench_serving_metrics_reproduce():
     """Rerun the committed benchmark's coalesced config; every simulated
-    metric must land exactly on the committed (rounded) value.
-
-    ``host_wall_seconds`` is real wall-clock and excluded — the simulated
-    rows are the deterministic contract.
+    metric must land exactly on the committed (rounded) value — the
+    simulated rows are the deterministic contract.
     """
     committed = json.loads(BENCH_SERVING.read_text())
     offered = committed["offered"]
