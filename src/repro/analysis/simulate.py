@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from repro.analysis.serving import STREAM_SEED_OFFSET, TAPE_SEED_OFFSET
 from repro.cluster.batching import BatchQueue
 from repro.errors import ValidationError
 from repro.risk.engine import make_book
@@ -39,10 +40,8 @@ __all__ = [
     "simulation_report_dict",
 ]
 
-#: Seed offsets keeping the four generators off each other's bit streams
-#: (book, tape, quote stream, refresh rows).
-TAPE_SEED_OFFSET = 4099
-STREAM_SEED_OFFSET = 9973
+#: Seed offset keeping the refresh rows off the book, tape and quote
+#: stream bit streams.
 REFRESH_SEED_OFFSET = 28019
 
 

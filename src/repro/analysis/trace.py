@@ -24,6 +24,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ValidationError
 from repro.telemetry import Span, load_chrome_trace
 
@@ -119,12 +121,6 @@ class TraceSummary:
     critical_path: tuple[RequestPath, ...]
     tracks: tuple[TrackBusy, ...]
     kinds: tuple[KindWait, ...]
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (non-empty)."""
-    rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
-    return sorted_values[rank]
 
 
 def summarise_trace(source, *, top: int = 10) -> TraceSummary:
@@ -240,7 +236,7 @@ def summarise_trace(source, *, top: int = 10) -> TraceSummary:
                 kind=kind,
                 n_requests=len(group),
                 mean_wait_s=sum(waits) / len(waits),
-                p95_wait_s=_percentile(waits, 0.95),
+                p95_wait_s=float(np.percentile(waits, 95)),
                 max_wait_s=waits[-1],
                 mean_latency_s=sum(r.latency_s for r in group) / len(group),
             )

@@ -33,10 +33,10 @@ Subcommands
     dashboard: SLO budget bars, alert/fault timelines, and sparklines
     over the sampled series (no external assets).
 ``bench-check``
-    Perf watchdog: re-measure the serving and risk benchmarks and
-    compare against the committed ``BENCH_serving.json`` /
-    ``BENCH_risk.json`` under per-metric tolerances; nonzero exit on
-    regression (the CI gate).
+    Perf watchdog: re-measure the serving, risk and gateway benchmark
+    studies and compare against the committed ``BENCH_<name>.json``
+    files under per-metric tolerances; nonzero exit on regression (the
+    CI gate).  ``--json`` also carries the fresh snapshots.
 ``trace``
     Summarise a Chrome trace JSON written by ``--trace-out``: critical
     path, busiest resources, per-workload queue wait.
@@ -92,6 +92,62 @@ def _backend_choices() -> tuple[str, ...]:
     return tuple(n for n in available_backends() if n != "cluster")
 
 
+#: Flags several subcommands share, declared once: argparse keywords by
+#: destination (the flag is ``--`` plus the dashed destination).
+_SHARED_FLAGS = {
+    "requests": {"type": int, "help": "request-trace length"},
+    "rate": {"type": float, "help": "offered arrival rate (requests per second)"},
+    "traffic": {
+        "choices": ("poisson", "bursty", "diurnal"),
+        "help": "arrival process of the request stream",
+    },
+    "cards": {
+        "type": int,
+        "help": "cards in the cluster (per server replica behind a gateway)",
+    },
+    "engines": {"type": int, "help": "CDS engines per card (paper maximum: 5)"},
+    "max_batch": {
+        "type": int,
+        "help": "coalescer size trigger (1 disables micro-batching)",
+    },
+    "max_delay": {
+        "type": float,
+        "metavar": "SECONDS",
+        "help": "coalescer linger bound on the oldest pending request",
+    },
+    "queue_depth": {
+        "type": int,
+        "help": "admission bound on outstanding requests per server",
+    },
+    "states": {
+        "type": int,
+        "help": "market-tape length (distinct live market states)",
+    },
+}
+
+_SERVE_DEFAULTS = dict(
+    requests=10_000, rate=5000.0, traffic="poisson", max_batch=128,
+    max_delay=1e-3, queue_depth=4096, states=256,
+)
+
+#: Each replaying subcommand's defaults for the shared flags it takes.
+_SHARED_DEFAULTS = {
+    "serve": _SERVE_DEFAULTS,
+    "dashboard": _SERVE_DEFAULTS,
+    "simulate": dict(
+        _SERVE_DEFAULTS, requests=8_000, rate=20_000.0, traffic="bursty"
+    ),
+    "gateway": dict(
+        requests=4_000, rate=200_000.0, traffic="poisson", cards=2, engines=5,
+        queue_depth=4096, states=64,
+    ),
+    "chaos": dict(
+        requests=2000, rate=4000.0, cards=4, max_batch=64, queue_depth=512,
+        states=64,
+    ),
+}
+
+
 def _add_subcommand(
     sub,
     name: str,
@@ -132,6 +188,11 @@ def _add_subcommand(
         ``--faults <spec>`` injecting a deterministic fault plan into
         the timing replay (see :mod:`repro.faults`); for serving
         commands also ``--hedge`` enabling straggler hedging.
+
+    The replaying commands in :data:`_SHARED_DEFAULTS` also get their
+    replay flags (``--requests``, ``--rate``, ``--traffic``,
+    ``--max-batch``, ``--max-delay``, ``--queue-depth``, ``--states``,
+    ``--cards``, ``--engines``), each with that command's default.
     """
     parser = sub.add_parser(name, help=help_text)
     if seed:
@@ -147,16 +208,14 @@ def _add_subcommand(
             action="store_true",
             help="emit machine-readable JSON rows instead of the text table",
         )
+    shared = _SHARED_DEFAULTS.get(name, {})
     if cluster_shape:
+        shared = {"cards": 4, "engines": 5, **shared}
+    for dest, default in shared.items():
         parser.add_argument(
-            "--cards", type=int, default=4, help="cards in the cluster"
+            "--" + dest.replace("_", "-"), default=default, **_SHARED_FLAGS[dest]
         )
-        parser.add_argument(
-            "--engines",
-            type=int,
-            default=5,
-            help="CDS engines per card (paper maximum: 5)",
-        )
+    if cluster_shape:
         parser.add_argument(
             "--policy",
             choices=("round-robin", "least-loaded", "work-stealing"),
@@ -345,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tensor kernel (identical numbers, slower)",
     )
 
-    sv = _add_subcommand(
+    _add_subcommand(
         sub,
         "serve",
         "live quote serving: micro-batched request stream on the cluster",
@@ -357,46 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         backend=True,
         telemetry=True,
         faults=True,
-    )
-    sv.add_argument(
-        "--requests", type=int, default=10_000, help="request-trace length"
-    )
-    sv.add_argument(
-        "--rate",
-        type=float,
-        default=5000.0,
-        help="offered arrival rate (requests per second)",
-    )
-    sv.add_argument(
-        "--traffic",
-        choices=("poisson", "bursty", "diurnal"),
-        default="poisson",
-        help="arrival process of the request stream",
-    )
-    sv.add_argument(
-        "--max-batch",
-        type=int,
-        default=128,
-        help="coalescer size trigger (1 disables micro-batching)",
-    )
-    sv.add_argument(
-        "--max-delay",
-        type=float,
-        default=1e-3,
-        metavar="SECONDS",
-        help="coalescer linger bound on the oldest pending request",
-    )
-    sv.add_argument(
-        "--queue-depth",
-        type=int,
-        default=4096,
-        help="admission bound on outstanding requests (backpressure)",
-    )
-    sv.add_argument(
-        "--states",
-        type=int,
-        default=256,
-        help="market-tape length (distinct live market states)",
     )
 
     sm = _add_subcommand(
@@ -413,21 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
         faults=True,
     )
     sm.add_argument(
-        "--requests", type=int, default=8_000, help="quote-trace length"
-    )
-    sm.add_argument(
-        "--rate",
-        type=float,
-        default=20_000.0,
-        help="offered quote arrival rate (requests per second)",
-    )
-    sm.add_argument(
-        "--traffic",
-        choices=("poisson", "bursty", "diurnal"),
-        default="bursty",
-        help="arrival process of the quote stream",
-    )
-    sm.add_argument(
         "--refresh-period",
         type=float,
         default=2e-3,
@@ -439,31 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="market states per VaR refresh",
-    )
-    sm.add_argument(
-        "--max-batch",
-        type=int,
-        default=128,
-        help="coalescer size trigger (1 disables micro-batching)",
-    )
-    sm.add_argument(
-        "--max-delay",
-        type=float,
-        default=1e-3,
-        metavar="SECONDS",
-        help="coalescer linger bound on the oldest pending request",
-    )
-    sm.add_argument(
-        "--queue-depth",
-        type=int,
-        default=4096,
-        help="admission bound on outstanding requests (backpressure)",
-    )
-    sm.add_argument(
-        "--states",
-        type=int,
-        default=256,
-        help="market-tape length (distinct live market states)",
     )
 
     gw = _add_subcommand(
@@ -497,30 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="market-state-keyed quote cache with single-flight dedup",
     )
     gw.add_argument(
-        "--requests", type=int, default=4_000, help="request-trace length"
-    )
-    gw.add_argument(
-        "--rate",
-        type=float,
-        default=200_000.0,
-        help="offered arrival rate across tenants (requests per second)",
-    )
-    gw.add_argument(
-        "--traffic",
-        choices=("poisson", "bursty", "diurnal"),
-        default="poisson",
-        help="arrival process of the merged request stream",
-    )
-    gw.add_argument(
-        "--cards", type=int, default=2, help="cards per server replica"
-    )
-    gw.add_argument(
-        "--engines",
-        type=int,
-        default=5,
-        help="CDS engines per card (paper maximum: 5)",
-    )
-    gw.add_argument(
         "--ticks",
         type=int,
         default=200,
@@ -533,18 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HZ",
         help="mean market-tick rate",
     )
-    gw.add_argument(
-        "--queue-depth",
-        type=int,
-        default=4096,
-        help="per-server admission bound on outstanding requests",
-    )
-    gw.add_argument(
-        "--states",
-        type=int,
-        default=64,
-        help="market-tape length (distinct live market states)",
-    )
 
     ch = _add_subcommand(
         sub,
@@ -553,36 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
         seed=True,
         json_flag=True,
         telemetry=True,
-    )
-    ch.add_argument(
-        "--requests", type=int, default=2000, help="request-trace length"
-    )
-    ch.add_argument(
-        "--rate",
-        type=float,
-        default=4000.0,
-        help="offered arrival rate (requests per second)",
-    )
-    ch.add_argument(
-        "--cards", type=int, default=4, help="cards in the cluster"
-    )
-    ch.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="coalescer size trigger (1 disables micro-batching)",
-    )
-    ch.add_argument(
-        "--queue-depth",
-        type=int,
-        default=512,
-        help="admission bound on outstanding requests (backpressure)",
-    )
-    ch.add_argument(
-        "--states",
-        type=int,
-        default=64,
-        help="market-tape length (distinct live market states)",
     )
     ch.add_argument(
         "--monitor",
@@ -617,46 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
         faults=True,
     )
     db.add_argument(
-        "--requests", type=int, default=10_000, help="request-trace length"
-    )
-    db.add_argument(
-        "--rate",
-        type=float,
-        default=5000.0,
-        help="offered arrival rate (requests per second)",
-    )
-    db.add_argument(
-        "--traffic",
-        choices=("poisson", "bursty", "diurnal"),
-        default="poisson",
-        help="arrival process of the request stream",
-    )
-    db.add_argument(
-        "--max-batch",
-        type=int,
-        default=128,
-        help="coalescer size trigger (1 disables micro-batching)",
-    )
-    db.add_argument(
-        "--max-delay",
-        type=float,
-        default=1e-3,
-        metavar="SECONDS",
-        help="coalescer linger bound on the oldest pending request",
-    )
-    db.add_argument(
-        "--queue-depth",
-        type=int,
-        default=4096,
-        help="admission bound on outstanding requests (backpressure)",
-    )
-    db.add_argument(
-        "--states",
-        type=int,
-        default=256,
-        help="market-tape length (distinct live market states)",
-    )
-    db.add_argument(
         "--out",
         default="dashboard.html",
         metavar="FILE",
@@ -678,32 +551,14 @@ def build_parser() -> argparse.ArgumentParser:
     bc = _add_subcommand(
         sub,
         "bench-check",
-        "perf watchdog: fresh benchmark runs vs the committed BENCH files",
+        "perf watchdog: fresh study runs vs the committed BENCH_<name>.json",
         json_flag=True,
-    )
-    bc.add_argument(
-        "--serving",
-        default="BENCH_serving.json",
-        metavar="FILE",
-        help="committed serving benchmark snapshot",
-    )
-    bc.add_argument(
-        "--risk",
-        default="BENCH_risk.json",
-        metavar="FILE",
-        help="committed risk benchmark snapshot",
-    )
-    bc.add_argument(
-        "--gateway",
-        default="BENCH_gateway.json",
-        metavar="FILE",
-        help="committed gateway benchmark snapshot",
     )
     bc.add_argument(
         "--only",
         choices=("serving", "risk", "gateway"),
         default=None,
-        help="check a single benchmark instead of all",
+        help="check a single study instead of all",
     )
     bc.add_argument(
         "--fresh-from",
@@ -711,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="JSON file with pre-measured fresh snapshots "
         '({"serving": {...}, "risk": {...}, "gateway": {...}}); '
-        "benchmarks found there are not re-run",
+        "studies found there are not re-run",
     )
 
     tr = _add_subcommand(
@@ -1106,18 +961,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.fresh_from is not None:
             with open(args.fresh_from) as fh:
                 fresh = json.load(fh)
-        code, results = bench_check(
-            serving_path=args.serving,
-            risk_path=args.risk,
-            gateway_path=args.gateway,
-            only=args.only,
-            fresh=fresh,
-        )
+        code, results, snapshots = bench_check(only=args.only, fresh=fresh)
         if args.json:
             _print_json(
                 {
                     "ok": code == 0,
                     "checks": [r.to_dict() for r in results],
+                    "fresh": snapshots,
                 }
             )
         else:

@@ -46,7 +46,6 @@ __all__ = [
     "SCHEDULERS",
     "make_scheduler",
     "validate_partition",
-    "partition_healthy",
 ]
 
 
@@ -270,44 +269,3 @@ def validate_partition(assignment: list[list[int]], n_options: int) -> None:
             f"scheduler dropped {n_options - len(seen)} option(s), "
             f"first missing: {missing}"
         )
-
-
-def partition_healthy(
-    scheduler: ClusterScheduler,
-    costs: list[float],
-    n_cards: int,
-    healthy: tuple[int, ...],
-) -> list[list[int]]:
-    """Partition ``costs`` across only the ``healthy`` cards.
-
-    The health-aware wrapper every policy gets for free: the scheduler
-    runs over the healthy subset and the result is widened back to the
-    full cluster shape, down cards receiving empty chunks.  With every
-    card healthy this is exactly ``scheduler.partition`` — the
-    fault-free conformance pin.
-
-    Parameters
-    ----------
-    scheduler:
-        Any :class:`ClusterScheduler` policy.
-    costs / n_cards:
-        As for :meth:`ClusterScheduler.partition`.
-    healthy:
-        Card indices allowed to receive work (each ``< n_cards``).
-    """
-    healthy = tuple(healthy)
-    if not healthy:
-        raise ValidationError("cannot partition work: no healthy cards")
-    if len(set(healthy)) != len(healthy):
-        raise ValidationError(f"healthy cards must be distinct, got {healthy}")
-    if any(not 0 <= c < n_cards for c in healthy):
-        raise ValidationError(
-            f"healthy card out of range for a {n_cards}-card cluster: {healthy}"
-        )
-    if len(healthy) == n_cards:
-        return scheduler.partition(costs, n_cards)
-    sub = scheduler.partition(costs, len(healthy))
-    assignment: list[list[int]] = [[] for _ in range(n_cards)]
-    for slot, chunk in enumerate(sub):
-        assignment[healthy[slot]] = list(chunk)
-    return assignment

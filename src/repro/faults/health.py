@@ -12,8 +12,7 @@ failure-aware layers ask:
 * *how much slower is this card right now?* — :meth:`service_factor`
   integrates straggler windows over a busy interval (:meth:`straggles`
   says whether a card has any);
-* *how stretched is the host link?* — :meth:`link_factor` /
-  :meth:`link_blocked_until`;
+* *how stretched is the host link?* — :meth:`link_factor`;
 * *is the cluster degraded at all?* — :meth:`capacity_reduced`, the
   gate for the degradation ladder.
 
@@ -69,7 +68,6 @@ class ClusterHealth:
         self._link_deg = [
             (d.at_s, d.until_s, d.factor) for d in plan.link_degradations
         ]
-        self._link_out = [(o.at_s, o.until_s) for o in plan.link_outages]
         self._all_cards = tuple(range(n_cards))
         self._never_down = not plan.crashes
 
@@ -89,13 +87,6 @@ class ClusterHealth:
         return tuple(
             c for c in range(self.n_cards) if not self.card_down(c, t)
         )
-
-    def card_up_at(self, card: int, t: float) -> float:
-        """Earliest instant ``>= t`` at which ``card`` is up (may be inf)."""
-        for s, e in self._down[card]:
-            if s <= t < e:
-                t = e
-        return t
 
     def crash_during(self, card: int, start_s: float, done_s: float) -> float | None:
         """The crash instant cutting a busy window short, if any.
@@ -171,13 +162,6 @@ class ClusterHealth:
                 factor *= f
         return factor
 
-    def link_blocked_until(self, t: float) -> float:
-        """Earliest instant ``>= t`` the host link can issue a dispatch."""
-        for s, e in self._link_out:
-            if s <= t < e:
-                t = e
-        return t
-
     # ------------------------------------------------------------------
     def capacity_reduced(self, t: float) -> bool:
         """Whether any card is down at ``t`` (degradation-ladder gate)."""
@@ -198,13 +182,3 @@ class ClusterHealth:
             else:
                 end = max(end, event.until_s)
         return end
-
-    def apply_downtime(self, resources) -> None:
-        """Register every card outage on the matching ``Resource``.
-
-        ``resources`` is the per-card :class:`~repro.sim.Resource` list;
-        reservation starts are then pushed past outages automatically.
-        """
-        for card, windows in enumerate(self._down):
-            for s, e in windows:
-                resources[card].add_downtime(s, e)

@@ -85,6 +85,7 @@ class PhaseStats:
 
 
 def _p99_ms(latencies: list[float]) -> float:
+    # Nearest-rank, not np.percentile: the fault_report.json golden pins it.
     if not latencies:
         return 0.0
     ordered = sorted(latencies)

@@ -37,7 +37,7 @@ from repro.monitor.core import (
 )
 from repro.monitor.detect import DetectionReport, FaultInterval, score_detection
 from repro.monitor.sampler import MetricsSampler
-from repro.monitor.series import Point, TimeSeries, quantile
+from repro.monitor.series import Point, TimeSeries
 from repro.monitor.slo import (
     DEFAULT_RULES,
     Alert,
@@ -68,7 +68,6 @@ __all__ = [
     "compare_snapshots",
     "evaluate_objective",
     "monitor_result_dict",
-    "quantile",
     "render_check_results",
     "render_dashboard",
     "render_monitor_result",

@@ -1,29 +1,34 @@
-"""The perf watchdog: fresh benchmark snapshots versus committed BENCH files.
+"""The benchmark studies and the perf watchdog over their committed files.
 
-``BENCH_serving.json`` and ``BENCH_risk.json`` record the repo's
-benchmark trajectory; until now nothing *consumed* them — a goodput
-regression would sail through CI as long as the floor assertions held.
-This module makes the committed files load-bearing: :func:`bench_check`
-re-measures each benchmark (:func:`fresh_serving_snapshot` /
-:func:`fresh_risk_snapshot`, replicating the exact parameters of the
-``benchmarks/`` suite) and compares the fresh numbers against the
-committed ones under per-metric :class:`Tolerance` policies.
+Each benchmark study is defined once, in :data:`STUDIES`: its
+parameters, a run returning the raw results, a snapshot rendering those
+results in the committed ``BENCH_<name>.json`` schema, and the
+per-metric :class:`Tolerance` checks a fresh snapshot is judged by.
+The ``benchmarks/`` suite asserts its floors on the same runs;
+:func:`bench_check` re-measures each study and compares the fresh
+snapshot against the committed file.
 
 Tolerances carry **directionality**: goodput regressing is a failure,
 goodput improving is not (the committed file is a floor, not a pin);
 latency works the other way; structural counts are two-sided drift
-checks.  Serving metrics are *simulated* time — deterministic in the
-seed — so their tolerances are tight; the risk speedup is host
-wall-clock and gets a deliberately generous floor (CI machines are
-noisy; the watchdog is after the 2x collapse, not the 5% wobble).
+checks.  Serving and gateway metrics are *simulated* time —
+deterministic in the seed — so their tolerances are tight; the risk
+speedup is host wall-clock and gets a deliberately generous floor (CI
+machines are noisy; the watchdog is after the 2x collapse, not the 5%
+wobble).
 
 ``repro-cds bench-check`` is the CLI face: exit 0 when every check
-passes, 1 on any regression, which is what lets CI gate on it.
+passes, 1 on any regression, which is what lets CI gate on it.  Its
+``--json`` output carries the fresh snapshots, which is how a BENCH
+file is regenerated on purpose; nothing rewrites one implicitly.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,13 +37,10 @@ from repro.errors import ValidationError
 __all__ = [
     "Tolerance",
     "CheckResult",
-    "SERVING_CHECKS",
-    "RISK_CHECKS",
-    "GATEWAY_CHECKS",
+    "Study",
+    "STUDIES",
+    "risk_grid",
     "compare_snapshots",
-    "fresh_serving_snapshot",
-    "fresh_risk_snapshot",
-    "fresh_gateway_snapshot",
     "bench_check",
     "render_check_results",
 ]
@@ -122,46 +124,6 @@ class CheckResult:
         }
 
 
-#: Serving checks: simulated-time metrics, deterministic in the seed,
-#: so the slack only absorbs float formatting (the BENCH file rounds).
-SERVING_CHECKS: dict[str, Tolerance] = {
-    "coalesced.goodput_rps": Tolerance(rel=0.02, direction="higher-is-better"),
-    "coalesced.p99_ms": Tolerance(rel=0.02, abs=1e-3, direction="lower-is-better"),
-    "coalesced.shed_rate": Tolerance(abs=5e-3, direction="lower-is-better"),
-    "coalesced.deadline_hit_rate": Tolerance(
-        abs=5e-3, direction="higher-is-better"
-    ),
-    "batch1.goodput_rps": Tolerance(rel=0.02, direction="higher-is-better"),
-    "goodput_ratio": Tolerance(rel=0.05, direction="higher-is-better"),
-    "coalesced.n_dispatches": Tolerance(rel=0.05, direction="two-sided"),
-    "coalesced.mean_batch_requests": Tolerance(
-        rel=0.05, direction="two-sided"
-    ),
-}
-
-#: Risk checks: host wall-clock, noisy across machines — the floor is
-#: deliberately loose (a halved speedup fails, a slow CI runner does
-#: not).
-RISK_CHECKS: dict[str, Tolerance] = {
-    "speedup": Tolerance(rel=0.5, direction="higher-is-better"),
-}
-
-#: Gateway checks: like serving, simulated time and deterministic in
-#: the seed, so the slack only absorbs the BENCH file's rounding.  The
-#: cache economics (hit rate and on/off goodput ratio) are the point of
-#: the subsystem — both are floors, not pins.
-GATEWAY_CHECKS: dict[str, Tolerance] = {
-    "cached.goodput_rps": Tolerance(rel=0.02, direction="higher-is-better"),
-    "cached.cache_hit_rate": Tolerance(
-        abs=5e-3, direction="higher-is-better"
-    ),
-    "cached.p99_ms": Tolerance(rel=0.02, abs=1e-3, direction="lower-is-better"),
-    "cached.shed_rate": Tolerance(abs=5e-3, direction="lower-is-better"),
-    "uncached.goodput_rps": Tolerance(rel=0.02, direction="higher-is-better"),
-    "goodput_ratio": Tolerance(rel=0.05, direction="higher-is-better"),
-}
-
-
 def _lookup(snapshot: dict, path: str):
     """Dotted-path lookup (``coalesced.goodput_rps``); None if missing."""
     node = snapshot
@@ -218,169 +180,113 @@ def compare_snapshots(
 
 
 # ----------------------------------------------------------------------
-def fresh_serving_snapshot() -> dict:
-    """Re-measure the serving benchmark (same parameters, same rounding).
+@dataclass(frozen=True)
+class Study:
+    """One benchmark study: config -> run -> result -> committed snapshot.
 
-    Replicates ``benchmarks/test_serving_latency.py`` exactly — the
-    12k-request trace at 60k req/s offered, coalesced and batch-1 —
-    and returns a dict in the committed ``BENCH_serving.json`` schema.
-    Simulated time throughout: deterministic in the seed.
+    ``params`` is the block the committed file records (``offered`` or
+    ``grid``); ``run(params)`` returns the raw results the benchmark
+    asserts on; ``snapshot(params, results)`` renders them in the
+    committed ``BENCH_<name>.json`` schema (bump its ``schema_version``
+    when the payload shape changes); ``checks`` are the per-metric
+    tolerances a fresh snapshot is judged by.
     """
+
+    params: dict
+    run: Callable[[dict], tuple]
+    snapshot: Callable[[dict, tuple], dict]
+    checks: dict[str, Tolerance]
+
+    def measure(self) -> dict:
+        """Run the study and render a fresh snapshot."""
+        return self.snapshot(self.params, self.run(self.params))
+
+
+def _row(result) -> dict:
+    """Goodput, shed and latency of one serving or gateway result."""
+    return {
+        "goodput_rps": round(result.goodput_rps, 1),
+        "throughput_rps": round(result.throughput_rps, 1),
+        "shed_rate": round(result.shed_rate, 4),
+        "deadline_hit_rate": round(result.deadline_hit_rate, 4),
+        "p50_ms": round(result.latency.p50_s * 1e3, 3),
+        "p95_ms": round(result.latency.p95_s * 1e3, 3),
+        "p99_ms": round(result.latency.p99_s * 1e3, 3),
+    }
+
+
+def _serving_run(p: dict) -> tuple:
+    """One request trace replayed coalesced and batch-1."""
     from repro.cluster.batching import BatchQueue
     from repro.risk.engine import make_book
-    from repro.serving import (
-        QuoteServer,
-        make_market_tape,
-        make_request_stream,
-    )
+    from repro.serving import QuoteServer, make_market_tape, make_request_stream
     from repro.workloads.scenarios import PaperScenario
 
-    n_requests, rate_hz = 12_000, 60_000.0
-    n_positions, n_states, n_cards = 32, 256, 4
-    sc = PaperScenario(n_rates=256, n_options=n_positions)
-    book = make_book("heterogeneous", n_positions, seed=7)
-    tape = make_market_tape(
-        sc.yield_curve(), sc.hazard_curve(), n_states, seed=7
-    )
+    sc = PaperScenario(n_rates=256, n_options=p["n_positions"])
+    book = make_book("heterogeneous", p["n_positions"], seed=7)
+    tape = make_market_tape(sc.yield_curve(), sc.hazard_curve(), p["n_states"], seed=7)
     requests = make_request_stream(
-        n_requests,
-        rate_hz=rate_hz,
-        n_states=n_states,
-        n_positions=n_positions,
-        seed=7,
+        p["n_requests"], rate_hz=p["rate_hz"], n_states=p["n_states"],
+        n_positions=p["n_positions"], seed=7,
     )
 
-    def run(queue: BatchQueue):
-        server = QuoteServer(
-            book,
-            tape,
-            scenario=sc,
-            n_cards=n_cards,
-            n_engines=5,
-            queue=queue,
-            queue_depth=2048,
-        )
-        return server.serve(requests)
+    def serve(queue: BatchQueue):
+        return QuoteServer(
+            book, tape, scenario=sc, n_cards=p["n_cards"], n_engines=5,
+            queue=queue, queue_depth=2048,
+        ).serve(requests)
 
-    def row(result) -> dict:
+    return (
+        serve(BatchQueue(max_batch=256, linger_s=5e-4)),
+        serve(BatchQueue(max_batch=1, linger_s=0.0)),
+    )
+
+
+def _serving_snapshot(p: dict, results: tuple) -> dict:
+    coalesced, batch1 = results
+
+    def row(r) -> dict:
         return {
-            "goodput_rps": round(result.goodput_rps, 1),
-            "throughput_rps": round(result.throughput_rps, 1),
-            "shed_rate": round(result.shed_rate, 4),
-            "deadline_hit_rate": round(result.deadline_hit_rate, 4),
-            "p50_ms": round(result.latency.p50_s * 1e3, 3),
-            "p95_ms": round(result.latency.p95_s * 1e3, 3),
-            "p99_ms": round(result.latency.p99_s * 1e3, 3),
-            "n_dispatches": result.n_dispatches,
-            "mean_batch_requests": round(result.mean_batch_requests, 2),
+            **_row(r),
+            "n_dispatches": r.n_dispatches,
+            "mean_batch_requests": round(r.mean_batch_requests, 2),
         }
 
-    coalesced = run(BatchQueue(max_batch=256, linger_s=5e-4))
-    batch1 = run(BatchQueue(max_batch=1, linger_s=0.0))
-    ratio = coalesced.goodput_rps / max(batch1.goodput_rps, 1e-9)
     return {
+        "schema_version": 1,
         "benchmark": "serving_coalescing",
+        "offered": dict(p),
         "coalesced": row(coalesced),
         "batch1": row(batch1),
-        "goodput_ratio": round(ratio, 2),
+        "goodput_ratio": round(
+            coalesced.goodput_rps / max(batch1.goodput_rps, 1e-9), 2
+        ),
     }
 
 
-def fresh_risk_snapshot() -> dict:
-    """Re-measure the risk benchmark (looped vs batched wall-clock).
-
-    Replicates ``benchmarks/test_scenario_batching.py``: the 1000 x 100
-    grid, best-of-N wall-clock on each path.  Host time — noisy, which
-    is why :data:`RISK_CHECKS` is loose.
-    """
-    import time
-
-    from repro.risk import ScenarioRiskEngine, make_book, monte_carlo
-    from repro.workloads.scenarios import PaperScenario
-
-    n_scenarios, n_positions = 1000, 100
-    sc = PaperScenario(n_options=n_positions)
-    book = make_book("heterogeneous", n_positions, seed=7)
-    engine = ScenarioRiskEngine(book, scenario=sc, n_cards=1)
-    shocks = monte_carlo(
-        engine.yield_curve,
-        engine.hazard_curve,
-        n_scenarios,
-        seed=7,
-        recovery_vol=0.05,
-    )
-
-    def best_of(fn, rounds: int) -> float:
-        best = float("inf")
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    looped_s = best_of(
-        lambda: engine.revalue(shocks, with_timing=False, batch=False), 3
-    )
-    batched_s = best_of(
-        lambda: engine.revalue(shocks, with_timing=False, batch=True), 5
-    )
-    return {
-        "benchmark": "scenario_batching",
-        "looped_seconds": round(looped_s, 6),
-        "batched_seconds": round(batched_s, 6),
-        "speedup": round(looped_s / batched_s, 2),
-    }
-
-
-def fresh_gateway_snapshot() -> dict:
-    """Re-measure the gateway benchmark (same parameters, same rounding).
-
-    Replicates ``benchmarks/test_gateway_cache.py`` exactly — the
-    16k-request multi-tenant trace at 600k req/s offered through the
-    two-server gateway, cache on and cache off — and returns a dict in
-    the committed ``BENCH_gateway.json`` schema.  Simulated time
-    throughout: deterministic in the seed.
-    """
+def _gateway_run(p: dict) -> tuple:
+    """One multi-tenant trace through the gateway, cache on and off."""
     from repro.analysis.gateway import generate_gateway_report
     from repro.workloads.scenarios import PaperScenario
 
-    n_requests, rate_hz = 16_000, 600_000.0
-    n_positions, n_states = 32, 64
-    sc = PaperScenario(n_rates=256, n_options=n_positions)
+    sc = PaperScenario(n_rates=256, n_options=p["n_positions"])
+    shape = {k: v for k, v in p.items() if k != "n_positions"}
+    return tuple(
+        generate_gateway_report(sc, cache=cache, seed=7, **shape).result
+        for cache in (True, False)
+    )
 
-    def run(cache: bool):
-        return generate_gateway_report(
-            sc,
-            n_requests=n_requests,
-            rate_hz=rate_hz,
-            n_servers=2,
-            n_cards=1,
-            cache=cache,
-            n_ticks=50,
-            tick_rate_hz=2_000.0,
-            queue_depth=8192,
-            n_states=n_states,
-            seed=7,
-        ).result
 
-    def row(result) -> dict:
-        return {
-            "goodput_rps": round(result.goodput_rps, 1),
-            "throughput_rps": round(result.throughput_rps, 1),
-            "shed_rate": round(result.shed_rate, 4),
-            "deadline_hit_rate": round(result.deadline_hit_rate, 4),
-            "p50_ms": round(result.latency.p50_s * 1e3, 3),
-            "p95_ms": round(result.latency.p95_s * 1e3, 3),
-            "p99_ms": round(result.latency.p99_s * 1e3, 3),
-            "n_completed": result.n_completed,
-            "n_shed": result.n_shed,
-        }
+def _gateway_snapshot(p: dict, results: tuple) -> dict:
+    on, off = results
 
-    on = run(cache=True)
-    off = run(cache=False)
-    ratio = on.goodput_rps / max(off.goodput_rps, 1e-9)
+    def row(r) -> dict:
+        return {**_row(r), "n_completed": r.n_completed, "n_shed": r.n_shed}
+
     return {
+        "schema_version": 1,
         "benchmark": "gateway_cache",
+        "offered": dict(p),
         "cached": {
             **row(on),
             "cache_hit_rate": round(on.cache_hit_rate, 4),
@@ -388,75 +294,169 @@ def fresh_gateway_snapshot() -> dict:
             "n_cache_invalidations": on.n_cache_invalidations,
         },
         "uncached": row(off),
-        "goodput_ratio": round(ratio, 2),
+        "goodput_ratio": round(on.goodput_rps / max(off.goodput_rps, 1e-9), 2),
+        "tenants": [
+            {
+                "tenant": t.tenant,
+                "tier": t.tier,
+                "goodput_rps": round(t.goodput_rps, 1),
+                "n_completed": t.n_completed,
+                "n_shed": t.n_shed,
+                "cache_hits": t.n_cache_hits,
+            }
+            for t in on.tenants
+        ],
     }
+
+
+def risk_grid(n_scenarios: int, n_positions: int) -> tuple:
+    """The risk study's one-card engine and its Monte Carlo shocks."""
+    from repro.risk import ScenarioRiskEngine, make_book, monte_carlo
+    from repro.workloads.scenarios import PaperScenario
+
+    sc = PaperScenario(n_options=n_positions)
+    book = make_book("heterogeneous", n_positions, seed=7)
+    engine = ScenarioRiskEngine(book, scenario=sc, n_cards=1)
+    shocks = monte_carlo(
+        engine.yield_curve, engine.hazard_curve, n_scenarios, seed=7, recovery_vol=0.05
+    )
+    return engine, shocks
+
+
+def _risk_run(p: dict) -> tuple:
+    """Best-of wall-clock of the looped and the batched revalue."""
+    engine, shocks = risk_grid(**p)
+
+    def best_of(batch: bool, rounds: int) -> float:
+        best = math.inf
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            engine.revalue(shocks, with_timing=False, batch=batch)
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    return best_of(False, 3), best_of(True, 5)
+
+
+def _risk_snapshot(p: dict, results: tuple) -> dict:
+    looped_s, batched_s = results
+    n = p["n_scenarios"]
+    return {
+        "schema_version": 1,
+        "benchmark": "scenario_batching",
+        "grid": dict(p),
+        "looped_seconds": round(looped_s, 6),
+        "batched_seconds": round(batched_s, 6),
+        "speedup": round(looped_s / batched_s, 2),
+        "scenarios_per_sec_looped": round(n / looped_s, 1),
+        "scenarios_per_sec_batched": round(n / batched_s, 1),
+        "repricings_per_sec_batched": round(n * p["n_positions"] / batched_s, 1),
+        "chunk_size": "auto",
+    }
+
+
+_LATENCY = Tolerance(rel=0.02, abs=1e-3, direction="lower-is-better")
+_SHED = Tolerance(abs=5e-3, direction="lower-is-better")
+
+#: Every benchmark study, by the name of its committed file.
+STUDIES: dict[str, Study] = {
+    # 12k requests at 60k req/s offered on 4 cards.  Simulated time,
+    # deterministic in the seed: the slack only absorbs the committed
+    # file's rounding.
+    "serving": Study(
+        params=dict(
+            n_requests=12_000, rate_hz=60_000.0, n_cards=4, n_positions=32, n_states=256
+        ),
+        run=_serving_run,
+        snapshot=_serving_snapshot,
+        checks={
+            "coalesced.goodput_rps": Tolerance(rel=0.02),
+            "coalesced.p99_ms": _LATENCY,
+            "coalesced.shed_rate": _SHED,
+            "coalesced.deadline_hit_rate": Tolerance(abs=5e-3),
+            "batch1.goodput_rps": Tolerance(rel=0.02),
+            "goodput_ratio": Tolerance(rel=0.05),
+            "coalesced.n_dispatches": Tolerance(rel=0.05, direction="two-sided"),
+            "coalesced.mean_batch_requests": Tolerance(rel=0.05, direction="two-sided"),
+        },
+    ),
+    # The 1000 x 100 Monte Carlo grid, looped versus batched.  Host
+    # wall-clock, noisy across machines: the floor is deliberately loose
+    # (a halved speedup fails, a slow CI runner does not).
+    "risk": Study(
+        params=dict(n_scenarios=1000, n_positions=100),
+        run=_risk_run,
+        snapshot=_risk_snapshot,
+        checks={"speedup": Tolerance(rel=0.5)},
+    ),
+    # 16k multi-tenant requests at 600k req/s offered through two
+    # one-card servers.  Like serving, simulated and deterministic; the
+    # cache economics (hit rate and on/off goodput ratio) are the point
+    # of the subsystem — both are floors, not pins.
+    "gateway": Study(
+        params=dict(
+            n_requests=16_000, rate_hz=600_000.0, n_servers=2, n_cards=1,
+            n_positions=32, n_states=64, n_ticks=50, tick_rate_hz=2_000.0,
+            queue_depth=8192,
+        ),
+        run=_gateway_run,
+        snapshot=_gateway_snapshot,
+        checks={
+            "cached.goodput_rps": Tolerance(rel=0.02),
+            "cached.cache_hit_rate": Tolerance(abs=5e-3),
+            "cached.p99_ms": _LATENCY,
+            "cached.shed_rate": _SHED,
+            "uncached.goodput_rps": Tolerance(rel=0.02),
+            "goodput_ratio": Tolerance(rel=0.05),
+        },
+    ),
+}
 
 
 # ----------------------------------------------------------------------
 def bench_check(
-    *,
-    serving_path=None,
-    risk_path=None,
-    gateway_path=None,
-    only: str | None = None,
-    fresh: dict | None = None,
-) -> tuple[int, list[CheckResult]]:
-    """Run the watchdog: fresh measurements versus the committed files.
+    *, only: str | None = None, fresh: dict | None = None
+) -> tuple[int, list[CheckResult], dict]:
+    """Run the watchdog: fresh snapshots versus the committed files.
+
+    Each study's committed snapshot is ``BENCH_<name>.json`` in the
+    current directory.
 
     Parameters
     ----------
-    serving_path / risk_path / gateway_path:
-        Committed BENCH file locations (default: repo-root names in the
-        current directory).
     only:
-        Restrict to one benchmark (``"serving"``, ``"risk"`` or
-        ``"gateway"``).
+        Restrict to one study (a :data:`STUDIES` name).
     fresh:
-        Pre-measured snapshots ``{"serving": {...}, "risk": {...},
-        "gateway": {...}}``; benchmarks present here are not re-run
-        (tests and scripted pipelines use this to decouple judgment
-        from measurement).
+        Pre-measured snapshots by study name; studies present here are
+        not re-run (tests and scripted pipelines use this to decouple
+        judgment from measurement).
 
     Returns
     -------
-    (exit_code, results)
-        ``exit_code`` is 0 iff every check passed.
+    (exit_code, results, snapshots)
+        ``exit_code`` is 0 iff every check passed; ``snapshots`` maps
+        each judged study to the fresh snapshot it was judged on.
     """
-    if only not in (None, "serving", "risk", "gateway"):
+    if only is not None and only not in STUDIES:
         raise ValidationError(
-            f"only must be 'serving', 'risk' or 'gateway', got {only!r}"
+            f"only must be one of {tuple(STUDIES)}, got {only!r}"
         )
     fresh = fresh or {}
     results: list[CheckResult] = []
-    if only in (None, "serving"):
-        path = Path(serving_path or "BENCH_serving.json")
+    snapshots: dict[str, dict] = {}
+    for name, study in STUDIES.items():
+        if only not in (None, name):
+            continue
+        path = Path(f"BENCH_{name}.json")
         if not path.exists():
             raise ValidationError(f"committed BENCH file not found: {path}")
         committed = json.loads(path.read_text())
-        measured = fresh.get("serving") or fresh_serving_snapshot()
+        snapshots[name] = fresh.get(name) or study.measure()
         results.extend(
-            compare_snapshots("serving", committed, measured, SERVING_CHECKS)
-        )
-    if only in (None, "risk"):
-        path = Path(risk_path or "BENCH_risk.json")
-        if not path.exists():
-            raise ValidationError(f"committed BENCH file not found: {path}")
-        committed = json.loads(path.read_text())
-        measured = fresh.get("risk") or fresh_risk_snapshot()
-        results.extend(
-            compare_snapshots("risk", committed, measured, RISK_CHECKS)
-        )
-    if only in (None, "gateway"):
-        path = Path(gateway_path or "BENCH_gateway.json")
-        if not path.exists():
-            raise ValidationError(f"committed BENCH file not found: {path}")
-        committed = json.loads(path.read_text())
-        measured = fresh.get("gateway") or fresh_gateway_snapshot()
-        results.extend(
-            compare_snapshots("gateway", committed, measured, GATEWAY_CHECKS)
+            compare_snapshots(name, committed, snapshots[name], study.checks)
         )
     exit_code = 0 if all(r.ok for r in results) else 1
-    return exit_code, results
+    return exit_code, results, snapshots
 
 
 def render_check_results(results: list[CheckResult]) -> str:

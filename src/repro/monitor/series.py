@@ -18,10 +18,11 @@ series:
   analogue for a monotone counter series.
 
 Aggregators are plain names (``mean``/``min``/``max``/``sum``/
-``count``/``last``) plus ``p<q>`` quantiles (``p50``, ``p99``, …),
-computed exactly over the window — windows are bounded, so streaming
-estimation is unnecessary here (the P² estimators stay in
-:mod:`repro.telemetry.metrics`, where streams are unbounded).
+``count``/``last``) plus ``p<q>`` percentiles (``p50``, ``p99``, …),
+computed exactly over the window by :func:`numpy.percentile` — windows
+are bounded, so streaming estimation is unnecessary here (the P²
+estimators stay in :mod:`repro.telemetry.metrics`, where streams are
+unbounded).
 """
 
 from __future__ import annotations
@@ -30,23 +31,11 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import ValidationError
 
-__all__ = ["Point", "TimeSeries", "quantile"]
-
-
-def quantile(values: Sequence[float], q: float) -> float:
-    """Exact linear-interpolation quantile of a non-empty sequence."""
-    if not values:
-        raise ValidationError("quantile of an empty window")
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError(f"quantile must be in [0, 1], got {q}")
-    ordered = sorted(values)
-    rank = q * (len(ordered) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+__all__ = ["Point", "TimeSeries"]
 
 
 def _aggregate(values: Sequence[float], how: str) -> float:
@@ -66,10 +55,11 @@ def _aggregate(values: Sequence[float], how: str) -> float:
         return values[-1]
     if how.startswith("p"):
         try:
-            level = float(how[1:]) / 100.0
+            level = float(how[1:])
         except ValueError:
-            raise ValidationError(f"unknown aggregator {how!r}") from None
-        return quantile(values, level)
+            level = math.nan
+        if 0.0 <= level <= 100.0:
+            return float(np.percentile(values, level))
     raise ValidationError(f"unknown aggregator {how!r}")
 
 

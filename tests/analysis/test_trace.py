@@ -75,6 +75,20 @@ class TestSummariseTrace:
         assert by_kind["quote"].n_requests == 1
         assert by_kind["var"].mean_wait_s == pytest.approx(1.9e-3)
 
+    def test_p95_wait_interpolates(self):
+        r = SpanRecorder()
+        for trace_id in range(1, 6):
+            wait = trace_id * 1e-3
+            r.record("coalesce", 0.0, wait, track="requests",
+                     category="request", trace_id=trace_id, kind="quote")
+            r.record("card_service", wait, wait + 1e-3, track="requests",
+                     category="request", trace_id=trace_id, kind="quote")
+        (quote,) = summarise_trace(r).kinds
+        # Waits 1..5 ms: rank 0.95 * 4 = 3.8 sits 80% of the way from
+        # the 4 ms to the 5 ms wait.
+        assert quote.p95_wait_s == pytest.approx(4.8e-3)
+        assert quote.max_wait_s == pytest.approx(5e-3)
+
     def test_round_trips_through_chrome_payload(self, recorder, tmp_path):
         direct = summarise_trace(recorder)
         path = tmp_path / "trace.json"

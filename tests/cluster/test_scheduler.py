@@ -8,7 +8,6 @@ from repro.cluster.scheduler import (
     RoundRobinScheduler,
     WorkStealingScheduler,
     make_scheduler,
-    partition_healthy,
     validate_partition,
 )
 from repro.errors import ValidationError
@@ -138,49 +137,3 @@ class TestValidatePartition:
     def test_out_of_range(self):
         with pytest.raises(ValidationError, match="out-of-range"):
             validate_partition([[0, 5]], 2)
-
-
-class TestPartitionHealthy:
-    """The health-aware wrapper: schedulers run over the healthy subset
-    and the assignment is widened back to full cluster shape."""
-
-    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
-    def test_all_healthy_is_plain_partition(self, name):
-        sched = make_scheduler(name)
-        costs = [3.0, 1.0, 2.0, 5.0, 4.0]
-        assert partition_healthy(
-            sched, costs, 3, (0, 1, 2)
-        ) == sched.partition(costs, 3)
-
-    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
-    def test_down_cards_get_empty_chunks(self, name):
-        sched = make_scheduler(name)
-        costs = [3.0, 1.0, 2.0, 5.0]
-        assignment = partition_healthy(sched, costs, 4, (1, 3))
-        assert len(assignment) == 4
-        assert assignment[0] == [] and assignment[2] == []
-        validate_partition(assignment, len(costs))
-        # The healthy cards carry exactly the 2-way partition.
-        assert [assignment[1], assignment[3]] == sched.partition(costs, 2)
-
-    def test_single_survivor_takes_everything(self):
-        sched = make_scheduler("least-loaded")
-        assignment = partition_healthy(sched, [1.0, 2.0, 3.0], 3, (2,))
-        assert assignment[0] == [] and assignment[1] == []
-        assert sorted(assignment[2]) == [0, 1, 2]
-
-    def test_no_healthy_cards_rejected(self):
-        with pytest.raises(ValidationError, match="no healthy"):
-            partition_healthy(make_scheduler("round-robin"), [1.0], 2, ())
-
-    def test_duplicate_healthy_rejected(self):
-        with pytest.raises(ValidationError, match="distinct"):
-            partition_healthy(
-                make_scheduler("round-robin"), [1.0], 3, (1, 1)
-            )
-
-    def test_out_of_range_healthy_rejected(self):
-        with pytest.raises(ValidationError, match="out of range"):
-            partition_healthy(
-                make_scheduler("round-robin"), [1.0], 2, (0, 2)
-            )

@@ -1,4 +1,5 @@
-"""ClusterHealth: the pure availability oracle over a fault plan."""
+"""ClusterHealth: the pure availability oracle over a fault plan, and the
+timing rig that times dispatches against it."""
 
 from __future__ import annotations
 
@@ -6,13 +7,25 @@ import math
 
 import pytest
 
+from repro.api.cost import ClusterTimingRig, DispatchCostModel, FailedWindow
+from repro.cluster.interconnect import HostLinkModel
 from repro.errors import ValidationError
 from repro.faults import ClusterHealth, FaultPlan
-from repro.sim import Resource, Simulation
 
 
 def health(spec: str, n_cards: int = 4) -> ClusterHealth:
     return ClusterHealth(FaultPlan.from_spec(spec), n_cards)
+
+
+def rig(n_cards: int = 2) -> ClusterTimingRig:
+    cost = DispatchCostModel(
+        invocation_seconds=1e-5,
+        pcie_latency_s=2e-6,
+        row_transfer_seconds=1e-7,
+        cell_transfer_seconds=3e-8,
+        cell_kernel_seconds=5e-7,
+    )
+    return ClusterTimingRig(cost, HostLinkModel(), n_cards)
 
 
 class TestAvailability:
@@ -26,7 +39,7 @@ class TestAvailability:
     def test_permanent_crash_never_recovers(self):
         h = health("crash:card=0,at=0.5")
         assert h.card_down(0, 1e9)
-        assert math.isinf(h.card_up_at(0, 0.5))
+        assert h.healthy_cards(1e9) == (1, 2, 3)
 
     def test_healthy_cards(self):
         h = health("crash:card=1,at=0.1,repair=0.1;crash:card=3,at=0.1,repair=0.1")
@@ -35,9 +48,19 @@ class TestAvailability:
         assert h.capacity_reduced(0.15)
         assert not h.capacity_reduced(0.25)
 
+    def test_empty_plan_keeps_every_card_up(self):
+        h = ClusterHealth(FaultPlan(), 3)
+        assert h.healthy_cards(0.5) == (0, 1, 2)
+        assert not h.card_down(2, 0.5)
+        assert not h.capacity_reduced(0.5)
+
     def test_plan_validated_against_cluster(self):
         with pytest.raises(ValidationError):
             health("crash:card=5,at=0.1", n_cards=4)
+
+    def test_empty_cluster_rejected(self):
+        with pytest.raises(ValidationError):
+            ClusterHealth(FaultPlan(), 0)
 
 
 class TestCrashDuring:
@@ -52,6 +75,10 @@ class TestCrashDuring:
 
 
 class TestServiceFactor:
+    def test_straggles_names_only_slowed_cards(self):
+        h = health("slow:card=1,at=0.5,for=0.1,factor=2;crash:card=2,at=0.1")
+        assert [h.straggles(c) for c in range(4)] == [False, True, False, False]
+
     def test_no_slowdown_is_unity(self):
         h = health("crash:card=0,at=1.0")
         assert h.service_factor(1, 0.0, 1.0) == 1.0
@@ -88,10 +115,11 @@ class TestLink:
         assert h.link_factor(0.15) == 2.5
         assert h.link_factor(0.25) == 1.0
 
-    def test_link_outage_blocks(self):
-        h = health("linkout:at=0.1,for=0.05")
-        assert h.link_blocked_until(0.12) == pytest.approx(0.15)
-        assert h.link_blocked_until(0.2) == 0.2
+    def test_overlapping_degradations_compound(self):
+        h = health("link:at=0.1,for=0.1,factor=2;link:at=0.15,for=0.1,factor=3")
+        assert h.link_factor(0.12) == 2.0
+        assert h.link_factor(0.17) == 6.0
+        assert h.link_factor(0.22) == 3.0
 
 
 class TestEnvelope:
@@ -106,16 +134,35 @@ class TestEnvelope:
         assert h.last_fault_end_s() == 0.0
 
 
-class TestApplyDowntime:
-    def test_reservations_pushed_past_outage(self):
-        h = health("crash:card=0,at=1.0,repair=1.0", n_cards=1)
-        sim = Simulation()
-        card = Resource("card0", sim=sim)
-        h.apply_downtime([card])
-        # A start landing inside the outage is pushed to the repair
-        # instant; windows *straddling* the crash are the dispatcher's
-        # concern (crash_during), not the reservation layer's.
-        assert card.peek_start(1.2) == pytest.approx(2.0)
-        window = card.reserve(1.5, 0.5)
-        assert window.start_s == pytest.approx(2.0)
-        assert card.peek_start(2.2) == pytest.approx(2.5)  # busy_until wins
+class TestRigTiming:
+    """The timing rig reads the oracle: outages hold or kill dispatches."""
+
+    def test_link_outage_blocks_dispatch(self):
+        r = rig()
+        r.inject(FaultPlan.from_spec("linkout:at=0.1,for=0.05"))
+        r.dispatch(0.12, 0, 1, 1)
+        assert r.last_host_window.start_s == pytest.approx(0.15)
+        r.dispatch(0.2, 1, 1, 1)
+        assert r.last_host_window.start_s == 0.2
+
+    def test_dispatch_into_card_outage_fails(self):
+        r = rig(1)
+        r.inject(FaultPlan.from_spec("crash:card=0,at=1.0,repair=1.0"))
+        dead = r.dispatch(1.2, 0, 1, 1)
+        assert isinstance(dead, FailedWindow)
+        assert dead.service_s == 0.0
+        alive = r.dispatch(2.5, 0, 1, 1)
+        assert not isinstance(alive, FailedWindow)
+        assert alive.start_s > 2.5
+
+    def test_crash_mid_window_burns_card_time(self):
+        clean = rig(1).dispatch(0.0, 0, 4, 64)
+        crash_s = (clean.start_s + clean.done_s) / 2
+        r = rig(1)
+        r.inject(FaultPlan.from_spec(f"crash:card=0,at={crash_s!r},repair=1.0"))
+        cut = r.dispatch(0.0, 0, 4, 64)
+        assert isinstance(cut, FailedWindow)
+        assert cut.start_s == clean.start_s
+        assert cut.done_s == crash_s
+        assert cut.service_s == pytest.approx(crash_s - clean.start_s)
+        assert r.cards[0].busy_until == crash_s

@@ -85,6 +85,13 @@ class TestPhases:
         )
         assert fr.recovery_time_s is None
 
+    def test_phase_p99_is_nearest_rank(self):
+        # Ten completions at 1..10 ms: nearest-rank p99 is the slowest
+        # one, where linear interpolation would give 9.91 ms.
+        comps = [(k / 100.0, k * 1e-3) for k in range(1, 11)]
+        fr = report("crash:card=0,at=0.5,repair=0.1", comps, span_s=1.0)
+        assert fr.phases[0].p99_latency_ms == pytest.approx(10.0)
+
 
 class TestSerialisation:
     def test_to_dict_shape(self):

@@ -9,16 +9,18 @@ The CI tier-2 job runs the real measurement path.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ValidationError
 from repro.monitor.regress import (
-    GATEWAY_CHECKS,
-    RISK_CHECKS,
-    SERVING_CHECKS,
+    STUDIES,
     CheckResult,
+    Study,
     Tolerance,
+    _lookup,
     bench_check,
     compare_snapshots,
     render_check_results,
@@ -83,7 +85,7 @@ class TestCompare:
 
 
 @pytest.fixture()
-def bench_files(tmp_path):
+def bench_files(tmp_path, monkeypatch):
     serving = {
         "coalesced": {
             "goodput_rps": 59684.5,
@@ -107,27 +109,19 @@ def bench_files(tmp_path):
         "uncached": {"goodput_rps": 19434.8},
         "goodput_ratio": 5.57,
     }
-    serving_path = tmp_path / "BENCH_serving.json"
-    risk_path = tmp_path / "BENCH_risk.json"
-    gateway_path = tmp_path / "BENCH_gateway.json"
-    serving_path.write_text(json.dumps(serving))
-    risk_path.write_text(json.dumps(risk))
-    gateway_path.write_text(json.dumps(gateway))
-    return {
-        "paths": (serving_path, risk_path, gateway_path),
-        "fresh": {"serving": serving, "risk": risk, "gateway": gateway},
-    }
+    fresh = {"serving": serving, "risk": risk, "gateway": gateway}
+    for name, snapshot in fresh.items():
+        (tmp_path / f"BENCH_{name}.json").write_text(json.dumps(snapshot))
+    monkeypatch.chdir(tmp_path)
+    return {"fresh": fresh}
 
 
 def _check(bench_files, *, fresh=None, only=None):
-    serving_path, risk_path, gateway_path = bench_files["paths"]
-    return bench_check(
-        serving_path=serving_path,
-        risk_path=risk_path,
-        gateway_path=gateway_path,
+    code, results, _ = bench_check(
         only=only,
         fresh=fresh if fresh is not None else bench_files["fresh"],
     )
+    return code, results
 
 
 class TestBenchCheck:
@@ -135,9 +129,7 @@ class TestBenchCheck:
         code, results = _check(bench_files)
         assert code == 0
         assert all(r.ok for r in results)
-        assert len(results) == (
-            len(SERVING_CHECKS) + len(RISK_CHECKS) + len(GATEWAY_CHECKS)
-        )
+        assert len(results) == sum(len(s.checks) for s in STUDIES.values())
 
     def test_goodput_regression_fails(self, bench_files):
         fresh = json.loads(json.dumps(bench_files["fresh"]))
@@ -221,12 +213,10 @@ class TestBenchCheck:
         with pytest.raises(ValidationError):
             bench_check(only="gpu")
 
-    def test_missing_bench_file_raises(self, tmp_path):
+    def test_missing_bench_file_raises(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(ValidationError):
-            bench_check(
-                serving_path=tmp_path / "nope.json", only="serving",
-                fresh={"serving": {}},
-            )
+            bench_check(only="serving", fresh={"serving": {}})
 
     def test_render_marks_failures(self, bench_files):
         fresh = json.loads(json.dumps(bench_files["fresh"]))
@@ -237,21 +227,100 @@ class TestBenchCheck:
         assert "1 failing" in text
 
 
+class _Result:
+    """A stand-in serving/gateway result: every metric 1, one tenant."""
+
+    tenant = "t0"
+    tier = "gold"
+
+    def __getattr__(self, name):
+        if name == "tenants":
+            return [self]
+        return self if name == "latency" else 1
+
+
+def _shape(node):
+    """The key structure of a snapshot (lists by their first entry)."""
+    if isinstance(node, dict):
+        return {k: _shape(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_shape(v) for v in node[:1]]
+    return None
+
+
+class TestStudies:
+    def test_measure_renders_the_run(self):
+        study = Study(
+            params={"n": 2},
+            run=lambda p: (p["n"] * 3,),
+            snapshot=lambda p, results: {"n": p["n"], "out": results[0]},
+            checks={},
+        )
+        assert study.measure() == {"n": 2, "out": 6}
+
+    @pytest.mark.parametrize("name", sorted(STUDIES))
+    def test_snapshot_renders_the_committed_schema(self, name):
+        root = Path(__file__).resolve().parents[2]
+        committed = json.loads((root / f"BENCH_{name}.json").read_text())
+        study = STUDIES[name]
+        results = (2.0, 0.5) if name == "risk" else (_Result(), _Result())
+        snapshot = study.snapshot(study.params, results)
+        assert _shape(snapshot) == _shape(committed)
+        for key in ("schema_version", "benchmark"):
+            assert snapshot[key] == committed[key]
+
+    def test_risk_snapshot_derives_rates_from_timings(self):
+        study = STUDIES["risk"]
+        snapshot = study.snapshot(study.params, (2.0, 0.5))
+        n = study.params["n_scenarios"]
+        assert snapshot["speedup"] == 4.0
+        assert snapshot["scenarios_per_sec_looped"] == n / 2.0
+        assert snapshot["scenarios_per_sec_batched"] == n / 0.5
+        assert snapshot["repricings_per_sec_batched"] == (
+            n * study.params["n_positions"] / 0.5
+        )
+
+    def test_studies_missing_from_fresh_are_measured(
+        self, bench_files, monkeypatch
+    ):
+        calls = []
+
+        def run(params):
+            calls.append(params)
+            return 5.0, 1.0
+
+        monkeypatch.setitem(STUDIES, "risk", replace(STUDIES["risk"], run=run))
+        code, _, snapshots = bench_check(only="risk")
+        assert calls == [STUDIES["risk"].params]
+        assert code == 0
+        assert snapshots["risk"]["speedup"] == 5.0
+
+    def test_studies_in_fresh_are_not_rerun(self, bench_files, monkeypatch):
+        def run(params):
+            raise AssertionError("study re-ran")
+
+        for name in list(STUDIES):
+            monkeypatch.setitem(STUDIES, name, replace(STUDIES[name], run=run))
+        code, _, snapshots = bench_check(fresh=bench_files["fresh"])
+        assert code == 0
+        assert snapshots == bench_files["fresh"]
+
+    def test_only_returns_the_judged_snapshot(self, bench_files):
+        _, _, snapshots = bench_check(
+            only="gateway", fresh=bench_files["fresh"]
+        )
+        assert snapshots == {"gateway": bench_files["fresh"]["gateway"]}
+
+
 class TestCommittedBenchFiles:
     """The repo's own BENCH files must satisfy the watchdog's schema."""
 
-    def test_committed_files_carry_every_checked_metric(self):
-        from pathlib import Path
-
-        from repro.monitor.regress import _lookup
-
+    @pytest.mark.parametrize("name", sorted(STUDIES))
+    def test_committed_files_carry_every_checked_metric(self, name):
         root = Path(__file__).resolve().parents[2]
-        serving = json.loads((root / "BENCH_serving.json").read_text())
-        risk = json.loads((root / "BENCH_risk.json").read_text())
-        gateway = json.loads((root / "BENCH_gateway.json").read_text())
-        for metric in SERVING_CHECKS:
-            assert _lookup(serving, metric) is not None, metric
-        for metric in RISK_CHECKS:
-            assert _lookup(risk, metric) is not None, metric
-        for metric in GATEWAY_CHECKS:
-            assert _lookup(gateway, metric) is not None, metric
+        committed = json.loads((root / f"BENCH_{name}.json").read_text())
+        for metric in STUDIES[name].checks:
+            assert _lookup(committed, metric) is not None, metric
+        assert committed[
+            "grid" if name == "risk" else "offered"
+        ] == STUDIES[name].params

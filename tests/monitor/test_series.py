@@ -4,37 +4,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.monitor.series import Point, TimeSeries, quantile
-
-
-class TestQuantile:
-    def test_single_value(self):
-        assert quantile([3.0], 0.5) == 3.0
-        assert quantile([3.0], 0.0) == 3.0
-        assert quantile([3.0], 1.0) == 3.0
-
-    def test_interpolates(self):
-        assert quantile([0.0, 10.0], 0.5) == 5.0
-        assert quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.5
-
-    def test_extremes(self):
-        values = [5.0, 1.0, 9.0, 3.0]
-        assert quantile(values, 0.0) == 1.0
-        assert quantile(values, 1.0) == 9.0
-
-    def test_unsorted_input_is_sorted(self):
-        assert quantile([9.0, 1.0, 5.0], 0.5) == 5.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValidationError):
-            quantile([], 0.5)
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValidationError):
-            quantile([1.0], 1.5)
+from repro.monitor.series import Point, TimeSeries
 
 
 class TestTimeSeries:
@@ -121,6 +95,51 @@ class TestTumbling:
             TimeSeries("x").tumbling(0.0)
 
 
+class TestPercentileAggregator:
+    """``p<q>`` windows aggregate with :func:`numpy.percentile`."""
+
+    @staticmethod
+    def window(values):
+        s = TimeSeries("x", kind="event")
+        s.extend([(0.1 * (i + 1), v) for i, v in enumerate(values)])
+        return s
+
+    def test_single_point_window(self):
+        s = self.window([3.0])
+        for how in ("p0", "p50", "p100"):
+            assert s.tumbling(1.0, how).values == (3.0,)
+
+    def test_interpolates_between_ranks(self):
+        assert self.window([0.0, 10.0]).tumbling(1.0, "p50").values == (5.0,)
+        assert self.window([1.0, 2.0, 3.0, 4.0]).tumbling(
+            1.0, "p50"
+        ).values == (2.5,)
+
+    def test_extremes_of_an_unsorted_window(self):
+        s = self.window([5.0, 1.0, 9.0, 3.0])
+        assert s.tumbling(1.0, "p0").values == (1.0,)
+        assert s.tumbling(1.0, "p100").values == (9.0,)
+        assert s.tumbling(1.0, "p50").values == (4.0,)
+
+    def test_matches_numpy_percentile(self):
+        values = np.random.default_rng(3).lognormal(size=9)
+        s = self.window(values.tolist())
+        for q in (1, 50, 95, 99, 99.9):
+            assert s.tumbling(1.0, f"p{q:g}").values == (
+                float(np.percentile(values, q)),
+            )
+
+    def test_empty_window_is_nan(self):
+        s = TimeSeries("x", kind="event")
+        s.extend([(0.5, 1.0), (2.5, 1.0)])
+        assert math.isnan(s.tumbling(1.0, "p99").values[1])
+
+    @pytest.mark.parametrize("how", ["p", "p-1", "p100.5"])
+    def test_malformed_level_raises(self, how):
+        with pytest.raises(ValidationError, match="unknown aggregator"):
+            self.window([1.0]).tumbling(1.0, how)
+
+
 class TestSliding:
     def test_overlapping_windows(self):
         s = TimeSeries("x", kind="event")
@@ -137,6 +156,8 @@ class TestSliding:
             s.sliding(1.0, 1.0, "median")
         with pytest.raises(ValidationError):
             s.sliding(1.0, 1.0, "pxx")
+        with pytest.raises(ValidationError):
+            s.sliding(1.0, 1.0, "p150")
 
 
 class TestRate:

@@ -13,9 +13,7 @@ real behaviour change, not rounding.
 from __future__ import annotations
 
 import heapq
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -31,9 +29,6 @@ from repro.serving import QuoteServer, make_market_tape, make_request_stream
 from repro.serving.coalescer import MicroBatchCoalescer
 from repro.workloads.cluster import Arrival
 from repro.workloads.scenarios import PaperScenario
-
-BENCH_SERVING = Path(__file__).resolve().parents[2] / "BENCH_serving.json"
-
 
 # ---------------------------------------------------------------------------
 # Rig level: the host_free / busy_until recurrence.
@@ -333,48 +328,3 @@ def test_serving_timing_conformance(server, traffic):
             if s.reason == "queue_full"] == queue_shed_ids
     assert sorted(s.request.request_id for s in result.sheds
                   if s.reason == "deadline") == sorted(deadline_shed_ids)
-
-
-# ---------------------------------------------------------------------------
-# Benchmark artifact: the committed BENCH_serving.json simulated metrics.
-# ---------------------------------------------------------------------------
-def test_bench_serving_metrics_reproduce():
-    """Rerun the committed benchmark's coalesced config; every simulated
-    metric must land exactly on the committed (rounded) value — the
-    simulated rows are the deterministic contract.
-    """
-    committed = json.loads(BENCH_SERVING.read_text())
-    offered = committed["offered"]
-    scenario = PaperScenario(n_rates=256, n_options=offered["n_positions"])
-    tape = make_market_tape(
-        scenario.yield_curve(), scenario.hazard_curve(),
-        offered["n_states"], seed=7,
-    )
-    srv = QuoteServer(
-        make_book("heterogeneous", offered["n_positions"], seed=7),
-        tape,
-        scenario=scenario,
-        n_cards=offered["n_cards"],
-        n_engines=5,
-        queue=BatchQueue(max_batch=256, linger_s=5e-4),
-        queue_depth=2048,
-    )
-    requests = make_request_stream(
-        offered["n_requests"],
-        rate_hz=offered["rate_hz"],
-        n_states=offered["n_states"],
-        n_positions=offered["n_positions"],
-        seed=7,
-    )
-    result = srv.serve(requests)
-    assert committed["coalesced"] == {
-        "goodput_rps": round(result.goodput_rps, 1),
-        "throughput_rps": round(result.throughput_rps, 1),
-        "shed_rate": round(result.shed_rate, 4),
-        "deadline_hit_rate": round(result.deadline_hit_rate, 4),
-        "p50_ms": round(result.latency.p50_s * 1e3, 3),
-        "p95_ms": round(result.latency.p95_s * 1e3, 3),
-        "p99_ms": round(result.latency.p99_s * 1e3, 3),
-        "n_dispatches": result.n_dispatches,
-        "mean_batch_requests": round(result.mean_batch_requests, 2),
-    }

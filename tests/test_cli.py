@@ -6,6 +6,28 @@ import pytest
 
 from repro.cli import build_parser, main
 
+_SERVE_REPLAY = dict(
+    requests=10_000, rate=5000.0, traffic="poisson", max_batch=128,
+    max_delay=1e-3, queue_depth=4096, states=256, cards=4, engines=5,
+)
+
+#: Each replaying subcommand's replay flags and their defaults.
+REPLAY_DEFAULTS = {
+    "serve": _SERVE_REPLAY,
+    "dashboard": _SERVE_REPLAY,
+    "simulate": dict(
+        _SERVE_REPLAY, requests=8_000, rate=20_000.0, traffic="bursty"
+    ),
+    "gateway": dict(
+        requests=4_000, rate=200_000.0, traffic="poisson", queue_depth=4096,
+        states=64, cards=2, engines=5,
+    ),
+    "chaos": dict(
+        requests=2000, rate=4000.0, max_batch=64, queue_depth=512, states=64,
+        cards=4,
+    ),
+}
+
 
 class TestParser:
     def test_requires_command(self):
@@ -65,6 +87,17 @@ class TestParser:
         for cmd in ("cluster", "risk", "serve"):
             args = build_parser().parse_args([cmd])
             assert hasattr(args, "seed"), cmd
+
+
+class TestReplayFlags:
+    @pytest.mark.parametrize("cmd", sorted(REPLAY_DEFAULTS))
+    def test_defaults_per_command(self, cmd):
+        """Each command takes exactly its replay flags, with its defaults."""
+        args = build_parser().parse_args([cmd])
+        expected = REPLAY_DEFAULTS[cmd]
+        assert {dest: getattr(args, dest) for dest in expected} == expected
+        for dest in set(_SERVE_REPLAY) - set(expected):
+            assert not hasattr(args, dest), dest
 
 
 class TestCommands:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.monitor.regress import STUDIES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,14 +43,17 @@ class TestParser:
 
     def test_bench_check_defaults(self):
         args = build_parser().parse_args(["bench-check"])
-        assert args.serving == "BENCH_serving.json"
-        assert args.risk == "BENCH_risk.json"
         assert args.only is None
         assert args.fresh_from is None
 
     def test_bench_check_bad_only(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench-check", "--only", "examples"])
+
+    @pytest.mark.parametrize("option", ["--serving", "--risk", "--gateway"])
+    def test_bench_check_takes_no_file_paths(self, option):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench-check", option, "BENCH.json"])
 
 
 class TestChaosTelemetryOut:
@@ -165,33 +169,24 @@ class TestDashboardCommand:
 @pytest.fixture()
 def committed_snapshots():
     return {
-        "serving": json.loads(
-            (REPO_ROOT / "BENCH_serving.json").read_text()
-        ),
-        "risk": json.loads((REPO_ROOT / "BENCH_risk.json").read_text()),
+        name: json.loads((REPO_ROOT / f"BENCH_{name}.json").read_text())
+        for name in STUDIES
     }
 
 
 @pytest.fixture()
-def bench_argv(tmp_path, committed_snapshots):
-    """bench-check argv factory against tmp copies of the committed
-    files, fed by a --fresh-from file so no benchmark re-runs."""
+def bench_argv(tmp_path, monkeypatch, committed_snapshots):
+    """bench-check argv factory run from a tmp directory holding copies
+    of the committed files, fed by a --fresh-from file so no study
+    re-runs."""
+    for name, snapshot in committed_snapshots.items():
+        (tmp_path / f"BENCH_{name}.json").write_text(json.dumps(snapshot))
+    monkeypatch.chdir(tmp_path)
 
     def build(fresh):
-        serving = tmp_path / "BENCH_serving.json"
-        risk = tmp_path / "BENCH_risk.json"
-        serving.write_text(
-            json.dumps(committed_snapshots["serving"])
-        )
-        risk.write_text(json.dumps(committed_snapshots["risk"]))
         fresh_path = tmp_path / "fresh.json"
         fresh_path.write_text(json.dumps(fresh))
-        return [
-            "bench-check",
-            "--serving", str(serving),
-            "--risk", str(risk),
-            "--fresh-from", str(fresh_path),
-        ]
+        return ["bench-check", "--fresh-from", str(fresh_path)]
 
     return build
 
@@ -219,7 +214,11 @@ class TestBenchCheckCommand:
         metrics = {c["metric"] for c in payload["checks"]}
         assert "coalesced.goodput_rps" in metrics
         assert "speedup" in metrics
+        assert "cached.cache_hit_rate" in metrics
         assert all(c["ok"] for c in payload["checks"])
+        # The snapshots judged ride along: the way a BENCH file is
+        # regenerated on purpose.
+        assert payload["fresh"] == committed_snapshots
 
     def test_only_filter_skips_the_other_benchmark(
         self, bench_argv, committed_snapshots, capsys
@@ -229,9 +228,19 @@ class TestBenchCheckCommand:
         payload_metrics = capsys.readouterr().out
         assert "speedup" not in payload_metrics
 
-    def test_missing_committed_file_is_clean_error(self, tmp_path, capsys):
-        assert main(
-            ["bench-check", "--serving", str(tmp_path / "nope.json"),
-             "--only", "serving"]
-        ) == 2
+    def test_json_fresh_holds_only_the_judged_study(
+        self, bench_argv, committed_snapshots, capsys
+    ):
+        fresh = {"gateway": committed_snapshots["gateway"]}
+        argv = bench_argv(fresh) + ["--only", "gateway", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {c["benchmark"] for c in payload["checks"]} == {"gateway"}
+        assert payload["fresh"] == fresh
+
+    def test_missing_committed_file_is_clean_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench-check", "--only", "serving"]) == 2
         assert capsys.readouterr().err.startswith("error:")
