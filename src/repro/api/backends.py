@@ -189,6 +189,7 @@ class VectorizedBackend(PricingBackend):
             recovery_shifts=grid.recovery_shifts[idx],
             want_legs=request.want_legs,
             chunk_size=request.chunk_size,
+            row_ids=idx,
         )
         return PriceResult(
             backend=self.name,

@@ -32,7 +32,7 @@ Two batch depths are exposed:
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -326,7 +326,7 @@ def _spreads_and_legs(
         # flat row into (scenario, option) for the message.
         label = row_name(bad) if row_name else f"option index {bad}"
         raise ValidationError(
-            f"non-positive risky annuity for {label}: {annuity[bad]!r}"
+            f"non-positive risky annuity for {label}: {float(annuity[bad])!r}"
         )
     spreads = BASIS_POINTS * protection / annuity
 
@@ -466,6 +466,7 @@ def price_packed_many(
     recovery_shifts: np.ndarray | None = None,
     want_legs: bool = True,
     chunk_size: int | None = None,
+    row_ids: np.ndarray | Sequence[int] | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
     """Price a packed portfolio under many market states in one kernel call.
 
@@ -497,6 +498,10 @@ def price_packed_many(
         a cache-friendly size automatically (see
         :data:`CHUNK_TARGET_BYTES`).  Chunking never changes the
         numbers — rows are independent.
+    row_ids:
+        Optional ``(n_scenarios,)`` names of the scenario rows — e.g. the
+        rows of the tensor they were gathered from — used by the error a
+        non-positive annuity raises.  Defaults to each row's position.
 
     Returns
     -------
@@ -526,6 +531,7 @@ def price_packed_many(
             )
     if chunk_size is not None and chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
+    names = range(n_scenarios) if row_ids is None else row_ids
 
     n, width = packed.times.shape
     spreads = np.empty((n_scenarios, n), dtype=np.float64)
@@ -571,7 +577,7 @@ def price_packed_many(
             last_rows[:rows],
             want_legs=want_legs,
             row_name=lambda row, lo=lo: (
-                f"scenario {lo + row // n}, option index {row % n}"
+                f"scenario {names[lo + row // n]}, option index {row % n}"
             ),
         )
         spreads[lo:hi] = sp.reshape(m, n)

@@ -39,6 +39,11 @@ __all__ = ["Simulator", "SimulationResult", "feeder", "collector"]
 #: Hard command-count guard against runaway kernels.
 DEFAULT_MAX_COMMANDS = 200_000_000
 
+_READY = ProcessState.READY
+_BLOCKED_READ = ProcessState.BLOCKED_READ
+_BLOCKED_WRITE = ProcessState.BLOCKED_WRITE
+_DONE = ProcessState.DONE
+
 
 @dataclass
 class SimulationResult:
@@ -177,9 +182,9 @@ class Simulator:
 
         while ready:
             p = ready.popleft()
-            if p.state is ProcessState.DONE:
+            if p.state is _DONE:
                 continue
-            p.state = ProcessState.READY
+            p.state = _READY
             commands += self._step(p, ready, trace, max_commands - commands)
 
         unfinished = [p for p in self.processes.values() if not p.done]
@@ -213,9 +218,17 @@ class Simulator:
     def _step(
         self, p: Process, ready: deque[Process], trace: Any, budget: int
     ) -> int:
-        """Run ``p`` until it blocks or finishes; returns commands executed."""
+        """Run ``p`` until it blocks or finishes; returns commands executed.
+
+        The hot loop works on each stream's FIFO deque and depth directly
+        instead of through :class:`~repro.dataflow.stream.Stream`'s
+        checked ``push``/``pop`` (it has just made the checks those
+        methods repeat), and a stream already owned by ``p`` passes the
+        SPSC check with one identity test.
+        """
         gen = p.generator
         executed = 0
+        value = None  # what the kernel receives from its next ``yield``
         while True:
             # Either retry the command we blocked on, or fetch the next one.
             if p.pending is not None:
@@ -223,11 +236,11 @@ class Simulator:
                 p.pending = None
             else:
                 try:
-                    cmd = gen.send(p._resume_value)
+                    cmd = gen.send(value)
                 except StopIteration:
-                    p.state = ProcessState.DONE
+                    p.state = _DONE
                     return executed
-                p._resume_value = None
+                value = None
                 executed += 1
                 if executed > budget:
                     raise SimulationError(
@@ -235,26 +248,29 @@ class Simulator:
                         "likely a non-terminating kernel"
                     )
 
-            if type(cmd) is Delay:
+            kind = type(cmd)
+            if kind is Delay:
                 p.time += cmd.cycles
                 p.busy_cycles += cmd.cycles
                 continue
 
-            if type(cmd) is Read:
+            if kind is Read:
                 s = cmd.stream
-                if s.reader is None:
+                if s.reader is not p:
+                    if s.reader is not None:
+                        raise SimulationError(
+                            f"{p.name!r} read from {s.name!r} owned by "
+                            f"{s.reader.name!r}"
+                        )
                     s.bind_reader(p)
                     p.reads.add(s.name)
-                elif s.reader is not p:
-                    raise SimulationError(
-                        f"{p.name!r} read from {s.name!r} owned by {s.reader.name!r}"
-                    )
-                if s.empty:
+                fifo = s._fifo
+                if not fifo:
                     p.pending = cmd
-                    p.state = ProcessState.BLOCKED_READ
+                    p.state = _BLOCKED_READ
                     p.block_since = p.time
                     return executed
-                ready_time, value = s.pop()
+                ready_time, value = fifo.popleft()
                 if ready_time > p.time:
                     wait = ready_time - p.time
                     p.stall_read_cycles += wait
@@ -266,51 +282,54 @@ class Simulator:
                 w = s.writer
                 if (
                     w is not None
-                    and w.state is ProcessState.BLOCKED_WRITE
-                    and w.pending is not None
+                    and w.state is _BLOCKED_WRITE
                     and w.pending.stream is s
                 ):
                     stall = max(0.0, p.time - w.block_since)
                     w.stall_write_cycles += stall
                     s.stats.writer_stall_cycles += stall
                     w.time = max(w.time, p.time)
-                    w.state = ProcessState.READY
+                    w.state = _READY
                     ready.append(w)
-                p._resume_value = value
                 continue
 
-            if type(cmd) is Write:
+            if kind is Write:
                 s = cmd.stream
-                if s.writer is None:
+                if s.writer is not p:
+                    if s.writer is not None:
+                        raise SimulationError(
+                            f"{p.name!r} wrote to {s.name!r} owned by "
+                            f"{s.writer.name!r}"
+                        )
                     s.bind_writer(p)
                     p.writes.add(s.name)
-                elif s.writer is not p:
-                    raise SimulationError(
-                        f"{p.name!r} wrote to {s.name!r} owned by {s.writer.name!r}"
-                    )
                 if cmd.issue_time is None:
                     cmd.issue_time = p.time
-                if s.full:
+                fifo = s._fifo
+                if len(fifo) >= s.depth:
                     p.pending = cmd
-                    p.state = ProcessState.BLOCKED_WRITE
+                    p.state = _BLOCKED_WRITE
                     p.block_since = p.time
                     return executed
                 # The value was computed at issue time even if the FIFO was
                 # full in between (it waited in the pipeline output
                 # register), so readiness is issue + latency or the moment
                 # the slot freed, whichever is later.
-                s.push(max(cmd.issue_time + cmd.delay, p.time), cmd.value)
+                fifo.append((max(cmd.issue_time + cmd.delay, p.time), cmd.value))
+                stats = s.stats
+                stats.tokens += 1
+                if len(fifo) > stats.max_occupancy:
+                    stats.max_occupancy = len(fifo)
                 if trace is not None:
                     trace.record("write", p.time, p.name, s.name)
                 # A token arrived: release a starved reader.
                 r = s.reader
                 if (
                     r is not None
-                    and r.state is ProcessState.BLOCKED_READ
-                    and r.pending is not None
+                    and r.state is _BLOCKED_READ
                     and r.pending.stream is s
                 ):
-                    r.state = ProcessState.READY
+                    r.state = _READY
                     ready.append(r)
                 continue
 
@@ -333,9 +352,10 @@ def feeder(
 
     Models an input DMA / loader stage.
     """
+    step = Delay(ii)
     for v in values:
         yield Write(stream, v, delay=latency)
-        yield Delay(ii)
+        yield step
 
 
 def collector(
@@ -349,10 +369,11 @@ def collector(
 
     Models an output DMA / result-drain stage.
     """
+    read, step = Read(stream), Delay(ii)
     for _ in range(count):
-        v = yield Read(stream)
+        v = yield read
         sink.append(v)
-        yield Delay(ii)
+        yield step
 
 
 def transformer(
@@ -365,7 +386,8 @@ def transformer(
     latency: float = 0.0,
 ) -> Kernel:
     """Kernel: ``out[k] = fn(inp[k])`` with the given II and latency."""
+    read, step = Read(inp), Delay(ii)
     for _ in range(count):
-        v = yield Read(inp)
+        v = yield read
         yield Write(out, fn(v), delay=latency)
-        yield Delay(ii)
+        yield step

@@ -73,7 +73,10 @@ class Write:
     executes.  If the FIFO is full, the value was still *computed* at issue
     time (it waits in the pipeline's output register), so when the slot
     frees at time ``T`` the token becomes readable at
-    ``max(issue_time + delay, T)`` — not ``T + delay``.
+    ``max(issue_time + delay, T)`` — not ``T + delay``.  Because of that
+    stamp a kernel yields a fresh ``Write`` per token, whereas a
+    :class:`Read` or :class:`Delay` carries no state and may be built
+    once and yielded repeatedly.
     """
 
     __slots__ = ("stream", "value", "delay", "issue_time")
@@ -144,7 +147,6 @@ class Process:
         "group",
         "pending",
         "block_since",
-        "_resume_value",
         "reads",
         "writes",
     )
@@ -161,7 +163,6 @@ class Process:
         #: Pending blocked command (Read or Write) awaiting a wakeup.
         self.pending: Read | Write | None = None
         self.block_since: float = 0.0
-        self._resume_value: Any = None
         #: Streams this process reads / writes (discovered during execution,
         #: pre-registered via Simulator.process(reads=..., writes=...)).
         self.reads: set[str] = set()

@@ -86,6 +86,8 @@ class Stream:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise SimulationError(f"stream {self.name!r}: depth must be >= 1")
+        # The scheduler's hot loop (Simulator._step) works on this deque
+        # and ``depth`` directly; push/pop are the checked interface.
         self._fifo: deque[tuple[float, Any]] = deque()
         self.reader: "Process | None" = None
         self.writer: "Process | None" = None

@@ -18,6 +18,10 @@ Stage inventory and the streams between them::
 
 Red (per-option) tokens: option parameters into ``combine`` and the three
 leg sums; blue (per-time-point) tokens: everything else.
+
+Each kernel builds its ``Read`` and constant ``Delay`` commands once and
+yields them per token; only ``Write``, which the scheduler stamps with
+its issue time, is built per token.
 """
 
 from __future__ import annotations
@@ -118,6 +122,7 @@ class StageModels:
         interpolation path and one ``(index, recovery)`` parameter token per
         option for the combiner.
         """
+        tick = Delay(1)
         for oi in indices:
             sched = wl.schedules[oi]
             yield Write(
@@ -128,7 +133,7 @@ class StageModels:
             for t, dt in zip(sched.times, sched.accruals):
                 yield Write(out_haz, (float(t), float(dt)), delay=GRID_LATENCY)
                 yield Write(out_int, float(t), delay=GRID_LATENCY)
-                yield Delay(1)
+                yield tick
 
     def hazard_accumulate(
         self,
@@ -152,6 +157,7 @@ class StageModels:
         option, matching Fig. 3's cyclic scheduler).
         """
         hc = wl.hazard_curve
+        read = Read(inp)
         counter = 0  # global across options: the cyclic scheduler of Fig. 3
         for oi in indices:
             n_points = len(wl.schedules[oi])
@@ -160,7 +166,7 @@ class StageModels:
                 counter += 1
                 if not mine:
                     continue
-                t, dt = yield Read(inp)
+                t, dt = yield read
                 n_entries = hc.accumulation_length(t)
                 yield Delay(self.accumulator.cycles(n_entries) * port_factor)
                 lam = hc.integrated(t)
@@ -181,17 +187,18 @@ class StageModels:
         """
         import numpy as np
 
+        read, tick = Read(inp), Delay(1)
         for oi in indices:
             s_prev = 1.0
             for _ in range(len(wl.schedules[oi])):
-                lam, dt = yield Read(inp)
+                lam, dt = yield read
                 s = float(np.exp(-lam))
                 ds = s_prev - s
                 s_prev = s
                 yield Write(
                     out, (s, ds, dt), delay=self.exp_latency + self.add_latency
                 )
-                yield Delay(1)
+                yield tick
 
     def interpolate(
         self,
@@ -212,6 +219,7 @@ class StageModels:
         ``port_factor`` under replication.
         """
         yc = wl.yield_curve
+        read = Read(inp)
         counter = 0  # global across options: the cyclic scheduler of Fig. 3
         for oi in indices:
             n_points = len(wl.schedules[oi])
@@ -220,7 +228,7 @@ class StageModels:
                 counter += 1
                 if not mine:
                     continue
-                t = yield Read(inp)
+                t = yield read
                 scan = self.interpolator.evaluation_cycles(yc.locate(t))
                 arith = self.interpolator.arithmetic_latency
                 yield Delay((scan - arith) * port_factor)
@@ -237,12 +245,13 @@ class StageModels:
         """Discount factor ``D = exp(-r * t)`` per time point."""
         import numpy as np
 
+        read, tick = Read(inp), Delay(1)
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                t, r = yield Read(inp)
+                t, r = yield read
                 d = float(np.exp(-r * t))
                 yield Write(out, d, delay=self.mul_latency + self.exp_latency)
-                yield Delay(1)
+                yield tick
 
     def tee(
         self,
@@ -257,11 +266,12 @@ class StageModels:
         duplication function — same constraint as our simulator.
         """
         total = sum(len(wl.schedules[oi]) for oi in indices)
+        read, tick = Read(inp), Delay(1)
         for _ in range(total):
-            v = yield Read(inp)
+            v = yield read
             for o in outs:
                 yield Write(o, v)
-            yield Delay(1)
+            yield tick
 
     def payment(
         self,
@@ -272,12 +282,13 @@ class StageModels:
         out: Stream,
     ) -> Kernel:
         """Premium-leg contribution ``D * S * dt`` per time point."""
+        read_s, read_d, tick = Read(in_s), Read(in_d), Delay(1)
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                s, _ds, dt = yield Read(in_s)
-                d = yield Read(in_d)
+                s, _ds, dt = yield read_s
+                d = yield read_d
                 yield Write(out, d * s * dt, delay=2 * self.mul_latency)
-                yield Delay(1)
+                yield tick
 
     def payoff(
         self,
@@ -289,12 +300,13 @@ class StageModels:
     ) -> Kernel:
         """Protection-leg contribution ``D * dS`` per time point
         (the loss-given-default factor is applied once in ``combine``)."""
+        read_s, read_d, tick = Read(in_s), Read(in_d), Delay(1)
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                _s, ds, _dt = yield Read(in_s)
-                d = yield Read(in_d)
+                _s, ds, _dt = yield read_s
+                d = yield read_d
                 yield Write(out, d * ds, delay=self.mul_latency)
-                yield Delay(1)
+                yield tick
 
     def accrual(
         self,
@@ -305,12 +317,13 @@ class StageModels:
         out: Stream,
     ) -> Kernel:
         """Accrued-premium contribution ``D * dS * dt / 2`` per time point."""
+        read_s, read_d, tick = Read(in_s), Read(in_d), Delay(1)
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                _s, ds, dt = yield Read(in_s)
-                d = yield Read(in_d)
+                _s, ds, dt = yield read_s
+                d = yield read_d
                 yield Write(out, d * ds * dt * 0.5, delay=2 * self.mul_latency)
-                yield Delay(1)
+                yield tick
 
     def leg_accumulator(
         self,
@@ -327,13 +340,14 @@ class StageModels:
         reduction per option.
         """
         acc = self.accumulator
+        read, accept = Read(inp), Delay(acc.ii)
         for oi in indices:
             n = len(wl.schedules[oi])
             total = 0.0
             for _ in range(n):
-                v = yield Read(inp)
+                v = yield read
                 total += v
-                yield Delay(acc.ii)
+                yield accept
             tail = max(0.0, acc.cycles(n) - n * acc.ii)
             yield Delay(tail)
             yield Write(out, total, delay=self.add_latency)
@@ -356,11 +370,14 @@ class StageModels:
         """
         from repro.core.pricing import BASIS_POINTS
 
+        read_params, read_pay = Read(in_params), Read(in_pay)
+        read_poff, read_acc = Read(in_poff), Read(in_acc)
+        settle = Delay(2)
         for _ in indices:
-            oi, recovery = yield Read(in_params)
-            pay = yield Read(in_pay)
-            poff_raw = yield Read(in_poff)
-            acc = yield Read(in_acc)
+            oi, recovery = yield read_params
+            pay = yield read_pay
+            poff_raw = yield read_poff
+            acc = yield read_acc
             protection = poff_raw * (1.0 - recovery)
             annuity = pay + acc
             if annuity <= 0.0 or not math.isfinite(annuity):
@@ -373,7 +390,7 @@ class StageModels:
                 (oi, spread),
                 delay=self.div_latency + self.mul_latency,
             )
-            yield Delay(2)
+            yield settle
 
     def result_drain(
         self,
@@ -382,10 +399,11 @@ class StageModels:
         sink: dict[int, float],
     ) -> Kernel:
         """Collect ``(index, spread)`` results into ``sink``."""
+        read, tick = Read(inp), Delay(1)
         for _ in range(count):
-            oi, spread = yield Read(inp)
+            oi, spread = yield read
             sink[int(oi)] = float(spread)
-            yield Delay(1)
+            yield tick
 
     # ==================================================================
     # Round-robin replication plumbing (Fig. 3)
@@ -404,13 +422,14 @@ class StageModels:
         the replica count.
         """
         k = len(outs)
+        read, tick = Read(inp), Delay(1)
         counter = 0
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                v = yield Read(inp)
+                v = yield read
                 yield Write(outs[counter % k], v)
                 counter += 1
-                yield Delay(1)
+                yield tick
 
     def rr_collect(
         self,
@@ -420,11 +439,13 @@ class StageModels:
         out: Stream,
     ) -> Kernel:
         """Cyclic collector: gather replica outputs preserving point order."""
-        k = len(ins)
+        reads = tuple(Read(s) for s in ins)
+        k = len(reads)
+        tick = Delay(1)
         counter = 0
         for oi in indices:
             for _ in range(len(wl.schedules[oi])):
-                v = yield Read(ins[counter % k])
+                v = yield reads[counter % k]
                 counter += 1
                 yield Write(out, v)
-                yield Delay(1)
+                yield tick

@@ -77,7 +77,8 @@ class Gateway:
         Per-replica server configuration, forwarded verbatim to each
         :class:`~repro.serving.engine.QuoteServer` (pass backend
         *names*, not instances, when ``n_servers > 1`` — every replica
-        binds its own backend).
+        binds its own backend).  The first replica calibrates the
+        dispatch cost model; the others reuse it.
     n_servers:
         Replica count behind the ring.
     tenants:
@@ -124,22 +125,25 @@ class Gateway:
         self.cache_enabled = bool(cache)
         self.cache_hit_latency_s = cache_hit_latency_s
         self.queue_depth = queue_depth
-        self.servers = tuple(
-            QuoteServer(
-                book,
-                tape,
-                scenario=scenario,
-                n_cards=n_cards,
-                n_engines=n_engines,
-                scheduler=scheduler,
-                link=link,
-                queue=queue,
-                queue_depth=queue_depth,
-                chunk_size=chunk_size,
-                backend=backend,
-                telemetry=telemetry,
-            )
-            for _ in range(n_servers)
+        config = dict(
+            scenario=scenario,
+            n_cards=n_cards,
+            n_engines=n_engines,
+            scheduler=scheduler,
+            link=link,
+            queue=queue,
+            queue_depth=queue_depth,
+            chunk_size=chunk_size,
+            backend=backend,
+            telemetry=telemetry,
+        )
+        # Every replica is built from the same arguments, so they share
+        # the first one's calibrated cost model instead of each re-running
+        # the cycle-level engine simulation behind it.
+        first = QuoteServer(book, tape, **config)
+        self.servers = (first,) + tuple(
+            QuoteServer(book, tape, cost_model=first.cost_model, **config)
+            for _ in range(n_servers - 1)
         )
         self.ring = HashRing(range(n_servers), replicas=ring_replicas)
 
@@ -277,7 +281,7 @@ class Gateway:
             """Sweep new lane outcomes into cache entries and waiters."""
             for lane, cursor in zip(lanes, seen):
                 responses = lane.dispatcher.responses
-                sheds = lane.coalescer.sheds
+                sheds = lane.coalescer.sheds_since(cursor[1])
                 fails = lane.dispatcher.fails
                 for resp in responses[cursor[0]:]:
                     entry = cache.fulfil(
@@ -297,11 +301,11 @@ class Gateway:
                                 max(waiter.arrival_s, entry.formed_s),
                             )
                         entry.waiters.clear()
-                for rec in sheds[cursor[1]:]:
+                for rec in sheds:
                     abandon(rec, waiter_sheds)
                 for rec in fails[cursor[2]:]:
                     abandon(rec, waiter_fails)
-                cursor[:] = len(responses), len(sheds), len(fails)
+                cursor[:] = len(responses), cursor[1] + len(sheds), len(fails)
 
         def abandon(rec, waiter_records: list) -> None:
             """A leader that was shed or failed takes its joiners along.

@@ -25,6 +25,7 @@ from repro.errors import ValidationError
 from repro.serving.request import PricingRequest
 from repro.serving.workload import KIND_PRIORITY
 from repro.workloads.traffic import (
+    ChoiceSampler,
     multi_tenant_arrivals,
     poisson_arrivals,
     zipf_weights,
@@ -118,8 +119,10 @@ def make_tenant_stream(
     )
     gen = np.random.default_rng(seed + 1)
     kinds = gen.choice(("quote", "reval", "var"), size=n_requests, p=probs)
-    row_p = zipf_weights(n_states, row_exponent)
-    option_p = zipf_weights(n_positions, option_exponent)
+    # Same draws as per-request ``gen.choice(n, p=...)``, without
+    # re-validating the weights and rebuilding the CDF per request.
+    row_sampler = ChoiceSampler(zipf_weights(n_states, row_exponent))
+    option_sampler = ChoiceSampler(zipf_weights(n_positions, option_exponent))
     deadline_range = {
         "quote": quote_deadline_s,
         "reval": reval_deadline_s,
@@ -133,8 +136,8 @@ def make_tenant_stream(
         deadline = float(t + tenant.deadline_scale * gen.uniform(lo, hi))
         option_index = None
         if kind == "quote":
-            rows = (int(gen.choice(n_states, p=row_p)),)
-            option_index = int(gen.choice(n_positions, p=option_p))
+            rows = (row_sampler.draw(gen),)
+            option_index = option_sampler.draw(gen)
         elif kind == "reval":
             rows = (int(gen.integers(n_states)),)
         else:  # var

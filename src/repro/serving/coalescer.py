@@ -24,6 +24,7 @@ population; the coalescer itself never rejects an offered request.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.cluster.batching import BatchQueue
@@ -89,6 +90,9 @@ class MicroBatchCoalescer:
         self._sheds: list[ShedRecord] = []
         self._next_batch_id = 0
         self._last_offer_s = 0.0
+        #: A lower bound on every pending deadline (exact after a reap;
+        #: batch formation only removes requests, so it stays a bound).
+        self._earliest_deadline = math.inf
 
     @property
     def n_pending(self) -> int:
@@ -99,6 +103,13 @@ class MicroBatchCoalescer:
     def sheds(self) -> tuple[ShedRecord, ...]:
         """Deadline sheds recorded so far, in shed order."""
         return tuple(self._sheds)
+
+    def sheds_since(self, start: int) -> list[ShedRecord]:
+        """Deadline sheds recorded after the first ``start``, in shed order.
+
+        A cursor read for per-arrival sweeps: copies only the new records.
+        """
+        return self._sheds[start:]
 
     # ------------------------------------------------------------------
     def _form(self, t: float) -> MicroBatch | None:
@@ -165,6 +176,8 @@ class MicroBatchCoalescer:
         dead work from counting toward the server's admission bound.
         Returns how many requests were shed.
         """
+        if now < self._earliest_deadline:
+            return 0  # no pending deadline has passed: skip the scan
         alive = []
         reaped = 0
         for r in self._pending:
@@ -174,6 +187,9 @@ class MicroBatchCoalescer:
             else:
                 alive.append(r)
         self._pending = alive
+        self._earliest_deadline = min(
+            (r.deadline_s for r in alive), default=math.inf
+        )
         return reaped
 
     def offer(self, request: PricingRequest) -> list[MicroBatch]:
@@ -197,6 +213,7 @@ class MicroBatchCoalescer:
         self._last_offer_s = request.arrival_s
         batches = self.advance(request.arrival_s)
         self._pending.append(request)
+        self._earliest_deadline = min(self._earliest_deadline, request.deadline_s)
         if len(self._pending) >= self.queue.max_batch:
             batch = self._form(request.arrival_s)
             if batch is not None:

@@ -128,6 +128,11 @@ class QuoteServer:
         tallies are published into ``telemetry.metrics`` after each
         :meth:`serve`.  Default: the process-wide no-op handle (reports
         are byte-identical either way).
+    cost_model:
+        Per-dispatch economics to time dispatches with.  ``None`` (the
+        default) calibrates them through the backend's cost-model hook;
+        replicas built from identical arguments can share one model
+        instead of each re-running the calibration (the gateway does).
     """
 
     #: Default coalescing policy: micro-batches, not overnight batches.
@@ -148,6 +153,7 @@ class QuoteServer:
         chunk_size: int | None = None,
         backend: str | PricingBackend = "vectorized",
         telemetry: Telemetry | None = None,
+        cost_model: DispatchCostModel | None = None,
     ) -> None:
         if n_cards < 1:
             raise ValidationError(f"n_cards must be >= 1, got {n_cards}")
@@ -189,12 +195,14 @@ class QuoteServer:
             telemetry=self.telemetry,
         )
         # Per-dispatch economics come from the backend's cost-model hook.
-        self.cost_model = self.engine.session.dispatch_cost_model(
-            self.engine.scenario,
-            self.engine.yield_curve,
-            self.engine.hazard_curve,
-            n_engines=n_engines,
-        )
+        if cost_model is None:
+            cost_model = self.engine.session.dispatch_cost_model(
+                self.engine.scenario,
+                self.engine.yield_curve,
+                self.engine.hazard_curve,
+                n_engines=n_engines,
+            )
+        self.cost_model = cost_model
         self._notionals = book.notionals
         self._base_pv = self.engine.base_pv
         #: Resilience summary of the most recent faulted :meth:`serve`

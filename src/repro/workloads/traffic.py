@@ -27,6 +27,8 @@ ordered times in seconds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.errors import ValidationError
@@ -38,6 +40,7 @@ __all__ = [
     "make_arrivals",
     "zipf_weights",
     "zipf_choices",
+    "ChoiceSampler",
     "multi_tenant_arrivals",
     "TRAFFIC_PROCESSES",
 ]
@@ -281,6 +284,49 @@ def zipf_choices(
         raise ValidationError(f"n_draws must be >= 1, got {n_draws}")
     gen = np.random.default_rng(seed)
     return gen.choice(n_items, size=n_draws, p=zipf_weights(n_items, exponent))
+
+
+class ChoiceSampler:
+    """One-at-a-time draws of ``Generator.choice(n, p=p)``, draw for draw.
+
+    ``choice`` validates ``p`` and rebuilds its CDF on every call, which
+    dominates a per-request draw.  The sampler validates once and builds
+    the CDF once, exactly as ``choice`` does (the cumulative sum divided
+    by its last element); :meth:`draw` then inverts one
+    ``gen.random()`` double with a right-sided binary search — the
+    ``searchsorted(..., side="right")`` of ``choice``, here on a Python
+    list, which compares the same doubles faster.  A draw therefore
+    consumes the same stream and returns the same index as
+    ``int(gen.choice(len(p), p=p))``; the test suite pins that equality.
+
+    Parameters
+    ----------
+    p:
+        Category probabilities: a non-empty 1-D vector of finite,
+        non-negative values summing to 1 (``choice``'s tolerance).
+    """
+
+    __slots__ = ("_cdf",)
+
+    #: ``Generator.choice``'s tolerance on ``sum(p) == 1``.
+    SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
+    def __init__(self, p) -> None:
+        p = np.asarray(p, dtype=np.float64)
+        if p.ndim != 1 or p.size == 0:
+            raise ValidationError("p must be a non-empty 1-D vector")
+        if not np.all(np.isfinite(p)) or np.any(p < 0):
+            raise ValidationError("p must be finite and non-negative")
+        total = float(p.sum())
+        if abs(total - 1.0) > self.SUM_TOLERANCE:
+            raise ValidationError(f"p must sum to 1, got {total!r}")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
+
+    def draw(self, gen: np.random.Generator) -> int:
+        """One category index, consuming one ``gen.random()`` double."""
+        return bisect_right(self._cdf, gen.random())
 
 
 def multi_tenant_arrivals(

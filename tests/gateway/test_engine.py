@@ -1,10 +1,12 @@
 """Unit tests for the gateway engine: route → admit → cache → dispatch."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from repro.cluster.batching import BatchQueue
+from repro.cluster.node import ClusterNode
 from repro.errors import ValidationError
 from repro.gateway import (
     DEFAULT_TENANTS,
@@ -18,6 +20,57 @@ from repro.serving.request import ShedReason
 from repro.telemetry import Telemetry
 
 from .conftest import N_POSITIONS, N_STATES, small_gateway
+
+
+class TestConstruction:
+    def test_one_calibration_shared_by_every_replica(
+        self, book, tape, gateway_scenario, monkeypatch
+    ):
+        """Replicas share the first one's cost model: one engine DES run."""
+        calls = []
+        price = ClusterNode.price
+
+        def counting_price(node, *args, **kwargs):
+            calls.append(node)
+            return price(node, *args, **kwargs)
+
+        monkeypatch.setattr(ClusterNode, "price", counting_price)
+        gw = small_gateway(book, tape, gateway_scenario, n_servers=3)
+        assert len(calls) == 1
+        standalone = QuoteServer(
+            book, tape, scenario=gateway_scenario, n_cards=2, n_engines=2
+        )
+        assert len(calls) == 2
+        for server in gw.servers:
+            assert server.cost_model == standalone.cost_model
+
+
+def _stream_digest(requests) -> str:
+    h = hashlib.sha256()
+    for r in requests:
+        h.update(repr((
+            r.request_id, r.kind, r.arrival_s.hex(), r.deadline_s.hex(),
+            r.rows, r.option_index, r.priority, r.tenant,
+        )).encode())
+    return h.hexdigest()
+
+
+class TestTenantStream:
+    #: Digests recorded when every Zipf draw was a per-request
+    #: ``Generator.choice(n, p=...)`` call; the precomputed-CDF sampler
+    #: must reproduce that stream exactly.
+    DIGESTS = {
+        7: "5e5419f669982c25f2c221f829b9b340f49f67a689172ba602e474ba8d2ddd0d",
+        17: "041965909cd001c5e56898f151cf3623126eed59d8641e832694942abde76e77",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_stream_pinned(self, seed):
+        stream = make_tenant_stream(
+            800, rate_hz=40_000.0, n_states=N_STATES,
+            n_positions=N_POSITIONS, var_rows=6, seed=seed,
+        )
+        assert _stream_digest(stream) == self.DIGESTS[seed]
 
 
 class TestServe:
@@ -125,6 +178,27 @@ class TestCache:
         common = set(v_on) & set(v_off)
         assert common
         assert all(v_on[i] == v_off[i] for i in common)
+
+    def test_shed_leader_takes_its_joiners(self, book, tape, gateway_scenario):
+        """A leader shed on its deadline before its batch forms sheds the
+        quotes that joined its flight, each exactly once."""
+        gw = small_gateway(
+            book, tape, gateway_scenario, n_servers=1,
+            queue=BatchQueue(max_batch=64, linger_s=5e-3),
+            tenants=(PASSTHROUGH_TENANT,),
+        )
+        stream = make_tenant_stream(
+            400, rate_hz=40_000.0, n_states=4, n_positions=2,
+            tenants=(PASSTHROUGH_TENANT,), mix=(1.0, 0.0, 0.0),
+            quote_deadline_s=(2e-3, 8e-3), seed=3,
+        )
+        res = gw.serve(stream)
+        leaders = len(res.servers[0].sheds)
+        assert 0 < leaders < res.n_shed == res.n_shed_deadline
+        outcomes = [r.request_id for r in res.responses] + [
+            s.request.request_id for s in res.sheds
+        ]
+        assert sorted(outcomes) == [r.request_id for r in stream]
 
     def test_ticks_invalidate(self, gateway, stream, ticks):
         res = gateway.serve(stream, ticks=ticks)

@@ -161,6 +161,22 @@ class TestScenarioRiskEngine:
         with pytest.raises(ValidationError):
             ScenarioRiskEngine(book, n_cards=0)
 
+    def test_kernel_error_names_tensor_row(self, engine):
+        """Pricing rows [5, 3] of a tensor whose row 3 is NaN names
+        scenario 3 (not output position 1), the annuity a plain float."""
+        from dataclasses import replace
+
+        from repro.serving import make_market_tape
+
+        tape = make_market_tape(engine.yield_curve, engine.hazard_curve, 8, seed=3)
+        hazard = tape.hazard_values.copy()
+        hazard[3] = np.nan
+        with pytest.raises(ValidationError) as err:
+            engine.quote_rows(replace(tape, hazard_values=hazard), [5, 3])
+        assert str(err.value) == (
+            "non-positive risky annuity for scenario 3, option index 0: nan"
+        )
+
 
 class TestMixedGridFallback:
     """Batch requested, but the scenario set cannot lower to a tensor."""

@@ -1,11 +1,12 @@
 """Unit tests for the size-or-linger micro-batch coalescer."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.batching import BatchQueue
 from repro.errors import ValidationError
 from repro.serving.coalescer import MicroBatchCoalescer
-from repro.serving.request import PricingRequest
+from repro.serving.request import PricingRequest, ShedRecord
 
 
 def req(rid, arrival, *, deadline=None, priority=0, row=0) -> PricingRequest:
@@ -131,6 +132,62 @@ class TestOrdering:
         # The survivor still prices normally.
         batches = c.flush()
         assert [r.request_id for r in batches[0].requests] == [1]
+
+    def test_reap_tracks_the_earliest_deadline(self):
+        c = coalescer(max_batch=100, linger_s=10.0)
+        c.offer(req(0, 0.0, deadline=3.0))
+        c.offer(req(1, 0.5, deadline=2.0))
+        assert c.reap(1.9) == 0
+        assert c.reap(2.0) == 1  # a deadline at ``now`` has passed
+        assert c.reap(2.5) == 0
+        c.offer(req(2, 2.6, deadline=2.8))  # earlier than request 0's
+        assert c.reap(2.9) == 1
+        assert c.reap(3.0) == 1
+        assert [s.request.request_id for s in c.sheds] == [1, 2, 0]
+        assert c.n_pending == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reap_equals_a_full_scan_every_call(self, seed):
+        """Skipping reap's scan changes no batch and no shed, in order."""
+
+        class Scanning(MicroBatchCoalescer):
+            def reap(self, now):
+                expired = [r for r in self._pending if r.deadline_s <= now]
+                self._sheds.extend(ShedRecord(r, now, "deadline") for r in expired)
+                self._pending = [r for r in self._pending if r.deadline_s > now]
+                return len(expired)
+
+        def arrive(c, r):
+            """The lane's per-arrival sequence: linger sweep, reap, offer."""
+            formed = c.advance(r.arrival_s)
+            reaped = c.reap(r.arrival_s)
+            return formed + c.offer(r), reaped
+
+        rng = np.random.default_rng(seed)
+        queue = BatchQueue(max_batch=int(rng.integers(2, 9)), linger_s=0.5)
+        fast, slow = MicroBatchCoalescer(queue), Scanning(queue)
+        t = 0.0
+        for rid in range(300):
+            t += float(rng.exponential(0.05))
+            r = req(
+                rid, t, deadline=t + float(rng.uniform(0.01, 0.6)),
+                priority=int(rng.integers(0, 3)),
+            )
+            assert arrive(fast, r) == arrive(slow, r)
+        assert fast.flush() == slow.flush()
+        assert fast.sheds == slow.sheds
+        assert fast.sheds, "the trace should expire some requests"
+
+    def test_sheds_since_reads_only_new_records(self):
+        c = coalescer(max_batch=100, linger_s=10.0)
+        c.offer(req(0, 0.0, deadline=1.0))
+        c.offer(req(1, 0.0, deadline=2.0))
+        c.reap(1.5)
+        assert [s.request.request_id for s in c.sheds_since(0)] == [0]
+        c.reap(2.5)
+        assert [s.request.request_id for s in c.sheds_since(1)] == [1]
+        assert c.sheds_since(2) == []
+        assert tuple(c.sheds_since(0)) == c.sheds
 
     def test_advance_without_due_timers_is_empty(self):
         c = coalescer(max_batch=100, linger_s=5.0)

@@ -1,5 +1,7 @@
 """Unit tests for the quote server: cost model, event loop, metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,31 @@ class TestValueSemantics:
         # VaR is a loss quantile: finite, and its sign is meaningful
         # (positive when the tail loses money).
         assert all(np.isfinite(r.value) for r in var_vals)
+
+
+class TestBadMarketRow:
+    def test_kernel_error_names_tape_row(self, server, tape, serving_scenario):
+        """A NaN in tape row 3 fails naming row 3 — not its slot in the
+        micro-batch's row list — with the annuity as a plain float."""
+        hazard = tape.hazard_values.copy()
+        hazard[3] = np.nan
+        bad = QuoteServer(
+            server.book,
+            replace(tape, hazard_values=hazard),
+            scenario=serving_scenario,
+            n_cards=2,
+            cost_model=server.cost_model,
+        )
+        # One batch over rows (1, 3): row 3 is batch slot 1.
+        requests = [
+            PricingRequest(0, "quote", 0.0, 1.0, rows=(1,), option_index=0),
+            PricingRequest(1, "quote", 0.0, 1.0, rows=(3,), option_index=0),
+        ]
+        with pytest.raises(ValidationError) as err:
+            bad.serve(requests)
+        assert str(err.value) == (
+            "non-positive risky annuity for scenario 3, option index 0: nan"
+        )
 
 
 class TestLatencyStats:

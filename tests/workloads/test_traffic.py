@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.workloads.traffic import (
     TRAFFIC_PROCESSES,
+    ChoiceSampler,
     bursty_arrivals,
     diurnal_arrivals,
     make_arrivals,
@@ -168,6 +169,66 @@ class TestZipf:
             zipf_weights(8, exponent=-0.1)
         with pytest.raises(ValidationError):
             zipf_choices(0, 8)
+
+
+class TestChoiceSampler:
+    """The sampler must replay ``Generator.choice(n, p=p)`` draw for draw.
+
+    A NumPy release that changes how ``choice`` maps its uniform double
+    to an index fails here, before it can silently move every gateway
+    stream and golden.
+    """
+
+    @pytest.mark.parametrize("n", [1, 7, 32, 64, 256, 1000])
+    @pytest.mark.parametrize("exponent", [0.0, 0.7, 1.2, 2.5])
+    @pytest.mark.parametrize("seed", [0, 7, 24])
+    def test_zipf_draws_equal_choice(self, n, exponent, seed):
+        p = zipf_weights(n, exponent)
+        sampler = ChoiceSampler(p)
+        via_choice = np.random.default_rng(seed)
+        via_sampler = np.random.default_rng(seed)
+        expected = [int(via_choice.choice(n, p=p)) for _ in range(300)]
+        assert [sampler.draw(via_sampler) for _ in range(300)] == expected
+        assert (
+            via_sampler.bit_generator.state == via_choice.bit_generator.state
+        )
+
+    def test_interleaved_with_other_draws(self):
+        """Two samplers sharing one generator with other draws in between
+        (the make_tenant_stream pattern) stay on choice's stream."""
+        rows, opts = zipf_weights(64, 1.2), zipf_weights(32, 1.2)
+        row_s, opt_s = ChoiceSampler(rows), ChoiceSampler(opts)
+        a, b = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(200):
+            assert a.uniform(1.0, 2.0) == b.uniform(1.0, 2.0)
+            assert row_s.draw(b) == int(a.choice(64, p=rows))
+            assert opt_s.draw(b) == int(a.choice(32, p=opts))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_arbitrary_weights_with_zeros(self):
+        p = np.random.default_rng(5).dirichlet(np.ones(40))
+        p[[0, 13, 39]] = 0.0
+        p /= p.sum()
+        sampler = ChoiceSampler(p)
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        draws = [sampler.draw(b) for _ in range(2000)]
+        assert draws == [int(a.choice(40, p=p)) for _ in range(2000)]
+        assert not {0, 13, 39} & set(draws)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [],
+            [[0.5, 0.5]],
+            [0.5, -0.1, 0.6],
+            [0.5, np.nan, 0.5],
+            [0.5, 0.4],
+            [np.inf, 0.0],
+        ],
+    )
+    def test_validation(self, p):
+        with pytest.raises(ValidationError):
+            ChoiceSampler(p)
 
 
 class TestMultiTenantArrivals:
