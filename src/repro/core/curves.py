@@ -36,6 +36,9 @@ __all__ = [
     "Curve",
     "YieldCurve",
     "HazardCurve",
+    "InterpPlan",
+    "DiscountPlan",
+    "SurvivalPlan",
     "interp_many",
     "discount_factors_many",
     "survival_many",
@@ -282,10 +285,134 @@ class HazardCurve(Curve):
 # ----------------------------------------------------------------------
 # These back the scenario-tensor repricing kernel: many market states that
 # share one knot grid, evaluated at one set of times in a single pass.
-# Each function reproduces the scalar-curve result *bit for bit* — the
+# Each evaluation reproduces the scalar-curve result *bit for bit* — the
 # elementary operations and their order match ``np.interp`` /
 # :meth:`HazardCurve.integrated` exactly — so batched repricing can be
 # pinned identical to the per-scenario loop.
+#
+# Each evaluator is split in two.  A *plan*, built from the query times
+# and the knot grid alone, holds every lookup that does not depend on the
+# curve values (interval indices, offsets, out-of-range masks); its
+# ``apply`` runs the arithmetic on value rows.  A caller whose times and
+# grid stay fixed across calls (a packed book replaying one market tape)
+# builds the plan once; the ``*_many`` functions build and apply in one go.
+
+
+def _nonempty(mask: np.ndarray) -> np.ndarray | None:
+    """``mask`` if any entry is set, else ``None`` (nothing to overwrite)."""
+    return mask if mask.any() else None
+
+
+class InterpPlan:
+    """The time-only half of :func:`interp_many`.
+
+    Parameters
+    ----------
+    t:
+        ``(m,)`` query times, shared by every row.
+    knot_times:
+        ``(k,)`` strictly increasing knot times, shared by every row.
+    """
+
+    __slots__ = ("_m", "_lo", "_hi", "_dx", "_dxp", "_below", "_above")
+
+    def __init__(self, t: np.ndarray, knot_times: np.ndarray) -> None:
+        x = np.asarray(t, dtype=np.float64)
+        xp = np.asarray(knot_times, dtype=np.float64)
+        self._m = x.size
+        if xp.size < 2:
+            # Degenerate single-knot curve: flat everywhere.
+            self._lo = self._hi = self._dx = self._dxp = None
+            self._below = self._above = None
+            return
+        # Interval index: last knot with time <= x (-1 below the first knot).
+        j = np.searchsorted(xp, x, side="right") - 1
+        jc = np.clip(j, 0, xp.size - 2)
+        x0 = xp[jc]
+        self._lo = jc
+        self._hi = jc + 1
+        self._dx = x - x0
+        self._dxp = xp[self._hi] - x0
+        self._below = _nonempty(j < 0)
+        self._above = _nonempty(j >= xp.size - 1)
+
+    def apply(self, knot_values: np.ndarray) -> np.ndarray:
+        """Interpolate ``(n_rows, k)`` value rows: ``(n_rows, m)`` values."""
+        fp = np.atleast_2d(np.asarray(knot_values, dtype=np.float64))
+        if self._lo is None:
+            return np.broadcast_to(fp[:, :1], (fp.shape[0], self._m)).copy()
+        # np.interp computes fp[j] + slope * (x - xp[j]) with
+        # slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]); replicate the exact
+        # operation order so results match bit for bit.  An exact knot hit
+        # lands on fp[j] because the slope term multiplies by zero.
+        f0 = fp.take(self._lo, axis=1)
+        slope = (fp.take(self._hi, axis=1) - f0) / self._dxp
+        out = slope * self._dx + f0
+        if self._below is not None:
+            np.copyto(out, fp[:, :1], where=self._below)
+        if self._above is not None:
+            np.copyto(out, fp[:, -1:], where=self._above)
+        return out
+
+
+class DiscountPlan:
+    """The time-only half of :func:`discount_factors_many`.
+
+    Parameters
+    ----------
+    t:
+        ``(m,)`` times (negative times clamp to discount factor 1).
+    knot_times:
+        ``(k,)`` zero-rate knot grid.
+    """
+
+    __slots__ = ("_t", "_rates")
+
+    def __init__(self, t: np.ndarray, knot_times: np.ndarray) -> None:
+        self._t = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
+        self._rates = InterpPlan(self._t, knot_times)
+
+    def apply(self, knot_values: np.ndarray) -> np.ndarray:
+        """Discount factors for ``(n_rows, k)`` zero-rate rows."""
+        return np.exp(-self._rates.apply(knot_values) * self._t)
+
+
+class SurvivalPlan:
+    """The time-only half of :func:`survival_many`.
+
+    Parameters
+    ----------
+    t:
+        ``(m,)`` times (negative times clamp to survival 1).
+    knot_times:
+        ``(k,)`` hazard knot grid.
+    """
+
+    __slots__ = ("_widths", "_idx", "_prev_idx", "_dt", "_first")
+
+    def __init__(self, t: np.ndarray, knot_times: np.ndarray) -> None:
+        tt = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
+        times = np.asarray(knot_times, dtype=np.float64)
+        idx = np.minimum(
+            np.searchsorted(times, tt, side="left"), times.size - 1
+        )
+        prev_idx = np.maximum(idx - 1, 0)
+        first = idx == 0  # first segment: no earlier knot to start from
+        self._widths = np.diff(np.concatenate(([0.0], times)))
+        self._idx = idx
+        self._prev_idx = prev_idx
+        self._dt = tt - np.where(first, 0.0, times[prev_idx])
+        self._first = _nonempty(first)
+
+    def apply(self, knot_values: np.ndarray) -> np.ndarray:
+        """Survival probabilities for ``(n_rows, k)`` intensity rows."""
+        values = np.atleast_2d(np.asarray(knot_values, dtype=np.float64))
+        cum = np.cumsum(self._widths[None, :] * values, axis=1)
+        prev_cum = cum.take(self._prev_idx, axis=1)
+        if self._first is not None:
+            np.copyto(prev_cum, 0.0, where=self._first)
+        lam = values.take(self._idx, axis=1)
+        return np.exp(-(prev_cum + lam * self._dt))
 
 
 def interp_many(
@@ -311,24 +438,7 @@ def interp_many(
     np.ndarray
         ``(n_rows, m)`` interpolated values.
     """
-    x = np.asarray(t, dtype=np.float64)
-    xp = np.asarray(knot_times, dtype=np.float64)
-    fp = np.atleast_2d(np.asarray(knot_values, dtype=np.float64))
-    if xp.size < 2:
-        # Degenerate single-knot curve: flat everywhere.
-        return np.broadcast_to(fp[:, :1], (fp.shape[0], x.size)).copy()
-    # Interval index: last knot with time <= x (-1 below the first knot).
-    j = np.searchsorted(xp, x, side="right") - 1
-    jc = np.clip(j, 0, xp.size - 2)
-    x0 = xp[jc]
-    # np.interp computes fp[j] + slope * (x - xp[j]) with
-    # slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]); replicate the exact
-    # operation order so results match bit for bit.  An exact knot hit
-    # lands on fp[j] because the slope term multiplies by zero.
-    slope = (fp[:, jc + 1] - fp[:, jc]) / (xp[jc + 1] - x0)
-    out = slope * (x - x0) + fp[:, jc]
-    out = np.where(j < 0, fp[:, :1], out)
-    return np.where(j >= xp.size - 1, fp[:, -1:], out)
+    return InterpPlan(t, knot_times).apply(knot_values)
 
 
 def discount_factors_many(
@@ -345,9 +455,7 @@ def discount_factors_many(
     knot_times / knot_values:
         Shared knot grid and ``(n_rows, k)`` zero-rate rows.
     """
-    tt = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
-    rates = interp_many(tt, knot_times, knot_values)
-    return np.exp(-rates * tt)
+    return DiscountPlan(t, knot_times).apply(knot_values)
 
 
 def survival_many(
@@ -366,16 +474,4 @@ def survival_many(
     knot_times / knot_values:
         Shared knot grid and ``(n_rows, k)`` hazard-intensity rows.
     """
-    tt = np.maximum(np.asarray(t, dtype=np.float64), 0.0)
-    times = np.asarray(knot_times, dtype=np.float64)
-    values = np.atleast_2d(np.asarray(knot_values, dtype=np.float64))
-    widths = np.diff(np.concatenate(([0.0], times)))
-    cum = np.cumsum(widths[None, :] * values, axis=1)
-    idx = np.minimum(
-        np.searchsorted(times, tt, side="left"), times.size - 1
-    )
-    prev_idx = np.maximum(idx - 1, 0)
-    prev_t = np.where(idx > 0, times[prev_idx], 0.0)
-    prev_cum = np.where(idx > 0, cum[:, prev_idx], 0.0)
-    lam = values[:, idx]
-    return np.exp(-(prev_cum + lam * (tt - prev_t)))
+    return SurvivalPlan(t, knot_times).apply(knot_values)

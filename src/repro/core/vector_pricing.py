@@ -27,10 +27,22 @@ Two batch depths are exposed:
   einsum calls as the single-state kernel, just on a taller portfolio.
   Results are **bit-identical** to calling :func:`price_packed_book`
   once per scenario; a ``chunk_size`` knob bounds peak memory on large grids.
+
+Work that depends only on the book and the knot grids is done once, not
+per call.  The lookups of the book's unique payment times on each knot
+grid (interval indices, offsets, out-of-range masks: the
+:class:`~repro.core.curves.DiscountPlan` /
+:class:`~repro.core.curves.SurvivalPlan` of the curve evaluation) are
+kept on the :class:`PackedPortfolio` and reused while the same read-only
+grids come back, as they do for every call replaying one market tape or
+scenario tensor.  A batch-1 quote then pays only the arithmetic on its
+curve values.  The plans hold no curve value, so reusing them changes no
+number.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -39,10 +51,10 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.curves import (
+    DiscountPlan,
     HazardCurve,
+    SurvivalPlan,
     YieldCurve,
-    discount_factors_many,
-    survival_many,
 )
 from repro.core.pricing import BASIS_POINTS
 from repro.core.schedule import build_schedule
@@ -138,6 +150,15 @@ def portfolio_arrays(
     return times, accruals, mask, recovery
 
 
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether ``arr`` and every array under it are read-only NumPy arrays."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 @dataclass(frozen=True)
 class PackedPortfolio:
     """A packed portfolio plus the state-independent kernel intermediates.
@@ -167,6 +188,10 @@ class PackedPortfolio:
         collapses to the unique times — typically tens of times fewer —
         and scatters back by ``unique_inverse``.  Values are identical
         bit for bit; only redundant work disappears.
+
+    The scenario kernel's curve lookups of ``unique_times`` against a
+    knot grid are state-independent too; :meth:`curve_plans` keeps the
+    last pair it built.
     """
 
     times: np.ndarray
@@ -175,6 +200,9 @@ class PackedPortfolio:
     recovery: np.ndarray
     flat_times: np.ndarray = field(init=False)
     last_idx: np.ndarray = field(init=False)
+    _plans: tuple | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.times.ndim != 2 or self.times.shape != self.mask.shape:
@@ -215,6 +243,31 @@ class PackedPortfolio:
     def unique_inverse(self) -> np.ndarray:
         """Scatter index from ``unique_times`` back to ``flat_times``."""
         return self._unique_pair[1]
+
+    def curve_plans(
+        self, yield_times: np.ndarray, hazard_times: np.ndarray
+    ) -> tuple[DiscountPlan, SurvivalPlan]:
+        """The curve lookups of ``unique_times`` on the two knot grids.
+
+        A one-entry memo: the plans are reused while the *same*
+        read-only knot arrays come back (a :class:`~repro.risk.tensor.
+        ScenarioTensor` freezes its grids, so replaying one tape or
+        scenario set builds them once).  Any other input builds them
+        afresh, since a writable array may have changed in place.
+        """
+        frozen = _frozen(yield_times) and _frozen(hazard_times)
+        memo = self._plans
+        if frozen and memo and memo[0] is yield_times and memo[1] is hazard_times:
+            return memo[2], memo[3]
+        plans = (
+            DiscountPlan(self.unique_times, yield_times),
+            SurvivalPlan(self.unique_times, hazard_times),
+        )
+        if frozen:
+            object.__setattr__(
+                self, "_plans", (yield_times, hazard_times, *plans)
+            )
+        return plans
 
     @classmethod
     def pack(cls, options: list[CDSOption]) -> "PackedPortfolio":
@@ -307,10 +360,14 @@ def _spreads_and_legs(
     """
     # Default probability per period: S(t_{i-1}) - S(t_i), with
     # S(t_0) = 1 in the first column.  Padded columns repeat the final
-    # time, so their difference is exactly zero.
-    default_in_period = np.empty_like(survival)
+    # time, so their difference is exactly zero.  The differences run in
+    # one contiguous pass over the flattened rows (about twice as fast
+    # as the strided 2-D loop); the first column, which that pass fills
+    # across row boundaries, is then overwritten.
+    flat = survival.reshape(-1)
+    default_in_period = np.empty(survival.shape)
+    np.subtract(flat[:-1], flat[1:], out=default_in_period.reshape(-1)[1:])
     np.subtract(1.0, survival[:, 0], out=default_in_period[:, 0])
-    np.subtract(survival[:, :-1], survival[:, 1:], out=default_in_period[:, 1:])
 
     premium = np.einsum("ij,ij,ij->i", discount, survival, masked_accruals)
     protection_raw = np.einsum("ij,ij->i", discount, default_in_period)
@@ -320,8 +377,9 @@ def _spreads_and_legs(
     protection = (1.0 - recovery) * protection_raw
 
     annuity = premium + accrual
-    if np.any(annuity <= 0.0) or not np.all(np.isfinite(annuity)):
-        bad = int(np.flatnonzero((annuity <= 0.0) | ~np.isfinite(annuity))[0])
+    valid = (annuity > 0.0) & (annuity < np.inf)  # also rejects NaN
+    if not valid.all():
+        bad = int(np.flatnonzero(~valid)[0])
         # The batched kernel's rows are scenario-major; let it decode the
         # flat row into (scenario, option) for the message.
         label = row_name(bad) if row_name else f"option index {bad}"
@@ -421,13 +479,33 @@ def shifted_recovery(recovery: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     -------
     np.ndarray
         ``(n_scenarios, n_options)`` recovery rates.
+
+    Raises
+    ------
+    ValidationError
+        If a shift is NaN or infinite (the clamp would hide an infinite
+        one and pass a NaN through to the quotes).
     """
+    return _shifted_recovery(recovery, shifts, range(np.size(shifts)))
+
+
+def _shifted_recovery(
+    recovery: np.ndarray, shifts: np.ndarray, names: Sequence
+) -> np.ndarray:
+    """:func:`shifted_recovery`, naming a bad row ``names[row]``."""
     rec = np.asarray(recovery, dtype=np.float64)
     sh = np.asarray(shifts, dtype=np.float64)
-    base = np.broadcast_to(rec[None, :], (sh.size, rec.size))
-    if not np.any(sh):
-        return base
-    shifted = np.clip(rec[None, :] + sh[:, None], 0.0, RECOVERY_CAP)
+    base = rec[None, :]
+    if not sh.any():
+        return base.repeat(sh.size, axis=0)
+    finite = np.isfinite(sh)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
+        raise ValidationError(
+            f"non-finite recovery shift for scenario {names[bad]}: "
+            f"{float(sh[bad])!r}"
+        )
+    shifted = np.clip(base + sh[:, None], 0.0, RECOVERY_CAP)
     return np.where(sh[:, None] != 0.0, shifted, base)
 
 
@@ -448,9 +526,16 @@ def shifted_recovery_row(
         ``(n_options,)`` base recovery rates.
     shift:
         The scenario's additive recovery shift.
+
+    Raises
+    ------
+    ValidationError
+        If ``shift`` is NaN or infinite, as :func:`shifted_recovery` does.
     """
     if shift == 0.0:
         return None
+    if not math.isfinite(shift):
+        raise ValidationError(f"non-finite recovery shift: {float(shift)!r}")
     return np.clip(
         np.asarray(recovery, dtype=np.float64) + shift, 0.0, RECOVERY_CAP
     )
@@ -500,8 +585,9 @@ def price_packed_many(
         numbers — rows are independent.
     row_ids:
         Optional ``(n_scenarios,)`` names of the scenario rows — e.g. the
-        rows of the tensor they were gathered from — used by the error a
-        non-positive annuity raises.  Defaults to each row's position.
+        rows of the tensor they were gathered from — used by the errors a
+        non-positive annuity or a non-finite recovery shift raises.
+        Defaults to each row's position.
 
     Returns
     -------
@@ -510,6 +596,8 @@ def price_packed_many(
         arrays; ``legs`` is ``None`` or the ``(premium, protection,
         accrual, survival_at_maturity)`` tuple.
     """
+    yt = np.asarray(yield_times, dtype=np.float64)
+    ht = np.asarray(hazard_times, dtype=np.float64)
     yv = np.atleast_2d(np.asarray(yield_values, dtype=np.float64))
     hv = np.atleast_2d(np.asarray(hazard_values, dtype=np.float64))
     n_scenarios = yv.shape[0]
@@ -520,6 +608,14 @@ def price_packed_many(
             "yield_values and hazard_values must agree on the scenario "
             f"count, got {n_scenarios} and {hv.shape[0]}"
         )
+    # The curve plans are built from the knot times alone, so this is
+    # the only guard against value rows of the wrong width.
+    for curve, knots, rows in (("yield", yt, yv), ("hazard", ht, hv)):
+        if rows.shape[1] != knots.size:
+            raise ValidationError(
+                f"{curve} rows of width {rows.shape[1]} do not match a "
+                f"{knots.size}-knot grid"
+            )
     if recovery_shifts is None:
         shifts = np.zeros(n_scenarios, dtype=np.float64)
     else:
@@ -547,8 +643,12 @@ def price_packed_many(
     if hook is not None:
         hook.on_call()
 
-    # State-independent operands, tiled once for the common chunk shape
-    # (the final short chunk slices them down).
+    # State-independent operands: the curve lookups (built once per book
+    # and knot grids, see PackedPortfolio.curve_plans), and the contract
+    # rows tiled once for the common chunk shape (the final short chunk
+    # slices them down).
+    discount_plan, survival_plan = packed.curve_plans(yt, ht)
+    recovery = _shifted_recovery(packed.recovery, shifts, names)
     inv = packed.unique_inverse
     acc_rows = np.tile(packed.accruals, (step, 1))
     last_rows = np.tile(packed.last_idx, step)
@@ -563,17 +663,17 @@ def price_packed_many(
         # identical values, a fraction of the evaluation work.  ``take``
         # (not fancy indexing) keeps the gather C-contiguous so the
         # reshape below is a free view.
-        survival = survival_many(
-            packed.unique_times, hazard_times, hv[lo:hi]
-        ).take(inv, axis=1).reshape(rows, width)
-        discount = discount_factors_many(
-            packed.unique_times, yield_times, yv[lo:hi]
-        ).take(inv, axis=1).reshape(rows, width)
+        survival = survival_plan.apply(hv[lo:hi]).take(inv, axis=1).reshape(
+            rows, width
+        )
+        discount = discount_plan.apply(yv[lo:hi]).take(inv, axis=1).reshape(
+            rows, width
+        )
         sp, lg = _spreads_and_legs(
             discount,
             survival,
             acc_rows[:rows],
-            shifted_recovery(packed.recovery, shifts[lo:hi]).reshape(rows),
+            recovery[lo:hi].reshape(rows),
             last_rows[:rows],
             want_legs=want_legs,
             row_name=lambda row, lo=lo: (

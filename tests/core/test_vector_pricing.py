@@ -231,6 +231,50 @@ class TestPricePackedMany:
         assert spreads.shape == (2, len(mixed_options))
 
 
+class TestValueRowWidth:
+    """Value rows must be exactly as wide as their knot grid.
+
+    The book pays out to 9 y on an 8-knot yield grid ending at 5 y, so
+    an extra yield column would otherwise become the rate beyond the
+    last knot and move the spreads silently.
+    """
+
+    YT = np.linspace(0.625, 5.0, 8)
+    HT = np.linspace(0.5, 10.0, 20)
+
+    @pytest.fixture
+    def packed(self):
+        return PackedPortfolio.pack(
+            [
+                CDSOption(maturity=9.0, frequency=4, recovery_rate=0.4),
+                CDSOption(maturity=3.0, frequency=2, recovery_rate=0.4),
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "yield_width, hazard_width, message",
+        [
+            # one extra yield column, three short, a one-column hazard row
+            (9, 20, "yield rows of width 9 do not match a 8-knot grid"),
+            (5, 20, "yield rows of width 5 do not match a 8-knot grid"),
+            (8, 1, "hazard rows of width 1 do not match a 20-knot grid"),
+        ],
+    )
+    def test_mismatched_width_rejected(
+        self, packed, yield_width, hazard_width, message
+    ):
+        from repro.core.vector_pricing import price_packed_many
+
+        with pytest.raises(ValidationError, match=message):
+            price_packed_many(
+                packed,
+                self.YT,
+                np.full((1, yield_width), 0.02),
+                self.HT,
+                np.full((1, hazard_width), 0.01),
+            )
+
+
 class TestAutoChunkSize:
     def test_scales_inversely_with_grid(self):
         from repro.core.vector_pricing import auto_chunk_size
@@ -251,3 +295,51 @@ class TestShiftedRecovery:
         np.testing.assert_array_equal(out[0], recovery)
         np.testing.assert_array_equal(out[1], np.clip(recovery + 0.2, 0.0, 0.999))
         np.testing.assert_array_equal(out[2], np.clip(recovery - 0.5, 0.0, 0.999))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, bad):
+        from repro.core.vector_pricing import shifted_recovery
+
+        with pytest.raises(ValidationError, match="recovery shift for scenario 1"):
+            shifted_recovery(np.array([0.4, 0.5]), np.array([0.1, bad, 0.0]))
+
+    def test_all_zero_shifts_pass_the_base_rates_through(self):
+        from repro.core.vector_pricing import shifted_recovery
+
+        recovery = np.array([0.4, 0.5])
+        out = shifted_recovery(recovery, np.zeros(3))
+        assert out.shape == (3, 2)
+        np.testing.assert_array_equal(out, np.tile(recovery, (3, 1)))
+
+
+class TestShiftedRecoveryRow:
+    def test_zero_shift_means_unshifted(self):
+        from repro.core.vector_pricing import shifted_recovery_row
+
+        assert shifted_recovery_row(np.array([0.4]), 0.0) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, bad):
+        from repro.core.vector_pricing import shifted_recovery_row
+
+        with pytest.raises(ValidationError, match="non-finite recovery shift"):
+            shifted_recovery_row(np.array([0.4, 0.5]), bad)
+
+
+class TestNonFiniteShiftInKernel:
+    def test_error_names_the_tensor_row(
+        self, yield_curve, hazard_curve, mixed_options
+    ):
+        from repro.core.vector_pricing import price_packed_many
+
+        packed = PackedPortfolio.pack(mixed_options)
+        with pytest.raises(ValidationError, match="scenario 41"):
+            price_packed_many(
+                packed,
+                yield_curve.times,
+                np.tile(np.asarray(yield_curve.values), (3, 1)),
+                hazard_curve.times,
+                np.tile(np.asarray(hazard_curve.values), (3, 1)),
+                recovery_shifts=np.array([0.0, np.nan, 0.0]),
+                row_ids=np.array([40, 41, 42]),
+            )

@@ -8,7 +8,9 @@ produce **bit-identical** floats to the per-scenario
 
 1. the raw kernel: ``price_packed_many`` versus a ``price_packed_book``
    loop;
-2. the batched curve evaluation: ``interp_many`` versus ``np.interp``;
+2. the batched curve evaluation: ``interp_many`` versus ``np.interp``,
+   and ``discount_factors_many`` / ``survival_many`` (fresh, or one plan
+   applied to many rows) versus the scalar curves;
 3. the risk stack: engine PVs/P&L, VaR/ES and CS01/IR01 ladders with
    ``batch=True`` versus ``batch=False``.
 """
@@ -18,7 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.curves import HazardCurve, YieldCurve, interp_many
+from repro.core.curves import (
+    DiscountPlan,
+    HazardCurve,
+    SurvivalPlan,
+    YieldCurve,
+    discount_factors_many,
+    interp_many,
+    survival_many,
+)
 from repro.core.vector_pricing import (
     PackedPortfolio,
     price_packed_book,
@@ -59,6 +69,53 @@ class TestInterpManyMatchesNumpy:
         for row in range(n_rows):
             np.testing.assert_array_equal(
                 batched[row], np.interp(x, xp, fp[row])
+            )
+
+
+class TestCurvePlansMatchScalarCurves:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_knots=st.integers(min_value=1, max_value=40),
+        n_rows=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_scalar_curves(self, seed, n_knots, n_rows):
+        gen = np.random.default_rng(seed)
+        knots = np.cumsum(gen.uniform(0.05, 1.0, n_knots))
+        # t <= 0, interior points, exact knot hits and times beyond the
+        # last knot.
+        t = np.concatenate(
+            [
+                [-1.0, 0.0],
+                gen.uniform(-0.5, knots[-1] + 3.0, 48),
+                knots,
+                [knots[-1] + 1.0],
+            ]
+        )
+        rates = gen.uniform(-0.01, 0.08, (n_rows, n_knots))
+        hazards = gen.uniform(0.0, 0.2, (n_rows, n_knots))
+        discount_plan = DiscountPlan(t, knots)
+        survival_plan = SurvivalPlan(t, knots)
+        batched_df = discount_plan.apply(rates)
+        batched_sv = survival_plan.apply(hazards)
+        np.testing.assert_array_equal(
+            batched_df, discount_factors_many(t, knots, rates)
+        )
+        np.testing.assert_array_equal(
+            batched_sv, survival_many(t, knots, hazards)
+        )
+        # The same plans, applied row by row in reverse order, are
+        # unchanged by earlier applications.
+        for row in reversed(range(n_rows)):
+            expected_df = YieldCurve(knots, rates[row]).discount(t)
+            expected_sv = HazardCurve(knots, hazards[row]).survival(t)
+            np.testing.assert_array_equal(batched_df[row], expected_df)
+            np.testing.assert_array_equal(batched_sv[row], expected_sv)
+            np.testing.assert_array_equal(
+                discount_plan.apply(rates[row])[0], expected_df
+            )
+            np.testing.assert_array_equal(
+                survival_plan.apply(hazards[row])[0], expected_sv
             )
 
 

@@ -300,6 +300,53 @@ class TestBadMarketRow:
             "non-positive risky annuity for scenario 3, option index 0: nan"
         )
 
+    @pytest.fixture
+    def nan_shift_tape(self, tape):
+        """A 16-state tape whose row 3 carries a NaN recovery shift."""
+        shifts = np.zeros(16)
+        shifts[3] = np.nan
+        return replace(
+            tape,
+            yield_values=tape.yield_values[:16],
+            hazard_values=tape.hazard_values[:16],
+            recovery_shifts=shifts,
+        )
+
+    def test_nan_recovery_shift_fails_the_replay(
+        self, server, nan_shift_tape, serving_scenario
+    ):
+        """The shift is rejected naming the tape row, instead of the
+        requests touching row 3 completing with NaN values."""
+        bad = QuoteServer(
+            server.book,
+            nan_shift_tape,
+            scenario=serving_scenario,
+            n_cards=2,
+            cost_model=server.cost_model,
+        )
+        stream = make_request_stream(
+            300, rate_hz=2000.0, n_states=16, n_positions=N_POSITIONS, seed=11
+        )
+        assert any(3 in r.rows for r in stream)
+        with pytest.raises(ValidationError) as err:
+            bad.serve(stream)
+        assert str(err.value) == "non-finite recovery shift for scenario 3: nan"
+
+    def test_looped_backend_rejects_the_shift_too(
+        self, server, nan_shift_tape, serving_scenario
+    ):
+        bad = QuoteServer(
+            server.book,
+            nan_shift_tape,
+            scenario=serving_scenario,
+            n_cards=1,
+            backend="cpu",
+            cost_model=server.cost_model,
+        )
+        request = PricingRequest(0, "quote", 0.0, 1.0, rows=(3,), option_index=0)
+        with pytest.raises(ValidationError, match="non-finite recovery shift"):
+            bad.serve([request])
+
 
 class TestLatencyStats:
     def test_empty_sample(self):
