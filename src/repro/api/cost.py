@@ -90,11 +90,12 @@ class DispatchCostModel:
     ) -> "DispatchCostModel":
         """Derive the model from one representative card batch.
 
-        One :class:`~repro.cluster.node.ClusterNode` discrete-event run
-        over the book gives the kernel cycles of a full-book repricing;
-        subtracting the scenario's invocation overhead and dividing by
-        the book size yields the per-cell fabric cost.  The PCIe terms
-        come straight from the scenario's
+        One :class:`~repro.cluster.node.ClusterNode` timing replay over
+        the book (:meth:`~repro.cluster.node.ClusterNode.kernel_cycles`,
+        equal to a discrete-event run's cycles) gives the kernel cycles
+        of a full-book repricing; subtracting the scenario's invocation
+        overhead and dividing by the book size yields the per-cell
+        fabric cost.  The PCIe terms come straight from the scenario's
         :class:`~repro.fpga.pcie.PCIeModel` payload sizes.
 
         Parameters
@@ -109,9 +110,11 @@ class DispatchCostModel:
             CDS engines per card.
         """
         node = ClusterNode(0, scenario, n_engines=n_engines)
-        result = node.price(list(options), yield_curve, hazard_curve)
+        kernel_cycles = node.kernel_cycles(
+            list(options), yield_curve, hazard_curve
+        )
         compute_cycles = max(
-            result.kernel_cycles - scenario.invocation_overhead_cycles, 0.0
+            kernel_cycles - scenario.invocation_overhead_cycles, 0.0
         )
         bandwidth = scenario.pcie.bandwidth_bytes_per_sec
         return cls(

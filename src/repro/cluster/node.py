@@ -6,7 +6,8 @@ level platform models it needs for cluster roll-ups: floorplan validation
 happens at construction (exactly as on a single card, six paper engines
 still do not fit), and power comes from the same affine
 :class:`~repro.fpga.power.FPGAPowerModel` whether the card is busy or
-sitting idle drawing shell power.
+sitting idle drawing shell power.  :meth:`ClusterNode.kernel_cycles`
+gives a chunk's fabric cycles without pricing it, for the cost models.
 """
 
 from __future__ import annotations
@@ -88,11 +89,31 @@ class ClusterNode:
             Chunk spreads plus card-local cycle and PCIe accounting.  The
             cluster applies host-side contention on top.
         """
+        self._check_chunk(options)
+        return self.system.run(options, yield_curve, hazard_curve)
+
+    def kernel_cycles(
+        self,
+        options: list[CDSOption],
+        yield_curve: YieldCurve,
+        hazard_curve: HazardCurve,
+    ) -> float:
+        """Fabric cycles :meth:`price` reports for the chunk, without
+        pricing it through the discrete-event engines.
+
+        The timing-only entry of the card
+        (:meth:`~repro.engines.multi_engine.MultiEngineSystem.
+        kernel_cycles`): equal to ``price(...).kernel_cycles`` and
+        rejecting what :meth:`price` rejects.  Cost models call this.
+        """
+        self._check_chunk(options)
+        return self.system.kernel_cycles(options, yield_curve, hazard_curve)
+
+    def _check_chunk(self, options: list[CDSOption]) -> None:
         if not options:
             raise ValidationError(
                 f"card {self.card_id}: cannot price an empty chunk"
             )
-        return self.system.run(options, yield_curve, hazard_curve)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ClusterNode(card_id={self.card_id}, n_engines={self.n_engines})"

@@ -10,18 +10,18 @@ paper's optimisations manipulate:
   dataflow functions, written as Python generators that yield
   :class:`~repro.dataflow.process.Read` / :class:`~repro.dataflow.process.Write`
   / :class:`~repro.dataflow.process.Delay` commands;
-* **the scheduler** (:mod:`~repro.dataflow.engine`) — a deterministic
-  Kahn-process-network simulator with per-process cycle clocks; token
-  timestamps propagate via ``max`` constraints so results are independent of
-  scheduling order;
+* **the scheduler** (:mod:`~repro.dataflow.engine`) — a
+  Kahn-process-network simulator with per-process cycle clocks and a fixed
+  FIFO ready queue; token timestamps propagate via ``max`` constraints, a
+  full stream's writer is released once by the next pop (release-once
+  back-pressure), and cycle counts are deterministic for that queue order;
 * **pipelined-loop helpers** (:mod:`~repro.dataflow.pipeline`) — initiation
   interval (II) and latency modelling for ``#pragma HLS PIPELINE`` loops;
 * **dataflow regions** (:mod:`~repro.dataflow.region`) — ``#pragma HLS
   DATAFLOW`` region start/stop overhead and per-invocation fill/drain;
-* **analysis** (:mod:`~repro.dataflow.graph`, :mod:`~repro.dataflow.analytic`,
-  :mod:`~repro.dataflow.stats`, :mod:`~repro.dataflow.tracing`) — topology
-  export (paper Figs. 1-3), closed-form throughput models cross-validated
-  against the simulator, stall statistics and event traces.
+* **analysis** (:mod:`~repro.dataflow.graph`, :mod:`~repro.dataflow.stats`,
+  :mod:`~repro.dataflow.tracing`) — topology export (paper Figs. 1-3),
+  stall statistics and event traces.
 
 The simulator is *cycle-level*, not RTL-accurate: each stage's arithmetic is
 computed functionally (ordinary Python/NumPy), while its timing follows the
@@ -37,13 +37,6 @@ from repro.dataflow.engine import SimulationResult, Simulator
 from repro.dataflow.pipeline import LoopTiming, pipelined_loop_cycles
 from repro.dataflow.region import DataflowRegion, RegionTiming
 from repro.dataflow.graph import DataflowGraph
-from repro.dataflow.analytic import (
-    AnalyticStage,
-    dataflow_region_cycles,
-    replicated_stage_cycles,
-    sequential_cycles,
-    streaming_cycles,
-)
 
 __all__ = [
     "Stream",
@@ -60,9 +53,4 @@ __all__ = [
     "DataflowRegion",
     "RegionTiming",
     "DataflowGraph",
-    "AnalyticStage",
-    "sequential_cycles",
-    "dataflow_region_cycles",
-    "streaming_cycles",
-    "replicated_stage_cycles",
 ]

@@ -4,19 +4,32 @@ Semantics
 ---------
 The simulator executes a set of :class:`~repro.dataflow.process.Process`
 kernels connected by bounded SPSC :class:`~repro.dataflow.stream.Stream`
-FIFOs.  Every process carries its own cycle clock; the only cross-process
-constraints are:
+FIFOs.  Every process carries its own cycle clock.  The scheduler is a
+FIFO ready queue seeded in process order, and each process runs until it
+blocks or finishes.  The cross-process constraints are ``max`` operations
+over timestamps:
 
-* a read of token *k* from a stream cannot complete before the token's ready
-  timestamp (producer issue time + pipeline latency);
-* a write to a full stream cannot complete before the consumer pops a token
-  (back-pressure).
+* a read of token *k* waits for the token, then sets the reader's clock to
+  ``max(reader clock, token ready)``;
+* a write stamps its issue time on its first attempt, and its token is
+  ready at ``max(issue time + pipeline latency, writer clock)``;
+* a write to a full stream blocks the writer.  The first pop from that
+  stream releases it, once, and sets its clock to ``max(writer clock,
+  reader clock)``; the writer then refills every slot freed since without
+  waiting for the pops that freed them.
 
-Both constraints are ``max`` operations over timestamps, making the network a
-timed Kahn process network: the simulated cycle counts are **deterministic
-and independent of scheduler ordering**.  The scheduler therefore uses a
-simple ready queue rather than a global time wheel, which keeps the hot loop
-small.
+Back-pressure is therefore *release-once*, not per token: a write does not
+wait for the pop ``depth`` tokens before it.  Six tokens written at II 1
+into a depth-2 stream drained at II 10 finish the writer at cycle 22 with
+16 cycles of write stall; per-token back-pressure would finish it at 31.
+
+Token values follow Kahn process network semantics and do not depend on
+the schedule.  Cycle counts are deterministic for the fixed ready-queue
+order above; they are not claimed independent of it.  A ready queue
+rather than a global time wheel keeps the hot loop small.
+:func:`repro.engines.builder.time_dataflow_network` replays these rules
+without values for the CDS engine network, and must match this module
+exactly.
 
 Deadlock (all processes blocked, none runnable, not all finished) raises
 :class:`~repro.errors.DeadlockError` with a diagnostic listing every blocked

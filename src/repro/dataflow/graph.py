@@ -7,13 +7,14 @@ replication of the defaulting-probability calculation (Fig. 3).  This module
 reconstructs those diagrams from live simulator objects: a
 :class:`DataflowGraph` captures processes as nodes and streams as edges and
 renders to Graphviz DOT or plain ASCII (both used by the figure benchmarks).
+The analyses (DAG check, topological order, stage depth) use the standard
+library's :mod:`graphlib`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from graphlib import CycleError, TopologicalSorter
 
 from repro.dataflow.engine import Simulator
 from repro.errors import SimulationError
@@ -79,39 +80,53 @@ class DataflowGraph:
             )
         return g
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Convert to a :class:`networkx.MultiDiGraph` for analysis."""
-        g = nx.MultiDiGraph(name=self.name)
-        for node in self.nodes:
-            g.add_node(node.name, group=node.group)
-        for e in self.edges:
-            if e.src not in g:
-                g.add_node(e.src, group=None)
-            if e.dst not in g:
-                g.add_node(e.dst, group=None)
-            g.add_edge(e.src, e.dst, key=e.stream, depth=e.depth, per_option=e.per_option)
-        return g
-
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
+    def _sorter(self) -> TopologicalSorter:
+        """The graph as a :class:`graphlib.TopologicalSorter`.
+
+        Nodes enter in declaration order, then any edge endpoint not
+        declared (e.g. ``"<input>"``) in edge order; each connected pair
+        is one dependency however many streams join it.  Sorted
+        generation by generation, that gives the same order as Kahn's
+        algorithm over the streams in declaration order.
+        """
+        sorter: TopologicalSorter = TopologicalSorter()
+        for node in self.nodes:
+            sorter.add(node.name)
+        for e in self.edges:
+            sorter.add(e.src)
+            sorter.add(e.dst)
+        for src, dst in dict.fromkeys((e.src, e.dst) for e in self.edges):
+            sorter.add(dst, src)
+        return sorter
+
     def is_acyclic(self) -> bool:
         """Whether the network is a DAG (HLS DATAFLOW requires it)."""
-        return nx.is_directed_acyclic_graph(self.to_networkx())
+        try:
+            self._sorter().prepare()
+        except CycleError:
+            return False
+        return True
 
     def topological_order(self) -> list[str]:
         """Stage names in a topological order (raises if cyclic)."""
-        g = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(g):
-            raise SimulationError(f"graph {self.name!r} contains a cycle")
-        return list(nx.topological_sort(g))
+        try:
+            return list(self._sorter().static_order())
+        except CycleError as exc:
+            raise SimulationError(f"graph {self.name!r} contains a cycle") from exc
 
     def stage_depth(self) -> int:
         """Longest process chain (pipeline depth in stages)."""
-        g = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(g):
-            raise SimulationError(f"graph {self.name!r} contains a cycle")
-        return int(nx.dag_longest_path_length(g)) + 1 if g.nodes else 0
+        depth = dict.fromkeys(self.topological_order(), 1)
+        successors: dict[str, list[str]] = {}
+        for e in self.edges:
+            successors.setdefault(e.src, []).append(e.dst)
+        for node in depth:
+            for succ in successors.get(node, ()):
+                depth[succ] = max(depth[succ], depth[node] + 1)
+        return max(depth.values(), default=0)
 
     def groups(self) -> dict[str, list[str]]:
         """Replica groups: group label -> member process names."""

@@ -22,9 +22,11 @@ A doubling stage with II=1 and 3-cycle latency::
             yield Delay(1)
 
 The scheduler (:mod:`repro.dataflow.engine`) advances each process's local
-cycle clock; all cross-process constraints are ``max`` of timestamps, so the
-simulation is deterministic regardless of scheduling order (Kahn process
-network semantics).
+cycle clock.  The cross-process constraints are ``max`` of timestamps, and
+back-pressure releases a blocked writer once, at the first pop (the rules
+are stated there).  Values do not depend on the schedule (Kahn process
+network semantics); cycle counts are deterministic for the scheduler's
+fixed ready-queue order.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Dataflow network construction and resource estimation.
+"""Dataflow network construction, timing-only replay and resource estimation.
 
 :func:`build_dataflow_network` wires the stage kernels of
 :mod:`repro.engines.stages` into a :class:`~repro.dataflow.engine.Simulator`
@@ -6,6 +6,14 @@
 Fig. 3's round-robin clusters).  The same builder serves the per-option
 restart engine (one option index) and the free-running engines (all
 indices).
+
+:func:`time_dataflow_network` gives the cycle counts of that network
+without computing a value.  The engine is a fixed stage network whose
+timing depends on the payment schedules, the knot grids and the engine
+configuration, never on rate values, so the same builder records each
+process as a flat program of read, write and delay steps and the programs
+are replayed under the simulator's own scheduling rules.  Makespan and
+every process finish time equal ``Simulator.run()``'s exactly.
 
 :func:`engine_resources` estimates the fabric cost of one engine instance.
 Per-stage operator sums follow the HLS op table; the per-engine
@@ -18,18 +26,28 @@ would misleadingly suggest ten or more.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from repro.dataflow.engine import Simulator
 from repro.dataflow.stream import Stream
 from repro.engines.base import EngineWorkload
-from repro.engines.stages import StageModels, port_contention_factor
-from repro.errors import ValidationError
+from repro.engines.stages import GRID_LATENCY, StageModels, port_contention_factor
+from repro.errors import DeadlockError, ValidationError
 from repro.hls.ops import op
 from repro.hls.resources import ResourceUsage
 from repro.workloads.scenarios import PaperScenario
 
-__all__ = ["build_dataflow_network", "engine_resources", "NetworkHandles"]
+__all__ = [
+    "build_dataflow_network",
+    "time_dataflow_network",
+    "engine_resources",
+    "NetworkHandles",
+    "NetworkTiming",
+]
 
 
 @dataclass
@@ -52,17 +70,22 @@ def build_dataflow_network(
 ) -> NetworkHandles:
     """Populate ``sim`` with the full CDS dataflow network.
 
+    This function is the one definition of the network's streams (names,
+    depths, order) and processes (names, order, connections):
+    :func:`time_dataflow_network` builds through it too.
+
     Parameters
     ----------
     sim:
-        Fresh simulator to build into.
+        Fresh simulator to build into (or the timing replay's recorder).
     wl:
         Workload (options, schedules, curves).
     indices:
         Option indices this invocation processes (``[i]`` for per-option
         restart, ``range(n)`` for free-running).
     models:
-        Stage timing models.
+        Stage timing models (or their step-program twin on the timing
+        path).
     stream_depth:
         FIFO depth for per-time-point streams.
     replication:
@@ -270,6 +293,340 @@ def build_dataflow_network(
         reads=(results,),
     )
     return NetworkHandles(results_sink=sink, result_stream=results)
+
+
+# ======================================================================
+# Timing-only replay
+# ======================================================================
+
+#: Step kinds of a compiled process program.
+_READ, _WRITE, _DELAY = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class NetworkTiming:
+    """Cycle counts of one network run, as :meth:`Simulator.run` reports them.
+
+    Attributes
+    ----------
+    makespan_cycles:
+        Completion time of the slowest process (cycles).
+    process_times:
+        Finish time per process name, in the network's process order.
+    """
+
+    makespan_cycles: float
+    process_times: dict[str, float]
+
+
+def time_dataflow_network(
+    wl: EngineWorkload,
+    indices: list[int],
+    models: StageModels,
+    *,
+    stream_depth: int = 4,
+    replication: int = 1,
+    uram_ports: int = 2,
+) -> NetworkTiming:
+    """Cycle counts of :func:`build_dataflow_network`'s network, without values.
+
+    Takes the builder's arguments (less ``sim``) and returns what
+    ``Simulator.run()`` would report for makespan and process finish
+    times, exactly (``==``).  No stage value is computed, so no check on
+    values runs either: the combine stage's annuity check is the caller's
+    to keep (see :meth:`~repro.engines.multi_engine.MultiEngineSystem.
+    kernel_cycles`).
+    """
+    net = _TimingNetwork()
+    build_dataflow_network(
+        net,
+        wl,
+        indices,
+        _StagePrograms(models),
+        stream_depth=stream_depth,
+        replication=replication,
+        uram_ports=uram_ports,
+    )
+    return net.replay()
+
+
+class _TimingNetwork:
+    """The ``sim`` a timing-only :func:`build_dataflow_network` call fills.
+
+    A stream is an index into per-stream FIFO state; a process is a flat
+    program of steps, each one command of its kernel with the ``Delay``
+    that follows it fused in:
+
+    * ``(_READ, stream, cycles)``: pop a token, then advance ``cycles``;
+    * ``(_WRITE, stream, latency, cycles)``: push a token readable
+      ``latency`` cycles after issue, then advance ``cycles``;
+    * ``(_DELAY, cycles)``.
+    """
+
+    def __init__(self) -> None:
+        self.depths: list[int] = []
+        self.readers: list[int] = []
+        self.writers: list[int] = []
+        self.names: list[str] = []
+        self.programs: list[list[tuple]] = []
+
+    def stream(self, name: str, depth: int = 2, *, per_option: bool = False) -> int:
+        self.depths.append(depth)
+        self.readers.append(-1)
+        self.writers.append(-1)
+        return len(self.depths) - 1
+
+    def process(
+        self,
+        name: str,
+        program: list[tuple],
+        *,
+        group: str | None = None,
+        reads: tuple[int, ...] = (),
+        writes: tuple[int, ...] = (),
+    ) -> None:
+        for s in reads:
+            self.readers[s] = len(self.programs)
+        for s in writes:
+            self.writers[s] = len(self.programs)
+        self.names.append(name)
+        self.programs.append(program)
+
+    def replay(self) -> NetworkTiming:
+        """Run the programs with timestamps and no values, under the
+        scheduling rules of :mod:`repro.dataflow.engine`: its ready-queue
+        order, its reads and writes, and release-once back-pressure.
+        Every delay is added on its own, in program order, so the float
+        sums are the simulator's.
+        """
+        programs, depths = self.programs, self.depths
+        readers, writers = self.readers, self.writers
+        fifos: list[deque[float]] = [deque() for _ in depths]
+        read_blocked = [False] * len(depths)
+        write_blocked = [False] * len(depths)
+        times = [0.0] * len(programs)
+        pcs = [0] * len(programs)
+        # Issue time of the write each process is blocked on, if any.
+        issued: list[float | None] = [None] * len(programs)
+        ready = deque(range(len(programs)))
+        append = ready.append
+        while ready:
+            p = ready.popleft()
+            prog = programs[p]
+            i, t = pcs[p], times[p]
+            issue = issued[p]
+            if issue is not None:
+                # The pop that released p freed a slot, and only p writes
+                # to the stream, so the retried write completes.
+                issued[p] = None
+                _, s, latency, cycles = prog[i]
+                token = issue + latency
+                fifos[s].append(token if token > t else t)
+                if read_blocked[s]:
+                    read_blocked[s] = False
+                    append(readers[s])
+                t += cycles
+                i += 1
+            end = len(prog)
+            while i < end:
+                step = prog[i]
+                kind = step[0]
+                if kind == _READ:
+                    s = step[1]
+                    fifo = fifos[s]
+                    if not fifo:
+                        read_blocked[s] = True
+                        break
+                    token = fifo.popleft()
+                    if token > t:
+                        t = token
+                    if write_blocked[s]:
+                        write_blocked[s] = False
+                        w = writers[s]
+                        if t > times[w]:
+                            times[w] = t
+                        append(w)
+                    t += step[2]
+                elif kind == _WRITE:
+                    s = step[1]
+                    fifo = fifos[s]
+                    if len(fifo) >= depths[s]:
+                        write_blocked[s] = True
+                        issued[p] = t
+                        break
+                    fifo.append(t + step[2])
+                    if read_blocked[s]:
+                        read_blocked[s] = False
+                        append(readers[s])
+                    t += step[3]
+                else:
+                    t += step[1]
+                i += 1
+            pcs[p], times[p] = i, t
+
+        stuck = [n for n, i, prog in zip(self.names, pcs, programs) if i < len(prog)]
+        if stuck:
+            raise DeadlockError(
+                f"timing replay deadlocked with {len(stuck)} blocked "
+                f"process(es): {', '.join(stuck)}"
+            )
+        return NetworkTiming(
+            makespan_cycles=max(times, default=0.0),
+            process_times=dict(zip(self.names, times)),
+        )
+
+
+def _n_points(wl: EngineWorkload, indices: list[int]) -> int:
+    """Time points of ``indices``: the tokens per per-point stream."""
+    return sum(len(wl.schedules[oi]) for oi in indices)
+
+
+def _point_times(wl: EngineWorkload, indices: list[int]) -> np.ndarray:
+    """Every time point of ``indices``, in the order the timegrid emits them."""
+    return np.concatenate([wl.schedules[oi].times for oi in indices])
+
+
+def _per_key(fn: Callable[[int], float], keys: np.ndarray) -> np.ndarray:
+    """``fn(k)`` for each integer in ``keys``, one call per distinct key."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array([fn(int(k)) for k in distinct], dtype=float)[inverse]
+
+
+def _interleave(first: list[tuple], second: list[tuple]) -> list[tuple]:
+    """``[first[0], second[0], first[1], second[1], ...]``."""
+    out: list[tuple] = [()] * (2 * len(first))
+    out[0::2] = first
+    out[1::2] = second
+    return out
+
+
+def _cyclic(pattern: list[tuple], count: int) -> list[tuple]:
+    """``count`` tokens of a program cycling through ``pattern``, two
+    steps per token (the round-robin scheduler and collector)."""
+    tokens = len(pattern) // 2
+    return pattern * (count // tokens) + pattern[: 2 * (count % tokens)]
+
+
+@dataclass(frozen=True)
+class _StagePrograms:
+    """Timing-only twin of :class:`StageModels`' stage kernels.
+
+    Each method takes its kernel's arguments, with streams as
+    :class:`_TimingNetwork` indices, and returns the steps that kernel
+    yields.  Only schedule lengths and times are read.  Per-token delays
+    come from one vectorised knot-grid lookup per stage, through the
+    kernels' own cycle expressions, so each is the float the kernel
+    computes.
+    """
+
+    models: StageModels
+
+    def timegrid(self, wl, indices, out_haz, out_int, out_params):
+        params = (_WRITE, out_params, GRID_LATENCY, 0.0)
+        point = [
+            (_WRITE, out_haz, GRID_LATENCY, 0.0),
+            (_WRITE, out_int, GRID_LATENCY, 1.0),
+        ]
+        program: list[tuple] = []
+        for oi in indices:
+            program.append(params)
+            program += point * len(wl.schedules[oi])
+        return program
+
+    def hazard_accumulate(
+        self, wl, indices, inp, out, *, stride=1, offset=0, port_factor=1.0
+    ):
+        t = _point_times(wl, indices)[offset::stride]
+        # HazardCurve.accumulation_length over the array.
+        grid = wl.hazard_curve
+        lengths = np.searchsorted(grid.times, t, side="right") + 1
+        lengths = np.minimum(lengths, len(grid))
+        lengths[t <= 0.0] = 0
+        cycles = _per_key(self.models.accumulator.cycles, lengths) * port_factor
+        reads = [(_READ, inp, c) for c in cycles.tolist()]
+        write = (_WRITE, out, self.models.add_latency, 0.0)
+        return _interleave(reads, [write] * len(reads))
+
+    def interpolate(
+        self, wl, indices, inp, out, *, stride=1, offset=0, port_factor=1.0
+    ):
+        t = _point_times(wl, indices)[offset::stride]
+        # Curve.locate over the array.
+        grid = wl.yield_curve
+        located = np.searchsorted(grid.times, t, side="left")
+        located = np.minimum(located, len(grid) - 1)
+        interp = self.models.interpolator
+        arith = interp.arithmetic_latency
+        scan = _per_key(interp.evaluation_cycles, located)
+        reads = [(_READ, inp, c) for c in ((scan - arith) * port_factor).tolist()]
+        return _interleave(reads, [(_WRITE, out, arith, 0.0)] * len(reads))
+
+    def default_probability(self, wl, indices, inp, out):
+        m = self.models
+        return self._per_point(wl, indices, inp, out, m.exp_latency + m.add_latency)
+
+    def discount(self, wl, indices, inp, out):
+        m = self.models
+        return self._per_point(wl, indices, inp, out, m.mul_latency + m.exp_latency)
+
+    def tee(self, wl, indices, inp, outs):
+        point = [(_READ, inp, 0.0)]
+        point += [(_WRITE, o, 0.0, 0.0) for o in outs[:-1]]
+        point.append((_WRITE, outs[-1], 0.0, 1.0))
+        return point * _n_points(wl, indices)
+
+    def payment(self, wl, indices, in_s, in_d, out):
+        return self._leg_term(wl, indices, in_s, in_d, out, 2 * self.models.mul_latency)
+
+    def payoff(self, wl, indices, in_s, in_d, out):
+        return self._leg_term(wl, indices, in_s, in_d, out, self.models.mul_latency)
+
+    def accrual(self, wl, indices, in_s, in_d, out):
+        return self._leg_term(wl, indices, in_s, in_d, out, 2 * self.models.mul_latency)
+
+    def leg_accumulator(self, wl, indices, inp, out):
+        acc = self.models.accumulator
+        accept = (_READ, inp, acc.ii)
+        write = (_WRITE, out, self.models.add_latency, 0.0)
+        program: list[tuple] = []
+        for oi in indices:
+            n = len(wl.schedules[oi])
+            program += [accept] * n
+            program += ((_DELAY, max(0.0, acc.cycles(n) - n * acc.ii)), write)
+        return program
+
+    def combine(self, wl, indices, in_params, in_pay, in_poff, in_acc, out):
+        m = self.models
+        option = [(_READ, s, 0.0) for s in (in_params, in_pay, in_poff, in_acc)]
+        option.append((_WRITE, out, m.div_latency + m.mul_latency, 2.0))
+        return option * len(indices)
+
+    def result_drain(self, count, inp, sink):
+        return [(_READ, inp, 1.0)] * count
+
+    def rr_distribute(self, wl, indices, inp, outs):
+        read = (_READ, inp, 0.0)
+        pattern = [step for o in outs for step in (read, (_WRITE, o, 0.0, 1.0))]
+        return _cyclic(pattern, _n_points(wl, indices))
+
+    def rr_collect(self, wl, indices, ins, out):
+        write = (_WRITE, out, 0.0, 1.0)
+        pattern = [step for s in ins for step in ((_READ, s, 0.0), write)]
+        return _cyclic(pattern, _n_points(wl, indices))
+
+    def _per_point(self, wl, indices, inp, out, latency):
+        """Read, write after ``latency``, tick: one token per time point."""
+        point = [(_READ, inp, 0.0), (_WRITE, out, latency, 1.0)]
+        return point * _n_points(wl, indices)
+
+    def _leg_term(self, wl, indices, in_s, in_d, out, latency):
+        """Read both inputs, write after ``latency``, tick."""
+        point = [
+            (_READ, in_s, 0.0),
+            (_READ, in_d, 0.0),
+            (_WRITE, out, latency, 1.0),
+        ]
+        return point * _n_points(wl, indices)
 
 
 # ======================================================================

@@ -15,12 +15,17 @@ import numpy as np
 
 from repro.dataflow.engine import SimulationResult, Simulator
 from repro.engines.base import CDSEngineBase, EngineWorkload
-from repro.engines.builder import build_dataflow_network, engine_resources
+from repro.engines.builder import (
+    NetworkTiming,
+    build_dataflow_network,
+    engine_resources,
+    time_dataflow_network,
+)
 from repro.engines.stages import StageModels
 from repro.engines.xilinx_baseline import _sink_to_array
 from repro.hls.resources import ResourceUsage
 
-__all__ = ["InterOptionDataflowEngine", "run_streaming"]
+__all__ = ["InterOptionDataflowEngine", "run_streaming", "time_streaming"]
 
 
 def run_streaming(
@@ -51,6 +56,29 @@ def run_streaming(
     )
     res = sim.run()
     return handles.results_sink, res
+
+
+def time_streaming(
+    scenario,
+    workload: EngineWorkload,
+    indices: list[int],
+    *,
+    replication: int,
+) -> NetworkTiming:
+    """Cycle counts of :func:`run_streaming`'s invocation, without values.
+
+    The timing-only replay of the same network
+    (:func:`~repro.engines.builder.time_dataflow_network`): its makespan
+    equals the simulation result's exactly.
+    """
+    return time_dataflow_network(
+        workload,
+        indices,
+        StageModels.for_scenario(scenario, interleaved=True),
+        stream_depth=scenario.stream_depth,
+        replication=replication,
+        uram_ports=scenario.effective_uram_ports,
+    )
 
 
 class InterOptionDataflowEngine(CDSEngineBase):

@@ -15,6 +15,10 @@ slowest chunk finishes, stretched by a shared-interface contention factor
 
 ``makespan(n) = max_chunk_makespan * (1 + contention * (n - 1))``
 
+:meth:`MultiEngineSystem.kernel_cycles` gives the same batch cycles from
+the timing-only replay of each chunk's network, for callers that need
+the cost of a batch and not its spreads.
+
 Construction validates the floorplan: requesting more engines than fit
 under the device's routable ceiling raises
 :class:`~repro.errors.ResourceError` (six of the paper's engines do not fit
@@ -25,11 +29,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.curves import HazardCurve, YieldCurve
+from repro.core.types import CDSOption
+from repro.core.vector_pricing import VectorCDSPricer
 from repro.cpu.engine import chunk_options
 from repro.dataflow.engine import SimulationResult
 from repro.engines.base import CDSEngineBase, EngineWorkload
 from repro.engines.builder import engine_resources
-from repro.engines.interoption import run_streaming
+from repro.engines.interoption import run_streaming, time_streaming
 from repro.engines.xilinx_baseline import _sink_to_array
 from repro.errors import ValidationError
 from repro.fpga.floorplan import Floorplan
@@ -75,13 +82,9 @@ class MultiEngineSystem(CDSEngineBase):
         self, workload: EngineWorkload
     ) -> tuple[np.ndarray, float, int, list[SimulationResult]]:
         n = workload.n_options
-        indices = list(range(n))
-        index_chunks = chunk_options(indices, self._n_engines)
-
         merged: dict[int, float] = {}
         sims: list[SimulationResult] = []
-        worst = 0.0
-        for ei, chunk in enumerate(index_chunks):
+        for ei, chunk in enumerate(self._chunks(n)):
             sink, res = run_streaming(
                 self.scenario,
                 workload,
@@ -91,13 +94,54 @@ class MultiEngineSystem(CDSEngineBase):
             )
             merged.update(sink)
             sims.append(res)
-            worst = max(worst, res.makespan_cycles)
 
-        active = len(index_chunks)
-        contention = 1.0 + self.scenario.multi_engine_contention * (active - 1)
-        cycles = worst * contention + self.scenario.invocation_overhead_cycles
+        cycles = self._batch_cycles([res.makespan_cycles for res in sims])
         spreads = _sink_to_array(merged, n, self.name)
-        return spreads, cycles, active, sims
+        return spreads, cycles, len(sims), sims
+
+    def kernel_cycles(
+        self,
+        options: list[CDSOption],
+        yield_curve: YieldCurve,
+        hazard_curve: HazardCurve,
+    ) -> float:
+        """``run(options, yield_curve, hazard_curve).kernel_cycles``, exactly,
+        without the discrete-event run.
+
+        Each engine chunk's makespan comes from the timing-only replay
+        of its network (:func:`~repro.engines.interoption.
+        time_streaming`); chunking, contention and invocation overhead
+        are :meth:`run`'s.  The rejections stay :meth:`run`'s too: the
+        workload is built the same way, and the batch is priced once by
+        the vectorised kernel, which rejects a non-positive risky
+        annuity as the simulated combine stage does.
+        """
+        workload = EngineWorkload.build(options, yield_curve, hazard_curve)
+        # Priced only for its rejections; the spreads are not needed.
+        VectorCDSPricer(yield_curve, hazard_curve).spreads(options)
+        return self._batch_cycles(
+            [
+                time_streaming(
+                    self.scenario,
+                    workload,
+                    chunk,
+                    replication=self.scenario.replication_factor,
+                ).makespan_cycles
+                for chunk in self._chunks(workload.n_options)
+            ]
+        )
+
+    def _chunks(self, n_options: int) -> list[list[int]]:
+        """Contiguous option-index chunks, one per active engine."""
+        return chunk_options(list(range(n_options)), self._n_engines)
+
+    def _batch_cycles(self, makespans: list[float]) -> float:
+        """Batch cycles from the chunks' makespans: the slowest chunk,
+        stretched by shared-interface contention, plus the invocation
+        overhead."""
+        sc = self.scenario
+        contention = 1.0 + sc.multi_engine_contention * (len(makespans) - 1)
+        return max(makespans) * contention + sc.invocation_overhead_cycles
 
     def resources(self) -> ResourceUsage:
         """One engine instance (the base class scales by ``n_engines``)."""

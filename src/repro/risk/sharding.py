@@ -12,10 +12,12 @@ and batching queue compose cleanly:
 * the scenario indices are partitioned by any
   :class:`~repro.cluster.scheduler.ClusterScheduler` (uniform costs make
   all policies near-equivalent, but the interface stays pluggable);
-* one representative card batch is simulated with the card's own
-  discrete-event :class:`~repro.cluster.node.ClusterNode` to get the
-  per-scenario kernel and PCIe seconds — identical scenarios never need
-  re-simulation;
+* one representative card batch is timed on the card's own
+  :class:`~repro.cluster.node.ClusterNode` to get the per-scenario
+  kernel and PCIe seconds — identical scenarios never need re-timing.
+  :meth:`~repro.cluster.node.ClusterNode.kernel_cycles` replays the
+  engine network's timing without computing values, and gives exactly
+  the cycles a discrete-event run of the batch reports;
 * each card's scenario chunk is coalesced into host dispatches by a
   :class:`~repro.cluster.batching.BatchQueue`, and PCIe time is stretched
   by the :class:`~repro.cluster.interconnect.HostLinkModel` contention
@@ -233,10 +235,12 @@ def simulate_grid_run(
 ) -> ClusterTiming:
     """Simulate the cluster timing of a sharded scenario-grid run.
 
-    One representative portfolio batch is simulated on a card's
-    discrete-event engine system; every scenario then costs exactly that
-    batch (same contracts, same table sizes — only the table *values*
-    differ, which the timing model is invariant to).
+    One representative portfolio batch is timed on a card's engine
+    system (:meth:`~repro.cluster.node.ClusterNode.kernel_cycles`, the
+    timing-only replay of the engine network, equal to its
+    discrete-event run); every scenario then costs exactly that batch
+    (same contracts, same table sizes — only the table *values* differ,
+    which the timing model is invariant to).
 
     Each card then walks its queue against the fault plan's
     :class:`~repro.faults.ClusterHealth`.  A segment of work on a card
@@ -295,9 +299,10 @@ def simulate_grid_run(
 
     # One representative batch on card 0; all scenarios share its cost.
     node = ClusterNode(0, scenario, n_engines=n_engines)
-    result = node.price(options, yield_curve, hazard_curve)
-    kernel = scenario.clock.seconds(result.kernel_cycles)
-    batch_seconds = kernel + result.pcie_seconds * factor
+    kernel = scenario.clock.seconds(
+        node.kernel_cycles(options, yield_curve, hazard_curve)
+    )
+    batch_seconds = kernel + scenario.pcie_seconds(len(options)) * factor
     health = ClusterHealth(plan, n_cards)
 
     def n_dispatches(count: int) -> int:

@@ -33,9 +33,10 @@ Two clocks run side by side, exactly as in the risk subsystem:
 
 The dispatch cost model (:class:`~repro.api.cost.DispatchCostModel`,
 re-exported here for compatibility) comes from the backend's cost-model
-hook on the pricing session — by default calibrated from one
-representative :class:`~repro.cluster.node.ClusterNode` batch, the same
-discrete-event engines behind every other layer — split into the fixed
+hook on the pricing session — by default calibrated from the cycles of
+one representative :class:`~repro.cluster.node.ClusterNode` batch, the
+same engine network behind every other layer, timed without computing
+values — split into the fixed
 per-dispatch overhead (kernel invocation + PCIe setup) and the marginal
 per-row / per-cell costs.  That split is the entire economics of
 micro-batching: dispatching requests one at a time pays the fixed

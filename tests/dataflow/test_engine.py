@@ -96,6 +96,24 @@ class TestTimingSemantics:
         # The producer stalled on the full FIFO.
         assert res.process_stall_write["src"] > 0
 
+    def test_pop_releases_blocked_writer_once(self):
+        """Back-pressure is release-once, not per token.
+
+        The first pop after a write blocks releases the writer at
+        ``max(writer, reader)``; the writer then refills every freed slot
+        without waiting for the pops that freed them.  Per-token
+        back-pressure (write k waits for pop k - depth) would finish the
+        feeder at 31.0.
+        """
+        sim = Simulator()
+        s = sim.stream("s", depth=2)
+        sim.process("feeder", feeder(s, list(range(6)), ii=1.0))
+        sim.process("collector", collector(s, 6, [], ii=10.0))
+        res = sim.run()
+        assert res.process_times["feeder"] == 22.0
+        assert res.process_stall_write["feeder"] == 16.0
+        assert res.makespan_cycles == 60.0
+
     def test_starved_consumer_records_read_stalls(self):
         n = 50
         sim = Simulator()

@@ -26,15 +26,15 @@ class TestConstruction:
     def test_one_calibration_shared_by_every_replica(
         self, book, tape, gateway_scenario, monkeypatch
     ):
-        """Replicas share the first one's cost model: one engine DES run."""
+        """Replicas share the first one's cost model: one engine timing run."""
         calls = []
-        price = ClusterNode.price
+        kernel_cycles = ClusterNode.kernel_cycles
 
-        def counting_price(node, *args, **kwargs):
+        def counting_kernel_cycles(node, *args, **kwargs):
             calls.append(node)
-            return price(node, *args, **kwargs)
+            return kernel_cycles(node, *args, **kwargs)
 
-        monkeypatch.setattr(ClusterNode, "price", counting_price)
+        monkeypatch.setattr(ClusterNode, "kernel_cycles", counting_kernel_cycles)
         gw = small_gateway(book, tape, gateway_scenario, n_servers=3)
         assert len(calls) == 1
         standalone = QuoteServer(
