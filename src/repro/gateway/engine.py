@@ -3,7 +3,7 @@
 :class:`Gateway` fronts N :class:`~repro.serving.engine.QuoteServer`
 replicas on **one** shared :class:`~repro.sim.Simulation` clock — the
 "millions of users" front door.  Each arriving request passes four
-stages inside its arrival event:
+stages inside its arrival callback:
 
 1. **admit** — the tenant's token bucket is charged; a dry bucket sheds
    the request with the typed :attr:`~repro.serving.request.ShedReason.
@@ -33,6 +33,7 @@ the gateway" chaos cell.
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -54,7 +55,12 @@ from repro.serving.request import (
     ShedRecord,
 )
 from repro.sim import Simulation
-from repro.telemetry import NULL_TELEMETRY, MetricsRegistry, Telemetry
+from repro.telemetry import (
+    NULL_TELEMETRY,
+    CounterFamily,
+    MetricsRegistry,
+    Telemetry,
+)
 from repro.workloads.scenarios import PaperScenario
 
 from repro.gateway.cache import DEFAULT_HIT_LATENCY_S, QuoteCache, cache_key
@@ -205,9 +211,13 @@ class Gateway:
             raise ValidationError("request trace must be non-empty")
         trace = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
         book = TenantBook(self.tenants)
-        for req in trace:
-            self.servers[0]._check_request(req)
-            book.profile(req.tenant)  # unknown tenants fail fast
+        if not set(map(attrgetter("tenant"), trace)) <= {None, *book.names}:
+            # An unknown tenant: the first bad request in trace order
+            # raises, whatever it got wrong.
+            for req in trace:
+                self.servers[0]._check_request(req)
+                book.profile(req.tenant)
+        self.servers[0]._check_trace(trace)
         if faults is not None and not 0 <= fault_server < self.n_servers:
             raise ValidationError(
                 f"fault_server must index a server, got {fault_server}"
@@ -241,13 +251,25 @@ class Gateway:
         invalidations_total = gw.counter(
             "gateway_cache_invalidations_total", "cache entries dropped by ticks"
         )
+        requests_total = CounterFamily(
+            gw, "gateway_requests_total", "requests offered to the gateway",
+            label="tenant",
+        )
+        shed_quota_total = CounterFamily(
+            gw, "gateway_shed_quota_total", "requests rejected by tenant quotas",
+            label="tenant",
+        )
+        routed_total = CounterFamily(
+            gw, "gateway_routed_total", "requests routed to servers",
+            label="server",
+        )
         cache_responses: list[PricingResponse] = []
         quota_sheds: list[ShedRecord] = []
         waiter_sheds: list[ShedRecord] = []
         waiter_fails: list[FailRecord] = []
         # Scan cursors per lane for the cache-resolution sweep:
         # responses, coalescer sheds and fail records already seen.
-        seen = [[0, 0, 0] for _ in lanes]
+        seen = [(0, 0, 0)] * len(lanes)
 
         if monitor is not None:
             monitor.attach(
@@ -279,11 +301,14 @@ class Gateway:
 
         def resolve_outcomes() -> None:
             """Sweep new lane outcomes into cache entries and waiters."""
-            for lane, cursor in zip(lanes, seen):
+            for k, lane in enumerate(lanes):
                 responses = lane.dispatcher.responses
-                sheds = lane.coalescer.sheds_since(cursor[1])
                 fails = lane.dispatcher.fails
-                for resp in responses[cursor[0]:]:
+                counts = (len(responses), lane.coalescer.n_sheds, len(fails))
+                if counts == seen[k]:
+                    continue  # nothing new on this lane
+                n_responses, n_sheds, n_fails = seen[k]
+                for resp in responses[n_responses:]:
                     entry = cache.fulfil(
                         resp.request_id,
                         value=resp.value,
@@ -301,11 +326,11 @@ class Gateway:
                                 max(waiter.arrival_s, entry.formed_s),
                             )
                         entry.waiters.clear()
-                for rec in sheds:
+                for rec in lane.coalescer.sheds_since(n_sheds):
                     abandon(rec, waiter_sheds)
-                for rec in fails[cursor[2]:]:
+                for rec in fails[n_fails:]:
                     abandon(rec, waiter_fails)
-                cursor[:] = len(responses), cursor[1] + len(sheds), len(fails)
+                seen[k] = counts
 
         def abandon(rec, waiter_records: list) -> None:
             """A leader that was shed or failed takes its joiners along.
@@ -330,17 +355,10 @@ class Gateway:
             if cache is not None:
                 resolve_outcomes()
             profile = book.profile(req.tenant)
-            gw.counter(
-                "gateway_requests_total", "requests offered to the gateway",
-                labels={"tenant": profile.name},
-            ).inc()
+            requests_total[profile.name].inc()
             if not book.admit(req.tenant, now):
                 quota_sheds.append(ShedRecord(req, now, ShedReason.QUOTA))
-                gw.counter(
-                    "gateway_shed_quota_total",
-                    "requests rejected by tenant quotas",
-                    labels={"tenant": profile.name},
-                ).inc()
+                shed_quota_total[profile.name].inc()
                 if recorder.enabled:
                     recorder.record(
                         "shed", now, now, track="gateway", category="request",
@@ -389,10 +407,7 @@ class Gateway:
                 cache.stats.misses += 1
                 misses_total.inc()
             index = self.ring.route_request(req)
-            gw.counter(
-                "gateway_routed_total", "requests routed to servers",
-                labels={"server": str(index)},
-            ).inc()
+            routed_total[index].inc()
             boosted = (
                 req
                 if profile.priority_boost == 0
@@ -407,10 +422,9 @@ class Gateway:
             if dropped:
                 invalidations_total.inc(dropped)
 
-        for req in trace:
-            sim.schedule_at(
-                req.arrival_s, on_arrival, payload=req, label="arrival"
-            )
+        sim.feed(
+            [req.arrival_s for req in trace], trace, on_arrival, label="arrival"
+        )
         if cache is not None and ticks:
             for tick in ticks:
                 t, row = tick

@@ -100,9 +100,29 @@ class MicroBatchCoalescer:
         return len(self._pending)
 
     @property
+    def next_due_s(self) -> float:
+        """The earliest instant :meth:`advance` or :meth:`reap` can act at.
+
+        The oldest pending request's linger expiry or the pending
+        deadline bound, whichever is sooner (``inf`` with nothing
+        pending): before it, both calls are no-ops.
+        """
+        if not self._pending:
+            return math.inf
+        return min(
+            self._pending[0].arrival_s + self.queue.linger_s,
+            self._earliest_deadline,
+        )
+
+    @property
     def sheds(self) -> tuple[ShedRecord, ...]:
         """Deadline sheds recorded so far, in shed order."""
         return tuple(self._sheds)
+
+    @property
+    def n_sheds(self) -> int:
+        """Deadline sheds recorded so far."""
+        return len(self._sheds)
 
     def sheds_since(self, start: int) -> list[ShedRecord]:
         """Deadline sheds recorded after the first ``start``, in shed order.

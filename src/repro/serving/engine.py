@@ -21,11 +21,13 @@ Two clocks run side by side, exactly as in the risk subsystem:
   genuine kernel output, and batched values are bit-identical to pricing
   each request alone (rows are independent inside the kernel);
 * **timing** runs on the unified :mod:`repro.sim` core: request arrivals
-  are events on one :class:`~repro.sim.Simulation`, the host thread and
-  every card are :class:`~repro.sim.Resource` busy-window surfaces on a
-  :class:`~repro.api.cost.ClusterTimingRig` obtained through the pricing
-  session's ``timing_rig`` hook, linger timers fire as the event loop
-  reaches them, and concurrent card transfers stretch by the
+  are the sorted arrival source of one :class:`~repro.sim.Simulation`
+  (merged with its event queue in ``(time, priority, seq)`` order), the
+  host thread and every card are :class:`~repro.sim.Resource`
+  busy-window surfaces on a :class:`~repro.api.cost.ClusterTimingRig`
+  obtained through the pricing session's ``timing_rig`` hook, linger
+  timers fire as the event loop reaches them, and concurrent card
+  transfers stretch by the
   :class:`~repro.cluster.interconnect.HostLinkModel` contention factor.
   The timing-conformance suite pins this event-driven replay
   bit-identical to the pre-``repro.sim`` per-card ``busy_until``
@@ -55,6 +57,7 @@ degradation ladder on the same path.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import attrgetter
 
 import numpy as np
 
@@ -221,6 +224,34 @@ class QuoteServer:
         return len(self.engine.portfolio)
 
     # ------------------------------------------------------------------
+    def _check_trace(self, trace: Sequence[PricingRequest]) -> None:
+        """Validate a trace's rows, option indices and ids in one pass.
+
+        When the pass fails, every request is checked in trace order, so
+        the first bad one raises its own message.  A trace that passes
+        that repeats a request id, which would answer (or, behind the
+        gateway's cache, lose) two requests under one id.
+        """
+        options = [
+            i for i in map(attrgetter("option_index"), trace) if i is not None
+        ]
+        if (
+            max(map(max, map(attrgetter("rows"), trace))) < self.tape.n_scenarios
+            and max(options, default=-1) < self.n_positions
+            and len(set(map(attrgetter("request_id"), trace))) == len(trace)
+        ):
+            return
+        for req in trace:
+            self._check_request(req)
+        seen: set[int] = set()
+        for req in trace:
+            if req.request_id in seen:
+                raise ValidationError(
+                    f"request id {req.request_id} appears more than once "
+                    "in the trace"
+                )
+            seen.add(req.request_id)
+
     def _check_request(self, req: PricingRequest) -> None:
         if any(r >= self.tape.n_scenarios for r in req.rows):
             raise ValidationError(
@@ -357,13 +388,13 @@ class QuoteServer:
     ) -> ServingResult:
         """Replay a request trace through the server on the unified clock.
 
-        Each request arrival is an event on one :class:`~repro.sim.
-        Simulation`; its handler runs the server's :class:`~repro.
-        serving.lane.Lane`: fire due linger timers, drain the in-flight
-        window, reap expired pending work, apply the admission bound,
-        and offer the arrival to the coalescer.  Dispatched batches
-        reserve busy windows on the timing rig's host and card
-        resources.
+        The sorted trace is the arrival source of one :class:`~repro.
+        sim.Simulation` (:meth:`~repro.sim.Simulation.feed`); each
+        arrival runs the server's :class:`~repro.serving.lane.Lane`:
+        fire due linger timers, drain the in-flight window, reap
+        expired pending work, apply the admission bound, and offer the
+        arrival to the coalescer.  Dispatched batches reserve busy
+        windows on the timing rig's host and card resources.
 
         Parameters
         ----------
@@ -395,8 +426,7 @@ class QuoteServer:
         if not requests:
             raise ValidationError("request trace must be non-empty")
         trace = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        for req in trace:
-            self._check_request(req)
+        self._check_trace(trace)
 
         lane = self.lane(faults, hedge=hedge, retry=retry)
         sim = lane.rig.sim
@@ -409,10 +439,9 @@ class QuoteServer:
             lane.tick(req.arrival_s)
             lane.offer(req, req.arrival_s)
 
-        for req in trace:
-            sim.schedule_at(
-                req.arrival_s, on_arrival, payload=req, label="arrival"
-            )
+        sim.feed(
+            [req.arrival_s for req in trace], trace, on_arrival, label="arrival"
+        )
         sim.run()
         lane.flush()
         # Tail batches may have scheduled retries past the last arrival.

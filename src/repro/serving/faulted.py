@@ -48,6 +48,7 @@ from repro.faults.retry import HedgePolicy, RetryPolicy
 from repro.serving.coalescer import MicroBatch
 from repro.serving.request import FailRecord, PricingResponse, ShedReason
 from repro.sim import Reservation
+from repro.telemetry import CounterFamily
 
 __all__ = ["FaultedDispatcher", "DEGRADE_FRACTIONS"]
 
@@ -110,11 +111,14 @@ class FaultedDispatcher:
         self.breakers = BreakerBank(server.n_cards)
         self.retry = retry if retry is not None else RetryPolicy(seed=plan.seed)
         self.hedge = hedge if hedge is not None else HedgePolicy(enabled=False)
-        self.metrics = metrics
         self.in_flight = in_flight
         self.recorder = server.telemetry.recorder
-        #: card -> its (rows, cells) counters, bound on first use.
-        self._card_counters: dict[int, tuple] = {}
+        self._card_rows = CounterFamily(
+            metrics, "serving_card_rows_total", label="card"
+        )
+        self._card_cells = CounterFamily(
+            metrics, "serving_card_cells_total", label="card"
+        )
         self.counters = FaultCounters()
         self.responses: list[PricingResponse] = []
         self.fails: list[FailRecord] = []
@@ -229,15 +233,8 @@ class FaultedDispatcher:
             return window
         self.counters.useful_work_s += window.service_s
         breaker.record_success(window.done_s)
-        counters = self._card_counters.get(card)
-        if counters is None:
-            labels = {"card": str(card)}
-            counters = self._card_counters[card] = (
-                self.metrics.counter("serving_card_rows_total", labels=labels),
-                self.metrics.counter("serving_card_cells_total", labels=labels),
-            )
-        counters[0].inc(len(chunk_rows))
-        counters[1].inc(n_cells)
+        self._card_rows[card].inc(len(chunk_rows))
+        self._card_cells[card].inc(n_cells)
         return window
 
     def _maybe_hedge(self, state: _BatchState, successes, by_busy,

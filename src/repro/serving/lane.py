@@ -6,7 +6,7 @@ drives one lane; :class:`~repro.gateway.engine.Gateway` drives one per
 replica on its shared clock.  Every arrival runs the same two steps:
 
 1. :meth:`Lane.tick` — fire due linger timers, drain the in-flight
-   window, reap expired pending work;
+   window, reap expired pending work (an O(1) no-op while none is due);
 2. :meth:`Lane.offer` — bounded admission (pending + in flight +
    awaiting retry, against ``queue_depth``), the degradation ladder
    while a card is down, then the coalescer.  Formed batches are priced
@@ -113,7 +113,15 @@ class Lane:
             self._batch_rows.inc(len(batch.rows))
 
     def tick(self, now: float) -> None:
-        """The per-arrival housekeeping, before admission."""
+        """The per-arrival housekeeping, before admission.
+
+        Returns at once while nothing in the lane is due by ``now``: no
+        linger timer or pending deadline (the coalescer's next due
+        time) and no in-flight completion.  Both are read live, since a
+        retry can change the in-flight window between two arrivals.
+        """
+        if self.coalescer.next_due_s > now and self.in_flight.next_done_s > now:
+            return
         self.run(self.coalescer.advance(now))
         # Drain *after* the linger sweep: batches it dispatched may
         # already have completed by this arrival, and counting them as

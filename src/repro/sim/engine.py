@@ -12,11 +12,18 @@ Callbacks may schedule further events (at or after the current instant),
 cancel pending ones, and reserve resources; :meth:`Simulation.run`
 executes events in deterministic ``(time, priority, seq)`` order until
 the queue drains or ``until`` is reached.
+
+A replay's request arrivals are known up front and already sorted, so
+they need no heap: :meth:`Simulation.feed` registers them as one
+arrival source that :meth:`Simulation.run` merges with the queue by the
+same key.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+import operator
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.errors import ValidationError
@@ -49,6 +56,7 @@ class Simulation:
         self.clock = Clock(start)
         self.queue = EventQueue()
         self._trace_hooks: list[Callable[[Event], None]] = []
+        self._arrivals: _ArrivalSource | None = None
         self.n_executed = 0
 
     # ------------------------------------------------------------------
@@ -114,35 +122,123 @@ class Simulation:
         """Cancel a scheduled event."""
         self.queue.cancel(event)
 
-    # ------------------------------------------------------------------
-    def step(self) -> Event:
-        """Execute exactly one event, advancing the clock to it."""
-        event = self.queue.pop()
-        self.clock.advance_to(event.time)
-        for hook in self._trace_hooks:
-            hook(event)
-        if event.callback is not None:
-            event.callback(event.payload)
-        self.n_executed += 1
-        return event
+    def feed(
+        self,
+        times: Sequence[float],
+        payloads: Sequence[Any],
+        callback: Callable[[Any], None],
+        *,
+        label: str = "",
+    ) -> None:
+        """Register a sorted arrival source: ``callback(payloads[i])`` at ``times[i]``.
 
+        The items run exactly as if each had been scheduled here with
+        :meth:`schedule_at` at priority 0, in order: the source takes
+        the next ``len(times)`` sequence numbers now, and :meth:`run`
+        executes item *i* whenever ``(times[i], 0, seq_i)`` precedes
+        the queue's next key.  No item is an event on the heap, and
+        trace hooks get an :class:`~repro.sim.events.Event` built for
+        each item only while any hook is registered.
+
+        ``times`` must be non-decreasing, not before the current clock
+        and not NaN.  One source may be pending at a time.
+        """
+        if self._arrivals is not None:
+            raise ValidationError("an arrival source is already pending")
+        times = list(times)
+        payloads = list(payloads)
+        if len(times) != len(payloads):
+            raise ValidationError(
+                f"{len(times)} arrival times for {len(payloads)} payloads"
+            )
+        if not times:
+            return
+        if any(map(math.isnan, times)):
+            raise ValidationError("arrival times must not be NaN")
+        if times[0] < self.clock.now:
+            raise ValidationError(
+                f"cannot feed arrivals into the past: {times[0]} < "
+                f"now={self.clock.now}"
+            )
+        if not all(map(operator.le, times, times[1:])):
+            raise ValidationError("arrival times must be non-decreasing")
+        self._arrivals = _ArrivalSource(
+            times, payloads, callback, label, self.queue.reserve(len(times))
+        )
+
+    # ------------------------------------------------------------------
     def run(self, until: float | None = None) -> int:
         """Drain the queue (or run up to instant ``until``, inclusive).
 
-        Returns the number of events executed by this call.  With
-        ``until`` given, events scheduled later than it stay queued and
-        the clock advances to ``until`` exactly.
+        Queued events and fed arrivals execute in one
+        ``(time, priority, seq)`` order.  Returns the number of both
+        executed by this call.  With ``until`` given, later ones stay
+        pending and the clock advances to ``until`` exactly.
         """
         executed = 0
-        while self.queue:
-            nxt = self.queue.peek()
-            if until is not None and nxt.time > until:
+        queue, clock, hooks = self.queue, self.clock, self._trace_hooks
+        while True:
+            head = queue.peek()
+            source = self._arrivals
+            if source is not None:
+                i = source.next
+                t = source.times[i]
+                if head is None or (t, 0, source.seq0 + i) < (
+                    head.time, head.priority, head.seq
+                ):
+                    if until is not None and t > until:
+                        break
+                    source.next = i + 1
+                    if source.next == len(source.times):
+                        self._arrivals = None
+                    clock.advance_to(t)
+                    if hooks:
+                        event = source.event(i)
+                        for hook in hooks:
+                            hook(event)
+                    source.callback(source.payloads[i])
+                    self.n_executed += 1
+                    executed += 1
+                    continue
+            if head is None or (until is not None and head.time > until):
                 break
-            self.step()
+            event = queue.pop()
+            clock.advance_to(event.time)
+            for hook in hooks:
+                hook(event)
+            if event.callback is not None:
+                event.callback(event.payload)
+            self.n_executed += 1
             executed += 1
-        if until is not None and until > self.clock.now:
-            self.clock.advance_to(until)
+        if until is not None and until > clock.now:
+            clock.advance_to(until)
         return executed
+
+
+class _ArrivalSource:
+    """A sorted run of arrivals holding reserved sequence numbers."""
+
+    __slots__ = ("times", "payloads", "callback", "label", "seq0", "next")
+
+    def __init__(self, times, payloads, callback, label, seq0) -> None:
+        self.times = times
+        self.payloads = payloads
+        self.callback = callback
+        self.label = label
+        self.seq0 = seq0
+        #: Index of the next item to run.
+        self.next = 0
+
+    def event(self, i: int) -> Event:
+        """Item ``i`` as the executed event trace hooks observe."""
+        return Event(
+            time=self.times[i],
+            seq=self.seq0 + i,
+            callback=self.callback,
+            payload=self.payloads[i],
+            label=self.label,
+            fired=True,
+        )
 
 
 class Process:

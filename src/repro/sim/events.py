@@ -4,10 +4,11 @@ The whole unified simulator rests on three small invariants enforced
 here:
 
 * **deterministic ordering** — events pop in ``(time, priority, seq)``
-  order, where ``seq`` is the push sequence number.  Two events scheduled
-  for the same instant at the same priority therefore execute in the
-  order they were scheduled, run after run, interpreter after
-  interpreter — the stable tie-break every conformance test leans on;
+  order, where ``seq`` is the push (or reservation) sequence number.
+  Two events scheduled for the same instant at the same priority
+  therefore execute in the order they were scheduled, run after run,
+  interpreter after interpreter — the stable tie-break every
+  conformance test leans on;
 * **cancellation without rebuild** — cancelling marks the entry dead and
   :meth:`EventQueue.pop` skips it (the standard lazy-deletion heap
   idiom), so O(1) cancel and no heap surgery;
@@ -124,6 +125,17 @@ class EventQueue:
         heapq.heappush(self._heap, (event.key, event))
         self._alive += 1
         return event
+
+    def reserve(self, n: int) -> int:
+        """Take the next ``n`` sequence numbers without queueing anything.
+
+        Returns the first.  Items ordered outside the heap (the
+        simulation's arrival source) hold their place in the
+        ``(time, priority, seq)`` order with them.
+        """
+        first = self._seq
+        self._seq += n
+        return first
 
     def cancel(self, event: Event) -> None:
         """Cancel a queued event (lazy deletion; O(1)).

@@ -24,6 +24,7 @@ admission controller needs: a min-heap of completion instants with
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from repro.errors import ValidationError
@@ -367,6 +368,11 @@ class CompletionTracker:
 
     def __len__(self) -> int:
         return len(self._heap)
+
+    @property
+    def next_done_s(self) -> float:
+        """The earliest in-flight completion (``inf`` with none in flight)."""
+        return self._heap[0] if self._heap else math.inf
 
     def push(self, done_s: float) -> None:
         """Record one in-flight completion instant."""

@@ -31,6 +31,7 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import (
     Counter,
+    CounterFamily,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -49,6 +50,7 @@ __all__ = [
     "NULL_RECORDER",
     "NULL_TELEMETRY",
     "Counter",
+    "CounterFamily",
     "Gauge",
     "Histogram",
     "KernelProfiler",

@@ -28,6 +28,7 @@ from repro.errors import ValidationError
 
 __all__ = [
     "Counter",
+    "CounterFamily",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -291,6 +292,30 @@ class Histogram:
                 for q in self.quantiles
             },
         }
+
+
+class CounterFamily(dict):
+    """One metric's counters across the values of one label.
+
+    Indexing by a label value returns that value's :class:`Counter` in
+    ``registry``, registered on first use: a hot path formats each key
+    once and then pays one dict lookup per increment, and the registry
+    only ever holds label values that were counted.
+    """
+
+    def __init__(self, registry: MetricsRegistry, name: str,
+                 help_text: str = "", *, label: str) -> None:
+        super().__init__()
+        self._registry = registry
+        self._name = name
+        self._help_text = help_text
+        self._label = label
+
+    def __missing__(self, value) -> Counter:
+        counter = self[value] = self._registry.counter(
+            self._name, self._help_text, labels={self._label: str(value)}
+        )
+        return counter
 
 
 class MetricsRegistry:

@@ -15,7 +15,7 @@ from repro.gateway import (
     TenantProfile,
     make_tenant_stream,
 )
-from repro.serving import QuoteServer, make_request_stream
+from repro.serving import PricingRequest, QuoteServer, make_request_stream
 from repro.serving.request import ShedReason
 from repro.telemetry import Telemetry
 
@@ -122,6 +122,32 @@ class TestServe:
         bad[0] = replace(bad[0], tenant="nobody")
         with pytest.raises(ValidationError):
             gateway.serve(bad)
+
+    def test_duplicate_request_id_rejected(self, gateway):
+        """Two leaders under one id would strand the first one's joiner."""
+        trace = [
+            PricingRequest(1, "quote", 0.0, 1.0, rows=(0,), option_index=0),
+            PricingRequest(1, "quote", 0.0, 1.0, rows=(1,), option_index=0),
+            PricingRequest(2, "quote", 1e-4, 1.0, rows=(0,), option_index=0),
+        ]
+        with pytest.raises(ValidationError, match="request id 1 appears"):
+            gateway.serve(trace)
+
+    def test_first_bad_request_in_trace_order_is_named(self, gateway):
+        """Whatever is wrong, the earliest bad arrival raises its message."""
+        stream = make_request_stream(
+            6, rate_hz=1000.0, n_states=N_STATES, n_positions=N_POSITIONS
+        )
+        stream[4] = replace(stream[4], tenant="nobody")
+        stream[2] = replace(stream[2], rows=(N_STATES,), kind="reval",
+                            option_index=None)
+        with pytest.raises(ValidationError, match=(
+            f"request {stream[2].request_id} references market row"
+        )):
+            gateway.serve(stream)
+        stream[1] = replace(stream[1], tenant="nobody")
+        with pytest.raises(ValidationError, match="unknown tenant 'nobody'"):
+            gateway.serve(stream)
 
 
 class TestQuota:

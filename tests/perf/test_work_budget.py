@@ -9,35 +9,61 @@ The engine network's cost is paid by the timing-only replay
 (:meth:`~repro.cluster.node.ClusterNode.kernel_cycles`), once per timed
 revalue and once per serving setup, and never by the token-level DES
 (:meth:`~repro.dataflow.engine.Simulator.run`).
+
+A replay's arrivals cost O(1) host bookkeeping each: they are the
+simulation's arrival source, not heap events; the gateway's labelled
+counters are bound once per replay; and a lane's tick does nothing
+while nothing in it is due.
 """
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+import repro.telemetry.metrics
 from repro.cluster.batching import BatchQueue
 from repro.cluster.node import ClusterNode
 from repro.dataflow.engine import Simulator
-from repro.gateway import Gateway
+from repro.gateway import (
+    DEFAULT_TENANTS,
+    Gateway,
+    make_tenant_stream,
+    make_tick_stream,
+)
 from repro.risk import ScenarioRiskEngine, make_book, monte_carlo
-from repro.serving import QuoteServer, make_market_tape
+from repro.serving import QuoteServer, make_market_tape, make_request_stream
+from repro.serving.coalescer import MicroBatchCoalescer
+from repro.sim.events import EventQueue
 from repro.workloads.scenarios import PaperScenario
+
+N_POSITIONS = 8
+N_STATES = 12
+N_TICKS = 10
+
+#: ``repro`` Python calls per request of each small replay below, as
+#: counted by :func:`_python_calls` when the per-arrival bookkeeping
+#: became O(1) (from 52.2 and 34.1); the budget allows 10% on top.
+CALLS_PER_OP = {"gateway": 31.6, "server": 21.6}
 
 
 @pytest.fixture(scope="module")
 def scenario():
-    return PaperScenario(n_rates=64, n_options=8)
+    return PaperScenario(n_rates=64, n_options=N_POSITIONS)
 
 
 @pytest.fixture(scope="module")
 def book():
-    return make_book("heterogeneous", 8, seed=5)
+    return make_book("heterogeneous", N_POSITIONS, seed=5)
 
 
 @pytest.fixture(scope="module")
 def tape(scenario):
     return make_market_tape(
-        scenario.yield_curve(), scenario.hazard_curve(), 12, seed=3
+        scenario.yield_curve(), scenario.hazard_curve(), N_STATES, seed=3
     )
 
 
@@ -89,3 +115,149 @@ def test_gateway_construction(scenario, book, tape, calls):
 def test_quote_server_construction(scenario, book, tape, calls):
     QuoteServer(book, tape, scenario=scenario, n_cards=2, n_engines=2)
     assert calls == {"des_runs": 0, "timing_runs": 1}
+
+
+# ----------------------------------------------------------------------
+# Per-arrival bookkeeping
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def gateway(scenario, book, tape):
+    return Gateway(
+        book,
+        tape,
+        scenario=scenario,
+        n_servers=2,
+        n_cards=2,
+        n_engines=2,
+        queue=BatchQueue(max_batch=16, linger_s=1e-3),
+        queue_depth=256,
+        tenants=DEFAULT_TENANTS[:2],  # unlimited: no quota shed varies the keys
+    )
+
+
+@pytest.fixture(scope="module")
+def server(scenario, book, tape):
+    return QuoteServer(
+        book,
+        tape,
+        scenario=scenario,
+        n_cards=2,
+        n_engines=2,
+        queue=BatchQueue(max_batch=16, linger_s=1e-3),
+        queue_depth=256,
+    )
+
+
+def _tenant_trace(n: int):
+    return make_tenant_stream(
+        n, rate_hz=40_000.0, n_states=N_STATES, n_positions=N_POSITIONS,
+        tenants=DEFAULT_TENANTS[:2], var_rows=4, seed=11,
+    )
+
+
+def _server_trace(n: int):
+    return make_request_stream(
+        n, rate_hz=20_000.0, n_states=N_STATES, n_positions=N_POSITIONS,
+        var_rows=4, seed=11,
+    )
+
+
+@pytest.fixture(scope="module")
+def ticks():
+    return make_tick_stream(N_TICKS, rate_hz=2_000.0, n_states=N_STATES, seed=11)
+
+
+@pytest.fixture(scope="module")
+def replays(gateway, server, ticks):
+    """Each small replay: its trace and a call that serves it."""
+    tenant, plain = _tenant_trace(400), _server_trace(400)
+    return {
+        "gateway": (tenant, lambda: gateway.serve(tenant, ticks=ticks)),
+        "server": (plain, lambda: server.serve(plain)),
+    }
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Count heap pushes, formatted metric keys and coalescer reaps."""
+    counts = {"push": 0, "metric_key": 0, "reap": 0}
+
+    def counting(key, fn):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(EventQueue, "push", counting("push", EventQueue.push))
+    monkeypatch.setattr(
+        repro.telemetry.metrics,
+        "metric_key",
+        counting("metric_key", repro.telemetry.metrics.metric_key),
+    )
+    monkeypatch.setattr(
+        MicroBatchCoalescer,
+        "reap",
+        counting("reap", MicroBatchCoalescer.reap),
+    )
+
+    def measure(replay):
+        counts.update(push=0, metric_key=0, reap=0)
+        replay()
+        return dict(counts)
+
+    return measure
+
+
+@pytest.mark.parametrize("name,pushes", [("gateway", N_TICKS), ("server", 0)])
+def test_arrivals_are_no_heap_events(replays, work, name, pushes):
+    """Only the ticks are heap events (no faults, so nothing retries)."""
+    _, replay = replays[name]
+    assert work(replay)["push"] == pushes
+
+
+def test_gateway_metric_keys_do_not_grow_with_the_trace(gateway, ticks, work):
+    short = work(lambda: gateway.serve(_tenant_trace(300), ticks=ticks))
+    long = work(lambda: gateway.serve(_tenant_trace(600), ticks=ticks))
+    assert long["metric_key"] == short["metric_key"]
+
+
+@pytest.mark.parametrize("name", ["gateway", "server"])
+def test_idle_lanes_skip_their_tick(replays, work, name):
+    """Reaping once per lane per arrival would be at least one per arrival."""
+    trace, replay = replays[name]
+    assert work(replay)["reap"] < len(trace)
+
+
+#: Frames of comprehensions and lambdas are not counted: Python 3.12
+#: inlines comprehensions, so counting them would tie the budget to one
+#: interpreter version.
+_UNCOUNTED = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>", "<lambda>"}
+
+
+def _python_calls(replay) -> int:
+    """Python function calls into ``repro`` while ``replay()`` runs."""
+    package = str(Path(repro.__file__).parent)
+    n = 0
+
+    def profile(frame, event, arg):
+        nonlocal n
+        if event == "call":
+            code = frame.f_code
+            if code.co_name not in _UNCOUNTED and code.co_filename.startswith(
+                package
+            ):
+                n += 1
+
+    sys.setprofile(profile)
+    try:
+        replay()
+    finally:
+        sys.setprofile(None)
+    return n
+
+
+@pytest.mark.parametrize("name", ["gateway", "server"])
+def test_python_calls_per_request(replays, name):
+    trace, replay = replays[name]
+    assert _python_calls(replay) / len(trace) <= 1.1 * CALLS_PER_OP[name]

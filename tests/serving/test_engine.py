@@ -102,6 +102,27 @@ class TestServe:
         with pytest.raises(ValidationError, match="beyond the"):
             server.serve([bad])
 
+    def test_first_bad_request_in_trace_order_is_named(self, server, stream):
+        trace = list(stream[:6])
+        trace[4] = replace(trace[4], rows=(N_STATES,), kind="reval",
+                           option_index=None)
+        trace[2] = replace(trace[2], kind="quote", rows=(0,),
+                           option_index=N_POSITIONS)
+        with pytest.raises(ValidationError, match=(
+            f"request {trace[2].request_id} quotes option {N_POSITIONS}"
+        )):
+            server.serve(trace)
+
+    def test_duplicate_request_id_rejected(self, server):
+        """Two requests under one id would get two responses with that id."""
+        trace = [
+            PricingRequest(1, "quote", 0.0, 1.0, rows=(0,), option_index=0),
+            PricingRequest(1, "quote", 0.0, 1.0, rows=(1,), option_index=0),
+            PricingRequest(2, "quote", 1e-4, 1.0, rows=(0,), option_index=0),
+        ]
+        with pytest.raises(ValidationError, match="request id 1 appears"):
+            server.serve(trace)
+
     def test_shared_rows_not_double_charged(self, server):
         """Two revals on the same tape row cost the card one book
         repricing, not two — the batch dedupes rows before the kernel."""
@@ -245,6 +266,45 @@ class TestBackpressure:
         assert res.n_completed == 2
         assert res.n_shed_queue == 1
         assert res.sheds[0].request.request_id == 1
+
+
+class TestLaneTick:
+    """A lane's tick acts on whatever is due at or before ``now``."""
+
+    def _lane_with(self, server, deadline_s: float):
+        lane = server.lane()
+        req = PricingRequest(0, "quote", 0.0, deadline_s, rows=(0,),
+                             option_index=0)
+        lane.tick(0.0)
+        assert lane.offer(req, 0.0)
+        return lane
+
+    def test_linger_expiring_now_forms_the_batch(self, server):
+        lane = self._lane_with(server, deadline_s=1.0)
+        expiry = server.queue.linger_s
+        lane.tick(np.nextafter(expiry, 0.0))
+        assert lane.coalescer.n_pending == 1
+        lane.tick(expiry)
+        assert lane.coalescer.n_pending == 0
+        assert len(lane.dispatcher.responses) == 1
+
+    def test_completion_now_leaves_the_in_flight_window(self, server):
+        lane = self._lane_with(server, deadline_s=1.0)
+        lane.tick(server.queue.linger_s)
+        done = lane.dispatcher.responses[0].completion_s
+        lane.tick(np.nextafter(done, 0.0))
+        assert len(lane.in_flight) == 1
+        lane.tick(done)
+        assert len(lane.in_flight) == 0
+
+    def test_deadline_now_reaps_the_request(self, server):
+        deadline = server.queue.linger_s / 2
+        lane = self._lane_with(server, deadline_s=deadline)
+        lane.tick(np.nextafter(deadline, 0.0))
+        assert lane.coalescer.n_sheds == 0
+        lane.tick(deadline)
+        assert lane.coalescer.n_sheds == 1
+        assert lane.coalescer.n_pending == 0
 
 
 class TestValueSemantics:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
-from repro.telemetry import MetricsRegistry, metric_key
+from repro.telemetry import CounterFamily, MetricsRegistry, metric_key
 from repro.telemetry.metrics import Histogram
 
 
@@ -102,6 +102,16 @@ class TestRegistry:
         reg.counter("rows", labels={"card": "1"}).inc(5)
         assert reg.get('rows{card="0"}').value == 3
         assert reg.get('rows{card="1"}').value == 5
+
+    def test_counter_family_registers_each_value_on_first_use(self):
+        reg = MetricsRegistry()
+        rows = CounterFamily(reg, "rows", "rows priced", label="card")
+        assert reg.names() == ()
+        rows[1].inc(3)
+        rows[1].inc(2)
+        assert reg.names() == ('rows{card="1"}',)
+        assert rows[1] is reg.counter("rows", labels={"card": "1"})
+        assert rows[1].value == 5
 
     def test_absorb_adds_counters_sets_gauges(self):
         a, b = MetricsRegistry(), MetricsRegistry()
