@@ -8,7 +8,7 @@ Python around a cycle-level HLS dataflow simulator:
 * :mod:`repro.core` — CDS pricing mathematics (curves, schedules, reference
   and vectorised pricers, hazard bootstrap).
 * :mod:`repro.dataflow` — the discrete-event dataflow simulator (streams,
-  processes, regions, topology graphs).
+  processes, topology graphs).
 * :mod:`repro.hls` — HLS construct models (operator latencies, pragmas, the
   Listing-1 accumulator, interpolation units, resources, reports).
 * :mod:`repro.fpga` — Alveo U280 platform models (device, HBM, PCIe, power,
@@ -98,7 +98,7 @@ from repro.gateway import Gateway
 from repro.workloads import PaperScenario
 from repro.errors import ReproError
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "CDSOption",

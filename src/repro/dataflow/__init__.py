@@ -17,8 +17,6 @@ paper's optimisations manipulate:
   back-pressure), and cycle counts are deterministic for that queue order;
 * **pipelined-loop helpers** (:mod:`~repro.dataflow.pipeline`) — initiation
   interval (II) and latency modelling for ``#pragma HLS PIPELINE`` loops;
-* **dataflow regions** (:mod:`~repro.dataflow.region`) — ``#pragma HLS
-  DATAFLOW`` region start/stop overhead and per-invocation fill/drain;
 * **analysis** (:mod:`~repro.dataflow.graph`, :mod:`~repro.dataflow.stats`,
   :mod:`~repro.dataflow.tracing`) — topology export (paper Figs. 1-3),
   stall statistics and event traces.
@@ -35,7 +33,6 @@ from repro.dataflow.stream import Stream, StreamStats
 from repro.dataflow.process import Delay, Process, ProcessState, Read, Write
 from repro.dataflow.engine import SimulationResult, Simulator
 from repro.dataflow.pipeline import LoopTiming, pipelined_loop_cycles
-from repro.dataflow.region import DataflowRegion, RegionTiming
 from repro.dataflow.graph import DataflowGraph
 
 __all__ = [
@@ -50,7 +47,5 @@ __all__ = [
     "SimulationResult",
     "LoopTiming",
     "pipelined_loop_cycles",
-    "DataflowRegion",
-    "RegionTiming",
     "DataflowGraph",
 ]

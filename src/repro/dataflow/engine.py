@@ -125,9 +125,8 @@ class Simulator:
 
     A fresh :class:`Simulator` corresponds to one configuration of the FPGA
     fabric; invoking :meth:`run` repeatedly on the *same* simulator is not
-    supported (build a new one, or use
-    :class:`~repro.dataflow.region.DataflowRegion` for repeated invocation
-    semantics).
+    supported (build a new one per invocation, as the per-option restart of
+    :class:`~repro.engines.dataflow_engine.OptimisedDataflowEngine` does).
     """
 
     def __init__(self, name: str = "sim") -> None:

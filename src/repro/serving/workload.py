@@ -53,6 +53,8 @@ def make_market_tape(
     seed:
         Deterministic generator seed.
     """
+    if n_states < 1:
+        raise ValidationError(f"n_states must be >= 1, got {n_states}")
     shocks = monte_carlo(yield_curve, hazard_curve, n_states, seed=seed)
     tensor = ScenarioTensor.from_scenario_set(shocks)
     return tensor

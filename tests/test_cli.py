@@ -29,6 +29,60 @@ REPLAY_DEFAULTS = {
 }
 
 
+#: Pricing flags shared by risk, serve, simulate and dashboard.
+_BOOK = dict(
+    policy="least-loaded", workload="heterogeneous", chunk_size=None,
+    backend="vectorized",
+)
+
+#: Every command's full parsed flag set with its defaults (``command``
+#: and the global ``options`` aside); ``trace`` gets its positional.
+PARSED_DEFAULTS = {
+    "table1": dict(json=False),
+    "table2": dict(json=False, engines=[1, 2, 5]),
+    "cluster": dict(
+        seed=None, json=False, cards=4, engines=5, policy="least-loaded",
+        workload="uniform", sweep=None,
+    ),
+    "risk": dict(
+        seed=None, json=False, cards=4, engines=5, **_BOOK, trace_out=None,
+        metrics_out=None, faults=None, scenarios=1000, generator="mc",
+        confidence=[0.95, 0.99], measure="var,es", no_batch=False,
+    ),
+    "serve": dict(
+        seed=None, json=False, **_SERVE_REPLAY, **_BOOK, trace_out=None,
+        metrics_out=None, faults=None, hedge=False,
+    ),
+    "simulate": dict(
+        seed=None, json=False, **REPLAY_DEFAULTS["simulate"], **_BOOK,
+        trace_out=None, metrics_out=None, faults=None, hedge=False,
+        refresh_period=2e-3, refresh_rows=16,
+    ),
+    "gateway": dict(
+        seed=None, json=False, requests=4_000, rate=200_000.0, traffic="poisson",
+        cards=2, engines=5, queue_depth=4096, states=64, chunk_size=None,
+        backend="vectorized", trace_out=None, metrics_out=None, faults=None,
+        hedge=False, tenants=3, servers=2, cache="on", ticks=200,
+        tick_rate=2_000.0,
+    ),
+    "chaos": dict(
+        seed=None, json=False, requests=2000, rate=4000.0, cards=4, max_batch=64,
+        queue_depth=512, states=64, trace_out=None, metrics_out=None,
+        monitor=False, monitor_out=None, gateway=False,
+    ),
+    "dashboard": dict(
+        seed=None, **_SERVE_REPLAY, **_BOOK, faults=None, hedge=False,
+        out="dashboard.html", title=None, monitor_out=None,
+    ),
+    "bench-check": dict(json=False, only=None, fresh_from=None),
+    "trace": dict(json=False, trace_file="trace.json", top=10),
+    "backends": dict(json=False),
+    "figures": dict(dot=False),
+    "price": dict(maturity=5.0, frequency=4, recovery=0.4),
+    "report": dict(),
+}
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -98,6 +152,19 @@ class TestReplayFlags:
         assert {dest: getattr(args, dest) for dest in expected} == expected
         for dest in set(_SERVE_REPLAY) - set(expected):
             assert not hasattr(args, dest), dest
+
+    @pytest.mark.parametrize("cmd", PARSED_DEFAULTS)
+    def test_full_flag_set_per_command(self, cmd):
+        """Each command parses to exactly its flags and defaults: a flag
+        dropped, added or re-defaulted fails here."""
+        argv = [cmd, "trace.json"] if cmd == "trace" else [cmd]
+        parsed = vars(build_parser().parse_args(argv))
+        assert {k: v for k, v in parsed.items()
+                if k not in ("command", "options")} == PARSED_DEFAULTS[cmd]
+
+    def test_table_covers_every_command(self):
+        commands = "{" + ",".join(PARSED_DEFAULTS) + "}"
+        assert commands in build_parser().format_usage()
 
 
 class TestCommands:

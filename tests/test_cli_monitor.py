@@ -244,3 +244,51 @@ class TestBenchCheckCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["bench-check", "--only", "serving"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+#: Small serving replay for the output-path checks.
+SERVE_ARGS = [
+    "--options", "6",
+    "serve",
+    "--seed", "7",
+    "--requests", "100",
+    "--states", "8",
+]
+
+
+class TestFilePathErrors:
+    """Unreadable or unwritable paths the user gives are clean errors
+    naming the flag (exit 2, ``error:`` on stderr), never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (SERVE_ARGS + ["--trace-out"], "--trace-out"),
+            (SERVE_ARGS + ["--metrics-out"], "--metrics-out"),
+            (CHAOS_ARGS + ["--monitor-out"], "--monitor-out"),
+            (DASHBOARD_ARGS + ["--out"], "--out"),
+        ],
+    )
+    def test_unwritable_output(self, tmp_path, capsys, argv, flag):
+        missing = tmp_path / "no-such-dir" / "out.json"
+        assert main(argv + [str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"cannot write {flag} file" in err and str(missing) in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read --fresh-from file"),
+            ("{not json", "--fresh-from is not valid JSON"),
+            ("[1]", "--fresh-from must hold a JSON object, got list"),
+        ],
+    )
+    def test_bad_fresh_from(self, tmp_path, capsys, content, message):
+        path = tmp_path / "fresh.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["bench-check", "--fresh-from", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
