@@ -30,6 +30,7 @@ pins that, and the conformance suite
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,7 @@ import numpy as np
 from repro.api.protocol import (
     BackendCapabilities,
     LegSurfaces,
+    MarketGrid,
     PriceRequest,
     PriceResult,
     PricingBackend,
@@ -177,19 +179,32 @@ class VectorizedBackend(PricingBackend):
             ),
         )
 
-    def _price_tensor(self, request: PriceRequest) -> PriceResult:
-        grid = request.tensor
-        idx = request.row_indices
-        spreads, legs = price_packed_many(
+    def price_rows(
+        self,
+        grid: MarketGrid,
+        rows: np.ndarray,
+        *,
+        options: Sequence[int] | None = None,
+        chunk_size: int | None = None,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """One :func:`~repro.core.vector_pricing.price_packed_many` call
+        for ``rows``, laying out only the ``options`` contracts."""
+        return price_packed_many(
             self.packed,
             grid.yield_times,
-            grid.yield_values[idx],
+            grid.yield_values[rows],
             grid.hazard_times,
-            grid.hazard_values[idx],
-            recovery_shifts=grid.recovery_shifts[idx],
-            want_legs=request.want_legs,
-            chunk_size=request.chunk_size,
-            row_ids=idx,
+            grid.hazard_values[rows],
+            recovery_shifts=grid.recovery_shifts[rows],
+            chunk_size=chunk_size,
+            row_ids=rows,
+            options=options,
+        )
+
+    def _price_tensor(self, request: PriceRequest) -> PriceResult:
+        idx = request.row_indices
+        spreads, legs = self.price_rows(
+            request.tensor, idx, chunk_size=request.chunk_size
         )
         return PriceResult(
             backend=self.name,

@@ -26,6 +26,13 @@ module defines the *one* contract they all meet:
 and the cluster backend: a tensor request against a backend without
 ``supports_batch_tensor`` is transparently decomposed into per-state
 requests (the per-scenario path), bit-identical to the batched one.
+
+:meth:`PricingBackend.price_rows` is the hot-path entry beside it: plain
+spread and leg arrays for validated tensor rows
+(:func:`tensor_row_indices`), optionally for a subset of the book's
+contracts, with no request or result object built per call.
+:func:`buyer_pv` is the one buyer-PV formula both paths reduce legs
+with.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ import numpy as np
 
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
-from repro.core.vector_pricing import shifted_recovery_row
+from repro.core.vector_pricing import option_selector, shifted_recovery_row
 from repro.errors import CapabilityError, ValidationError
 
 __all__ = [
@@ -50,6 +57,8 @@ __all__ = [
     "PriceResult",
     "PricingBackend",
     "price_via",
+    "buyer_pv",
+    "tensor_row_indices",
 ]
 
 
@@ -115,6 +124,59 @@ class MarketGrid(Protocol):
     def n_scenarios(self) -> int: ...  # pragma: no cover - protocol
 
 
+def tensor_row_indices(
+    rows: Sequence[int] | np.ndarray, n_states: int
+) -> np.ndarray:
+    """``rows`` as a validated 1-D index array into an ``n_states`` grid.
+
+    Indices must be integers, as NumPy requires of an index array: a
+    fractional index would otherwise truncate to another row, and a
+    boolean one select row 0 or 1.
+
+    Raises
+    ------
+    ValidationError
+        If ``rows`` is empty, not a 1-D sequence of integers, or names a
+        row outside ``[0, n_states)``.
+    """
+    idx = np.asarray(rows)
+    if idx.ndim == 1 and idx.size == 0:
+        raise ValidationError("rows must be non-empty when given")
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValidationError(
+            f"rows must be 1-D integer indices, got {idx.tolist()!r}"
+        )
+    if idx.min() < 0 or idx.max() >= n_states:
+        bad = [r for r in idx.tolist() if not 0 <= r < n_states]
+        raise ValidationError(
+            f"rows {bad} fall outside the {n_states}-state tensor"
+        )
+    return idx.astype(np.intp, copy=False)
+
+
+def buyer_pv(
+    protection: np.ndarray,
+    premium: np.ndarray,
+    accrual: np.ndarray,
+    unit_spread: np.ndarray,
+) -> np.ndarray:
+    """Unit-notional protection-buyer PV at contract ``unit_spread``.
+
+    ``protection - unit_spread * (premium + accrual)``, in that operation
+    order: every PV path reduces its legs here, so the batched and
+    per-request values stay bit-identical.
+
+    Parameters
+    ----------
+    protection / premium / accrual:
+        ``(n_states, n_options)`` leg arrays.
+    unit_spread:
+        ``(n_options,)`` contracted running spreads as unit fractions
+        (bps / 10 000).
+    """
+    return protection - unit_spread * (premium + accrual)
+
+
 @dataclass(frozen=True, eq=False)
 class PriceRequest:
     """One pricing job against a session's bound book.
@@ -139,6 +201,8 @@ class PriceRequest:
         The market-state batch (tensor requests).
     rows:
         Tensor rows to price, in output order; ``None`` prices every row.
+        Validated by :func:`tensor_row_indices` and stored as a tuple of
+        ints.
     recovery:
         Optional ``(n_options,)`` recovery-rate override (state requests
         only; tensor requests carry shifts in the grid itself).
@@ -178,14 +242,8 @@ class PriceRequest:
                     "requests carry recovery_shifts in the grid"
                 )
             if self.rows is not None:
-                if len(self.rows) == 0:
-                    raise ValidationError("rows must be non-empty when given")
-                n = self.tensor.n_scenarios
-                bad = [r for r in self.rows if not 0 <= int(r) < n]
-                if bad:
-                    raise ValidationError(
-                        f"rows {bad} fall outside the {n}-state tensor"
-                    )
+                idx = tensor_row_indices(self.rows, self.tensor.n_scenarios)
+                object.__setattr__(self, "rows", tuple(idx.tolist()))
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValidationError(
                 f"chunk_size must be >= 1, got {self.chunk_size}"
@@ -221,7 +279,7 @@ class PriceRequest:
         """A batched request over ``tensor`` (all rows when ``rows=None``)."""
         return cls(
             tensor=tensor,
-            rows=None if rows is None else tuple(int(r) for r in rows),
+            rows=rows,
             want_legs=want_legs,
             chunk_size=chunk_size,
         )
@@ -275,7 +333,9 @@ class LegSurfaces:
             ``(n_options,)`` contracted running spreads as unit fractions
             (bps / 10 000).
         """
-        return self.protection - unit_spread[None, :] * self.annuity
+        return buyer_pv(
+            self.protection, self.premium, self.accrual, unit_spread
+        )
 
     @classmethod
     def from_arrays(
@@ -425,6 +485,59 @@ class PricingBackend(abc.ABC):
                 f"({request.n_states}, {self.n_options}) request"
             )
         return result
+
+    def price_rows(
+        self,
+        grid: MarketGrid,
+        rows: np.ndarray,
+        *,
+        options: Sequence[int] | None = None,
+        chunk_size: int | None = None,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """Spreads and legs for tensor rows: the per-batch hot path.
+
+        No request or result object is built, and no capability is
+        re-checked: the caller negotiated ``supports_legs`` once, when it
+        opened its session.  This default answers through
+        :func:`price_via`, so a backend without ``supports_batch_tensor``
+        keeps its per-state negotiation, and then keeps the ``options``
+        columns; batch kernels override it to price only those
+        contracts, bit-identically.
+
+        Parameters
+        ----------
+        grid:
+            The market states.
+        rows:
+            Validated ``grid`` rows (:func:`tensor_row_indices`), in
+            output order.
+        options:
+            Sorted, distinct book indices of the contracts to price;
+            ``None`` prices the whole book.
+        chunk_size:
+            States per internal kernel chunk (``None`` = automatic).
+
+        Returns
+        -------
+        tuple
+            ``(spreads_bps, (premium, protection, accrual,
+            survival_at_maturity))``, each ``(len(rows), n)`` with ``n``
+            the book size or ``len(options)``.
+        """
+        select = option_selector(options, self.n_options)[0]
+        result = price_via(
+            self,
+            PriceRequest.tensor_rows(
+                grid, rows, want_legs=True, chunk_size=chunk_size
+            ),
+        )
+        legs = result.legs
+        return result.spreads_bps[:, select], (
+            legs.premium[:, select],
+            legs.protection[:, select],
+            legs.accrual[:, select],
+            legs.survival_at_maturity[:, select],
+        )
 
     @abc.abstractmethod
     def _price_state(self, request: PriceRequest) -> PriceResult:

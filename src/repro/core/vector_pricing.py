@@ -38,11 +38,17 @@ grids come back, as they do for every call replaying one market tape or
 scenario tensor.  A batch-1 quote then pays only the arithmetic on its
 curve values.  The plans hold no curve value, so reusing them changes no
 number.
+
+A call may also price a subset of the book (``options=``), as a batch of
+quotes does: the curves are still evaluated on the book's payment-time
+grid through its one plan pair, and only the selected contracts' rows
+are laid out, so each column equals the whole-book call's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -67,6 +73,7 @@ __all__ = [
     "portfolio_arrays",
     "price_packed_book",
     "price_packed_many",
+    "option_selector",
     "shifted_recovery",
     "shifted_recovery_row",
     "auto_chunk_size",
@@ -541,6 +548,40 @@ def shifted_recovery_row(
     )
 
 
+def option_selector(
+    options: Sequence[int] | None, n_options: int
+) -> tuple[slice | np.ndarray, Sequence[int]]:
+    """Validate a contract subset of an ``n_options`` book.
+
+    ``options`` are sorted, distinct book indices (``None`` = the whole
+    book).  Returns the selector of their rows (or columns) and each
+    selected position's book index.  A contiguous run of contracts (one
+    contract, or the whole book) selects by slice, so the selection is a
+    view of the packed arrays rather than a copy.
+    """
+    if options is None:
+        return slice(0, n_options), range(n_options)
+    try:
+        opts = tuple(map(operator.index, options))
+    except TypeError:
+        raise ValidationError(
+            f"options must be integer book indices, got {list(options)!r}"
+        ) from None
+    if not opts:
+        raise ValidationError("options must be non-empty when given")
+    if any(b <= a for a, b in zip(opts, opts[1:])):
+        raise ValidationError(
+            f"options must be sorted and distinct, got {list(opts)}"
+        )
+    if opts[0] < 0 or opts[-1] >= n_options:
+        raise ValidationError(
+            f"options {list(opts)} fall outside the {n_options}-option book"
+        )
+    if opts[-1] - opts[0] == len(opts) - 1:
+        return slice(opts[0], opts[-1] + 1), opts
+    return np.asarray(opts, dtype=np.intp), opts
+
+
 def price_packed_many(
     packed: PackedPortfolio,
     yield_times: np.ndarray,
@@ -552,6 +593,7 @@ def price_packed_many(
     want_legs: bool = True,
     chunk_size: int | None = None,
     row_ids: np.ndarray | Sequence[int] | None = None,
+    options: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
     """Price a packed portfolio under many market states in one kernel call.
 
@@ -588,13 +630,21 @@ def price_packed_many(
         rows of the tensor they were gathered from — used by the errors a
         non-positive annuity or a non-finite recovery shift raises.
         Defaults to each row's position.
+    options:
+        Optional sorted, distinct book indices of the contracts to price
+        (``None`` prices the whole book).  Curves are still evaluated on
+        the book's payment-time grid through its one plan pair; only the
+        selected contracts' rows are laid out, so each result column is
+        bit-identical to the same column of a whole-book call.  Errors
+        name the book index, not the column.
 
     Returns
     -------
     tuple
         ``(spreads_bps, legs)`` of shape ``(n_scenarios, n_options)``
-        arrays; ``legs`` is ``None`` or the ``(premium, protection,
-        accrual, survival_at_maturity)`` tuple.
+        arrays (``(n_scenarios, len(options))`` with ``options``);
+        ``legs`` is ``None`` or the ``(premium, protection, accrual,
+        survival_at_maturity)`` tuple.
     """
     yt = np.asarray(yield_times, dtype=np.float64)
     ht = np.asarray(hazard_times, dtype=np.float64)
@@ -628,14 +678,9 @@ def price_packed_many(
     if chunk_size is not None and chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
     names = range(n_scenarios) if row_ids is None else row_ids
-
-    n, width = packed.times.shape
-    spreads = np.empty((n_scenarios, n), dtype=np.float64)
-    legs = (
-        tuple(np.empty((n_scenarios, n), dtype=np.float64) for _ in range(4))
-        if want_legs
-        else None
-    )
+    n_book, width = packed.times.shape
+    select, book_index = option_selector(options, n_book)
+    n = len(book_index)
     step = chunk_size if chunk_size is not None else auto_chunk_size(n, width)
     step = min(step, n_scenarios)
 
@@ -644,17 +689,20 @@ def price_packed_many(
         hook.on_call()
 
     # State-independent operands: the curve lookups (built once per book
-    # and knot grids, see PackedPortfolio.curve_plans), and the contract
-    # rows tiled once for the common chunk shape (the final short chunk
-    # slices them down).
+    # and knot grids, see PackedPortfolio.curve_plans), and the selected
+    # contracts' rows — tiled once for the common chunk shape (the final
+    # short chunk slices them down), or used as they are by one-scenario
+    # chunks.
     discount_plan, survival_plan = packed.curve_plans(yt, ht)
-    recovery = _shifted_recovery(packed.recovery, shifts, names)
-    inv = packed.unique_inverse
-    acc_rows = np.tile(packed.accruals, (step, 1))
-    last_rows = np.tile(packed.last_idx, step)
+    recovery = _shifted_recovery(packed.recovery[select], shifts, names)
+    inv = packed.unique_inverse.reshape(n_book, width)[select].reshape(-1)
+    acc_rows = packed.accruals[select]
+    last_rows = packed.last_idx[select]
+    if step > 1:
+        acc_rows = np.tile(acc_rows, (step, 1))
+        last_rows = np.tile(last_rows, step)
 
-    for lo in range(0, n_scenarios, step):
-        hi = min(lo + step, n_scenarios)
+    def price_chunk(lo: int, hi: int):
         m = hi - lo
         rows = m * n
         chunk_t0 = time.perf_counter() if hook is not None else 0.0
@@ -676,14 +724,30 @@ def price_packed_many(
             recovery[lo:hi].reshape(rows),
             last_rows[:rows],
             want_legs=want_legs,
-            row_name=lambda row, lo=lo: (
-                f"scenario {names[lo + row // n]}, option index {row % n}"
+            row_name=lambda row: (
+                f"scenario {names[lo + row // n]}, "
+                f"option index {book_index[row % n]}"
             ),
         )
-        spreads[lo:hi] = sp.reshape(m, n)
-        if want_legs:
-            for out, part in zip(legs, lg):
-                out[lo:hi] = part.reshape(m, n)
         if hook is not None:
             hook.on_chunk(m, rows, time.perf_counter() - chunk_t0)
+        if want_legs:
+            lg = tuple(part.reshape(m, n) for part in lg)
+        return sp.reshape(m, n), lg
+
+    if step == n_scenarios:
+        return price_chunk(0, n_scenarios)
+    spreads = np.empty((n_scenarios, n), dtype=np.float64)
+    legs = (
+        tuple(np.empty((n_scenarios, n), dtype=np.float64) for _ in range(4))
+        if want_legs
+        else None
+    )
+    for lo in range(0, n_scenarios, step):
+        hi = min(lo + step, n_scenarios)
+        sp, lg = price_chunk(lo, hi)
+        spreads[lo:hi] = sp
+        if want_legs:
+            for out, part in zip(legs, lg):
+                out[lo:hi] = part
     return spreads, legs

@@ -8,7 +8,8 @@ the configured base backend (default ``vectorized``), which binds the book
 once and shards tensor rows across the simulated cards.  The scenario set
 is lowered into a dense :class:`~repro.risk.tensor.ScenarioTensor` and the
 whole ``(scenarios x options x timepoints)`` grid is priced by one
-negotiated session call per card shard.
+base-backend :meth:`~repro.api.PricingBackend.price_rows` call per card
+shard.
 
 Capability negotiation chooses the execution shape: when the session's
 backend advertises ``supports_batch_tensor`` (and ``batch`` is on), each
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api import PriceRequest, PricingBackend, open_session, price_via
+from repro.api import PricingBackend, open_session
+from repro.api.protocol import buyer_pv, tensor_row_indices
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
 from repro.cluster.scheduler import ClusterScheduler
@@ -336,8 +338,8 @@ class ScenarioRiskEngine:
         self.backend = backend
 
         # One session over the cluster backend wrapping the configured
-        # base: the backend binds (packs) the book once and every
-        # revaluation below is a negotiated session call.
+        # base: the backend binds (packs) the book once, and supports_legs
+        # is checked here once for every pricing call below.
         self.session = open_session(
             "cluster",
             portfolio.options,
@@ -390,38 +392,52 @@ class ScenarioRiskEngine:
         indices: np.ndarray | Sequence[int],
         *,
         chunk_size: int | None = None,
+        options: Sequence[int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Par spreads *and* unit PVs for a batch of tensor rows.
 
-        One negotiated call on the session's *base* backend prices
-        ``indices``'s market states against the bound book — **one**
-        batched kernel call, no card sharding — and returns both quote
-        surfaces: ``(spreads_bps, unit_pv)``, each of shape
-        ``(len(indices), n_positions)``.  The cluster wrapper is skipped
-        deliberately: the serving layer runs its own cost-weighted card
-        sharding for timing, and re-sharding the numerics here would
-        only split the kernel call (rows are independent, so the numbers
-        are bit-identical either way; only the host wall-clock differs).
+        One :meth:`~repro.api.PricingBackend.price_rows` call on the
+        session's *base* backend prices ``indices``'s market states
+        against the bound book — **one** batched kernel call, no card
+        sharding, no request object — and returns both quote surfaces:
+        ``(spreads_bps, unit_pv)``, each of shape ``(len(indices),
+        n_positions)``, or ``(len(indices), len(options))`` for a
+        contract subset.  The cluster wrapper is skipped deliberately:
+        the serving layer runs its own cost-weighted card sharding for
+        timing, and re-sharding the numerics here would only split the
+        kernel call (rows are independent, so the numbers are
+        bit-identical either way; only the host wall-clock differs).
+        The ``supports_legs`` capability was checked once, when the
+        engine opened its session.
 
         Parameters
         ----------
         tensor:
             The lowered market states (e.g. a live market tape).
         indices:
-            Tensor rows to price, in output order.
+            Tensor rows to price, in output order: 1-D integers in
+            range.
         chunk_size:
             Scenarios per internal kernel chunk (``None`` = automatic).
+        options:
+            Sorted, distinct book positions to price (``None`` = the
+            whole book); each column equals the whole book's, bit for
+            bit.
         """
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = tensor_row_indices(indices, tensor.n_scenarios)
         # The engine always opens a cluster session; an AttributeError
         # here means that invariant broke and should surface loudly.
-        result = price_via(
-            self.session.backend.base,
-            PriceRequest.tensor_rows(
-                tensor, idx, want_legs=True, chunk_size=chunk_size
-            ),
+        spreads, (premium, protection, accrual, _) = (
+            self.session.backend.base.price_rows(
+                tensor, idx, options=options, chunk_size=chunk_size
+            )
         )
-        return result.spreads_bps, result.legs.buyer_pv(self._unit_spread)
+        unit_spread = (
+            self._unit_spread
+            if options is None
+            else self._unit_spread[list(options)]
+        )
+        return spreads, buyer_pv(protection, premium, accrual, unit_spread)
 
     def _grid_timing(
         self, assignment: list[list[int]], faults=None
@@ -500,7 +516,7 @@ class ScenarioRiskEngine:
         With ``batch`` on (the default) and a ``supports_batch_tensor``
         backend behind the session, the scenario set is lowered into a
         :class:`~repro.risk.tensor.ScenarioTensor` and priced with one
-        negotiated base-backend call per card shard (via
+        base-backend call per card shard (via
         :meth:`quote_rows`, sub-chunked by ``chunk_size`` to bound
         memory; each shard's leg surfaces reduce to PVs before the next
         shard prices) — shard boundaries double as chunk boundaries, so
@@ -534,7 +550,7 @@ class ScenarioRiskEngine:
         if tensor is not None:
             # Shard plan from the session's cluster wrapper (same
             # scheduler the timing simulation replays), then one
-            # negotiated base-backend call per card shard with the legs
+            # base-backend call per card shard with the legs
             # reduced to PVs shard by shard — so only one shard's leg
             # surfaces are ever in flight, the pre-redesign memory
             # profile on large grids.

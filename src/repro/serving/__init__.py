@@ -23,11 +23,14 @@ and shards its market-state rows across cluster cards:
     hedging; a fault-free run is the empty fault plan).
 ``engine``
     :class:`~repro.serving.engine.QuoteServer` — drives one lane per
-    replay: host-link dispatch serialisation and contention, one negotiated
-    :class:`~repro.api.PricingSession` call per micro-batch via
-    :meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` (any
-    ``supports_streaming`` backend from the :mod:`repro.api` registry);
-    batched answers are bit-identical to pricing each request alone.
+    replay: host-link dispatch serialisation and contention, one direct
+    kernel call per micro-batch via
+    :meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` and the
+    session's base :meth:`~repro.api.PricingBackend.price_rows` (any
+    ``supports_streaming`` backend from the :mod:`repro.api` registry),
+    laying out only the quoted contracts when a batch holds quotes
+    alone; batched answers are bit-identical to pricing each request
+    alone.
 ``metrics``
     :class:`~repro.serving.metrics.ServingResult` — p50/p95/p99 latency,
     goodput, shed rate, micro-batch shape and per-card loads.

@@ -25,7 +25,7 @@ population; the coalescer itself never rejects an offered request.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.cluster.batching import BatchQueue
 from repro.errors import ValidationError
@@ -47,25 +47,26 @@ class MicroBatch:
         oldest member's linger expiry.
     requests:
         Members in ``(priority desc, arrival, id)`` order.
+    rows:
+        Sorted distinct market-state rows across the members, derived
+        once when the batch forms.
     """
 
     batch_id: int
     formed_s: float
     requests: tuple[PricingRequest, ...]
+    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValidationError("a micro-batch cannot be empty")
+        rows = {r for req in self.requests for r in req.rows}
+        object.__setattr__(self, "rows", tuple(sorted(rows)))
 
     @property
     def n_requests(self) -> int:
         """Requests in the batch."""
         return len(self.requests)
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        """Sorted distinct market-state rows across the members."""
-        return tuple(sorted({r for req in self.requests for r in req.rows}))
 
 
 class MicroBatchCoalescer:

@@ -6,11 +6,13 @@ objects (quotes, revals, VaR refreshes) arrives in simulated time; the
 server coalesces them into micro-batches under a size-or-linger policy
 (:class:`~repro.serving.coalescer.MicroBatchCoalescer`, carrying the
 cluster layer's :class:`~repro.cluster.batching.BatchQueue`), prices each
-batch's distinct market-state rows with **one** negotiated call on the
+batch's distinct market-state rows with **one** direct call into the
 pricing session's base backend (via
-:meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` — one batched
-kernel call for the whole micro-batch), and shards the rows for *timing*
-across cluster cards with the existing
+:meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` and
+:meth:`~repro.api.PricingBackend.price_rows` — one batched kernel call
+for the whole micro-batch, laying out only the quoted contracts when the
+batch holds quotes alone), and shards the rows for *timing* across
+cluster cards with the existing
 :class:`~repro.cluster.scheduler.ClusterScheduler` policies, weighted by
 each row's kernel-cell cost.  Only ``supports_streaming`` backends are
 accepted — the capability flag of the unified API.
@@ -163,6 +165,8 @@ class QuoteServer:
             raise ValidationError(f"n_cards must be >= 1, got {n_cards}")
         if queue_depth < 1:
             raise ValidationError(f"queue_depth must be >= 1, got {queue_depth}")
+        if chunk_size is not None and chunk_size < 1:
+            raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.tape = tape
         self.n_cards = n_cards
@@ -187,7 +191,7 @@ class QuoteServer:
                 "with supports_streaming (`repro-cds backends` lists them)"
             )
         # The risk engine's pricing session binds the book once and owns
-        # the base state; quote_rows() is the shared negotiated path.
+        # the base state; quote_rows() is the shared pricing path.
         self.engine = ScenarioRiskEngine(
             book,
             scenario=scenario,
@@ -270,13 +274,19 @@ class QuoteServer:
         rows: Sequence[int],
         spreads: np.ndarray,
         pv: np.ndarray,
+        options: Sequence[int] | None = None,
     ) -> list[float]:
         """Per-request answers from the batch's quote surfaces.
 
-        Every value depends only on the request's own rows, so the batch
+        ``options`` names the book positions of the surfaces' columns
+        (``None``: the whole book, in order).  Every value depends only
+        on the request's own rows and contract, so the batch
         decomposition never changes the numbers.
         """
         pos = {row: i for i, row in enumerate(rows)}
+        col = (
+            None if options is None else {o: j for j, o in enumerate(options)}
+        )
         pnl_rows = None
         if any(req.kind != "quote" for req in requests):
             # Per-row pairwise reduction, NOT a matrix-vector product:
@@ -289,7 +299,8 @@ class QuoteServer:
         values: list[float] = []
         for req in requests:
             if req.kind == "quote":
-                values.append(float(spreads[pos[req.rows[0]], req.option_index]))
+                j = req.option_index if col is None else col[req.option_index]
+                values.append(float(spreads[pos[req.rows[0]], j]))
             elif req.kind == "reval":
                 values.append(float(pnl_rows[pos[req.rows[0]]]))
             else:  # var
@@ -338,17 +349,25 @@ class QuoteServer:
     def _run_batch(self, batch: MicroBatch, dispatcher) -> None:
         """Price one micro-batch and hand it to the lane's dispatcher.
 
-        Host numerics: ONE negotiated call (one kernel call) for the
-        whole micro-batch; the card sharding the dispatcher times is
-        timing-only.
+        Host numerics: ONE direct kernel call for the whole micro-batch
+        (:meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows`).  A
+        batch of quotes only prices the contracts it quotes, so a
+        batch-1 quote costs the host the cells its card is charged; a
+        reval or VaR request needs the whole book.  The card sharding
+        the dispatcher times is timing-only.
         """
         rows = batch.rows
+        options = None
+        if all(req.kind == "quote" for req in batch.requests):
+            quoted = sorted({req.option_index for req in batch.requests})
+            if len(quoted) < self.n_positions:
+                options = tuple(quoted)
         spreads, pv = self.engine.quote_rows(
-            self.tape, rows, chunk_size=self.chunk_size
+            self.tape, rows, chunk_size=self.chunk_size, options=options
         )
         dispatcher.run_batch(
             batch,
-            self._values(batch.requests, rows, spreads, pv),
+            self._values(batch.requests, rows, spreads, pv, options),
             self._batch_weights(batch),
         )
 

@@ -10,7 +10,7 @@ host-then-card busy-window recurrence the timing-conformance suite pins.
 The model, per micro-batch:
 
 * **numerics run once** — the server prices the batch's rows with one
-  negotiated ``quote_rows`` call when the batch forms.  Faults, retries
+  direct ``quote_rows`` kernel call when the batch forms.  Faults, retries
   and hedges only ever duplicate *simulated* card time; response values
   are bit-identical to the fault-free run.
 * **dispatch is prospective** — the rig peeks at where a window would
@@ -181,16 +181,21 @@ class FaultedDispatcher:
             self._retry_or_fail(state, rows, t, attempt, reason)
             return
 
-        weights = [float(state.weight[r]) for r in rows]
-        sub = self.server.scheduler.partition(weights, len(allowed))
-        validate_partition(sub, len(rows))
-        chunks = sorted(
-            (chunk for chunk in sub if chunk),
-            key=lambda chunk: -sum(weights[i] for i in chunk),
-        )
-        by_busy = sorted(
-            allowed, key=lambda c: (self.rig.cards[c].busy_until, c)
-        )
+        cards = self.rig.cards
+        if len(rows) == 1:
+            # Every policy puts one row in one chunk on the least-busy
+            # card, which one pass finds without the partitioner.
+            chunks = [[0]]
+            by_busy = [min(allowed, key=lambda c: (cards[c].busy_until, c))]
+        else:
+            weights = [float(state.weight[r]) for r in rows]
+            sub = self.server.scheduler.partition(weights, len(allowed))
+            validate_partition(sub, len(rows))
+            chunks = sorted(
+                (chunk for chunk in sub if chunk),
+                key=lambda chunk: -sum(weights[i] for i in chunk),
+            )
+            by_busy = sorted(allowed, key=lambda c: (cards[c].busy_until, c))
         factor = self.server.link.contention_factor(len(chunks))
 
         successes: list[tuple[list[int], int, Reservation, Reservation]] = []

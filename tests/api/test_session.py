@@ -128,6 +128,26 @@ class TestPriceRequestValidation:
         with pytest.raises(ValidationError, match="outside"):
             PriceRequest(tensor=tensor, rows=(0, 3))
 
+    @pytest.mark.parametrize(
+        "rows, shown", [((2.7,), "[2.7]"), ((True,), "[True]")]
+    )
+    def test_rows_must_be_integers(self, rows, shown):
+        """Neither truncated (2.7 -> row 2) nor read as a row (True -> 1)."""
+        tensor = monte_carlo(YC, HC, 3, seed=1).tensor
+        message = f"rows must be 1-D integer indices, got {shown}"
+        with pytest.raises(ValidationError) as err:
+            PriceRequest(tensor=tensor, rows=rows)
+        assert str(err.value) == message
+        with pytest.raises(ValidationError) as err:
+            PriceRequest.tensor_rows(tensor, list(rows))
+        assert str(err.value) == message
+
+    def test_rows_are_stored_as_ints(self):
+        tensor = monte_carlo(YC, HC, 3, seed=1).tensor
+        req = PriceRequest.tensor_rows(tensor, np.array([2, 0]))
+        assert req.rows == (2, 0)
+        assert all(type(r) is int for r in req.rows)
+
     def test_rows_must_be_non_empty(self):
         tensor = monte_carlo(YC, HC, 3, seed=1).tensor
         with pytest.raises(ValidationError, match="non-empty"):

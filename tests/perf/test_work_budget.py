@@ -14,6 +14,10 @@ A replay's arrivals cost O(1) host bookkeeping each: they are the
 simulation's arrival source, not heap events; the gateway's labelled
 counters are bound once per replay; and a lane's tick does nothing
 while nothing in it is due.
+
+A batch-1 replay pays for the kernel, not the wrappers: the host prices
+exactly the cells its cards are charged, a one-row dispatch skips the
+partitioner, and no request object is built per batch.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import pytest
 
 import repro
 import repro.telemetry.metrics
+from repro.api import PriceRequest
 from repro.cluster.batching import BatchQueue
 from repro.cluster.node import ClusterNode
 from repro.dataflow.engine import Simulator
@@ -38,6 +43,7 @@ from repro.risk import ScenarioRiskEngine, make_book, monte_carlo
 from repro.serving import QuoteServer, make_market_tape, make_request_stream
 from repro.serving.coalescer import MicroBatchCoalescer
 from repro.sim.events import EventQueue
+from repro.telemetry import KernelProfiler
 from repro.workloads.scenarios import PaperScenario
 
 N_POSITIONS = 8
@@ -45,9 +51,11 @@ N_STATES = 12
 N_TICKS = 10
 
 #: ``repro`` Python calls per request of each small replay below, as
-#: counted by :func:`_python_calls` when the per-arrival bookkeeping
-#: became O(1) (from 52.2 and 34.1); the budget allows 10% on top.
-CALLS_PER_OP = {"gateway": 31.6, "server": 21.6}
+#: counted by :func:`_python_calls`.  The gateway's count was set when
+#: the per-arrival bookkeeping became O(1) (from 52.2); the coalesced and
+#: batch-1 servers' when each batch became one direct kernel call (from
+#: 21.6 and 89.2).  The budget allows 10% on top.
+CALLS_PER_OP = {"gateway": 31.6, "server": 20.7, "batch1": 73.0}
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +156,19 @@ def server(scenario, book, tape):
     )
 
 
+@pytest.fixture(scope="module")
+def batch1_server(scenario, book, tape):
+    return QuoteServer(
+        book,
+        tape,
+        scenario=scenario,
+        n_cards=2,
+        n_engines=2,
+        queue=BatchQueue(max_batch=1, linger_s=0.0),
+        queue_depth=256,
+    )
+
+
 def _tenant_trace(n: int):
     return make_tenant_stream(
         n, rate_hz=40_000.0, n_states=N_STATES, n_positions=N_POSITIONS,
@@ -168,12 +189,13 @@ def ticks():
 
 
 @pytest.fixture(scope="module")
-def replays(gateway, server, ticks):
+def replays(gateway, server, batch1_server, ticks):
     """Each small replay: its trace and a call that serves it."""
     tenant, plain = _tenant_trace(400), _server_trace(400)
     return {
         "gateway": (tenant, lambda: gateway.serve(tenant, ticks=ticks)),
         "server": (plain, lambda: server.serve(plain)),
+        "batch1": (plain, lambda: batch1_server.serve(plain)),
     }
 
 
@@ -257,7 +279,51 @@ def _python_calls(replay) -> int:
     return n
 
 
-@pytest.mark.parametrize("name", ["gateway", "server"])
+@pytest.mark.parametrize("name", ["gateway", "server", "batch1"])
 def test_python_calls_per_request(replays, name):
     trace, replay = replays[name]
     assert _python_calls(replay) / len(trace) <= 1.1 * CALLS_PER_OP[name]
+
+
+# ----------------------------------------------------------------------
+# Batch-1 quotes
+# ----------------------------------------------------------------------
+def test_batch1_host_prices_the_cells_its_cards_are_charged(batch1_server):
+    """A quote's host kernel prices its one contract, not the book."""
+    with KernelProfiler() as profiler:
+        result = batch1_server.serve(_server_trace(400))
+    priced = profiler.registry.get("kernel_cells_total").value
+    assert priced == sum(card.n_cells for card in result.cards)
+
+
+def test_batch1_partitions_only_multi_row_dispatches(
+    batch1_server, monkeypatch
+):
+    """One row is one chunk under every policy: no partitioner needed."""
+    sizes = []
+    scheduler = type(batch1_server.scheduler)
+    partition = scheduler.partition
+
+    def counting(self, costs, n_cards):
+        sizes.append(len(costs))
+        return partition(self, costs, n_cards)
+
+    monkeypatch.setattr(scheduler, "partition", counting)
+    trace = _server_trace(400)
+    batch1_server.serve(trace)
+    multi_row = [req for req in trace if len(set(req.rows)) > 1]
+    assert multi_row and len(sizes) == len(multi_row)
+    assert min(sizes) > 1
+
+
+def test_batch1_builds_no_price_request(batch1_server, monkeypatch):
+    built = []
+    post_init = PriceRequest.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(PriceRequest, "__post_init__", counting)
+    batch1_server.serve(_server_trace(400))
+    assert built == []

@@ -178,6 +178,48 @@ class TestScenarioRiskEngine:
         )
 
 
+class TestQuoteRowsIndices:
+    """``quote_rows`` prices exactly the rows it is given, or refuses."""
+
+    @pytest.fixture
+    def tape(self, engine):
+        from repro.serving import make_market_tape
+
+        return make_market_tape(
+            engine.yield_curve, engine.hazard_curve, 8, seed=3
+        )
+
+    @pytest.mark.parametrize(
+        "rows, shown",
+        [
+            ([2.7], "[2.7]"),  # truncated, it would price row 2
+            ([True], "[True]"),  # as an index, it would price row 1
+            (np.array([[1, 2]]), "[[1, 2]]"),
+        ],
+    )
+    def test_non_integer_or_2d_rows_rejected(self, engine, tape, rows, shown):
+        with pytest.raises(ValidationError) as err:
+            engine.quote_rows(tape, rows)
+        assert str(err.value) == (
+            f"rows must be 1-D integer indices, got {shown}"
+        )
+
+    @pytest.mark.parametrize("rows", [[8], [-1, 2]])
+    def test_out_of_range_rows_keep_their_message(self, engine, tape, rows):
+        bad = [r for r in rows if not 0 <= r < 8]
+        with pytest.raises(ValidationError) as err:
+            engine.quote_rows(tape, rows)
+        assert str(err.value) == f"rows {bad} fall outside the 8-state tensor"
+
+    def test_contract_subset_equals_whole_book_columns(self, engine, tape):
+        spreads, pv = engine.quote_rows(tape, [5, 3])
+        sub_spreads, sub_pv = engine.quote_rows(
+            tape, [5, 3], options=(1, 4, 6)
+        )
+        np.testing.assert_array_equal(sub_spreads, spreads[:, [1, 4, 6]])
+        np.testing.assert_array_equal(sub_pv, pv[:, [1, 4, 6]])
+
+
 class TestMixedGridFallback:
     """Batch requested, but the scenario set cannot lower to a tensor."""
 

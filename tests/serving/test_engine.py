@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster.batching import BatchQueue
 from repro.errors import ValidationError
+from repro.gateway import Gateway
 from repro.risk.engine import make_book
 from repro.serving import (
     DispatchCostModel,
@@ -87,6 +88,23 @@ class TestServe:
     def test_empty_trace_rejected(self, server):
         with pytest.raises(ValidationError):
             server.serve([])
+
+    def test_zero_chunk_size_rejected_at_construction(
+        self, server, tape, serving_scenario
+    ):
+        """Rejected when the server (or a gateway replica) is built, not
+        when its first batch reaches the kernel mid-replay."""
+        with pytest.raises(ValidationError) as err:
+            QuoteServer(
+                server.book,
+                tape,
+                scenario=serving_scenario,
+                chunk_size=0,
+                cost_model=server.cost_model,
+            )
+        assert str(err.value) == "chunk_size must be >= 1, got 0"
+        with pytest.raises(ValidationError, match="chunk_size must be >= 1"):
+            Gateway(server.book, tape, scenario=serving_scenario, chunk_size=0)
 
     def test_row_beyond_tape_rejected(self, server):
         bad = PricingRequest(
@@ -406,6 +424,56 @@ class TestBadMarketRow:
         request = PricingRequest(0, "quote", 0.0, 1.0, rows=(3,), option_index=0)
         with pytest.raises(ValidationError, match="non-finite recovery shift"):
             bad.serve([request])
+
+    def test_quotes_fail_only_where_the_bad_knot_reaches(
+        self, server, tape, serving_scenario
+    ):
+        """Row 3's NaN sits at its 2.03-year hazard knot.  A batch of
+        quotes prices only the contracts it quotes, so quotes on the
+        sub-year contracts complete with their clean-tape values; a quote
+        on a longer contract fails naming its own book index; a reval of
+        row 3 needs the whole book and fails as before."""
+        knot = int(np.searchsorted(tape.hazard_times, 2.0))
+        assert round(float(tape.hazard_times[knot]), 2) == 2.03
+        hazard = tape.hazard_values.copy()
+        hazard[3, knot] = np.nan
+        bad = QuoteServer(
+            server.book,
+            replace(tape, hazard_values=hazard),
+            scenario=serving_scenario,
+            n_cards=2,
+            cost_model=server.cost_model,
+        )
+        maturities = [o.maturity for o in server.book.options]
+        short = [i for i, m in enumerate(maturities) if m < 1.0]
+        longer = [i for i, m in enumerate(maturities) if m > 2.1]
+        assert len(short) >= 2 and longer
+
+        quotes = [
+            PricingRequest(k, "quote", 0.0, 1.0, rows=(3,), option_index=i)
+            for k, i in enumerate(short)
+        ]
+        served = bad.serve(quotes)  # one batch over the short contracts
+        assert served.n_dispatches == 1
+        values = {r.request_id: r.value for r in served.responses}
+        assert [values[q.request_id] for q in quotes] == (
+            server.price_individually(quotes)
+        )
+        for i in longer:
+            with pytest.raises(ValidationError) as err:
+                bad.serve(
+                    [PricingRequest(0, "quote", 0.0, 1.0, rows=(3,),
+                                    option_index=i)]
+                )
+            assert str(err.value) == (
+                "non-positive risky annuity for scenario 3, "
+                f"option index {i}: nan"
+            )
+        with pytest.raises(ValidationError) as err:
+            bad.serve([PricingRequest(0, "reval", 0.0, 1.0, rows=(3,))])
+        assert str(err.value) == (
+            "non-positive risky annuity for scenario 3, option index 0: nan"
+        )
 
 
 class TestLatencyStats:
