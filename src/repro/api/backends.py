@@ -48,7 +48,7 @@ from repro.api.registry import register_backend
 from repro.cluster.scheduler import (
     ClusterScheduler,
     make_scheduler,
-    validate_partition,
+    shard_scenarios,
 )
 from repro.core.pricing import CDSPricer
 from repro.core.types import CDSOption
@@ -312,9 +312,8 @@ class ClusterBackend(PricingBackend):
     ``supports_batch_tensor`` (the wrapper mirrors the base's flag, so
     for a non-batch base the session facade decomposes tensor requests
     per state *before* they reach the wrapper and no assignment is
-    recorded).  Consumers that need a card plan either way — e.g. the
-    risk engine's per-scenario fallback and its timing roll-up — call
-    :meth:`shard_rows` directly.
+    recorded).  The card plan is :func:`~repro.cluster.scheduler.
+    shard_scenarios`, the one the risk engine revalues and times with.
 
     Parameters
     ----------
@@ -377,22 +376,6 @@ class ClusterBackend(PricingBackend):
     def _on_bind(self, options: list[CDSOption]) -> None:
         self.base.bind(options)
 
-    def shard_rows(self, n_rows: int) -> list[list[int]]:
-        """Partition ``n_rows`` request positions across the cards.
-
-        Uniform costs (every row reprices the whole book), sorted chunks
-        — the exact assignment :func:`repro.risk.sharding.
-        shard_scenarios` produced before the redesign, so timing
-        roll-ups built on it are unchanged.
-        """
-        if n_rows < 1:
-            raise ValidationError(f"n_rows must be >= 1, got {n_rows}")
-        assignment = self.scheduler.partition([1.0] * n_rows, self.n_cards)
-        validate_partition(assignment, n_rows)
-        for chunk in assignment:
-            chunk.sort()
-        return assignment
-
     def _price_state(self, request: PriceRequest) -> PriceResult:
         part = price_via(self.base, request)
         return PriceResult(
@@ -406,7 +389,7 @@ class ClusterBackend(PricingBackend):
 
     def _price_tensor(self, request: PriceRequest) -> PriceResult:
         idx = request.row_indices
-        assignment = self.shard_rows(int(idx.size))
+        assignment = shard_scenarios(idx.size, self.n_cards, self.scheduler)
         spreads = np.empty((idx.size, self.n_options), dtype=np.float64)
         # Shard results scatter straight into the stitched surfaces so
         # only one shard's legs are in flight on top of the output

@@ -174,10 +174,10 @@ class FailedWindow(Reservation):
 class ClusterTimingRig:
     """One simulated cluster's timing surfaces: host thread + N cards.
 
-    The rig is what a ``simulated_timing`` backend hands the serving
-    layer through :meth:`~repro.api.session.PricingSession.timing_rig`:
-    a fresh :class:`~repro.sim.Simulation` carrying one serially-occupied
-    host :class:`~repro.sim.Resource` (chunk dispatches pay
+    Each serving replay lane builds one from its server's cost model
+    (:meth:`~repro.serving.engine.QuoteServer.lane`): a fresh or shared
+    :class:`~repro.sim.Simulation` carrying one serially-occupied host
+    :class:`~repro.sim.Resource` (chunk dispatches pay
     :meth:`~repro.cluster.interconnect.HostLinkModel.dispatch_seconds`
     each, in issue order) and one resource per card (busy windows granted
     by the backend's :class:`DispatchCostModel`).  All three surfaces

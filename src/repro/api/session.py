@@ -58,8 +58,8 @@ class PricingSession:
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle; defaults to
         the process-wide no-op :data:`~repro.telemetry.NULL_TELEMETRY`.
-        Timing rigs built through :meth:`timing_rig` inherit it, so one
-        recording handle observes every resource the session stands up.
+        Consumers read it back (:attr:`telemetry`) to hand one recording
+        handle to everything they time.
 
     Notes
     -----
@@ -214,64 +214,6 @@ class PricingSession:
         self._check_open()
         return self._backend.dispatch_cost_model(
             scenario, yield_curve, hazard_curve, n_engines=n_engines
-        )
-
-    def timing_rig(
-        self,
-        scenario,
-        yield_curve: YieldCurve,
-        hazard_curve: HazardCurve,
-        *,
-        n_cards: int,
-        n_engines: int = 5,
-        link=None,
-        cost_model=None,
-        sim=None,
-    ):
-        """A fresh simulated-timing rig for this backend's device model.
-
-        The :mod:`repro.sim` hook of the unified API: requires the
-        ``simulated_timing`` capability and returns a
-        :class:`~repro.api.cost.ClusterTimingRig` — host-thread and
-        per-card :class:`~repro.sim.Resource` surfaces on one
-        :class:`~repro.sim.Simulation` clock, with busy windows priced by
-        the backend's :meth:`dispatch_cost_model`.  Consumers that replay
-        timing (the quote server, the mixed-workload simulator) build one
-        rig per run.
-
-        Parameters
-        ----------
-        scenario / yield_curve / hazard_curve / n_engines:
-            Calibration inputs for the cost model (ignored when
-            ``cost_model`` is supplied).
-        n_cards:
-            Simulated cards on the rig.
-        link:
-            Host-path timing model (default
-            :class:`~repro.cluster.interconnect.HostLinkModel`).
-        cost_model:
-            Reuse an already-calibrated
-            :class:`~repro.api.cost.DispatchCostModel` (calibration
-            prices a representative batch, so per-run callers cache it).
-        sim:
-            Share an existing :class:`~repro.sim.Simulation` so several
-            workloads contend on one clock.
-        """
-        from repro.api.cost import ClusterTimingRig
-        from repro.cluster.interconnect import HostLinkModel
-
-        self._check_open()
-        self.require("simulated_timing", reason="a timing rig")
-        if cost_model is None:
-            cost_model = self.dispatch_cost_model(
-                scenario, yield_curve, hazard_curve, n_engines=n_engines
-            )
-        return ClusterTimingRig(
-            cost_model,
-            link if link is not None else HostLinkModel(),
-            n_cards,
-            sim=sim,
-            telemetry=self._telemetry,
         )
 
     # ------------------------------------------------------------------

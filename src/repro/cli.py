@@ -46,9 +46,10 @@ def _print_json(payload) -> None:
 def _backend_choices() -> tuple[str, ...]:
     """Base backends selectable from the CLI.
 
-    ``cluster`` is excluded: the risk and serving engines already wrap
-    the chosen base in the cluster backend, and cluster backends do not
-    nest.
+    ``cluster`` is excluded: the risk and serving commands already shard
+    across ``--cards``, and the wrapper has no ``price_rows`` of its own,
+    so every batch would take a ``PriceRequest`` round trip and price the
+    whole book for the same numbers.
     """
     from repro.api import available_backends
 

@@ -45,6 +45,7 @@ __all__ = [
     "WorkStealingScheduler",
     "SCHEDULERS",
     "make_scheduler",
+    "shard_scenarios",
     "validate_partition",
 ]
 
@@ -234,6 +235,44 @@ def make_scheduler(policy: str, **kwargs) -> ClusterScheduler:
             f"choose from {sorted(SCHEDULERS)}"
         ) from None
     return cls(**kwargs)
+
+
+def shard_scenarios(
+    n_scenarios: int,
+    n_cards: int,
+    scheduler: ClusterScheduler | str = "least-loaded",
+) -> list[list[int]]:
+    """Partition scenario indices across cards with a cluster policy.
+
+    Every scenario reprices the same portfolio, so the cost vector is
+    uniform; the policies then differ only in chunk shape (contiguity,
+    dispatch counts), not balance.  The one card plan of the risk engine
+    and of the ``cluster`` backend's tensor shards.
+
+    Parameters
+    ----------
+    n_scenarios:
+        Scenarios to shard.
+    n_cards:
+        Cards available.
+    scheduler:
+        Policy instance or registry name.
+
+    Returns
+    -------
+    list[list[int]]
+        One sorted scenario-index list per card, jointly covering the grid.
+    """
+    if n_scenarios < 1:
+        raise ValidationError(f"n_scenarios must be >= 1, got {n_scenarios}")
+    sched = (
+        make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
+    )
+    assignment = sched.partition([1.0] * n_scenarios, n_cards)
+    validate_partition(assignment, n_scenarios)
+    for chunk in assignment:
+        chunk.sort()
+    return assignment
 
 
 def validate_partition(assignment: list[list[int]], n_options: int) -> None:

@@ -564,9 +564,11 @@ def option_selector(
     try:
         opts = tuple(map(operator.index, options))
     except TypeError:
+        opts = None
+    if opts is None or bool in map(type, options):
         raise ValidationError(
             f"options must be integer book indices, got {list(options)!r}"
-        ) from None
+        )
     if not opts:
         raise ValidationError("options must be non-empty when given")
     if any(b <= a for a, b in zip(opts, opts[1:])):

@@ -80,13 +80,12 @@ class Gateway:
         The shared book and market tape every replica serves.
     scenario / n_cards / n_engines / scheduler / link / queue /
     queue_depth / chunk_size / backend:
-        Per-replica server configuration, forwarded verbatim to each
-        :class:`~repro.serving.engine.QuoteServer` (pass backend
-        *names*, not instances, when ``n_servers > 1`` — every replica
-        binds its own backend).  The first replica calibrates the
-        dispatch cost model; the others reuse it.
+        Replica configuration, forwarded verbatim to the one
+        :class:`~repro.serving.engine.QuoteServer` every replica runs
+        on: the book is bound and the cost model calibrated once.
     n_servers:
-        Replica count behind the ring.
+        Replica count behind the ring.  :attr:`servers` holds the server
+        once per replica; each replay gives every replica its own lane.
     tenants:
         The tenant set (default: the three-tier
         :data:`~repro.gateway.tenancy.DEFAULT_TENANTS` mix).
@@ -130,8 +129,11 @@ class Gateway:
         TenantBook(self.tenants)  # validate eagerly
         self.cache_enabled = bool(cache)
         self.cache_hit_latency_s = cache_hit_latency_s
-        self.queue_depth = queue_depth
-        config = dict(
+        # Replicas are identical builds, so one server stands behind
+        # every ring slot: each replay runs one lane of it per replica.
+        server = QuoteServer(
+            book,
+            tape,
             scenario=scenario,
             n_cards=n_cards,
             n_engines=n_engines,
@@ -143,14 +145,7 @@ class Gateway:
             backend=backend,
             telemetry=telemetry,
         )
-        # Every replica is built from the same arguments, so they share
-        # the first one's calibrated cost model instead of each re-running
-        # the cycle-level engine simulation behind it.
-        first = QuoteServer(book, tape, **config)
-        self.servers = (first,) + tuple(
-            QuoteServer(book, tape, cost_model=first.cost_model, **config)
-            for _ in range(n_servers - 1)
-        )
+        self.servers = (server,) * n_servers
         self.ring = HashRing(range(n_servers), replicas=ring_replicas)
 
     @property

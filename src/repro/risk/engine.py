@@ -3,18 +3,16 @@
 :class:`ScenarioRiskEngine` reprices a :class:`Portfolio` of CDS positions
 under every scenario of a :class:`~repro.risk.scenarios.ScenarioSet`.  All
 pricing flows through the unified API (:mod:`repro.api`): the engine opens
-one :class:`~repro.api.PricingSession` over a ``cluster`` backend wrapping
-the configured base backend (default ``vectorized``), which binds the book
-once and shards tensor rows across the simulated cards.  The scenario set
-is lowered into a dense :class:`~repro.risk.tensor.ScenarioTensor` and the
-whole ``(scenarios x options x timepoints)`` grid is priced by one
-base-backend :meth:`~repro.api.PricingBackend.price_rows` call per card
-shard.
+one :class:`~repro.api.PricingSession` on the backend it is given (default
+``vectorized``), which binds the book once.  The scenario set is lowered
+into a dense :class:`~repro.risk.tensor.ScenarioTensor` and the whole
+``(scenarios x options x timepoints)`` grid is priced by one
+:meth:`~repro.api.PricingBackend.price_rows` call per card shard.
 
 Capability negotiation chooses the execution shape: when the session's
 backend advertises ``supports_batch_tensor`` (and ``batch`` is on), each
 card shard is one batched kernel call; otherwise — ``batch=False``, a
-non-batch base backend such as ``cpu``, or hand-built scenario sets that
+non-batch backend such as ``cpu``, or hand-built scenario sets that
 mix knot grids and cannot be lowered to a tensor — the engine walks the
 per-scenario path, one session state call per scenario.  Both paths are
 pinned **bit-identical** by the property suite, so ``batch`` and the
@@ -44,7 +42,11 @@ from repro.api import PricingBackend, open_session
 from repro.api.protocol import buyer_pv, tensor_row_indices
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
-from repro.cluster.scheduler import ClusterScheduler
+from repro.cluster.scheduler import (
+    ClusterScheduler,
+    make_scheduler,
+    shard_scenarios,
+)
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.pricing import BASIS_POINTS
 from repro.core.types import CDSOption
@@ -52,7 +54,7 @@ from repro.core.vector_pricing import shifted_recovery_row
 from repro.errors import ValidationError
 from repro.risk.scenarios import Scenario, ScenarioSet
 from repro.risk.tensor import ScenarioTensor
-from repro.risk.sharding import ClusterTiming, shard_scenarios, simulate_grid_run
+from repro.risk.sharding import ClusterTiming, simulate_grid_run
 from repro.workloads.cluster import make_cluster_portfolio
 from repro.workloads.scenarios import PaperScenario
 
@@ -278,14 +280,14 @@ class ScenarioRiskEngine:
         shard (bounds peak memory); ``None`` lets the kernel pick a
         cache-sized chunk automatically.
     backend:
-        Base pricing backend the engine's cluster session wraps: a
-        registry name (``vectorized``, ``cpu``, ...) or a
+        Pricing backend the engine's session binds: a registry name
+        (``vectorized``, ``cpu``, ...) or an unbound
         :class:`~repro.api.PricingBackend` instance.  Must advertise
         ``supports_legs`` (PVs are leg-derived).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle, installed
-        on the engine's session (and thus on every timing rig built from
-        it).  Default: the process-wide no-op handle.
+        on the engine's session and handed to the timing roll-up.
+        Default: the process-wide no-op handle.
 
     Examples
     --------
@@ -330,23 +332,18 @@ class ScenarioRiskEngine:
         )
         self.n_cards = n_cards
         self.n_engines = n_engines
-        self.scheduler = scheduler
+        self.scheduler = (
+            make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
+        )
         self.link = link
         self.queue = queue
         self.batch = batch
         self.chunk_size = chunk_size
-        self.backend = backend
 
-        # One session over the cluster backend wrapping the configured
-        # base: the backend binds (packs) the book once, and supports_legs
-        # is checked here once for every pricing call below.
+        # The backend binds (packs) the book once, and supports_legs is
+        # checked here once for every pricing call below.
         self.session = open_session(
-            "cluster",
-            portfolio.options,
-            base=backend,
-            n_cards=n_cards,
-            scheduler=scheduler,
-            telemetry=telemetry,
+            backend, portfolio.options, telemetry=telemetry
         ).require("supports_legs", reason="risk revaluation")
         self._notionals = portfolio.notionals
         self._base_recovery = np.asarray(
@@ -397,18 +394,15 @@ class ScenarioRiskEngine:
         """Par spreads *and* unit PVs for a batch of tensor rows.
 
         One :meth:`~repro.api.PricingBackend.price_rows` call on the
-        session's *base* backend prices ``indices``'s market states
-        against the bound book — **one** batched kernel call, no card
-        sharding, no request object — and returns both quote surfaces:
+        session's backend prices ``indices``'s market states against the
+        bound book — **one** batched kernel call on the ``vectorized``
+        backend, no request object — and returns both quote surfaces:
         ``(spreads_bps, unit_pv)``, each of shape ``(len(indices),
         n_positions)``, or ``(len(indices), len(options))`` for a
-        contract subset.  The cluster wrapper is skipped deliberately:
-        the serving layer runs its own cost-weighted card sharding for
-        timing, and re-sharding the numerics here would only split the
-        kernel call (rows are independent, so the numbers are
-        bit-identical either way; only the host wall-clock differs).
-        The ``supports_legs`` capability was checked once, when the
-        engine opened its session.
+        contract subset.  Card sharding is timing-only and happens
+        elsewhere (:meth:`revalue`, the serving dispatcher).  The
+        ``supports_legs`` capability was checked once, when the engine
+        opened its session.
 
         Parameters
         ----------
@@ -425,10 +419,8 @@ class ScenarioRiskEngine:
             bit.
         """
         idx = tensor_row_indices(indices, tensor.n_scenarios)
-        # The engine always opens a cluster session; an AttributeError
-        # here means that invariant broke and should surface loudly.
         spreads, (premium, protection, accrual, _) = (
-            self.session.backend.base.price_rows(
+            self.session.backend.price_rows(
                 tensor, idx, options=options, chunk_size=chunk_size
             )
         )
@@ -445,11 +437,6 @@ class ScenarioRiskEngine:
         """Simulated cluster roll-up for a sharded scenario assignment."""
         from repro.telemetry import NULL_TELEMETRY
 
-        policy = (
-            self.scheduler
-            if isinstance(self.scheduler, str)
-            else self.scheduler.name
-        )
         telemetry = self.session.telemetry
         return simulate_grid_run(
             assignment,
@@ -457,7 +444,7 @@ class ScenarioRiskEngine:
             self.yield_curve,
             self.hazard_curve,
             scenario=self.scenario,
-            policy=policy,
+            policy=self.scheduler.name,
             n_engines=self.n_engines,
             link=self.link,
             queue=self.queue,
@@ -516,14 +503,14 @@ class ScenarioRiskEngine:
         With ``batch`` on (the default) and a ``supports_batch_tensor``
         backend behind the session, the scenario set is lowered into a
         :class:`~repro.risk.tensor.ScenarioTensor` and priced with one
-        base-backend call per card shard (via
-        :meth:`quote_rows`, sub-chunked by ``chunk_size`` to bound
-        memory; each shard's leg surfaces reduce to PVs before the next
-        shard prices) — shard boundaries double as chunk boundaries, so
-        the per-card timing simulation is untouched.  Scenario sets that
-        mix knot grids, ``batch=False`` and non-batch base backends all
-        fall back to the per-scenario loop automatically (capability
-        negotiation).  Every path produces bit-identical numbers.
+        backend call per card shard (via :meth:`quote_rows`,
+        sub-chunked by ``chunk_size`` to bound memory; each shard's leg
+        surfaces reduce to PVs before the next shard prices) — shard
+        boundaries double as chunk boundaries, so the per-card timing
+        simulation is untouched.  Scenario sets that mix knot grids,
+        ``batch=False`` and non-batch backends all fall back to the
+        per-scenario loop automatically (capability negotiation).  Every
+        path produces bit-identical numbers.
 
         Parameters
         ----------
@@ -547,33 +534,26 @@ class ScenarioRiskEngine:
             if use_batch and self.session.capabilities.supports_batch_tensor
             else None
         )
-        if tensor is not None:
-            # Shard plan from the session's cluster wrapper (same
-            # scheduler the timing simulation replays), then one
-            # base-backend call per card shard with the legs
-            # reduced to PVs shard by shard — so only one shard's leg
-            # surfaces are ever in flight, the pre-redesign memory
-            # profile on large grids.
-            assignment = self.session.backend.shard_rows(n)
-            pv = np.empty((n, len(self.portfolio)), dtype=np.float64)
-            for chunk in assignment:
-                if not chunk:
-                    continue
+        # One card plan (the one the timing simulation replays) for both
+        # paths.  The batched path makes one backend call per card shard
+        # with the legs reduced to PVs shard by shard, so only one
+        # shard's leg surfaces are ever in flight on large grids.
+        assignment = shard_scenarios(n, self.n_cards, self.scheduler)
+        pv = np.empty((n, len(self.portfolio)), dtype=np.float64)
+        for chunk in filter(None, assignment):
+            if tensor is not None:
                 idx = np.asarray(chunk, dtype=np.intp)
                 pv[idx] = self.quote_rows(
                     tensor, idx, chunk_size=chunk_size
                 )[1]
-        else:
-            assignment = shard_scenarios(n, self.n_cards, self.scheduler)
-            pv = np.empty((n, len(self.portfolio)), dtype=np.float64)
-            for chunk in assignment:
-                for idx in chunk:
-                    s: Scenario = scenario_set.scenarios[idx]
-                    pv[idx] = self._unit_pv(
-                        s.yield_curve,
-                        s.hazard_curve,
-                        recovery_shift=s.recovery_shift,
-                    )
+                continue
+            for i in chunk:
+                s: Scenario = scenario_set.scenarios[i]
+                pv[i] = self._unit_pv(
+                    s.yield_curve,
+                    s.hazard_curve,
+                    recovery_shift=s.recovery_shift,
+                )
         pnl = (pv - self._base_pv[None, :]) @ self._notionals
 
         timing = self._grid_timing(assignment) if with_timing else None

@@ -46,11 +46,7 @@ from dataclasses import dataclass
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
 from repro.cluster.node import ClusterNode
-from repro.cluster.scheduler import (
-    ClusterScheduler,
-    make_scheduler,
-    validate_partition,
-)
+from repro.cluster.scheduler import make_scheduler, shard_scenarios
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
 from repro.errors import ValidationError
@@ -180,43 +176,6 @@ class FaultedClusterTiming(ClusterTiming):
     n_rescheduled: int = 0
     n_failed_scenarios: int = 0
     wasted_seconds: float = 0.0
-
-
-def shard_scenarios(
-    n_scenarios: int,
-    n_cards: int,
-    scheduler: ClusterScheduler | str = "least-loaded",
-) -> list[list[int]]:
-    """Partition scenario indices across cards with a cluster policy.
-
-    Every scenario reprices the same portfolio, so the cost vector is
-    uniform; the policies then differ only in chunk shape (contiguity,
-    dispatch counts), not balance.
-
-    Parameters
-    ----------
-    n_scenarios:
-        Scenarios to shard.
-    n_cards:
-        Cards available.
-    scheduler:
-        Policy instance or registry name.
-
-    Returns
-    -------
-    list[list[int]]
-        One scenario-index list per card, jointly covering the grid.
-    """
-    if n_scenarios < 1:
-        raise ValidationError(f"n_scenarios must be >= 1, got {n_scenarios}")
-    sched = (
-        make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-    )
-    assignment = sched.partition([1.0] * n_scenarios, n_cards)
-    validate_partition(assignment, n_scenarios)
-    for chunk in assignment:
-        chunk.sort()
-    return assignment
 
 
 def simulate_grid_run(

@@ -7,7 +7,7 @@ server coalesces them into micro-batches under a size-or-linger policy
 (:class:`~repro.serving.coalescer.MicroBatchCoalescer`, carrying the
 cluster layer's :class:`~repro.cluster.batching.BatchQueue`), prices each
 batch's distinct market-state rows with **one** direct call into the
-pricing session's base backend (via
+backend its risk engine's session binds (via
 :meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` and
 :meth:`~repro.api.PricingBackend.price_rows` — one batched kernel call
 for the whole micro-batch, laying out only the quoted contracts when the
@@ -26,10 +26,9 @@ Two clocks run side by side, exactly as in the risk subsystem:
   are the sorted arrival source of one :class:`~repro.sim.Simulation`
   (merged with its event queue in ``(time, priority, seq)`` order), the
   host thread and every card are :class:`~repro.sim.Resource`
-  busy-window surfaces on a :class:`~repro.api.cost.ClusterTimingRig`
-  obtained through the pricing session's ``timing_rig`` hook, linger
-  timers fire as the event loop reaches them, and concurrent card
-  transfers stretch by the
+  busy-window surfaces on the :class:`~repro.api.cost.ClusterTimingRig`
+  each replay lane builds, linger timers fire as the event loop reaches
+  them, and concurrent card transfers stretch by the
   :class:`~repro.cluster.interconnect.HostLinkModel` contention factor.
   The timing-conformance suite pins this event-driven replay
   bit-identical to the pre-``repro.sim`` per-card ``busy_until``
@@ -37,7 +36,7 @@ Two clocks run side by side, exactly as in the risk subsystem:
 
 The dispatch cost model (:class:`~repro.api.cost.DispatchCostModel`,
 re-exported here for compatibility) comes from the backend's cost-model
-hook on the pricing session — by default calibrated from the cycles of
+hook, once per server — by default calibrated from the cycles of
 one representative :class:`~repro.cluster.node.ClusterNode` batch, the
 same engine network behind every other layer, timed without computing
 values — split into the fixed
@@ -64,7 +63,7 @@ from operator import attrgetter
 import numpy as np
 
 from repro.api import PricingBackend, create_backend
-from repro.api.cost import DispatchCostModel
+from repro.api.cost import ClusterTimingRig, DispatchCostModel
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
 from repro.cluster.scheduler import ClusterScheduler, make_scheduler
@@ -121,8 +120,8 @@ class QuoteServer:
     chunk_size:
         Kernel chunk size for the host numerics (``None`` = automatic).
     backend:
-        Base pricing backend behind the risk engine's session (registry
-        name or :class:`~repro.api.PricingBackend` instance).  Must
+        Pricing backend the risk engine's session binds (registry name
+        or unbound :class:`~repro.api.PricingBackend` instance).  Must
         advertise ``supports_streaming``.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle.  With a
@@ -134,11 +133,6 @@ class QuoteServer:
         tallies are published into ``telemetry.metrics`` after each
         :meth:`serve`.  Default: the process-wide no-op handle (reports
         are byte-identical either way).
-    cost_model:
-        Per-dispatch economics to time dispatches with.  ``None`` (the
-        default) calibrates them through the backend's cost-model hook;
-        replicas built from identical arguments can share one model
-        instead of each re-running the calibration (the gateway does).
     """
 
     #: Default coalescing policy: micro-batches, not overnight batches.
@@ -159,7 +153,6 @@ class QuoteServer:
         chunk_size: int | None = None,
         backend: str | PricingBackend = "vectorized",
         telemetry: Telemetry | None = None,
-        cost_model: DispatchCostModel | None = None,
     ) -> None:
         if n_cards < 1:
             raise ValidationError(f"n_cards must be >= 1, got {n_cards}")
@@ -203,14 +196,12 @@ class QuoteServer:
             telemetry=self.telemetry,
         )
         # Per-dispatch economics come from the backend's cost-model hook.
-        if cost_model is None:
-            cost_model = self.engine.session.dispatch_cost_model(
-                self.engine.scenario,
-                self.engine.yield_curve,
-                self.engine.hazard_curve,
-                n_engines=n_engines,
-            )
-        self.cost_model = cost_model
+        self.cost_model = self.engine.session.dispatch_cost_model(
+            self.engine.scenario,
+            self.engine.yield_curve,
+            self.engine.hazard_curve,
+            n_engines=n_engines,
+        )
         self._notionals = book.notionals
         self._base_pv = self.engine.base_pv
         #: Resilience summary of the most recent faulted :meth:`serve`
@@ -381,18 +372,13 @@ class QuoteServer:
     ) -> Lane:
         """A fresh replay lane of this server on a new timing rig.
 
-        The rig's host and card resources are priced by the session
-        backend's cost model (calibrated at construction); ``sim``
-        shares an existing clock, as the gateway does across replicas.
+        The rig's host and card resources are priced by the server's
+        cost model (calibrated at construction); ``sim`` shares an
+        existing clock, as the gateway does across its lanes.
         """
-        rig = self.engine.session.timing_rig(
-            self.engine.scenario,
-            self.engine.yield_curve,
-            self.engine.hazard_curve,
-            n_cards=self.n_cards,
-            link=self.link,
-            cost_model=self.cost_model,
-            sim=sim,
+        rig = ClusterTimingRig(
+            self.cost_model, self.link, self.n_cards, sim=sim,
+            telemetry=self.telemetry,
         )
         return Lane(self, rig, faults, retry=retry, hedge=hedge)
 

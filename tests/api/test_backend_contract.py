@@ -191,14 +191,7 @@ class TestCapabilityFlags:
                 backend=create_backend(backend_name, **config),
             )
 
-        if backend_name == "cluster":
-            # The risk engine already wraps its base in the cluster
-            # backend, and cluster backends do not nest.
-            from repro.errors import ValidationError
-
-            with pytest.raises(ValidationError, match="do not nest"):
-                build()
-        elif streaming:
+        if streaming:
             server = build()
             assert server.engine.session.capabilities.supports_streaming
         else:

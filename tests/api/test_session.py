@@ -296,8 +296,8 @@ class TestClusterBackend:
 class TestQuoteRowsHotPath:
     def test_one_kernel_call_regardless_of_card_count(self, monkeypatch):
         """The serving hot path must stay one kernel call per micro-batch:
-        quote_rows prices through the session's *base* backend, skipping
-        the cluster wrapper's per-card sharding (which is timing-only)."""
+        quote_rows makes one call into the backend the engine's session
+        binds, whatever the card count (card sharding is timing-only)."""
         import repro.api.backends as backends_mod
 
         calls = []

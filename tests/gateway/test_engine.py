@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import VectorizedBackend
 from repro.cluster.batching import BatchQueue
 from repro.cluster.node import ClusterNode
 from repro.errors import ValidationError
@@ -43,6 +44,22 @@ class TestConstruction:
         assert len(calls) == 2
         for server in gw.servers:
             assert server.cost_model == standalone.cost_model
+
+
+    def test_one_backend_instance_behind_every_replica(
+        self, book, tape, gateway_scenario, stream, ticks
+    ):
+        """Every replica runs on one server, so an instance binds once."""
+        shared = small_gateway(
+            book, tape, gateway_scenario, n_servers=3,
+            backend=VectorizedBackend(),
+        )
+        named = small_gateway(book, tape, gateway_scenario, n_servers=3)
+        assert all(server is shared.servers[0] for server in shared.servers)
+        res = shared.serve(stream, ticks=ticks)
+        base = named.serve(stream, ticks=ticks)
+        assert res == base
+        assert res.responses == base.responses
 
 
 def _stream_digest(requests) -> str:

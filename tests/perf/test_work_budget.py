@@ -18,6 +18,9 @@ while nothing in it is due.
 A batch-1 replay pays for the kernel, not the wrappers: the host prices
 exactly the cells its cards are charged, a one-row dispatch skips the
 partitioner, and no request object is built per batch.
+
+A gateway's replicas are lanes of one quote server, so however many
+there are, one risk engine binds the book once.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import pytest
 
 import repro
 import repro.telemetry.metrics
-from repro.api import PriceRequest
+from repro.api import PriceRequest, PricingBackend
 from repro.cluster.batching import BatchQueue
 from repro.cluster.node import ClusterNode
 from repro.dataflow.engine import Simulator
@@ -50,12 +53,16 @@ N_POSITIONS = 8
 N_STATES = 12
 N_TICKS = 10
 
-#: ``repro`` Python calls per request of each small replay below, as
-#: counted by :func:`_python_calls`.  The gateway's count was set when
-#: the per-arrival bookkeeping became O(1) (from 52.2); the coalesced and
-#: batch-1 servers' when each batch became one direct kernel call (from
-#: 21.6 and 89.2).  The budget allows 10% on top.
-CALLS_PER_OP = {"gateway": 31.6, "server": 20.7, "batch1": 73.0}
+#: ``repro`` Python calls per request of each small replay below (per
+#: scenario for the timed revalue), as counted by :func:`_python_calls`.
+#: The gateway's count was set when the per-arrival bookkeeping became
+#: O(1) (from 52.2); the coalesced and batch-1 servers' when each batch
+#: became one direct kernel call (from 21.6 and 89.2); the revalue's was
+#: first set when the risk engine came to bind its backend directly
+#: (29.16 before).  The budget allows 10% on top.
+CALLS_PER_OP = {
+    "gateway": 31.6, "server": 20.7, "batch1": 73.0, "revalue": 29.1
+}
 
 
 @pytest.fixture(scope="module")
@@ -75,23 +82,27 @@ def tape(scenario):
     )
 
 
+def _counted(counts: dict, key: str, fn):
+    """``fn``, adding one to ``counts[key]`` per call."""
+
+    def call(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return call
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Count DES runs and timing-replay entries while the test runs."""
     counts = {"des_runs": 0, "timing_runs": 0}
-
-    def counting(key, fn):
-        def call(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return call
-
-    monkeypatch.setattr(Simulator, "run", counting("des_runs", Simulator.run))
+    monkeypatch.setattr(
+        Simulator, "run", _counted(counts, "des_runs", Simulator.run)
+    )
     monkeypatch.setattr(
         ClusterNode,
         "kernel_cycles",
-        counting("timing_runs", ClusterNode.kernel_cycles),
+        _counted(counts, "timing_runs", ClusterNode.kernel_cycles),
     )
     return counts
 
@@ -123,6 +134,32 @@ def test_gateway_construction(scenario, book, tape, calls):
 def test_quote_server_construction(scenario, book, tape, calls):
     QuoteServer(book, tape, scenario=scenario, n_cards=2, n_engines=2)
     assert calls == {"des_runs": 0, "timing_runs": 1}
+
+
+def test_gateway_replicas_share_one_pricing_stack(
+    scenario, book, tape, monkeypatch
+):
+    """Replicas are lanes of one server: one risk engine binds the book
+    once, directly on its backend."""
+    counts = {"engines": 0, "binds": 0}
+    monkeypatch.setattr(
+        ScenarioRiskEngine,
+        "__init__",
+        _counted(counts, "engines", ScenarioRiskEngine.__init__),
+    )
+    monkeypatch.setattr(
+        PricingBackend, "bind", _counted(counts, "binds", PricingBackend.bind)
+    )
+    Gateway(
+        book,
+        tape,
+        scenario=scenario,
+        n_servers=3,
+        n_cards=2,
+        n_engines=2,
+        queue=BatchQueue(max_batch=16, linger_s=1e-3),
+    )
+    assert counts == {"engines": 1, "binds": 1}
 
 
 # ----------------------------------------------------------------------
@@ -203,24 +240,18 @@ def replays(gateway, server, batch1_server, ticks):
 def work(monkeypatch):
     """Count heap pushes, formatted metric keys and coalescer reaps."""
     counts = {"push": 0, "metric_key": 0, "reap": 0}
-
-    def counting(key, fn):
-        def call(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return call
-
-    monkeypatch.setattr(EventQueue, "push", counting("push", EventQueue.push))
+    monkeypatch.setattr(
+        EventQueue, "push", _counted(counts, "push", EventQueue.push)
+    )
     monkeypatch.setattr(
         repro.telemetry.metrics,
         "metric_key",
-        counting("metric_key", repro.telemetry.metrics.metric_key),
+        _counted(counts, "metric_key", repro.telemetry.metrics.metric_key),
     )
     monkeypatch.setattr(
         MicroBatchCoalescer,
         "reap",
-        counting("reap", MicroBatchCoalescer.reap),
+        _counted(counts, "reap", MicroBatchCoalescer.reap),
     )
 
     def measure(replay):
@@ -283,6 +314,17 @@ def _python_calls(replay) -> int:
 def test_python_calls_per_request(replays, name):
     trace, replay = replays[name]
     assert _python_calls(replay) / len(trace) <= 1.1 * CALLS_PER_OP[name]
+
+
+def test_python_calls_per_scenario_of_a_timed_revalue(scenario, book):
+    engine = ScenarioRiskEngine(
+        book, scenario=scenario, n_cards=2, n_engines=2
+    )
+    shocks = monte_carlo(
+        scenario.yield_curve(), scenario.hazard_curve(), 64, seed=11
+    )
+    calls = _python_calls(lambda: engine.revalue(shocks))
+    assert calls / len(shocks) <= 1.1 * CALLS_PER_OP["revalue"]
 
 
 # ----------------------------------------------------------------------

@@ -343,6 +343,7 @@ class TestKernelValidation:
             ((0, 0), "options must be sorted and distinct, got [0, 0]"),
             ((0, 2), "options [0, 2] fall outside the 2-option book"),
             ((0.5,), "options must be integer book indices, got [0.5]"),
+            ((True,), "options must be integer book indices, got [True]"),
         ],
     )
     def test_bad_options_rejected(self, options, message):

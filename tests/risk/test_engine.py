@@ -161,6 +161,25 @@ class TestScenarioRiskEngine:
         with pytest.raises(ValidationError):
             ScenarioRiskEngine(book, n_cards=0)
 
+    def test_cluster_backend_revalues_like_the_default(
+        self, book, risk_scenario
+    ):
+        """The engine binds the backend it is given; a cluster backend
+        only re-splits the kernel calls, never the numbers."""
+        from repro.api import ClusterBackend
+
+        default = ScenarioRiskEngine(book, scenario=risk_scenario, n_cards=2)
+        clustered = ScenarioRiskEngine(
+            book, scenario=risk_scenario, n_cards=2,
+            backend=ClusterBackend(n_cards=3),
+        )
+        assert default.session.backend_name == "vectorized"
+        shocks = monte_carlo(default.yield_curve, default.hazard_curve, 10, seed=3)
+        assert np.array_equal(
+            clustered.revalue(shocks, with_timing=False).pv,
+            default.revalue(shocks, with_timing=False).pv,
+        )
+
     def test_kernel_error_names_tensor_row(self, engine):
         """Pricing rows [5, 3] of a tensor whose row 3 is NaN names
         scenario 3 (not output position 1), the annuity a plain float."""
@@ -210,6 +229,14 @@ class TestQuoteRowsIndices:
         with pytest.raises(ValidationError) as err:
             engine.quote_rows(tape, rows)
         assert str(err.value) == f"rows {bad} fall outside the 8-state tensor"
+
+    def test_boolean_options_rejected(self, engine, tape):
+        """As an index, True would price contract 1; as a mask, fail."""
+        with pytest.raises(ValidationError) as err:
+            engine.quote_rows(tape, [5, 3], options=[True])
+        assert str(err.value) == (
+            "options must be integer book indices, got [True]"
+        )
 
     def test_contract_subset_equals_whole_book_columns(self, engine, tape):
         spreads, pv = engine.quote_rows(tape, [5, 3])

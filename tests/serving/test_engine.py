@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.api import ClusterBackend
 from repro.cluster.batching import BatchQueue
 from repro.errors import ValidationError
 from repro.gateway import Gateway
@@ -100,7 +101,6 @@ class TestServe:
                 tape,
                 scenario=serving_scenario,
                 chunk_size=0,
-                cost_model=server.cost_model,
             )
         assert str(err.value) == "chunk_size must be >= 1, got 0"
         with pytest.raises(ValidationError, match="chunk_size must be >= 1"):
@@ -325,6 +325,27 @@ class TestLaneTick:
         assert lane.coalescer.n_pending == 0
 
 
+class TestBackendInstance:
+    def test_cluster_backend_serves_like_the_default(
+        self, server, tape, stream, serving_scenario
+    ):
+        """A cluster backend under the server's risk engine only
+        re-splits the kernel calls: the same result, value for value."""
+        clustered = QuoteServer(
+            server.book,
+            tape,
+            scenario=serving_scenario,
+            n_cards=2,
+            n_engines=2,
+            queue=server.queue,
+            queue_depth=server.queue_depth,
+            backend=ClusterBackend(n_cards=2),
+        )
+        res, base = clustered.serve(stream), server.serve(stream)
+        assert res == base
+        assert res.responses == base.responses
+
+
 class TestValueSemantics:
     def test_quote_matches_kernel_spread(self, server, tape):
         req = PricingRequest(
@@ -365,7 +386,6 @@ class TestBadMarketRow:
             replace(tape, hazard_values=hazard),
             scenario=serving_scenario,
             n_cards=2,
-            cost_model=server.cost_model,
         )
         # One batch over rows (1, 3): row 3 is batch slot 1.
         requests = [
@@ -400,7 +420,6 @@ class TestBadMarketRow:
             nan_shift_tape,
             scenario=serving_scenario,
             n_cards=2,
-            cost_model=server.cost_model,
         )
         stream = make_request_stream(
             300, rate_hz=2000.0, n_states=16, n_positions=N_POSITIONS, seed=11
@@ -419,7 +438,6 @@ class TestBadMarketRow:
             scenario=serving_scenario,
             n_cards=1,
             backend="cpu",
-            cost_model=server.cost_model,
         )
         request = PricingRequest(0, "quote", 0.0, 1.0, rows=(3,), option_index=0)
         with pytest.raises(ValidationError, match="non-finite recovery shift"):
@@ -442,7 +460,6 @@ class TestBadMarketRow:
             replace(tape, hazard_values=hazard),
             scenario=serving_scenario,
             n_cards=2,
-            cost_model=server.cost_model,
         )
         maturities = [o.maturity for o in server.book.options]
         short = [i for i, m in enumerate(maturities) if m < 1.0]

@@ -1,5 +1,6 @@
 """Unit tests for the serving request/response types."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ValidationError
@@ -52,6 +53,25 @@ class TestPricingRequest:
     def test_option_index_rejected_off_quote(self):
         with pytest.raises(ValidationError, match="only applies to quote"):
             PricingRequest(0, "reval", 0.0, 1.0, rows=(0,), option_index=1)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rows", (1.0,), "rows must be integer indices, got (1.0,)"),
+            ("rows", (True,), "rows must be integer indices, got (True,)"),
+            ("option_index", 1.5, "option_index must be an integer, got 1.5"),
+            ("option_index", True, "option_index must be an integer, got True"),
+        ],
+    )
+    def test_non_integer_indices_rejected(self, field, value, message):
+        """A bool or a float used to construct, then fail mid-replay."""
+        with pytest.raises(ValidationError) as err:
+            quote(**{field: value})
+        assert str(err.value) == message
+
+    def test_numpy_integers_accepted(self):
+        q = quote(rows=(np.int64(3),), option_index=np.int32(2))
+        assert q.rows == (3,) and q.option_index == 2
 
 
 class TestShedRecord:

@@ -378,8 +378,9 @@ class TestBackendFlag:
             assert args.backend == "vectorized", cmd
 
     def test_cluster_backend_is_not_a_base_choice(self):
-        # The risk/serving engines already wrap their base in the cluster
-        # backend; nesting is rejected, so the CLI never offers it.
+        # The risk/serving commands already shard across --cards; the
+        # cluster wrapper would only add a whole-book PriceRequest round
+        # trip per batch, so the CLI never offers it.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["risk", "--backend", "cluster"])
 
