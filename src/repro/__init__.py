@@ -98,7 +98,7 @@ from repro.gateway import Gateway
 from repro.workloads import PaperScenario
 from repro.errors import ReproError
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "CDSOption",

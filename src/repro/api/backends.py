@@ -30,7 +30,6 @@ pins that, and the conformance suite
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -184,11 +183,10 @@ class VectorizedBackend(PricingBackend):
         grid: MarketGrid,
         rows: np.ndarray,
         *,
-        options: Sequence[int] | None = None,
         chunk_size: int | None = None,
     ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """One :func:`~repro.core.vector_pricing.price_packed_many` call
-        for ``rows``, laying out only the ``options`` contracts."""
+        for ``rows``."""
         return price_packed_many(
             self.packed,
             grid.yield_times,
@@ -198,7 +196,6 @@ class VectorizedBackend(PricingBackend):
             recovery_shifts=grid.recovery_shifts[rows],
             chunk_size=chunk_size,
             row_ids=rows,
-            options=options,
         )
 
     def _price_tensor(self, request: PriceRequest) -> PriceResult:
@@ -384,6 +381,21 @@ class ClusterBackend(PricingBackend):
             legs=part.legs,
             meta={"base": self.base.name, "n_cards": self.n_cards, **part.meta},
         )
+
+    def price_rows(
+        self,
+        grid: MarketGrid,
+        rows: np.ndarray,
+        *,
+        chunk_size: int | None = None,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The base backend's :meth:`~repro.api.PricingBackend.price_rows`.
+
+        Sharding is timing-only and the numbers equal the base's, so the
+        hot path skips it: one call, and any per-cell report the base
+        raises covers every row.
+        """
+        return self.base.price_rows(grid, rows, chunk_size=chunk_size)
 
     _LEG_NAMES = ("premium", "protection", "accrual", "survival_at_maturity")
 

@@ -29,8 +29,8 @@ requests (the per-scenario path), bit-identical to the batched one.
 
 :meth:`PricingBackend.price_rows` is the hot-path entry beside it: plain
 spread and leg arrays for validated tensor rows
-(:func:`tensor_row_indices`), optionally for a subset of the book's
-contracts, with no request or result object built per call.
+(:func:`tensor_row_indices`), with no request or result object built
+per call.
 :func:`buyer_pv` is the one buyer-PV formula both paths reduce legs
 with.
 """
@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
-from repro.core.vector_pricing import option_selector, shifted_recovery_row
+from repro.core.vector_pricing import shifted_recovery_row
 from repro.errors import CapabilityError, ValidationError
 
 __all__ = [
@@ -491,7 +491,6 @@ class PricingBackend(abc.ABC):
         grid: MarketGrid,
         rows: np.ndarray,
         *,
-        options: Sequence[int] | None = None,
         chunk_size: int | None = None,
     ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Spreads and legs for tensor rows: the per-batch hot path.
@@ -500,9 +499,8 @@ class PricingBackend(abc.ABC):
         re-checked: the caller negotiated ``supports_legs`` once, when it
         opened its session.  This default answers through
         :func:`price_via`, so a backend without ``supports_batch_tensor``
-        keeps its per-state negotiation, and then keeps the ``options``
-        columns; batch kernels override it to price only those
-        contracts, bit-identically.
+        keeps its per-state negotiation; batch kernels override it with
+        one direct kernel call.
 
         Parameters
         ----------
@@ -511,9 +509,6 @@ class PricingBackend(abc.ABC):
         rows:
             Validated ``grid`` rows (:func:`tensor_row_indices`), in
             output order.
-        options:
-            Sorted, distinct book indices of the contracts to price;
-            ``None`` prices the whole book.
         chunk_size:
             States per internal kernel chunk (``None`` = automatic).
 
@@ -521,10 +516,8 @@ class PricingBackend(abc.ABC):
         -------
         tuple
             ``(spreads_bps, (premium, protection, accrual,
-            survival_at_maturity))``, each ``(len(rows), n)`` with ``n``
-            the book size or ``len(options)``.
+            survival_at_maturity))``, each ``(len(rows), n_options)``.
         """
-        select = option_selector(options, self.n_options)[0]
         result = price_via(
             self,
             PriceRequest.tensor_rows(
@@ -532,11 +525,11 @@ class PricingBackend(abc.ABC):
             ),
         )
         legs = result.legs
-        return result.spreads_bps[:, select], (
-            legs.premium[:, select],
-            legs.protection[:, select],
-            legs.accrual[:, select],
-            legs.survival_at_maturity[:, select],
+        return result.spreads_bps, (
+            legs.premium,
+            legs.protection,
+            legs.accrual,
+            legs.survival_at_maturity,
         )
 
     @abc.abstractmethod

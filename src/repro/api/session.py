@@ -34,7 +34,7 @@ from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
 from repro.errors import CapabilityError, ValidationError
 
-__all__ = ["PricingSession", "open_session"]
+__all__ = ["PricingSession", "open_session", "capability_error"]
 
 #: Human phrasing for capability flags in :meth:`PricingSession.require`
 #: error messages.
@@ -44,6 +44,23 @@ _CAPABILITY_PHRASES = {
     "supports_legs": "leg surfaces",
     "simulated_timing": "simulated device timing",
 }
+
+
+def capability_error(
+    backend_name: str, missing: Sequence[str], reason: str
+) -> CapabilityError:
+    """The error for a backend that lacks the ``missing`` capability flags.
+
+    One message format for every consumer that checks flags:
+    :meth:`PricingSession.require` and the quote server's streaming
+    check, which must run before anything binds the backend.
+    """
+    phrases = ", ".join(_CAPABILITY_PHRASES.get(f, f) for f in missing)
+    return CapabilityError(
+        f"{reason} needs {phrases}, which backend {backend_name!r} does "
+        f"not advertise; choose one with {'/'.join(missing)} "
+        "(`repro-cds backends` lists them)"
+    )
 
 
 class PricingSession:
@@ -142,16 +159,8 @@ class PricingSession:
         missing = [f for f in flags if not getattr(caps, f)]
         if missing:
             base = getattr(self._backend, "base", self._backend)
-            name = base.name
             self.close()
-            phrases = ", ".join(
-                _CAPABILITY_PHRASES.get(f, f) for f in missing
-            )
-            raise CapabilityError(
-                f"{reason} needs {phrases}, which backend {name!r} does "
-                f"not advertise; choose one with "
-                f"{'/'.join(missing)} (`repro-cds backends` lists them)"
-            )
+            raise capability_error(base.name, missing, reason)
         return self
 
     def price(self, request: PriceRequest) -> PriceResult:

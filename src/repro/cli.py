@@ -47,9 +47,7 @@ def _backend_choices() -> tuple[str, ...]:
     """Base backends selectable from the CLI.
 
     ``cluster`` is excluded: the risk and serving commands already shard
-    across ``--cards``, and the wrapper has no ``price_rows`` of its own,
-    so every batch would take a ``PriceRequest`` round trip and price the
-    whole book for the same numbers.
+    across ``--cards``, and the wrapper's numbers are its base's.
     """
     from repro.api import available_backends
 

@@ -39,18 +39,19 @@ scenario tensor.  A batch-1 quote then pays only the arithmetic on its
 curve values.  The plans hold no curve value, so reusing them changes no
 number.
 
-A call may also price a subset of the book (``options=``), as a batch of
-quotes does: the curves are still evaluated on the book's payment-time
-grid through its one plan pair, and only the selected contracts' rows
-are laid out, so each column equals the whole-book call's bit for bit.
+A cell whose risky annuity is not positive and finite has no spread.
+The batched kernel still prices every cell of the call and then raises
+:class:`InvalidAnnuityError`, which carries the whole result and the
+per-cell validity mask, so a caller that reads only valid cells (the
+quote server's table) loses nothing, and every other caller fails on the
+first invalid cell as before.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,7 +74,8 @@ __all__ = [
     "portfolio_arrays",
     "price_packed_book",
     "price_packed_many",
-    "option_selector",
+    "InvalidAnnuityError",
+    "is_frozen",
     "shifted_recovery",
     "shifted_recovery_row",
     "auto_chunk_size",
@@ -157,7 +159,7 @@ def portfolio_arrays(
     return times, accruals, mask, recovery
 
 
-def _frozen(arr: np.ndarray) -> bool:
+def is_frozen(arr: np.ndarray) -> bool:
     """Whether ``arr`` and every array under it are read-only NumPy arrays."""
     while isinstance(arr, np.ndarray):
         if arr.flags.writeable:
@@ -262,7 +264,7 @@ class PackedPortfolio:
         scenario set builds them once).  Any other input builds them
         afresh, since a writable array may have changed in place.
         """
-        frozen = _frozen(yield_times) and _frozen(hazard_times)
+        frozen = is_frozen(yield_times) and is_frozen(hazard_times)
         memo = self._plans
         if frozen and memo and memo[0] is yield_times and memo[1] is hazard_times:
             return memo[2], memo[3]
@@ -341,6 +343,56 @@ class VectorCDSPricer:
         )
 
 
+def _annuity_message(label: str, annuity: float) -> str:
+    return f"non-positive risky annuity for {label}: {float(annuity)!r}"
+
+
+def _valid_annuity(annuity: np.ndarray) -> np.ndarray:
+    """Cells whose risky annuity is positive and finite."""
+    return (annuity > 0.0) & (annuity < np.inf)  # also rejects NaN
+
+
+class InvalidAnnuityError(ValidationError):
+    """A batched kernel call that priced cells with an invalid annuity.
+
+    Raised only once the call has priced every cell, so nothing is lost:
+    :attr:`result` is what the call would have returned (a caller that
+    reshapes its result on the way up, such as legs reduced to PVs,
+    replaces it), :attr:`row_ids` names the call's states, and
+    :attr:`valid` marks the ``(n_states, n_options)`` cells whose risky
+    annuity is positive and finite.  The message names the first invalid
+    cell in scenario-major order, the cell a caller that treats any
+    invalid cell as fatal fails on; :meth:`cell_messages` names them all.
+    """
+
+    def __init__(
+        self,
+        result: tuple,
+        valid: np.ndarray,
+        annuity: np.ndarray,
+        row_ids: Sequence,
+    ) -> None:
+        # ``annuity`` holds the invalid cells' values only, in
+        # ``np.argwhere(~valid)`` order.
+        self.result = result
+        self.valid = valid
+        self.row_ids = row_ids
+        self._annuity = annuity
+        super().__init__(next(self.cell_messages())[1])
+
+    def cell_messages(self) -> Iterator[tuple[tuple[int, int], str]]:
+        """``((state, option), text)`` for each invalid cell, in
+        scenario-major order; the text names the state's row id and the
+        contract's book index."""
+        for (state, option), value in zip(
+            np.argwhere(~self.valid).tolist(), self._annuity
+        ):
+            yield (state, option), _annuity_message(
+                f"scenario {self.row_ids[state]}, option index {option}",
+                value,
+            )
+
+
 def _spreads_and_legs(
     discount: np.ndarray,
     survival: np.ndarray,
@@ -349,8 +401,7 @@ def _spreads_and_legs(
     last_idx: np.ndarray,
     *,
     want_legs: bool,
-    row_name: Callable[[int], str] | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None, np.ndarray]:
     """Leg math on pre-evaluated curve tables (one row per contract-state).
 
     Every argument is laid out as ``(rows, max_len)`` (or ``(rows,)``) —
@@ -364,6 +415,10 @@ def _spreads_and_legs(
     below is exactly ``+0.0`` — the accruals zero the premium and accrual
     sums, and equal padded times make consecutive survivals cancel to
     zero default probability.
+
+    Returns ``(spreads, legs, annuity)``.  A row whose annuity is not
+    valid (:func:`_valid_annuity`) has a meaningless spread; the callers
+    check the annuity.
     """
     # Default probability per period: S(t_{i-1}) - S(t_i), with
     # S(t_0) = 1 in the first column.  Padded columns repeat the final
@@ -384,22 +439,14 @@ def _spreads_and_legs(
     protection = (1.0 - recovery) * protection_raw
 
     annuity = premium + accrual
-    valid = (annuity > 0.0) & (annuity < np.inf)  # also rejects NaN
-    if not valid.all():
-        bad = int(np.flatnonzero(~valid)[0])
-        # The batched kernel's rows are scenario-major; let it decode the
-        # flat row into (scenario, option) for the message.
-        label = row_name(bad) if row_name else f"option index {bad}"
-        raise ValidationError(
-            f"non-positive risky annuity for {label}: {float(annuity[bad])!r}"
-        )
-    spreads = BASIS_POINTS * protection / annuity
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spreads = BASIS_POINTS * protection / annuity
 
     if not want_legs:
-        return spreads, None
+        return spreads, None, annuity
     # Survival at maturity = last *valid* column of each row.
     surv_mat = survival[np.arange(survival.shape[0]), last_idx]
-    return spreads, (premium, protection, accrual, surv_mat)
+    return spreads, (premium, protection, accrual, surv_mat), annuity
 
 
 def price_packed_book(
@@ -435,7 +482,7 @@ def price_packed_book(
     discount = np.asarray(yield_curve.discount(packed.flat_times)).reshape(
         packed.times.shape
     )
-    return _spreads_and_legs(
+    spreads, legs, annuity = _spreads_and_legs(
         discount,
         survival,
         packed.accruals,
@@ -443,6 +490,13 @@ def price_packed_book(
         packed.last_idx,
         want_legs=want_legs,
     )
+    valid = _valid_annuity(annuity)
+    if not valid.all():
+        bad = int(np.flatnonzero(~valid)[0])
+        raise ValidationError(
+            _annuity_message(f"option index {bad}", annuity[bad])
+        )
+    return spreads, legs
 
 
 #: Working-set budget (bytes) the automatic chunk size aims at for the
@@ -548,42 +602,6 @@ def shifted_recovery_row(
     )
 
 
-def option_selector(
-    options: Sequence[int] | None, n_options: int
-) -> tuple[slice | np.ndarray, Sequence[int]]:
-    """Validate a contract subset of an ``n_options`` book.
-
-    ``options`` are sorted, distinct book indices (``None`` = the whole
-    book).  Returns the selector of their rows (or columns) and each
-    selected position's book index.  A contiguous run of contracts (one
-    contract, or the whole book) selects by slice, so the selection is a
-    view of the packed arrays rather than a copy.
-    """
-    if options is None:
-        return slice(0, n_options), range(n_options)
-    try:
-        opts = tuple(map(operator.index, options))
-    except TypeError:
-        opts = None
-    if opts is None or bool in map(type, options):
-        raise ValidationError(
-            f"options must be integer book indices, got {list(options)!r}"
-        )
-    if not opts:
-        raise ValidationError("options must be non-empty when given")
-    if any(b <= a for a, b in zip(opts, opts[1:])):
-        raise ValidationError(
-            f"options must be sorted and distinct, got {list(opts)}"
-        )
-    if opts[0] < 0 or opts[-1] >= n_options:
-        raise ValidationError(
-            f"options {list(opts)} fall outside the {n_options}-option book"
-        )
-    if opts[-1] - opts[0] == len(opts) - 1:
-        return slice(opts[0], opts[-1] + 1), opts
-    return np.asarray(opts, dtype=np.intp), opts
-
-
 def price_packed_many(
     packed: PackedPortfolio,
     yield_times: np.ndarray,
@@ -595,7 +613,6 @@ def price_packed_many(
     want_legs: bool = True,
     chunk_size: int | None = None,
     row_ids: np.ndarray | Sequence[int] | None = None,
-    options: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None]:
     """Price a packed portfolio under many market states in one kernel call.
 
@@ -632,21 +649,20 @@ def price_packed_many(
         rows of the tensor they were gathered from — used by the errors a
         non-positive annuity or a non-finite recovery shift raises.
         Defaults to each row's position.
-    options:
-        Optional sorted, distinct book indices of the contracts to price
-        (``None`` prices the whole book).  Curves are still evaluated on
-        the book's payment-time grid through its one plan pair; only the
-        selected contracts' rows are laid out, so each result column is
-        bit-identical to the same column of a whole-book call.  Errors
-        name the book index, not the column.
 
     Returns
     -------
     tuple
         ``(spreads_bps, legs)`` of shape ``(n_scenarios, n_options)``
-        arrays (``(n_scenarios, len(options))`` with ``options``);
-        ``legs`` is ``None`` or the ``(premium, protection, accrual,
-        survival_at_maturity)`` tuple.
+        arrays; ``legs`` is ``None`` or the ``(premium, protection,
+        accrual, survival_at_maturity)`` tuple.
+
+    Raises
+    ------
+    InvalidAnnuityError
+        After pricing every cell, if any cell's risky annuity is not
+        positive and finite; it carries this return value and the
+        per-cell validity mask.
     """
     yt = np.asarray(yield_times, dtype=np.float64)
     ht = np.asarray(hazard_times, dtype=np.float64)
@@ -680,9 +696,7 @@ def price_packed_many(
     if chunk_size is not None and chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
     names = range(n_scenarios) if row_ids is None else row_ids
-    n_book, width = packed.times.shape
-    select, book_index = option_selector(options, n_book)
-    n = len(book_index)
+    n, width = packed.times.shape
     step = chunk_size if chunk_size is not None else auto_chunk_size(n, width)
     step = min(step, n_scenarios)
 
@@ -691,18 +705,21 @@ def price_packed_many(
         hook.on_call()
 
     # State-independent operands: the curve lookups (built once per book
-    # and knot grids, see PackedPortfolio.curve_plans), and the selected
-    # contracts' rows — tiled once for the common chunk shape (the final
-    # short chunk slices them down), or used as they are by one-scenario
+    # and knot grids, see PackedPortfolio.curve_plans), and the book's
+    # rows — tiled once for the common chunk shape (the final short
+    # chunk slices them down), or used as they are by one-scenario
     # chunks.
     discount_plan, survival_plan = packed.curve_plans(yt, ht)
-    recovery = _shifted_recovery(packed.recovery[select], shifts, names)
-    inv = packed.unique_inverse.reshape(n_book, width)[select].reshape(-1)
-    acc_rows = packed.accruals[select]
-    last_rows = packed.last_idx[select]
+    recovery = _shifted_recovery(packed.recovery, shifts, names)
+    inv = packed.unique_inverse
+    acc_rows = packed.accruals
+    last_rows = packed.last_idx
     if step > 1:
         acc_rows = np.tile(acc_rows, (step, 1))
         last_rows = np.tile(last_rows, step)
+    # Each chunk with an invalid cell keeps its mask and those cells'
+    # annuities for the report; a clean call keeps nothing.
+    invalid: list[tuple[int, np.ndarray, np.ndarray]] = []
 
     def price_chunk(lo: int, hi: int):
         m = hi - lo
@@ -719,18 +736,17 @@ def price_packed_many(
         discount = discount_plan.apply(yv[lo:hi]).take(inv, axis=1).reshape(
             rows, width
         )
-        sp, lg = _spreads_and_legs(
+        sp, lg, annuity = _spreads_and_legs(
             discount,
             survival,
             acc_rows[:rows],
             recovery[lo:hi].reshape(rows),
             last_rows[:rows],
             want_legs=want_legs,
-            row_name=lambda row: (
-                f"scenario {names[lo + row // n]}, "
-                f"option index {book_index[row % n]}"
-            ),
         )
+        ok = _valid_annuity(annuity)
+        if not ok.all():
+            invalid.append((lo, ok.reshape(m, n), annuity[~ok]))
         if hook is not None:
             hook.on_chunk(m, rows, time.perf_counter() - chunk_t0)
         if want_legs:
@@ -738,18 +754,33 @@ def price_packed_many(
         return sp.reshape(m, n), lg
 
     if step == n_scenarios:
-        return price_chunk(0, n_scenarios)
-    spreads = np.empty((n_scenarios, n), dtype=np.float64)
-    legs = (
-        tuple(np.empty((n_scenarios, n), dtype=np.float64) for _ in range(4))
-        if want_legs
-        else None
-    )
-    for lo in range(0, n_scenarios, step):
-        hi = min(lo + step, n_scenarios)
-        sp, lg = price_chunk(lo, hi)
-        spreads[lo:hi] = sp
-        if want_legs:
-            for out, part in zip(legs, lg):
-                out[lo:hi] = part
+        spreads, legs = price_chunk(0, n_scenarios)
+    else:
+        spreads = np.empty((n_scenarios, n), dtype=np.float64)
+        legs = (
+            tuple(
+                np.empty((n_scenarios, n), dtype=np.float64) for _ in range(4)
+            )
+            if want_legs
+            else None
+        )
+        for lo in range(0, n_scenarios, step):
+            hi = min(lo + step, n_scenarios)
+            sp, lg = price_chunk(lo, hi)
+            spreads[lo:hi] = sp
+            if want_legs:
+                for out, part in zip(legs, lg):
+                    out[lo:hi] = part
+    if invalid:
+        # Chunks run in scenario order, so the report's first invalid
+        # cell, the one its message names, is the same for any chunking.
+        valid = np.ones((n_scenarios, n), dtype=bool)
+        for lo, ok, _ in invalid:
+            valid[lo:lo + len(ok)] = ok
+        raise InvalidAnnuityError(
+            (spreads, legs),
+            valid,
+            np.concatenate([values for *_, values in invalid]),
+            names,
+        )
     return spreads, legs

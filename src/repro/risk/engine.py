@@ -50,7 +50,7 @@ from repro.cluster.scheduler import (
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.pricing import BASIS_POINTS
 from repro.core.types import CDSOption
-from repro.core.vector_pricing import shifted_recovery_row
+from repro.core.vector_pricing import InvalidAnnuityError, shifted_recovery_row
 from repro.errors import ValidationError
 from repro.risk.scenarios import Scenario, ScenarioSet
 from repro.risk.tensor import ScenarioTensor
@@ -389,7 +389,6 @@ class ScenarioRiskEngine:
         indices: np.ndarray | Sequence[int],
         *,
         chunk_size: int | None = None,
-        options: Sequence[int] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Par spreads *and* unit PVs for a batch of tensor rows.
 
@@ -398,11 +397,11 @@ class ScenarioRiskEngine:
         bound book — **one** batched kernel call on the ``vectorized``
         backend, no request object — and returns both quote surfaces:
         ``(spreads_bps, unit_pv)``, each of shape ``(len(indices),
-        n_positions)``, or ``(len(indices), len(options))`` for a
-        contract subset.  Card sharding is timing-only and happens
+        n_positions)``.  Card sharding is timing-only and happens
         elsewhere (:meth:`revalue`, the serving dispatcher).  The
         ``supports_legs`` capability was checked once, when the engine
-        opened its session.
+        opened its session.  The quote server fills its table of the
+        tape through this call.
 
         Parameters
         ----------
@@ -413,23 +412,29 @@ class ScenarioRiskEngine:
             range.
         chunk_size:
             Scenarios per internal kernel chunk (``None`` = automatic).
-        options:
-            Sorted, distinct book positions to price (``None`` = the
-            whole book); each column equals the whole book's, bit for
-            bit.
+
+        Raises
+        ------
+        InvalidAnnuityError
+            When the backend reports cells with an invalid risky annuity
+            (the ``vectorized`` kernel does); its :attr:`result` is
+            ``(spreads_bps, unit_pv)`` for every row.
         """
         idx = tensor_row_indices(indices, tensor.n_scenarios)
-        spreads, (premium, protection, accrual, _) = (
-            self.session.backend.price_rows(
-                tensor, idx, options=options, chunk_size=chunk_size
+        try:
+            spreads, legs = self.session.backend.price_rows(
+                tensor, idx, chunk_size=chunk_size
             )
-        )
-        unit_spread = (
-            self._unit_spread
-            if options is None
-            else self._unit_spread[list(options)]
-        )
-        return spreads, buyer_pv(protection, premium, accrual, unit_spread)
+        except InvalidAnnuityError as err:
+            spreads, legs = err.result
+            err.result = (spreads, self._buyer_pv(legs))
+            raise
+        return spreads, self._buyer_pv(legs)
+
+    def _buyer_pv(self, legs: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Unit buyer PVs from ``price_rows`` legs."""
+        premium, protection, accrual, _ = legs
+        return buyer_pv(protection, premium, accrual, self._unit_spread)
 
     def _grid_timing(
         self, assignment: list[list[int]], faults=None

@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.vector_pricing import is_frozen
 from repro.errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scenarios
@@ -93,8 +94,11 @@ class ScenarioTensor:
         # Immutability, matching the Curve convention (copy then freeze):
         # the tensor is shared alongside the immutable scenario curves,
         # and a mutated row would silently break the batch==loop
-        # bit-identity pin.  Arrays that arrive already read-only (the
-        # generators freeze the buffers they own) pass through copy-free.
+        # bit-identity pin and a quote server's table of its tape.
+        # Arrays read-only down their whole base chain (the generators
+        # freeze the buffers they own) pass through copy-free; a
+        # read-only view of a writable buffer is copied, since writing
+        # the buffer would change it.
         for name in (
             "yield_times",
             "yield_values",
@@ -103,7 +107,7 @@ class ScenarioTensor:
             "recovery_shifts",
         ):
             arr = getattr(self, name)
-            if arr.flags.writeable:
+            if not is_frozen(arr):
                 arr = arr.copy()
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)

@@ -4,8 +4,10 @@ The batch layers (``repro.cluster``, ``repro.risk``) price closed-world
 jobs; this package turns them into an *online* service — the ROADMAP's
 "serve heavy traffic" direction.  A simulated-time event loop accepts a
 stream of pricing requests, coalesces them into micro-batches under a
-size-or-linger policy, prices each batch with one batched kernel call,
-and shards its market-state rows across cluster cards:
+size-or-linger policy, answers each batch from the server's table of its
+frozen market tape (each row priced once, in one batched kernel call per
+batch that reads new rows), and shards the batch's market-state rows
+across cluster cards for timing:
 
 ``request``
     :class:`~repro.serving.request.PricingRequest` /
@@ -23,14 +25,14 @@ and shards its market-state rows across cluster cards:
     hedging; a fault-free run is the empty fault plan).
 ``engine``
     :class:`~repro.serving.engine.QuoteServer` — drives one lane per
-    replay: host-link dispatch serialisation and contention, one direct
-    kernel call per micro-batch via
+    replay: host-link dispatch serialisation and contention, and a
+    table of the tape filled lazily, the rows a batch reads first
+    priced whole-book in one direct kernel call via
     :meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` and the
-    session's base :meth:`~repro.api.PricingBackend.price_rows` (any
-    ``supports_streaming`` backend from the :mod:`repro.api` registry),
-    laying out only the quoted contracts when a batch holds quotes
-    alone; batched answers are bit-identical to pricing each request
-    alone.
+    session's :meth:`~repro.api.PricingBackend.price_rows` (any
+    ``supports_streaming`` backend from the :mod:`repro.api` registry);
+    answers are bit-identical to pricing each request alone, and an
+    invalid cell fails only a batch that reads it.
 ``metrics``
     :class:`~repro.serving.metrics.ServingResult` — p50/p95/p99 latency,
     goodput, shed rate, micro-batch shape and per-card loads.

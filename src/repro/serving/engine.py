@@ -5,23 +5,25 @@ batch.  A stream of :class:`~repro.serving.request.PricingRequest`
 objects (quotes, revals, VaR refreshes) arrives in simulated time; the
 server coalesces them into micro-batches under a size-or-linger policy
 (:class:`~repro.serving.coalescer.MicroBatchCoalescer`, carrying the
-cluster layer's :class:`~repro.cluster.batching.BatchQueue`), prices each
-batch's distinct market-state rows with **one** direct call into the
-backend its risk engine's session binds (via
-:meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` and
-:meth:`~repro.api.PricingBackend.price_rows` — one batched kernel call
-for the whole micro-batch, laying out only the quoted contracts when the
-batch holds quotes alone), and shards the rows for *timing* across
-cluster cards with the existing
+cluster layer's :class:`~repro.cluster.batching.BatchQueue`), answers
+each batch from the server's table of its frozen tape, and shards the
+batch's rows for *timing* across cluster cards with the existing
 :class:`~repro.cluster.scheduler.ClusterScheduler` policies, weighted by
-each row's kernel-cell cost.  Only ``supports_streaming`` backends are
-accepted — the capability flag of the unified API.
+each row's kernel-cell cost.  The table is filled lazily: a batch's rows
+that no earlier batch read are priced in **one** whole-book call into
+the backend its risk engine's session binds (via
+:meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` and
+:meth:`~repro.api.PricingBackend.price_rows`), so host pricing work
+scales with the distinct market states a replay touches, not with its
+requests.  Only ``supports_streaming`` backends are accepted — the
+capability flag of the unified API.
 
 Two clocks run side by side, exactly as in the risk subsystem:
 
 * **numerics** execute on the host, for real — every response value is a
-  genuine kernel output, and batched values are bit-identical to pricing
-  each request alone (rows are independent inside the kernel);
+  genuine kernel output, read off the table, and bit-identical to
+  pricing each request alone (rows are independent inside the kernel);
+  the cards are still charged every cell each batch needs;
 * **timing** runs on the unified :mod:`repro.sim` core: request arrivals
   are the sorted arrival source of one :class:`~repro.sim.Simulation`
   (merged with its event queue in ``(time, priority, seq)`` order), the
@@ -64,10 +66,12 @@ import numpy as np
 
 from repro.api import PricingBackend, create_backend
 from repro.api.cost import ClusterTimingRig, DispatchCostModel
+from repro.api.session import capability_error
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
 from repro.cluster.scheduler import ClusterScheduler, make_scheduler
-from repro.errors import CapabilityError, ValidationError
+from repro.core.vector_pricing import InvalidAnnuityError
+from repro.errors import ValidationError
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultReport
 from repro.faults.retry import HedgePolicy, RetryPolicy
@@ -90,6 +94,17 @@ VAR_CONFIDENCE = 0.95
 
 class QuoteServer:
     """Simulated-time online pricing service over the cluster.
+
+    The tape is read-only, so each (row, contract) spread and each row's
+    reval P&L is a pure function of the row.  The server keeps them in
+    one table, filled the first time a batch reads the row and never
+    invalidated; every replay, and every lane of a gateway, reads the
+    same table.  It holds at most ``tape.n_scenarios x n_positions``
+    spreads plus one P&L and one priced-row entry per row (about 75 KB
+    for a 256-state tape and a 32-position book), and the error text of
+    each cell whose annuity is invalid: only a batch whose requests read
+    such a cell fails, naming the first of them (tape row, then book
+    index).
 
     Parameters
     ----------
@@ -161,7 +176,7 @@ class QuoteServer:
         if chunk_size is not None and chunk_size < 1:
             raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.tape = tape
+        self._tape = tape
         self.n_cards = n_cards
         self.scheduler = (
             make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
@@ -178,10 +193,8 @@ class QuoteServer:
         if isinstance(backend, str):
             backend = create_backend(backend)
         if not backend.capabilities.supports_streaming:
-            raise CapabilityError(
-                "the quote server needs streaming quote serving, which "
-                f"backend {backend.name!r} does not advertise; choose one "
-                "with supports_streaming (`repro-cds backends` lists them)"
+            raise capability_error(
+                backend.name, ["supports_streaming"], "the quote server"
             )
         # The risk engine's pricing session binds the book once and owns
         # the base state; quote_rows() is the shared pricing path.
@@ -204,9 +217,20 @@ class QuoteServer:
         )
         self._notionals = book.notionals
         self._base_pv = self.engine.base_pv
+        # The table of the tape (see the class docstring): rows priced so
+        # far, their spreads and P&Ls, and the invalid cells' errors.
+        self._priced: set[int] = set()
+        self._spreads = np.empty((tape.n_scenarios, self.n_positions))
+        self._pnl = np.empty(tape.n_scenarios)
+        self._bad_cells: dict[tuple[int, int], str] = {}
         #: Resilience summary of the most recent faulted :meth:`serve`
         #: (``None`` after a fault-free replay).
         self.last_fault_report: FaultReport | None = None
+
+    @property
+    def tape(self) -> ScenarioTensor:
+        """The served market tape (read-only, as the table assumes)."""
+        return self._tape
 
     @property
     def book(self) -> Portfolio:
@@ -259,106 +283,144 @@ class QuoteServer:
                 f"beyond the {self.n_positions}-position book"
             )
 
+    def _pnl_rows(self, pv: np.ndarray) -> np.ndarray:
+        """Book P&L of each row of unit PVs against the base state.
+
+        A per-row pairwise reduction, NOT a matrix-vector product: BLAS
+        picks different kernels for different matrix heights, which
+        would make a row's P&L depend on how many rows were priced with
+        it and break the batched == individual bit-identity pin.
+        """
+        return np.sum(
+            (pv - self._base_pv[None, :]) * self._notionals[None, :], axis=1
+        )
+
     def _values(
         self,
         requests: Sequence[PricingRequest],
-        rows: Sequence[int],
         spreads: np.ndarray,
-        pv: np.ndarray,
-        options: Sequence[int] | None = None,
+        pnl: np.ndarray,
+        at: dict[int, int] | None = None,
     ) -> list[float]:
-        """Per-request answers from the batch's quote surfaces.
+        """Per-request answers read off quote surfaces.
 
-        ``options`` names the book positions of the surfaces' columns
-        (``None``: the whole book, in order).  Every value depends only
-        on the request's own rows and contract, so the batch
-        decomposition never changes the numbers.
+        Row ``at[r]`` of ``spreads`` and ``pnl`` holds tape row ``r``
+        (``None``: row ``r`` itself, as in the table).  Every value
+        depends only on the request's own rows and contract, so neither
+        the batching nor the table ever changes a number.
         """
-        pos = {row: i for i, row in enumerate(rows)}
-        col = (
-            None if options is None else {o: j for j, o in enumerate(options)}
-        )
-        pnl_rows = None
-        if any(req.kind != "quote" for req in requests):
-            # Per-row pairwise reduction, NOT a matrix-vector product:
-            # BLAS picks different kernels for different matrix heights,
-            # which would break the batched == individual bit-identity
-            # pin.  Skipped entirely for all-quote batches.
-            pnl_rows = np.sum(
-                (pv - self._base_pv[None, :]) * self._notionals[None, :], axis=1
-            )
         values: list[float] = []
         for req in requests:
+            rows = req.rows if at is None else [at[r] for r in req.rows]
             if req.kind == "quote":
-                j = req.option_index if col is None else col[req.option_index]
-                values.append(float(spreads[pos[req.rows[0]], j]))
+                values.append(float(spreads[rows[0], req.option_index]))
             elif req.kind == "reval":
-                values.append(float(pnl_rows[pos[req.rows[0]]]))
+                values.append(float(pnl[rows[0]]))
             else:  # var
-                pnl = pnl_rows[[pos[r] for r in req.rows]]
-                values.append(value_at_risk(pnl, confidence=VAR_CONFIDENCE))
+                values.append(
+                    value_at_risk(pnl[list(rows)], confidence=VAR_CONFIDENCE)
+                )
         return values
 
     def price_individually(
         self, requests: Sequence[PricingRequest]
     ) -> list[float]:
-        """Reference path: one kernel call per request, no coalescing.
+        """Reference path: one kernel call per request, no table.
 
-        The property suite pins :meth:`serve`'s batched values
-        bit-identical to this.
+        The property suite pins :meth:`serve`'s values, read off the
+        table, bit-identical to this.
         """
         values: list[float] = []
         for req in requests:
             self._check_request(req)
-            rows = tuple(sorted(set(req.rows)))
+            rows = sorted(set(req.rows))
             spreads, pv = self.engine.quote_rows(
                 self.tape, rows, chunk_size=self.chunk_size
             )
-            values.extend(self._values([req], rows, spreads, pv))
+            at = {row: i for i, row in enumerate(rows)}
+            values.extend(self._values([req], spreads, self._pnl_rows(pv), at))
         return values
 
-    # ------------------------------------------------------------------
-    def _batch_weights(self, batch: MicroBatch) -> dict[int, int]:
-        """Row weights, in row order: the kernel cells each row costs.
+    def _fill(self, rows: list[int]) -> None:
+        """Price tape ``rows`` into the table: one whole-book call.
 
-        The union of what the row's requests need (a reval/var wants the
-        whole book, quotes want their distinct contracts), never a sum:
-        the card prices each row once however many requests share it.
+        Cells whose annuity is invalid keep their error text instead of
+        failing the fill; :meth:`_check_cells` raises it for the batches
+        that read them.  A report over other rows than ``rows`` (from a
+        backend that prices them in parts) cannot fill the table, so it
+        fails the fill as a backend without the report does.
         """
+        try:
+            spreads, pv = self.engine.quote_rows(
+                self.tape, rows, chunk_size=self.chunk_size
+            )
+        except InvalidAnnuityError as err:
+            if not np.array_equal(err.row_ids, rows):
+                raise
+            spreads, pv = err.result
+            for (i, k), text in err.cell_messages():
+                self._bad_cells[rows[i], k] = text
+        self._spreads[rows] = spreads
+        self._pnl[rows] = self._pnl_rows(pv)
+        self._priced.update(rows)
+
+    @staticmethod
+    def _wanted(batch: MicroBatch) -> dict[int, set[int] | None]:
+        """The contracts each of the batch's rows is read for, in row
+        order: a quote reads its contract, a reval or VaR the whole book
+        (``None``)."""
         wanted: dict[int, set[int] | None] = {r: set() for r in batch.rows}
         for req in batch.requests:
             for r in req.rows:
                 if req.kind == "quote" and wanted[r] is not None:
                     wanted[r].add(req.option_index)
                 elif req.kind != "quote":
-                    wanted[r] = None  # the whole book
+                    wanted[r] = None
+        return wanted
+
+    def _check_cells(self, batch: MicroBatch) -> None:
+        """Fail on the first invalid cell the batch reads, by tape row
+        then book index."""
+        wanted = self._wanted(batch)
+        read = [
+            (r, k)
+            for r, k in self._bad_cells
+            if r in wanted and (wanted[r] is None or k in wanted[r])
+        ]
+        if read:
+            raise ValidationError(self._bad_cells[min(read)])
+
+    # ------------------------------------------------------------------
+    def _batch_weights(self, batch: MicroBatch) -> dict[int, int]:
+        """Row weights, in row order: the kernel cells each row costs.
+
+        The union of what the row's requests read (:meth:`_wanted`),
+        never a sum: the card prices each row once however many requests
+        share it.
+        """
         return {
             r: self.n_positions if opts is None else len(opts)
-            for r, opts in wanted.items()
+            for r, opts in self._wanted(batch).items()
         }
 
     def _run_batch(self, batch: MicroBatch, dispatcher) -> None:
-        """Price one micro-batch and hand it to the lane's dispatcher.
+        """Answer one micro-batch and hand it to the lane's dispatcher.
 
-        Host numerics: ONE direct kernel call for the whole micro-batch
-        (:meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows`).  A
-        batch of quotes only prices the contracts it quotes, so a
-        batch-1 quote costs the host the cells its card is charged; a
-        reval or VaR request needs the whole book.  The card sharding
-        the dispatcher times is timing-only.
+        Host numerics: the batch's rows not yet in the table are priced
+        in ONE whole-book kernel call
+        (:meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows`), and
+        every request reads the table.  The card sharding the
+        dispatcher times, and the cells it charges, are the batch's own
+        whatever the table already held.
         """
-        rows = batch.rows
-        options = None
-        if all(req.kind == "quote" for req in batch.requests):
-            quoted = sorted({req.option_index for req in batch.requests})
-            if len(quoted) < self.n_positions:
-                options = tuple(quoted)
-        spreads, pv = self.engine.quote_rows(
-            self.tape, rows, chunk_size=self.chunk_size, options=options
-        )
+        new = [r for r in batch.rows if r not in self._priced]
+        if new:
+            self._fill(new)
+        if self._bad_cells:
+            self._check_cells(batch)
         dispatcher.run_batch(
             batch,
-            self._values(batch.requests, rows, spreads, pv, options),
+            self._values(batch.requests, self._spreads, self._pnl),
             self._batch_weights(batch),
         )
 

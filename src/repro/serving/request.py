@@ -146,6 +146,9 @@ class PricingRequest:
                 raise ValidationError(
                     "rows must be a non-empty tuple of non-negative indices"
                 )
+        if type(rows) is not tuple:
+            # Stored as a tuple, so a request built from a list hashes.
+            object.__setattr__(self, "rows", tuple(rows))
         if self.kind in ("quote", "reval") and len(self.rows) != 1:
             raise ValidationError(
                 f"a {self.kind} request prices exactly one market state, "

@@ -224,6 +224,22 @@ class TestCapabilityFlags:
         engine = ScenarioRiskEngine(book, YC, HC, scenario=SC, backend=backend)
         assert engine.session.capabilities.supports_legs
 
+    def test_streaming_gate_words_its_error_as_require_does(self):
+        book = make_book("uniform", 3, seed=4)
+        tape = make_market_tape(YC, HC, 4, seed=8)
+        with pytest.raises(CapabilityError) as served:
+            QuoteServer(
+                book,
+                tape,
+                scenario=SC,
+                backend=create_backend("dataflow", scenario=SC),
+            )
+        with pytest.raises(CapabilityError) as required:
+            make_session("dataflow", book.options).require(
+                "supports_streaming", reason="the quote server"
+            )
+        assert str(served.value) == str(required.value)
+
     def test_simulated_timing_backends_attach_metadata(self, backend_name):
         options = make_book("uniform", 3, seed=6).options
         with make_session(backend_name, options) as session:

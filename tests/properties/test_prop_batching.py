@@ -13,10 +13,6 @@ produce **bit-identical** floats to the per-scenario
    applied to many rows) versus the scalar curves;
 3. the risk stack: engine PVs/P&L, VaR/ES and CS01/IR01 ladders with
    ``batch=True`` versus ``batch=False``.
-
-A contract subset (``price_packed_many(..., options=S)``, what a batch of
-quotes prices) is pinned the same way: its columns equal the whole-book
-call's columns ``S``.
 """
 
 import numpy as np
@@ -195,79 +191,6 @@ class TestKernelBitIdentity:
             np.testing.assert_array_equal(leg_a, leg_b)
 
 
-class TestContractSubset:
-    """``options=S`` prices the columns ``S`` of the whole-book call."""
-
-    @given(
-        workload=st.sampled_from(["skewed", "heterogeneous"]),
-        n=st.integers(min_value=1, max_value=12),
-        book_seed=st.integers(min_value=0, max_value=1000),
-        n_scenarios=st.integers(min_value=1, max_value=8),
-        chunk_size=st.integers(min_value=1, max_value=5),
-        mc_seed=st.integers(min_value=0, max_value=500),
-        data=st.data(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_subset_equals_whole_book_columns(
-        self, workload, n, book_seed, n_scenarios, chunk_size, mc_seed, data
-    ):
-        packed = PackedPortfolio.pack(
-            make_book(workload, n, seed=book_seed).options
-        )
-        subset = sorted(
-            data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="S")
-        )
-        tensor = monte_carlo(
-            YC, HC, n_scenarios, seed=mc_seed, recovery_vol=0.05
-        ).tensor
-        assert tensor.recovery_shifts.all()
-        args = (
-            packed,
-            tensor.yield_times,
-            tensor.yield_values,
-            tensor.hazard_times,
-            tensor.hazard_values,
-        )
-        whole_spreads, whole_legs = price_packed_many(
-            *args, recovery_shifts=tensor.recovery_shifts
-        )
-        spreads, legs = price_packed_many(
-            *args,
-            recovery_shifts=tensor.recovery_shifts,
-            chunk_size=chunk_size,
-            options=subset,
-        )
-        np.testing.assert_array_equal(spreads, whole_spreads[:, subset])
-        assert len(legs) == len(whole_legs) == 4
-        for leg, whole_leg in zip(legs, whole_legs):
-            np.testing.assert_array_equal(leg, whole_leg[:, subset])
-
-    @pytest.mark.parametrize("chunk_size", [None, 1])
-    def test_error_names_the_book_index(self, chunk_size):
-        """A NaN state fails on the first quoted contract, named by its
-        book index (3), not its column in the subset (0)."""
-        from repro.errors import ValidationError
-
-        packed = PackedPortfolio.pack(make_book("skewed", 8, seed=3).options)
-        tensor = monte_carlo(YC, HC, 4, seed=1).tensor
-        hazard = tensor.hazard_values.copy()
-        hazard[2] = np.nan
-        with pytest.raises(ValidationError) as err:
-            price_packed_many(
-                packed,
-                tensor.yield_times,
-                tensor.yield_values,
-                tensor.hazard_times,
-                hazard,
-                chunk_size=chunk_size,
-                row_ids=[10, 11, 12, 13],
-                options=(3, 5),
-            )
-        assert str(err.value) == (
-            "non-positive risky annuity for scenario 12, option index 3: nan"
-        )
-
-
 class TestEngineBitIdentity:
     @given(
         book=book_strategy,
@@ -335,33 +258,6 @@ class TestEngineBitIdentity:
 
 
 class TestKernelValidation:
-    @pytest.mark.parametrize(
-        "options, message",
-        [
-            ((), "options must be non-empty when given"),
-            ((1, 0), "options must be sorted and distinct, got [1, 0]"),
-            ((0, 0), "options must be sorted and distinct, got [0, 0]"),
-            ((0, 2), "options [0, 2] fall outside the 2-option book"),
-            ((0.5,), "options must be integer book indices, got [0.5]"),
-            ((True,), "options must be integer book indices, got [True]"),
-        ],
-    )
-    def test_bad_options_rejected(self, options, message):
-        from repro.errors import ValidationError
-
-        packed = PackedPortfolio.pack(make_book("uniform", 2, seed=0).options)
-        tensor = monte_carlo(YC, HC, 2, seed=0).tensor
-        with pytest.raises(ValidationError) as err:
-            price_packed_many(
-                packed,
-                tensor.yield_times,
-                tensor.yield_values,
-                tensor.hazard_times,
-                tensor.hazard_values,
-                options=options,
-            )
-        assert str(err.value) == message
-
     def test_bad_chunk_size_rejected(self):
         from repro.errors import ValidationError
 

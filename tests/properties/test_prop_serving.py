@@ -4,17 +4,31 @@ The load-bearing invariant: micro-batching is *purely* a
 throughput/latency knob.  However requests are coalesced, routed and
 chunked, every response value must be bit-identical to pricing that
 request alone — the serving counterpart of the risk subsystem's
-batch == loop pin.
+batch == loop pin.  The server answers from its table of the tape, so
+the same pin, over generated traces replayed one after another on one
+server, keeps the table equal to the direct path.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.batching import BatchQueue
+from repro.core.vector_pricing import InvalidAnnuityError
+from repro.errors import ValidationError
 from repro.risk.engine import make_book
-from repro.serving import QuoteServer, make_market_tape, make_request_stream
+from repro.serving import (
+    PricingRequest,
+    QuoteServer,
+    make_market_tape,
+    make_request_stream,
+)
 from repro.workloads.scenarios import PaperScenario
 
 N_POSITIONS = 10
@@ -156,3 +170,115 @@ class TestVarReduction:
         v_crowd = [r.value for r in crowded.responses if r.request_id == 0][0]
         assert v_alone == v_crowd
         assert np.isfinite(v_alone)
+
+
+#: Generated traces read these tape rows only, so rows repeat.
+TRACE_ROWS = 8
+
+
+@st.composite
+def traces(draw) -> list[PricingRequest]:
+    """Quotes, revals and VaRs over a few rows, some arriving together."""
+    rows = st.integers(0, TRACE_ROWS - 1)
+    trace = []
+    t = 0.0
+    for i in range(draw(st.integers(1, 24))):
+        t += draw(st.sampled_from([0.0, 2e-4, 1.5e-3]))
+        kind = draw(st.sampled_from(["quote", "reval", "var"]))
+        if kind == "quote":
+            req = PricingRequest(
+                i, kind, t, t + 1.0, rows=(draw(rows),),
+                option_index=draw(st.integers(0, N_POSITIONS - 1)),
+            )
+        elif kind == "reval":
+            req = PricingRequest(i, kind, t, t + 1.0, rows=(draw(rows),))
+        else:
+            var_rows = draw(st.lists(rows, min_size=1, max_size=4))
+            req = PricingRequest(i, kind, t, t + 1.0, rows=tuple(var_rows))
+        trace.append(req)
+    return trace
+
+
+queues = st.builds(
+    BatchQueue,
+    max_batch=st.integers(1, 16),
+    linger_s=st.sampled_from([0.0, 1e-3]),
+)
+
+
+def _cells(req: PricingRequest) -> set[tuple[int, int]]:
+    """The (row, book index) cells a request reads."""
+    if req.kind == "quote":
+        return {(req.rows[0], req.option_index)}
+    return {(r, k) for r in req.rows for k in range(N_POSITIONS)}
+
+
+class TestTableEqualsDirectPath:
+    @given(first=traces(), second=traces(), queue=queues)
+    @settings(max_examples=30, deadline=None)
+    def test_replays_on_one_server_equal_pricing_alone(
+        self, scenario, tape, first, second, queue
+    ):
+        """The second replay reads what the first put in the table."""
+        server = _server(scenario, tape, queue=queue)
+        for trace in (first, second):
+            result = server.serve(trace)
+            assert result.n_completed == len(trace)
+            assert _values(result) == dict(
+                zip(
+                    (req.request_id for req in trace),
+                    server.price_individually(trace),
+                )
+            )
+
+    @given(
+        trace=traces(),
+        queue=queues,
+        row=st.integers(0, TRACE_ROWS - 1),
+        knot=st.integers(0, 63),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_a_bad_cell_fails_only_the_batch_that_reads_it(
+        self, scenario, tape, trace, queue, row, knot
+    ):
+        hazard = tape.hazard_values.copy()
+        hazard[row, knot] = np.nan
+        bad_tape = replace(tape, hazard_values=hazard)
+        clean = _server(scenario, tape, queue=queue)
+        bad = _server(scenario, bad_tape, queue=queue)
+        messages = {}
+        try:
+            bad.engine.quote_rows(bad_tape, [row])
+        except InvalidAnnuityError as err:
+            messages = {
+                (row, k): text for (_, k), text in err.cell_messages()
+            }
+
+        # The clean replay forms the same batches, values aside.
+        served = clean.serve(trace)
+        assert served.n_completed == len(trace)
+        want = _values(served)
+        by_id = {req.request_id: req for req in trace}
+        batches = defaultdict(set)
+        for resp in served.responses:
+            batches[resp.batch_id] |= _cells(by_id[resp.request_id])
+        failing = [
+            cells & messages.keys()
+            for _, cells in sorted(batches.items())
+            if cells & messages.keys()
+        ]
+        event("a batch reads a bad cell" if failing else "no bad cell read")
+        if failing:
+            with pytest.raises(ValidationError) as err:
+                bad.serve(trace)
+            assert str(err.value) == messages[min(failing[0])]
+        else:
+            assert _values(bad.serve(trace)) == want
+
+        # The table kept what the failed replay priced; requests that
+        # read only valid cells still get the clean tape's values.
+        ok = [req for req in trace if not _cells(req) & messages.keys()]
+        if ok:
+            assert _values(bad.serve(ok)) == {
+                req.request_id: want[req.request_id] for req in ok
+            }

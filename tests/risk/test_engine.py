@@ -230,22 +230,6 @@ class TestQuoteRowsIndices:
             engine.quote_rows(tape, rows)
         assert str(err.value) == f"rows {bad} fall outside the 8-state tensor"
 
-    def test_boolean_options_rejected(self, engine, tape):
-        """As an index, True would price contract 1; as a mask, fail."""
-        with pytest.raises(ValidationError) as err:
-            engine.quote_rows(tape, [5, 3], options=[True])
-        assert str(err.value) == (
-            "options must be integer book indices, got [True]"
-        )
-
-    def test_contract_subset_equals_whole_book_columns(self, engine, tape):
-        spreads, pv = engine.quote_rows(tape, [5, 3])
-        sub_spreads, sub_pv = engine.quote_rows(
-            tape, [5, 3], options=(1, 4, 6)
-        )
-        np.testing.assert_array_equal(sub_spreads, spreads[:, [1, 4, 6]])
-        np.testing.assert_array_equal(sub_pv, pv[:, [1, 4, 6]])
-
 
 class TestMixedGridFallback:
     """Batch requested, but the scenario set cannot lower to a tensor."""

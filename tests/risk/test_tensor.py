@@ -104,6 +104,39 @@ class TestScenarioTensorPacking:
         with pytest.raises(ValueError):
             tensor.yield_values[0, 0] = 99.0
 
+    def test_read_only_view_of_a_writable_buffer_is_copied(self, curves):
+        """Writing the buffer under a read-only view must not reach the
+        tensor: only arrays read-only down their base chain are kept."""
+        import dataclasses
+
+        yc, hc = curves
+        tensor = monte_carlo(yc, hc, 3, seed=1).tensor
+        base = tensor.hazard_values.copy()
+        view = base.view()
+        view.flags.writeable = False
+        probe = dataclasses.replace(tensor, hazard_values=view)
+        before = probe.hazard_values.copy()
+        base[1, 0] = 99.0
+        np.testing.assert_array_equal(probe.hazard_values, before)
+        assert not np.shares_memory(probe.hazard_values, base)
+
+    def test_generated_arrays_are_not_copied(self, curves):
+        import dataclasses
+
+        yc, hc = curves
+        tensor = monte_carlo(yc, hc, 3, seed=1).tensor
+        again = dataclasses.replace(tensor)
+        for name in (
+            "yield_times",
+            "yield_values",
+            "hazard_times",
+            "hazard_values",
+            "recovery_shifts",
+        ):
+            assert np.shares_memory(
+                getattr(again, name), getattr(tensor, name)
+            ), name
+
     def test_wrong_sized_sourceless_tensor_rejected_by_set(self, curves):
         """Hand-attached tensors (no source provenance) are validated by
         count — the caller claimed correspondence, so a mismatch is an

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.api import ClusterBackend
+from repro.api import ClusterBackend, PricingBackend
 from repro.cluster.batching import BatchQueue
 from repro.errors import ValidationError
 from repro.gateway import Gateway
@@ -18,6 +18,7 @@ from repro.serving import (
 )
 from repro.serving.metrics import LatencyStats
 from repro.serving.request import ShedReason
+from repro.telemetry import KernelProfiler
 
 from .conftest import N_POSITIONS, N_STATES
 
@@ -491,6 +492,127 @@ class TestBadMarketRow:
         assert str(err.value) == (
             "non-positive risky annuity for scenario 3, option index 0: nan"
         )
+
+
+class TestTapeTable:
+    def test_a_batch_fails_only_on_cells_its_requests_read(
+        self, server, tape, serving_scenario
+    ):
+        """Row 3's NaN at its 2.03-year hazard knot invalidates its
+        longer contracts only.  A reval of clean row 1 batched with a
+        quote of a sub-year contract on row 3 completes: the batch reads
+        its requests' cells, not the whole book of every row it touches."""
+        knot = int(np.searchsorted(tape.hazard_times, 2.0))
+        hazard = tape.hazard_values.copy()
+        hazard[3, knot] = np.nan
+        bad = QuoteServer(
+            server.book,
+            replace(tape, hazard_values=hazard),
+            scenario=serving_scenario,
+            n_cards=2,
+        )
+        short = next(
+            i for i, o in enumerate(server.book.options) if o.maturity < 1.0
+        )
+        mixed = [
+            PricingRequest(0, "reval", 0.0, 1.0, rows=(1,)),
+            PricingRequest(1, "quote", 0.0, 1.0, rows=(3,), option_index=short),
+        ]
+        served = bad.serve(mixed)
+        assert served.n_dispatches == 1
+        values = {r.request_id: r.value for r in served.responses}
+        assert [values[0], values[1]] == server.price_individually(mixed)
+
+    @pytest.fixture
+    def knot_tape(self, tape):
+        """Row 3 with a NaN at its 2.03-year hazard knot: its sub-year
+        contracts stay valid, its longer ones do not."""
+        hazard = tape.hazard_values.copy()
+        hazard[3, int(np.searchsorted(tape.hazard_times, 2.0))] = np.nan
+        return replace(tape, hazard_values=hazard)
+
+    def test_cluster_backend_fills_like_the_default(
+        self, server, knot_tape, serving_scenario
+    ):
+        """One batch over clean row 1 and bad row 3 is served from a
+        cluster backend exactly as from the vectorized one, and a batch
+        that reads a bad cell fails with the same message."""
+        short = next(
+            i for i, o in enumerate(server.book.options) if o.maturity < 1.0
+        )
+        mixed = [
+            PricingRequest(0, "reval", 0.0, 1.0, rows=(1,)),
+            PricingRequest(1, "quote", 0.0, 1.0, rows=(3,), option_index=short),
+        ]
+        reads_bad = [
+            PricingRequest(0, "reval", 0.0, 1.0, rows=(1,)),
+            PricingRequest(1, "reval", 0.0, 1.0, rows=(3,)),
+        ]
+        results = []
+        for backend in ("vectorized", ClusterBackend(n_cards=2)):
+            bad = QuoteServer(
+                server.book,
+                knot_tape,
+                scenario=serving_scenario,
+                n_cards=2,
+                backend=backend,
+            )
+            served = bad.serve(mixed)
+            assert served.n_dispatches == 1
+            with pytest.raises(ValidationError) as err:
+                bad.serve(reads_bad)
+            results.append(
+                ([r.value for r in served.responses], str(err.value))
+            )
+        assert results[0] == results[1]
+        assert results[0][0] == server.price_individually(mixed)
+
+    def test_a_partial_report_fails_the_fill(
+        self, server, knot_tape, serving_scenario
+    ):
+        """A backend that prices a fill shard by shard reports only the
+        failing shard's rows.  The server fails the batch, as a backend
+        without the report does, rather than table row 3's surfaces and
+        bad cells under row 1 and serve valid-looking quotes."""
+
+        class ShardedRows(ClusterBackend):
+            price_rows = PricingBackend.price_rows
+
+        bad = QuoteServer(
+            server.book,
+            knot_tape,
+            scenario=serving_scenario,
+            n_cards=2,
+            backend=ShardedRows(n_cards=2),
+        )
+        short = next(
+            i for i, o in enumerate(server.book.options) if o.maturity < 1.0
+        )
+        quotes = [
+            PricingRequest(k, "quote", 0.0, 1.0, rows=(r,), option_index=short)
+            for k, r in enumerate((1, 3))
+        ]
+        with pytest.raises(ValidationError, match="for scenario 3, option"):
+            bad.serve(quotes)
+
+    def test_each_row_is_priced_once_across_replays(
+        self, serving_scenario, tape, stream
+    ):
+        server = QuoteServer(
+            make_book("heterogeneous", N_POSITIONS, seed=5),
+            tape,
+            scenario=serving_scenario,
+            n_cards=2,
+        )
+        with KernelProfiler() as profiler:
+            first = server.serve(stream)
+            second = server.serve(stream)
+        rows = {r for req in stream for r in req.rows}
+        cells = profiler.registry.get("kernel_cells_total").value
+        assert cells == len(rows) * N_POSITIONS
+        assert [r.value for r in first.responses] == [
+            r.value for r in second.responses
+        ]
 
 
 class TestLatencyStats:

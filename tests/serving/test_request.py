@@ -73,6 +73,14 @@ class TestPricingRequest:
         q = quote(rows=(np.int64(3),), option_index=np.int32(2))
         assert q.rows == (3,) and q.option_index == 2
 
+    def test_list_rows_stored_as_a_tuple(self):
+        """A request built from a list equals, and hashes like, the one
+        built from the tuple."""
+        listed = PricingRequest(0, "var", 0.0, 1.0, rows=[1, 4])
+        tupled = PricingRequest(0, "var", 0.0, 1.0, rows=(1, 4))
+        assert listed.rows == (1, 4)
+        assert listed == tupled and hash(listed) == hash(tupled)
+
 
 class TestShedRecord:
     def test_reasons(self):
