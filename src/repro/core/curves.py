@@ -39,9 +39,6 @@ __all__ = [
     "InterpPlan",
     "DiscountPlan",
     "SurvivalPlan",
-    "interp_many",
-    "discount_factors_many",
-    "survival_many",
 ]
 
 
@@ -290,12 +287,12 @@ class HazardCurve(Curve):
 # :meth:`HazardCurve.integrated` exactly — so batched repricing can be
 # pinned identical to the per-scenario loop.
 #
-# Each evaluator is split in two.  A *plan*, built from the query times
-# and the knot grid alone, holds every lookup that does not depend on the
-# curve values (interval indices, offsets, out-of-range masks); its
-# ``apply`` runs the arithmetic on value rows.  A caller whose times and
-# grid stay fixed across calls (a packed book replaying one market tape)
-# builds the plan once; the ``*_many`` functions build and apply in one go.
+# Each evaluator is a *plan*, built from the query times and the knot grid
+# alone, that holds every lookup that does not depend on the curve values
+# (interval indices, offsets, out-of-range masks); its ``apply`` runs the
+# arithmetic on value rows.  A caller whose times and grid stay fixed
+# across calls (a packed book replaying one market tape) builds the plan
+# once.
 
 
 def _nonempty(mask: np.ndarray) -> np.ndarray | None:
@@ -304,7 +301,12 @@ def _nonempty(mask: np.ndarray) -> np.ndarray | None:
 
 
 class InterpPlan:
-    """The time-only half of :func:`interp_many`.
+    """Batched ``np.interp``: one query grid, many value rows.
+
+    ``InterpPlan(t, knot_times).apply(knot_values)`` equals
+    ``np.vstack([np.interp(t, knot_times, row) for row in knot_values])``
+    bit for bit, with flat extrapolation outside the knot range as for
+    :meth:`Curve.interpolate`.
 
     Parameters
     ----------
@@ -356,7 +358,9 @@ class InterpPlan:
 
 
 class DiscountPlan:
-    """The time-only half of :func:`discount_factors_many`.
+    """Batched :meth:`YieldCurve.discount` over rows of zero-rate values.
+
+    Bit-identical to evaluating a :class:`YieldCurve` per row.
 
     Parameters
     ----------
@@ -378,7 +382,11 @@ class DiscountPlan:
 
 
 class SurvivalPlan:
-    """The time-only half of :func:`survival_many`.
+    """Batched :meth:`HazardCurve.survival` over rows of intensity values.
+
+    Integrates each row's piecewise-constant intensity with the same
+    accumulation as :class:`HazardCurve` (cumulative sums at the knots
+    plus a partial segment), bit-identical to the per-curve evaluation.
 
     Parameters
     ----------
@@ -414,64 +422,3 @@ class SurvivalPlan:
         lam = values.take(self._idx, axis=1)
         return np.exp(-(prev_cum + lam * self._dt))
 
-
-def interp_many(
-    t: np.ndarray, knot_times: np.ndarray, knot_values: np.ndarray
-) -> np.ndarray:
-    """Batched ``np.interp``: one query grid, many value rows.
-
-    Equivalent to ``np.vstack([np.interp(t, knot_times, row) for row in
-    knot_values])`` — bit-identical, one vectorised pass.  Flat
-    extrapolation outside the knot range, as for :meth:`Curve.interpolate`.
-
-    Parameters
-    ----------
-    t:
-        ``(m,)`` query times, shared by every row.
-    knot_times:
-        ``(k,)`` strictly increasing knot times, shared by every row.
-    knot_values:
-        ``(n_rows, k)`` knot values, one curve per row.
-
-    Returns
-    -------
-    np.ndarray
-        ``(n_rows, m)`` interpolated values.
-    """
-    return InterpPlan(t, knot_times).apply(knot_values)
-
-
-def discount_factors_many(
-    t: np.ndarray, knot_times: np.ndarray, knot_values: np.ndarray
-) -> np.ndarray:
-    """Batched :meth:`YieldCurve.discount` over rows of zero-rate values.
-
-    Bit-identical to evaluating a :class:`YieldCurve` per row.
-
-    Parameters
-    ----------
-    t:
-        ``(m,)`` times (negative times clamp to discount factor 1).
-    knot_times / knot_values:
-        Shared knot grid and ``(n_rows, k)`` zero-rate rows.
-    """
-    return DiscountPlan(t, knot_times).apply(knot_values)
-
-
-def survival_many(
-    t: np.ndarray, knot_times: np.ndarray, knot_values: np.ndarray
-) -> np.ndarray:
-    """Batched :meth:`HazardCurve.survival` over rows of intensity values.
-
-    Integrates each row's piecewise-constant intensity with the same
-    accumulation as :class:`HazardCurve` (cumulative sums at the knots plus
-    a partial segment), bit-identical to the per-curve evaluation.
-
-    Parameters
-    ----------
-    t:
-        ``(m,)`` times (negative times clamp to survival 1).
-    knot_times / knot_values:
-        Shared knot grid and ``(n_rows, k)`` hazard-intensity rows.
-    """
-    return SurvivalPlan(t, knot_times).apply(knot_values)

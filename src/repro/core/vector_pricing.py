@@ -8,10 +8,21 @@ operations and no per-option Python loop over time points.  It backs the
 inner-loop optimisation, and :mod:`repro.cpu.engine` adds multiprocessing for
 the multi-core rows.
 
-The implementation follows the guide idiom of replacing Python loops with
-masked 2-D array computations: options are laid out along axis 0 and their
-(ragged) payment schedules along axis 1, padded to the longest schedule and
-masked.
+Contracts are laid out along one axis and their (ragged) payment
+schedules along the other.  :class:`PackedPortfolio` pads every schedule
+to the book's longest by repeating its final payment time with a zero
+accrual, so every padded term of the leg reductions is exactly ``+0.0``
+and no mask is needed.  The kernels price on a *leg layout* of those rows
+(:meth:`PackedPortfolio.leg_layout`), built once per book:
+
+* one market state prices the padded rows as they are: one group of the
+  book's full width;
+* several states at once group the contracts by schedule length, each
+  padded only up to the next multiple of :data:`BUCKET_COLUMNS` columns
+  (capped at the book's width).  The curve gather and the leg
+  reductions then skip most of the padding (11,400 slots per state fall
+  to 4,716 on the risk benchmark's 100-contract book), and the sums stay
+  bit-identical to the padded layout's (see :data:`BUCKET_COLUMNS`).
 
 Two batch depths are exposed:
 
@@ -20,13 +31,13 @@ Two batch depths are exposed:
   revaluation loops.
 * :func:`price_packed_many` — many market states at once: the scenario
   axis of a risk grid becomes a leading array dimension, the curves are
-  evaluated for every scenario in one vectorised pass
-  (:func:`~repro.core.curves.survival_many` /
-  :func:`~repro.core.curves.discount_factors_many`), and the leg math runs
-  on a single ``(n_scenarios * n_options, max_len)`` layout — the same
-  einsum calls as the single-state kernel, just on a taller portfolio.
+  evaluated for every scenario in one vectorised pass on the book's
+  distinct payment times and gathered into the chunk's leg layout, and
+  each group's leg sums run as ``(scenarios, contracts, width)``
+  reductions — the same einsum calls as the single-state kernel.
   Results are **bit-identical** to calling :func:`price_packed_book`
-  once per scenario; a ``chunk_size`` knob bounds peak memory on large grids.
+  once per scenario; a ``chunk_size`` knob bounds peak memory on large
+  grids.
 
 Work that depends only on the book and the knot grids is done once, not
 per call.  The lookups of the book's unique payment times on each knot
@@ -54,6 +65,7 @@ import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,12 +87,15 @@ __all__ = [
     "price_packed_book",
     "price_packed_many",
     "InvalidAnnuityError",
+    "LegGroup",
+    "LegLayout",
     "is_frozen",
     "shifted_recovery",
     "shifted_recovery_row",
     "auto_chunk_size",
     "get_kernel_profile_hook",
     "set_kernel_profile_hook",
+    "BUCKET_COLUMNS",
     "CHUNK_TARGET_BYTES",
     "RECOVERY_CAP",
 ]
@@ -159,6 +174,52 @@ def portfolio_arrays(
     return times, accruals, mask, recovery
 
 
+#: Column block of the length-bucketed leg layout: a contract's schedule
+#: is padded up to a multiple of this many columns, capped at the book's
+#: width.  NumPy's two-operand einsum sums a row in blocks of four SIMD
+#: vectors (8 doubles on an SSE baseline build, 32 on AVX-512), so a row
+#: cut at a multiple of the block keeps every payment in the lane it has
+#: in the fully padded row, and the dropped slots only added exact
+#: ``+0.0``.  The three-operand einsums sum in sequence, which any cut
+#: keeps.  Bucketed sums therefore equal the padded ones bit for bit;
+#: ``tests/properties/test_prop_batching.py`` checks the rule on the
+#: running NumPy.
+BUCKET_COLUMNS = 32
+
+
+class LegGroup(NamedTuple):
+    """Contracts of one bucket width, side by side in a leg layout."""
+
+    #: The group's columns in a chunk's curve tables.
+    slots: slice
+    #: The group's contracts, by position in the layout's group order.
+    contracts: slice
+    #: ``(contracts, width)`` accruals, zero past each schedule.
+    accruals: np.ndarray
+
+
+class LegLayout(NamedTuple):
+    """Where a kernel chunk's curve tables put each payment slot.
+
+    A chunk gathers its ``(states, slots)`` survival and discount tables
+    in this layout; the leg math then reduces each group as a
+    ``(states, contracts, width)`` view and puts the sums back in book
+    order.
+    """
+
+    #: ``(slots,)`` index of each slot's payment time in
+    #: :attr:`PackedPortfolio.unique_times`; ``None`` for the padded
+    #: layout, whose slots are :attr:`PackedPortfolio.flat_times`.
+    gather: np.ndarray | None
+    #: The groups, in table order.
+    groups: tuple[LegGroup, ...]
+    #: ``(n_options,)`` group-order position of each contract in book
+    #: order; ``None`` when the groups are in book order already.
+    order: np.ndarray | None
+    #: ``(n_options,)`` slot of each contract's final payment.
+    last: np.ndarray
+
+
 def is_frozen(arr: np.ndarray) -> bool:
     """Whether ``arr`` and every array under it are read-only NumPy arrays."""
     while isinstance(arr, np.ndarray):
@@ -200,7 +261,8 @@ class PackedPortfolio:
 
     The scenario kernel's curve lookups of ``unique_times`` against a
     knot grid are state-independent too; :meth:`curve_plans` keeps the
-    last pair it built.
+    last pair it built.  So are the kernels' leg layouts
+    (:meth:`leg_layout`), built lazily once per book.
     """
 
     times: np.ndarray
@@ -277,6 +339,56 @@ class PackedPortfolio:
                 self, "_plans", (yield_times, hazard_times, *plans)
             )
         return plans
+
+    def leg_layout(self, n_rows: int) -> LegLayout:
+        """The leg layout of a kernel chunk of ``n_rows`` market states.
+
+        Several states share the length-bucketed layout.  One state
+        prices the padded rows as one group: a one-row call costs mostly
+        per NumPy call, and each extra group adds three einsum calls,
+        which cost it more than the padding does.  Both layouts give the
+        same numbers bit for bit.
+        """
+        return self._padded_layout if n_rows == 1 else self._bucketed_layout
+
+    @cached_property
+    def _padded_layout(self) -> LegLayout:
+        n, width = self.times.shape
+        group = LegGroup(slice(0, n * width), slice(0, n), self.accruals)
+        return LegLayout(
+            None, (group,), None, np.arange(n) * width + self.last_idx
+        )
+
+    @cached_property
+    def _bucketed_layout(self) -> LegLayout:
+        n, width = self.times.shape
+        blocks = -(-(self.last_idx + 1) // BUCKET_COLUMNS)
+        widths = np.minimum(blocks * BUCKET_COLUMNS, width)
+        members = np.argsort(widths, kind="stable")  # book index by position
+        inverse = self.unique_inverse.reshape(n, width)
+        first = np.empty(n, dtype=np.intp)  # each contract's first slot
+        groups, gathers = [], []
+        slot = pos = 0
+        for w, k in zip(*np.unique(widths, return_counts=True)):
+            w, k = int(w), int(k)
+            rows = members[pos:pos + k]
+            groups.append(
+                LegGroup(
+                    slice(slot, slot + k * w),
+                    slice(pos, pos + k),
+                    self.accruals[rows, :w],
+                )
+            )
+            gathers.append(inverse[rows, :w].reshape(-1))
+            first[rows] = slot + w * np.arange(k)
+            slot += k * w
+            pos += k
+        return LegLayout(
+            np.concatenate(gathers),
+            tuple(groups),
+            np.argsort(members) if len(groups) > 1 else None,
+            first + self.last_idx,
+        )
 
     @classmethod
     def pack(cls, options: list[CDSOption]) -> "PackedPortfolio":
@@ -394,58 +506,72 @@ class InvalidAnnuityError(ValidationError):
 
 
 def _spreads_and_legs(
+    layout: LegLayout,
     discount: np.ndarray,
     survival: np.ndarray,
-    masked_accruals: np.ndarray,
     recovery: np.ndarray,
-    last_idx: np.ndarray,
     *,
     want_legs: bool,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...] | None, np.ndarray]:
-    """Leg math on pre-evaluated curve tables (one row per contract-state).
+    """Leg math on curve tables gathered into ``layout``.
 
-    Every argument is laid out as ``(rows, max_len)`` (or ``(rows,)``) —
-    a single-state portfolio passes its ``n_options`` rows, the scenario
-    kernel passes ``n_scenarios * n_options`` rows.  Both therefore run
-    the *same* einsum reductions over the same contiguous axis, which is
-    what makes the batched path bit-identical to the looped one.
+    ``discount`` and ``survival`` are ``(states, slots)`` tables;
+    ``recovery`` broadcasts against the ``(states, n_options)`` result.
+    Both kernels run this routine: the single-state kernel on one row of
+    the padded layout, the scenario kernel on chunks of states.  Each
+    group's sums are the same einsum reductions over each contract's
+    contiguous slots, which is what keeps every layout and every chunk
+    bit-identical.
 
-    No validity mask is needed: :func:`portfolio_arrays` pads each row
-    with its final payment time and zero accruals, so every padded term
-    below is exactly ``+0.0`` — the accruals zero the premium and accrual
+    No validity mask is needed: every padded slot repeats its contract's
+    final payment time with a zero accrual, so every padded term below
+    is exactly ``+0.0`` — the accruals zero the premium and accrual
     sums, and equal padded times make consecutive survivals cancel to
     zero default probability.
 
-    Returns ``(spreads, legs, annuity)``.  A row whose annuity is not
-    valid (:func:`_valid_annuity`) has a meaningless spread; the callers
-    check the annuity.
+    Returns ``(spreads, legs, annuity)``, each ``(states, n_options)`` in
+    book order.  A cell whose annuity is not valid
+    (:func:`_valid_annuity`) has a meaningless spread; the callers check
+    the annuity.
     """
+    m = survival.shape[0]
     # Default probability per period: S(t_{i-1}) - S(t_i), with
-    # S(t_0) = 1 in the first column.  Padded columns repeat the final
-    # time, so their difference is exactly zero.  The differences run in
-    # one contiguous pass over the flattened rows (about twice as fast
-    # as the strided 2-D loop); the first column, which that pass fills
-    # across row boundaries, is then overwritten.
+    # S(t_0) = 1 in each contract's first slot.  Padded slots repeat the
+    # final time, so their difference is exactly zero.  The differences
+    # run in one contiguous pass over the flattened tables (about twice
+    # as fast as a strided pass per contract); the first slots, which
+    # that pass fills across contract boundaries, are then overwritten.
     flat = survival.reshape(-1)
     default_in_period = np.empty(survival.shape)
     np.subtract(flat[:-1], flat[1:], out=default_in_period.reshape(-1)[1:])
-    np.subtract(1.0, survival[:, 0], out=default_in_period[:, 0])
 
-    premium = np.einsum("ij,ij,ij->i", discount, survival, masked_accruals)
-    protection_raw = np.einsum("ij,ij->i", discount, default_in_period)
-    accrual = 0.5 * np.einsum(
-        "ij,ij,ij->i", discount, default_in_period, masked_accruals
-    )
+    # Premium, raw protection and raw accrual sums, in group order.
+    sums = np.empty((3, m, layout.last.size))
+    for group in layout.groups:
+        k, w = group.accruals.shape
+        d, s, p = (
+            table[:, group.slots].reshape(m, k, w)
+            for table in (discount, survival, default_in_period)
+        )
+        np.subtract(1.0, s[:, :, 0], out=p[:, :, 0])
+        premium, protection_raw, accrual_raw = sums[:, :, group.contracts]
+        np.einsum("mkj,mkj,kj->mk", d, s, group.accruals, out=premium)
+        np.einsum("mkj,mkj->mk", d, p, out=protection_raw)
+        np.einsum("mkj,mkj,kj->mk", d, p, group.accruals, out=accrual_raw)
+    if layout.order is not None:
+        sums = sums.take(layout.order, axis=2)
+
+    # The elementwise finish, once, in book order.
+    premium, protection_raw, accrual_raw = sums
     protection = (1.0 - recovery) * protection_raw
-
+    accrual = 0.5 * accrual_raw
     annuity = premium + accrual
     with np.errstate(divide="ignore", invalid="ignore"):
         spreads = BASIS_POINTS * protection / annuity
 
     if not want_legs:
         return spreads, None, annuity
-    # Survival at maturity = last *valid* column of each row.
-    surv_mat = survival[np.arange(survival.shape[0]), last_idx]
+    surv_mat = survival.take(layout.last, axis=1)
     return spreads, (premium, protection, accrual, surv_mat), annuity
 
 
@@ -476,45 +602,48 @@ def price_packed_book(
         When false, skip the leg breakdown and return ``(spreads, None)``.
     """
     rec = packed.recovery if recovery is None else recovery
-    survival = np.asarray(hazard_curve.survival(packed.flat_times)).reshape(
-        packed.times.shape
-    )
-    discount = np.asarray(yield_curve.discount(packed.flat_times)).reshape(
-        packed.times.shape
-    )
+    # The padded layout's slots are the flat payment times themselves.
+    survival = np.asarray(hazard_curve.survival(packed.flat_times))
+    discount = np.asarray(yield_curve.discount(packed.flat_times))
     spreads, legs, annuity = _spreads_and_legs(
-        discount,
-        survival,
-        packed.accruals,
+        packed.leg_layout(1),
+        discount.reshape(1, -1),
+        survival.reshape(1, -1),
         rec,
-        packed.last_idx,
         want_legs=want_legs,
     )
-    valid = _valid_annuity(annuity)
+    valid = _valid_annuity(annuity[0])
     if not valid.all():
         bad = int(np.flatnonzero(~valid)[0])
         raise ValidationError(
-            _annuity_message(f"option index {bad}", annuity[bad])
+            _annuity_message(f"option index {bad}", annuity[0, bad])
         )
-    return spreads, legs
+    return spreads[0], None if legs is None else tuple(p[0] for p in legs)
 
 
-#: Working-set budget (bytes) the automatic chunk size aims at for the
-#: survival/discount pair of one kernel chunk.  Small enough that the
-#: chunk's tables stay cache-resident — pricing the whole grid in one
-#: shot streams hundreds of megabytes through memory and is *slower* —
-#: large enough to amortise per-chunk fixed costs.
+#: Working-set budget (bytes) of the automatic chunk size, counted on
+#: the padded survival/discount pair of one kernel chunk (see
+#: :func:`auto_chunk_size`).  Small enough that the chunk's tables stay
+#: cache-resident — pricing the whole grid in one shot streams hundreds
+#: of megabytes through memory and is *slower* — large enough to
+#: amortise per-chunk fixed costs.
 CHUNK_TARGET_BYTES = 6 << 20
 
 
 def auto_chunk_size(n_options: int, max_len: int) -> int:
     """Scenarios per kernel chunk targeting :data:`CHUNK_TARGET_BYTES`.
 
+    The budget counts one scenario as the padded ``2 * n_options *
+    max_len`` float64 table entries, although a chunk of several states
+    gathers only its length-bucketed slots (:meth:`PackedPortfolio.
+    leg_layout`).  Sized on those smaller tables, the risk benchmark's
+    100-contract book would get chunks of 83 scenarios instead of 34,
+    and a sweep of its kernel measured the larger chunks slower.
+
     Parameters
     ----------
     n_options / max_len:
-        The packed-book grid shape (one scenario costs roughly
-        ``2 * n_options * max_len`` float64 table entries).
+        The packed-book grid shape.
     """
     per_scenario = 2 * n_options * max_len * 8
     return max(1, CHUNK_TARGET_BYTES // per_scenario)
@@ -618,10 +747,21 @@ def price_packed_many(
 
     The scenario axis leads: row ``s`` of ``yield_values`` /
     ``hazard_values`` is one complete market state on the shared knot
-    grids.  Curves for all scenarios are evaluated in one vectorised pass
-    and the leg math runs on an ``(n_scenarios * n_options, max_len)``
-    layout — the identical reductions as :func:`price_packed_book`, making the
-    result bit-identical to a per-scenario loop.
+    grids.  The states are priced in chunks of ``chunk_size`` scenarios,
+    each in three steps:
+
+    1. evaluate the curves of the chunk's states on the book's distinct
+       payment times and gather each table once into the chunk's leg
+       layout (:meth:`PackedPortfolio.leg_layout`: length-bucketed, or
+       the padded rows for a one-state chunk);
+    2. per group of the layout, run the three einsum reductions on
+       ``(states, contracts, width)`` views, the accruals broadcast over
+       the states;
+    3. once, in book order: recovery, annuity, spreads, the validity
+       check and survival at maturity.
+
+    The reductions are the ones :func:`price_packed_book` runs, so the
+    result is bit-identical to a per-scenario loop for any chunking.
 
     Parameters
     ----------
@@ -640,15 +780,15 @@ def price_packed_many(
         When false, return ``(spreads, None)``.
     chunk_size:
         Maximum scenarios per internal kernel invocation.  Peak memory
-        scales with ``chunk_size * n_options * max_len``; ``None`` picks
-        a cache-friendly size automatically (see
-        :data:`CHUNK_TARGET_BYTES`).  Chunking never changes the
-        numbers — rows are independent.
+        scales with ``chunk_size`` times the layout's slots per state;
+        ``None`` picks a cache-friendly size automatically (see
+        :func:`auto_chunk_size`).  Chunking never changes the numbers —
+        rows are independent.
     row_ids:
         Optional ``(n_scenarios,)`` names of the scenario rows — e.g. the
         rows of the tensor they were gathered from — used by the errors a
         non-positive annuity or a non-finite recovery shift raises.
-        Defaults to each row's position.
+        Defaults to each row's position; any other length is refused.
 
     Returns
     -------
@@ -695,6 +835,11 @@ def price_packed_many(
             )
     if chunk_size is not None and chunk_size < 1:
         raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
+    if row_ids is not None and len(row_ids) != n_scenarios:
+        raise ValidationError(
+            f"row_ids must name {n_scenarios} scenario(s), got "
+            f"{len(row_ids)}"
+        )
     names = range(n_scenarios) if row_ids is None else row_ids
     n, width = packed.times.shape
     step = chunk_size if chunk_size is not None else auto_chunk_size(n, width)
@@ -705,53 +850,37 @@ def price_packed_many(
         hook.on_call()
 
     # State-independent operands: the curve lookups (built once per book
-    # and knot grids, see PackedPortfolio.curve_plans), and the book's
-    # rows — tiled once for the common chunk shape (the final short
-    # chunk slices them down), or used as they are by one-scenario
-    # chunks.
+    # and knot grids, see PackedPortfolio.curve_plans) and the leg
+    # layouts (once per book, see PackedPortfolio.leg_layout).
     discount_plan, survival_plan = packed.curve_plans(yt, ht)
     recovery = _shifted_recovery(packed.recovery, shifts, names)
-    inv = packed.unique_inverse
-    acc_rows = packed.accruals
-    last_rows = packed.last_idx
-    if step > 1:
-        acc_rows = np.tile(acc_rows, (step, 1))
-        last_rows = np.tile(last_rows, step)
     # Each chunk with an invalid cell keeps its mask and those cells'
     # annuities for the report; a clean call keeps nothing.
     invalid: list[tuple[int, np.ndarray, np.ndarray]] = []
 
     def price_chunk(lo: int, hi: int):
         m = hi - lo
-        rows = m * n
         chunk_t0 = time.perf_counter() if hook is not None else 0.0
         # Curves are evaluated on the deduplicated payment-time grid and
-        # scattered back to the padded (rows, width) schedule layout —
-        # identical values, a fraction of the evaluation work.  ``take``
-        # (not fancy indexing) keeps the gather C-contiguous so the
-        # reshape below is a free view.
-        survival = survival_plan.apply(hv[lo:hi]).take(inv, axis=1).reshape(
-            rows, width
-        )
-        discount = discount_plan.apply(yv[lo:hi]).take(inv, axis=1).reshape(
-            rows, width
-        )
-        sp, lg, annuity = _spreads_and_legs(
-            discount,
-            survival,
-            acc_rows[:rows],
-            recovery[lo:hi].reshape(rows),
-            last_rows[:rows],
+        # gathered into the chunk's leg layout: identical values, a
+        # fraction of the evaluation work.
+        layout = packed.leg_layout(m)
+        gather = layout.gather
+        if gather is None:  # the padded layout: the flat payment times
+            gather = packed.unique_inverse
+        spreads, legs, annuity = _spreads_and_legs(
+            layout,
+            discount_plan.apply(yv[lo:hi]).take(gather, axis=1),
+            survival_plan.apply(hv[lo:hi]).take(gather, axis=1),
+            recovery[lo:hi],
             want_legs=want_legs,
         )
         ok = _valid_annuity(annuity)
         if not ok.all():
-            invalid.append((lo, ok.reshape(m, n), annuity[~ok]))
+            invalid.append((lo, ok, annuity[~ok]))
         if hook is not None:
-            hook.on_chunk(m, rows, time.perf_counter() - chunk_t0)
-        if want_legs:
-            lg = tuple(part.reshape(m, n) for part in lg)
-        return sp.reshape(m, n), lg
+            hook.on_chunk(m, m * n, time.perf_counter() - chunk_t0)
+        return spreads, legs
 
     if step == n_scenarios:
         spreads, legs = price_chunk(0, n_scenarios)

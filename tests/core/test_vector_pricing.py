@@ -394,3 +394,34 @@ class TestInvalidAnnuityReport:
             f"option index {k}: nan"
             for k in (2, 3, 4)
         }
+
+
+class TestRowIdsLength:
+    """``row_ids`` names every state or none: a list of the wrong length
+    is refused up front, before an error path reads past its end."""
+
+    @pytest.mark.parametrize("fault", [None, "nan", "shift"])
+    def test_wrong_length_rejected(
+        self, yield_curve, hazard_curve, mixed_options, fault
+    ):
+        from repro.core.vector_pricing import price_packed_many
+
+        packed = PackedPortfolio.pack(mixed_options)
+        hv = np.tile(np.asarray(hazard_curve.values), (3, 1))
+        shifts = np.zeros(3)
+        if fault == "nan":
+            hv[2, 5] = np.nan  # reaches every contract's annuity
+        elif fault == "shift":
+            shifts[2] = np.inf
+        with pytest.raises(
+            ValidationError, match=r"row_ids must name 3 scenario\(s\), got 1"
+        ):
+            price_packed_many(
+                packed,
+                yield_curve.times,
+                np.tile(np.asarray(yield_curve.values), (3, 1)),
+                hazard_curve.times,
+                hv,
+                recovery_shifts=shifts,
+                row_ids=[10],
+            )

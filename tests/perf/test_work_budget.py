@@ -23,6 +23,11 @@ the partitioner, and no request object is built per batch.
 
 A gateway's replicas are lanes of one quote server, so however many
 there are, one risk engine binds the book once.
+
+The host kernel gathers and reduces payment slots, not the book's
+padding: a chunk of several market states prices each contract in a
+group no wider than its schedule rounded up to the bucket block, and a
+one-state chunk prices the padded rows as a single group.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -37,6 +43,12 @@ import repro.telemetry.metrics
 from repro.api import PriceRequest, PricingBackend
 from repro.cluster.batching import BatchQueue
 from repro.cluster.node import ClusterNode
+from repro.core.vector_pricing import (
+    BUCKET_COLUMNS,
+    PackedPortfolio,
+    price_packed_book,
+    price_packed_many,
+)
 from repro.dataflow.engine import Simulator
 from repro.gateway import (
     DEFAULT_TENANTS,
@@ -397,3 +409,63 @@ def test_batch1_builds_no_price_request(batch1_server, monkeypatch):
     monkeypatch.setattr(PriceRequest, "__post_init__", counting)
     batch1_server.serve(_server_trace(400))
     assert built == []
+
+
+# ----------------------------------------------------------------------
+# Host kernel: payment slots, not padding
+# ----------------------------------------------------------------------
+#: The benchmark books (seed 7): contracts, padded slots per market state
+#: (contracts x longest schedule) and length-bucketed slots per state.
+KERNEL_BOOKS = [(100, 11_400, 4_716), (32, 3_616, 1_457)]
+
+
+@pytest.mark.parametrize("n_positions,padded,bucketed", KERNEL_BOOKS)
+def test_kernel_slots_per_state(monkeypatch, n_positions, padded, bucketed):
+    """Chunks of several states price the bucketed slots, one-state
+    chunks and the single-state kernel the padded slots in one group."""
+    chunks = []
+    leg_layout = PackedPortfolio.leg_layout
+
+    def recording(self, n_rows):
+        layout = leg_layout(self, n_rows)
+        slots = sum(group.accruals.size for group in layout.groups)
+        chunks.append((n_rows, slots, len(layout.groups)))
+        return layout
+
+    monkeypatch.setattr(PackedPortfolio, "leg_layout", recording)
+    sc = PaperScenario(n_options=n_positions)
+    book = make_book("heterogeneous", n_positions, seed=7)
+    packed = PackedPortfolio.pack(book.options)
+    shocks = monte_carlo(sc.yield_curve(), sc.hazard_curve(), 9, seed=11)
+    tensor = shocks.tensor
+    price_packed_many(
+        packed,
+        tensor.yield_times,
+        tensor.yield_values,
+        tensor.hazard_times,
+        tensor.hazard_values,
+        chunk_size=4,
+    )
+    price_packed_book(packed, sc.yield_curve(), sc.hazard_curve())
+    # 9 states in chunks of 4, 4 and 1, then one single-state call.
+    assert chunks == [
+        (4, bucketed, 4), (4, bucketed, 4), (1, padded, 1), (1, padded, 1)
+    ]
+
+
+@pytest.mark.parametrize("n_positions", [n for n, *_ in KERNEL_BOOKS])
+def test_bucket_widths(n_positions):
+    """Each group is narrower than each of its contracts' schedules plus
+    one block, or as wide as the book."""
+    packed = PackedPortfolio.pack(
+        make_book("heterogeneous", n_positions, seed=7).options
+    )
+    layout = packed.leg_layout(2)
+    lengths = (packed.last_idx + 1)[np.argsort(layout.order)]
+    for group in layout.groups:
+        width = group.accruals.shape[1]
+        members = lengths[group.contracts]
+        assert members.max() <= width
+        assert width == packed.max_len or (
+            width < members + BUCKET_COLUMNS
+        ).all()

@@ -7,13 +7,17 @@ produce **bit-identical** floats to the per-scenario
 (no tolerance) at three levels:
 
 1. the raw kernel: ``price_packed_many`` versus a ``price_packed_book``
-   loop;
-2. the batched curve evaluation: ``interp_many`` versus ``np.interp``,
-   and ``discount_factors_many`` / ``survival_many`` (fresh, or one plan
-   applied to many rows) versus the scalar curves;
+   loop, on generated books whose schedule lengths fall in different
+   groups of the length-bucketed leg layout, with invalid cells reported
+   alike; and the einsum summation rule that layout rests on;
+2. the batched curve evaluation: ``InterpPlan`` versus ``np.interp``,
+   and ``DiscountPlan`` / ``SurvivalPlan`` (applied to many rows at once,
+   then row by row) versus the scalar curves;
 3. the risk stack: engine PVs/P&L, VaR/ES and CS01/IR01 ladders with
    ``batch=True`` versus ``batch=False``.
 """
+
+from itertools import chain, zip_longest
 
 import numpy as np
 import pytest
@@ -23,16 +27,18 @@ from hypothesis import strategies as st
 from repro.core.curves import (
     DiscountPlan,
     HazardCurve,
+    InterpPlan,
     SurvivalPlan,
     YieldCurve,
-    discount_factors_many,
-    interp_many,
-    survival_many,
 )
+from repro.core.types import CDSOption
 from repro.core.vector_pricing import (
+    BUCKET_COLUMNS,
+    InvalidAnnuityError,
     PackedPortfolio,
     price_packed_book,
     price_packed_many,
+    shifted_recovery_row,
 )
 from repro.risk.engine import ScenarioRiskEngine, make_book
 from repro.risk.measures import (
@@ -48,6 +54,8 @@ from repro.workloads.scenarios import PaperScenario
 SC = PaperScenario(n_rates=48, n_options=4)
 YC = SC.yield_curve()
 HC = SC.hazard_curve()
+YT = np.asarray(YC.times)
+HT = np.asarray(HC.times)
 
 
 class TestInterpManyMatchesNumpy:
@@ -65,7 +73,7 @@ class TestInterpManyMatchesNumpy:
         x = np.concatenate(
             [gen.uniform(-1.0, xp[-1] + 2.0, 64), xp, [xp[0], xp[-1]]]
         )
-        batched = interp_many(x, xp, fp)
+        batched = InterpPlan(x, xp).apply(fp)
         for row in range(n_rows):
             np.testing.assert_array_equal(
                 batched[row], np.interp(x, xp, fp[row])
@@ -98,12 +106,6 @@ class TestCurvePlansMatchScalarCurves:
         survival_plan = SurvivalPlan(t, knots)
         batched_df = discount_plan.apply(rates)
         batched_sv = survival_plan.apply(hazards)
-        np.testing.assert_array_equal(
-            batched_df, discount_factors_many(t, knots, rates)
-        )
-        np.testing.assert_array_equal(
-            batched_sv, survival_many(t, knots, hazards)
-        )
         # The same plans, applied row by row in reverse order, are
         # unchanged by earlier applications.
         for row in reversed(range(n_rows)):
@@ -189,6 +191,150 @@ class TestKernelBitIdentity:
         np.testing.assert_array_equal(results[0][0], results[1][0])
         for leg_a, leg_b in zip(results[0][1], results[1][1]):
             np.testing.assert_array_equal(leg_a, leg_b)
+
+
+#: Contracts of at most 20 payments (one bucket block) and of 36 to 120
+#: monthly payments (two blocks up to the book's width).
+short_contract = st.builds(
+    CDSOption,
+    maturity=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.5, 5.0]),
+    frequency=st.sampled_from([1, 2, 4]),
+    recovery_rate=st.sampled_from([0.1, 0.4, 0.6]),
+)
+long_contract = st.builds(
+    CDSOption,
+    maturity=st.sampled_from([3.0, 4.5, 6.0, 8.25, 10.0]),
+    frequency=st.just(12),
+    recovery_rate=st.sampled_from([0.1, 0.4, 0.6]),
+)
+
+
+def _price_many(packed, yv, hv, shifts, names, chunk_size):
+    """``(spreads, *legs)``, the validity mask, the cell messages and the
+    first cell's message of one ``price_packed_many`` call."""
+    try:
+        spreads, legs = price_packed_many(
+            packed, YT, yv, HT, hv, recovery_shifts=shifts,
+            chunk_size=chunk_size, row_ids=names,
+        )
+    except InvalidAnnuityError as err:
+        spreads, legs = err.result
+        return (
+            (spreads, *legs), err.valid, list(err.cell_messages()), str(err)
+        )
+    return (spreads, *legs), np.ones(spreads.shape, bool), [], None
+
+
+class TestBucketedLayoutBitIdentity:
+    """Chunks of several states price a length-bucketed layout, one-state
+    calls the padded one; every cell, valid or not, must agree."""
+
+    @given(
+        longs=st.lists(long_contract, min_size=1, max_size=5),
+        shorts=st.lists(short_contract, min_size=1, max_size=6),
+        n_states=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=10_000),
+        nan_cell=st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(min_value=0, max_value=8),
+                st.sampled_from(["yield", "hazard"]),
+                st.integers(min_value=0, max_value=47),
+            ),
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_chunked_calls_equal_the_per_row_book_kernel(
+        self, longs, shorts, n_states, seed, nan_cell
+    ):
+        # Long and short contracts alternate, so neighbours in book
+        # order sit in different groups.
+        book = [
+            c for c in chain(*zip_longest(longs, shorts)) if c is not None
+        ]
+        packed = PackedPortfolio.pack(book)
+        assert packed.leg_layout(2).order is not None
+        gen = np.random.default_rng(seed)
+        yv = np.asarray(YC.values) * gen.uniform(0.8, 1.2, (n_states, 1))
+        hv = np.asarray(HC.values) * np.exp(
+            gen.normal(0.0, 0.2, (n_states, HT.size))
+        )
+        shifts = np.where(
+            gen.random(n_states) < 0.5, gen.normal(0.0, 0.05, n_states), 0.0
+        )
+        if nan_cell is not None:
+            state, curve, knot = nan_cell
+            (yv if curve == "yield" else hv)[state % n_states, knot] = np.nan
+        names = list(range(100, 100 + n_states))
+
+        # Reference: one call per state, each a one-row chunk on the
+        # padded layout; a state without a NaN knot must equal
+        # price_packed_book too.
+        want_values, want_valid, want_messages = [], [], []
+        for r in range(n_states):
+            values, valid, messages, _ = _price_many(
+                packed, yv[r:r + 1], hv[r:r + 1], shifts[r:r + 1],
+                names[r:r + 1], None,
+            )
+            want_values.append(values)
+            want_valid.append(valid)
+            want_messages += [((r, k), text) for (_, k), text in messages]
+            if np.isfinite(yv[r]).all() and np.isfinite(hv[r]).all():
+                spreads, legs = price_packed_book(
+                    packed,
+                    YieldCurve(YT, yv[r]),
+                    HazardCurve(HT, hv[r]),
+                    recovery=shifted_recovery_row(packed.recovery, shifts[r]),
+                )
+                for got, book_row in zip(values, (spreads, *legs)):
+                    np.testing.assert_array_equal(got[0], book_row)
+        want_first = want_messages[0][1] if want_messages else None
+
+        for chunk_size in (2, None, n_states):
+            values, valid, messages, first = _price_many(
+                packed, yv, hv, shifts, names, chunk_size
+            )
+            for got, *rows in zip(values, *want_values):
+                np.testing.assert_array_equal(got, np.concatenate(rows))
+            np.testing.assert_array_equal(valid, np.concatenate(want_valid))
+            assert messages == want_messages
+            assert first == want_first
+
+
+class TestEinsumBlockRule:
+    """The premise of the bucketed layout, checked on the running NumPy:
+    a row whose terms past its length are exact ``+0.0``, cut at any
+    multiple of ``BUCKET_COLUMNS`` at or past that length, sums to the
+    float the full padded row sums to, in the two- and three-operand
+    einsums of the kernel."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        width=st.integers(min_value=BUCKET_COLUMNS + 1, max_value=160),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_rows_cut_at_a_block_sum_like_padded_rows(self, seed, width):
+        gen = np.random.default_rng(seed)
+        m, k = 3, 100
+        lengths = gen.integers(1, width + 1, k)
+        live = np.arange(width) < lengths[:, None]
+        discount = gen.uniform(0.3, 1.0, (m, k, width))
+        default = np.where(live, gen.uniform(0.0, 0.02, (m, k, width)), 0.0)
+        accruals = np.where(live, gen.uniform(0.08, 0.26, (k, width)), 0.0)
+        padded_two = np.einsum("mkj,mkj->mk", discount, default)
+        padded_three = np.einsum(
+            "mkj,mkj,kj->mk", discount, default, accruals
+        )
+        for cut in range(BUCKET_COLUMNS, width, BUCKET_COLUMNS):
+            rows = lengths <= cut
+            d, p = discount[:, rows, :cut], default[:, rows, :cut]
+            np.testing.assert_array_equal(
+                np.einsum("mkj,mkj->mk", d, p), padded_two[:, rows]
+            )
+            np.testing.assert_array_equal(
+                np.einsum("mkj,mkj,kj->mk", d, p, accruals[rows, :cut]),
+                padded_three[:, rows],
+            )
 
 
 class TestEngineBitIdentity:
