@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""Unified pricing API: one session, four backends, identical numbers.
+"""Unified pricing API: one session, three backends, identical numbers.
 
 Walks the PR-5 surface: open a session on each registered backend, price
-the same book, batch a scenario tensor through the cluster backend, and
-register a toy custom backend that immediately works everywhere.
+the same book, batch a scenario tensor through the vectorized backend,
+and register a toy custom backend that immediately works everywhere.
 
 Run:  python examples/unified_api.py
 """
@@ -38,7 +38,7 @@ def main() -> None:
     # 2. One request shape, every backend; the numbers agree.
     # ------------------------------------------------------------------
     print("\n== Same book, same state, every backend ==")
-    config = {"dataflow": {"scenario": scenario}, "cluster": {"n_cards": 2}}
+    config = {"dataflow": {"scenario": scenario}}
     spreads = {}
     for name in available_backends():
         with open_session(name, options, **config.get(name, {})) as session:
@@ -63,18 +63,14 @@ def main() -> None:
     print(f"  max deviation from the scalar reference: {worst:.2e} bps")
 
     # ------------------------------------------------------------------
-    # 3. Tensor batching through the cluster backend: one call prices a
-    #    whole Monte-Carlo scenario grid, sharded across cards.
+    # 3. Tensor batching: one call prices a whole Monte-Carlo scenario
+    #    grid in the packed kernels.
     # ------------------------------------------------------------------
-    print("\n== Scenario tensor through cluster(base=vectorized) ==")
+    print("\n== Scenario tensor through vectorized ==")
     shocks = monte_carlo(yc, hc, 5_000, seed=7)
-    with open_session(
-        "cluster", options, base="vectorized", n_cards=4
-    ) as session:
+    with open_session("vectorized", options) as session:
         surface = session.price_tensor(shocks.tensor, want_legs=True)
     print(f"  spread surface {surface.spreads_bps.shape}")
-    rows_per_card = [len(c) for c in surface.meta["assignment"]]
-    print(f"  rows per card  {rows_per_card} ({surface.meta['policy']})")
     pv = surface.legs.buyer_pv(np.zeros(len(options)))
     print(f"  zero-spread buyer PV of option 0, scenario 0: {pv[0, 0]:.6f}")
 

@@ -26,7 +26,7 @@ Python around a cycle-level HLS dataflow simulator:
   latency/goodput accounting on top of the cluster.
 * :mod:`repro.api` — the **unified pricing API**: one
   :class:`~repro.api.PricingBackend` protocol, a string-keyed backend
-  registry (``cpu``, ``vectorized``, ``dataflow``, ``cluster``) and the
+  registry (``cpu``, ``vectorized``, ``dataflow``) and the
   :class:`~repro.api.PricingSession` facade every consumer layer (risk,
   serving, analysis, CLI) prices through.
 * :mod:`repro.workloads` — workload generators and the paper scenario.
@@ -98,7 +98,7 @@ from repro.gateway import Gateway
 from repro.workloads import PaperScenario
 from repro.errors import ReproError
 
-__version__ = "1.21.0"
+__version__ = "1.22.0"
 
 __all__ = [
     "CDSOption",

@@ -9,10 +9,10 @@ risk via the packed kernels, serving via the risk engine's internals.
   typed :class:`PriceRequest` objects with :class:`PriceResult`
   surfaces, advertise :class:`BackendCapabilities`, expose a dispatch
   cost-model hook.
-* the **registry** — ``cpu``, ``vectorized``, ``dataflow`` and
-  ``cluster`` ship built in; :func:`register_backend` adds new execution
-  targets (a real FPGA driver, a GPU kernel, a remote worker) without
-  touching any consumer layer.
+* the **registry** — ``cpu``, ``vectorized`` and ``dataflow`` ship
+  built in; :func:`register_backend` adds new execution targets (a real
+  FPGA driver, a GPU kernel, a remote worker) without touching any
+  consumer layer.
 * :class:`PricingSession` / :func:`open_session` — the facade every
   consumer goes through, negotiating tensor-batched versus per-state
   execution from the capability flags.
@@ -38,7 +38,6 @@ from repro.api.registry import (
     unregister_backend,
 )
 from repro.api.backends import (
-    ClusterBackend,
     CpuBackend,
     DataflowBackend,
     VectorizedBackend,
@@ -61,7 +60,6 @@ __all__ = [
     "CpuBackend",
     "VectorizedBackend",
     "DataflowBackend",
-    "ClusterBackend",
     "PricingSession",
     "open_session",
 ]

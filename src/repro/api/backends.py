@@ -1,4 +1,4 @@
-"""The four built-in pricing backends behind the registry.
+"""The three built-in pricing backends behind the registry.
 
 ============  =========================================================
 ``cpu``       The scalar reference pricer (:mod:`repro.core.pricing`)
@@ -14,12 +14,6 @@
               (:mod:`repro.engines`): real spreads from the
               discrete-event dataflow network plus the simulated
               kernel/PCIe timing in ``meta["engine_result"]``.
-``cluster``   A wrapper sharding tensor rows across ``n_cards``
-              simulated cards with any
-              :class:`~repro.cluster.scheduler.ClusterScheduler`
-              policy, delegating each shard to **any** base backend.
-              Numerics are bit-identical to the base backend; only the
-              shard assignment (``meta["assignment"]``) differs.
 ============  =========================================================
 
 Every backend produces results bit-identical to the pre-API entry point
@@ -41,14 +35,8 @@ from repro.api.protocol import (
     PriceRequest,
     PriceResult,
     PricingBackend,
-    price_via,
 )
 from repro.api.registry import register_backend
-from repro.cluster.scheduler import (
-    ClusterScheduler,
-    make_scheduler,
-    shard_scenarios,
-)
 from repro.core.pricing import CDSPricer
 from repro.core.types import CDSOption
 from repro.core.vector_pricing import (
@@ -70,7 +58,6 @@ __all__ = [
     "CpuBackend",
     "VectorizedBackend",
     "DataflowBackend",
-    "ClusterBackend",
 ]
 
 
@@ -295,168 +282,6 @@ class DataflowBackend(PricingBackend):
         )
 
 
-class ClusterBackend(PricingBackend):
-    """Shard tensor rows across simulated cards, over **any** base backend.
-
-    The wrapper owns only the *where*: request rows are partitioned by a
-    cluster scheduling policy and each shard is delegated, in one call,
-    to the wrapped base backend.  The *what* — every number — is
-    bit-identical to the base backend pricing the same rows directly;
-    the shard assignment rides along in ``meta["assignment"]`` for
-    timing roll-ups.
-
-    Tensor sharding engages when the wrapped base advertises
-    ``supports_batch_tensor`` (the wrapper mirrors the base's flag, so
-    for a non-batch base the session facade decomposes tensor requests
-    per state *before* they reach the wrapper and no assignment is
-    recorded).  The card plan is :func:`~repro.cluster.scheduler.
-    shard_scenarios`, the one the risk engine revalues and times with.
-
-    Parameters
-    ----------
-    base:
-        Registry name or backend instance to wrap (default
-        ``vectorized``).
-    n_cards:
-        Cards to shard across.
-    scheduler:
-        Sharding policy — name or
-        :class:`~repro.cluster.scheduler.ClusterScheduler` instance.
-    base_config:
-        Extra keywords forwarded to the base backend's factory when
-        ``base`` is a registry name.
-    """
-
-    name = "cluster"
-
-    def __init__(
-        self,
-        base: str | PricingBackend = "vectorized",
-        n_cards: int = 1,
-        scheduler: ClusterScheduler | str = "least-loaded",
-        **base_config,
-    ) -> None:
-        super().__init__()
-        if n_cards < 1:
-            raise ValidationError(f"n_cards must be >= 1, got {n_cards}")
-        if isinstance(base, str):
-            from repro.api.registry import create_backend
-
-            base = create_backend(base, **base_config)
-        elif base_config:
-            raise ValidationError(
-                "base_config keywords only apply when base is a registry name"
-            )
-        if isinstance(base, ClusterBackend):
-            raise ValidationError("cluster backends do not nest")
-        self.base = base
-        self.n_cards = n_cards
-        self.scheduler = (
-            make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-        )
-
-    @property
-    def capabilities(self) -> BackendCapabilities:  # type: ignore[override]
-        """Derived from the wrapped base backend."""
-        base = self.base.capabilities
-        return BackendCapabilities(
-            supports_batch_tensor=base.supports_batch_tensor,
-            supports_streaming=base.supports_streaming,
-            supports_legs=base.supports_legs,
-            simulated_timing=True,
-            description=(
-                f"{self.n_cards}-card {self.scheduler.name} shard over "
-                f"'{self.base.name}'"
-            ),
-        )
-
-    def _on_bind(self, options: list[CDSOption]) -> None:
-        self.base.bind(options)
-
-    def _price_state(self, request: PriceRequest) -> PriceResult:
-        part = price_via(self.base, request)
-        return PriceResult(
-            backend=self.name,
-            spreads_bps=part.spreads_bps,
-            legs=part.legs,
-            meta={"base": self.base.name, "n_cards": self.n_cards, **part.meta},
-        )
-
-    def price_rows(
-        self,
-        grid: MarketGrid,
-        rows: np.ndarray,
-        *,
-        chunk_size: int | None = None,
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """The base backend's :meth:`~repro.api.PricingBackend.price_rows`.
-
-        Sharding is timing-only and the numbers equal the base's, so the
-        hot path skips it: one call, and any per-cell report the base
-        raises covers every row.
-        """
-        return self.base.price_rows(grid, rows, chunk_size=chunk_size)
-
-    _LEG_NAMES = ("premium", "protection", "accrual", "survival_at_maturity")
-
-    def _price_tensor(self, request: PriceRequest) -> PriceResult:
-        idx = request.row_indices
-        assignment = shard_scenarios(idx.size, self.n_cards, self.scheduler)
-        spreads = np.empty((idx.size, self.n_options), dtype=np.float64)
-        # Shard results scatter straight into the stitched surfaces so
-        # only one shard's legs are in flight on top of the output
-        # arrays (holding every card's parts before stitching would
-        # double peak leg memory on large grids).
-        surfaces = (
-            {
-                name: np.empty((idx.size, self.n_options), dtype=np.float64)
-                for name in self._LEG_NAMES
-            }
-            if request.want_legs
-            else None
-        )
-        for chunk in assignment:
-            if not chunk:
-                continue
-            pos = np.asarray(chunk, dtype=np.intp)
-            sub = PriceRequest.tensor_rows(
-                request.tensor,
-                idx[pos],
-                want_legs=request.want_legs,
-                chunk_size=request.chunk_size,
-            )
-            part = price_via(self.base, sub)
-            spreads[pos] = part.spreads_bps
-            if surfaces is not None:
-                for name in self._LEG_NAMES:
-                    surfaces[name][pos] = getattr(part.legs, name)
-        legs = LegSurfaces(**surfaces) if surfaces is not None else None
-        return PriceResult(
-            backend=self.name,
-            spreads_bps=spreads,
-            legs=legs,
-            meta={
-                "base": self.base.name,
-                "n_cards": self.n_cards,
-                "policy": self.scheduler.name,
-                "assignment": [list(chunk) for chunk in assignment],
-            },
-        )
-
-    def dispatch_cost_model(
-        self, scenario, yield_curve, hazard_curve, *, n_engines: int = 5
-    ):
-        """Delegate to the wrapped base backend's cost model."""
-        return self.base.dispatch_cost_model(
-            scenario, yield_curve, hazard_curve, n_engines=n_engines
-        )
-
-    def close(self) -> None:
-        self.base.close()
-        super().close()
-
-
 register_backend("cpu", CpuBackend)
 register_backend("vectorized", VectorizedBackend)
 register_backend("dataflow", DataflowBackend)
-register_backend("cluster", ClusterBackend)

@@ -23,7 +23,7 @@ module defines the *one* contract they all meet:
   dispatch cost-model hook for the serving layer.
 
 :func:`price_via` is the negotiation kernel shared by the session facade
-and the cluster backend: a tensor request against a backend without
+and the default ``price_rows``: a tensor request against a backend without
 ``supports_batch_tensor`` is transparently decomposed into per-state
 requests (the per-scenario path), bit-identical to the batched one.
 
@@ -368,8 +368,8 @@ class PriceResult:
     legs:
         Leg surfaces when the request asked for them, else ``None``.
     meta:
-        Backend-specific extras (simulated timing, shard assignment,
-        negotiation notes); never needed for the numbers.
+        Backend-specific extras (simulated timing, negotiation notes);
+        never needed for the numbers.
     """
 
     backend: str

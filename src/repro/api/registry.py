@@ -1,11 +1,10 @@
 """String-keyed backend registry: every engine is an entry, not a fork.
 
-The registry maps names (``cpu``, ``vectorized``, ``dataflow``,
-``cluster``) to backend factories.  :func:`repro.api.open_session`
-resolves through it, so adding a new execution target — a real FPGA
-driver, a GPU kernel, a remote worker pool — is one
-:func:`register_backend` call and zero changes to the risk, serving or
-analysis layers.
+The registry maps names (``cpu``, ``vectorized``, ``dataflow``) to
+backend factories.  :func:`repro.api.open_session` resolves through it,
+so adding a new execution target — a real FPGA driver, a GPU kernel, a
+remote worker pool — is one :func:`register_backend` call and zero
+changes to the risk, serving or analysis layers.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ def create_backend(name: str, **config) -> PricingBackend:
     name:
         Registry key.
     config:
-        Forwarded to the factory (backend-specific: ``n_cards`` and
-        ``scheduler`` for ``cluster``, ``scenario`` for ``dataflow``...).
+        Forwarded to the factory (backend-specific: ``scenario`` and
+        ``variant`` for ``dataflow``...).
     """
     try:
         factory = _FACTORIES[name]

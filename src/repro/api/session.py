@@ -36,8 +36,8 @@ from repro.errors import CapabilityError, ValidationError
 
 __all__ = ["PricingSession", "open_session", "capability_error"]
 
-#: Human phrasing for capability flags in :meth:`PricingSession.require`
-#: error messages.
+#: The capability flags :meth:`PricingSession.require` accepts, with
+#: their phrasing in error messages.
 _CAPABILITY_PHRASES = {
     "supports_batch_tensor": "batched tensor pricing",
     "supports_streaming": "streaming quote serving",
@@ -55,7 +55,7 @@ def capability_error(
     :meth:`PricingSession.require` and the quote server's streaming
     check, which must run before anything binds the backend.
     """
-    phrases = ", ".join(_CAPABILITY_PHRASES.get(f, f) for f in missing)
+    phrases = ", ".join(_CAPABILITY_PHRASES[f] for f in missing)
     return CapabilityError(
         f"{reason} needs {phrases}, which backend {backend_name!r} does "
         f"not advertise; choose one with {'/'.join(missing)} "
@@ -138,29 +138,32 @@ class PricingSession:
         """Assert capability flags, releasing the backend on failure.
 
         Consumer layers call this right after opening a session: if any
-        flag is missing the session is **closed** (so a caller-supplied
-        backend instance stays reusable) and :class:`~repro.errors.
-        CapabilityError` names the base backend and the missing
-        capability.  Returns ``self`` for chaining.
+        flag is unknown or missing the session is **closed** (so a
+        caller-supplied backend instance stays reusable).  An unknown
+        flag raises :class:`~repro.errors.ValidationError`; a missing
+        one :class:`~repro.errors.CapabilityError`, naming the backend
+        and the capability.  Returns ``self`` for chaining.
 
         Parameters
         ----------
         flags:
-            :class:`~repro.api.BackendCapabilities` field names that
+            Boolean :class:`~repro.api.BackendCapabilities` flags that
             must be true.
         reason:
             What needs them, for the error message (e.g. ``"risk
             revaluation"``).
         """
-        caps = self.capabilities
-        for flag in flags:
-            if not hasattr(caps, flag):
-                raise ValidationError(f"unknown capability flag {flag!r}")
-        missing = [f for f in flags if not getattr(caps, f)]
-        if missing:
-            base = getattr(self._backend, "base", self._backend)
+        unknown = [f for f in flags if f not in _CAPABILITY_PHRASES]
+        if unknown:
             self.close()
-            raise capability_error(base.name, missing, reason)
+            raise ValidationError(
+                f"unknown capability flag {unknown[0]!r}; choose from "
+                f"{list(_CAPABILITY_PHRASES)}"
+            )
+        missing = [f for f in flags if not getattr(self.capabilities, f)]
+        if missing:
+            self.close()
+            raise capability_error(self.backend_name, missing, reason)
         return self
 
     def price(self, request: PriceRequest) -> PriceResult:
@@ -264,8 +267,8 @@ def open_session(
     Parameters
     ----------
     backend:
-        Registry name (``cpu``, ``vectorized``, ``dataflow``,
-        ``cluster``) or an already-constructed backend instance.
+        Registry name (``cpu``, ``vectorized``, ``dataflow``) or an
+        already-constructed backend instance.
     options:
         The book to bind.
     telemetry:
@@ -274,9 +277,8 @@ def open_session(
         is the no-op handle).
     config:
         Backend configuration, forwarded to the registry factory
-        (``n_cards``/``scheduler``/``base`` for ``cluster``,
-        ``scenario``/``variant`` for ``dataflow``...).  Not allowed with
-        a backend instance.
+        (``scenario``/``variant``/``n_engines`` for ``dataflow``...).
+        Not allowed with a backend instance.
 
     Examples
     --------

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.api import available_backends, create_backend
 from repro.errors import ReproError, ValidationError
 from repro.workloads.scenarios import PaperScenario
 
@@ -41,17 +42,6 @@ def _json_default(obj):
 
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, default=_json_default))
-
-
-def _backend_choices() -> tuple[str, ...]:
-    """Base backends selectable from the CLI.
-
-    ``cluster`` is excluded: the risk and serving commands already shard
-    across ``--cards``, and the wrapper's numbers are its base's.
-    """
-    from repro.api import available_backends
-
-    return tuple(n for n in available_backends() if n != "cluster")
 
 
 #: One declared ``add_argument`` call: the flag names and the keywords.
@@ -102,7 +92,7 @@ CHUNK = _flag(
 #: parser is built.
 BACKEND = _flag(
     "--backend",
-    choices=_backend_choices,
+    choices=available_backends,
     default="vectorized",
     help="base pricing backend from the repro.api registry",
 )
@@ -517,8 +507,6 @@ def _trace(args: argparse.Namespace, sc: PaperScenario) -> int:
 
 
 def _backends(args: argparse.Namespace, sc: PaperScenario) -> int:
-    from repro.api import available_backends, create_backend
-
     rows = [
         {"name": name, **asdict(create_backend(name).capabilities)}
         for name in available_backends()

@@ -246,8 +246,7 @@ def shard_scenarios(
 
     Every scenario reprices the same portfolio, so the cost vector is
     uniform; the policies then differ only in chunk shape (contiguity,
-    dispatch counts), not balance.  The one card plan of the risk engine
-    and of the ``cluster`` backend's tensor shards.
+    dispatch counts), not balance.  The one card plan of the risk engine.
 
     Parameters
     ----------

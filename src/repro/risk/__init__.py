@@ -65,7 +65,6 @@ from repro.risk.scenarios import (
 from repro.risk.sharding import (
     CardShard,
     ClusterTiming,
-    shard_scenarios,
     simulate_grid_run,
 )
 from repro.risk.tensor import ScenarioTensor
@@ -90,7 +89,6 @@ __all__ = [
     "ScenarioTensor",
     "CardShard",
     "ClusterTiming",
-    "shard_scenarios",
     "simulate_grid_run",
     "TailMeasure",
     "tail_measures",

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
 from repro.cluster.node import ClusterNode
-from repro.cluster.scheduler import make_scheduler, shard_scenarios
+from repro.cluster.scheduler import make_scheduler
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
 from repro.errors import ValidationError
@@ -58,7 +58,6 @@ __all__ = [
     "CardShard",
     "ClusterTiming",
     "FaultedClusterTiming",
-    "shard_scenarios",
     "simulate_grid_run",
 ]
 
@@ -216,7 +215,8 @@ def simulate_grid_run(
     Parameters
     ----------
     assignment:
-        Scenario indices per card, from :func:`shard_scenarios`.
+        Scenario indices per card, from
+        :func:`~repro.cluster.scheduler.shard_scenarios`.
     options:
         The portfolio every card reprices per scenario.
     yield_curve / hazard_curve:

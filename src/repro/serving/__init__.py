@@ -42,7 +42,7 @@ across cluster cards for timing:
 """
 
 from repro.serving.coalescer import MicroBatch, MicroBatchCoalescer
-from repro.serving.engine import VAR_CONFIDENCE, DispatchCostModel, QuoteServer
+from repro.serving.engine import VAR_CONFIDENCE, QuoteServer
 from repro.serving.metrics import (
     CardLoad,
     KindStats,
@@ -71,7 +71,6 @@ __all__ = [
     "ShedRecord",
     "MicroBatch",
     "MicroBatchCoalescer",
-    "DispatchCostModel",
     "QuoteServer",
     "VAR_CONFIDENCE",
     "LatencyStats",

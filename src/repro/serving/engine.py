@@ -36,9 +36,8 @@ Two clocks run side by side, exactly as in the risk subsystem:
   bit-identical to the pre-``repro.sim`` per-card ``busy_until``
   bookkeeping it replaced.
 
-The dispatch cost model (:class:`~repro.api.cost.DispatchCostModel`,
-re-exported here for compatibility) comes from the backend's cost-model
-hook, once per server — by default calibrated from the cycles of
+The dispatch cost model (:class:`~repro.api.cost.DispatchCostModel`)
+comes from the backend's cost-model hook, once per server — by default calibrated from the cycles of
 one representative :class:`~repro.cluster.node.ClusterNode` batch, the
 same engine network behind every other layer, timed without computing
 values — split into the fixed
@@ -65,7 +64,7 @@ from operator import attrgetter
 import numpy as np
 
 from repro.api import PricingBackend, create_backend
-from repro.api.cost import ClusterTimingRig, DispatchCostModel
+from repro.api.cost import ClusterTimingRig
 from repro.api.session import capability_error
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
@@ -86,7 +85,7 @@ from repro.sim import Simulation
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.workloads.scenarios import PaperScenario
 
-__all__ = ["DispatchCostModel", "QuoteServer", "VAR_CONFIDENCE"]
+__all__ = ["QuoteServer", "VAR_CONFIDENCE"]
 
 #: Confidence level of the VaR-refresh request family.
 VAR_CONFIDENCE = 0.95

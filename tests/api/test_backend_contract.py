@@ -6,8 +6,7 @@ each backend:
 * spreads are **bit-identical** to the backend's designated reference
   implementation (the pre-redesign entry point it wraps: the scalar
   pricer loop for ``cpu``, ``price_packed_book`` for ``vectorized``,
-  the engine's direct ``run()`` for ``dataflow``, the wrapped base for
-  ``cluster``);
+  the engine's direct ``run()`` for ``dataflow``);
 * spreads match the scalar reference pricer — the repository's ground
   truth — up to bounded floating-point reassociation (the padded vector
   kernels re-associate the leg sums; the repo-wide doctrine since PR 0);
@@ -44,10 +43,7 @@ YC = SC.yield_curve()
 HC = SC.hazard_curve()
 
 #: Per-backend construction config keeping the suite fast.
-BACKEND_CONFIG = {
-    "dataflow": {"scenario": SC},
-    "cluster": {"n_cards": 2},
-}
+BACKEND_CONFIG = {"dataflow": {"scenario": SC}}
 
 
 def make_session(name, options):
@@ -70,7 +66,7 @@ def reference_spreads(options, yc=YC, hc=HC):
 def _pre_redesign_spreads(backend_name, options):
     if backend_name == "cpu":
         return reference_spreads(options)
-    if backend_name in ("vectorized", "cluster"):
+    if backend_name == "vectorized":
         from repro.core.vector_pricing import (
             PackedPortfolio,
             price_packed_book,
@@ -245,15 +241,7 @@ class TestCapabilityFlags:
         with make_session(backend_name, options) as session:
             if not session.capabilities.simulated_timing:
                 pytest.skip("host-only backend")
-            if backend_name == "dataflow":
-                result = session.price_state(YC, HC)
-                engine_result = result.meta["engine_result"]
-                assert engine_result.kernel_cycles > 0
-                assert engine_result.seconds > 0
-            else:  # cluster
-                tensor = monte_carlo(YC, HC, 5, seed=1).tensor
-                result = session.price_tensor(tensor)
-                assignment = result.meta["assignment"]
-                assert len(assignment) == session.backend.n_cards
-                covered = sorted(i for chunk in assignment for i in chunk)
-                assert covered == list(range(5))
+            result = session.price_state(YC, HC)
+        engine_result = result.meta["engine_result"]
+        assert engine_result.kernel_cycles > 0
+        assert engine_result.seconds > 0

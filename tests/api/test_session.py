@@ -5,7 +5,6 @@ import pytest
 
 from repro.api import (
     BackendCapabilities,
-    ClusterBackend,
     CpuBackend,
     DispatchCostModel,
     PriceRequest,
@@ -70,12 +69,7 @@ class TestOpenSession:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(available_backends()) >= {
-            "cpu",
-            "vectorized",
-            "dataflow",
-            "cluster",
-        }
+        assert available_backends() == ("cpu", "dataflow", "vectorized")
 
     def test_duplicate_registration_refused(self):
         with pytest.raises(ValidationError, match="already registered"):
@@ -250,47 +244,40 @@ class TestBackendLifecycle:
         assert caps.supports_batch_tensor and caps.supports_legs
 
 
-class TestClusterBackend:
-    def test_nested_cluster_rejected(self):
-        with pytest.raises(ValidationError, match="do not nest"):
-            ClusterBackend(base="cluster")
+class TestRequire:
+    def test_unknown_flag_releases_the_backend(self):
+        backend = VectorizedBackend()
+        session = open_session(backend, BOOK)
+        with pytest.raises(ValidationError) as err:
+            session.require("supports_magic")
+        assert str(err.value) == (
+            "unknown capability flag 'supports_magic'; choose from "
+            "['supports_batch_tensor', 'supports_streaming', "
+            "'supports_legs', 'simulated_timing']"
+        )
+        assert session.closed
+        # The caller's instance is free again, as on a missing flag.
+        with open_session(backend, BOOK) as reopened:
+            assert reopened.spreads(YC, HC).shape == (len(BOOK),)
 
-    def test_bad_card_count(self):
-        with pytest.raises(ValidationError, match="n_cards"):
-            ClusterBackend(n_cards=0)
+    @pytest.mark.parametrize("description", ["packed kernels", ""])
+    def test_only_boolean_flags_are_flags(self, description):
+        """``description`` is a capabilities field but no flag: it is
+        refused whatever its value, never read as present or missing."""
 
-    def test_base_config_with_instance_rejected(self):
-        with pytest.raises(ValidationError, match="registry name"):
-            ClusterBackend(base=VectorizedBackend(), variant="baseline")
+        class Described(VectorizedBackend):
+            capabilities = BackendCapabilities(
+                supports_batch_tensor=True,
+                supports_streaming=True,
+                supports_legs=True,
+                simulated_timing=False,
+                description=description,
+            )
 
-    def test_capabilities_derive_from_base(self):
-        over_vec = ClusterBackend(base="vectorized", n_cards=2)
-        over_cpu = ClusterBackend(base="cpu", n_cards=2)
-        assert over_vec.capabilities.supports_batch_tensor
-        assert not over_cpu.capabilities.supports_batch_tensor
-        assert over_vec.capabilities.simulated_timing
-        assert over_cpu.capabilities.supports_legs
-
-    def test_assignment_metadata_covers_requested_rows(self):
-        tensor = monte_carlo(YC, HC, 9, seed=7).tensor
-        with open_session(
-            "cluster", BOOK, n_cards=3, scheduler="round-robin"
-        ) as session:
-            result = session.price_tensor(tensor, rows=[8, 1, 4, 2])
-        assignment = result.meta["assignment"]
-        assert len(assignment) == 3
-        covered = sorted(i for chunk in assignment for i in chunk)
-        # Positions into the request's row list, not tensor indices.
-        assert covered == [0, 1, 2, 3]
-        assert result.meta["policy"] == "round-robin"
-        assert result.meta["base"] == "vectorized"
-
-    def test_state_requests_delegate_without_sharding(self):
-        with open_session("cluster", BOOK, n_cards=4) as session:
-            result = session.price_state(YC, HC)
-        assert result.backend == "cluster"
-        assert result.meta["base"] == "vectorized"
-        assert "assignment" not in result.meta
+        session = open_session(Described(), BOOK)
+        with pytest.raises(ValidationError, match="unknown capability flag"):
+            session.require("description")
+        assert session.closed
 
 
 class TestQuoteRowsHotPath:
@@ -330,12 +317,6 @@ class TestDispatchCostModelHook:
         direct = DispatchCostModel.calibrate(
             SC, list(BOOK), YC, HC, n_engines=3
         )
-        assert hooked == direct
-
-    def test_cluster_delegates_to_base(self):
-        with open_session("cluster", BOOK, n_cards=2) as session:
-            hooked = session.dispatch_cost_model(SC, YC, HC)
-        direct = DispatchCostModel.calibrate(SC, list(BOOK), YC, HC)
         assert hooked == direct
 
 

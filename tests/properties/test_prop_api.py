@@ -2,20 +2,19 @@
 
 The PR-5 redesign routed every pricing flow through
 :class:`repro.api.PricingSession`; these properties guarantee the
-rewiring is *invisible to the floats*.  For each of the four registered
+rewiring is *invisible to the floats*.  For each of the three registered
 backends, session-mediated results are pinned **bit-identical**
 (``assert_array_equal``, no tolerance) to the pre-redesign entry point
 the backend wraps:
 
 * ``vectorized``  — direct ``price_packed_book`` / ``price_packed_many``;
 * ``cpu``         — the scalar ``CDSPricer`` loop;
-* ``dataflow``    — the engine's direct ``run()``;
-* ``cluster``     — the pre-redesign risk-engine shape: one
-  ``price_packed_many`` call per ``shard_scenarios`` card chunk.
+* ``dataflow``    — the engine's direct ``run()``.
 
 A final property pins the full risk pipeline: ``ScenarioRiskEngine``
 revaluation through the session reproduces a hand-rolled pre-redesign
-revaluation (pack, shard, kernel call per shard, PVs from legs) exactly.
+revaluation (pack, shard, kernel call per shard, PVs from legs) exactly,
+for any card count.
 """
 
 import numpy as np
@@ -23,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import open_session
+from repro.cluster.scheduler import shard_scenarios
 from repro.core.pricing import BASIS_POINTS, CDSPricer
 from repro.core.vector_pricing import (
     PackedPortfolio,
@@ -32,7 +32,6 @@ from repro.core.vector_pricing import (
 from repro.engines import VectorizedDataflowEngine
 from repro.risk.engine import ScenarioRiskEngine, make_book
 from repro.risk.scenarios import monte_carlo
-from repro.risk.sharding import shard_scenarios
 from repro.workloads.scenarios import PaperScenario
 
 SC = PaperScenario(n_rates=48, n_options=4)
@@ -145,67 +144,6 @@ class TestDataflowSessionBitIdentity:
         )
         # The simulated timing rides along unchanged.
         assert result.meta["engine_result"].kernel_cycles == direct.kernel_cycles
-
-
-class TestClusterSessionBitIdentity:
-    @given(
-        book=book_strategy,
-        n_scenarios=st.integers(min_value=1, max_value=14),
-        n_cards=st.integers(min_value=1, max_value=5),
-        policy=st.sampled_from(
-            ["round-robin", "least-loaded", "work-stealing"]
-        ),
-        chunk_size=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
-        mc_seed=st.integers(min_value=0, max_value=300),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_tensor_matches_pre_redesign_shard_loop(
-        self, book, n_scenarios, n_cards, policy, chunk_size, mc_seed
-    ):
-        """The cluster backend == the pre-redesign risk-engine batch path:
-        one price_packed_many call per shard_scenarios card chunk."""
-        workload, n, seed = book
-        options = make_book(workload, n, seed=seed).options
-        tensor = monte_carlo(
-            YC, HC, n_scenarios, seed=mc_seed, recovery_vol=0.05
-        ).tensor
-
-        packed = PackedPortfolio.pack(options)
-        expected = np.empty((n_scenarios, len(options)), dtype=np.float64)
-        for chunk in shard_scenarios(n_scenarios, n_cards, policy):
-            if not chunk:
-                continue
-            idx = np.asarray(chunk, dtype=np.intp)
-            expected[idx], _ = price_packed_many(
-                packed,
-                tensor.yield_times,
-                tensor.yield_values[idx],
-                tensor.hazard_times,
-                tensor.hazard_values[idx],
-                recovery_shifts=tensor.recovery_shifts[idx],
-                want_legs=False,
-                chunk_size=chunk_size,
-            )
-
-        with open_session(
-            "cluster", options, n_cards=n_cards, scheduler=policy
-        ) as session:
-            result = session.price_tensor(tensor, chunk_size=chunk_size)
-        np.testing.assert_array_equal(result.spreads_bps, expected)
-
-    @given(
-        n_cards=st.integers(min_value=1, max_value=4),
-        mc_seed=st.integers(min_value=0, max_value=150),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_card_count_never_changes_numbers(self, n_cards, mc_seed):
-        options = make_book("skewed", 5, seed=13).options
-        tensor = monte_carlo(YC, HC, 9, seed=mc_seed).tensor
-        with open_session("vectorized", options) as session:
-            flat = session.price_tensor(tensor).spreads_bps
-        with open_session("cluster", options, n_cards=n_cards) as session:
-            sharded = session.price_tensor(tensor).spreads_bps
-        np.testing.assert_array_equal(sharded, flat)
 
 
 class TestRiskEngineSessionBitIdentity:

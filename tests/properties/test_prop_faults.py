@@ -23,13 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.batching import BatchQueue
+from repro.cluster.scheduler import shard_scenarios
 from repro.faults import FaultPlan
 from repro.risk.engine import make_book
-from repro.risk.sharding import (
-    FaultedClusterTiming,
-    shard_scenarios,
-    simulate_grid_run,
-)
+from repro.risk.sharding import FaultedClusterTiming, simulate_grid_run
 from repro.serving import QuoteServer, make_market_tape, make_request_stream
 from repro.workloads.scenarios import PaperScenario
 

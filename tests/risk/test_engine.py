@@ -149,6 +149,7 @@ class TestScenarioRiskEngine:
             engine = ScenarioRiskEngine(
                 book, scenario=risk_scenario, n_cards=cards, scheduler=policy
             )
+            assert engine.session.backend_name == "vectorized"
             if shocks is None:
                 shocks = monte_carlo(
                     engine.yield_curve, engine.hazard_curve, 10, seed=3
@@ -160,25 +161,6 @@ class TestScenarioRiskEngine:
     def test_bad_cards(self, book):
         with pytest.raises(ValidationError):
             ScenarioRiskEngine(book, n_cards=0)
-
-    def test_cluster_backend_revalues_like_the_default(
-        self, book, risk_scenario
-    ):
-        """The engine binds the backend it is given; a cluster backend
-        only re-splits the kernel calls, never the numbers."""
-        from repro.api import ClusterBackend
-
-        default = ScenarioRiskEngine(book, scenario=risk_scenario, n_cards=2)
-        clustered = ScenarioRiskEngine(
-            book, scenario=risk_scenario, n_cards=2,
-            backend=ClusterBackend(n_cards=3),
-        )
-        assert default.session.backend_name == "vectorized"
-        shocks = monte_carlo(default.yield_curve, default.hazard_curve, 10, seed=3)
-        assert np.array_equal(
-            clustered.revalue(shocks, with_timing=False).pv,
-            default.revalue(shocks, with_timing=False).pv,
-        )
 
     def test_kernel_error_names_tensor_row(self, engine):
         """Pricing rows [5, 3] of a tensor whose row 3 is NaN names

@@ -4,9 +4,10 @@ import pytest
 
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
+from repro.cluster.scheduler import shard_scenarios
 from repro.errors import ValidationError
 from repro.faults import FaultPlan
-from repro.risk.sharding import shard_scenarios, simulate_grid_run
+from repro.risk.sharding import simulate_grid_run
 from repro.telemetry import Telemetry
 from repro.workloads.cluster import Arrival
 

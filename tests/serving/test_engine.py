@@ -5,17 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.api import ClusterBackend, PricingBackend
+from repro.api import DispatchCostModel, VectorizedBackend
 from repro.cluster.batching import BatchQueue
 from repro.errors import ValidationError
 from repro.gateway import Gateway
 from repro.risk.engine import make_book
-from repro.serving import (
-    DispatchCostModel,
-    PricingRequest,
-    QuoteServer,
-    make_request_stream,
-)
+from repro.serving import PricingRequest, QuoteServer, make_request_stream
 from repro.serving.metrics import LatencyStats
 from repro.serving.request import ShedReason
 from repro.telemetry import KernelProfiler
@@ -326,27 +321,6 @@ class TestLaneTick:
         assert lane.coalescer.n_pending == 0
 
 
-class TestBackendInstance:
-    def test_cluster_backend_serves_like_the_default(
-        self, server, tape, stream, serving_scenario
-    ):
-        """A cluster backend under the server's risk engine only
-        re-splits the kernel calls: the same result, value for value."""
-        clustered = QuoteServer(
-            server.book,
-            tape,
-            scenario=serving_scenario,
-            n_cards=2,
-            n_engines=2,
-            queue=server.queue,
-            queue_depth=server.queue_depth,
-            backend=ClusterBackend(n_cards=2),
-        )
-        res, base = clustered.serve(stream), server.serve(stream)
-        assert res == base
-        assert res.responses == base.responses
-
-
 class TestValueSemantics:
     def test_quote_matches_kernel_spread(self, server, tape):
         req = PricingRequest(
@@ -531,12 +505,12 @@ class TestTapeTable:
         hazard[3, int(np.searchsorted(tape.hazard_times, 2.0))] = np.nan
         return replace(tape, hazard_values=hazard)
 
-    def test_cluster_backend_fills_like_the_default(
+    def test_a_bad_cell_fails_from_the_table_as_on_the_direct_path(
         self, server, knot_tape, serving_scenario
     ):
-        """One batch over clean row 1 and bad row 3 is served from a
-        cluster backend exactly as from the vectorized one, and a batch
-        that reads a bad cell fails with the same message."""
+        """One batch over clean row 1 and bad row 3 fills both rows; a
+        later batch that reads row 3's bad cells fails from the table
+        with the message the direct path gives."""
         short = next(
             i for i, o in enumerate(server.book.options) if o.maturity < 1.0
         )
@@ -548,42 +522,46 @@ class TestTapeTable:
             PricingRequest(0, "reval", 0.0, 1.0, rows=(1,)),
             PricingRequest(1, "reval", 0.0, 1.0, rows=(3,)),
         ]
-        results = []
-        for backend in ("vectorized", ClusterBackend(n_cards=2)):
-            bad = QuoteServer(
-                server.book,
-                knot_tape,
-                scenario=serving_scenario,
-                n_cards=2,
-                backend=backend,
-            )
-            served = bad.serve(mixed)
-            assert served.n_dispatches == 1
-            with pytest.raises(ValidationError) as err:
-                bad.serve(reads_bad)
-            results.append(
-                ([r.value for r in served.responses], str(err.value))
-            )
-        assert results[0] == results[1]
-        assert results[0][0] == server.price_individually(mixed)
+        bad = QuoteServer(
+            server.book, knot_tape, scenario=serving_scenario, n_cards=2
+        )
+        served = bad.serve(mixed)
+        assert served.n_dispatches == 1
+        assert [r.value for r in served.responses] == (
+            server.price_individually(mixed)
+        )
+        with pytest.raises(ValidationError) as from_table:
+            bad.serve(reads_bad)
+        with pytest.raises(ValidationError) as direct:
+            bad.price_individually(reads_bad)
+        assert str(from_table.value) == str(direct.value)
 
     def test_a_partial_report_fails_the_fill(
         self, server, knot_tape, serving_scenario
     ):
-        """A backend that prices a fill shard by shard reports only the
-        failing shard's rows.  The server fails the batch, as a backend
-        without the report does, rather than table row 3's surfaces and
-        bad cells under row 1 and serve valid-looking quotes."""
+        """A backend that prices a fill row by row reports only the
+        failing row.  The server fails the batch, as a backend without
+        the report does, rather than table row 3's surfaces and bad cells
+        under row 1 and serve valid-looking quotes."""
 
-        class ShardedRows(ClusterBackend):
-            price_rows = PricingBackend.price_rows
+        class RowByRow(VectorizedBackend):
+            def price_rows(self, grid, rows, *, chunk_size=None):
+                parts = []
+                for row in rows:
+                    parts.append(
+                        super().price_rows(
+                            grid, np.array([row]), chunk_size=chunk_size
+                        )
+                    )
+                spreads, legs = zip(*parts)
+                return np.vstack(spreads), tuple(map(np.vstack, zip(*legs)))
 
         bad = QuoteServer(
             server.book,
             knot_tape,
             scenario=serving_scenario,
             n_cards=2,
-            backend=ShardedRows(n_cards=2),
+            backend=RowByRow(),
         )
         short = next(
             i for i, o in enumerate(server.book.options) if o.maturity < 1.0

@@ -22,9 +22,9 @@ from repro.cluster.batching import BatchQueue
 from repro.cluster.cluster import CDSCluster, option_costs
 from repro.cluster.interconnect import HostLinkModel
 from repro.cluster.node import ClusterNode
-from repro.cluster.scheduler import SCHEDULERS, make_scheduler
+from repro.cluster.scheduler import SCHEDULERS, make_scheduler, shard_scenarios
 from repro.risk.engine import make_book
-from repro.risk.sharding import shard_scenarios, simulate_grid_run
+from repro.risk.sharding import simulate_grid_run
 from repro.serving import QuoteServer, make_market_tape, make_request_stream
 from repro.serving.coalescer import MicroBatchCoalescer
 from repro.workloads.cluster import Arrival

@@ -378,9 +378,8 @@ class TestBackendFlag:
             assert args.backend == "vectorized", cmd
 
     def test_cluster_backend_is_not_a_base_choice(self):
-        # The risk/serving commands already shard across --cards; the
-        # cluster wrapper would only add a whole-book PriceRequest round
-        # trip per batch, so the CLI never offers it.
+        # The risk/serving commands shard across --cards themselves, and
+        # `cluster` names a command, not a pricing backend.
         with pytest.raises(SystemExit):
             build_parser().parse_args(["risk", "--backend", "cluster"])
 
@@ -415,7 +414,7 @@ class TestBackendsCommand:
     def test_lists_registry(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("cpu", "vectorized", "dataflow", "cluster"):
+        for name in ("cpu", "vectorized", "dataflow"):
             assert name in out
         assert "open_session" in out
 
@@ -426,4 +425,4 @@ class TestBackendsCommand:
         assert by_name["vectorized"]["supports_batch_tensor"] is True
         assert by_name["cpu"]["supports_batch_tensor"] is False
         assert by_name["dataflow"]["simulated_timing"] is True
-        assert by_name["cluster"]["supports_streaming"] is True
+        assert sorted(by_name) == ["cpu", "dataflow", "vectorized"]

@@ -1,4 +1,4 @@
-"""Guard: no new ``repro`` module is one that only tests import.
+"""Guard: no new ``repro`` module or top-level name is one only tests use.
 
 A module only tests import is dead weight: it is maintained, documented
 and counted, yet no command, example, benchmark or library path runs
@@ -16,11 +16,23 @@ included -- through ``src/repro``:
 * ``from pkg import submodule`` counts for the submodule;
 * package ``__init__`` files only resolve names, so a module that only
   a re-export names is not reached; nor is one that only imports itself.
+
+The same holds one level down, for each top-level public ``def`` and
+``class`` of a module under ``src/repro`` (``__init__`` files excluded):
+it counts as used when its identifier is read, as an ``ast.Name`` or an
+``ast.Attribute``, outside its own body in ``src/repro``,
+``benchmarks/``, ``examples/`` or a non-``test_*`` file of
+``perfbench/``.  Imports and ``__all__`` strings are no reads.  The scan
+matches names, not call paths: any read of the same identifier, from
+another definition or an attribute of anything, counts, so it
+under-reports.  The names nothing reads are pinned in
+:data:`TEST_ONLY_NAMES`.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +58,49 @@ TEST_ONLY = (
     "repro.dataflow.pipeline",
     "repro.hls.schedule",
     "repro.io",
+)
+
+#: Top-level public names that nothing but tests reads today.  Each is
+#: to be deleted with its tests, or wired into code that runs; the guard
+#: pins the set, so it also fails when one of them is deleted or starts
+#: to be read and this tuple is not updated.
+TEST_ONLY_NAMES = (
+    "repro.analysis.capacity.compare_platforms",
+    "repro.analysis.compare.compare_ratio",
+    "repro.analysis.metrics.geometric_mean",
+    "repro.analysis.session.simulate_market_session",
+    "repro.cluster.batching.simulate_batched_stream",
+    "repro.core.daycount.year_fraction",
+    "repro.core.schedule.schedule_lengths",
+    "repro.core.validation.check_probability",
+    "repro.core.vector_pricing.shifted_recovery",
+    "repro.dataflow.engine.collector",
+    "repro.dataflow.engine.feeder",
+    "repro.dataflow.engine.transformer",
+    "repro.dataflow.pipeline.nested_loop_cycles",
+    "repro.dataflow.stats.stall_fraction",
+    "repro.fpga.floorplan.require_fit_or_explain",
+    "repro.hls.pragmas.DataflowPragma",
+    "repro.hls.pragmas.StreamPragma",
+    "repro.hls.schedule.analyse_loop",
+    "repro.hls.schedule.listing1_accumulation_loop",
+    "repro.hls.schedule.naive_accumulation_loop",
+    "repro.io.curve_to_csv",
+    "repro.io.curve_to_json",
+    "repro.io.load_curve",
+    "repro.io.load_portfolio",
+    "repro.io.portfolio_to_csv",
+    "repro.io.portfolio_to_json",
+    "repro.io.result_to_json",
+    "repro.io.save",
+    "repro.risk.measures.expected_shortfall",
+    "repro.risk.scenarios.recovery_shocks",
+    "repro.sim.resources.Server",
+    "repro.telemetry.export.parse_prometheus_text",
+    "repro.telemetry.export.prometheus_text",
+    "repro.telemetry.export.write_spans_csv",
+    "repro.workloads.cluster.make_burst_arrivals",
+    "repro.workloads.traffic.zipf_choices",
 )
 
 
@@ -112,6 +167,46 @@ class ImportGraph:
         return sorted(set(self.files) - self.packages - reached)
 
 
+def _reads(tree: ast.AST) -> Counter:
+    """How often each identifier is read as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unread_names() -> list[str]:
+    """``module.name`` of each top-level public ``def`` and ``class``
+    whose identifier nothing outside its own body reads."""
+    paths = sorted((SRC / "repro").rglob("*.py"))
+    for directory in ENTRY_DIRS:
+        paths += [
+            path
+            for path in sorted((REPO_ROOT / directory).rglob("*.py"))
+            if directory != "perfbench" or not path.name.startswith("test_")
+        ]
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    reads: Counter = Counter()
+    for tree in trees.values():
+        reads.update(_reads(tree))
+    unread = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(SRC) or path.name == "__init__.py":
+            continue
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        unread += [
+            f"{module}.{node.name}"
+            for node in tree.body
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            )
+            and not node.name.startswith("_")
+            and reads[node.name] == _reads(node)[node.name]
+        ]
+    return sorted(unread)
+
+
 def test_no_new_module_is_test_only():
     unreached = ImportGraph().unreached()
     new = sorted(set(unreached) - set(TEST_ONLY))
@@ -132,3 +227,16 @@ def test_names_resolve_to_the_defining_module():
     assert graph.resolve("repro.core.pricing", "price_cds") == "repro.core.pricing"
     assert graph.resolve("repro.core.pricing") == "repro.core.pricing"
     assert graph.resolve("repro.nonexistent") is None
+
+
+def test_no_new_name_is_test_only():
+    unread = unread_names()
+    new = sorted(set(unread) - set(TEST_ONLY_NAMES))
+    assert not new, (
+        "top-level names nothing outside tests/ reads -- delete them, or "
+        f"wire them into the code that runs: {new}"
+    )
+    gone = sorted(set(TEST_ONLY_NAMES) - set(unread))
+    assert not gone, (
+        f"now deleted or read -- drop them from TEST_ONLY_NAMES: {gone}"
+    )
