@@ -91,12 +91,11 @@ def main() -> None:
             description="toy example backend",
         )
 
-        def _price_state(self, request) -> PriceResult:
+        def price_state(self, yield_curve, hazard_curve, **_) -> PriceResult:
             from repro.core.pricing import CDSPricer
 
             pricer = CDSPricer(
-                yield_curve=request.yield_curve,
-                hazard_curve=request.hazard_curve,
+                yield_curve=yield_curve, hazard_curve=hazard_curve
             )
             ref = np.asarray(
                 [pricer.price(o).spread_bps for o in self.options]
@@ -111,13 +110,13 @@ def main() -> None:
     try:
         with open_session("midpoint", options) as session:
             print(f"  midpoint quote: {session.spreads(yc, hc)[0]:.6f} bps")
-            # Capability negotiation: a 3-row tensor request decomposes
-            # into three per-state calls automatically.
+            # No batch kernel: the default price_rows prices a 3-row
+            # tensor with three price_state calls.
             small = monte_carlo(yc, hc, 3, seed=1)
             result = session.price_tensor(small.tensor)
             print(
-                f"  tensor request negotiated: {result.meta['negotiated']} "
-                f"({result.meta['n_calls']} state calls)"
+                "  tensor rows, one state at a time: "
+                f"{result.spreads_bps.shape}"
             )
     finally:
         unregister_backend("midpoint")

@@ -74,7 +74,6 @@ from repro.core import (
 )
 from repro.api import (
     BackendCapabilities,
-    PriceRequest,
     PriceResult,
     PricingBackend,
     PricingSession,
@@ -98,7 +97,7 @@ from repro.gateway import Gateway
 from repro.workloads import PaperScenario
 from repro.errors import ReproError
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "CDSOption",
@@ -126,7 +125,6 @@ __all__ = [
     "open_session",
     "PricingSession",
     "PricingBackend",
-    "PriceRequest",
     "PriceResult",
     "BackendCapabilities",
     "available_backends",

@@ -250,9 +250,9 @@ def generate_risk_report(
         ir01=ir01_ladder(engine),
         jtd=jtd_concentration(engine),
         timing=timing,
-        # Report the *negotiated* mode: a base backend without batch-
-        # tensor support runs the per-scenario path even when asked to
-        # batch (capability negotiation in the pricing session).
+        # Report the mode that ran: a backend without batch-tensor
+        # support runs the per-scenario path even when asked to batch
+        # (the risk engine checks the flag).
         batched=batch and engine.session.capabilities.supports_batch_tensor,
         chunk_size=chunk_size,
         backend=backend,

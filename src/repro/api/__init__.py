@@ -5,17 +5,17 @@ entry point — engines via :meth:`~repro.engines.base.CDSEngineBase.run`,
 risk via the packed kernels, serving via the risk engine's internals.
 :mod:`repro.api` replaces that fan-out with one surface:
 
-* :class:`PricingBackend` — the backend protocol: bind a book, answer
-  typed :class:`PriceRequest` objects with :class:`PriceResult`
-  surfaces, advertise :class:`BackendCapabilities`, expose a dispatch
-  cost-model hook.
+* :class:`PricingBackend` — the backend protocol: bind a book, price
+  one market state (``price_state``) or tensor rows (``price_rows``,
+  by default one state at a time) into :class:`PriceResult` surfaces
+  and plain arrays, advertise :class:`BackendCapabilities`.
 * the **registry** — ``cpu``, ``vectorized`` and ``dataflow`` ship
   built in; :func:`register_backend` adds new execution targets (a real
   FPGA driver, a GPU kernel, a remote worker) without touching any
   consumer layer.
 * :class:`PricingSession` / :func:`open_session` — the facade every
-  consumer goes through, negotiating tensor-batched versus per-state
-  execution from the capability flags.
+  consumer goes through: it validates the input, refuses what the
+  capability flags exclude and checks each result's shape.
 
 See ``docs/api.md`` for the full protocol description and the migration
 table from the old entry points.
@@ -26,10 +26,8 @@ from repro.api.protocol import (
     BackendCapabilities,
     LegSurfaces,
     MarketGrid,
-    PriceRequest,
     PriceResult,
     PricingBackend,
-    price_via,
 )
 from repro.api.registry import (
     available_backends,
@@ -47,11 +45,9 @@ from repro.api.session import PricingSession, open_session
 __all__ = [
     "BackendCapabilities",
     "MarketGrid",
-    "PriceRequest",
     "PriceResult",
     "LegSurfaces",
     "PricingBackend",
-    "price_via",
     "DispatchCostModel",
     "register_backend",
     "unregister_backend",

@@ -32,11 +32,11 @@ from repro.api.protocol import (
     BackendCapabilities,
     LegSurfaces,
     MarketGrid,
-    PriceRequest,
     PriceResult,
     PricingBackend,
 )
 from repro.api.registry import register_backend
+from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.pricing import CDSPricer
 from repro.core.types import CDSOption
 from repro.core.vector_pricing import (
@@ -65,8 +65,8 @@ class CpuBackend(PricingBackend):
     """The scalar reference pricer, looped over the book.
 
     Ground truth: every other backend's conformance is measured against
-    this one.  No batch-tensor support — the session decomposes tensor
-    requests into per-state calls.
+    this one.  No batch-tensor support: tensor rows go through the
+    default per-state :meth:`~repro.api.PricingBackend.price_rows`.
     """
 
     name = "cpu"
@@ -78,13 +78,18 @@ class CpuBackend(PricingBackend):
         description="scalar reference pricer (ground truth, per-option loop)",
     )
 
-    def _price_state(self, request: PriceRequest) -> PriceResult:
-        pricer = CDSPricer(
-            yield_curve=request.yield_curve, hazard_curve=request.hazard_curve
-        )
+    def price_state(
+        self,
+        yield_curve: YieldCurve,
+        hazard_curve: HazardCurve,
+        *,
+        recovery: np.ndarray | None = None,
+        want_legs: bool = False,
+    ) -> PriceResult:
+        pricer = CDSPricer(yield_curve=yield_curve, hazard_curve=hazard_curve)
         options = list(self.options)
-        if request.recovery is not None:
-            rec = np.asarray(request.recovery, dtype=np.float64)
+        if recovery is not None:
+            rec = np.asarray(recovery, dtype=np.float64)
             if rec.shape != (self.n_options,):
                 raise ValidationError(
                     f"recovery override must have shape ({self.n_options},), "
@@ -99,7 +104,7 @@ class CpuBackend(PricingBackend):
             [r.spread_bps for r in results], dtype=np.float64
         ).reshape(1, self.n_options)
         legs = None
-        if request.want_legs:
+        if want_legs:
             legs = LegSurfaces.from_arrays(
                 (
                     np.asarray([r.legs.premium_leg for r in results]),
@@ -119,7 +124,7 @@ class VectorizedBackend(PricingBackend):
     """The packed NumPy kernels: the host-side workhorse.
 
     Binding packs the book once (:class:`~repro.core.vector_pricing.
-    PackedPortfolio`), so every request pays only curve evaluation and
+    PackedPortfolio`), so every call pays only curve evaluation and
     the leg reductions — exactly the pre-redesign hot path of the risk
     and serving layers, now behind the uniform protocol.
     """
@@ -147,20 +152,27 @@ class VectorizedBackend(PricingBackend):
             raise ValidationError("backend 'vectorized' has no bound book")
         return self._packed
 
-    def _price_state(self, request: PriceRequest) -> PriceResult:
+    def price_state(
+        self,
+        yield_curve: YieldCurve,
+        hazard_curve: HazardCurve,
+        *,
+        recovery: np.ndarray | None = None,
+        want_legs: bool = False,
+    ) -> PriceResult:
         spreads, legs = price_packed_book(
             self.packed,
-            request.yield_curve,
-            request.hazard_curve,
-            recovery=request.recovery,
-            want_legs=request.want_legs,
+            yield_curve,
+            hazard_curve,
+            recovery=recovery,
+            want_legs=want_legs,
         )
         return PriceResult(
             backend=self.name,
             spreads_bps=spreads.reshape(1, self.n_options),
             legs=(
                 LegSurfaces.from_arrays(legs, 1, self.n_options)
-                if request.want_legs
+                if want_legs
                 else None
             ),
         )
@@ -185,21 +197,6 @@ class VectorizedBackend(PricingBackend):
             row_ids=rows,
         )
 
-    def _price_tensor(self, request: PriceRequest) -> PriceResult:
-        idx = request.row_indices
-        spreads, legs = self.price_rows(
-            request.tensor, idx, chunk_size=request.chunk_size
-        )
-        return PriceResult(
-            backend=self.name,
-            spreads_bps=spreads,
-            legs=(
-                LegSurfaces.from_arrays(legs, idx.size, self.n_options)
-                if request.want_legs
-                else None
-            ),
-        )
-
     def close(self) -> None:
         self._packed = None
         super().close()
@@ -213,8 +210,8 @@ class DataflowBackend(PricingBackend):
     CDSEngineBase.run`); the simulated
     :class:`~repro.engines.base.EngineResult` rides along in
     ``meta["engine_result"]``.  No leg surfaces — the fabric engines
-    emit spreads only — so PV consumers (risk, serving) must negotiate a
-    ``supports_legs`` backend instead.
+    emit spreads only, so ``want_legs`` returns none — and PV consumers
+    (risk, serving) must choose a ``supports_legs`` backend instead.
 
     Parameters
     ----------
@@ -266,15 +263,20 @@ class DataflowBackend(PricingBackend):
         else:
             self._engine = cls(self.scenario)
 
-    def _price_state(self, request: PriceRequest) -> PriceResult:
-        if request.recovery is not None:
+    def price_state(
+        self,
+        yield_curve: YieldCurve,
+        hazard_curve: HazardCurve,
+        *,
+        recovery: np.ndarray | None = None,
+        want_legs: bool = False,
+    ) -> PriceResult:
+        if recovery is not None:
             raise CapabilityError(
                 "backend 'dataflow' prices contracts as written; recovery "
                 "overrides need the 'cpu' or 'vectorized' backend"
             )
-        result = self._engine.run(
-            list(self.options), request.yield_curve, request.hazard_curve
-        )
+        result = self._engine.run(list(self.options), yield_curve, hazard_curve)
         return PriceResult(
             backend=self.name,
             spreads_bps=result.spreads_bps.reshape(1, self.n_options),

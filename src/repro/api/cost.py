@@ -1,11 +1,11 @@
-"""Dispatch cost modelling: the per-batch economics behind every backend.
+"""Dispatch cost modelling: the simulated economics of one card batch.
 
-:class:`DispatchCostModel` started life inside the serving layer; it
-lives here now because it is the *backend's* answer to "what does one
-dispatched batch cost on your device?" — the
-:meth:`~repro.api.protocol.PricingBackend.dispatch_cost_model` hook of
-the unified pricing API.  The serving layer consumes it through the
-session; :mod:`repro.serving.engine` re-exports it for compatibility.
+:class:`DispatchCostModel` answers "what does one dispatched batch cost
+on a card?": a fixed per-dispatch overhead plus per-row and per-cell
+marginals, calibrated from one timing replay of the engine network.  A
+quote server calibrates one model when it is built, and each of its
+replay lanes times its dispatches on a :class:`ClusterTimingRig` built
+from that model.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class DispatchCostModel:
         scenario:
             Experimental configuration (clock, PCIe, overheads).
         options:
-            The book the backend quotes (sets the representative batch).
+            The book quoted (sets the representative batch).
         yield_curve / hazard_curve:
             Base rate tables (sizes drive the simulated costs).
         n_engines:
@@ -180,7 +180,7 @@ class ClusterTimingRig:
     :class:`~repro.sim.Resource` (chunk dispatches pay
     :meth:`~repro.cluster.interconnect.HostLinkModel.dispatch_seconds`
     each, in issue order) and one resource per card (busy windows granted
-    by the backend's :class:`DispatchCostModel`).  All three surfaces
+    by the server's :class:`DispatchCostModel`).  All three surfaces
     share the rig's single clock — the unified-simulation invariant.
     Every dispatch is timed against the rig's :attr:`health`, which is
     the empty fault plan's (every card up, nothing stretched) until

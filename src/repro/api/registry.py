@@ -9,6 +9,7 @@ changes to the risk, serving or analysis layers.
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable
 
 from repro.api.protocol import PricingBackend
@@ -76,6 +77,12 @@ def create_backend(name: str, **config) -> PricingBackend:
     config:
         Forwarded to the factory (backend-specific: ``scenario`` and
         ``variant`` for ``dataflow``...).
+
+    Raises
+    ------
+    ValidationError
+        If ``name`` is not registered, or ``config`` holds a keyword the
+        factory does not take.
     """
     try:
         factory = _FACTORIES[name]
@@ -83,6 +90,14 @@ def create_backend(name: str, **config) -> PricingBackend:
         raise ValidationError(
             f"unknown pricing backend {name!r}; choose from "
             f"{list(available_backends())}"
+        ) from None
+    signature = inspect.signature(factory)
+    try:
+        signature.bind(**config)
+    except TypeError as err:
+        accepted = list(signature.parameters) or "no configuration keywords"
+        raise ValidationError(
+            f"backend {name!r} {err}; it accepts {accepted}"
         ) from None
     backend = factory(**config)
     if not isinstance(backend, PricingBackend):

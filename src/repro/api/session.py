@@ -1,9 +1,11 @@
 """The :class:`PricingSession` facade: one public door into every backend.
 
-A session binds a book to a backend once and then answers pricing
-requests with capability negotiation — tensor batches run in one kernel
-call on batch-capable backends and decompose into bit-identical
-per-state calls everywhere else.  :func:`open_session` is the single
+A session binds a book to a backend once and then prices it: one market
+state through the backend's ``price_state``, tensor rows through one
+``price_rows`` call — one kernel call on batch-capable backends,
+bit-identical per-state calls everywhere else.  The session validates
+the input, refuses a ``want_legs`` call on a backend without leg
+surfaces and checks the result's shape.  :func:`open_session` is the single
 public entry point the risk, serving and analysis layers build on::
 
     from repro.api import open_session
@@ -23,11 +25,11 @@ import numpy as np
 
 from repro.api.protocol import (
     BackendCapabilities,
+    LegSurfaces,
     MarketGrid,
-    PriceRequest,
     PriceResult,
     PricingBackend,
-    price_via,
+    tensor_row_indices,
 )
 from repro.api.registry import create_backend
 from repro.core.curves import HazardCurve, YieldCurve
@@ -52,8 +54,9 @@ def capability_error(
     """The error for a backend that lacks the ``missing`` capability flags.
 
     One message format for every consumer that checks flags:
-    :meth:`PricingSession.require` and the quote server's streaming
-    check, which must run before anything binds the backend.
+    :meth:`PricingSession.require`, the session's ``want_legs`` check
+    and the quote server's streaming check, which must run before
+    anything binds the backend.
     """
     phrases = ", ".join(_CAPABILITY_PHRASES[f] for f in missing)
     return CapabilityError(
@@ -64,7 +67,7 @@ def capability_error(
 
 
 class PricingSession:
-    """A book bound to a backend, answering requests with negotiation.
+    """A book bound to a backend, priced through one checked door.
 
     Parameters
     ----------
@@ -166,18 +169,6 @@ class PricingSession:
             raise capability_error(self.backend_name, missing, reason)
         return self
 
-    def price(self, request: PriceRequest) -> PriceResult:
-        """Answer one request, negotiating around missing capabilities.
-
-        Tensor requests against a backend without
-        ``supports_batch_tensor`` decompose into per-state calls
-        (bit-identical); a ``want_legs`` request against a backend
-        without leg surfaces raises
-        :class:`~repro.errors.CapabilityError`.
-        """
-        self._check_open()
-        return price_via(self._backend, request)
-
     def price_state(
         self,
         yield_curve: YieldCurve,
@@ -186,12 +177,19 @@ class PricingSession:
         recovery: np.ndarray | None = None,
         want_legs: bool = False,
     ) -> PriceResult:
-        """Price the book under one market state."""
-        return self.price(
-            PriceRequest.state(
-                yield_curve, hazard_curve, recovery=recovery, want_legs=want_legs
-            )
+        """Price the book under one market state.
+
+        Raises
+        ------
+        CapabilityError
+            If ``want_legs`` is set and the backend has no leg surfaces.
+        """
+        self._check_call(want_legs)
+        result = self._backend.price_state(
+            yield_curve, hazard_curve, recovery=recovery, want_legs=want_legs
         )
+        self._check_shape(result.spreads_bps, 1)
+        return result
 
     def price_tensor(
         self,
@@ -201,11 +199,41 @@ class PricingSession:
         want_legs: bool = False,
         chunk_size: int | None = None,
     ) -> PriceResult:
-        """Price the book under (selected rows of) a market-state batch."""
-        return self.price(
-            PriceRequest.tensor_rows(
-                tensor, rows, want_legs=want_legs, chunk_size=chunk_size
+        """Price the book under (selected rows of) a market-state batch.
+
+        One :meth:`~repro.api.PricingBackend.price_rows` call prices the
+        rows; ``rows=None`` prices all of them, and ``chunk_size`` bounds
+        the states per kernel chunk without changing the numbers.
+
+        Raises
+        ------
+        ValidationError
+            If ``rows`` is not valid for :func:`tensor_row_indices` or
+            ``chunk_size`` is below 1.
+        CapabilityError
+            If ``want_legs`` is set and the backend has no leg surfaces.
+        """
+        if rows is None:
+            idx = np.arange(tensor.n_scenarios, dtype=np.intp)
+        else:
+            idx = tensor_row_indices(rows, tensor.n_scenarios)
+        if chunk_size is not None and chunk_size < 1:
+            raise ValidationError(
+                f"chunk_size must be >= 1, got {chunk_size}"
             )
+        self._check_call(want_legs)
+        spreads, legs = self._backend.price_rows(
+            tensor, idx, chunk_size=chunk_size
+        )
+        self._check_shape(spreads, idx.size)
+        return PriceResult(
+            backend=self.backend_name,
+            spreads_bps=spreads,
+            legs=(
+                LegSurfaces.from_arrays(legs, idx.size, self.n_options)
+                if want_legs
+                else None
+            ),
         )
 
     def spreads(
@@ -213,20 +241,6 @@ class PricingSession:
     ) -> np.ndarray:
         """Convenience: ``(n_options,)`` par spreads under one state."""
         return self.price_state(yield_curve, hazard_curve).spreads_bps[0]
-
-    def dispatch_cost_model(
-        self,
-        scenario,
-        yield_curve: YieldCurve,
-        hazard_curve: HazardCurve,
-        *,
-        n_engines: int = 5,
-    ):
-        """The backend's per-dispatch cost model (serving-layer hook)."""
-        self._check_open()
-        return self._backend.dispatch_cost_model(
-            scenario, yield_curve, hazard_curve, n_engines=n_engines
-        )
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -240,9 +254,20 @@ class PricingSession:
         """Whether :meth:`close` ran."""
         return self._closed
 
-    def _check_open(self) -> None:
+    def _check_call(self, want_legs: bool) -> None:
         if self._closed:
             raise ValidationError("this pricing session is closed")
+        if want_legs and not self.capabilities.supports_legs:
+            raise capability_error(
+                self.backend_name, ["supports_legs"], "pricing with want_legs"
+            )
+
+    def _check_shape(self, spreads: np.ndarray, n_states: int) -> None:
+        if spreads.shape != (n_states, self.n_options):
+            raise ValidationError(
+                f"backend {self.backend_name!r} returned a {spreads.shape} "
+                f"spread surface for a ({n_states}, {self.n_options}) request"
+            )
 
     def __enter__(self) -> "PricingSession":
         return self

@@ -649,7 +649,9 @@ def auto_chunk_size(n_options: int, max_len: int) -> int:
     return max(1, CHUNK_TARGET_BYTES // per_scenario)
 
 
-def shifted_recovery(recovery: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def shifted_recovery(
+    recovery: np.ndarray, shifts: np.ndarray, names: Sequence | None = None
+) -> np.ndarray:
     """Per-scenario recovery rates under additive shifts.
 
     Rows with a non-zero shift are clamped to ``[0, RECOVERY_CAP]`` after
@@ -664,6 +666,9 @@ def shifted_recovery(recovery: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         ``(n_options,)`` base recovery rates.
     shifts:
         ``(n_scenarios,)`` additive shifts.
+    names:
+        Optional ``(n_scenarios,)`` names of the scenario rows, used by
+        the error a bad shift raises; defaults to each row's position.
 
     Returns
     -------
@@ -676,13 +681,6 @@ def shifted_recovery(recovery: np.ndarray, shifts: np.ndarray) -> np.ndarray:
         If a shift is NaN or infinite (the clamp would hide an infinite
         one and pass a NaN through to the quotes).
     """
-    return _shifted_recovery(recovery, shifts, range(np.size(shifts)))
-
-
-def _shifted_recovery(
-    recovery: np.ndarray, shifts: np.ndarray, names: Sequence
-) -> np.ndarray:
-    """:func:`shifted_recovery`, naming a bad row ``names[row]``."""
     rec = np.asarray(recovery, dtype=np.float64)
     sh = np.asarray(shifts, dtype=np.float64)
     base = rec[None, :]
@@ -692,8 +690,8 @@ def _shifted_recovery(
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0])
         raise ValidationError(
-            f"non-finite recovery shift for scenario {names[bad]}: "
-            f"{float(sh[bad])!r}"
+            f"non-finite recovery shift for scenario "
+            f"{bad if names is None else names[bad]}: {float(sh[bad])!r}"
         )
     shifted = np.clip(base + sh[:, None], 0.0, RECOVERY_CAP)
     return np.where(sh[:, None] != 0.0, shifted, base)
@@ -853,7 +851,7 @@ def price_packed_many(
     # and knot grids, see PackedPortfolio.curve_plans) and the leg
     # layouts (once per book, see PackedPortfolio.leg_layout).
     discount_plan, survival_plan = packed.curve_plans(yt, ht)
-    recovery = _shifted_recovery(packed.recovery, shifts, names)
+    recovery = shifted_recovery(packed.recovery, shifts, names)
     # Each chunk with an invalid cell keeps its mask and those cells'
     # annuities for the report; a clean call keeps nothing.
     invalid: list[tuple[int, np.ndarray, np.ndarray]] = []

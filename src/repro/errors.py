@@ -32,9 +32,9 @@ class ScheduleError(ValidationError):
 class CapabilityError(ReproError):
     """A pricing backend was asked for work its capability flags exclude.
 
-    Raised by :mod:`repro.api` when a :class:`~repro.api.PriceRequest`
-    needs a capability (leg surfaces, streaming quotes, ...) the selected
-    backend does not advertise and the session cannot negotiate around.
+    Raised by :mod:`repro.api` and its consumers when a call needs a
+    capability (leg surfaces, streaming quotes, ...) the selected backend
+    does not advertise.
     """
 
 

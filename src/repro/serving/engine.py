@@ -37,12 +37,11 @@ Two clocks run side by side, exactly as in the risk subsystem:
   bookkeeping it replaced.
 
 The dispatch cost model (:class:`~repro.api.cost.DispatchCostModel`)
-comes from the backend's cost-model hook, once per server — by default calibrated from the cycles of
-one representative :class:`~repro.cluster.node.ClusterNode` batch, the
-same engine network behind every other layer, timed without computing
-values — split into the fixed
-per-dispatch overhead (kernel invocation + PCIe setup) and the marginal
-per-row / per-cell costs.  That split is the entire economics of
+is calibrated once per server from the cycles of one representative
+:class:`~repro.cluster.node.ClusterNode` batch — the same engine network
+behind every other layer, timed without computing values — split into
+the fixed per-dispatch overhead (kernel invocation + PCIe setup) and the
+marginal per-row / per-cell costs.  That split is the entire economics of
 micro-batching: dispatching requests one at a time pays the fixed
 overhead per request, coalescing amortises it across the batch.
 
@@ -64,7 +63,7 @@ from operator import attrgetter
 import numpy as np
 
 from repro.api import PricingBackend, create_backend
-from repro.api.cost import ClusterTimingRig
+from repro.api.cost import ClusterTimingRig, DispatchCostModel
 from repro.api.session import capability_error
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
@@ -207,9 +206,9 @@ class QuoteServer:
             backend=backend,
             telemetry=self.telemetry,
         )
-        # Per-dispatch economics come from the backend's cost-model hook.
-        self.cost_model = self.engine.session.dispatch_cost_model(
+        self.cost_model = DispatchCostModel.calibrate(
             self.engine.scenario,
+            book.options,
             self.engine.yield_curve,
             self.engine.hazard_curve,
             n_engines=n_engines,

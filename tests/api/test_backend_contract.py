@@ -10,32 +10,38 @@ each backend:
 * spreads match the scalar reference pricer — the repository's ground
   truth — up to bounded floating-point reassociation (the padded vector
   kernels re-associate the leg sums; the repo-wide doctrine since PR 0);
-* capability flags are honoured: tensor requests batch or decompose per
-  the ``supports_batch_tensor`` flag with identical numbers, leg
-  surfaces exist iff ``supports_legs``, ``supports_streaming`` decides
-  whether the quote server accepts the backend, ``simulated_timing``
-  backends attach their timing metadata;
-* repeated identical requests are bit-identically deterministic.
+* capability flags are honoured: each backend's ``price_rows`` equals
+  the session's ``price_tensor`` and a per-state loop, batched or not,
+  leg surfaces exist iff ``supports_legs``, ``supports_streaming``
+  decides whether the quote server accepts the backend,
+  ``simulated_timing`` backends attach their timing metadata;
+* repeated identical calls are bit-identically deterministic.
 
 New backends registered via :func:`repro.api.register_backend`
-automatically join this suite.
+automatically join this suite.  A backend that implements only
+``price_state`` serves the risk and serving layers through the default
+``price_rows`` exactly as ``vectorized`` does.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import (
-    PriceRequest,
+    BackendCapabilities,
+    LegSurfaces,
+    PriceResult,
+    PricingBackend,
     available_backends,
     create_backend,
     open_session,
 )
 from repro.core.pricing import CDSPricer
+from repro.core.vector_pricing import PackedPortfolio, price_packed_book
 from repro.errors import CapabilityError
 from repro.risk.engine import make_book
 from repro.risk.scenarios import monte_carlo
 from repro.serving.engine import QuoteServer
-from repro.serving.workload import make_market_tape
+from repro.serving.workload import make_market_tape, make_request_stream
 from repro.workloads.scenarios import PaperScenario
 
 SC = PaperScenario(n_rates=48, n_options=5)
@@ -118,32 +124,24 @@ class TestSpreadConformance:
 class TestCapabilityFlags:
     def test_tensor_requests_honour_batch_flag(self, backend_name):
         """Tensor batches work on every backend — batched in one call or
-        negotiated per state — and the numbers never depend on which."""
+        priced per state — and the numbers never depend on which."""
         options = make_book("heterogeneous", 4, seed=11).options
         shocks = monte_carlo(YC, HC, 6, seed=5)
         tensor = shocks.tensor
         with make_session(backend_name, options) as session:
             batched = session.price_tensor(tensor)
-            # The per-state reference: one state request per row.
+            # The per-state reference: one state call per row.
             rows = [
                 session.price_state(
                     s.yield_curve, s.hazard_curve
                 ).spreads_bps[0]
                 for s in shocks
             ]
-            if session.capabilities.supports_batch_tensor:
-                # Direct backend call must also work (no negotiation).
-                direct = session.backend.price(
-                    PriceRequest.tensor_rows(tensor)
-                )
-                np.testing.assert_array_equal(
-                    direct.spreads_bps, batched.spreads_bps
-                )
-            else:
-                # Direct tensor calls are refused; only the session
-                # facade negotiates them down to per-state requests.
-                with pytest.raises(CapabilityError):
-                    session.backend.price(PriceRequest.tensor_rows(tensor))
+            # The backend's own entry point prices the same numbers.
+            direct, _ = session.backend.price_rows(
+                tensor, np.arange(len(shocks))
+            )
+        np.testing.assert_array_equal(direct, batched.spreads_bps)
         np.testing.assert_array_equal(batched.spreads_bps, np.vstack(rows))
 
     def test_tensor_row_selection_preserves_order(self, backend_name):
@@ -245,3 +243,75 @@ class TestCapabilityFlags:
         engine_result = result.meta["engine_result"]
         assert engine_result.kernel_cycles > 0
         assert engine_result.seconds > 0
+
+
+class PackedStateBackend(PricingBackend):
+    """Only ``price_state``, over ``price_packed_book``: tensor rows go
+    through the default per-state ``price_rows``."""
+
+    name = "packed-state"
+
+    def __init__(self, batch_tensor: bool) -> None:
+        super().__init__()
+        self.capabilities = BackendCapabilities(
+            supports_batch_tensor=batch_tensor,
+            supports_streaming=True,
+            supports_legs=True,
+            simulated_timing=False,
+        )
+
+    def _on_bind(self, options):
+        self._packed = PackedPortfolio.pack(options)
+
+    def price_state(
+        self, yield_curve, hazard_curve, *, recovery=None, want_legs=False
+    ):
+        spreads, legs = price_packed_book(
+            self._packed,
+            yield_curve,
+            hazard_curve,
+            recovery=recovery,
+            want_legs=want_legs,
+        )
+        n = self.n_options
+        return PriceResult(
+            backend=self.name,
+            spreads_bps=spreads.reshape(1, n),
+            legs=LegSurfaces.from_arrays(legs, 1, n) if want_legs else None,
+        )
+
+
+class TestPriceStateAlone:
+    @pytest.mark.parametrize("batch_tensor", [False, True])
+    def test_serves_like_vectorized(self, batch_tensor):
+        """Served responses, revalued P&Ls and quoted rows equal
+        ``vectorized``'s bit for bit.  With ``supports_batch_tensor`` set
+        the revalue takes the tensor route, so it runs through the default
+        ``price_rows`` too; without it, one session state call per
+        scenario."""
+        book = make_book("heterogeneous", 5, seed=3)
+        tape = make_market_tape(YC, HC, 6, seed=8)
+        trace = make_request_stream(
+            80, rate_hz=20_000.0, n_states=6, n_positions=5, var_rows=3,
+            seed=4,
+        )
+        shocks = monte_carlo(YC, HC, 8, seed=5, recovery_vol=0.05)
+        outcomes = []
+        for backend in (
+            create_backend("vectorized"),
+            PackedStateBackend(batch_tensor),
+        ):
+            server = QuoteServer(book, tape, scenario=SC, n_cards=2,
+                                 backend=backend)
+            served = server.serve(trace)
+            engine = server.engine
+            outcomes.append((
+                served.responses,
+                engine.revalue(shocks, with_timing=False).pnl,
+                engine.quote_rows(tape, [5, 0, 3]),
+            ))
+        (ref_served, ref_pnl, ref_rows), (served, pnl, rows) = outcomes
+        assert served and served == ref_served
+        np.testing.assert_array_equal(pnl, ref_pnl)
+        for got, want in zip(rows, ref_rows):
+            np.testing.assert_array_equal(got, want)

@@ -1,4 +1,4 @@
-"""Unit tests for the session facade, the registry and request validation."""
+"""Unit tests for the session facade, the registry and input validation."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.api import (
     BackendCapabilities,
     CpuBackend,
-    DispatchCostModel,
-    PriceRequest,
+    PriceResult,
     PricingBackend,
     VectorizedBackend,
     available_backends,
@@ -16,6 +15,7 @@ from repro.api import (
     register_backend,
     unregister_backend,
 )
+from repro.api.session import capability_error
 from repro.errors import CapabilityError, ValidationError
 from repro.risk.engine import ScenarioRiskEngine, make_book
 from repro.risk.scenarios import monte_carlo
@@ -66,6 +66,44 @@ class TestOpenSession:
         with open_session("vectorized", BOOK) as session:
             assert session.spreads(YC, HC).shape == (len(BOOK),)
 
+    @pytest.mark.parametrize(
+        "backend, config, accepted",
+        [
+            ("vectorized", {"n_cards": 4}, "no configuration keywords"),
+            (
+                "dataflow",
+                {"variantt": "x"},
+                "['scenario', 'variant', 'n_engines']",
+            ),
+        ],
+    )
+    def test_bad_config_keyword_names_the_backend(
+        self, backend, config, accepted
+    ):
+        """A keyword the backend does not take is a ValidationError naming
+        the backend, the keyword and the accepted ones, not a TypeError."""
+        (keyword,) = config
+        with pytest.raises(ValidationError) as err:
+            open_session(backend, BOOK, **config)
+        assert str(err.value) == (
+            f"backend {backend!r} got an unexpected keyword argument "
+            f"{keyword!r}; it accepts {accepted}"
+        )
+
+    def test_a_constructor_bug_is_not_read_as_bad_config(self):
+        """Only the keywords are checked up front: a TypeError raised
+        inside a factory that accepts them still escapes as itself."""
+
+        def broken(scale=1.0):
+            return VectorizedBackend(scale)
+
+        register_backend("broken-ctor", broken)
+        try:
+            with pytest.raises(TypeError):
+                create_backend("broken-ctor", scale=2.0)
+        finally:
+            unregister_backend("broken-ctor")
+
 
 class TestRegistry:
     def test_builtins_registered(self):
@@ -103,88 +141,58 @@ class TestRegistry:
             unregister_backend("broken")
 
 
-class TestPriceRequestValidation:
-    def test_state_needs_both_curves(self):
-        with pytest.raises(ValidationError, match="both yield_curve"):
-            PriceRequest(yield_curve=YC)
+class TestPriceTensorRows:
+    @pytest.fixture
+    def session(self):
+        # cpu has no kernel of its own to reject bad rows or chunk sizes:
+        # whatever is refused here, the session refused.
+        with open_session("cpu", BOOK) as session:
+            yield session
 
-    def test_state_and_tensor_exclusive(self):
-        tensor = monte_carlo(YC, HC, 3, seed=1).tensor
-        with pytest.raises(ValidationError, match="not both"):
-            PriceRequest(yield_curve=YC, hazard_curve=HC, tensor=tensor)
-
-    def test_rows_only_with_tensor(self):
-        with pytest.raises(ValidationError, match="tensor requests"):
-            PriceRequest(yield_curve=YC, hazard_curve=HC, rows=(0,))
-
-    def test_rows_out_of_range(self):
+    def test_rows_out_of_range(self, session):
         tensor = monte_carlo(YC, HC, 3, seed=1).tensor
         with pytest.raises(ValidationError, match="outside"):
-            PriceRequest(tensor=tensor, rows=(0, 3))
+            session.price_tensor(tensor, rows=(0, 3))
 
     @pytest.mark.parametrize(
         "rows, shown", [((2.7,), "[2.7]"), ((True,), "[True]")]
     )
-    def test_rows_must_be_integers(self, rows, shown):
+    def test_rows_must_be_integers(self, session, rows, shown):
         """Neither truncated (2.7 -> row 2) nor read as a row (True -> 1)."""
         tensor = monte_carlo(YC, HC, 3, seed=1).tensor
         message = f"rows must be 1-D integer indices, got {shown}"
         with pytest.raises(ValidationError) as err:
-            PriceRequest(tensor=tensor, rows=rows)
+            session.price_tensor(tensor, rows=rows)
         assert str(err.value) == message
         with pytest.raises(ValidationError) as err:
-            PriceRequest.tensor_rows(tensor, list(rows))
+            session.price_tensor(tensor, list(rows))
         assert str(err.value) == message
 
-    def test_rows_are_stored_as_ints(self):
-        tensor = monte_carlo(YC, HC, 3, seed=1).tensor
-        req = PriceRequest.tensor_rows(tensor, np.array([2, 0]))
-        assert req.rows == (2, 0)
-        assert all(type(r) is int for r in req.rows)
-
-    def test_rows_must_be_non_empty(self):
+    def test_rows_must_be_non_empty(self, session):
         tensor = monte_carlo(YC, HC, 3, seed=1).tensor
         with pytest.raises(ValidationError, match="non-empty"):
-            PriceRequest(tensor=tensor, rows=())
+            session.price_tensor(tensor, rows=())
 
-    def test_recovery_only_for_state_requests(self):
+    def test_chunk_size_positive(self, session):
         tensor = monte_carlo(YC, HC, 3, seed=1).tensor
-        with pytest.raises(ValidationError, match="recovery"):
-            PriceRequest(tensor=tensor, recovery=np.zeros(4))
-
-    def test_chunk_size_positive(self):
         with pytest.raises(ValidationError, match="chunk_size"):
-            PriceRequest(yield_curve=YC, hazard_curve=HC, chunk_size=0)
+            session.price_tensor(tensor, chunk_size=0)
 
-    def test_state_request_has_no_rows(self):
-        req = PriceRequest.state(YC, HC)
-        assert req.kind == "state"
-        assert req.n_states == 1
-        with pytest.raises(ValidationError, match="no tensor rows"):
-            req.row_indices
-
-    def test_tensor_request_defaults_to_all_rows(self):
+    def test_tensor_request_defaults_to_all_rows(self, session):
         tensor = monte_carlo(YC, HC, 5, seed=1).tensor
-        req = PriceRequest.tensor_rows(tensor)
-        assert req.kind == "tensor"
-        assert req.n_states == 5
-        np.testing.assert_array_equal(req.row_indices, np.arange(5))
-
-    def test_requests_compare_by_identity_and_hash(self):
-        # The optional array field makes field-wise == ill-defined, so
-        # requests are identity-compared (and hashable) like PriceResult.
-        rec = np.full(len(BOOK), 0.4)
-        a = PriceRequest.state(YC, HC, recovery=rec)
-        b = PriceRequest.state(YC, HC, recovery=rec.copy())
-        assert a == a and a != b
-        assert len({a, b}) == 2
+        result = session.price_tensor(tensor)
+        assert result.n_states == 5
+        np.testing.assert_array_equal(
+            result.spreads_bps,
+            session.price_tensor(tensor, rows=np.arange(5)).spreads_bps,
+        )
 
 
 class TestBackendLifecycle:
     def test_price_before_bind_raises(self):
         backend = VectorizedBackend()
         with pytest.raises(ValidationError, match="no bound book"):
-            backend.price(PriceRequest.state(YC, HC))
+            backend.price_state(YC, HC)
 
     def test_rebinding_a_bound_backend_is_refused(self):
         """One backend instance serves one session: a silent rebind would
@@ -213,17 +221,52 @@ class TestBackendLifecycle:
             assert session.spreads(YC, HC).shape == (3,)
         assert first.shape == (len(BOOK),)
 
-    def test_direct_tensor_on_non_batch_backend_refused(self):
-        backend = CpuBackend()
-        backend.bind(BOOK)
-        tensor = monte_carlo(YC, HC, 3, seed=1).tensor
-        with pytest.raises(CapabilityError, match="cannot price tensor"):
-            backend.price(PriceRequest.tensor_rows(tensor))
-
     def test_want_legs_on_dataflow_refused(self):
         with open_session("dataflow", BOOK, scenario=SC) as session:
             with pytest.raises(CapabilityError, match="leg surfaces"):
                 session.price_state(YC, HC, want_legs=True)
+
+    def test_want_legs_refusal_words_its_error_as_require_does(self):
+        """Both input shapes refuse a legs call in require's format, and
+        the session stays open for spread-only work."""
+        tensor = monte_carlo(YC, HC, 3, seed=1).tensor
+        expected = capability_error(
+            "dataflow", ["supports_legs"], "pricing with want_legs"
+        )
+        with open_session("dataflow", BOOK, scenario=SC) as session:
+            for call in (
+                lambda: session.price_state(YC, HC, want_legs=True),
+                lambda: session.price_tensor(tensor, want_legs=True),
+            ):
+                with pytest.raises(CapabilityError) as err:
+                    call()
+                assert str(err.value) == str(expected)
+            assert session.price_tensor(tensor).legs is None
+
+    @pytest.mark.parametrize("shape", ["state", "tensor"])
+    def test_a_wrong_result_shape_is_refused_naming_the_backend(self, shape):
+        class Wide(PricingBackend):
+            name = "wide"
+
+            def price_state(self, yield_curve, hazard_curve, **_):
+                return PriceResult(
+                    backend=self.name,
+                    spreads_bps=np.zeros((1, self.n_options + 1)),
+                )
+
+        tensor = monte_carlo(YC, HC, 3, seed=1).tensor
+        n = len(BOOK)
+        with open_session(Wide(), BOOK) as session:
+            with pytest.raises(ValidationError) as err:
+                if shape == "state":
+                    session.price_state(YC, HC)
+                else:
+                    session.price_tensor(tensor)
+        states = 1 if shape == "state" else 3
+        assert str(err.value) == (
+            f"backend 'wide' returned a ({states}, {n + 1}) spread surface "
+            f"for a ({states}, {n}) request"
+        )
 
     def test_failed_engine_construction_releases_the_backend(self):
         """A capability mismatch raised mid-construction must unbind a
@@ -310,16 +353,6 @@ class TestQuoteRowsHotPath:
         assert len(calls) == 4
 
 
-class TestDispatchCostModelHook:
-    def test_hook_matches_direct_calibration(self):
-        with open_session("vectorized", BOOK) as session:
-            hooked = session.dispatch_cost_model(SC, YC, HC, n_engines=3)
-        direct = DispatchCostModel.calibrate(
-            SC, list(BOOK), YC, HC, n_engines=3
-        )
-        assert hooked == direct
-
-
 class TestCustomBackendExtension:
     def test_minimal_third_party_backend(self):
         """The protocol is enough: a new backend plugs in via the registry
@@ -335,9 +368,7 @@ class TestCustomBackendExtension:
                 description="answers 100 bps for everything",
             )
 
-            def _price_state(self, request):
-                from repro.api import PriceResult
-
+            def price_state(self, yield_curve, hazard_curve, **_):
                 return PriceResult(
                     backend=self.name,
                     spreads_bps=np.full((1, self.n_options), 100.0),
@@ -347,10 +378,9 @@ class TestCustomBackendExtension:
         try:
             with open_session("constant", BOOK) as session:
                 assert np.all(session.spreads(YC, HC) == 100.0)
-                # Tensor requests negotiate down to per-state calls.
+                # Tensor rows go through the default per-state price_rows.
                 tensor = monte_carlo(YC, HC, 3, seed=1).tensor
                 result = session.price_tensor(tensor)
                 assert result.spreads_bps.shape == (3, len(BOOK))
-                assert result.meta["negotiated"] == "per-state"
         finally:
             unregister_backend("constant")

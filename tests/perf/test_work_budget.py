@@ -19,7 +19,8 @@ A quote server prices each market state of its tape once: the host
 kernel prices the whole book for each distinct row a replay reads, in
 no more calls than rows, however many requests read it.  A batch-1
 replay pays for the kernel, not the wrappers: a one-row dispatch skips
-the partitioner, and no request object is built per batch.
+the partitioner, and only building a risk engine prices a single market
+state.
 
 A gateway's replicas are lanes of one quote server, so however many
 there are, one risk engine binds the book once.
@@ -40,7 +41,7 @@ import pytest
 
 import repro
 import repro.telemetry.metrics
-from repro.api import PriceRequest, PricingBackend
+from repro.api import PricingBackend, VectorizedBackend
 from repro.cluster.batching import BatchQueue
 from repro.cluster.node import ClusterNode
 from repro.core.vector_pricing import (
@@ -398,17 +399,34 @@ def test_batch1_partitions_only_multi_row_dispatches(
     assert min(sizes) > 1
 
 
-def test_batch1_builds_no_price_request(batch1_server, monkeypatch):
-    built = []
-    post_init = PriceRequest.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(PriceRequest, "__post_init__", counting)
-    batch1_server.serve(_server_trace(400))
-    assert built == []
+def test_price_state_runs_only_when_an_engine_is_built(
+    scenario, book, tape, monkeypatch
+):
+    """The base state's par spreads and PVs: two single-state calls per
+    risk engine build, none in a batch-1 serve or a timed revalue."""
+    counts = {"price_state": 0}
+    monkeypatch.setattr(
+        VectorizedBackend,
+        "price_state",
+        _counted(counts, "price_state", VectorizedBackend.price_state),
+    )
+    server = QuoteServer(
+        book, tape, scenario=scenario, n_cards=2, n_engines=2,
+        queue=BatchQueue(max_batch=1, linger_s=0.0), queue_depth=256,
+    )
+    assert counts["price_state"] == 2
+    engine = ScenarioRiskEngine(
+        book, scenario=scenario, n_cards=2, n_engines=2
+    )
+    assert counts["price_state"] == 4
+    server.serve(_server_trace(400))
+    assert counts["price_state"] == 4
+    engine.revalue(
+        monte_carlo(
+            scenario.yield_curve(), scenario.hazard_curve(), 64, seed=11
+        )
+    )
+    assert counts["price_state"] == 4
 
 
 # ----------------------------------------------------------------------

@@ -386,7 +386,7 @@ class TestBackendFlag:
     def test_risk_cpu_backend_runs_and_is_reported(self, capsys):
         assert main(RISK_ARGS + ["--seed", "7", "--backend", "cpu"]) == 0
         out = capsys.readouterr().out
-        # cpu has no batch-tensor capability: the session negotiates the
+        # cpu has no batch-tensor capability: the risk engine takes the
         # per-scenario path and the report says so.
         assert "backend cpu" in out
         assert "looped" in out

@@ -73,7 +73,6 @@ TEST_ONLY_NAMES = (
     "repro.core.daycount.year_fraction",
     "repro.core.schedule.schedule_lengths",
     "repro.core.validation.check_probability",
-    "repro.core.vector_pricing.shifted_recovery",
     "repro.dataflow.engine.collector",
     "repro.dataflow.engine.feeder",
     "repro.dataflow.engine.transformer",

@@ -17,7 +17,7 @@ class TestPublicAPI:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "1.22.0"
+        assert repro.__version__ == "1.23.0"
 
     def test_risk_exports_resolve(self):
         import repro.risk as risk
@@ -85,21 +85,26 @@ class TestReadmeQuickstart:
         assert run.options_per_second > 0
 
     def test_doctests(self):
-        """Run the doctest examples embedded in docstrings."""
+        """Run the doctest examples of every module that has one.
+
+        The modules are found by scanning the package's source for
+        ``>>> ``, so a new example cannot be left out of the run.
+        """
         import doctest
+        import importlib
+        from pathlib import Path
 
-        import repro.core.daycount
-        import repro.core.pricing
-        import repro.core.schedule
-        import repro.core.vector_pricing
-        import repro.workloads.generator
-
-        for mod in (
-            repro.core.daycount,
-            repro.core.pricing,
-            repro.core.schedule,
-            repro.core.vector_pricing,
-            repro.workloads.generator,
-        ):
-            failures, _ = doctest.testmod(mod)
+        package = Path(repro.__file__).parent
+        modules = []
+        for path in sorted(package.rglob("*.py")):
+            if ">>> " not in path.read_text():
+                continue
+            parts = path.relative_to(package.parent).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            modules.append(importlib.import_module(".".join(parts)))
+        assert repro in modules
+        for mod in modules:
+            failures, attempted = doctest.testmod(mod)
             assert failures == 0, mod.__name__
+            assert attempted > 0, mod.__name__
