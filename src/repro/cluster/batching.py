@@ -2,27 +2,22 @@
 
 A pricing service does not see tidy fixed-size batches: requests arrive in
 bursts and the host must trade latency against throughput when deciding
-when to dispatch.  :class:`BatchQueue` implements the standard
-size-or-linger coalescing rule (dispatch when ``max_batch`` requests are
-pending, or when the oldest pending request has waited ``linger_s``), and
-:func:`simulate_batched_stream` replays an arrival trace through a
-:class:`~repro.cluster.cluster.CDSCluster`, reporting per-request latency
-percentiles next to the aggregate throughput — the two numbers the linger
-knob trades against each other.
+when to dispatch.  :class:`BatchQueue` holds the standard size-or-linger
+coalescing rule (dispatch when ``max_batch`` requests are pending, or when
+the oldest pending request has waited ``linger_s``).  The serving layer's
+:class:`~repro.serving.coalescer.MicroBatchCoalescer` applies it online;
+:meth:`BatchQueue.coalesce` replays it offline over a whole arrival trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.cluster.cluster import CDSCluster
 from repro.core.types import CDSOption
 from repro.errors import ValidationError
 from repro.workloads.cluster import Arrival
 
-__all__ = ["BatchQueue", "DispatchBatch", "BatchingReport", "simulate_batched_stream"]
+__all__ = ["BatchQueue", "DispatchBatch"]
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ class BatchQueue:
             raise ValidationError(
                 f"max_batch must be >= 1, got {self.max_batch}"
             )
-        if self.linger_s < 0:
+        if not self.linger_s >= 0:  # NaN too: a NaN linger never fires
             raise ValidationError(
                 f"linger_s must be >= 0, got {self.linger_s}"
             )
@@ -122,103 +117,3 @@ class BatchQueue:
         while pending:
             flush(pending[0][0] + self.linger_s)
         return batches
-
-
-@dataclass(frozen=True)
-class BatchingReport:
-    """Latency/throughput outcome of a batched arrival replay.
-
-    Attributes
-    ----------
-    n_requests / n_batches:
-        Individual contracts priced and dispatches they were coalesced
-        into.
-    mean_batch_size:
-        ``n_requests / n_batches``.
-    span_seconds:
-        First arrival to last completion.
-    options_per_second:
-        Sustained throughput over the span.
-    mean_latency_s / p50_latency_s / p99_latency_s / max_latency_s:
-        Per-contract arrival-to-completion latency statistics.
-    batches:
-        The dispatches themselves; excluded from equality comparisons.
-    """
-
-    n_requests: int
-    n_batches: int
-    mean_batch_size: float
-    span_seconds: float
-    options_per_second: float
-    mean_latency_s: float
-    p50_latency_s: float
-    p99_latency_s: float
-    max_latency_s: float
-    batches: list[DispatchBatch] = field(default_factory=list, compare=False)
-
-    def summary(self) -> str:
-        """One-line report."""
-        return (
-            f"{self.n_requests} requests in {self.n_batches} batches "
-            f"(mean {self.mean_batch_size:.1f}): "
-            f"{self.options_per_second:,.0f} options/s, "
-            f"latency p50 {self.p50_latency_s * 1e3:.2f} ms / "
-            f"p99 {self.p99_latency_s * 1e3:.2f} ms"
-        )
-
-
-def simulate_batched_stream(
-    cluster: CDSCluster,
-    arrivals: list[Arrival],
-    queue: BatchQueue | None = None,
-) -> BatchingReport:
-    """Replay an arrival trace through the queue and the cluster.
-
-    Batches run on the cluster one at a time (the cluster already uses
-    every card for each batch); a batch dispatched while the previous one
-    is still running waits for it.
-
-    Parameters
-    ----------
-    cluster:
-        The cluster that prices each dispatched batch.
-    arrivals:
-        Request trace, e.g. from :func:`~repro.workloads.cluster.
-        make_burst_arrivals`.
-    queue:
-        Coalescing policy (default :class:`BatchQueue`).
-
-    Returns
-    -------
-    BatchingReport
-        Per-request latency percentiles and sustained throughput.
-    """
-    if not arrivals:
-        raise ValidationError("arrival trace must be non-empty")
-    q = queue if queue is not None else BatchQueue()
-    batches = q.coalesce(arrivals)
-
-    latencies: list[float] = []
-    busy_until = 0.0
-    for batch in batches:
-        start = max(batch.dispatch_time_s, busy_until)
-        result = cluster.run(batch.options)
-        done = start + result.makespan_seconds
-        busy_until = done
-        latencies.extend(done - t for t in batch.arrival_times)
-
-    lat = np.asarray(latencies)
-    first = min(a.time_s for a in arrivals)
-    span = busy_until - first
-    return BatchingReport(
-        n_requests=len(lat),
-        n_batches=len(batches),
-        mean_batch_size=len(lat) / len(batches),
-        span_seconds=span,
-        options_per_second=len(lat) / span,
-        mean_latency_s=float(lat.mean()),
-        p50_latency_s=float(np.percentile(lat, 50)),
-        p99_latency_s=float(np.percentile(lat, 99)),
-        max_latency_s=float(lat.max()),
-        batches=batches,
-    )

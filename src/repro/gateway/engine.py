@@ -53,6 +53,7 @@ from repro.serving.request import (
     PricingResponse,
     ShedReason,
     ShedRecord,
+    _is_index,
 )
 from repro.sim import Simulation
 from repro.telemetry import (
@@ -183,7 +184,8 @@ class Gateway:
             Requests without a tenant label bill to the first profile.
         ticks:
             Optional ``(time_s, row)`` market ticks; each drops every
-            cached quote keyed on its row (ignored with the cache off).
+            cached quote keyed on its row.  Each row must index the tape,
+            with the cache on or off; with it off, ticks drop nothing.
         faults:
             Optional :class:`~repro.faults.FaultPlan` applied to the
             ``fault_server`` lane; the other lanes carry the empty plan.
@@ -217,6 +219,13 @@ class Gateway:
             raise ValidationError(
                 f"fault_server must index a server, got {fault_server}"
             )
+        n_states = self.tape.n_scenarios
+        for _, row in ticks or ():
+            if not _is_index(row) or not 0 <= row < n_states:
+                raise ValidationError(
+                    f"tick row must index the {n_states}-state tape, "
+                    f"got {row!r}"
+                )
 
         sim = Simulation()
         lanes = [
@@ -422,13 +431,7 @@ class Gateway:
         )
         if cache is not None and ticks:
             for tick in ticks:
-                t, row = tick
-                if row >= self.tape.n_scenarios:
-                    raise ValidationError(
-                        f"tick row {row} beyond the "
-                        f"{self.tape.n_scenarios}-state tape"
-                    )
-                sim.schedule_at(t, on_tick, payload=tick, label="tick")
+                sim.schedule_at(tick[0], on_tick, payload=tick, label="tick")
         sim.run()
         for lane in lanes:
             lane.flush()

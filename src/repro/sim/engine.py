@@ -8,10 +8,10 @@ at bottom, the same two operations: *schedule something at a simulated
 instant* and *reserve a busy window on a contended resource*
 (:mod:`repro.sim.resources`).
 
-Callbacks may schedule further events (at or after the current instant),
-cancel pending ones, and reserve resources; :meth:`Simulation.run`
-executes events in deterministic ``(time, priority, seq)`` order until
-the queue drains or ``until`` is reached.
+Callbacks may schedule further events (at or after the current instant)
+and reserve resources; :meth:`Simulation.run` executes events in
+deterministic ``(time, priority, seq)`` order until the queue drains or
+``until`` is reached.
 
 A replay's request arrivals are known up front and already sorted, so
 they need no heap: :meth:`Simulation.feed` registers them as one
@@ -29,7 +29,7 @@ from typing import Any
 from repro.errors import ValidationError
 from repro.sim.events import Clock, Event, EventQueue
 
-__all__ = ["Simulation", "Process"]
+__all__ = ["Simulation"]
 
 
 class Simulation:
@@ -81,8 +81,8 @@ class Simulation:
     ) -> Event:
         """Schedule ``callback(payload)`` at absolute instant ``time``.
 
-        ``time`` must not precede the current clock; the returned
-        :class:`~repro.sim.events.Event` handle supports :meth:`cancel`.
+        ``time`` must not precede the current clock.  Returns the queued
+        :class:`~repro.sim.events.Event`.
         """
         if time < self.clock.now:
             raise ValidationError(
@@ -97,30 +97,6 @@ class Simulation:
                 label=label,
             )
         )
-
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[Any], None],
-        *,
-        payload: Any = None,
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``callback(payload)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise ValidationError(f"delay must be >= 0, got {delay}")
-        return self.schedule_at(
-            self.clock.now + delay,
-            callback,
-            payload=payload,
-            priority=priority,
-            label=label,
-        )
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event."""
-        self.queue.cancel(event)
 
     def feed(
         self,
@@ -237,71 +213,4 @@ class _ArrivalSource:
             callback=self.callback,
             payload=self.payloads[i],
             label=self.label,
-            fired=True,
         )
-
-
-class Process:
-    """A named generator of scheduled work on one simulation.
-
-    The thinnest useful process abstraction: :meth:`hold` schedules a
-    continuation after a delay, so multi-step behaviours (a periodic risk
-    refresher, a traffic source) read as small callback chains without
-    the full coroutine machinery.
-
-    Parameters
-    ----------
-    sim:
-        The simulation this process lives on.
-    name:
-        Trace label prefix for every event the process schedules.
-    """
-
-    def __init__(self, sim: Simulation, name: str = "process") -> None:
-        self.sim = sim
-        self.name = name
-        self.steps = 0
-
-    def hold(
-        self,
-        delay: float,
-        callback: Callable[[Any], None],
-        *,
-        payload: Any = None,
-        priority: int = 0,
-    ) -> Event:
-        """Schedule the process's next step after ``delay`` seconds."""
-        self.steps += 1
-        return self.sim.schedule(
-            delay,
-            callback,
-            payload=payload,
-            priority=priority,
-            label=f"{self.name}#{self.steps}",
-        )
-
-    def every(
-        self,
-        period: float,
-        callback: Callable[[float], None],
-        *,
-        start: float | None = None,
-        n_times: int = 1,
-    ) -> None:
-        """Schedule ``callback(t)`` at ``n_times`` period-spaced instants.
-
-        Fires at ``start, start + period, ...`` (``start`` defaults to
-        one period from now) — the periodic-refresh idiom of the mixed
-        workload demo, expressed once here.
-        """
-        if period <= 0:
-            raise ValidationError(f"period must be > 0, got {period}")
-        if n_times < 1:
-            raise ValidationError(f"n_times must be >= 1, got {n_times}")
-        first = self.sim.now + period if start is None else start
-        for k in range(n_times):
-            t = first + k * period
-            self.steps += 1
-            self.sim.schedule_at(
-                t, callback, payload=t, label=f"{self.name}#{self.steps}"
-            )

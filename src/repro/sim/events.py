@@ -1,6 +1,6 @@
 """Event primitives: the heap-ordered queue and the simulated clock.
 
-The whole unified simulator rests on three small invariants enforced
+The whole unified simulator rests on two small invariants enforced
 here:
 
 * **deterministic ordering** — events pop in ``(time, priority, seq)``
@@ -9,11 +9,8 @@ here:
   therefore execute in the order they were scheduled, run after run,
   interpreter after interpreter — the stable tie-break every
   conformance test leans on;
-* **cancellation without rebuild** — cancelling marks the entry dead and
-  :meth:`EventQueue.pop` skips it (the standard lazy-deletion heap
-  idiom), so O(1) cancel and no heap surgery;
 * **monotone time** — :class:`Clock` refuses to move backwards, turning
-  causality bugs into loud :class:`~repro.errors.SimulationError`\\ s
+  causality bugs into loud :class:`~repro.errors.ValidationError`\\ s
   instead of silently reordered timelines.
 """
 
@@ -21,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ValidationError
@@ -49,12 +46,6 @@ class Event:
         Opaque datum handed back to the callback.
     label:
         Optional trace label (shows up in trace hooks).
-    cancelled:
-        Set by :meth:`EventQueue.cancel`; cancelled events are skipped.
-    fired:
-        Set by :meth:`EventQueue.pop` when the event is handed to the
-        executor.  A fired event is dead: cancelling it is a no-op and
-        re-pushing it raises (events are single-use).
     """
 
     time: float
@@ -63,21 +54,15 @@ class Event:
     callback: Callable[[Any], None] | None = None
     payload: Any = None
     label: str = ""
-    cancelled: bool = field(default=False, compare=False)
-    fired: bool = field(default=False, compare=False)
 
     @property
     def key(self) -> tuple[float, int, int]:
         """The full deterministic ordering key."""
         return (self.time, self.priority, self.seq)
 
-    def cancel(self) -> None:
-        """Mark the event dead; the queue will skip it on pop."""
-        self.cancelled = True
-
 
 class EventQueue:
-    """A min-heap of :class:`Event` with stable ties and lazy deletion.
+    """A min-heap of :class:`Event` with stable ties.
 
     Examples
     --------
@@ -93,26 +78,17 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[tuple[tuple[float, int, int], Event]] = []
         self._seq = 0
-        self._alive = 0
 
     def __len__(self) -> int:
-        """Live (non-cancelled) events still queued."""
-        return self._alive
-
-    def __bool__(self) -> bool:
-        return self._alive > 0
+        """Events still queued."""
+        return len(self._heap)
 
     def push(self, event: Event) -> Event:
-        """Enqueue ``event``, assigning its sequence number.
-
-        Returns the event itself so call sites can keep the handle for
-        :meth:`cancel`.
+        """Enqueue ``event``, assigning its sequence number; returns it.
 
         Events are **single-use**: re-pushing an event that was already
-        queued raises, including one that has since been cancelled or
-        has fired — schedule a fresh :class:`Event` instead (the lazy-
-        deletion heap may still hold the stale entry, so reviving the
-        object would corrupt ordering).
+        queued raises, including one that has since fired — schedule a
+        fresh :class:`Event` instead.
         """
         if event.time != event.time:  # NaN check without math.isnan import
             raise ValidationError("event time must not be NaN")
@@ -123,7 +99,6 @@ class EventQueue:
         event.seq = self._seq
         self._seq += 1
         heapq.heappush(self._heap, (event.key, event))
-        self._alive += 1
         return event
 
     def reserve(self, n: int) -> int:
@@ -137,35 +112,15 @@ class EventQueue:
         self._seq += n
         return first
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a queued event (lazy deletion; O(1)).
-
-        The call is idempotent and safe on dead events: cancelling an
-        event that already fired, was already cancelled, or was never
-        pushed is a **no-op** — the live count only decrements for an
-        event that is genuinely still queued.  (Cancel-after-fire used
-        to corrupt the count; the contract is now explicit and tested.)
-        """
-        if event.fired or event.cancelled or event.seq < 0:
-            return
-        event.cancel()
-        self._alive -= 1
-
     def peek(self) -> Event | None:
-        """The next live event without removing it (``None`` if empty)."""
-        while self._heap and self._heap[0][1].cancelled:
-            heapq.heappop(self._heap)
+        """The next event without removing it (``None`` if empty)."""
         return self._heap[0][1] if self._heap else None
 
     def pop(self) -> Event:
-        """Remove and return the next live event in ``(time, priority, seq)`` order."""
-        while self._heap:
-            _, event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                self._alive -= 1
-                event.fired = True
-                return event
-        raise ValidationError("pop from an empty event queue")
+        """Remove and return the next event in ``(time, priority, seq)`` order."""
+        if not self._heap:
+            raise ValidationError("pop from an empty event queue")
+        return heapq.heappop(self._heap)[1]
 
 
 class Clock:

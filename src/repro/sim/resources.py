@@ -1,20 +1,14 @@
-"""Contended resources: busy-window reservations and queued servers.
+"""Contended resources: busy-window reservations.
 
-Two abstractions cover every timing silo the simulator replaced:
-
-* :class:`Resource` — the *busy-window* idiom.  ``reserve(ready,
-  service)`` starts work at ``max(ready, busy_until)`` and occupies the
-  resource for exactly ``service`` seconds.  This is, verbatim, the
-  arithmetic of the legacy per-card ``busy_until`` tracking in the quote
-  server, the host-thread serialisation of
-  :class:`~repro.cluster.interconnect.HostLinkModel` dispatches, and the
-  per-card busy accumulation of the cluster and risk roll-ups — which is
-  what lets the conformance suite pin the rebuilt layers bit-identical.
-* :class:`Server` — a capacity-``k`` queued station driven by a
-  :class:`~repro.sim.engine.Simulation`: jobs are submitted at instants,
-  wait under a FIFO or priority discipline, and complete via scheduled
-  events.  This is the general form used by process-style models and the
-  primitive the contention-semantics unit tests exercise.
+:class:`Resource` is the *busy-window* idiom that covers every timing
+silo the simulator replaced.  ``reserve(ready, service)`` starts work at
+``max(ready, busy_until)`` and occupies the resource for exactly
+``service`` seconds.  This is, verbatim, the arithmetic of the legacy
+per-card ``busy_until`` tracking in the quote server, the host-thread
+serialisation of :class:`~repro.cluster.interconnect.HostLinkModel`
+dispatches, and the per-card busy accumulation of the cluster and risk
+roll-ups — which is what lets the conformance suite pin the rebuilt
+layers bit-identical.
 
 :class:`CompletionTracker` is the small in-flight window helper the
 admission controller needs: a min-heap of completion instants with
@@ -30,7 +24,7 @@ from dataclasses import dataclass
 from repro.errors import ValidationError
 from repro.sim.engine import Simulation
 
-__all__ = ["Reservation", "Resource", "Server", "Job", "CompletionTracker"]
+__all__ = ["Reservation", "Resource", "CompletionTracker"]
 
 
 @dataclass(frozen=True)
@@ -68,8 +62,8 @@ class Resource:
 
     Reservations are granted in call order: work ready at ``ready``
     starts at ``max(ready, busy_until)`` — exactly the legacy
-    ``busy_until`` update — and the resource accumulates busy seconds,
-    reservation counts and (optionally) the full window trace.
+    ``busy_until`` update — and the resource accumulates busy seconds
+    and reservation counts.
 
     Parameters
     ----------
@@ -78,9 +72,6 @@ class Resource:
     sim:
         Optional owning simulation; reservations then assert they are
         not granted in the simulated past.
-    keep_windows:
-        Record every :class:`Reservation` in :attr:`windows` (off by
-        default; large runs reserve millions of windows).
     recorder:
         Optional telemetry span recorder (anything with ``enabled`` and
         ``record(...)``, e.g. :class:`repro.telemetry.SpanRecorder`).
@@ -104,15 +95,13 @@ class Resource:
     """
 
     __slots__ = ("name", "sim", "busy_until", "busy_seconds",
-                 "n_reservations", "keep_windows", "windows", "recorder",
-                 "down_windows")
+                 "n_reservations", "recorder", "down_windows")
 
     def __init__(
         self,
         name: str = "resource",
         *,
         sim: Simulation | None = None,
-        keep_windows: bool = False,
         recorder=None,
     ) -> None:
         self.name = name
@@ -120,8 +109,6 @@ class Resource:
         self.busy_until = 0.0
         self.busy_seconds = 0.0
         self.n_reservations = 0
-        self.keep_windows = keep_windows
-        self.windows: list[Reservation] = []
         self.recorder = recorder
         self.down_windows: list[tuple[float, float]] = []
 
@@ -213,8 +200,6 @@ class Resource:
             done_s=done,
             service_s=service_s,
         )
-        if self.keep_windows:
-            self.windows.append(reservation)
         recorder = self.recorder
         if recorder is not None and recorder.enabled:
             recorder.record(
@@ -237,122 +222,6 @@ class Resource:
             f"Resource({self.name!r}, busy_until={self.busy_until}, "
             f"n={self.n_reservations})"
         )
-
-
-@dataclass
-class Job:
-    """One unit of work submitted to a :class:`Server`.
-
-    ``start_s``/``done_s`` are filled in when the simulation runs.
-    """
-
-    submit_s: float
-    service_s: float
-    priority: int = 0
-    label: str = ""
-    start_s: float | None = None
-    done_s: float | None = None
-
-    @property
-    def finished(self) -> bool:
-        """Whether the job has completed."""
-        return self.done_s is not None
-
-
-class Server:
-    """A capacity-``k`` queued service station on a simulation.
-
-    Jobs submitted while all slots are busy wait under the configured
-    discipline:
-
-    * ``"fifo"`` — submission order (stable);
-    * ``"priority"`` — highest :attr:`Job.priority` first, submission
-      order within a priority level (stable).
-
-    Parameters
-    ----------
-    sim:
-        The driving simulation.
-    name:
-        Identifier for traces.
-    capacity:
-        Concurrent jobs the server can hold.
-    discipline:
-        ``"fifo"`` or ``"priority"``.
-    """
-
-    def __init__(
-        self,
-        sim: Simulation,
-        name: str = "server",
-        *,
-        capacity: int = 1,
-        discipline: str = "fifo",
-    ) -> None:
-        if capacity < 1:
-            raise ValidationError(f"capacity must be >= 1, got {capacity}")
-        if discipline not in ("fifo", "priority"):
-            raise ValidationError(
-                f"unknown discipline {discipline!r}; choose 'fifo' or 'priority'"
-            )
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self.discipline = discipline
-        self.resource = Resource(name, keep_windows=True)
-        self._waiting: list[tuple[tuple, Job]] = []  # heap of (key, job)
-        self._wait_seq = 0
-        self._in_service = 0
-        self.completed: list[Job] = []
-
-    # ------------------------------------------------------------------
-    def submit(self, at_s: float, service_s: float, *, priority: int = 0,
-               label: str = "") -> Job:
-        """Submit a job arriving at ``at_s`` for ``service_s`` of work."""
-        if service_s < 0:
-            raise ValidationError(f"service_s must be >= 0, got {service_s}")
-        job = Job(
-            submit_s=at_s, service_s=service_s, priority=priority, label=label
-        )
-        self.sim.schedule_at(
-            at_s, self._admit, payload=job, label=f"{self.name}:submit"
-        )
-        return job
-
-    # ------------------------------------------------------------------
-    def _key(self, job: Job) -> tuple:
-        if self.discipline == "priority":
-            return (-job.priority, self._wait_seq)
-        return (self._wait_seq,)
-
-    def _admit(self, job: Job) -> None:
-        heapq.heappush(self._waiting, (self._key(job), job))
-        self._wait_seq += 1
-        self._try_start()
-
-    def _try_start(self) -> None:
-        while self._in_service < self.capacity and self._waiting:
-            _, job = heapq.heappop(self._waiting)
-            self._in_service += 1
-            job.start_s = self.sim.now
-            job.done_s = self.sim.now + job.service_s
-            self.resource.busy_seconds += job.service_s
-            self.resource.n_reservations += 1
-            self.resource.busy_until = max(self.resource.busy_until, job.done_s)
-            self.sim.schedule_at(
-                job.done_s, self._complete, payload=job,
-                label=f"{self.name}:done",
-            )
-
-    def _complete(self, job: Job) -> None:
-        self._in_service -= 1
-        self.completed.append(job)
-        self._try_start()
-
-    @property
-    def n_waiting(self) -> int:
-        """Jobs queued but not yet in service."""
-        return len(self._waiting)
 
 
 class CompletionTracker:

@@ -9,8 +9,9 @@
     rates, 5-year quarterly options) together with every calibration
     constant of the performance models, each documented at its definition.
 ``cluster``
-    Scenario-diverse portfolios (uniform / skewed / heterogeneous) and
-    bursty arrival traces for the multi-card cluster layer.
+    Scenario-diverse portfolios (uniform / skewed / heterogeneous) for the
+    multi-card cluster layer, and the :class:`~repro.workloads.cluster.
+    Arrival` record the host batching queue replays.
 ``history``
     Deterministic synthetic curve histories for the risk subsystem's
     historical-replay scenarios.
@@ -22,7 +23,6 @@
 from repro.workloads.cluster import (
     CLUSTER_WORKLOADS,
     Arrival,
-    make_burst_arrivals,
     make_cluster_portfolio,
     make_heterogeneous_portfolio,
     make_skewed_portfolio,
@@ -58,7 +58,6 @@ __all__ = [
     "make_uniform_portfolio",
     "make_skewed_portfolio",
     "make_heterogeneous_portfolio",
-    "make_burst_arrivals",
     "CurveHistory",
     "make_curve_history",
     "TRAFFIC_PROCESSES",

@@ -16,9 +16,8 @@ generated here:
 ``uniform``
     The paper's identical benchmark contracts, kept as the control.
 
-Plus bursty *arrival processes* for the host-side batching queue: pricing
-requests arrive in clumps (market-data ticks fan out into many quote
-updates at once), not as a steady stream.
+Plus the :class:`Arrival` record the host-side batching queue replays
+(:meth:`~repro.cluster.batching.BatchQueue.coalesce`).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "make_skewed_portfolio",
     "make_heterogeneous_portfolio",
     "make_uniform_portfolio",
-    "make_burst_arrivals",
     "make_cluster_portfolio",
     "CLUSTER_WORKLOADS",
 ]
@@ -164,61 +162,6 @@ def make_heterogeneous_portfolio(
         recovery_range=(0.1, 0.6),
         seed=seed,
     )
-
-
-def make_burst_arrivals(
-    n_bursts: int = 8,
-    *,
-    mean_batch: int = 32,
-    burst_gap_s: float = 2e-3,
-    workload: str = "heterogeneous",
-    seed: int = 13,
-) -> list[Arrival]:
-    """A bursty arrival process for the host batching queue.
-
-    Bursts arrive with exponential inter-arrival gaps; each burst carries a
-    geometrically distributed number of options (so batch sizes are skewed
-    too) drawn from the chosen portfolio generator.
-
-    Parameters
-    ----------
-    n_bursts:
-        Request batches to generate.
-    mean_batch:
-        Mean options per burst.
-    burst_gap_s:
-        Mean gap between bursts in seconds.
-    workload:
-        Registry key of the per-burst portfolio generator.
-    seed:
-        Deterministic generator seed.
-
-    Returns
-    -------
-    list[Arrival]
-        Arrivals sorted by time.
-    """
-    if n_bursts < 1:
-        raise ValidationError(f"n_bursts must be >= 1, got {n_bursts}")
-    if mean_batch < 1:
-        raise ValidationError(f"mean_batch must be >= 1, got {mean_batch}")
-    if burst_gap_s <= 0:
-        raise ValidationError(f"burst_gap_s must be > 0, got {burst_gap_s}")
-    gen = np.random.default_rng(seed)
-    t = 0.0
-    arrivals: list[Arrival] = []
-    for b in range(n_bursts):
-        t += float(gen.exponential(burst_gap_s))
-        size = int(gen.geometric(1.0 / mean_batch))
-        arrivals.append(
-            Arrival(
-                time_s=t,
-                options=make_cluster_portfolio(
-                    workload, size, seed=seed + 1000 + b
-                ),
-            )
-        )
-    return arrivals
 
 
 #: Portfolio generator registry keyed by workload name (CLI ``--workload``).

@@ -53,9 +53,10 @@ _TENANT_SEED_OFFSET = 6151
 def _check_common(n_arrivals: int, rate_hz: float, start_s: float) -> None:
     if n_arrivals < 1:
         raise ValidationError(f"n_arrivals must be >= 1, got {n_arrivals}")
-    if rate_hz <= 0:
+    # Negated so that NaN fails here, by name, too.
+    if not rate_hz > 0:
         raise ValidationError(f"rate_hz must be > 0, got {rate_hz}")
-    if start_s < 0:
+    if not start_s >= 0:
         raise ValidationError(f"start_s must be >= 0, got {start_s}")
 
 

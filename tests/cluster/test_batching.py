@@ -1,14 +1,13 @@
 """Unit tests for the host-side batching queue."""
 
+import math
+
 import pytest
 
-from repro.cluster import BatchQueue, CDSCluster, simulate_batched_stream
+from repro.cluster import BatchQueue
 from repro.core.types import CDSOption
 from repro.errors import ValidationError
-from repro.workloads.cluster import Arrival, make_burst_arrivals
-from repro.workloads.scenarios import PaperScenario
-
-SC = PaperScenario(n_rates=64, n_options=8)
+from repro.workloads.cluster import Arrival
 
 
 def opt(maturity=5.0):
@@ -21,6 +20,8 @@ class TestBatchQueue:
             BatchQueue(max_batch=0)
         with pytest.raises(ValidationError):
             BatchQueue(linger_s=-1.0)
+        with pytest.raises(ValidationError, match="linger_s"):
+            BatchQueue(linger_s=math.nan)
 
     def test_size_trigger(self):
         q = BatchQueue(max_batch=2, linger_s=10.0)
@@ -39,7 +40,10 @@ class TestBatchQueue:
         assert batches[1].dispatch_time_s == pytest.approx(5e-3 + 1e-3)
 
     def test_every_request_dispatched_once(self):
-        arrivals = make_burst_arrivals(5, mean_batch=6, seed=9)
+        arrivals = [
+            Arrival(t, [opt()] * n)
+            for t, n in [(0.0, 3), (2e-4, 9), (5e-4, 1), (4e-3, 6), (4.1e-3, 2)]
+        ]
         total = sum(a.n_options for a in arrivals)
         q = BatchQueue(max_batch=8, linger_s=1e-3)
         batches = q.coalesce(arrivals)
@@ -59,25 +63,3 @@ class TestArrival:
             Arrival(-1.0, [opt()])
         with pytest.raises(ValidationError):
             Arrival(0.0, [])
-
-
-class TestSimulateBatchedStream:
-    def test_report_sanity(self):
-        cluster = CDSCluster(SC, n_cards=2, n_engines=2)
-        arrivals = make_burst_arrivals(4, mean_batch=5, seed=17)
-        report = simulate_batched_stream(
-            cluster, arrivals, BatchQueue(max_batch=8, linger_s=5e-4)
-        )
-        assert report.n_requests == sum(a.n_options for a in arrivals)
-        assert report.n_batches >= 1
-        assert report.mean_batch_size == pytest.approx(
-            report.n_requests / report.n_batches
-        )
-        assert 0.0 < report.p50_latency_s <= report.p99_latency_s
-        assert report.p99_latency_s <= report.max_latency_s
-        assert report.options_per_second > 0
-        assert "requests" in report.summary()
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValidationError):
-            simulate_batched_stream(CDSCluster(SC, n_cards=1, n_engines=1), [])

@@ -7,7 +7,6 @@ from repro.cluster.cluster import option_costs
 from repro.errors import ValidationError
 from repro.workloads.cluster import (
     CLUSTER_WORKLOADS,
-    make_burst_arrivals,
     make_cluster_portfolio,
     make_heterogeneous_portfolio,
     make_skewed_portfolio,
@@ -58,18 +57,3 @@ class TestShapes:
             make_uniform_portfolio(0)
         with pytest.raises(ValidationError):
             make_skewed_portfolio(5, sigma=0.0)
-
-
-class TestBurstArrivals:
-    def test_sorted_and_sized(self):
-        arrivals = make_burst_arrivals(6, mean_batch=4, seed=3)
-        assert len(arrivals) == 6
-        times = [a.time_s for a in arrivals]
-        assert times == sorted(times)
-        assert all(a.n_options >= 1 for a in arrivals)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            make_burst_arrivals(0)
-        with pytest.raises(ValidationError):
-            make_burst_arrivals(2, burst_gap_s=0.0)

@@ -3,6 +3,7 @@
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.api import VectorizedBackend
@@ -250,9 +251,16 @@ class TestCache:
         quiet = gateway.serve(stream)
         assert quiet.n_cache_hits >= res.n_cache_hits
 
-    def test_tick_row_validated(self, gateway, stream):
-        with pytest.raises(ValidationError):
-            gateway.serve(stream, ticks=[(0.0, N_STATES)])
+    def test_tick_row_validated(self, gateway, book, tape, gateway_scenario,
+                                stream):
+        """Tick rows are checked before the replay, cache on or off."""
+        off = small_gateway(book, tape, gateway_scenario, cache=False)
+        for gw in (gateway, off):
+            for row in (N_STATES, 99, -1, 2.5, True):
+                with pytest.raises(ValidationError, match="tick row"):
+                    gw.serve(stream, ticks=[(0.0, row)])
+            # NumPy integers index the tape like plain ones.
+            gw.serve(stream, ticks=[(0.0, np.int64(N_STATES - 1))])
 
 
 class TestIdentityPin:

@@ -6,13 +6,14 @@ seq)`` key.  The property below pins it to the reference it replaced:
 every arrival pushed with :meth:`Simulation.schedule_at` at the moment
 the source is registered.  Generated programs mix same-instant ties,
 heap events at priorities -1, 0 and 1 before and after the source,
-events scheduled from callbacks at the current instant, cancellations,
-``run(until=)`` splits and trace hooks on and off; callbacks, hook
-calls, return values and the clock must all agree.
+events scheduled from callbacks at the current instant, ``run(until=)``
+splits and trace hooks on and off; callbacks, hook calls, return values
+and the clock must all agree.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -24,10 +25,8 @@ from repro.sim import Simulation
 
 _TIME = st.integers(min_value=0, max_value=6).map(float)
 _PRIORITY = st.sampled_from([-1, 0, 1])
-_ACTION = st.one_of(
-    st.tuples(st.just("schedule"), st.sampled_from([0.0, 1.0]), _PRIORITY),
-    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=12)),
-)
+#: A callback's action: schedule a child ``delay`` later at ``priority``.
+_ACTION = st.tuples(st.sampled_from([0.0, 1.0]), _PRIORITY)
 
 
 @st.composite
@@ -63,29 +62,25 @@ def _replay(program: dict, *, feed: bool) -> dict:
     sim = Simulation()
     fired: list = []
     hooked: list = []
-    handles: list = []  # heap events callbacks may cancel, in creation order
+    children = itertools.count()
 
     def callback(payload) -> None:
         fired.append((payload, sim.now))
-        for action in program["actions"].get(payload, ()):
-            if action[0] == "schedule":
-                _, delay, priority = action
-                handles.append(sim.schedule_at(
-                    sim.now + delay, callback, payload=("child", len(handles)),
-                    priority=priority, label="child",
-                ))
-            elif action[1] < len(handles):
-                sim.cancel(handles[action[1]])
+        for delay, priority in program["actions"].get(payload, ()):
+            sim.schedule_at(
+                sim.now + delay, callback, payload=("child", next(children)),
+                priority=priority, label="child",
+            )
 
     if program["hooks"]:
         sim.add_trace(lambda e: hooked.append(
             (e.time, e.priority, e.seq, e.label, e.payload)
         ))
     for k, (t, priority) in enumerate(program["before"]):
-        handles.append(sim.schedule_at(
+        sim.schedule_at(
             t, callback, payload=("before", k), priority=priority,
             label="before",
-        ))
+        )
     arrivals = program["arrivals"]
     payloads = [("arrival", k) for k in range(len(arrivals))]
     if feed:
@@ -94,10 +89,10 @@ def _replay(program: dict, *, feed: bool) -> dict:
         for t, payload in zip(arrivals, payloads):
             sim.schedule_at(t, callback, payload=payload, label="arrival")
     for k, (t, priority) in enumerate(program["after"]):
-        handles.append(sim.schedule_at(
+        sim.schedule_at(
             t, callback, payload=("after", k), priority=priority,
             label="after",
-        ))
+        )
     runs = []
     for until in program["splits"]:
         runs.append((sim.run(until=until), sim.now))

@@ -1,12 +1,12 @@
-"""Unit tests for the event-queue primitives: ordering, cancellation,
-clock monotonicity, determinism."""
+"""Unit tests for the event-queue primitives: ordering, single-use
+events, clock monotonicity, determinism."""
 
 import random
 
 import pytest
 
 from repro.errors import ValidationError
-from repro.sim import Clock, Event, EventQueue, Process, Simulation
+from repro.sim import Clock, Event, EventQueue, Simulation
 
 
 class TestEventQueue:
@@ -29,22 +29,6 @@ class TestEventQueue:
         high = q.push(Event(time=1.0, priority=0))
         assert q.pop() is high
         assert q.pop() is low
-
-    def test_cancellation_skips_event(self):
-        q = EventQueue()
-        keep = q.push(Event(time=1.0))
-        drop = q.push(Event(time=0.5))
-        q.cancel(drop)
-        assert len(q) == 1
-        assert q.pop() is keep
-        assert not q
-
-    def test_cancel_is_idempotent(self):
-        q = EventQueue()
-        e = q.push(Event(time=1.0))
-        q.cancel(e)
-        q.cancel(e)
-        assert len(q) == 0
 
     def test_peek_does_not_remove(self):
         q = EventQueue()
@@ -107,7 +91,7 @@ class TestSimulation:
 
         def first(_):
             fired.append("first")
-            sim.schedule(0.5, lambda _: fired.append("second"))
+            sim.schedule_at(sim.now + 0.5, lambda _: fired.append("second"))
 
         sim.schedule_at(1.0, first)
         sim.run()
@@ -132,14 +116,6 @@ class TestSimulation:
         assert sim.run() == 1
         assert fired == [1, 5]
 
-    def test_cancelled_event_never_fires(self):
-        sim = Simulation()
-        fired = []
-        handle = sim.schedule_at(1.0, fired.append, payload="x")
-        sim.cancel(handle)
-        sim.run()
-        assert fired == []
-
     def test_trace_hooks_see_every_event(self):
         sim = Simulation()
         seen = []
@@ -150,57 +126,8 @@ class TestSimulation:
         assert seen == [(1.0, "one"), (2.0, "two")]
 
 
-class TestProcess:
-    def test_hold_chains_steps(self):
-        sim = Simulation()
-        ticks = []
-        proc = Process(sim, "ticker")
-
-        def tick(_):
-            ticks.append(sim.now)
-            if len(ticks) < 3:
-                proc.hold(1.0, tick)
-
-        proc.hold(1.0, tick)
-        sim.run()
-        assert ticks == [1.0, 2.0, 3.0]
-
-    def test_every_schedules_periodic_instants(self):
-        sim = Simulation()
-        fired = []
-        Process(sim, "refresh").every(0.5, fired.append, start=1.0, n_times=3)
-        sim.run()
-        assert fired == [1.0, 1.5, 2.0]
-
-
 class TestCancellationEdges:
-    """Documented contracts around dead events (fired / cancelled /
-    never-pushed) — these used to be corruption vectors."""
-
-    def test_cancel_after_fire_is_a_noop(self):
-        q = EventQueue()
-        fired = q.push(Event(time=1.0))
-        live = q.push(Event(time=2.0))
-        assert q.pop() is fired
-        q.cancel(fired)  # dead event: must not touch the live count
-        assert len(q) == 1
-        assert q.pop() is live
-
-    def test_cancel_never_pushed_event_is_a_noop(self):
-        q = EventQueue()
-        q.push(Event(time=1.0))
-        q.cancel(Event(time=5.0))
-        assert len(q) == 1
-
-    def test_repush_cancelled_event_raises(self):
-        """Events are single-use even after cancellation: the lazy-
-        deletion heap may still hold the stale entry, so reviving the
-        object would corrupt ordering."""
-        q = EventQueue()
-        e = q.push(Event(time=1.0))
-        q.cancel(e)
-        with pytest.raises(ValidationError):
-            q.push(e)
+    """A fired event is dead: events are single-use."""
 
     def test_repush_fired_event_raises(self):
         q = EventQueue()
@@ -208,24 +135,3 @@ class TestCancellationEdges:
         q.pop()
         with pytest.raises(ValidationError):
             q.push(e)
-
-    def test_double_cancel_keeps_count_consistent(self):
-        q = EventQueue()
-        a = q.push(Event(time=1.0))
-        b = q.push(Event(time=2.0))
-        q.cancel(a)
-        q.cancel(a)
-        assert len(q) == 1
-        assert q.pop() is b
-        assert not q
-
-    def test_sim_cancel_of_fired_event_is_safe(self):
-        sim = Simulation()
-        fired = []
-        handle = sim.schedule_at(1.0, fired.append, payload="x")
-        later = sim.schedule_at(2.0, fired.append, payload="y")
-        sim.run(until=1.5)
-        sim.cancel(handle)  # already fired: no-op
-        sim.run()
-        assert fired == ["x", "y"]
-        del later

@@ -1,10 +1,10 @@
-"""Unit tests for the contention primitives: Resource busy windows,
-FIFO/priority Servers, the in-flight CompletionTracker."""
+"""Unit tests for the contention primitives: Resource busy windows and
+the in-flight CompletionTracker."""
 
 import pytest
 
 from repro.errors import ValidationError
-from repro.sim import CompletionTracker, Resource, Server, Simulation
+from repro.sim import CompletionTracker, Resource, Simulation
 
 
 class TestResource:
@@ -47,83 +47,6 @@ class TestResource:
         sim.run()
         with pytest.raises(ValidationError):
             r.reserve(1.0, 1.0)
-
-    def test_keep_windows_records_the_trace(self):
-        r = Resource("card", keep_windows=True)
-        r.reserve(0.0, 1.0)
-        r.reserve(0.5, 1.0)
-        assert [w.start_s for w in r.windows] == [0.0, 1.0]
-        assert Resource("bare").windows == []
-
-
-class TestServerFifo:
-    def test_contending_jobs_serve_in_submission_order(self):
-        sim = Simulation()
-        srv = Server(sim, capacity=1)
-        jobs = [srv.submit(0.0, 1.0, label=f"j{i}") for i in range(3)]
-        sim.run()
-        assert [j.label for j in srv.completed] == ["j0", "j1", "j2"]
-        assert [(j.start_s, j.done_s) for j in jobs] == [
-            (0.0, 1.0), (1.0, 2.0), (2.0, 3.0),
-        ]
-
-    def test_capacity_two_overlaps_service(self):
-        sim = Simulation()
-        srv = Server(sim, capacity=2)
-        jobs = [srv.submit(0.0, 2.0), srv.submit(0.0, 2.0), srv.submit(0.0, 2.0)]
-        sim.run()
-        assert [(j.start_s, j.done_s) for j in jobs] == [
-            (0.0, 2.0), (0.0, 2.0), (2.0, 4.0),
-        ]
-
-    def test_idle_server_starts_at_arrival(self):
-        sim = Simulation()
-        srv = Server(sim)
-        j = srv.submit(3.0, 0.5)
-        sim.run()
-        assert (j.start_s, j.done_s) == (3.0, 3.5)
-        assert srv.n_waiting == 0
-        assert srv.resource.busy_seconds == 0.5
-
-    def test_priorities_are_ignored_under_fifo(self):
-        sim = Simulation()
-        srv = Server(sim, capacity=1, discipline="fifo")
-        low = srv.submit(0.0, 1.0, priority=0, label="low")
-        high = srv.submit(0.0, 1.0, priority=9, label="high")
-        sim.run()
-        assert [j.label for j in srv.completed] == ["low", "high"]
-        assert low.start_s == 0.0 and high.start_s == 1.0
-
-
-class TestServerPriority:
-    def test_highest_priority_wins_contention(self):
-        sim = Simulation()
-        srv = Server(sim, capacity=1, discipline="priority")
-        # The t=0 blocker occupies the slot; the waiters then drain by
-        # priority, not submission order.
-        srv.submit(0.0, 1.0, label="blocker")
-        srv.submit(0.1, 1.0, priority=1, label="reval")
-        srv.submit(0.2, 1.0, priority=2, label="quote")
-        sim.run()
-        assert [j.label for j in srv.completed] == ["blocker", "quote", "reval"]
-
-    def test_stable_within_a_priority_level(self):
-        sim = Simulation()
-        srv = Server(sim, capacity=1, discipline="priority")
-        srv.submit(0.0, 1.0, label="blocker")
-        labels = [f"q{i}" for i in range(4)]
-        for i, label in enumerate(labels):
-            srv.submit(0.1 + 0.01 * i, 0.5, priority=2, label=label)
-        sim.run()
-        assert [j.label for j in srv.completed][1:] == labels
-
-    def test_unknown_discipline_rejected(self):
-        with pytest.raises(ValidationError):
-            Server(Simulation(), discipline="lifo")
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValidationError):
-            Server(Simulation(), capacity=0)
 
 
 class TestCompletionTracker:

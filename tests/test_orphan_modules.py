@@ -69,7 +69,6 @@ TEST_ONLY_NAMES = (
     "repro.analysis.compare.compare_ratio",
     "repro.analysis.metrics.geometric_mean",
     "repro.analysis.session.simulate_market_session",
-    "repro.cluster.batching.simulate_batched_stream",
     "repro.core.daycount.year_fraction",
     "repro.core.schedule.schedule_lengths",
     "repro.core.validation.check_probability",
@@ -94,11 +93,9 @@ TEST_ONLY_NAMES = (
     "repro.io.save",
     "repro.risk.measures.expected_shortfall",
     "repro.risk.scenarios.recovery_shocks",
-    "repro.sim.resources.Server",
     "repro.telemetry.export.parse_prometheus_text",
     "repro.telemetry.export.prometheus_text",
     "repro.telemetry.export.write_spans_csv",
-    "repro.workloads.cluster.make_burst_arrivals",
     "repro.workloads.traffic.zipf_choices",
 )
 

@@ -1,5 +1,7 @@
 """Unit tests for the serving-layer arrival processes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,10 @@ class TestRegistry:
             poisson_arrivals(10, 0.0)
         with pytest.raises(ValidationError):
             poisson_arrivals(10, RATE, start_s=-1.0)
+        with pytest.raises(ValidationError, match="rate_hz"):
+            poisson_arrivals(10, math.nan)
+        with pytest.raises(ValidationError, match="start_s"):
+            poisson_arrivals(10, RATE, start_s=math.nan)
 
 
 class TestZipf:
