@@ -57,7 +57,7 @@ def main() -> None:
     worst_label, worst = rev.worst()
     print(f"  worst {worst:+.6f} ({worst_label})")
 
-    stressed = np.array([":stressed" in s.label for s in shocks])
+    stressed = np.array([label.endswith(":stressed") for label in shocks.labels])
     print(
         f"  stressed-regime share of the 5% tail: "
         f"{stressed[np.argsort(rev.pnl)[: len(shocks) // 20]].mean():.0%}"

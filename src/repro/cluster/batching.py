@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.types import CDSOption
+from repro.core.validation import is_index
 from repro.errors import ValidationError
 from repro.workloads.cluster import Arrival
 
@@ -69,9 +70,9 @@ class BatchQueue:
     linger_s: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
+        if not is_index(self.max_batch) or self.max_batch < 1:
             raise ValidationError(
-                f"max_batch must be >= 1, got {self.max_batch}"
+                f"max_batch must be an integer >= 1, got {self.max_batch!r}"
             )
         if not self.linger_s >= 0:  # NaN too: a NaN linger never fires
             raise ValidationError(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 
 import numpy as np
@@ -14,6 +15,7 @@ __all__ = [
     "check_finite",
     "check_positive",
     "check_probability",
+    "is_index",
 ]
 
 
@@ -67,3 +69,8 @@ def check_probability(value: float, name: str) -> None:
     """Raise :class:`ValidationError` unless ``value`` lies in ``[0, 1]``."""
     if not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def is_index(value) -> bool:
+    """A plain or NumPy integer; a bool is a flag, not an index."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

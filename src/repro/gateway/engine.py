@@ -32,6 +32,7 @@ the gateway" chaos cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from operator import attrgetter
 
@@ -40,6 +41,7 @@ import numpy as np
 from repro.api import PricingBackend
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
+from repro.core.validation import is_index
 from repro.errors import ValidationError
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import HedgePolicy, RetryPolicy
@@ -53,7 +55,6 @@ from repro.serving.request import (
     PricingResponse,
     ShedReason,
     ShedRecord,
-    _is_index,
 )
 from repro.sim import Simulation
 from repro.telemetry import (
@@ -184,8 +185,9 @@ class Gateway:
             Requests without a tenant label bill to the first profile.
         ticks:
             Optional ``(time_s, row)`` market ticks; each drops every
-            cached quote keyed on its row.  Each row must index the tape,
-            with the cache on or off; with it off, ticks drop nothing.
+            cached quote keyed on its row.  Each time must be finite and
+            >= 0 and each row must index the tape, with the cache on or
+            off; with it off, ticks drop nothing.
         faults:
             Optional :class:`~repro.faults.FaultPlan` applied to the
             ``fault_server`` lane; the other lanes carry the empty plan.
@@ -220,8 +222,12 @@ class Gateway:
                 f"fault_server must index a server, got {fault_server}"
             )
         n_states = self.tape.n_scenarios
-        for _, row in ticks or ():
-            if not _is_index(row) or not 0 <= row < n_states:
+        for time, row in ticks or ():
+            if not 0 <= time < math.inf:  # NaN fails too
+                raise ValidationError(
+                    f"tick time must be finite and >= 0, got {time!r}"
+                )
+            if not is_index(row) or not 0 <= row < n_states:
                 raise ValidationError(
                     f"tick row must index the {n_states}-state tape, "
                     f"got {row!r}"

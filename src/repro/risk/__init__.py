@@ -15,7 +15,7 @@ that engine, in three layers:
 ``engine`` / ``tensor`` / ``sharding``
     :class:`~repro.risk.engine.ScenarioRiskEngine` — opens one
     :class:`~repro.api.PricingSession` on any legs-capable backend (the
-    book is bound/packed once), lowers the scenario set into a dense
+    book is bound/packed once), takes the scenario set's dense
     :class:`~repro.risk.tensor.ScenarioTensor` and reprices the whole
     ``(scenarios x options x timepoints)`` grid with one batched kernel
     call per card shard (per-scenario looping stays available behind

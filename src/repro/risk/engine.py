@@ -4,9 +4,9 @@
 under every scenario of a :class:`~repro.risk.scenarios.ScenarioSet`.  All
 pricing flows through the unified API (:mod:`repro.api`): the engine opens
 one :class:`~repro.api.PricingSession` on the backend it is given (default
-``vectorized``), which binds the book once.  The scenario set is lowered
-into a dense :class:`~repro.risk.tensor.ScenarioTensor` and the whole
-``(scenarios x options x timepoints)`` grid is priced by one
+``vectorized``), which binds the book once.  A generated scenario set is a
+dense :class:`~repro.risk.tensor.ScenarioTensor` (a tuple is lowered to
+one), and the ``(scenarios x options x timepoints)`` grid is priced by one
 :meth:`~repro.api.PricingBackend.price_rows` call per card shard.
 
 Capability negotiation chooses the execution shape: when the session's
@@ -247,12 +247,12 @@ class ScenarioRevaluation:
     def worst(self) -> tuple[str, float]:
         """Label and P&L of the worst scenario."""
         i = int(np.argmin(self.pnl))
-        return self.scenario_set.scenarios[i].label, float(self.pnl[i])
+        return self.scenario_set.labels[i], float(self.pnl[i])
 
     def best(self) -> tuple[str, float]:
         """Label and P&L of the best scenario."""
         i = int(np.argmax(self.pnl))
-        return self.scenario_set.scenarios[i].label, float(self.pnl[i])
+        return self.scenario_set.labels[i], float(self.pnl[i])
 
 
 class ScenarioRiskEngine:
@@ -506,15 +506,15 @@ class ScenarioRiskEngine:
         results are identical for any card count or policy.
 
         With ``batch`` on (the default) and a ``supports_batch_tensor``
-        backend behind the session, the scenario set is lowered into a
-        :class:`~repro.risk.tensor.ScenarioTensor` and priced with one
-        backend call per card shard (via :meth:`quote_rows`,
-        sub-chunked by ``chunk_size`` to bound memory; each shard's leg
-        surfaces reduce to PVs before the next shard prices) — shard
-        boundaries double as chunk boundaries, so the per-card timing
-        simulation is untouched.  Scenario sets that mix knot grids,
-        ``batch=False`` and non-batch backends all fall back to the
-        per-scenario loop automatically (capability negotiation).  Every
+        backend behind the session, the set's
+        :class:`~repro.risk.tensor.ScenarioTensor` (a tuple of scenarios is
+        lowered to one first) is priced with one backend call per card shard
+        (via :meth:`quote_rows`, sub-chunked by ``chunk_size`` to bound
+        memory; each shard's leg surfaces reduce to PVs before the next
+        shard prices) — shard boundaries double as chunk boundaries, so the
+        per-card timing simulation is untouched.  Scenario sets that mix
+        knot grids, ``batch=False`` and non-batch backends all fall back to
+        the per-scenario loop automatically (capability negotiation).  Every
         path produces bit-identical numbers.
 
         Parameters

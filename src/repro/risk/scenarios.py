@@ -27,6 +27,7 @@ from the command line.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -34,12 +35,19 @@ import numpy as np
 
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.risk import ONE_BP, bucket_bump, parallel_bump
+from repro.core.validation import (
+    check_finite,
+    check_positive,
+    check_strictly_increasing,
+    is_index,
+)
 from repro.errors import ValidationError
 from repro.risk.tensor import ScenarioTensor
 from repro.workloads.history import CurveHistory
 
 __all__ = [
     "Scenario",
+    "ScenarioView",
     "ScenarioSet",
     "Regime",
     "CALM_STRESSED_REGIMES",
@@ -90,6 +98,64 @@ class Scenario:
             )
 
 
+class ScenarioView(Sequence):
+    """The scenarios of a generated set: a read-only view over its tensor.
+
+    ``len``, :attr:`labels` and :attr:`tensor` build nothing.  Reading a
+    row builds its :class:`Scenario` and two curves the first time and
+    keeps them, so ``view[i] is view[i]``; a slice is a tuple.
+
+    The rows are checked once, here, as each scenario's curves would
+    check them: one finite, positive, strictly increasing knot grid per
+    curve, finite values, hazards >= 0 and recovery shifts in (-1, 1).
+    """
+
+    __slots__ = ("tensor", "labels", "_built")
+
+    def __init__(self, tensor: ScenarioTensor, labels: Sequence[str]) -> None:
+        self.labels = tuple(labels)
+        if len(self.labels) != tensor.n_scenarios or not all(self.labels):
+            raise ValidationError(
+                "need one non-empty label per row of a "
+                f"{tensor.n_scenarios}-row tensor, got {len(self.labels)}"
+            )
+        for name in ("yield_times", "hazard_times"):
+            times = getattr(tensor, name)
+            check_finite(times, name)
+            check_positive(times, name)
+            check_strictly_increasing(times, name)
+        hazards = tensor.hazard_values
+        for name, rule, ok in (
+            ("yield_values", "finite", np.isfinite(tensor.yield_values).all(1)),
+            ("hazard_values", "finite and >= 0",
+             (hazards.min(1) >= 0) & (hazards.max(1) < math.inf)),
+            ("recovery_shifts", "in (-1, 1)", abs(tensor.recovery_shifts) < 1),
+        ):
+            if not ok.all():
+                raise ValidationError(
+                    f"{name} must be {rule}; row {int(np.argmin(ok))} is not"
+                )
+        self.tensor = tensor
+        self._built: list[Scenario | None] = [None] * len(self.labels)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        scenario = self._built[i]
+        if scenario is None:
+            t = self.tensor
+            scenario = self._built[i] = Scenario(
+                label=self.labels[i],
+                yield_curve=YieldCurve(t.yield_times, t.yield_values[i]),
+                hazard_curve=HazardCurve(t.hazard_times, t.hazard_values[i]),
+                recovery_shift=float(t.recovery_shifts[i]),
+            )
+        return scenario
+
+
 @dataclass(frozen=True)
 class ScenarioSet:
     """A named collection of scenarios sharing one base market state.
@@ -102,18 +168,21 @@ class ScenarioSet:
         The unshocked state every scenario was derived from; revaluation
         quotes P&L against this state.
     scenarios:
-        The shocked states, in generation order.
+        The shocked states, in generation order: a tuple of
+        :class:`Scenario`, or a :class:`ScenarioView` over the rows that
+        ``monte_carlo`` and ``historical_replay`` write.
     tensor:
-        Optional dense :class:`~repro.risk.tensor.ScenarioTensor` of the
-        same scenarios, attached by generators that already hold the
-        shock matrices (so batched revaluation skips the per-curve
-        lowering pass).  ``None`` means "lower lazily on demand".
+        The view's :class:`~repro.risk.tensor.ScenarioTensor`, or
+        ``None`` for a tuple, which batched revaluation lowers on
+        demand.  It always comes from ``scenarios``: a value passed here
+        is replaced, so a set rebuilt by ``dataclasses.replace`` cannot
+        hold a stale tensor.
     """
 
     name: str
     base_yield: YieldCurve
     base_hazard: HazardCurve
-    scenarios: tuple[Scenario, ...]
+    scenarios: tuple[Scenario, ...] | ScenarioView
     tensor: ScenarioTensor | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -121,21 +190,8 @@ class ScenarioSet:
             raise ValidationError("scenario set name must be non-empty")
         if not self.scenarios:
             raise ValidationError("a scenario set must hold at least one scenario")
-        if self.tensor is not None:
-            # A tensor that records its source tuple must have been
-            # lowered from *these* scenarios; a set rebuilt with other
-            # scenarios (dataclasses.replace) drops the stale tensor so
-            # batched revaluation re-lowers instead of pricing old rows.
-            # The drop runs first: generator-attached tensors travel
-            # invisibly, so a subset-replace must not crash on them.
-            src = self.tensor.source_scenarios
-            if src is not None and src is not self.scenarios:
-                object.__setattr__(self, "tensor", None)
-            elif self.tensor.n_scenarios != len(self.scenarios):
-                raise ValidationError(
-                    f"attached tensor holds {self.tensor.n_scenarios} "
-                    f"scenarios, set holds {len(self.scenarios)}"
-                )
+        view = isinstance(self.scenarios, ScenarioView)
+        object.__setattr__(self, "tensor", self.scenarios.tensor if view else None)
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -148,7 +204,9 @@ class ScenarioSet:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        """Every scenario's label, in order."""
+        """Every scenario's label, in order; a view builds no scenario."""
+        if isinstance(self.scenarios, ScenarioView):
+            return self.scenarios.labels
         return tuple(s.label for s in self.scenarios)
 
 
@@ -239,25 +297,13 @@ def bucketed_shocks(
         raise ValidationError(f"curve must be 'hazard' or 'yield', got {curve!r}")
     scenarios = []
     for lo, hi in tenor_buckets(edges):
-        label = f"{curve}[{lo:g},{hi:g}]{_bp_label(bump / ONE_BP)}"
+        yc, hc = yield_curve, hazard_curve
         if curve == "hazard":
-            scenarios.append(
-                Scenario(
-                    label=label,
-                    yield_curve=yield_curve,
-                    hazard_curve=bucket_bump(
-                        hazard_curve, lo, hi, bump, floor=HAZARD_FLOOR
-                    ),
-                )
-            )
+            hc = bucket_bump(hazard_curve, lo, hi, bump, floor=HAZARD_FLOOR)
         else:
-            scenarios.append(
-                Scenario(
-                    label=label,
-                    yield_curve=bucket_bump(yield_curve, lo, hi, bump),
-                    hazard_curve=hazard_curve,
-                )
-            )
+            yc = bucket_bump(yield_curve, lo, hi, bump)
+        label = f"{curve}[{lo:g},{hi:g}]{_bp_label(bump / ONE_BP)}"
+        scenarios.append(Scenario(label=label, yield_curve=yc, hazard_curve=hc))
     return ScenarioSet(
         name=f"bucketed:{curve}",
         base_yield=yield_curve,
@@ -310,47 +356,33 @@ def historical_replay(
     history:
         The observed (here: synthetic) curve history to replay.
     """
-    yc_times = np.asarray(yield_curve.times)
-    hc_times = np.asarray(hazard_curve.times)
-    n = history.n_moves
-    yc_rows = np.empty((n, yc_times.size), dtype=np.float64)
-    hz_rows = np.empty((n, hc_times.size), dtype=np.float64)
-    scenarios = []
-    for d in range(n):
-        dy = history.yields[d + 1].interpolate(yc_times) - history.yields[
-            d
-        ].interpolate(yc_times)
-        dh = history.hazards[d + 1].interpolate(hc_times) - history.hazards[
-            d
-        ].interpolate(hc_times)
-        yc_rows[d] = np.asarray(yield_curve.values) + dy
-        hz_rows[d] = np.maximum(
-            np.asarray(hazard_curve.values) + dh, HAZARD_FLOOR
-        )
-        scenarios.append(
-            Scenario(
-                label=f"replay-day{d + 1}",
-                yield_curve=YieldCurve(yc_times, yc_rows[d]),
-                hazard_curve=HazardCurve(hc_times, hz_rows[d]),
-            )
-        )
-    scens = tuple(scenarios)
-    shifts = np.zeros(n, dtype=np.float64)
+    days_y = np.array([c.interpolate(yield_curve.times) for c in history.yields])
+    days_h = np.array([c.interpolate(hazard_curve.times) for c in history.hazards])
+    labels = [f"replay-day{d + 1}" for d in range(history.n_moves)]
+    return _tensor_set(
+        "historical", yield_curve, hazard_curve,
+        yield_curve.values + (days_y[1:] - days_y[:-1]),
+        hazard_curve.values + (days_h[1:] - days_h[:-1]),
+        np.zeros(len(labels)), labels,
+    )
+
+
+def _tensor_set(
+    name: str, yield_curve: YieldCurve, hazard_curve: HazardCurve,
+    yc_rows: np.ndarray, hz_rows: np.ndarray, shifts: np.ndarray,
+    labels: Sequence[str],
+) -> ScenarioSet:
+    """A set viewing the rows a generator wrote; hazards floored in place."""
+    np.maximum(hz_rows, HAZARD_FLOOR, out=hz_rows)
     for arr in (yc_rows, hz_rows, shifts):
         arr.flags.writeable = False  # generator-owned: freeze copy-free
+    tensor = ScenarioTensor(
+        yield_times=yield_curve.times, yield_values=yc_rows,
+        hazard_times=hazard_curve.times, hazard_values=hz_rows,
+        recovery_shifts=shifts,
+    )
     return ScenarioSet(
-        name="historical",
-        base_yield=yield_curve,
-        base_hazard=hazard_curve,
-        scenarios=scens,
-        tensor=ScenarioTensor(
-            yield_times=yc_times,
-            yield_values=yc_rows,
-            hazard_times=hc_times,
-            hazard_values=hz_rows,
-            recovery_shifts=shifts,
-            source_scenarios=scens,
-        ),
+        name, yield_curve, hazard_curve, ScenarioView(tensor, labels)
     )
 
 
@@ -399,11 +431,17 @@ CALM_STRESSED_REGIMES: tuple[Regime, ...] = (
 )
 
 
-def _bucket_index(times: np.ndarray, edges: Sequence[float]) -> np.ndarray:
-    """Bucket index of each knot time under the ``(lo, hi]`` tiling."""
+def _shocked_rows(
+    curve: YieldCurve | HazardCurve, shocks: np.ndarray, edges: Sequence[float]
+) -> np.ndarray:
+    """``curve``'s values plus each row's shock for the ``(lo, hi]``
+    bucket of every knot, written in place into C-ordered rows
+    (``shocks[:, idx]`` comes back column-major, which slows the
+    kernel's row gathers fourfold)."""
     upper = np.asarray(edges[1:], dtype=np.float64)
-    idx = np.searchsorted(upper, times, side="left")
-    return np.minimum(idx, len(upper) - 1)
+    idx = np.minimum(np.searchsorted(upper, curve.times), len(upper) - 1)
+    rows = shocks.take(idx, axis=1)
+    return np.add(curve.values, rows, out=rows)
 
 
 def monte_carlo(
@@ -457,8 +495,10 @@ def monte_carlo(
     regimes:
         Optional regime mixture, e.g. :data:`CALM_STRESSED_REGIMES`.
     """
-    if n_scenarios < 1:
-        raise ValidationError(f"n_scenarios must be >= 1, got {n_scenarios}")
+    if not is_index(n_scenarios) or n_scenarios < 1:
+        raise ValidationError(
+            f"n_scenarios must be an integer >= 1, got {n_scenarios!r}"
+        )
     if not 0.0 <= tenor_correlation < 1.0:
         raise ValidationError(
             f"tenor_correlation must be in [0, 1), got {tenor_correlation}"
@@ -468,8 +508,13 @@ def monte_carlo(
             "credit_rates_correlation must be in (-1, 1), got "
             f"{credit_rates_correlation}"
         )
-    if hazard_vol_bps < 0 or rate_vol_bps < 0 or recovery_vol < 0:
-        raise ValidationError("volatilities must be >= 0")
+    for name, vol in (
+        ("hazard_vol_bps", hazard_vol_bps),
+        ("rate_vol_bps", rate_vol_bps),
+        ("recovery_vol", recovery_vol),
+    ):
+        if not 0.0 <= vol < math.inf:  # NaN fails too
+            raise ValidationError(f"{name} must be finite and >= 0, got {vol}")
     buckets = tenor_buckets(edges)
     n_b = len(buckets)
 
@@ -487,62 +532,31 @@ def monte_carlo(
         weights = np.asarray([r.weight for r in regimes], dtype=np.float64)
         weights = weights / weights.sum()
         picks = gen.choice(len(regimes), size=n_scenarios, p=weights)
-    else:
-        picks = None
 
-    hz_times = np.asarray(hazard_curve.times)
-    yc_times = np.asarray(yield_curve.times)
-    hz_bucket = _bucket_index(hz_times, edges)
-    yc_bucket = _bucket_index(yc_times, edges)
-    hz_values = np.asarray(hazard_curve.values)
-    yc_values = np.asarray(yield_curve.values)
-
-    yc_rows = np.empty((n_scenarios, yc_times.size), dtype=np.float64)
-    hz_rows = np.empty((n_scenarios, hz_times.size), dtype=np.float64)
-    shifts = np.zeros(n_scenarios, dtype=np.float64)
-    scenarios = []
-    for s in range(n_scenarios):
-        z = chol @ gen.standard_normal(2 * n_b)
-        hz_shocks = z[:n_b] * hazard_vol_bps * ONE_BP
-        yc_shocks = z[n_b:] * rate_vol_bps * ONE_BP
-        label = f"mc-{s}"
-        if picks is not None:
-            regime = regimes[picks[s]]
-            hz_shocks = hz_shocks * regime.hazard_scale + (
-                regime.hazard_drift_bps * ONE_BP
-            )
-            yc_shocks = yc_shocks * regime.rate_scale
-            label = f"mc-{s}:{regime.name}"
-        recovery_shift = 0.0
-        if recovery_vol > 0:
-            recovery_shift = float(
-                np.clip(gen.normal(0.0, recovery_vol), -0.5, 0.5)
-            )
-        yc_rows[s] = yc_values + yc_shocks[yc_bucket]
-        hz_rows[s] = np.maximum(hz_values + hz_shocks[hz_bucket], HAZARD_FLOOR)
-        shifts[s] = recovery_shift
-        scenarios.append(
-            Scenario(
-                label=label,
-                yield_curve=YieldCurve(yc_times, yc_rows[s]),
-                hazard_curve=HazardCurve(hz_times, hz_rows[s]),
-                recovery_shift=recovery_shift,
-            )
+    # One call draws the whole set in the stream order of a scenario at
+    # a time: each row holds its 2 * n_b bucket factors, then its
+    # recovery draw (``normal(0, s)`` is ``0 + s * x`` for the stream's
+    # next standard normal ``x``).
+    draws = gen.standard_normal((n_scenarios, 2 * n_b + (recovery_vol > 0)))
+    # chol @ z row by row: a batched matmul rounds differently.
+    z = np.array([chol @ row for row in draws[:, : 2 * n_b]])
+    hz_shocks = z[:, :n_b] * hazard_vol_bps * ONE_BP
+    yc_shocks = z[:, n_b:] * rate_vol_bps * ONE_BP
+    labels = [f"mc-{s}" for s in range(n_scenarios)]
+    if regimes:
+        scale, rate_scale, drift = (
+            np.array([getattr(r, a) for r in regimes], dtype=np.float64)[picks, None]
+            for a in ("hazard_scale", "rate_scale", "hazard_drift_bps")
         )
-    scens = tuple(scenarios)
-    for arr in (yc_rows, hz_rows, shifts):
-        arr.flags.writeable = False  # generator-owned: freeze copy-free
-    return ScenarioSet(
-        name="mc" if not regimes else "mc-mixture",
-        base_yield=yield_curve,
-        base_hazard=hazard_curve,
-        scenarios=scens,
-        tensor=ScenarioTensor(
-            yield_times=np.asarray(yc_times, dtype=np.float64),
-            yield_values=yc_rows,
-            hazard_times=np.asarray(hz_times, dtype=np.float64),
-            hazard_values=hz_rows,
-            recovery_shifts=shifts,
-            source_scenarios=scens,
-        ),
+        hz_shocks = hz_shocks * scale + drift * ONE_BP
+        yc_shocks = yc_shocks * rate_scale
+        labels = [f"{lbl}:{regimes[p].name}" for lbl, p in zip(labels, picks)]
+    shifts = np.zeros(n_scenarios)
+    if recovery_vol > 0:
+        shifts = np.clip(0.0 + recovery_vol * draws[:, -1], -0.5, 0.5)
+
+    return _tensor_set(
+        "mc-mixture" if regimes else "mc", yield_curve, hazard_curve,
+        _shocked_rows(yield_curve, yc_shocks, edges),
+        _shocked_rows(hazard_curve, hz_shocks, edges), shifts, labels,
     )

@@ -1,26 +1,27 @@
-"""Lowering scenario sets into dense tensors for batched repricing.
+"""Dense scenario tensors: the layout batched repricing reads.
 
 Every in-repo scenario generator (parallel, bucketed, recovery,
 historical replay, Monte Carlo) shocks the *values* of the base curves on
-their original knot grids — the grid itself never moves.  That makes a
-:class:`~repro.risk.scenarios.ScenarioSet` losslessly representable as a
-pair of dense matrices (one row of shocked knot values per scenario and
-curve) plus a recovery-shift vector, with the knot-time grids shared
-across the whole set.  :class:`ScenarioTensor` is that representation —
-the input layout of :func:`~repro.core.vector_pricing.price_packed_many`,
-where the scenario axis of the risk grid becomes a leading array
-dimension instead of a Python loop over :class:`~repro.core.curves.Curve`
-objects.
+their original knot grids — the grid itself never moves.  A scenario set
+is therefore a pair of dense matrices (one row of shocked knot values per
+scenario and curve) plus a recovery-shift vector, with the knot-time
+grids shared across the whole set.  :class:`ScenarioTensor` is that
+representation — the input layout of
+:func:`~repro.core.vector_pricing.price_packed_many`, where the scenario
+axis of the risk grid becomes a leading array dimension instead of a
+Python loop over :class:`~repro.core.curves.Curve` objects.
 
-Sets whose scenarios do *not* share knot grids (possible for hand-built
-sets) cannot be lowered; :meth:`ScenarioTensor.try_pack` returns ``None``
-for those and the revaluation engine falls back to the per-scenario loop,
-which handles arbitrary curves.
+Generated sets are tensor-first: ``monte_carlo`` and
+``historical_replay`` write the tensor, and their scenarios are a
+:class:`~repro.risk.scenarios.ScenarioView` over it.  A tuple of
+scenarios is lowered on demand; if its knot grids differ,
+:meth:`ScenarioTensor.try_pack` returns ``None`` and revaluation falls
+back to the per-scenario loop, which handles arbitrary curves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.core.vector_pricing import is_frozen
 from repro.errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scenarios
-    # imports this module to attach tensors at generation time)
+    # imports this module to write tensors at generation time)
     from repro.risk.scenarios import ScenarioSet
 
 __all__ = ["ScenarioTensor"]
@@ -54,14 +55,10 @@ class ScenarioTensor:
         ``(n_scenarios, k_h)`` shocked intensity rows.
     recovery_shifts:
         ``(n_scenarios,)`` additive recovery-rate shifts.
-    source_scenarios:
-        The exact scenario tuple this tensor was lowered from, compared
-        *by identity*: a :class:`~repro.risk.scenarios.ScenarioSet`
-        rebuilt with different scenarios (e.g. via
-        ``dataclasses.replace``) silently drops a carried-over tensor
-        whose source tuple no longer matches, instead of batch-pricing
-        stale rows.  ``None`` skips the provenance check (hand-attached
-        tensors; the set still validates the scenario count).
+
+    Only shapes are checked here; a tensor may hold invalid cells (a
+    quote server fails just the requests that read them).  A scenario
+    set checks the values of the rows it views.
     """
 
     yield_times: np.ndarray
@@ -69,7 +66,6 @@ class ScenarioTensor:
     hazard_times: np.ndarray
     hazard_values: np.ndarray
     recovery_shifts: np.ndarray
-    source_scenarios: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.yield_values.ndim != 2 or self.hazard_values.ndim != 2:
@@ -96,46 +92,28 @@ class ScenarioTensor:
         # and a mutated row would silently break the batch==loop
         # bit-identity pin and a quote server's table of its tape.
         # Arrays read-only down their whole base chain (the generators
-        # freeze the buffers they own) pass through copy-free; a
-        # read-only view of a writable buffer is copied, since writing
-        # the buffer would change it.
-        for name in (
-            "yield_times",
-            "yield_values",
-            "hazard_times",
-            "hazard_values",
-            "recovery_shifts",
-        ):
-            arr = getattr(self, name)
-            if not is_frozen(arr):
+        # freeze the buffers they own) pass through copy-free if they
+        # are row-major; a read-only view of a writable buffer is
+        # copied, since writing the buffer would change it, and so is a
+        # column-major array, whose row gathers are slower.
+        for f in fields(self):
+            arr = getattr(self, f.name)
+            if not (is_frozen(arr) and arr.flags.c_contiguous):
                 arr = arr.copy()
                 arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, f.name, arr)
 
     @property
     def n_scenarios(self) -> int:
         """Scenarios in the tensor (the leading axis)."""
         return int(self.yield_values.shape[0])
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the packed arrays."""
-        return int(
-            self.yield_times.nbytes
-            + self.yield_values.nbytes
-            + self.hazard_times.nbytes
-            + self.hazard_values.nbytes
-            + self.recovery_shifts.nbytes
-        )
-
     @classmethod
     def from_scenario_set(cls, scenario_set: ScenarioSet) -> "ScenarioTensor":
         """Lower ``scenario_set`` into dense arrays.
 
-        Scenario sets whose generator attached a tensor at creation time
-        (:func:`~repro.risk.scenarios.monte_carlo`,
-        :func:`~repro.risk.scenarios.historical_replay`) return it
-        directly; anything else is lowered curve by curve.
+        A set whose scenarios are a view over a tensor returns that
+        tensor; a tuple of scenarios is lowered curve by curve.
 
         Raises
         ------
@@ -173,7 +151,6 @@ class ScenarioTensor:
             hazard_times=hc_times,
             hazard_values=hazard_values,
             recovery_shifts=recovery_shifts,
-            source_scenarios=scenarios,
         )
 
     @classmethod

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
+from repro.core.validation import is_index
 from repro.errors import ValidationError
 
 __all__ = [
@@ -72,11 +72,6 @@ class ShedReason(str, enum.Enum):
 
 #: Legal shed-reason wire values (kept for backward compatibility).
 SHED_REASONS: tuple[str, ...] = tuple(r.value for r in ShedReason)
-
-
-def _is_index(value) -> bool:
-    """A plain or NumPy integer; a bool is a flag, not an index."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -135,10 +130,10 @@ class PricingRequest:
             )
         rows = self.rows
         if not rows or not all(type(r) is int and r >= 0 for r in rows):
-            # Plain ints skip `_is_index`, whose ABC check made stream
+            # Plain ints skip `is_index`, whose ABC check made stream
             # generation 30-45% slower.  Here NumPy integers pass, bools
             # and non-integers do not.
-            if not all(map(_is_index, rows)):
+            if not all(map(is_index, rows)):
                 raise ValidationError(
                     f"rows must be integer indices, got {rows!r}"
                 )
@@ -157,7 +152,7 @@ class PricingRequest:
         if self.kind == "quote":
             index = self.option_index
             if type(index) is not int and index is not None:
-                if not _is_index(index):
+                if not is_index(index):
                     raise ValidationError(
                         f"option_index must be an integer, got {index!r}"
                     )

@@ -39,10 +39,10 @@ def make_market_tape(
     """A dense tape of live market states around a base state.
 
     The states are correlated Monte Carlo draws
-    (:func:`~repro.risk.scenarios.monte_carlo`), already lowered to the
-    :class:`~repro.risk.tensor.ScenarioTensor` the batched kernel
-    consumes — the serving analogue of a market-data cache fed by tick
-    updates.
+    (:func:`~repro.risk.scenarios.monte_carlo`): the tape is the
+    :class:`~repro.risk.tensor.ScenarioTensor` the generator writes and
+    the batched kernel consumes, with no scenario objects built — the
+    serving analogue of a market-data cache fed by tick updates.
 
     Parameters
     ----------
@@ -55,9 +55,7 @@ def make_market_tape(
     """
     if n_states < 1:
         raise ValidationError(f"n_states must be >= 1, got {n_states}")
-    shocks = monte_carlo(yield_curve, hazard_curve, n_states, seed=seed)
-    tensor = ScenarioTensor.from_scenario_set(shocks)
-    return tensor
+    return monte_carlo(yield_curve, hazard_curve, n_states, seed=seed).tensor
 
 
 def make_request_stream(

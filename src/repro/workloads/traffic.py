@@ -27,6 +27,7 @@ ordered times in seconds.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -54,8 +55,8 @@ def _check_common(n_arrivals: int, rate_hz: float, start_s: float) -> None:
     if n_arrivals < 1:
         raise ValidationError(f"n_arrivals must be >= 1, got {n_arrivals}")
     # Negated so that NaN fails here, by name, too.
-    if not rate_hz > 0:
-        raise ValidationError(f"rate_hz must be > 0, got {rate_hz}")
+    if not 0 < rate_hz < math.inf:
+        raise ValidationError(f"rate_hz must be finite and > 0, got {rate_hz}")
     if not start_s >= 0:
         raise ValidationError(f"start_s must be >= 0, got {start_s}")
 

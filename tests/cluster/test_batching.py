@@ -22,6 +22,9 @@ class TestBatchQueue:
             BatchQueue(linger_s=-1.0)
         with pytest.raises(ValidationError, match="linger_s"):
             BatchQueue(linger_s=math.nan)
+        for max_batch in (math.nan, 2.5, True):
+            with pytest.raises(ValidationError, match="max_batch"):
+                BatchQueue(max_batch=max_batch)
 
     def test_size_trigger(self):
         q = BatchQueue(max_batch=2, linger_s=10.0)

@@ -1,6 +1,7 @@
 """Unit tests for the gateway engine: route → admit → cache → dispatch."""
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -261,6 +262,15 @@ class TestCache:
                     gw.serve(stream, ticks=[(0.0, row)])
             # NumPy integers index the tape like plain ones.
             gw.serve(stream, ticks=[(0.0, np.int64(N_STATES - 1))])
+
+    def test_tick_time_validated(self, gateway, book, tape, gateway_scenario,
+                                 stream):
+        """Tick times are checked before the replay, cache on or off."""
+        off = small_gateway(book, tape, gateway_scenario, cache=False)
+        for gw in (gateway, off):
+            for time in (-1.0, math.nan, math.inf):
+                with pytest.raises(ValidationError, match="tick time"):
+                    gw.serve(stream, ticks=[(time, 0)])
 
 
 class TestIdentityPin:

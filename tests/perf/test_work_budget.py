@@ -25,6 +25,10 @@ state.
 A gateway's replicas are lanes of one quote server, so however many
 there are, one risk engine binds the book once.
 
+A generated scenario set is its tensor: drawing one builds no curve and
+no scenario object, a batched revalue reads none, and a scenario read
+from the set is built once.
+
 The host kernel gathers and reduces payment slots, not the book's
 padding: a chunk of several market states prices each contract in a
 group no wider than its schedule rounded up to the bucket block, and a
@@ -44,6 +48,7 @@ import repro.telemetry.metrics
 from repro.api import PricingBackend, VectorizedBackend
 from repro.cluster.batching import BatchQueue
 from repro.cluster.node import ClusterNode
+from repro.core.curves import Curve
 from repro.core.vector_pricing import (
     BUCKET_COLUMNS,
     PackedPortfolio,
@@ -57,7 +62,7 @@ from repro.gateway import (
     make_tenant_stream,
     make_tick_stream,
 )
-from repro.risk import ScenarioRiskEngine, make_book, monte_carlo
+from repro.risk import Scenario, ScenarioRiskEngine, make_book, monte_carlo
 from repro.serving import QuoteServer, make_market_tape, make_request_stream
 from repro.serving.coalescer import MicroBatchCoalescer
 from repro.sim.events import EventQueue
@@ -132,6 +137,28 @@ def test_timed_revalue(scenario, book, calls):
     result = engine.revalue(shocks)
     assert result.timing is not None
     assert calls == {"des_runs": 0, "timing_runs": 1}
+
+
+def test_scenario_sets_build_objects_only_when_read(
+    scenario, book, monkeypatch
+):
+    engine = ScenarioRiskEngine(book, scenario=scenario)
+    yc, hc = scenario.yield_curve(), scenario.hazard_curve()
+    counts = {"curves": 0, "scenarios": 0}
+    monkeypatch.setattr(
+        Curve, "__init__", _counted(counts, "curves", Curve.__init__)
+    )
+    monkeypatch.setattr(
+        Scenario,
+        "__post_init__",
+        _counted(counts, "scenarios", Scenario.__post_init__),
+    )
+    shocks = monte_carlo(yc, hc, 1000, seed=11, recovery_vol=0.05)
+    engine.revalue(shocks, with_timing=False).worst()
+    assert len(shocks.labels) == shocks.tensor.n_scenarios == 1000
+    assert counts == {"curves": 0, "scenarios": 0}
+    assert shocks[7] is shocks[7]
+    assert counts == {"curves": 2, "scenarios": 1}
 
 
 def test_gateway_construction(scenario, book, tape, calls):

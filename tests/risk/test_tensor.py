@@ -7,8 +7,10 @@ from repro.core.curves import YieldCurve
 from repro.errors import ValidationError
 from repro.risk.engine import Portfolio, ScenarioRiskEngine
 from repro.risk.scenarios import (
+    CALM_STRESSED_REGIMES,
     Scenario,
     ScenarioSet,
+    bucketed_shocks,
     historical_replay,
     monte_carlo,
     parallel_shocks,
@@ -39,7 +41,6 @@ class TestScenarioTensorPacking:
                 tensor.hazard_values[i], s.hazard_curve.values
             )
             assert tensor.recovery_shifts[i] == s.recovery_shift
-        assert tensor.nbytes > 0
 
     def test_generators_attach_tensor(self, curves):
         yc, hc = curves
@@ -94,7 +95,7 @@ class TestScenarioTensorPacking:
         # A subset replace drops the stale tensor too (no crash).
         subset = dataclasses.replace(shocks, scenarios=shocks.scenarios[:3])
         assert subset.tensor is None
-        # Same scenario tuple keeps the attached tensor.
+        # The same scenarios (the generator's view) keep its tensor.
         renamed = dataclasses.replace(shocks, name="mc-renamed")
         assert renamed.tensor is shocks.tensor
 
@@ -137,23 +138,62 @@ class TestScenarioTensorPacking:
                 getattr(again, name), getattr(tensor, name)
             ), name
 
-    def test_wrong_sized_sourceless_tensor_rejected_by_set(self, curves):
-        """Hand-attached tensors (no source provenance) are validated by
-        count — the caller claimed correspondence, so a mismatch is an
-        error rather than a silent drop."""
+    def test_foreign_tensor_beside_a_tuple_prices_the_tuple(
+        self, book, risk_scenario
+    ):
+        """The tensor comes from ``scenarios``: one passed beside a plain
+        tuple is replaced, and revaluation prices the tuple's own rows."""
+        engine = ScenarioRiskEngine(book, scenario=risk_scenario)
+        yc, hc = engine.yield_curve, engine.hazard_curve
+        shocks = monte_carlo(yc, hc, 3, seed=1, recovery_vol=0.05)
+        foreign = monte_carlo(yc, hc, 2, seed=2, recovery_vol=0.05).tensor
+        handmade = ScenarioSet(
+            name="handmade",
+            base_yield=yc,
+            base_hazard=hc,
+            scenarios=shocks.scenarios[:2],
+            tensor=foreign,
+        )
+        assert handmade.tensor is None
+        np.testing.assert_array_equal(
+            engine.revalue(handmade, with_timing=False).pv,
+            engine.revalue(shocks, with_timing=False).pv[:2],
+        )
+
+    def test_frozen_column_major_rows_are_copied_row_major(self, curves):
+        """The kernel gathers rows: a frozen column-major array is
+        copied into row-major order, values unchanged."""
         import dataclasses
 
         yc, hc = curves
-        shocks = monte_carlo(yc, hc, 3, seed=1)
-        sourceless = dataclasses.replace(shocks.tensor, source_scenarios=None)
-        with pytest.raises(ValidationError):
-            ScenarioSet(
-                name="bad",
-                base_yield=yc,
-                base_hazard=hc,
-                scenarios=shocks.scenarios[:2],
-                tensor=sourceless,
-            )
+        tensor = monte_carlo(yc, hc, 3, seed=1).tensor
+        fortran = np.asfortranarray(tensor.hazard_values)
+        fortran.flags.writeable = False
+        probe = dataclasses.replace(tensor, hazard_values=fortran)
+        assert probe.hazard_values.flags.c_contiguous
+        np.testing.assert_array_equal(probe.hazard_values, tensor.hazard_values)
+
+    def test_every_generator_writes_row_major_arrays(self, curves):
+        yc, hc = curves
+        for shocks in (
+            monte_carlo(yc, hc, 5, seed=1, recovery_vol=0.05),
+            monte_carlo(yc, hc, 5, seed=1, regimes=CALM_STRESSED_REGIMES),
+            historical_replay(yc, hc, make_curve_history(4, seed=2)),
+            parallel_shocks(yc, hc),
+            bucketed_shocks(yc, hc),
+            recovery_shocks(yc, hc),
+        ):
+            tensor = ScenarioTensor.from_scenario_set(shocks)
+            for name in (
+                "yield_times",
+                "yield_values",
+                "hazard_times",
+                "hazard_values",
+                "recovery_shifts",
+            ):
+                assert getattr(tensor, name).flags.c_contiguous, (
+                    shocks.name, name
+                )
 
 
 class TestBatchedEnginePath:

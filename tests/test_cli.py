@@ -314,6 +314,12 @@ class TestServeCommand:
                                   "--max-delay", "0"]) == 0
         assert "goodput" in capsys.readouterr().out
 
+    def test_serve_infinite_rate_is_clean(self, capsys):
+        assert main(["--options", "16", "serve", "--requests", "50",
+                     "--states", "8", "--rate", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rate_hz" in err
+
 
 class TestJsonOutput:
     def test_table1_json(self, capsys):

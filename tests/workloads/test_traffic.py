@@ -129,6 +129,8 @@ class TestRegistry:
             poisson_arrivals(10, RATE, start_s=-1.0)
         with pytest.raises(ValidationError, match="rate_hz"):
             poisson_arrivals(10, math.nan)
+        with pytest.raises(ValidationError, match="rate_hz"):
+            poisson_arrivals(10, math.inf)
         with pytest.raises(ValidationError, match="start_s"):
             poisson_arrivals(10, RATE, start_s=math.nan)
 
