@@ -97,7 +97,7 @@ from repro.gateway import Gateway
 from repro.workloads import PaperScenario
 from repro.errors import ReproError
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 __all__ = [
     "CDSOption",

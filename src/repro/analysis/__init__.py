@@ -65,7 +65,6 @@ from repro.analysis.capacity import (
     plan_cpu_deployment,
     plan_fpga_deployment,
 )
-from repro.analysis.session import SessionResult, simulate_market_session
 from repro.analysis.cluster import (
     ClusterTableRow,
     generate_cluster_table,
@@ -129,8 +128,6 @@ __all__ = [
     "plan_fpga_deployment",
     "plan_cpu_deployment",
     "compare_platforms",
-    "SessionResult",
-    "simulate_market_session",
     "ClusterTableRow",
     "generate_cluster_table",
     "render_cluster_table",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.validation import check_count, check_positive_finite
 from repro.cpu.scaling import CPUWorkEstimate
 from repro.engines.builder import engine_resources
 from repro.errors import ValidationError
@@ -86,10 +87,8 @@ def plan_fpga_deployment(
     allows) until the modelled batch time fits; raises if even an absurd
     number of cards cannot (deadline below PCIe floor).
     """
-    if n_options < 1:
-        raise ValidationError("n_options must be >= 1")
-    if deadline_seconds <= 0:
-        raise ValidationError("deadline_seconds must be > 0")
+    check_count(n_options, "n_options")
+    check_positive_finite(deadline_seconds, "deadline_seconds")
     per_engine = _fpga_rate_per_engine(scenario)
     engines_per_card = max_engines(
         scenario.device,
@@ -131,10 +130,8 @@ def plan_cpu_deployment(
     Returns the full-socket plan flagged ``meets_deadline=False`` when even
     all cores are too slow.
     """
-    if n_options < 1:
-        raise ValidationError("n_options must be >= 1")
-    if deadline_seconds <= 0:
-        raise ValidationError("deadline_seconds must be > 0")
+    check_count(n_options, "n_options")
+    check_positive_finite(deadline_seconds, "deadline_seconds")
     work = CPUWorkEstimate.for_option(
         scenario.options(1)[0], scenario.yield_curve(), scenario.hazard_curve()
     )

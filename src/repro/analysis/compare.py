@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.validation import check_positive_finite
 from repro.errors import ValidationError
 
 __all__ = ["Comparison", "compare_ratio", "shape_report"]
@@ -38,8 +39,7 @@ class Comparison:
     def __post_init__(self) -> None:
         if self.expected == 0:
             raise ValidationError(f"{self.label}: expected value must be non-zero")
-        if self.rel_tolerance <= 0:
-            raise ValidationError(f"{self.label}: tolerance must be > 0")
+        check_positive_finite(self.rel_tolerance, "rel_tolerance")
 
     @property
     def relative_error(self) -> float:

@@ -19,6 +19,12 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cluster.batching import BatchQueue
+from repro.core.validation import (
+    check_count,
+    check_index,
+    check_positive_finite,
+    check_range,
+)
 from repro.errors import ValidationError
 from repro.gateway.engine import Gateway
 from repro.gateway.metrics import GatewayResult
@@ -170,12 +176,10 @@ def generate_gateway_report(
             f"unknown traffic process {traffic!r}; "
             f"choose from {sorted(TRAFFIC_PROCESSES)}"
         )
-    if not 1 <= n_tenants <= len(DEFAULT_TENANTS):
-        raise ValidationError(
-            f"n_tenants must be 1..{len(DEFAULT_TENANTS)}, got {n_tenants}"
-        )
-    if n_ticks < 0:
-        raise ValidationError(f"n_ticks must be >= 0, got {n_ticks}")
+    check_count(n_tenants, "n_tenants")
+    check_range(n_tenants, "n_tenants", f"[1, {len(DEFAULT_TENANTS)}]")
+    check_index(n_ticks, "n_ticks")
+    check_positive_finite(tick_rate_hz, "tick_rate_hz")
     sc = scenario if scenario is not None else PaperScenario()
     book = make_book(workload, sc.n_options, seed=seed)
     tape = make_market_tape(

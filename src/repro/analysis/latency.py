@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.validation import check_range
 from repro.dataflow.engine import Simulator
 from repro.dataflow.tracing import Trace
 from repro.telemetry import NULL_RECORDER
@@ -59,8 +60,7 @@ class LatencyProfile:
 
     def percentile(self, q: float) -> float:
         """Percentile of the inter-completion gaps (tail cadence)."""
-        if not 0.0 <= q <= 100.0:
-            raise ValidationError(f"q must be in [0, 100], got {q}")
+        check_range(q, "q", "[0, 100]")
         if self.inter_completion_cycles.size == 0:
             return 0.0
         return float(np.percentile(self.inter_completion_cycles, q))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.core.validation import check_non_negative_finite, check_positive_finite
 from repro.errors import ValidationError
 
 __all__ = ["speedup", "options_per_watt", "relative_error", "geometric_mean"]
@@ -9,17 +10,15 @@ __all__ = ["speedup", "options_per_watt", "relative_error", "geometric_mean"]
 
 def speedup(fast: float, slow: float) -> float:
     """``fast / slow`` with validation (both rates must be positive)."""
-    if fast <= 0 or slow <= 0:
-        raise ValidationError(f"rates must be > 0, got {fast} and {slow}")
+    check_positive_finite(fast, "fast")
+    check_positive_finite(slow, "slow")
     return fast / slow
 
 
 def options_per_watt(options_per_second: float, watts: float) -> float:
     """Power efficiency (Table II's final column)."""
-    if watts <= 0:
-        raise ValidationError(f"watts must be > 0, got {watts}")
-    if options_per_second < 0:
-        raise ValidationError("options_per_second must be >= 0")
+    check_positive_finite(watts, "watts")
+    check_non_negative_finite(options_per_second, "options_per_second")
     return options_per_second / watts
 
 
@@ -34,7 +33,7 @@ def geometric_mean(values: list[float]) -> float:
     """Geometric mean of positive values (ratio aggregation)."""
     if not values:
         raise ValidationError("values must be non-empty")
-    if any(v <= 0 for v in values):
+    if not all(v > 0 for v in values):
         raise ValidationError("values must all be > 0")
     import math
 

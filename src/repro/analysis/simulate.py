@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis.serving import STREAM_SEED_OFFSET, TAPE_SEED_OFFSET
 from repro.cluster.batching import BatchQueue
+from repro.core.validation import check_positive_finite
 from repro.errors import ValidationError
 from repro.risk.engine import make_book
 from repro.serving.engine import QuoteServer
@@ -174,10 +175,7 @@ def generate_simulation_report(
             f"unknown traffic process {traffic!r}; "
             f"choose from {sorted(TRAFFIC_PROCESSES)}"
         )
-    if refresh_period_s <= 0:
-        raise ValidationError(
-            f"refresh_period_s must be > 0, got {refresh_period_s}"
-        )
+    check_positive_finite(refresh_period_s, "refresh_period_s")
     sc = scenario if scenario is not None else PaperScenario()
     book = make_book(workload, sc.n_options, seed=seed)
     tape = make_market_tape(

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.validation import check_count
 from repro.errors import ValidationError
 from repro.telemetry import Span, load_chrome_trace
 
@@ -139,8 +140,7 @@ def summarise_trace(source, *, top: int = 10) -> TraceSummary:
     TraceSummary
         Deterministic roll-up (ties broken by trace id / track name).
     """
-    if top < 1:
-        raise ValidationError(f"top must be >= 1, got {top}")
+    check_count(top, "top")
     if isinstance(source, (list, tuple)) and (
         not source or isinstance(source[0], Span)
     ):

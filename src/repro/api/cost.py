@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.cluster.interconnect import HostLinkModel
 from repro.cluster.node import ClusterNode
+from repro.core.validation import check_count, check_non_negative_finite
 from repro.errors import ValidationError
 from repro.faults.health import ClusterHealth
 from repro.faults.plan import FaultPlan
@@ -73,10 +74,7 @@ class DispatchCostModel:
             "cell_transfer_seconds",
             "cell_kernel_seconds",
         ):
-            if getattr(self, name) < 0:
-                raise ValidationError(
-                    f"{name} must be >= 0, got {getattr(self, name)}"
-                )
+            check_non_negative_finite(getattr(self, name), name)
 
     @classmethod
     def calibrate(
@@ -143,11 +141,11 @@ class DispatchCostModel:
             :meth:`~repro.cluster.interconnect.HostLinkModel.
             contention_factor`).
         """
-        if n_rows < 1 or n_cells < 1:
+        if not n_rows >= 1 or not n_cells >= 1:
             raise ValidationError(
                 f"a dispatch needs >= 1 row and cell, got {n_rows}/{n_cells}"
             )
-        if contention < 1.0:
+        if not contention >= 1.0:
             raise ValidationError(f"contention must be >= 1, got {contention}")
         pcie = (
             self.pcie_latency_s
@@ -214,8 +212,7 @@ class ClusterTimingRig:
         sim: Simulation | None = None,
         telemetry=None,
     ) -> None:
-        if n_cards < 1:
-            raise ValidationError(f"n_cards must be >= 1, got {n_cards}")
+        check_count(n_cards, "n_cards")
         self.cost_model = cost_model
         self.link = link
         self.sim = sim if sim is not None else Simulation()

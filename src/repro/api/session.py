@@ -34,6 +34,7 @@ from repro.api.protocol import (
 from repro.api.registry import create_backend
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
+from repro.core.validation import check_count
 from repro.errors import CapabilityError, ValidationError
 
 __all__ = ["PricingSession", "open_session", "capability_error"]
@@ -217,10 +218,8 @@ class PricingSession:
             idx = np.arange(tensor.n_scenarios, dtype=np.intp)
         else:
             idx = tensor_row_indices(rows, tensor.n_scenarios)
-        if chunk_size is not None and chunk_size < 1:
-            raise ValidationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
+        if chunk_size is not None:
+            check_count(chunk_size, "chunk_size")
         self._check_call(want_legs)
         spreads, legs = self._backend.price_rows(
             tensor, idx, chunk_size=chunk_size

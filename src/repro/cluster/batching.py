@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.types import CDSOption
-from repro.core.validation import is_index
+from repro.core.validation import check_count, check_non_negative_finite
 from repro.errors import ValidationError
 from repro.workloads.cluster import Arrival
 
@@ -70,14 +70,8 @@ class BatchQueue:
     linger_s: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not is_index(self.max_batch) or self.max_batch < 1:
-            raise ValidationError(
-                f"max_batch must be an integer >= 1, got {self.max_batch!r}"
-            )
-        if not self.linger_s >= 0:  # NaN too: a NaN linger never fires
-            raise ValidationError(
-                f"linger_s must be >= 0, got {self.linger_s}"
-            )
+        check_count(self.max_batch, "max_batch")
+        check_non_negative_finite(self.linger_s, "linger_s")
 
     def coalesce(self, arrivals: list[Arrival]) -> list[DispatchBatch]:
         """Replay ``arrivals`` through the queue and return its dispatches.

@@ -42,6 +42,7 @@ from repro.cluster.scheduler import (
 )
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
+from repro.core.validation import check_count
 from repro.errors import ValidationError
 from repro.sim import Resource, Simulation
 from repro.workloads.scenarios import PaperScenario
@@ -190,8 +191,7 @@ class CDSCluster:
         link: HostLinkModel | None = None,
         telemetry=None,
     ) -> None:
-        if n_cards < 1:
-            raise ValidationError(f"n_cards must be >= 1, got {n_cards}")
+        check_count(n_cards, "n_cards")
         self.scenario = scenario if scenario is not None else PaperScenario()
         self.nodes = [
             ClusterNode(c, self.scenario, n_engines=n_engines)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.validation import check_non_negative_finite
 from repro.errors import ValidationError
 
 __all__ = ["HostLinkModel"]
@@ -49,14 +50,8 @@ class HostLinkModel:
     dispatch_latency_s: float = 5e-6
 
     def __post_init__(self) -> None:
-        if self.host_contention < 0:
-            raise ValidationError(
-                f"host_contention must be >= 0, got {self.host_contention}"
-            )
-        if self.dispatch_latency_s < 0:
-            raise ValidationError(
-                f"dispatch_latency_s must be >= 0, got {self.dispatch_latency_s}"
-            )
+        check_non_negative_finite(self.host_contention, "host_contention")
+        check_non_negative_finite(self.dispatch_latency_s, "dispatch_latency_s")
 
     def contention_factor(self, active_cards: int) -> float:
         """Stretch applied to each card's PCIe time.
@@ -72,7 +67,7 @@ class HostLinkModel:
             ``1 + host_contention * (active_cards - 1)``; ``1.0`` for a
             single active card.
         """
-        if active_cards < 1:
+        if not active_cards >= 1:
             raise ValidationError(
                 f"active_cards must be >= 1, got {active_cards}"
             )
@@ -94,7 +89,7 @@ class HostLinkModel:
             Seconds of host-thread time charged before the batch can
             complete.
         """
-        if n_dispatches < 0:
+        if not n_dispatches >= 0:
             raise ValidationError(
                 f"n_dispatches must be >= 0, got {n_dispatches}"
             )

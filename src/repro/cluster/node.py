@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
+from repro.core.validation import check_index
 from repro.engines.base import EngineResult
 from repro.engines.multi_engine import MultiEngineSystem
 from repro.errors import ValidationError
@@ -45,8 +46,7 @@ class ClusterNode:
         *,
         n_engines: int = 5,
     ) -> None:
-        if card_id < 0:
-            raise ValidationError(f"card_id must be >= 0, got {card_id}")
+        check_index(card_id, "card_id")
         self.card_id = card_id
         self.system = MultiEngineSystem(scenario, n_engines=n_engines)
         self.scenario = self.system.scenario

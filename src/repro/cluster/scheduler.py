@@ -36,6 +36,7 @@ import heapq
 import math
 from collections.abc import Sequence
 
+from repro.core.validation import check_count
 from repro.errors import ValidationError
 
 __all__ = [
@@ -91,7 +92,7 @@ class ClusterScheduler(abc.ABC):
         return sum(1 for chunk in assignment if chunk)
 
     def _check_cards(self, n_cards: int) -> None:
-        if n_cards < 1:
+        if not n_cards >= 1:  # once per dispatch: inline, NaN fails too
             raise ValidationError(f"n_cards must be >= 1, got {n_cards}")
 
 
@@ -159,10 +160,8 @@ class WorkStealingScheduler(ClusterScheduler):
     name = "work-stealing"
 
     def __init__(self, chunk_size: int | None = None) -> None:
-        if chunk_size is not None and chunk_size < 1:
-            raise ValidationError(
-                f"chunk_size must be >= 1 or None, got {chunk_size}"
-            )
+        if chunk_size is not None:
+            check_count(chunk_size, "chunk_size")
         self.chunk_size = chunk_size
 
     def _resolve_chunk(self, n_options: int, n_cards: int) -> int:
@@ -262,8 +261,7 @@ def shard_scenarios(
     list[list[int]]
         One sorted scenario-index list per card, jointly covering the grid.
     """
-    if n_scenarios < 1:
-        raise ValidationError(f"n_scenarios must be >= 1, got {n_scenarios}")
+    check_count(n_scenarios, "n_scenarios")
     sched = (
         make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
     )

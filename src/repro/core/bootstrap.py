@@ -21,6 +21,7 @@ from scipy.optimize import brentq
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.pricing import CDSPricer
 from repro.core.types import CDSOption
+from repro.core.validation import check_positive_finite
 from repro.errors import CalibrationError, ValidationError
 
 __all__ = ["CDSQuote", "bootstrap_hazard_curve"]
@@ -54,10 +55,8 @@ class CDSQuote:
     recovery_rate: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.maturity <= 0.0:
-            raise ValidationError(f"quote maturity must be > 0, got {self.maturity}")
-        if self.spread_bps <= 0.0:
-            raise ValidationError(f"quote spread must be > 0, got {self.spread_bps}")
+        check_positive_finite(self.maturity, "maturity")
+        check_positive_finite(self.spread_bps, "spread_bps")
 
     def as_option(self) -> CDSOption:
         """The option whose par spread this quote pins down."""

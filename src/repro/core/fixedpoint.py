@@ -27,6 +27,7 @@ from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.pricing import BASIS_POINTS
 from repro.core.schedule import build_schedule
 from repro.core.types import CDSOption
+from repro.core.validation import check_count, check_index, check_positive_finite
 from repro.core.vector_pricing import VectorCDSPricer
 from repro.errors import ValidationError
 
@@ -56,11 +57,8 @@ class FixedFormat:
     frac_bits: int
 
     def __post_init__(self) -> None:
-        if self.int_bits < 0 or self.frac_bits < 1:
-            raise ValidationError(
-                f"need int_bits >= 0 and frac_bits >= 1, got Q{self.int_bits}."
-                f"{self.frac_bits}"
-            )
+        check_index(self.int_bits, "int_bits")
+        check_count(self.frac_bits, "frac_bits")
 
     @property
     def total_bits(self) -> int:
@@ -112,10 +110,8 @@ class TableExp:
     def __init__(
         self, table_bits: int = 10, x_max: float = 8.0, fmt: FixedFormat | None = None
     ) -> None:
-        if table_bits < 2:
-            raise ValidationError(f"table_bits must be >= 2, got {table_bits}")
-        if x_max <= 0:
-            raise ValidationError(f"x_max must be > 0, got {x_max}")
+        check_count(table_bits, "table_bits", 2)
+        check_positive_finite(x_max, "x_max")
         self.table_bits = table_bits
         self.x_max = x_max
         self.fmt = fmt if fmt is not None else FixedFormat(4, 27)
@@ -179,7 +175,7 @@ def fixedpoint_spreads(
             s_prev = s
         protection = q(protection * q(option.loss_given_default))
         annuity = q(premium + accrual)
-        if annuity <= 0.0:
+        if not annuity > 0.0:
             raise ValidationError(
                 f"non-positive annuity under {f.describe()} for option {idx}"
             )

@@ -89,7 +89,7 @@ def float32_spreads(
             )
         protection = f32(protection * f32(option.loss_given_default))
         annuity = f32(premium + accrual)
-        if annuity <= 0.0:
+        if not annuity > 0.0:
             raise ValidationError(
                 f"non-positive annuity in float32 for option {idx}"
             )

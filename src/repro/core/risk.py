@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.curves import Curve, HazardCurve, YieldCurve
 from repro.core.pricing import BASIS_POINTS
 from repro.core.types import CDSOption
+from repro.core.validation import check_positive_finite
 from repro.core.vector_pricing import VectorCDSPricer
 from repro.errors import ValidationError
 
@@ -175,8 +176,8 @@ class RiskEngine:
         hazard_bump: float = ONE_BP / 0.6,
         rate_bump: float = ONE_BP,
     ) -> None:
-        if hazard_bump <= 0 or rate_bump <= 0:
-            raise ValidationError("bumps must be > 0")
+        check_positive_finite(hazard_bump, "hazard_bump")
+        check_positive_finite(rate_bump, "rate_bump")
         self.yield_curve = yield_curve
         self.hazard_curve = hazard_curve
         self.hazard_bump = hazard_bump

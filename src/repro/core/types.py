@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.core.validation import check_count, check_positive_finite, check_range
 from repro.errors import ValidationError
 
 __all__ = ["RatePoint", "CDSOption", "LegBreakdown", "CDSResult"]
@@ -36,10 +37,9 @@ class RatePoint:
     value: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.time) or not math.isfinite(self.value):
+        check_positive_finite(self.time, "RatePoint.time")
+        if not math.isfinite(self.value):
             raise ValidationError(f"RatePoint must be finite, got {self!r}")
-        if self.time <= 0.0:
-            raise ValidationError(f"RatePoint.time must be > 0, got {self.time}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,14 +65,9 @@ class CDSOption:
     recovery_rate: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.maturity) or self.maturity <= 0.0:
-            raise ValidationError(f"maturity must be finite and > 0, got {self.maturity}")
-        if int(self.frequency) != self.frequency or self.frequency < 1:
-            raise ValidationError(f"frequency must be a positive integer, got {self.frequency}")
-        if not 0.0 <= self.recovery_rate < 1.0:
-            raise ValidationError(
-                f"recovery_rate must lie in [0, 1), got {self.recovery_rate}"
-            )
+        check_positive_finite(self.maturity, "maturity")
+        check_count(self.frequency, "frequency")
+        check_range(self.recovery_rate, "recovery_rate", "[0, 1)")
 
     @property
     def n_payments(self) -> int:

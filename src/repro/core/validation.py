@@ -1,7 +1,16 @@
-"""Validation helpers shared by curves, schedules and pricers."""
+"""Validation helpers shared by curves, schedules and pricers.
+
+The scalar checks (:func:`check_count`, :func:`check_index`,
+:func:`check_positive_finite`, :func:`check_non_negative_finite` and
+:func:`check_range`) are the one place that decides what a valid count,
+duration or fraction is.  Each is written so that NaN fails (``not x >
+0``), refuses a bool where an integer is meant, and raises
+``ValidationError("<field> must be <rule>, got <value!r>")``.
+"""
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Sequence
 
@@ -13,8 +22,12 @@ __all__ = [
     "as_float_array",
     "check_strictly_increasing",
     "check_finite",
+    "check_count",
+    "check_index",
+    "check_non_negative_finite",
     "check_positive",
-    "check_probability",
+    "check_positive_finite",
+    "check_range",
     "is_index",
 ]
 
@@ -65,12 +78,41 @@ def check_positive(arr: np.ndarray, name: str, *, strict: bool = True) -> None:
         raise CurveError(f"{name} must be {op} 0; value {arr[bad]!r} at index {bad}")
 
 
-def check_probability(value: float, name: str) -> None:
-    """Raise :class:`ValidationError` unless ``value`` lies in ``[0, 1]``."""
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
-
-
 def is_index(value) -> bool:
     """A plain or NumPy integer; a bool is a flag, not an index."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(value, name: str, minimum: int = 1) -> None:
+    """Raise :class:`ValidationError` unless ``value`` is an integer
+    ``>= minimum`` (by the :func:`is_index` rule)."""
+    if not (is_index(value) and value >= minimum):
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_index(value, name: str) -> None:
+    """Raise :class:`ValidationError` unless ``value`` is an integer ``>= 0``."""
+    if not (is_index(value) and value >= 0):
+        raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
+
+
+def check_positive_finite(value, name: str) -> None:
+    """Raise :class:`ValidationError` unless ``0 < value < inf``."""
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_non_negative_finite(value, name: str) -> None:
+    """Raise :class:`ValidationError` unless ``0 <= value < inf``."""
+    if not 0 <= value < math.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_range(value, name: str, interval: str = "[0, 1]") -> None:
+    """Raise :class:`ValidationError` unless ``value`` lies in ``interval``,
+    written as the message reads it: ``"(0, 1]"`` excludes 0, and
+    ``"(1, inf)"`` is any finite value above 1."""
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    if not (above and (value < hi if interval[-1] == ")" else value <= hi)):
+        raise ValidationError(f"{name} must be in {interval}, got {value!r}")

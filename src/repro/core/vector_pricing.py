@@ -78,6 +78,7 @@ from repro.core.curves import (
 from repro.core.pricing import BASIS_POINTS
 from repro.core.schedule import build_schedule
 from repro.core.types import CDSOption, LegBreakdown
+from repro.core.validation import check_count
 from repro.errors import ValidationError
 
 __all__ = [
@@ -289,7 +290,7 @@ class PackedPortfolio:
         # valid time and carry zero accrual (so every padded reduction
         # term is exactly +0.0).  Reject other paddings loudly instead
         # of pricing them wrong silently.
-        if np.any(last_idx < 0):
+        if not np.all(last_idx >= 0):
             raise ValidationError("every row needs at least one valid column")
         final_times = self.times[np.arange(self.times.shape[0]), last_idx]
         if not np.all(
@@ -831,8 +832,8 @@ def price_packed_many(
                 f"recovery_shifts must have shape ({n_scenarios},), got "
                 f"{shifts.shape}"
             )
-    if chunk_size is not None and chunk_size < 1:
-        raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
+    if chunk_size is not None:
+        check_count(chunk_size, "chunk_size")
     if row_ids is not None and len(row_ids) != n_scenarios:
         raise ValidationError(
             f"row_ids must name {n_scenarios} scenario(s), got "

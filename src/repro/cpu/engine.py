@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
+from repro.core.validation import check_count
 from repro.core.vector_pricing import VectorCDSPricer
 from repro.errors import ValidationError
 
@@ -36,8 +37,7 @@ def chunk_options(options: list[CDSOption], n_chunks: int) -> list[list[CDSOptio
     decomposed based upon the options themselves, splitting the entire set
     up into N chunks" (Section IV).  Chunks differ in size by at most one.
     """
-    if n_chunks < 1:
-        raise ValidationError(f"n_chunks must be >= 1, got {n_chunks}")
+    check_count(n_chunks, "n_chunks")
     if not options:
         raise ValidationError("cannot chunk an empty option batch")
     n = len(options)
@@ -108,8 +108,7 @@ class CPUEngine:
         *,
         workers: int = 1,
     ) -> None:
-        if workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {workers}")
+        check_count(workers, "workers")
         self.yield_curve = yield_curve
         self.hazard_curve = hazard_curve
         self.workers = workers

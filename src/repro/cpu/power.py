@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.validation import check_non_negative_finite, check_range
 from repro.cpu.xeon import XEON_8260M, CPUDescriptor
-from repro.errors import ValidationError
 
 __all__ = ["CPUPowerModel"]
 
@@ -39,25 +39,20 @@ class CPUPowerModel:
     per_core_watts: float = 4.8
 
     def __post_init__(self) -> None:
-        if self.idle_watts < 0 or self.per_core_watts < 0:
-            raise ValidationError("power components must be >= 0")
+        check_non_negative_finite(self.idle_watts, "idle_watts")
+        check_non_negative_finite(self.per_core_watts, "per_core_watts")
 
     def watts(self, active_cores: int) -> float:
         """Socket draw with ``active_cores`` busy."""
-        if active_cores < 0 or active_cores > self.cpu.cores:
-            raise ValidationError(
-                f"active_cores must be in [0, {self.cpu.cores}], got {active_cores}"
-            )
+        check_range(active_cores, "active_cores", f"[0, {self.cpu.cores}]")
         return self.idle_watts + self.per_core_watts * active_cores
 
     def energy_joules(self, active_cores: int, seconds: float) -> float:
         """Energy over ``seconds`` with ``active_cores`` busy."""
-        if seconds < 0:
-            raise ValidationError(f"seconds must be >= 0, got {seconds}")
+        check_non_negative_finite(seconds, "seconds")
         return self.watts(active_cores) * seconds
 
     def efficiency(self, options_per_second: float, active_cores: int) -> float:
         """Options/second/Watt (Table II's last column)."""
-        if options_per_second < 0:
-            raise ValidationError("options_per_second must be >= 0")
+        check_non_negative_finite(options_per_second, "options_per_second")
         return options_per_second / self.watts(active_cores)

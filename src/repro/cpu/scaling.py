@@ -30,8 +30,13 @@ from dataclasses import dataclass
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.schedule import build_schedule
 from repro.core.types import CDSOption
+from repro.core.validation import (
+    check_count,
+    check_non_negative_finite,
+    check_positive_finite,
+    check_range,
+)
 from repro.cpu.xeon import XEON_8260M, CPUDescriptor
-from repro.errors import ValidationError
 from repro.hls.ops import DADD_LATENCY
 
 __all__ = ["CPUWorkEstimate", "CPUPerformanceModel"]
@@ -125,10 +130,8 @@ class CPUPerformanceModel:
     contention: float = 0.0768
 
     def __post_init__(self) -> None:
-        if self.calibration_factor <= 0:
-            raise ValidationError("calibration_factor must be > 0")
-        if self.contention < 0:
-            raise ValidationError("contention must be >= 0")
+        check_positive_finite(self.calibration_factor, "calibration_factor")
+        check_non_negative_finite(self.contention, "contention")
 
     def cycles_per_option(self, work: CPUWorkEstimate) -> float:
         """Calibrated cycles to price one option on one core."""
@@ -140,17 +143,13 @@ class CPUPerformanceModel:
 
     def rate(self, work: CPUWorkEstimate, cores: int) -> float:
         """Options/second on ``cores`` cores under the contention law."""
-        if cores < 1 or cores > self.cpu.cores:
-            raise ValidationError(
-                f"cores must be in [1, {self.cpu.cores}], got {cores}"
-            )
+        check_range(cores, "cores", f"[1, {self.cpu.cores}]")
         r1 = self.single_core_rate(work)
         return r1 * cores / (1.0 + self.contention * (cores - 1))
 
     def speedup(self, cores: int) -> float:
         """Strong-scaling speedup at ``cores`` (independent of workload)."""
-        if cores < 1:
-            raise ValidationError(f"cores must be >= 1, got {cores}")
+        check_count(cores, "cores")
         return cores / (1.0 + self.contention * (cores - 1))
 
     def parallel_efficiency(self, cores: int) -> float:

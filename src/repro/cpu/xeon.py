@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
+from repro.core.validation import check_count, check_positive_finite
 
 __all__ = ["CPUDescriptor", "XEON_8260M"]
 
@@ -36,10 +36,8 @@ class CPUDescriptor:
     memory_bandwidth_bytes_per_sec: float
 
     def __post_init__(self) -> None:
-        if self.cores < 1:
-            raise ValidationError(f"cores must be >= 1, got {self.cores}")
-        if self.base_clock_hz <= 0:
-            raise ValidationError("base_clock_hz must be > 0")
+        check_count(self.cores, "cores")
+        check_positive_finite(self.base_clock_hz, "base_clock_hz")
 
 
 #: The paper's comparison CPU: 24-core Cascade Lake Xeon Platinum 8260M.

@@ -18,7 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
+from repro.core.validation import (
+    check_index,
+    check_non_negative_finite,
+    check_positive_finite,
+)
 
 __all__ = ["LoopTiming", "pipelined_loop_cycles", "nested_loop_cycles"]
 
@@ -40,10 +44,8 @@ class LoopTiming:
     latency: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.ii <= 0.0:
-            raise ValidationError(f"II must be > 0, got {self.ii}")
-        if self.latency < 0.0:
-            raise ValidationError(f"latency must be >= 0, got {self.latency}")
+        check_positive_finite(self.ii, "ii")
+        check_non_negative_finite(self.latency, "latency")
 
     def cycles(self, trip_count: int) -> float:
         """Total cycles to execute ``trip_count`` iterations."""
@@ -56,8 +58,7 @@ class LoopTiming:
         fed — the quantity the paper's *inter-option* optimisation exposes
         by never draining the pipeline between options.
         """
-        if trip_count < 0:
-            raise ValidationError(f"trip_count must be >= 0, got {trip_count}")
+        check_index(trip_count, "trip_count")
         return trip_count * self.ii
 
     def scaled(self, factor: float) -> "LoopTiming":
@@ -67,12 +68,10 @@ class LoopTiming:
 
 def pipelined_loop_cycles(trip_count: int, ii: float, latency: float) -> float:
     """Cycles for a pipelined loop: ``latency + (n - 1) * II`` (0 for n=0)."""
-    if trip_count < 0:
-        raise ValidationError(f"trip_count must be >= 0, got {trip_count}")
+    check_index(trip_count, "trip_count")
     if trip_count == 0:
         return 0.0
-    if ii <= 0.0:
-        raise ValidationError(f"II must be > 0, got {ii}")
+    check_positive_finite(ii, "ii")
     return latency + (trip_count - 1) * ii
 
 
@@ -90,8 +89,7 @@ def nested_loop_cycles(
 
     ``latency + (outer_trips * inner_trips - 1) * II``
     """
-    if outer_trips < 0:
-        raise ValidationError(f"outer_trips must be >= 0, got {outer_trips}")
+    check_index(outer_trips, "outer_trips")
     if outer_trips == 0 or inner_trips == 0:
         return 0.0
     if flattened:

@@ -32,11 +32,12 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.validation import check_count
 from repro.dataflow.engine import Simulator
 from repro.dataflow.stream import Stream
 from repro.engines.base import EngineWorkload
 from repro.engines.stages import GRID_LATENCY, StageModels, port_contention_factor
-from repro.errors import DeadlockError, ValidationError
+from repro.errors import DeadlockError
 from repro.hls.ops import op
 from repro.hls.resources import ResourceUsage
 from repro.workloads.scenarios import PaperScenario
@@ -95,8 +96,7 @@ def build_dataflow_network(
         Read ports of the URAM holding each rate table (shared by
         replicas).
     """
-    if replication < 1:
-        raise ValidationError(f"replication must be >= 1, got {replication}")
+    check_count(replication, "replication")
     d = stream_depth
     n_opts = len(indices)
 
@@ -665,8 +665,7 @@ def engine_resources(
     family; single-precision operators are markedly cheaper, which is how
     the reduced-precision study fits more engines per card.
     """
-    if replication < 1:
-        raise ValidationError(f"replication must be >= 1, got {replication}")
+    check_count(replication, "replication")
 
     p = "d" if scenario.precision == "double" else "s"
     lanes = op(p + "add").latency

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
+from repro.core.validation import check_count
 from repro.core.vector_pricing import VectorCDSPricer
 from repro.cpu.engine import chunk_options
 from repro.dataflow.engine import SimulationResult
@@ -38,7 +39,6 @@ from repro.engines.base import CDSEngineBase, EngineWorkload
 from repro.engines.builder import engine_resources
 from repro.engines.interoption import run_streaming, time_streaming
 from repro.engines.xilinx_baseline import _sink_to_array
-from repro.errors import ValidationError
 from repro.fpga.floorplan import Floorplan
 from repro.hls.resources import ResourceUsage
 
@@ -61,8 +61,7 @@ class MultiEngineSystem(CDSEngineBase):
 
     def __init__(self, scenario=None, *, n_engines: int = 1) -> None:
         super().__init__(scenario)
-        if n_engines < 1:
-            raise ValidationError(f"n_engines must be >= 1, got {n_engines}")
+        check_count(n_engines, "n_engines")
         self._n_engines = n_engines
         # Validates the fit; raises ResourceError when the count is too
         # large for the device (e.g. 6 paper engines on the U280).

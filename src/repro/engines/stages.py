@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.validation import check_count
 from repro.dataflow.process import Delay, Kernel, Read, Write
 from repro.dataflow.stream import Stream
 from repro.engines.base import EngineWorkload
@@ -53,8 +54,8 @@ def port_contention_factor(replicas: int, ports: int) -> float:
     the paper's 6-fold replication at the observed ~2x gain with dual-ported
     URAM.
     """
-    if replicas < 1 or ports < 1:
-        raise ValidationError("replicas and ports must be >= 1")
+    check_count(replicas, "replicas")
+    check_count(ports, "ports")
     return max(1.0, replicas / ports)
 
 

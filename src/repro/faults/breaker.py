@@ -19,7 +19,7 @@ it adds no nondeterminism.
 
 from __future__ import annotations
 
-from repro.errors import ValidationError
+from repro.core.validation import check_count, check_positive_finite
 
 __all__ = ["CircuitBreaker", "BreakerBank"]
 
@@ -48,14 +48,8 @@ class CircuitBreaker:
     def __init__(
         self, *, failure_threshold: int = 3, reset_timeout_s: float = 0.05
     ) -> None:
-        if failure_threshold < 1:
-            raise ValidationError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if reset_timeout_s <= 0:
-            raise ValidationError(
-                f"reset_timeout_s must be > 0, got {reset_timeout_s}"
-            )
+        check_count(failure_threshold, "failure_threshold")
+        check_positive_finite(reset_timeout_s, "reset_timeout_s")
         self.failure_threshold = failure_threshold
         self.reset_timeout_s = reset_timeout_s
         self.state = CLOSED
@@ -116,8 +110,7 @@ class BreakerBank:
         failure_threshold: int = 3,
         reset_timeout_s: float = 0.05,
     ) -> None:
-        if n_cards < 1:
-            raise ValidationError(f"n_cards must be >= 1, got {n_cards}")
+        check_count(n_cards, "n_cards")
         self.breakers = [
             CircuitBreaker(
                 failure_threshold=failure_threshold,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import ValidationError
+from repro.core.validation import check_count
 from repro.faults.plan import FaultPlan
 
 __all__ = ["ClusterHealth"]
@@ -45,8 +45,7 @@ class ClusterHealth:
     """
 
     def __init__(self, plan: FaultPlan, n_cards: int) -> None:
-        if n_cards < 1:
-            raise ValidationError(f"n_cards must be >= 1, got {n_cards}")
+        check_count(n_cards, "n_cards")
         plan.validate_cards(n_cards)
         self.plan = plan
         self.n_cards = n_cards

@@ -37,6 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.validation import (
+    check_index,
+    check_non_negative_finite,
+    check_positive_finite,
+    check_range,
+)
 from repro.errors import ValidationError
 
 __all__ = [
@@ -69,14 +75,10 @@ class CardCrash:
     repair_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.card < 0:
-            raise ValidationError(f"card must be >= 0, got {self.card}")
-        if not math.isfinite(self.at_s) or self.at_s < 0:
-            raise ValidationError(f"at_s must be finite and >= 0, got {self.at_s}")
-        if self.repair_s is not None and self.repair_s <= 0:
-            raise ValidationError(
-                f"repair_s must be > 0 (or None for permanent), got {self.repair_s}"
-            )
+        check_index(self.card, "card")
+        check_non_negative_finite(self.at_s, "at_s")
+        if self.repair_s is not None:
+            check_positive_finite(self.repair_s, "repair_s")
 
     @property
     def down_until_s(self) -> float:
@@ -111,16 +113,10 @@ class CardSlowdown:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.card < 0:
-            raise ValidationError(f"card must be >= 0, got {self.card}")
-        if not math.isfinite(self.at_s) or self.at_s < 0:
-            raise ValidationError(f"at_s must be finite and >= 0, got {self.at_s}")
-        if self.duration_s <= 0:
-            raise ValidationError(f"duration_s must be > 0, got {self.duration_s}")
-        if not self.factor > 1.0 or not math.isfinite(self.factor):
-            raise ValidationError(
-                f"slowdown factor must be finite and > 1, got {self.factor}"
-            )
+        check_index(self.card, "card")
+        check_non_negative_finite(self.at_s, "at_s")
+        check_positive_finite(self.duration_s, "duration_s")
+        check_range(self.factor, "factor", "(1, inf)")
 
     @property
     def until_s(self) -> float:
@@ -144,14 +140,9 @@ class LinkDegradation:
     factor: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.at_s) or self.at_s < 0:
-            raise ValidationError(f"at_s must be finite and >= 0, got {self.at_s}")
-        if self.duration_s <= 0:
-            raise ValidationError(f"duration_s must be > 0, got {self.duration_s}")
-        if not self.factor > 1.0 or not math.isfinite(self.factor):
-            raise ValidationError(
-                f"link factor must be finite and > 1, got {self.factor}"
-            )
+        check_non_negative_finite(self.at_s, "at_s")
+        check_positive_finite(self.duration_s, "duration_s")
+        check_range(self.factor, "factor", "(1, inf)")
 
     @property
     def until_s(self) -> float:
@@ -174,10 +165,8 @@ class LinkOutage:
     duration_s: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.at_s) or self.at_s < 0:
-            raise ValidationError(f"at_s must be finite and >= 0, got {self.at_s}")
-        if self.duration_s <= 0:
-            raise ValidationError(f"duration_s must be > 0, got {self.duration_s}")
+        check_non_negative_finite(self.at_s, "at_s")
+        check_positive_finite(self.duration_s, "duration_s")
 
     @property
     def until_s(self) -> float:
@@ -344,19 +333,20 @@ class FaultPlan:
                     f"fault spec {part!r} has unknown keys {sorted(extra)}"
                 )
 
-        def num(key):
+        def num(key, kind=float):
             try:
-                return float(kv[key])
+                return kind(kv[key])
             except ValueError:
+                what = "an integer" if kind is int else "a number"
                 raise ValidationError(
-                    f"fault spec {part!r}: {key}={kv[key]!r} is not a number"
+                    f"fault spec {part!r}: {key}={kv[key]!r} is not {what}"
                 ) from None
 
         if kind == "crash":
             need("card", "at")
             return [
                 CardCrash(
-                    card=int(num("card")),
+                    card=num("card", int),
                     at_s=num("at"),
                     repair_s=num("repair") if "repair" in kv else None,
                 )
@@ -365,7 +355,7 @@ class FaultPlan:
             need("card", "at", "for", "factor")
             return [
                 CardSlowdown(
-                    card=int(num("card")),
+                    card=num("card", int),
                     at_s=num("at"),
                     duration_s=num("for"),
                     factor=num("factor"),

@@ -20,6 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.validation import (
+    check_count,
+    check_index,
+    check_positive_finite,
+    check_range,
+)
 from repro.errors import ValidationError
 
 __all__ = ["RetryPolicy", "HedgePolicy"]
@@ -51,16 +57,10 @@ class RetryPolicy:
         cap_s: float = 0.05,
         seed: int = 0,
     ) -> None:
-        if max_attempts < 1:
-            raise ValidationError(
-                f"max_attempts must be >= 1, got {max_attempts}"
-            )
-        if base_s <= 0:
-            raise ValidationError(f"base_s must be > 0, got {base_s}")
-        if multiplier < 1.0:
-            raise ValidationError(
-                f"multiplier must be >= 1, got {multiplier}"
-            )
+        check_count(max_attempts, "max_attempts")
+        check_positive_finite(base_s, "base_s")
+        check_range(multiplier, "multiplier", "[1, inf)")
+        check_positive_finite(cap_s, "cap_s")
         if cap_s < base_s:
             raise ValidationError(
                 f"cap_s must be >= base_s, got cap={cap_s} base={base_s}"
@@ -79,7 +79,7 @@ class RetryPolicy:
 
     def backoff_bound_s(self, attempt: int) -> float:
         """The deterministic cap for the given retry (attempt >= 1)."""
-        if attempt < 1:
+        if not attempt >= 1:
             raise ValidationError(
                 f"backoff applies from attempt 1, got {attempt}"
             )
@@ -120,14 +120,8 @@ class HedgePolicy:
         threshold: float = 2.0,
         max_hedges_per_batch: int = 1,
     ) -> None:
-        if threshold <= 1.0:
-            raise ValidationError(
-                f"hedge threshold must be > 1, got {threshold}"
-            )
-        if max_hedges_per_batch < 0:
-            raise ValidationError(
-                f"max_hedges_per_batch must be >= 0, got {max_hedges_per_batch}"
-            )
+        check_range(threshold, "threshold", "(1, inf)")
+        check_index(max_hedges_per_batch, "max_hedges_per_batch")
         self.enabled = enabled
         self.threshold = threshold
         self.max_hedges_per_batch = max_hedges_per_batch

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
+from repro.core.validation import check_non_negative_finite, check_positive_finite
 
 __all__ = ["ClockDomain"]
 
@@ -25,10 +25,7 @@ class ClockDomain:
     name: str = "kernel"
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0.0:
-            raise ValidationError(
-                f"frequency_hz must be > 0, got {self.frequency_hz}"
-            )
+        check_positive_finite(self.frequency_hz, "frequency_hz")
 
     @property
     def period_ns(self) -> float:
@@ -37,18 +34,15 @@ class ClockDomain:
 
     def seconds(self, cycles: float) -> float:
         """Convert a cycle count to seconds."""
-        if cycles < 0.0:
-            raise ValidationError(f"cycles must be >= 0, got {cycles}")
+        check_non_negative_finite(cycles, "cycles")
         return cycles / self.frequency_hz
 
     def cycles(self, seconds: float) -> float:
         """Convert seconds to (fractional) cycles."""
-        if seconds < 0.0:
-            raise ValidationError(f"seconds must be >= 0, got {seconds}")
+        check_non_negative_finite(seconds, "seconds")
         return seconds * self.frequency_hz
 
     def rate_per_second(self, items: float, cycles: float) -> float:
         """Throughput in items/second for ``items`` completed in ``cycles``."""
-        if cycles <= 0.0:
-            raise ValidationError(f"cycles must be > 0, got {cycles}")
+        check_positive_finite(cycles, "cycles")
         return items * self.frequency_hz / cycles

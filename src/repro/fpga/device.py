@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
+from repro.core.validation import check_count, check_positive_finite, check_range
 from repro.hls.resources import BRAM36_BYTES, URAM_BYTES, ResourceUsage
 
 __all__ = ["FPGADevice", "ALVEO_U280", "ALVEO_U50", "ALVEO_U250", "DEVICE_CATALOG"]
@@ -47,14 +47,9 @@ class FPGADevice:
     routable_ceiling: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.slr_count < 1:
-            raise ValidationError(f"slr_count must be >= 1, got {self.slr_count}")
-        if self.default_clock_hz <= 0:
-            raise ValidationError("default_clock_hz must be > 0")
-        if not 0.0 < self.routable_ceiling <= 1.0:
-            raise ValidationError(
-                f"routable_ceiling must be in (0, 1], got {self.routable_ceiling}"
-            )
+        check_count(self.slr_count, "slr_count")
+        check_positive_finite(self.default_clock_hz, "default_clock_hz")
+        check_range(self.routable_ceiling, "routable_ceiling", "(0, 1]")
 
     @property
     def bram_bytes(self) -> int:

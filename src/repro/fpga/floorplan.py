@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.validation import check_count
 from repro.errors import ResourceError, ValidationError
 from repro.fpga.device import FPGADevice
 from repro.hls.resources import ResourceUsage
@@ -70,8 +71,7 @@ class Floorplan:
     shell_resources: ResourceUsage = field(default_factory=lambda: _DEFAULT_SHELL)
 
     def __post_init__(self) -> None:
-        if self.n_engines < 1:
-            raise ValidationError(f"n_engines must be >= 1, got {self.n_engines}")
+        check_count(self.n_engines, "n_engines")
         total = self.total_resources
         total.require_fit(
             self.device.resources,

@@ -18,6 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
+from repro.core.validation import (
+    check_count,
+    check_index,
+    check_non_negative_finite,
+    check_range,
+)
 from repro.errors import ValidationError
 
 __all__ = ["HBMModel"]
@@ -52,16 +58,12 @@ class HBMModel:
     peak_bytes_per_sec_per_channel: float = 14.4e9
 
     def __post_init__(self) -> None:
-        if self.access_latency_cycles < 0:
-            raise ValidationError("access_latency_cycles must be >= 0")
-        if not 0.0 < self.bus_efficiency <= 1.0:
-            raise ValidationError(
-                f"bus_efficiency must be in (0, 1], got {self.bus_efficiency}"
-            )
-        if self.width_bits % 8 != 0 or self.width_bits <= 0:
+        check_non_negative_finite(self.access_latency_cycles, "access_latency_cycles")
+        check_range(self.bus_efficiency, "bus_efficiency", "(0, 1]")
+        check_count(self.width_bits, "width_bits")
+        if self.width_bits % 8 != 0:
             raise ValidationError(f"width_bits must be a positive multiple of 8")
-        if self.channels < 1:
-            raise ValidationError(f"channels must be >= 1, got {self.channels}")
+        check_count(self.channels, "channels")
 
     @property
     def bytes_per_beat(self) -> int:
@@ -70,8 +72,7 @@ class HBMModel:
 
     def burst_cycles(self, n_bytes: int) -> float:
         """Cycles to stream ``n_bytes`` as one contiguous burst."""
-        if n_bytes < 0:
-            raise ValidationError(f"n_bytes must be >= 0, got {n_bytes}")
+        check_index(n_bytes, "n_bytes")
         if n_bytes == 0:
             return 0.0
         beats = ceil(n_bytes / self.bytes_per_beat)
@@ -87,8 +88,7 @@ class HBMModel:
         This is the anti-pattern the best-practice note exists to avoid;
         the ablation benchmark contrasts it with the packed layout.
         """
-        if n_doubles < 0:
-            raise ValidationError(f"n_doubles must be >= 0, got {n_doubles}")
+        check_index(n_doubles, "n_doubles")
         if n_doubles == 0:
             return 0.0
         return self.access_latency_cycles + n_doubles / self.bus_efficiency

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.validation import check_count, check_positive_finite
 from repro.dataflow.engine import Simulator
 from repro.dataflow.process import Delay, Kernel, Read, Write
 from repro.dataflow.stream import Stream
-from repro.errors import ValidationError
 from repro.workloads.scenarios import PaperScenario
 
 __all__ = ["DMATrafficModel", "TrafficReport", "cosim_dma_traffic"]
@@ -48,8 +48,7 @@ class DMATrafficModel:
     service_cycles: float = 140.0
 
     def __post_init__(self) -> None:
-        if self.service_cycles <= 0:
-            raise ValidationError("service_cycles must be > 0")
+        check_positive_finite(self.service_cycles, "service_cycles")
 
 
 @dataclass(frozen=True)
@@ -152,12 +151,9 @@ def cosim_dma_traffic(
     model:
         Arbiter timing (defaults to :class:`DMATrafficModel`).
     """
-    if n_engines < 1:
-        raise ValidationError(f"n_engines must be >= 1, got {n_engines}")
-    if options_per_engine < 1:
-        raise ValidationError("options_per_engine must be >= 1")
-    if compute_cycles_per_option <= 0:
-        raise ValidationError("compute_cycles_per_option must be > 0")
+    check_count(n_engines, "n_engines")
+    check_count(options_per_engine, "options_per_engine")
+    check_positive_finite(compute_cycles_per_option, "compute_cycles_per_option")
     m = model if model is not None else DMATrafficModel()
 
     sim = Simulator(f"dma_cosim[{n_engines}]")

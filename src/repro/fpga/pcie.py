@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
+from repro.core.validation import (
+    check_index,
+    check_non_negative_finite,
+    check_positive_finite,
+)
 
 __all__ = ["PCIeModel"]
 
@@ -37,15 +41,12 @@ class PCIeModel:
     bandwidth_bytes_per_sec: float = 12e9
 
     def __post_init__(self) -> None:
-        if self.latency_s < 0:
-            raise ValidationError(f"latency_s must be >= 0, got {self.latency_s}")
-        if self.bandwidth_bytes_per_sec <= 0:
-            raise ValidationError("bandwidth_bytes_per_sec must be > 0")
+        check_non_negative_finite(self.latency_s, "latency_s")
+        check_positive_finite(self.bandwidth_bytes_per_sec, "bandwidth_bytes_per_sec")
 
     def transfer_seconds(self, n_bytes: int) -> float:
         """Seconds to move ``n_bytes`` in one DMA transfer."""
-        if n_bytes < 0:
-            raise ValidationError(f"n_bytes must be >= 0, got {n_bytes}")
+        check_index(n_bytes, "n_bytes")
         if n_bytes == 0:
             return 0.0
         return self.latency_s + n_bytes / self.bandwidth_bytes_per_sec
@@ -65,8 +66,8 @@ class PCIeModel:
         entries, two doubles each), options down (maturity, frequency,
         recovery — 24 bytes), spreads up (one double per option).
         """
-        if n_options < 0 or n_rates < 0:
-            raise ValidationError("n_options and n_rates must be >= 0")
+        check_index(n_options, "n_options")
+        check_index(n_rates, "n_rates")
         curves = self.transfer_seconds(2 * n_rates * rate_entry_bytes)
         options_down = self.transfer_seconds(n_options * option_bytes)
         results_up = self.transfer_seconds(n_options * result_bytes)

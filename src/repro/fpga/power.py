@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ValidationError
+from repro.core.validation import check_index, check_non_negative_finite
 
 __all__ = ["FPGAPowerModel"]
 
@@ -38,23 +38,20 @@ class FPGAPowerModel:
     per_engine_watts: float = 0.415
 
     def __post_init__(self) -> None:
-        if self.static_watts < 0 or self.per_engine_watts < 0:
-            raise ValidationError("power components must be >= 0")
+        check_non_negative_finite(self.static_watts, "static_watts")
+        check_non_negative_finite(self.per_engine_watts, "per_engine_watts")
 
     def watts(self, n_engines: int) -> float:
         """Card power draw with ``n_engines`` active."""
-        if n_engines < 0:
-            raise ValidationError(f"n_engines must be >= 0, got {n_engines}")
+        check_index(n_engines, "n_engines")
         return self.static_watts + self.per_engine_watts * n_engines
 
     def energy_joules(self, n_engines: int, seconds: float) -> float:
         """Energy for a run of ``seconds`` with ``n_engines`` active."""
-        if seconds < 0:
-            raise ValidationError(f"seconds must be >= 0, got {seconds}")
+        check_non_negative_finite(seconds, "seconds")
         return self.watts(n_engines) * seconds
 
     def efficiency(self, options_per_second: float, n_engines: int) -> float:
         """Power efficiency in options/second/Watt (Table II's last column)."""
-        if options_per_second < 0:
-            raise ValidationError("options_per_second must be >= 0")
+        check_non_negative_finite(options_per_second, "options_per_second")
         return options_per_second / self.watts(n_engines)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.validation import check_non_negative_finite
 from repro.errors import ValidationError
 from repro.serving.request import PricingRequest
 
@@ -103,10 +104,7 @@ class QuoteCache:
     """
 
     def __init__(self, *, hit_latency_s: float = DEFAULT_HIT_LATENCY_S) -> None:
-        if hit_latency_s < 0:
-            raise ValidationError(
-                f"hit_latency_s must be >= 0, got {hit_latency_s}"
-            )
+        check_non_negative_finite(hit_latency_s, "hit_latency_s")
         self.hit_latency_s = hit_latency_s
         self.stats = CacheStats()
         self._entries: dict[tuple[int, int], CacheEntry] = {}

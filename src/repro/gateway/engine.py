@@ -41,7 +41,7 @@ import numpy as np
 from repro.api import PricingBackend
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
-from repro.core.validation import is_index
+from repro.core.validation import check_count, is_index
 from repro.errors import ValidationError
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import HedgePolicy, RetryPolicy
@@ -124,8 +124,7 @@ class Gateway:
         ring_replicas: int = DEFAULT_REPLICAS,
         telemetry: Telemetry | None = None,
     ) -> None:
-        if n_servers < 1:
-            raise ValidationError(f"n_servers must be >= 1, got {n_servers}")
+        check_count(n_servers, "n_servers")
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.tenants = tuple(tenants)
         TenantBook(self.tenants)  # validate eagerly

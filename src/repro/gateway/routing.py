@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 
+from repro.core.validation import check_count
 from repro.errors import ValidationError
 from repro.serving.request import PricingRequest
 
@@ -62,8 +63,7 @@ class HashRing:
     """
 
     def __init__(self, nodes, *, replicas: int = DEFAULT_REPLICAS) -> None:
-        if replicas < 1:
-            raise ValidationError(f"replicas must be >= 1, got {replicas}")
+        check_count(replicas, "replicas")
         self.replicas = replicas
         self._nodes: set[int] = set()
         self._points: list[tuple[int, int]] = []  # (hash, node), sorted

@@ -17,9 +17,9 @@ backpressure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from repro.core.validation import check_index, check_positive_finite
 from repro.errors import ValidationError
 
 __all__ = [
@@ -68,22 +68,13 @@ class TenantProfile:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("tenant name must be non-empty")
-        if self.quota_rps is not None and self.quota_rps <= 0:
-            raise ValidationError(
-                f"quota_rps must be > 0 (or None), got {self.quota_rps}"
-            )
-        if self.burst is not None and self.burst <= 0:
-            raise ValidationError(f"burst must be > 0 (or None), got {self.burst}")
-        if self.priority_boost < 0:
-            raise ValidationError(
-                f"priority_boost must be >= 0, got {self.priority_boost}"
-            )
-        if not math.isfinite(self.deadline_scale) or self.deadline_scale <= 0:
-            raise ValidationError(
-                f"deadline_scale must be > 0, got {self.deadline_scale}"
-            )
-        if not math.isfinite(self.share) or self.share <= 0:
-            raise ValidationError(f"share must be > 0, got {self.share}")
+        if self.quota_rps is not None:
+            check_positive_finite(self.quota_rps, "quota_rps")
+        if self.burst is not None:
+            check_positive_finite(self.burst, "burst")
+        check_index(self.priority_boost, "priority_boost")
+        check_positive_finite(self.deadline_scale, "deadline_scale")
+        check_positive_finite(self.share, "share")
 
     @property
     def bucket_capacity(self) -> float | None:
@@ -104,10 +95,8 @@ class TokenBucket:
     """
 
     def __init__(self, rate: float, capacity: float) -> None:
-        if rate <= 0 or capacity <= 0:
-            raise ValidationError(
-                f"rate and capacity must be > 0, got {rate}/{capacity}"
-            )
+        check_positive_finite(rate, "rate")
+        check_positive_finite(capacity, "capacity")
         self.rate = rate
         self.capacity = capacity
         self.tokens = capacity

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.validation import check_count, check_index
 from repro.errors import ValidationError
 from repro.serving.request import PricingRequest
 from repro.serving.workload import KIND_PRIORITY
@@ -91,20 +92,18 @@ def make_tenant_stream(
         Tenant-tagged requests in arrival order, ids ``0 ..
         n_requests - 1``.
     """
-    if n_requests < 1:
-        raise ValidationError(f"n_requests must be >= 1, got {n_requests}")
-    if n_states < 1 or n_positions < 1:
-        raise ValidationError("n_states and n_positions must be >= 1")
+    check_count(n_requests, "n_requests")
+    check_count(n_states, "n_states")
+    check_count(n_positions, "n_positions")
     tenants = tuple(tenants)
     if not tenants:
         raise ValidationError("tenants must be non-empty")
     probs = np.asarray(mix, dtype=np.float64)
-    if probs.shape != (3,) or np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
+    if probs.shape != (3,) or not np.all(probs >= 0) or not np.isclose(probs.sum(), 1.0):
         raise ValidationError(
             f"mix must be three non-negative probabilities summing to 1, got {mix}"
         )
-    if var_rows < 1:
-        raise ValidationError(f"var_rows must be >= 1, got {var_rows}")
+    check_count(var_rows, "var_rows")
     for name, (lo, hi) in (
         ("quote_deadline_s", quote_deadline_s),
         ("reval_deadline_s", reval_deadline_s),
@@ -192,10 +191,8 @@ def make_tick_stream(
     list[tuple[float, int]]
         Ticks in time order.
     """
-    if n_ticks < 0:
-        raise ValidationError(f"n_ticks must be >= 0, got {n_ticks}")
-    if n_states < 1:
-        raise ValidationError(f"n_states must be >= 1, got {n_states}")
+    check_index(n_ticks, "n_ticks")
+    check_count(n_states, "n_states")
     if n_ticks == 0:
         return []
     times = poisson_arrivals(n_ticks, rate_hz, seed=seed + TICK_SEED_OFFSET)

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.validation import check_count
 from repro.errors import ValidationError
 from repro.hls.ops import DADD_LATENCY
 from repro.hls.pragmas import ArrayPartition, Pipeline, Unroll
@@ -71,8 +72,7 @@ def interleaved_accumulate(
         one add per cycle on average) plus the II=7 tail reduction over the
         ``lanes`` partials and the fill latency.
     """
-    if lanes < 1:
-        raise ValidationError(f"lanes must be >= 1, got {lanes}")
+    check_count(lanes, "lanes")
     arr = np.asarray(values, dtype=np.float64)
     n = arr.size
     partials = [0.0] * lanes
@@ -114,10 +114,8 @@ class AccumulatorModel:
     add_latency: int = DADD_LATENCY
 
     def __post_init__(self) -> None:
-        if self.lanes < 1:
-            raise ValidationError(f"lanes must be >= 1, got {self.lanes}")
-        if self.add_latency < 1:
-            raise ValidationError(f"add_latency must be >= 1, got {self.add_latency}")
+        check_count(self.lanes, "lanes")
+        check_count(self.add_latency, "add_latency")
 
     @property
     def ii(self) -> float:
@@ -126,7 +124,7 @@ class AccumulatorModel:
 
     def cycles(self, n: int) -> float:
         """Cycles to accumulate ``n`` elements (timing model only)."""
-        if n < 0:
+        if not n >= 0:  # once per timed option: inline
             raise ValidationError(f"n must be >= 0, got {n}")
         if n == 0:
             return 0.0

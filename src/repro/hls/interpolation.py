@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.curves import Curve
+from repro.core.validation import check_count, check_positive_finite
 from repro.errors import ValidationError
 from repro.hls.ops import op
 
@@ -48,12 +49,8 @@ class InterpolatorModel:
     fixed_bound: bool = True
 
     def __post_init__(self) -> None:
-        if self.table_length < 1:
-            raise ValidationError(
-                f"table_length must be >= 1, got {self.table_length}"
-            )
-        if self.scan_ii <= 0.0:
-            raise ValidationError(f"scan_ii must be > 0, got {self.scan_ii}")
+        check_count(self.table_length, "table_length")
+        check_positive_finite(self.scan_ii, "scan_ii")
 
     @property
     def arithmetic_latency(self) -> float:
@@ -75,7 +72,7 @@ class InterpolatorModel:
         ``locate_index`` is the bracketing position (only used for the
         early-exit variant).
         """
-        if locate_index < 0:
+        if not locate_index >= 0:  # once per timed evaluation: inline
             raise ValidationError(f"locate_index must be >= 0, got {locate_index}")
         entries = self.table_length if self.fixed_bound else min(
             max(locate_index, 1), self.table_length

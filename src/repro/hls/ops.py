@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.validation import check_count, check_index
 from repro.errors import ValidationError
 
 __all__ = ["OpSpec", "OP_TABLE", "op", "DADD_LATENCY", "SADD_LATENCY"]
@@ -48,10 +49,10 @@ class OpSpec:
     ff: int
 
     def __post_init__(self) -> None:
-        if self.latency < 0 or self.ii < 1:
-            raise ValidationError(f"bad timing for op {self.name!r}")
-        if min(self.dsp, self.lut, self.ff) < 0:
-            raise ValidationError(f"negative resource for op {self.name!r}")
+        check_index(self.latency, f"{self.name}.latency")
+        check_count(self.ii, f"{self.name}.ii")
+        for field in ("dsp", "lut", "ff"):
+            check_index(getattr(self, field), f"{self.name}.{field}")
 
 
 #: Reference latency of the double-precision adder — the source of the II=7

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.validation import check_count
 from repro.errors import ValidationError
 
 __all__ = ["Pipeline", "Unroll", "DataflowPragma", "ArrayPartition", "StreamPragma"]
@@ -29,8 +30,7 @@ class Pipeline:
     ii: int = 1
 
     def __post_init__(self) -> None:
-        if self.ii < 1:
-            raise ValidationError(f"PIPELINE II must be >= 1, got {self.ii}")
+        check_count(self.ii, "ii")
 
     def render(self) -> str:
         """Source form of the pragma."""
@@ -47,10 +47,8 @@ class Unroll:
     factor: int | None = None
 
     def __post_init__(self) -> None:
-        if self.factor is not None and self.factor < 2:
-            raise ValidationError(
-                f"UNROLL factor must be >= 2 or None (full), got {self.factor}"
-            )
+        if self.factor is not None:
+            check_count(self.factor, "factor", 2)
 
     def render(self) -> str:
         """Source form of the pragma."""
@@ -95,8 +93,8 @@ class ArrayPartition:
             )
         if self.kind == "complete" and self.factor is not None:
             raise ValidationError("complete partition takes no factor")
-        if self.kind != "complete" and (self.factor is None or self.factor < 2):
-            raise ValidationError(f"{self.kind} partition needs factor >= 2")
+        if self.kind != "complete":
+            check_count(self.factor, "factor", 2)
 
     def render(self) -> str:
         """Source form of the pragma."""
@@ -114,8 +112,7 @@ class StreamPragma:
     depth: int = 2
 
     def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValidationError(f"STREAM depth must be >= 1, got {self.depth}")
+        check_count(self.depth, "depth")
 
     def render(self) -> str:
         """Source form of the pragma."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.validation import check_index, check_range
 from repro.errors import ResourceError, ValidationError
 
 __all__ = ["ResourceUsage"]
@@ -49,7 +50,7 @@ class ResourceUsage:
     def __post_init__(self) -> None:
         for field_name in ("lut", "ff", "bram36", "uram", "dsp"):
             v = getattr(self, field_name)
-            if v < 0:
+            if not v >= 0:  # every sum and scale builds one: inline
                 raise ValidationError(f"{field_name} must be >= 0, got {v}")
 
     # ------------------------------------------------------------------
@@ -66,8 +67,7 @@ class ResourceUsage:
 
     def scale(self, k: int) -> "ResourceUsage":
         """Resource cost of ``k`` instances."""
-        if k < 0:
-            raise ValidationError(f"scale factor must be >= 0, got {k}")
+        check_index(k, "k")
         return ResourceUsage(
             lut=self.lut * k,
             ff=self.ff * k,
@@ -95,8 +95,7 @@ class ResourceUsage:
         more than ~80-90% of any resource class generally fails timing
         closure, which is what caps the engine count on the U280.
         """
-        if not 0.0 < ceiling <= 1.0:
-            raise ValidationError(f"ceiling must be in (0, 1], got {ceiling}")
+        check_range(ceiling, "ceiling", "(0, 1]")
         return all(frac <= ceiling for frac in self.utilisation(budget).values())
 
     def require_fit(
@@ -115,8 +114,7 @@ class ResourceUsage:
     @staticmethod
     def for_table_bytes(n_bytes: int, *, in_uram: bool = True) -> "ResourceUsage":
         """Memory blocks needed to store ``n_bytes`` of constant table data."""
-        if n_bytes < 0:
-            raise ValidationError(f"n_bytes must be >= 0, got {n_bytes}")
+        check_index(n_bytes, "n_bytes")
         if n_bytes == 0:
             return ResourceUsage()
         if in_uram:

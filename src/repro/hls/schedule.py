@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
+from repro.core.validation import check_count, check_index
 from repro.errors import ValidationError
 from repro.hls.ops import op
 
@@ -71,8 +72,7 @@ class LoopDependenceGraph:
         for n in (src, dst):
             if n not in self._g:
                 raise ValidationError(f"unknown operation {n!r}")
-        if distance < 0:
-            raise ValidationError(f"distance must be >= 0, got {distance}")
+        check_index(distance, "distance")
         if distance == 0 and src == dst:
             raise ValidationError(
                 "a zero-distance self-dependence is unschedulable"
@@ -180,8 +180,7 @@ def analyse_loop(
         for _, data in graph.nodes(data=True):
             uses[data["op"]] = uses.get(data["op"], 0) + 1
         for op_name, units in unit_budget.items():
-            if units < 1:
-                raise ValidationError(f"unit budget for {op_name!r} must be >= 1")
+            check_count(units, f"unit budget for {op_name!r}")
             n_uses = uses.get(op_name, 0)
             if n_uses:
                 res_mii = max(res_mii, math.ceil(n_uses / units))
@@ -229,8 +228,7 @@ def listing1_accumulation_loop(lanes: int = 7) -> LoopDependenceGraph:
     The partial-sum array turns the self-dependence distance into
     ``lanes``: each element is next touched ``lanes`` iterations later.
     """
-    if lanes < 1:
-        raise ValidationError(f"lanes must be >= 1, got {lanes}")
+    check_count(lanes, "lanes")
     g = LoopDependenceGraph()
     g.operation("load", "dmux")
     g.operation("mul", "dmul")

@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.validation import check_positive_finite
 from repro.errors import ValidationError
 from repro.monitor.detect import DetectionReport, fault_intervals, score_detection
 from repro.monitor.sampler import MetricsSampler
@@ -172,12 +173,8 @@ class MonitorConfig:
     sampled_metrics: tuple[str, ...] = DEFAULT_SAMPLED_METRICS
 
     def __post_init__(self) -> None:
-        if self.sample_period_s <= 0:
-            raise ValidationError(
-                f"sample_period_s must be > 0, got {self.sample_period_s}"
-            )
-        if self.tick_s <= 0:
-            raise ValidationError(f"tick_s must be > 0, got {self.tick_s}")
+        check_positive_finite(self.sample_period_s, "sample_period_s")
+        check_positive_finite(self.tick_s, "tick_s")
         if not self.objectives:
             raise ValidationError("monitor needs >= 1 objective")
 

@@ -32,6 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.validation import check_non_negative_finite
 from repro.errors import ValidationError
 
 __all__ = [
@@ -77,10 +78,8 @@ class Tolerance:
                 f"direction must be one of {DIRECTIONS}, got "
                 f"{self.direction!r}"
             )
-        if self.rel < 0 or self.abs < 0:
-            raise ValidationError(
-                f"tolerances must be >= 0, got rel={self.rel} abs={self.abs}"
-            )
+        check_non_negative_finite(self.rel, "rel")
+        check_non_negative_finite(self.abs, "abs")
 
     def slack(self, committed: float) -> float:
         """Allowed deviation around a committed value."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 
+from repro.core.validation import check_positive_finite
 from repro.errors import ValidationError
 from repro.monitor.series import TimeSeries
 from repro.telemetry.metrics import Counter, Gauge, MetricsRegistry
@@ -53,10 +54,7 @@ class MetricsSampler:
         period_s: float,
         names: tuple[str, ...] | None = None,
     ) -> None:
-        if period_s <= 0:
-            raise ValidationError(
-                f"sample period must be > 0, got {period_s}"
-            )
+        check_positive_finite(period_s, "period_s")
         self.registry = registry
         self.period_s = float(period_s)
         self.names = names

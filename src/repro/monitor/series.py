@@ -33,6 +33,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from repro.core.validation import check_positive_finite
 from repro.errors import ValidationError
 
 __all__ = ["Point", "TimeSeries"]
@@ -196,8 +197,7 @@ class TimeSeries:
         Empty buckets aggregate to ``nan`` (``0`` for ``count``), so
         gaps stay visible instead of being interpolated away.
         """
-        if width_s <= 0:
-            raise ValidationError(f"window width must be > 0, got {width_s}")
+        check_positive_finite(width_s, "width_s")
         stop = end_s if end_s is not None else self.end_s
         out = TimeSeries(f"{self.name}[{how}/{width_s:g}s]", kind="gauge")
         if not self._times or math.isnan(stop):
@@ -218,10 +218,8 @@ class TimeSeries:
         ``(t - width, t]``; consecutive output points are ``step_s``
         apart, so windows overlap whenever ``step_s < width_s``.
         """
-        if width_s <= 0 or step_s <= 0:
-            raise ValidationError(
-                f"window width and step must be > 0, got {width_s}/{step_s}"
-            )
+        check_positive_finite(width_s, "width_s")
+        check_positive_finite(step_s, "step_s")
         stop = end_s if end_s is not None else self.end_s
         out = TimeSeries(
             f"{self.name}[{how}/{width_s:g}s@{step_s:g}s]", kind="gauge"
@@ -251,7 +249,7 @@ class TimeSeries:
         for i in range(1, len(self._times)):
             dt = self._times[i] - self._times[i - 1]
             dv = self._values[i] - self._values[i - 1]
-            if dv < 0:
+            if not dv >= 0:
                 raise ValidationError(
                     f"counter series {self.name!r} decreased at "
                     f"t={self._times[i]}"

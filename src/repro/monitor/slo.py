@@ -33,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
+from repro.core.validation import check_positive_finite, check_range
 from repro.errors import ValidationError
 from repro.monitor.series import TimeSeries
 
@@ -88,11 +89,7 @@ class Objective:
                 f"objective {self.name!r}: unknown SLI {self.sli!r}; "
                 f"choose from {SLI_KINDS}"
             )
-        if not 0.0 < self.target < 1.0:
-            raise ValidationError(
-                f"objective {self.name!r}: target must be in (0, 1), "
-                f"got {self.target}"
-            )
+        check_range(self.target, f"objective {self.name!r}: target", "(0, 1)")
         if self.sli == "latency" and self.threshold_s is None:
             raise ValidationError(
                 f"objective {self.name!r}: the latency SLI needs "
@@ -134,17 +131,14 @@ class BurnRateRule:
     burn: float
 
     def __post_init__(self) -> None:
-        if self.long_s <= 0 or self.short_s <= 0:
-            raise ValidationError(
-                f"rule windows must be > 0, got {self.long_s}/{self.short_s}"
-            )
+        check_positive_finite(self.long_s, "long_s")
+        check_positive_finite(self.short_s, "short_s")
         if self.short_s > self.long_s:
             raise ValidationError(
                 f"short window {self.short_s} must not exceed long window "
                 f"{self.long_s}"
             )
-        if self.burn <= 0:
-            raise ValidationError(f"burn threshold must be > 0, got {self.burn}")
+        check_positive_finite(self.burn, "burn")
 
 
 #: Default rule pair, scaled to the sub-second serving replays: a fast
@@ -358,8 +352,7 @@ def evaluate_objective(
         The sampled ``cards_up`` series (for the availability SLI) and
         the cluster size it is normalised by.
     """
-    if tick_s <= 0:
-        raise ValidationError(f"tick_s must be > 0, got {tick_s}")
+    check_positive_finite(tick_s, "tick_s")
     if not rules:
         raise ValidationError(f"objective {objective.name!r} needs >= 1 rule")
     index = _BadMassIndex(

@@ -50,6 +50,7 @@ from repro.cluster.scheduler import (
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.pricing import BASIS_POINTS
 from repro.core.types import CDSOption
+from repro.core.validation import check_count, check_non_negative_finite, check_range
 from repro.core.vector_pricing import InvalidAnnuityError, shifted_recovery_row
 from repro.errors import ValidationError
 from repro.risk.scenarios import Scenario, ScenarioSet
@@ -91,13 +92,8 @@ class Position:
             raise ValidationError(
                 f"notional must be finite and non-zero, got {self.notional}"
             )
-        if self.contract_spread_bps is not None and (
-            not math.isfinite(self.contract_spread_bps)
-            or self.contract_spread_bps < 0.0
-        ):
-            raise ValidationError(
-                f"contract_spread_bps must be >= 0, got {self.contract_spread_bps}"
-            )
+        if self.contract_spread_bps is not None:
+            check_non_negative_finite(self.contract_spread_bps, "contract_spread_bps")
 
     @property
     def is_buyer(self) -> bool:
@@ -194,10 +190,7 @@ def make_book(
     buyer_fraction:
         Probability a position is long protection.
     """
-    if not 0.0 <= buyer_fraction <= 1.0:
-        raise ValidationError(
-            f"buyer_fraction must be in [0, 1], got {buyer_fraction}"
-        )
+    check_range(buyer_fraction, "buyer_fraction")
     options = make_cluster_portfolio(workload, n_positions, seed=seed)
     gen = np.random.default_rng(seed + 1)
     sizes = gen.lognormal(mean=0.0, sigma=0.75, size=n_positions)
@@ -318,10 +311,9 @@ class ScenarioRiskEngine:
         backend: str | PricingBackend = "vectorized",
         telemetry=None,
     ) -> None:
-        if n_cards < 1:
-            raise ValidationError(f"n_cards must be >= 1, got {n_cards}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
+        check_count(n_cards, "n_cards")
+        if chunk_size is not None:
+            check_count(chunk_size, "chunk_size")
         self.portfolio = portfolio
         self.scenario = scenario if scenario is not None else PaperScenario()
         self.yield_curve = (

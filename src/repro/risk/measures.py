@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.risk import ONE_BP
+from repro.core.validation import check_count, check_range
 from repro.errors import ValidationError
 from repro.risk.engine import ScenarioRiskEngine
 from repro.risk.scenarios import (
@@ -61,10 +62,7 @@ def _var_index(n_losses: int, confidence: float) -> int:
     VaR value do not each enter the tail) and exactly translation-
     equivariant alongside VaR.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValidationError(
-            f"confidence must be in (0, 1), got {confidence}"
-        )
+    check_range(confidence, "confidence", "(0, 1)")
     if n_losses == 0:
         raise ValidationError("VaR needs at least one scenario")
     return int(np.ceil(confidence * (n_losses - 1)))
@@ -343,15 +341,14 @@ def jtd_concentration(
     top_n:
         Positions counted by the ``top_share`` statistic.
     """
-    if top_n < 1:
-        raise ValidationError(f"top_n must be >= 1, got {top_n}")
+    check_count(top_n, "top_n")
     lgd = np.asarray(
         [p.option.loss_given_default for p in engine.portfolio.positions]
     )
     jtd = engine.portfolio.notionals * (lgd - engine.base_pv)
     gross = np.abs(jtd)
     total = float(gross.sum())
-    if total <= 0.0:
+    if not total > 0.0:
         raise ValidationError("book has zero gross jump-to-default exposure")
     shares = gross / total
     order = np.argsort(gross)[::-1]

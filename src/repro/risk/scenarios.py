@@ -36,10 +36,13 @@ import numpy as np
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.risk import ONE_BP, bucket_bump, parallel_bump
 from repro.core.validation import (
+    check_count,
     check_finite,
+    check_non_negative_finite,
     check_positive,
+    check_positive_finite,
+    check_range,
     check_strictly_increasing,
-    is_index,
 )
 from repro.errors import ValidationError
 from repro.risk.tensor import ScenarioTensor
@@ -92,10 +95,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValidationError("scenario label must be non-empty")
-        if not -1.0 < self.recovery_shift < 1.0:
-            raise ValidationError(
-                f"recovery_shift must be in (-1, 1), got {self.recovery_shift}"
-            )
+        check_range(self.recovery_shift, "recovery_shift", "(-1, 1)")
 
 
 class ScenarioView(Sequence):
@@ -217,7 +217,9 @@ def tenor_buckets(
     e = list(edges)
     if len(e) < 2:
         raise ValidationError("need at least 2 bucket edges")
-    if any(b <= a for a, b in zip(e, e[1:])):
+    if not all(math.isfinite(x) for x in e):
+        raise ValidationError(f"bucket edges must be finite: {e}")
+    if not all(b > a for a, b in zip(e, e[1:])):
         raise ValidationError(f"bucket edges must be strictly increasing: {e}")
     return list(zip(e[:-1], e[1:]))
 
@@ -411,10 +413,10 @@ class Regime:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("regime name must be non-empty")
-        if self.weight <= 0:
-            raise ValidationError(f"regime weight must be > 0, got {self.weight}")
-        if self.hazard_scale <= 0 or self.rate_scale <= 0:
-            raise ValidationError("regime volatility scales must be > 0")
+        check_positive_finite(self.weight, "weight")
+        check_positive_finite(self.hazard_scale, "hazard_scale")
+        check_positive_finite(self.rate_scale, "rate_scale")
+        check_range(self.hazard_drift_bps, "hazard_drift_bps", "(-inf, inf)")
 
 
 #: A standard two-regime mixture: mostly calm, occasionally stressed with
@@ -495,26 +497,15 @@ def monte_carlo(
     regimes:
         Optional regime mixture, e.g. :data:`CALM_STRESSED_REGIMES`.
     """
-    if not is_index(n_scenarios) or n_scenarios < 1:
-        raise ValidationError(
-            f"n_scenarios must be an integer >= 1, got {n_scenarios!r}"
-        )
-    if not 0.0 <= tenor_correlation < 1.0:
-        raise ValidationError(
-            f"tenor_correlation must be in [0, 1), got {tenor_correlation}"
-        )
-    if not -1.0 < credit_rates_correlation < 1.0:
-        raise ValidationError(
-            "credit_rates_correlation must be in (-1, 1), got "
-            f"{credit_rates_correlation}"
-        )
+    check_count(n_scenarios, "n_scenarios")
+    check_range(tenor_correlation, "tenor_correlation", "[0, 1)")
+    check_range(credit_rates_correlation, "credit_rates_correlation", "(-1, 1)")
     for name, vol in (
         ("hazard_vol_bps", hazard_vol_bps),
         ("rate_vol_bps", rate_vol_bps),
         ("recovery_vol", recovery_vol),
     ):
-        if not 0.0 <= vol < math.inf:  # NaN fails too
-            raise ValidationError(f"{name} must be finite and >= 0, got {vol}")
+        check_non_negative_finite(vol, name)
     buckets = tenor_buckets(edges)
     n_b = len(buckets)
 

@@ -68,6 +68,7 @@ from repro.api.session import capability_error
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
 from repro.cluster.scheduler import ClusterScheduler, make_scheduler
+from repro.core.validation import check_count
 from repro.core.vector_pricing import InvalidAnnuityError
 from repro.errors import ValidationError
 from repro.faults.plan import FaultPlan
@@ -167,12 +168,10 @@ class QuoteServer:
         backend: str | PricingBackend = "vectorized",
         telemetry: Telemetry | None = None,
     ) -> None:
-        if n_cards < 1:
-            raise ValidationError(f"n_cards must be >= 1, got {n_cards}")
-        if queue_depth < 1:
-            raise ValidationError(f"queue_depth must be >= 1, got {queue_depth}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
+        check_count(n_cards, "n_cards")
+        check_count(queue_depth, "queue_depth")
+        if chunk_size is not None:
+            check_count(chunk_size, "chunk_size")
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._tape = tape
         self.n_cards = n_cards

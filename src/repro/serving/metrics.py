@@ -87,7 +87,7 @@ class LatencyStats:
             )
         if np.any(np.isnan(lat)):
             raise ValidationError("latencies must not contain NaN")
-        if np.any(lat < 0):
+        if not np.all(lat >= 0):
             raise ValidationError("latencies must be >= 0")
         return cls(
             n=int(lat.size),

@@ -137,7 +137,7 @@ class PricingRequest:
                 raise ValidationError(
                     f"rows must be integer indices, got {rows!r}"
                 )
-            if not rows or any(r < 0 for r in rows):
+            if not rows or any(not r >= 0 for r in rows):
                 raise ValidationError(
                     "rows must be a non-empty tuple of non-negative indices"
                 )
@@ -156,7 +156,7 @@ class PricingRequest:
                     raise ValidationError(
                         f"option_index must be an integer, got {index!r}"
                     )
-            if index is None or index < 0:
+            if index is None or not index >= 0:
                 raise ValidationError(
                     "a quote request needs a non-negative option_index"
                 )
@@ -286,7 +286,7 @@ class FailRecord:
                     f"unknown failure reason {self.reason!r}; "
                     f"choose from {sorted(SHED_REASONS)}"
                 ) from None
-        if self.attempts < 1:
+        if not self.attempts >= 1:
             raise ValidationError(
                 f"attempts must be >= 1, got {self.attempts}"
             )

@@ -13,6 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.curves import HazardCurve, YieldCurve
+from repro.core.validation import (
+    check_count,
+    check_non_negative_finite,
+    check_positive_finite,
+    check_range,
+)
 from repro.errors import ValidationError
 from repro.risk.scenarios import monte_carlo
 from repro.risk.tensor import ScenarioTensor
@@ -53,8 +59,7 @@ def make_market_tape(
     seed:
         Deterministic generator seed.
     """
-    if n_states < 1:
-        raise ValidationError(f"n_states must be >= 1, got {n_states}")
+    check_count(n_states, "n_states")
     return monte_carlo(yield_curve, hazard_curve, n_states, seed=seed).tensor
 
 
@@ -102,17 +107,15 @@ def make_request_stream(
     list[PricingRequest]
         Requests in arrival order, ids ``0 .. n_requests - 1``.
     """
-    if n_requests < 1:
-        raise ValidationError(f"n_requests must be >= 1, got {n_requests}")
-    if n_states < 1 or n_positions < 1:
-        raise ValidationError("n_states and n_positions must be >= 1")
+    check_count(n_requests, "n_requests")
+    check_count(n_states, "n_states")
+    check_count(n_positions, "n_positions")
     probs = np.asarray(mix, dtype=np.float64)
-    if probs.shape != (3,) or np.any(probs < 0) or not np.isclose(probs.sum(), 1.0):
+    if probs.shape != (3,) or not np.all(probs >= 0) or not np.isclose(probs.sum(), 1.0):
         raise ValidationError(
             f"mix must be three non-negative probabilities summing to 1, got {mix}"
         )
-    if var_rows < 1:
-        raise ValidationError(f"var_rows must be >= 1, got {var_rows}")
+    check_count(var_rows, "var_rows")
     for name, (lo, hi) in (
         ("quote_deadline_s", quote_deadline_s),
         ("reval_deadline_s", reval_deadline_s),
@@ -207,21 +210,13 @@ def make_risk_refresh_stream(
         Refreshes in arrival order, ids ``request_id_base ..
         request_id_base + n_refreshes - 1``.
     """
-    if n_refreshes < 1:
-        raise ValidationError(f"n_refreshes must be >= 1, got {n_refreshes}")
-    if period_s <= 0:
-        raise ValidationError(f"period_s must be > 0, got {period_s}")
-    if n_states < 1:
-        raise ValidationError(f"n_states must be >= 1, got {n_states}")
-    if var_rows < 1:
-        raise ValidationError(f"var_rows must be >= 1, got {var_rows}")
-    if not 0.0 < deadline_fraction <= 1.0:
-        raise ValidationError(
-            f"deadline_fraction must be in (0, 1], got {deadline_fraction}"
-        )
+    check_count(n_refreshes, "n_refreshes")
+    check_positive_finite(period_s, "period_s")
+    check_count(n_states, "n_states")
+    check_count(var_rows, "var_rows")
+    check_range(deadline_fraction, "deadline_fraction", "(0, 1]")
     start = start_s if start_s is not None else period_s
-    if start < 0:
-        raise ValidationError(f"start_s must be >= 0, got {start_s}")
+    check_non_negative_finite(start, "start_s")
     gen = np.random.default_rng(seed)
     k = min(var_rows, n_states)
     relative_deadline = deadline_fraction * period_s

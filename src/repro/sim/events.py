@@ -92,7 +92,7 @@ class EventQueue:
         """
         if event.time != event.time:  # NaN check without math.isnan import
             raise ValidationError("event time must not be NaN")
-        if event.seq >= 0:
+        if not event.seq < 0:
             raise ValidationError(
                 f"event already queued (seq={event.seq}); events are single-use"
             )

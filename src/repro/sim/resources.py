@@ -179,7 +179,7 @@ class Resource:
             recording :attr:`recorder` is attached (name defaults to the
             resource name).  Ignored otherwise.
         """
-        if service_s < 0:
+        if not service_s >= 0:
             raise ValidationError(f"service_s must be >= 0, got {service_s}")
         if self.sim is not None and ready_s < self.sim.now:
             raise ValidationError(

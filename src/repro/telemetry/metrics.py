@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
+from repro.core.validation import check_range
 from repro.errors import ValidationError
 
 __all__ = [
@@ -93,7 +94,7 @@ class Counter:
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be >= 0: counters never go down)."""
-        if amount < 0:
+        if not amount >= 0:
             raise ValidationError(
                 f"counter {self.name!r} cannot decrease (inc {amount})"
             )
@@ -137,8 +138,7 @@ class _P2Quantile:
     """
 
     def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValidationError(f"quantile must be in (0, 1), got {q}")
+        check_range(q, "quantile", "(0, 1)")
         self.q = q
         self._heights: list[float] = []  # marker heights (or warm-up buffer)
         self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]

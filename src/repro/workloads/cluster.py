@@ -27,6 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.types import CDSOption
+from repro.core.validation import (
+    check_count,
+    check_non_negative_finite,
+    check_positive_finite,
+    check_range,
+)
 from repro.errors import ValidationError
 from repro.workloads.generator import make_option_portfolio
 
@@ -56,8 +62,7 @@ class Arrival:
     options: list[CDSOption]
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValidationError(f"time_s must be >= 0, got {self.time_s}")
+        check_non_negative_finite(self.time_s, "time_s")
         if not self.options:
             raise ValidationError("an arrival must carry at least one option")
 
@@ -78,8 +83,7 @@ def make_uniform_portfolio(n_options: int, *, seed: int = 0) -> list[CDSOption]:
         Ignored (uniform portfolios are deterministic); accepted so every
         registry entry shares one signature.
     """
-    if n_options < 1:
-        raise ValidationError(f"n_options must be >= 1, got {n_options}")
+    check_count(n_options, "n_options")
     return [
         CDSOption(maturity=5.0, frequency=4, recovery_rate=0.4)
         for _ in range(n_options)
@@ -115,15 +119,9 @@ def make_skewed_portfolio(
     seed:
         Deterministic generator seed.
     """
-    if n_options < 1:
-        raise ValidationError(f"n_options must be >= 1, got {n_options}")
-    if not 0.0 < median_maturity <= max_maturity:
-        raise ValidationError(
-            f"median_maturity must be in (0, {max_maturity}], "
-            f"got {median_maturity}"
-        )
-    if sigma <= 0:
-        raise ValidationError(f"sigma must be > 0, got {sigma}")
+    check_count(n_options, "n_options")
+    check_range(median_maturity, "median_maturity", f"(0, {max_maturity:g}]")
+    check_positive_finite(sigma, "sigma")
     gen = np.random.default_rng(seed)
     maturities = np.clip(
         np.exp(gen.normal(np.log(median_maturity), sigma, size=n_options)),

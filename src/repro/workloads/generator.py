@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
+from repro.core.validation import check_count
 from repro.errors import ValidationError
 
 __all__ = [
@@ -43,8 +44,7 @@ def make_yield_curve(
     ``rate(t) = base + slope * (1 - exp(-t / 2.5)) + noise`` — a Nelson-
     Siegel-style level/slope shape, clipped to stay positive.
     """
-    if n_points < 2:
-        raise ValidationError(f"n_points must be >= 2, got {n_points}")
+    check_count(n_points, "n_points", 2)
     gen = _rng(seed)
     times = np.linspace(span_years / n_points, span_years, n_points)
     rates = base_rate + slope * (1.0 - np.exp(-times / 2.5))
@@ -63,8 +63,7 @@ def make_hazard_curve(
     seed: int | np.random.Generator = 1,
 ) -> HazardCurve:
     """A gently increasing hazard curve with ``n_points`` knots."""
-    if n_points < 2:
-        raise ValidationError(f"n_points must be >= 2, got {n_points}")
+    check_count(n_points, "n_points", 2)
     gen = _rng(seed)
     times = np.linspace(span_years / n_points, span_years, n_points)
     hazards = base_hazard + slope * (times / span_years)
@@ -82,8 +81,7 @@ def make_option_portfolio(
     seed: int | np.random.Generator = 2,
 ) -> list[CDSOption]:
     """A random portfolio of ``n_options`` CDS contracts."""
-    if n_options < 1:
-        raise ValidationError(f"n_options must be >= 1, got {n_options}")
+    check_count(n_options, "n_options")
     lo, hi = maturity_range
     if not 0.0 < lo <= hi:
         raise ValidationError(f"bad maturity_range {maturity_range}")

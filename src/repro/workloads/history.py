@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.curves import HazardCurve, YieldCurve
+from repro.core.validation import check_count, check_range
 from repro.errors import ValidationError
 from repro.workloads.generator import make_hazard_curve, make_yield_curve
 
@@ -94,16 +95,9 @@ def make_curve_history(
     seed:
         Deterministic generator seed.
     """
-    if n_days < 2:
-        raise ValidationError(f"n_days must be >= 2, got {n_days}")
-    if not -1.0 < rate_hazard_correlation < 1.0:
-        raise ValidationError(
-            f"correlation must be in (-1, 1), got {rate_hazard_correlation}"
-        )
-    if not 0.0 <= mean_reversion <= 1.0:
-        raise ValidationError(
-            f"mean_reversion must be in [0, 1], got {mean_reversion}"
-        )
+    check_count(n_days, "n_days", 2)
+    check_range(rate_hazard_correlation, "rate_hazard_correlation", "(-1, 1)")
+    check_range(mean_reversion, "mean_reversion")
     gen = np.random.default_rng(seed)
     base_yc = make_yield_curve(n_points, span_years=span_years, seed=gen)
     base_hc = make_hazard_curve(n_points, span_years=span_years, seed=gen)

@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
+from repro.core.validation import check_count, check_non_negative_finite
 from repro.errors import ValidationError
 from repro.fpga.clock import ClockDomain
 from repro.fpga.device import ALVEO_U280, FPGADevice
@@ -142,16 +143,11 @@ class PaperScenario:
     cpu_power: CPUPowerModel = field(default_factory=CPUPowerModel)
 
     def __post_init__(self) -> None:
-        if self.n_rates < 2:
-            raise ValidationError(f"n_rates must be >= 2, got {self.n_rates}")
-        if self.n_options < 1:
-            raise ValidationError(f"n_options must be >= 1, got {self.n_options}")
-        if self.replication_factor < 1:
-            raise ValidationError("replication_factor must be >= 1")
-        if self.uram_read_ports < 1:
-            raise ValidationError("uram_read_ports must be >= 1")
-        if self.multi_engine_contention < 0:
-            raise ValidationError("multi_engine_contention must be >= 0")
+        check_count(self.n_rates, "n_rates", 2)
+        check_count(self.n_options, "n_options")
+        check_count(self.replication_factor, "replication_factor")
+        check_count(self.uram_read_ports, "uram_read_ports")
+        check_non_negative_finite(self.multi_engine_contention, "multi_engine_contention")
         if self.option_maturity > self.curve_span_years:
             raise ValidationError(
                 "option maturity beyond the curve span would flat-extrapolate "
@@ -197,8 +193,7 @@ class PaperScenario:
     def options(self, n: int | None = None) -> list[CDSOption]:
         """The option batch: ``n`` identical benchmark contracts."""
         count = self.n_options if n is None else n
-        if count < 1:
-            raise ValidationError(f"option count must be >= 1, got {count}")
+        check_count(count, "n")
         return [
             CDSOption(
                 maturity=self.option_maturity,

@@ -27,11 +27,16 @@ ordered times in seconds.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 
 import numpy as np
 
+from repro.core.validation import (
+    check_count,
+    check_non_negative_finite,
+    check_positive_finite,
+    check_range,
+)
 from repro.errors import ValidationError
 
 __all__ = [
@@ -52,13 +57,9 @@ _TENANT_SEED_OFFSET = 6151
 
 
 def _check_common(n_arrivals: int, rate_hz: float, start_s: float) -> None:
-    if n_arrivals < 1:
-        raise ValidationError(f"n_arrivals must be >= 1, got {n_arrivals}")
-    # Negated so that NaN fails here, by name, too.
-    if not 0 < rate_hz < math.inf:
-        raise ValidationError(f"rate_hz must be finite and > 0, got {rate_hz}")
-    if not start_s >= 0:
-        raise ValidationError(f"start_s must be >= 0, got {start_s}")
+    check_count(n_arrivals, "n_arrivals")
+    check_positive_finite(rate_hz, "rate_hz")
+    check_non_negative_finite(start_s, "start_s")
 
 
 def poisson_arrivals(
@@ -134,18 +135,13 @@ def bursty_arrivals(
         ``(n_arrivals,)`` strictly increasing times in seconds.
     """
     _check_common(n_arrivals, rate_hz, start_s)
-    if burst_factor <= 1.0:
-        raise ValidationError(f"burst_factor must be > 1, got {burst_factor}")
-    if not 0.0 < burst_fraction < 1.0:
-        raise ValidationError(
-            f"burst_fraction must be in (0, 1), got {burst_fraction}"
-        )
+    check_range(burst_factor, "burst_factor", "(1, inf)")
+    check_range(burst_fraction, "burst_fraction", "(0, 1)")
     calm_rate = rate_hz / ((1.0 - burst_fraction) + burst_factor * burst_fraction)
     burst_rate = burst_factor * calm_rate
     if burst_dwell_s is None:
         burst_dwell_s = 30.0 / burst_rate
-    if burst_dwell_s <= 0:
-        raise ValidationError(f"burst_dwell_s must be > 0, got {burst_dwell_s}")
+    check_positive_finite(burst_dwell_s, "burst_dwell_s")
     calm_dwell_s = burst_dwell_s * (1.0 - burst_fraction) / burst_fraction
 
     gen = np.random.default_rng(seed)
@@ -210,12 +206,10 @@ def diurnal_arrivals(
         ``(n_arrivals,)`` strictly increasing times in seconds.
     """
     _check_common(n_arrivals, rate_hz, start_s)
-    if not 0.0 <= amplitude < 1.0:
-        raise ValidationError(f"amplitude must be in [0, 1), got {amplitude}")
+    check_range(amplitude, "amplitude", "[0, 1)")
     if period_s is None:
         period_s = n_arrivals / (2.0 * rate_hz)
-    if period_s <= 0:
-        raise ValidationError(f"period_s must be > 0, got {period_s}")
+    check_positive_finite(period_s, "period_s")
     gen = np.random.default_rng(seed)
     peak = rate_hz * (1.0 + amplitude)
     times = np.empty(n_arrivals, dtype=np.float64)
@@ -251,10 +245,8 @@ def zipf_weights(n_items: int, exponent: float = 1.1) -> np.ndarray:
     np.ndarray
         ``(n_items,)`` probabilities summing to 1.
     """
-    if n_items < 1:
-        raise ValidationError(f"n_items must be >= 1, got {n_items}")
-    if exponent < 0:
-        raise ValidationError(f"exponent must be >= 0, got {exponent}")
+    check_count(n_items, "n_items")
+    check_non_negative_finite(exponent, "exponent")
     weights = np.arange(1, n_items + 1, dtype=np.float64) ** -exponent
     return weights / weights.sum()
 
@@ -282,8 +274,7 @@ def zipf_choices(
     np.ndarray
         ``(n_draws,)`` integer ranks in ``[0, n_items)``.
     """
-    if n_draws < 1:
-        raise ValidationError(f"n_draws must be >= 1, got {n_draws}")
+    check_count(n_draws, "n_draws")
     gen = np.random.default_rng(seed)
     return gen.choice(n_items, size=n_draws, p=zipf_weights(n_items, exponent))
 
@@ -373,7 +364,7 @@ def multi_tenant_arrivals(
     weights = np.asarray(tenant_weights, dtype=np.float64)
     if weights.ndim != 1 or weights.size == 0:
         raise ValidationError("tenant_weights must be a non-empty 1-D vector")
-    if np.any(weights < 0) or weights.sum() <= 0:
+    if not np.all(weights >= 0) or not weights.sum() > 0:
         raise ValidationError(
             "tenant_weights must be non-negative with a positive sum"
         )

@@ -133,6 +133,9 @@ class TestSpecGrammar:
             "crash:at=0.1",  # missing card
             "slow:card=1,at=0.1,for=0.2",  # missing factor
             "crash:card=x,at=0.1",
+            "crash:card=nan,at=0.1",
+            "crash:card=inf,at=0.1",
+            "slow:card=1.5,at=0.1,for=0.2,factor=2",
             "crash:card=1,at=0.1,bogus=3",
         ],
     )

@@ -74,6 +74,13 @@ class TestTenorBuckets:
         with pytest.raises(ValidationError):
             tenor_buckets([1.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("edge", [math.nan, math.inf])
+    def test_non_finite_edges_rejected(self, edge):
+        with pytest.raises(ValidationError, match="must be finite"):
+            tenor_buckets([0.0, edge, 5.0])
+        with pytest.raises(ValidationError, match="must be finite"):
+            tenor_buckets([0.0, 5.0, edge])
+
 
 class TestParallelShocks:
     def test_one_scenario_per_bump(self, yield_curve, hazard_curve):

@@ -98,8 +98,10 @@ class TestServe:
                 scenario=serving_scenario,
                 chunk_size=0,
             )
-        assert str(err.value) == "chunk_size must be >= 1, got 0"
-        with pytest.raises(ValidationError, match="chunk_size must be >= 1"):
+        assert str(err.value) == "chunk_size must be an integer >= 1, got 0"
+        with pytest.raises(
+            ValidationError, match="chunk_size must be an integer >= 1"
+        ):
             Gateway(server.book, tape, scenario=serving_scenario, chunk_size=0)
 
     def test_row_beyond_tape_rejected(self, server):

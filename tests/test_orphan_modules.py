@@ -53,7 +53,6 @@ ENTRY_DIRS = ("benchmarks", "examples", "perfbench")
 #: tuple is not updated.
 TEST_ONLY = (
     "repro.analysis.capacity",
-    "repro.analysis.session",
     "repro.core.daycount",
     "repro.dataflow.pipeline",
     "repro.hls.schedule",
@@ -68,10 +67,8 @@ TEST_ONLY_NAMES = (
     "repro.analysis.capacity.compare_platforms",
     "repro.analysis.compare.compare_ratio",
     "repro.analysis.metrics.geometric_mean",
-    "repro.analysis.session.simulate_market_session",
     "repro.core.daycount.year_fraction",
     "repro.core.schedule.schedule_lengths",
-    "repro.core.validation.check_probability",
     "repro.dataflow.engine.collector",
     "repro.dataflow.engine.feeder",
     "repro.dataflow.engine.transformer",

@@ -17,7 +17,7 @@ class TestPublicAPI:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "1.25.0"
+        assert repro.__version__ == "1.26.0"
 
     def test_risk_exports_resolve(self):
         import repro.risk as risk
