@@ -17,7 +17,7 @@ call, a deterministic text rendering, a JSON-friendly dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.analysis.serving import (
     ServingReport,
@@ -25,7 +25,7 @@ from repro.analysis.serving import (
     serving_report_dict,
 )
 from repro.errors import ValidationError
-from repro.faults import FaultPlan, HedgePolicy
+from repro.faults import FaultCounters, FaultPlan, HedgePolicy
 from repro.workloads.scenarios import PaperScenario
 
 __all__ = [
@@ -171,58 +171,41 @@ class ChaosReport:
 def _row_from_report(sc: ChaosScenario, report: ServingReport) -> ChaosRow:
     r = report.result
     fr = report.fault_report
-    if fr is None:
-        return ChaosRow(
-            name=sc.name,
-            spec="",
-            hedged=sc.hedge,
-            n_completed=r.n_completed,
-            n_failed=0,
-            n_shed=r.n_shed,
-            goodput_rps=r.goodput_rps,
-            p99_ms=r.latency.p99_s * 1e3,
-            n_retries=0,
-            n_hedges=0,
-            n_breaker_trips=0,
-            duplicate_work_ratio=0.0,
-            goodput_before_rps=0.0,
-            goodput_during_rps=0.0,
-            goodput_after_rps=0.0,
-            recovery_ms=0.0,
-            recovered=True,
-        )
-    phases = {p.name: p for p in fr.phases}
-    before = phases.get("before")
-    during = phases.get("during")
-    after = phases.get("after")
+    # A fault-free run has no fault report: its counters and phase
+    # goodputs read 0, and it recovers at once.
+    counters = fr.counters if fr is not None else FaultCounters()
+    phases = {p.name: p for p in fr.phases} if fr is not None else {}
+    recovery_s = fr.recovery_time_s if fr is not None else 0.0
+
+    def goodput(phase: str) -> float:
+        return phases[phase].goodput_rps if phase in phases else 0.0
+
     accounted = r.n_offered == r.n_completed + r.n_shed + r.n_failed
     # "Recovered" asks two things: nothing fell through the accounting,
     # and — when the plan actually ends (an after phase with traffic
     # exists) — post-repair goodput is back within 5% of pre-fault.
-    recovered = accounted and fr.recovery_time_s is not None
-    if before is not None and after is not None and after.n_completed:
+    recovered = accounted and recovery_s is not None
+    if "before" in phases and "after" in phases and phases["after"].n_completed:
         recovered = recovered and (
-            after.goodput_rps >= RECOVERY_GOODPUT_RATIO * before.goodput_rps
+            goodput("after") >= RECOVERY_GOODPUT_RATIO * goodput("before")
         )
     return ChaosRow(
         name=sc.name,
-        spec=fr.spec,
+        spec=report.fault_spec,
         hedged=sc.hedge,
         n_completed=r.n_completed,
         n_failed=r.n_failed,
         n_shed=r.n_shed,
         goodput_rps=r.goodput_rps,
         p99_ms=r.latency.p99_s * 1e3,
-        n_retries=fr.counters.n_retries,
-        n_hedges=fr.counters.n_hedges,
-        n_breaker_trips=fr.counters.n_breaker_trips,
-        duplicate_work_ratio=fr.counters.duplicate_work_ratio,
-        goodput_before_rps=before.goodput_rps if before is not None else 0.0,
-        goodput_during_rps=during.goodput_rps if during is not None else 0.0,
-        goodput_after_rps=after.goodput_rps if after is not None else 0.0,
-        recovery_ms=(
-            fr.recovery_time_s * 1e3 if fr.recovery_time_s is not None else None
-        ),
+        n_retries=counters.n_retries,
+        n_hedges=counters.n_hedges,
+        n_breaker_trips=counters.n_breaker_trips,
+        duplicate_work_ratio=counters.duplicate_work_ratio,
+        goodput_before_rps=goodput("before"),
+        goodput_during_rps=goodput("during"),
+        goodput_after_rps=goodput("after"),
+        recovery_ms=recovery_s * 1e3 if recovery_s is not None else None,
         recovered=recovered,
     )
 
@@ -442,28 +425,7 @@ def chaos_report_dict(report: ChaosReport) -> dict:
         "n_cards": report.n_cards,
         "max_batch": report.max_batch,
         "queue_depth": report.queue_depth,
-        "rows": [
-            {
-                "name": row.name,
-                "spec": row.spec,
-                "hedged": row.hedged,
-                "n_completed": row.n_completed,
-                "n_failed": row.n_failed,
-                "n_shed": row.n_shed,
-                "goodput_rps": row.goodput_rps,
-                "p99_ms": row.p99_ms,
-                "n_retries": row.n_retries,
-                "n_hedges": row.n_hedges,
-                "n_breaker_trips": row.n_breaker_trips,
-                "duplicate_work_ratio": row.duplicate_work_ratio,
-                "goodput_before_rps": row.goodput_before_rps,
-                "goodput_during_rps": row.goodput_during_rps,
-                "goodput_after_rps": row.goodput_after_rps,
-                "recovery_ms": row.recovery_ms,
-                "recovered": row.recovered,
-            }
-            for row in report.rows
-        ],
+        "rows": [asdict(row) for row in report.rows],
     }
     if report.baseline is not None:
         out["baseline"] = serving_report_dict(report.baseline)

@@ -16,7 +16,7 @@ offsets), so ``--tenants 1 --servers 1 --cache off`` reproduces the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.cluster.batching import BatchQueue
 from repro.core.validation import (
@@ -25,17 +25,14 @@ from repro.core.validation import (
     check_positive_finite,
     check_range,
 )
-from repro.errors import ValidationError
 from repro.gateway.engine import Gateway
 from repro.gateway.metrics import GatewayResult
 from repro.gateway.tenancy import DEFAULT_TENANTS, PASSTHROUGH_TENANT
 from repro.gateway.workload import make_tenant_stream, make_tick_stream
-from repro.risk.engine import make_book
-from repro.serving.workload import make_market_tape, make_request_stream
+from repro.serving.workload import make_request_stream
 from repro.workloads.scenarios import PaperScenario
-from repro.workloads.traffic import TRAFFIC_PROCESSES
 
-from repro.analysis.serving import STREAM_SEED_OFFSET, TAPE_SEED_OFFSET
+from repro.analysis.serving import STREAM_SEED_OFFSET, ReplayReport, replay_inputs
 
 __all__ = [
     "GatewayReport",
@@ -45,56 +42,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GatewayReport:
+@dataclass(frozen=True, kw_only=True)
+class GatewayReport(ReplayReport):
     """Everything the ``repro-cds gateway`` subcommand prints.
 
     Attributes
     ----------
-    traffic / rate_hz / n_requests / seed:
-        Offered-load configuration (aggregate across tenants).
-    n_servers / n_cards / n_engines / policy:
-        Gateway tier shape: server replicas and each replica's cluster.
+    n_servers:
+        Server replicas, each with the
+        :class:`~repro.analysis.serving.ReplayReport` cluster shape.
     n_tenants / cache / n_ticks / tick_rate_hz:
         Tenant-mix size, whether the quote cache is on, and the market
         tick stream driving invalidation.
-    max_batch / max_delay_s / queue_depth:
-        Per-server coalescing and admission-control policy.
-    n_states / n_positions:
-        Market-tape length and book size.
-    backend:
-        Base pricing-backend registry name behind every server.
     result:
         The aggregate :class:`~repro.gateway.metrics.GatewayResult`.
-    host_seconds / requests_per_sec_host:
-        Measured wall-clock of the host-side replay (excluded from
-        equality so deterministic runs still compare equal).
-    fault_spec:
-        The injected fault plan's spec ("" on fault-free runs).
     """
 
-    traffic: str
-    rate_hz: float
-    n_requests: int
-    seed: int
     n_servers: int
-    n_cards: int
-    n_engines: int
-    policy: str
     n_tenants: int
     cache: bool
     n_ticks: int
     tick_rate_hz: float
-    max_batch: int
-    max_delay_s: float
-    queue_depth: int
-    n_states: int
-    n_positions: int
-    backend: str
     result: GatewayResult
-    host_seconds: float = field(compare=False, default=0.0)
-    requests_per_sec_host: float = field(compare=False, default=0.0)
-    fault_spec: str = ""
 
 
 def generate_gateway_report(
@@ -171,21 +140,11 @@ def generate_gateway_report(
     monitor:
         Optional :class:`~repro.monitor.Monitor` scoring the run.
     """
-    if traffic not in TRAFFIC_PROCESSES:
-        raise ValidationError(
-            f"unknown traffic process {traffic!r}; "
-            f"choose from {sorted(TRAFFIC_PROCESSES)}"
-        )
     check_count(n_tenants, "n_tenants")
     check_range(n_tenants, "n_tenants", f"[1, {len(DEFAULT_TENANTS)}]")
     check_index(n_ticks, "n_ticks")
     check_positive_finite(tick_rate_hz, "tick_rate_hz")
-    sc = scenario if scenario is not None else PaperScenario()
-    book = make_book(workload, sc.n_options, seed=seed)
-    tape = make_market_tape(
-        sc.yield_curve(), sc.hazard_curve(), n_states,
-        seed=seed + TAPE_SEED_OFFSET,
-    )
+    sc, book, tape = replay_inputs(scenario, workload, n_states, seed)
     if n_tenants == 1:
         tenants = (PASSTHROUGH_TENANT,)
         requests = make_request_stream(
@@ -257,9 +216,6 @@ def generate_gateway_report(
         backend=backend,
         result=result,
         host_seconds=host_seconds,
-        requests_per_sec_host=(
-            n_requests / host_seconds if host_seconds > 0 else 0.0
-        ),
         fault_spec=faults.spec() if faults is not None else "",
     )
 
@@ -305,17 +261,6 @@ def render_gateway_report(report: GatewayReport) -> str:
     return "\n".join(lines)
 
 
-def _latency_dict(latency) -> dict:
-    return {
-        "n": latency.n,
-        "mean_s": latency.mean_s,
-        "p50_s": latency.p50_s,
-        "p95_s": latency.p95_s,
-        "p99_s": latency.p99_s,
-        "max_s": latency.max_s,
-    }
-
-
 def gateway_report_dict(report: GatewayReport) -> dict:
     """JSON-friendly dict of the report (raw responses/sheds excluded)."""
     r = report.result
@@ -358,24 +303,8 @@ def gateway_report_dict(report: GatewayReport) -> dict:
         "goodput_rps": r.goodput_rps,
         "shed_rate": r.shed_rate,
         "deadline_hit_rate": r.deadline_hit_rate,
-        "latency": _latency_dict(r.latency),
-        "tenants": [
-            {
-                "tenant": t.tenant,
-                "tier": t.tier,
-                "n_offered": t.n_offered,
-                "n_completed": t.n_completed,
-                "n_shed": t.n_shed,
-                "n_shed_quota": t.n_shed_quota,
-                "n_failed": t.n_failed,
-                "n_cache_hits": t.n_cache_hits,
-                "n_deadline_met": t.n_deadline_met,
-                "goodput_rps": t.goodput_rps,
-                "deadline_hit_rate": t.deadline_hit_rate,
-                "latency": _latency_dict(t.latency),
-            }
-            for t in r.tenants
-        ],
+        "latency": asdict(r.latency),
+        "tenants": [asdict(t) for t in r.tenants],
         "servers": [
             {
                 "server": i,
@@ -385,7 +314,7 @@ def gateway_report_dict(report: GatewayReport) -> dict:
                 "n_shed_deadline": s.n_shed_deadline,
                 "goodput_rps": s.goodput_rps,
                 "deadline_hit_rate": s.deadline_hit_rate,
-                "latency": _latency_dict(s.latency),
+                "latency": asdict(s.latency),
                 "n_dispatches": s.n_dispatches,
                 "mean_batch_requests": s.mean_batch_requests,
                 "mean_batch_rows": s.mean_batch_rows,

@@ -1,27 +1,37 @@
-"""The serving report: one command from traffic shape to tail latency.
+"""The replay reports' shared front end, and the serving report.
 
-The serving-desk counterpart of :mod:`repro.analysis.risk`: one call
-builds the book, the market tape and the request stream, replays the
-stream through a :class:`~repro.serving.engine.QuoteServer`, and returns
-a structured :class:`ServingReport` that renders as the ``repro-cds
-serve`` table or serialises to a JSON-friendly dict.
+``repro-cds serve``, ``simulate`` and ``gateway`` each replay a seeded
+request stream over one book and one market tape, and report alike.
+What they share lives here: the :class:`ReplayReport` fields that echo
+the run's configuration and host wall-clock, :func:`replay_inputs`
+(the scenario, book and tape, seeded from the report seed),
+:func:`timed_serve` (one quote-server replay against the host clock,
+kernel-profiled under telemetry) and :func:`fault_keys` (the JSON keys
+of a faulted run).  Latency blocks and per-card rows serialise with
+:func:`dataclasses.asdict`, in their dataclass field order.
+
+The serving report is the serving-desk counterpart of
+:mod:`repro.analysis.risk`: one call builds the book, the market tape
+and the request stream, replays the stream through a
+:class:`~repro.serving.engine.QuoteServer`, and returns a structured
+:class:`ServingReport` that renders as the ``repro-cds serve`` table or
+serialises to a JSON-friendly dict.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.errors import ValidationError
 from repro.risk.engine import make_book
 from repro.serving.engine import QuoteServer
 from repro.serving.metrics import ServingResult
 from repro.serving.workload import make_market_tape, make_request_stream
 from repro.cluster.batching import BatchQueue
 from repro.workloads.scenarios import PaperScenario
-from repro.workloads.traffic import TRAFFIC_PROCESSES
 
 __all__ = [
+    "ReplayReport",
     "ServingReport",
     "generate_serving_report",
     "render_serving_report",
@@ -34,33 +44,31 @@ TAPE_SEED_OFFSET = 4099
 STREAM_SEED_OFFSET = 9973
 
 
-@dataclass(frozen=True)
-class ServingReport:
-    """Everything the ``repro-cds serve`` subcommand prints.
+@dataclass(frozen=True, kw_only=True)
+class ReplayReport:
+    """What every replay report echoes of its run.
 
     Attributes
     ----------
     traffic / rate_hz / n_requests / seed:
-        Offered-load configuration.
+        Offered-load configuration (aggregate across a gateway's
+        tenants).
     n_cards / n_engines / policy:
-        Cluster shape and row-sharding policy.
+        Cluster shape (each server's, behind a gateway) and
+        row-sharding policy.
     max_batch / max_delay_s / queue_depth:
-        Coalescing and admission-control policy.
+        Coalescing and admission-control policy (each server's).
     n_states / n_positions:
         Market-tape length and book size.
     backend:
-        Base pricing-backend registry name behind the server's session.
-    result:
-        The aggregate :class:`~repro.serving.metrics.ServingResult`.
-    host_seconds / requests_per_sec_host:
+        Base pricing-backend registry name behind every server.
+    host_seconds:
         Measured wall-clock of the host-side replay (numerics plus event
         loop; excluded from equality so deterministic runs still compare
         equal).
-    fault_spec / fault_report:
-        The injected :class:`~repro.faults.FaultPlan` spec and the
-        resulting :class:`~repro.faults.FaultReport`; both empty/None on
-        fault-free runs, so those reports compare (and serialise)
-        exactly as before.
+    fault_spec:
+        The injected :class:`~repro.faults.FaultPlan`'s spec ("" on
+        fault-free runs).
     """
 
     traffic: str
@@ -76,11 +84,87 @@ class ServingReport:
     n_states: int
     n_positions: int
     backend: str
-    result: ServingResult
     host_seconds: float = field(compare=False, default=0.0)
-    requests_per_sec_host: float = field(compare=False, default=0.0)
     fault_spec: str = ""
+
+    @property
+    def requests_per_sec_host(self) -> float:
+        """Offered requests per second of :attr:`host_seconds` (0 when
+        unmeasured)."""
+        return self.n_requests / self.host_seconds if self.host_seconds > 0 else 0.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class ServingReport(ReplayReport):
+    """Everything the ``repro-cds serve`` subcommand prints.
+
+    Attributes
+    ----------
+    result:
+        The aggregate :class:`~repro.serving.metrics.ServingResult`.
+    fault_report:
+        The :class:`~repro.faults.FaultReport` of a faulted run; None on
+        fault-free runs, so those reports compare (and serialise)
+        exactly as before.
+    """
+
+    result: ServingResult
     fault_report: object | None = None
+
+
+def replay_inputs(
+    scenario: PaperScenario | None, workload: str, n_states: int, seed: int
+):
+    """``(scenario, book, tape)`` of a replay report: the scenario
+    (default: the paper's), its ``workload`` book and an ``n_states``
+    market tape, both seeded from the report ``seed``."""
+    sc = scenario if scenario is not None else PaperScenario()
+    book = make_book(workload, sc.n_options, seed=seed)
+    tape = make_market_tape(
+        sc.yield_curve(), sc.hazard_curve(), n_states, seed=seed + TAPE_SEED_OFFSET
+    )
+    return sc, book, tape
+
+
+def timed_serve(server: QuoteServer, requests, telemetry, **serve_keywords) -> dict:
+    """Replay ``requests`` on ``server`` against the host clock.
+
+    With a :class:`~repro.telemetry.Telemetry` handle the host kernel is
+    profiled too (``kernel_*`` metrics, wall versus simulated busy
+    time).  Returns the report fields the replay fills in: ``result``,
+    ``host_seconds``, ``fault_spec`` and ``fault_report``.
+    """
+    t0 = time.perf_counter()
+    if telemetry is None:
+        result = server.serve(requests, **serve_keywords)
+    else:
+        from repro.telemetry import KernelProfiler
+
+        profiler = KernelProfiler(telemetry.metrics)
+        with profiler:
+            result = server.serve(requests, **serve_keywords)
+        profiler.set_simulated_busy(sum(c.busy_seconds for c in result.cards))
+    host_seconds = time.perf_counter() - t0
+    fault_report = server.last_fault_report
+    return dict(
+        result=result,
+        host_seconds=host_seconds,
+        fault_spec=fault_report.spec if fault_report is not None else "",
+        fault_report=fault_report,
+    )
+
+
+def fault_keys(report) -> dict:
+    """The JSON keys of a faulted run (``n_failed``, ``shed_reasons``,
+    ``faults``); none on a fault-free run, so its JSON keeps the
+    historical key set."""
+    if report.fault_report is None:
+        return {}
+    return {
+        "n_failed": report.result.n_failed,
+        "shed_reasons": report.result.shed_reason_counts(),
+        "faults": report.fault_report.to_dict(),
+    }
 
 
 def generate_serving_report(
@@ -152,16 +236,7 @@ def generate_serving_report(
         lands on ``monitor.result`` and the report itself is identical
         either way.
     """
-    if traffic not in TRAFFIC_PROCESSES:
-        raise ValidationError(
-            f"unknown traffic process {traffic!r}; "
-            f"choose from {sorted(TRAFFIC_PROCESSES)}"
-        )
-    sc = scenario if scenario is not None else PaperScenario()
-    book = make_book(workload, sc.n_options, seed=seed)
-    tape = make_market_tape(
-        sc.yield_curve(), sc.hazard_curve(), n_states, seed=seed + TAPE_SEED_OFFSET
-    )
+    sc, book, tape = replay_inputs(scenario, workload, n_states, seed)
     server = QuoteServer(
         book,
         tape,
@@ -183,25 +258,10 @@ def generate_serving_report(
         traffic=traffic,
         seed=seed + STREAM_SEED_OFFSET,
     )
-    t0 = time.perf_counter()
-    if telemetry is not None:
-        from repro.telemetry import KernelProfiler
-
-        profiler = KernelProfiler(telemetry.metrics)
-        with profiler:
-            result = server.serve(
-                requests, faults=faults, hedge=hedge, retry=retry,
-                monitor=monitor,
-            )
-        profiler.set_simulated_busy(
-            sum(c.busy_seconds for c in result.cards)
-        )
-    else:
-        result = server.serve(
-            requests, faults=faults, hedge=hedge, retry=retry, monitor=monitor
-        )
-    host_seconds = time.perf_counter() - t0
-    fault_report = server.last_fault_report
+    replay = timed_serve(
+        server, requests, telemetry, faults=faults, hedge=hedge, retry=retry,
+        monitor=monitor,
+    )
     return ServingReport(
         traffic=traffic,
         rate_hz=rate_hz,
@@ -216,13 +276,7 @@ def generate_serving_report(
         n_states=n_states,
         n_positions=len(book),
         backend=backend,
-        result=result,
-        host_seconds=host_seconds,
-        requests_per_sec_host=(
-            n_requests / host_seconds if host_seconds > 0 else 0.0
-        ),
-        fault_spec=fault_report.spec if fault_report is not None else "",
-        fault_report=fault_report,
+        **replay,
     )
 
 
@@ -273,8 +327,13 @@ def render_serving_report(report: ServingReport) -> str:
     return "\n".join(lines)
 
 
-def _serving_report_base_dict(report: ServingReport) -> dict:
-    """The fault-free key set shared by every serving-report dict."""
+def serving_report_dict(report: ServingReport) -> dict:
+    """JSON-friendly dict of the report (raw responses/sheds excluded).
+
+    Fault keys (``n_failed``, ``shed_reasons``, ``faults``) appear only
+    when a fault plan was injected, so fault-free JSON is byte-identical
+    to the historical output.
+    """
     r = report.result
     return {
         "traffic": report.traffic,
@@ -301,43 +360,12 @@ def _serving_report_base_dict(report: ServingReport) -> dict:
         "goodput_rps": r.goodput_rps,
         "shed_rate": r.shed_rate,
         "deadline_hit_rate": r.deadline_hit_rate,
-        "latency": {
-            "n": r.latency.n,
-            "mean_s": r.latency.mean_s,
-            "p50_s": r.latency.p50_s,
-            "p95_s": r.latency.p95_s,
-            "p99_s": r.latency.p99_s,
-            "max_s": r.latency.max_s,
-        },
+        "latency": asdict(r.latency),
         "n_dispatches": r.n_dispatches,
         "mean_batch_requests": r.mean_batch_requests,
         "mean_batch_rows": r.mean_batch_rows,
-        "per_card": [
-            {
-                "card_id": c.card_id,
-                "dispatches": c.dispatches,
-                "n_rows": c.n_rows,
-                "n_cells": c.n_cells,
-                "busy_seconds": c.busy_seconds,
-                "utilisation": c.utilisation,
-            }
-            for c in r.cards
-        ],
+        "per_card": [asdict(c) for c in r.cards],
         "host_seconds": report.host_seconds,
         "requests_per_sec_host": report.requests_per_sec_host,
+        **fault_keys(report),
     }
-
-
-def serving_report_dict(report: ServingReport) -> dict:
-    """JSON-friendly dict of the report (raw responses/sheds excluded).
-
-    Fault keys (``n_failed``, ``shed_reasons``, ``faults``) appear only
-    when a fault plan was injected, so fault-free JSON is byte-identical
-    to the historical output.
-    """
-    out = _serving_report_base_dict(report)
-    if report.fault_report is not None:
-        out["n_failed"] = report.result.n_failed
-        out["shed_reasons"] = report.result.shed_reason_counts()
-        out["faults"] = report.fault_report.to_dict()
-    return out

@@ -16,23 +16,21 @@ call, a deterministic text rendering, a JSON-friendly dict.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
-from repro.analysis.serving import STREAM_SEED_OFFSET, TAPE_SEED_OFFSET
+from repro.analysis.serving import (
+    STREAM_SEED_OFFSET,
+    ReplayReport,
+    fault_keys,
+    replay_inputs,
+    timed_serve,
+)
 from repro.cluster.batching import BatchQueue
 from repro.core.validation import check_positive_finite
-from repro.errors import ValidationError
-from repro.risk.engine import make_book
 from repro.serving.engine import QuoteServer
 from repro.serving.metrics import KindStats, ServingResult, per_kind_stats
-from repro.serving.workload import (
-    make_market_tape,
-    make_request_stream,
-    make_risk_refresh_stream,
-)
+from repro.serving.workload import make_request_stream, make_risk_refresh_stream
 from repro.workloads.scenarios import PaperScenario
-from repro.workloads.traffic import TRAFFIC_PROCESSES
 
 __all__ = [
     "SimulationReport",
@@ -46,59 +44,32 @@ __all__ = [
 REFRESH_SEED_OFFSET = 28019
 
 
-@dataclass(frozen=True)
-class SimulationReport:
-    """Everything the ``repro-cds simulate`` subcommand prints.
+@dataclass(frozen=True, kw_only=True)
+class SimulationReport(ReplayReport):
+    """Everything the ``repro-cds simulate`` subcommand prints; the
+    :class:`~repro.analysis.serving.ReplayReport` load is the quote
+    side's.
 
     Attributes
     ----------
-    traffic / rate_hz / n_requests / seed:
-        Quote-side offered load.
     refresh_period_s / n_refreshes / refresh_rows:
         Risk-side heartbeat: period, stream length (derived from the
         quote trace's span), market rows per refresh.
-    n_cards / n_engines / policy:
-        Cluster shape and row-sharding policy.
-    max_batch / max_delay_s / queue_depth:
-        Coalescing and admission-control policy.
-    n_states / n_positions:
-        Market-tape length and book size.
-    backend:
-        Base pricing-backend registry name behind the server's session.
     result:
         The aggregate :class:`~repro.serving.metrics.ServingResult` over
         both workloads.
     kinds:
         Per-workload breakdown (quotes versus risk refreshes).
-    host_seconds:
-        Measured wall-clock of the host-side replay (excluded from
-        equality so deterministic runs still compare equal).
-    fault_spec / fault_report:
-        The injected :class:`~repro.faults.FaultPlan` spec and the
-        resulting :class:`~repro.faults.FaultReport`; both empty/None on
+    fault_report:
+        The :class:`~repro.faults.FaultReport` of a faulted run; None on
         fault-free runs.
     """
 
-    traffic: str
-    rate_hz: float
-    n_requests: int
-    seed: int
     refresh_period_s: float
     n_refreshes: int
     refresh_rows: int
-    n_cards: int
-    n_engines: int
-    policy: str
-    max_batch: int
-    max_delay_s: float
-    queue_depth: int
-    n_states: int
-    n_positions: int
-    backend: str
     result: ServingResult
     kinds: tuple[KindStats, ...]
-    host_seconds: float = field(compare=False, default=0.0)
-    fault_spec: str = ""
     fault_report: object | None = None
 
 
@@ -170,18 +141,8 @@ def generate_simulation_report(
         serve`.  The degradation ladder sheds the risk heartbeat before
         quotes when capacity is reduced.
     """
-    if traffic not in TRAFFIC_PROCESSES:
-        raise ValidationError(
-            f"unknown traffic process {traffic!r}; "
-            f"choose from {sorted(TRAFFIC_PROCESSES)}"
-        )
     check_positive_finite(refresh_period_s, "refresh_period_s")
-    sc = scenario if scenario is not None else PaperScenario()
-    book = make_book(workload, sc.n_options, seed=seed)
-    tape = make_market_tape(
-        sc.yield_curve(), sc.hazard_curve(), n_states,
-        seed=seed + TAPE_SEED_OFFSET,
-    )
+    sc, book, tape = replay_inputs(scenario, workload, n_states, seed)
     server = QuoteServer(
         book,
         tape,
@@ -216,24 +177,10 @@ def generate_simulation_report(
         request_id_base=n_requests,
         seed=seed + REFRESH_SEED_OFFSET,
     )
-    t0 = time.perf_counter()
-    if telemetry is not None:
-        from repro.telemetry import KernelProfiler
-
-        profiler = KernelProfiler(telemetry.metrics)
-        with profiler:
-            result = server.serve(
-                quotes + refreshes, faults=faults, hedge=hedge, retry=retry
-            )
-        profiler.set_simulated_busy(
-            sum(c.busy_seconds for c in result.cards)
-        )
-    else:
-        result = server.serve(
-            quotes + refreshes, faults=faults, hedge=hedge, retry=retry
-        )
-    host_seconds = time.perf_counter() - t0
-    fault_report = server.last_fault_report
+    replay = timed_serve(
+        server, quotes + refreshes, telemetry, faults=faults, hedge=hedge,
+        retry=retry,
+    )
     return SimulationReport(
         traffic=traffic,
         rate_hz=rate_hz,
@@ -251,11 +198,8 @@ def generate_simulation_report(
         n_states=n_states,
         n_positions=len(book),
         backend=backend,
-        result=result,
-        kinds=per_kind_stats(result),
-        host_seconds=host_seconds,
-        fault_spec=fault_report.spec if fault_report is not None else "",
-        fault_report=fault_report,
+        kinds=per_kind_stats(replay["result"]),
+        **replay,
     )
 
 
@@ -314,7 +258,7 @@ def simulation_report_dict(report: SimulationReport) -> dict:
     is byte-identical to the historical output.
     """
     r = report.result
-    out = {
+    return {
         "traffic": report.traffic,
         "rate_hz": report.rate_hz,
         "n_requests": report.n_requests,
@@ -358,21 +302,7 @@ def simulation_report_dict(report: SimulationReport) -> dict:
             }
             for k in report.kinds
         ],
-        "per_card": [
-            {
-                "card_id": c.card_id,
-                "dispatches": c.dispatches,
-                "n_rows": c.n_rows,
-                "n_cells": c.n_cells,
-                "busy_seconds": c.busy_seconds,
-                "utilisation": c.utilisation,
-            }
-            for c in r.cards
-        ],
+        "per_card": [asdict(c) for c in r.cards],
         "host_seconds": report.host_seconds,
+        **fault_keys(report),
     }
-    if report.fault_report is not None:
-        out["n_failed"] = r.n_failed
-        out["shed_reasons"] = r.shed_reason_counts()
-        out["faults"] = report.fault_report.to_dict()
-    return out

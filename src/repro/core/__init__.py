@@ -10,8 +10,6 @@ Layout
 ``types``
     Plain dataclasses: :class:`~repro.core.types.CDSOption`,
     :class:`~repro.core.types.CDSResult` and friends.
-``daycount``
-    Year-fraction conventions.
 ``curves``
     Term-structure curves: linear-interpolated yield curve and
     piecewise-constant hazard curve with analytic integration.
@@ -36,7 +34,6 @@ from repro.core.types import (
     RatePoint,
 )
 from repro.core.curves import Curve, HazardCurve, YieldCurve
-from repro.core.daycount import DayCount, year_fraction
 from repro.core.schedule import PaymentSchedule, build_schedule
 from repro.core.pricing import CDSPricer, price_cds
 from repro.core.vector_pricing import VectorCDSPricer
@@ -49,8 +46,6 @@ __all__ = [
     "Curve",
     "YieldCurve",
     "HazardCurve",
-    "DayCount",
-    "year_fraction",
     "PaymentSchedule",
     "build_schedule",
     "CDSPricer",

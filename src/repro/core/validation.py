@@ -1,11 +1,12 @@
 """Validation helpers shared by curves, schedules and pricers.
 
 The scalar checks (:func:`check_count`, :func:`check_index`,
-:func:`check_positive_finite`, :func:`check_non_negative_finite` and
-:func:`check_range`) are the one place that decides what a valid count,
-duration or fraction is.  Each is written so that NaN fails (``not x >
-0``), refuses a bool where an integer is meant, and raises
-``ValidationError("<field> must be <rule>, got <value!r>")``.
+:func:`check_positive_finite`, :func:`check_non_negative_finite`,
+:func:`check_range` and, for a ``(lo, hi)`` pair, :func:`check_bounds`)
+are the one place that decides what a valid count, duration or fraction
+is.  Each is written so that NaN fails (``not x > 0``), refuses a bool
+where an integer is meant, and raises ``ValidationError("<field> must
+be <rule>, got <value!r>")``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.errors import CurveError, ValidationError
 
 __all__ = [
     "as_float_array",
+    "check_bounds",
     "check_strictly_increasing",
     "check_finite",
     "check_count",
@@ -106,6 +108,14 @@ def check_non_negative_finite(value, name: str) -> None:
     """Raise :class:`ValidationError` unless ``0 <= value < inf``."""
     if not 0 <= value < math.inf:
         raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_bounds(bounds, name: str) -> None:
+    """Raise :class:`ValidationError` unless ``bounds`` is a ``(lo, hi)``
+    pair with ``0 < lo <= hi < inf``."""
+    lo, hi = bounds
+    if not 0 < lo <= hi < math.inf:
+        raise ValidationError(f"{name} must satisfy 0 < lo <= hi < inf, got {bounds!r}")
 
 
 def check_range(value, name: str, interval: str = "[0, 1]") -> None:

@@ -36,8 +36,6 @@ import math
 from dataclasses import replace
 from operator import attrgetter
 
-import numpy as np
-
 from repro.api import PricingBackend
 from repro.cluster.batching import BatchQueue
 from repro.cluster.interconnect import HostLinkModel
@@ -48,7 +46,7 @@ from repro.faults.retry import HedgePolicy, RetryPolicy
 from repro.risk.engine import Portfolio
 from repro.risk.tensor import ScenarioTensor
 from repro.serving.engine import QuoteServer
-from repro.serving.metrics import LatencyStats
+from repro.serving.metrics import outcome_fields
 from repro.serving.request import (
     FailRecord,
     PricingRequest,
@@ -65,9 +63,9 @@ from repro.telemetry import (
 )
 from repro.workloads.scenarios import PaperScenario
 
-from repro.gateway.cache import DEFAULT_HIT_LATENCY_S, QuoteCache, cache_key
+from repro.gateway.cache import QuoteCache, cache_key
 from repro.gateway.metrics import GatewayResult, per_tenant_stats
-from repro.gateway.routing import DEFAULT_REPLICAS, HashRing
+from repro.gateway.routing import HashRing
 from repro.gateway.tenancy import DEFAULT_TENANTS, TenantBook, TenantProfile
 
 __all__ = ["Gateway"]
@@ -92,11 +90,9 @@ class Gateway:
         The tenant set (default: the three-tier
         :data:`~repro.gateway.tenancy.DEFAULT_TENANTS` mix).
     cache:
-        Whether the quote cache (and single-flight dedup) is on.
-    cache_hit_latency_s:
-        Simulated latency of a cache hit.
-    ring_replicas:
-        Virtual points per server on the consistent-hash ring.
+        Whether the quote cache (and single-flight dedup) is on; a hit
+        takes the cache's default hit latency, and each server gets the
+        ring's default count of virtual points.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` handle shared by
         the gateway and every replica; ``gateway_*`` counters and spans
@@ -120,8 +116,6 @@ class Gateway:
         backend: str | PricingBackend = "vectorized",
         tenants: tuple[TenantProfile, ...] = DEFAULT_TENANTS,
         cache: bool = True,
-        cache_hit_latency_s: float = DEFAULT_HIT_LATENCY_S,
-        ring_replicas: int = DEFAULT_REPLICAS,
         telemetry: Telemetry | None = None,
     ) -> None:
         check_count(n_servers, "n_servers")
@@ -129,7 +123,6 @@ class Gateway:
         self.tenants = tuple(tenants)
         TenantBook(self.tenants)  # validate eagerly
         self.cache_enabled = bool(cache)
-        self.cache_hit_latency_s = cache_hit_latency_s
         # Replicas are identical builds, so one server stands behind
         # every ring slot: each replay runs one lane of it per replica.
         server = QuoteServer(
@@ -147,7 +140,7 @@ class Gateway:
             telemetry=telemetry,
         )
         self.servers = (server,) * n_servers
-        self.ring = HashRing(range(n_servers), replicas=ring_replicas)
+        self.ring = HashRing(range(n_servers))
 
     @property
     def n_servers(self) -> int:
@@ -239,11 +232,7 @@ class Gateway:
             else server.lane(sim=sim)
             for i, server in enumerate(self.servers)
         ]
-        cache = (
-            QuoteCache(hit_latency_s=self.cache_hit_latency_s)
-            if self.cache_enabled
-            else None
-        )
+        cache = QuoteCache() if self.cache_enabled else None
         recorder = self.telemetry.recorder
 
         # Gateway-level tallies and outcome streams.
@@ -480,47 +469,21 @@ class Gateway:
         all_responses.sort(key=lambda r: (r.completion_s, r.request_id))
         all_sheds.sort(key=lambda s: (s.time_s, s.request.request_id))
         all_fails.sort(key=lambda f: (f.time_s, f.request.request_id))
-        n_offered = len(trace)
-        n_completed = len(all_responses)
-        met = sum(1 for r in all_responses if r.met_deadline)
-        if all_responses:
-            span = (
-                max(r.completion_s for r in all_responses)
-                - trace[0].arrival_s
-            )
-        else:
-            span = 0.0
+        outcome = outcome_fields(trace, all_responses, all_sheds)
         stats = cache.stats if cache is not None else None
         cache_ids = frozenset(r.request_id for r in cache_responses)
         result = GatewayResult(
-            n_offered=n_offered,
-            n_completed=n_completed,
+            **outcome,
             n_shed=len(all_sheds),
             n_shed_quota=len(quota_sheds),
-            n_shed_queue=sum(
-                1 for s in all_sheds if s.reason is ShedReason.BACKPRESSURE
-            ),
-            n_shed_deadline=sum(
-                1 for s in all_sheds if s.reason is ShedReason.DEADLINE
-            ),
             n_cache_hits=stats.hits if stats else 0,
             n_cache_joins=stats.joins if stats else 0,
             n_cache_invalidations=stats.invalidations if stats else 0,
             cache_hit_rate=stats.hit_rate if stats else 0.0,
             cache_dedup_rate=stats.dedup_rate if stats else 0.0,
-            n_deadline_met=met,
-            n_late=n_completed - met,
-            span_seconds=span,
-            throughput_rps=n_completed / span if span > 0 else 0.0,
-            goodput_rps=met / span if span > 0 else 0.0,
-            shed_rate=len(all_sheds) / n_offered,
-            deadline_hit_rate=met / n_completed if n_completed else 0.0,
-            latency=LatencyStats.from_latencies(
-                np.asarray([r.latency_s for r in all_responses])
-            ),
             tenants=per_tenant_stats(
                 all_responses, all_sheds, all_fails,
-                profiles=book.profiles, span_s=span,
+                profiles=book.profiles, span_s=outcome["span_seconds"],
                 cache_response_ids=cache_ids,
             ),
             servers=tuple(server_results),

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.serving.metrics import LatencyStats, ServingResult
+from repro.serving.metrics import (
+    LatencyStats,
+    RunOutcome,
+    ServingResult,
+    group_fields,
+)
 from repro.serving.request import (
     FailRecord,
     PricingResponse,
@@ -24,7 +27,7 @@ from repro.serving.request import (
 __all__ = ["TenantStats", "GatewayResult", "per_tenant_stats"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TenantStats:
     """One tenant's share of a gateway run.
 
@@ -56,28 +59,30 @@ class TenantStats:
     n_completed: int
     n_shed: int
     n_shed_quota: int
+    n_failed: int
     n_cache_hits: int
     n_deadline_met: int
     goodput_rps: float
     deadline_hit_rate: float
     latency: LatencyStats
-    n_failed: int = 0
 
 
-@dataclass(frozen=True)
-class GatewayResult:
-    """Aggregate outcome of one simulated gateway run.
+@dataclass(frozen=True, kw_only=True)
+class GatewayResult(RunOutcome):
+    """Aggregate outcome of one simulated gateway run: the
+    :class:`~repro.serving.metrics.RunOutcome` of the requests offered
+    to the gateway, cache and kernel paths alike, plus these.
 
     Attributes
     ----------
-    n_offered / n_completed / n_failed:
-        Requests offered to the gateway and their terminal counts
-        (every offered request completes, is shed, or fails — the
-        conservation invariant, property-tested).
-    n_shed / n_shed_quota / n_shed_queue / n_shed_deadline:
-        Total drops, split into gateway quota rejections, server
-        backpressure and deadline expiry (other reasons — degradation,
-        breaker — make up the remainder of ``n_shed``).
+    n_failed:
+        Requests that failed; every offered request completes, is shed,
+        or fails (the conservation invariant, property-tested).
+    n_shed / n_shed_quota:
+        Total drops, and gateway quota rejections among them (server
+        backpressure and deadline expiry are the outcome's
+        ``n_shed_queue`` and ``n_shed_deadline``; other reasons —
+        degradation, breaker — make up the remainder).
     n_cache_hits / n_cache_joins / n_cache_invalidations:
         Cache traffic: responses served from a ready entry, requests
         that coalesced onto an in-flight leader, and entries dropped by
@@ -85,17 +90,6 @@ class GatewayResult:
     cache_hit_rate / cache_dedup_rate:
         Hits, and hits+joins, over cacheable lookups (0 with the cache
         off).
-    n_deadline_met / n_late:
-        Completed responses inside / past their deadline.
-    span_seconds:
-        First arrival to last completion.
-    throughput_rps / goodput_rps:
-        Completed, and deadline-met, responses per second of span.
-    shed_rate / deadline_hit_rate:
-        Sheds over offered; met over completed.
-    latency:
-        Percentiles over all completed responses (cache and kernel
-        paths alike).
     tenants:
         Per-tenant roll-ups in profile order.
     servers:
@@ -105,25 +99,13 @@ class GatewayResult:
         The raw per-request outcomes; excluded from equality.
     """
 
-    n_offered: int
-    n_completed: int
     n_shed: int
     n_shed_quota: int
-    n_shed_queue: int
-    n_shed_deadline: int
     n_cache_hits: int
     n_cache_joins: int
     n_cache_invalidations: int
     cache_hit_rate: float
     cache_dedup_rate: float
-    n_deadline_met: int
-    n_late: int
-    span_seconds: float
-    throughput_rps: float
-    goodput_rps: float
-    shed_rate: float
-    deadline_hit_rate: float
-    latency: LatencyStats
     tenants: tuple[TenantStats, ...]
     servers: tuple[ServingResult, ...]
     n_failed: int = 0
@@ -183,28 +165,22 @@ def per_tenant_stats(
 
         mine = [r for r in responses if owns(r.tenant)]
         my_sheds = [s for s in sheds if owns(s.request.tenant)]
-        my_fails = [f for f in fails if owns(f.request.tenant)]
-        met = sum(1 for r in mine if r.met_deadline)
         stats.append(
             TenantStats(
                 tenant=name,
                 tier=tiers[name],
-                n_offered=len(mine) + len(my_sheds) + len(my_fails),
-                n_completed=len(mine),
-                n_shed=len(my_sheds),
                 n_shed_quota=sum(
                     1 for s in my_sheds if s.reason is ShedReason.QUOTA
                 ),
                 n_cache_hits=sum(
                     1 for r in mine if r.request_id in cache_response_ids
                 ),
-                n_deadline_met=met,
-                goodput_rps=met / span_s if span_s > 0 else 0.0,
-                deadline_hit_rate=met / len(mine) if mine else 0.0,
-                latency=LatencyStats.from_latencies(
-                    np.asarray([r.latency_s for r in mine])
+                **group_fields(
+                    mine,
+                    my_sheds,
+                    [f for f in fails if owns(f.request.tenant)],
+                    span_s,
                 ),
-                n_failed=len(my_fails),
             )
         )
     return tuple(stats)

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.validation import check_count, check_index
 from repro.errors import ValidationError
 from repro.serving.request import PricingRequest
-from repro.serving.workload import KIND_PRIORITY
+from repro.serving.workload import KIND_PRIORITY, stream_spec
 from repro.workloads.traffic import (
     ChoiceSampler,
     multi_tenant_arrivals,
@@ -39,6 +39,9 @@ __all__ = ["make_tenant_stream", "make_tick_stream"]
 #: Seed offset decorrelating the tick stream from the request stream.
 TICK_SEED_OFFSET = 7919
 
+#: Zipf skew of the quote market-row and contract popularity.
+QUOTE_SKEW = 1.2
+
 
 def make_tenant_stream(
     n_requests: int,
@@ -49,8 +52,6 @@ def make_tenant_stream(
     tenants: tuple[TenantProfile, ...] = DEFAULT_TENANTS,
     traffic: str = "poisson",
     mix: tuple[float, float, float] = (0.94, 0.05, 0.01),
-    row_exponent: float = 1.2,
-    option_exponent: float = 1.2,
     var_rows: int = 8,
     quote_deadline_s: tuple[float, float] = (5e-3, 2e-2),
     reval_deadline_s: tuple[float, float] = (2e-2, 5e-2),
@@ -73,11 +74,9 @@ def make_tenant_stream(
     mix:
         ``(quote, reval, var)`` probabilities; must sum to 1.  The
         default is quote-heavier than the single-server stream — the
-        gateway fronts retail quote flow.
-    row_exponent / option_exponent:
-        Zipf skew of the quote market-row and contract popularity
-        (0 = uniform).  Reval/var rows stay uniform — book-level risk
-        sweeps the whole tape.
+        gateway fronts retail quote flow.  Quotes draw their market row
+        and contract with :data:`QUOTE_SKEW`; reval/var rows stay
+        uniform — book-level risk sweeps the whole tape.
     var_rows:
         Market states per VaR refresh (capped at the tape length).
     quote_deadline_s / reval_deadline_s / var_deadline_s:
@@ -98,19 +97,9 @@ def make_tenant_stream(
     tenants = tuple(tenants)
     if not tenants:
         raise ValidationError("tenants must be non-empty")
-    probs = np.asarray(mix, dtype=np.float64)
-    if probs.shape != (3,) or not np.all(probs >= 0) or not np.isclose(probs.sum(), 1.0):
-        raise ValidationError(
-            f"mix must be three non-negative probabilities summing to 1, got {mix}"
-        )
-    check_count(var_rows, "var_rows")
-    for name, (lo, hi) in (
-        ("quote_deadline_s", quote_deadline_s),
-        ("reval_deadline_s", reval_deadline_s),
-        ("var_deadline_s", var_deadline_s),
-    ):
-        if not 0.0 < lo <= hi:
-            raise ValidationError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
+    probs, deadline_range = stream_spec(
+        mix, var_rows, quote_deadline_s, reval_deadline_s, var_deadline_s
+    )
 
     times, tenant_idx = multi_tenant_arrivals(
         n_requests, rate_hz, [p.share for p in tenants], traffic=traffic,
@@ -120,13 +109,8 @@ def make_tenant_stream(
     kinds = gen.choice(("quote", "reval", "var"), size=n_requests, p=probs)
     # Same draws as per-request ``gen.choice(n, p=...)``, without
     # re-validating the weights and rebuilding the CDF per request.
-    row_sampler = ChoiceSampler(zipf_weights(n_states, row_exponent))
-    option_sampler = ChoiceSampler(zipf_weights(n_positions, option_exponent))
-    deadline_range = {
-        "quote": quote_deadline_s,
-        "reval": reval_deadline_s,
-        "var": var_deadline_s,
-    }
+    row_sampler = ChoiceSampler(zipf_weights(n_states, QUOTE_SKEW))
+    option_sampler = ChoiceSampler(zipf_weights(n_positions, QUOTE_SKEW))
     k_var = min(var_rows, n_states)
     requests: list[PricingRequest] = []
     for i, (t, kind, ti) in enumerate(zip(times, kinds, tenant_idx)):
@@ -163,15 +147,13 @@ def make_tick_stream(
     *,
     rate_hz: float,
     n_states: int,
-    row_exponent: float = 0.0,
     seed: int = 17,
 ) -> list[tuple[float, int]]:
     """A seeded stream of market ticks invalidating tape rows.
 
     Each tick ``(time, row)`` models a market update landing on one tape
     row; the gateway drops that row's cached quotes when it fires.  Tick
-    times are Poisson; rows default to uniform (``row_exponent=0``) —
-    raise the exponent to concentrate churn on the popular rows.
+    times are Poisson and rows uniform.
 
     Parameters
     ----------
@@ -181,8 +163,6 @@ def make_tick_stream(
         Mean tick rate.
     n_states:
         Tape length rows are drawn from.
-    row_exponent:
-        Zipf skew of which rows tick.
     seed:
         Deterministic seed (offset from the request stream's).
 
@@ -197,5 +177,6 @@ def make_tick_stream(
         return []
     times = poisson_arrivals(n_ticks, rate_hz, seed=seed + TICK_SEED_OFFSET)
     gen = np.random.default_rng(seed + TICK_SEED_OFFSET + 1)
-    rows = gen.choice(n_states, size=n_ticks, p=zipf_weights(n_states, row_exponent))
+    # Drawn through ``p=``: an unweighted choice draws another stream.
+    rows = gen.choice(n_states, size=n_ticks, p=np.full(n_states, 1 / n_states))
     return [(float(t), int(r)) for t, r in zip(times, rows)]

@@ -19,14 +19,12 @@ ladder never engages and nothing retries.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultReport, build_fault_report
 from repro.faults.retry import HedgePolicy, RetryPolicy
 from repro.serving.coalescer import MicroBatch, MicroBatchCoalescer
 from repro.serving.faulted import DEGRADE_FRACTIONS, FaultedDispatcher
-from repro.serving.metrics import CardLoad, LatencyStats, ServingResult
+from repro.serving.metrics import CardLoad, ServingResult, outcome_fields
 from repro.serving.request import PricingRequest, ShedReason, ShedRecord
 from repro.sim import CompletionTracker
 from repro.telemetry import NULL_TELEMETRY, MetricsRegistry
@@ -238,21 +236,12 @@ class Lane:
             self.metrics.counter(name, help_).inc(value)
 
     def _summarise(self, responses, sheds, fails) -> ServingResult:
-        trace, metrics = self.trace, self.metrics
-        n_offered = len(trace)
-        n_completed = len(responses)
-        met = sum(1 for r in responses if r.met_deadline)
-        shed_deadline = sum(
-            1 for s in sheds if s.reason is ShedReason.DEADLINE
-        )
-        if responses:
-            span = max(r.completion_s for r in responses) - trace[0].arrival_s
-        else:
-            span = 0.0
+        outcome = outcome_fields(self.trace, responses, sheds)
+        span = outcome["span_seconds"]
 
         def card_count(name: str, card_id: int) -> int:
             return int(
-                metrics.counter(name, labels={"card": str(card_id)}).value
+                self.metrics.counter(name, labels={"card": str(card_id)}).value
             )
 
         card_loads = tuple(
@@ -268,20 +257,7 @@ class Lane:
         )
         n_batches = int(self._n_batches.value)
         return ServingResult(
-            n_offered=n_offered,
-            n_completed=n_completed,
-            n_shed_queue=int(self._shed_queue.value),
-            n_shed_deadline=shed_deadline,
-            n_deadline_met=met,
-            n_late=n_completed - met,
-            span_seconds=span,
-            throughput_rps=n_completed / span if span > 0 else 0.0,
-            goodput_rps=met / span if span > 0 else 0.0,
-            shed_rate=len(sheds) / n_offered if n_offered else 0.0,
-            deadline_hit_rate=met / n_completed if n_completed else 0.0,
-            latency=LatencyStats.from_latencies(
-                np.asarray([r.latency_s for r in responses])
-            ),
+            **outcome,
             n_dispatches=n_batches,
             mean_batch_requests=(
                 self._batch_requests.value / n_batches if n_batches else 0.0

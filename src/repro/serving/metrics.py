@@ -22,8 +22,8 @@ from repro.serving.request import (
     ShedRecord,
 )
 
-__all__ = ["LatencyStats", "CardLoad", "ServingResult", "KindStats",
-           "per_kind_stats"]
+__all__ = ["LatencyStats", "CardLoad", "RunOutcome", "ServingResult",
+           "KindStats", "per_kind_stats", "outcome_fields", "group_fields"]
 
 #: Canonical request-kind ordering for per-workload breakdowns.
 _KIND_ORDER = ("quote", "reval", "var")
@@ -138,17 +138,18 @@ class CardLoad:
         return self.dispatches == 0
 
 
-@dataclass(frozen=True)
-class ServingResult:
-    """Aggregate outcome of one simulated serving run.
+@dataclass(frozen=True, kw_only=True)
+class RunOutcome:
+    """The outcome a server's and a gateway's replay share, as
+    :func:`outcome_fields` rolls it up.
 
     Attributes
     ----------
     n_offered / n_completed:
-        Requests offered to the server and requests actually priced.
+        Requests offered, and requests answered.
     n_shed_queue / n_shed_deadline:
-        Drops at admission (bounded queue) and at batch formation
-        (expired deadline).
+        Drops at admission (bounded queue backpressure) and at batch
+        formation (expired deadline).
     n_deadline_met / n_late:
         Completed responses inside / past their deadline.
     span_seconds:
@@ -159,16 +160,6 @@ class ServingResult:
         Sheds over offered; met over completed.
     latency:
         Percentiles over completed responses.
-    n_dispatches / mean_batch_requests / mean_batch_rows:
-        Micro-batch shape: dispatched batches, mean requests and mean
-        distinct market-state rows per batch.
-    cards:
-        Per-card roll-ups, including idle cards.
-    n_failed:
-        Requests admitted but failed despite retries (fault-injection
-        runs only; always 0 otherwise).
-    responses / sheds / fails:
-        The raw per-request outcomes; excluded from equality comparisons.
     """
 
     n_offered: int
@@ -183,6 +174,61 @@ class ServingResult:
     shed_rate: float
     deadline_hit_rate: float
     latency: LatencyStats
+
+
+def outcome_fields(trace, responses, sheds) -> dict:
+    """The :class:`RunOutcome` fields of a replay, by name.
+
+    ``trace`` holds every offered request in arrival order, and
+    ``responses`` and ``sheds`` how they ended.  The span runs from the
+    first arrival to the last completion; a rate over an empty span or
+    an empty count reads 0.
+    """
+    n_offered = len(trace)
+    n_completed = len(responses)
+    met = sum(1 for r in responses if r.met_deadline)
+    if responses:
+        span = max(r.completion_s for r in responses) - trace[0].arrival_s
+    else:
+        span = 0.0
+    return dict(
+        n_offered=n_offered,
+        n_completed=n_completed,
+        n_shed_queue=sum(1 for s in sheds if s.reason is ShedReason.BACKPRESSURE),
+        n_shed_deadline=sum(1 for s in sheds if s.reason is ShedReason.DEADLINE),
+        n_deadline_met=met,
+        n_late=n_completed - met,
+        span_seconds=span,
+        throughput_rps=n_completed / span if span > 0 else 0.0,
+        goodput_rps=met / span if span > 0 else 0.0,
+        shed_rate=len(sheds) / n_offered if n_offered else 0.0,
+        deadline_hit_rate=met / n_completed if n_completed else 0.0,
+        latency=LatencyStats.from_latencies(
+            np.asarray([r.latency_s for r in responses])
+        ),
+    )
+
+
+@dataclass(frozen=True, kw_only=True)
+class ServingResult(RunOutcome):
+    """Aggregate outcome of one simulated serving run: the
+    :class:`RunOutcome` of the requests offered to the server, plus
+    these.
+
+    Attributes
+    ----------
+    n_dispatches / mean_batch_requests / mean_batch_rows:
+        Micro-batch shape: dispatched batches, mean requests and mean
+        distinct market-state rows per batch.
+    cards:
+        Per-card roll-ups, including idle cards.
+    n_failed:
+        Requests admitted but failed despite retries (fault-injection
+        runs only; always 0 otherwise).
+    responses / sheds / fails:
+        The raw per-request outcomes; excluded from equality comparisons.
+    """
+
     n_dispatches: int
     mean_batch_requests: float
     mean_batch_rows: float
@@ -307,6 +353,28 @@ class KindStats:
     n_failed: int = 0
 
 
+def group_fields(responses, sheds, fails, span_s: float) -> dict:
+    """The outcome fields of one group of a run's requests (a request
+    kind, a tenant), given how the group's requests ended.
+
+    Goodput divides by the *whole run's* span ``span_s``, so the groups'
+    goodputs add up to the aggregate.
+    """
+    met = sum(1 for r in responses if r.met_deadline)
+    return dict(
+        n_offered=len(responses) + len(sheds) + len(fails),
+        n_completed=len(responses),
+        n_shed=len(sheds),
+        n_failed=len(fails),
+        n_deadline_met=met,
+        goodput_rps=met / span_s if span_s > 0 else 0.0,
+        deadline_hit_rate=met / len(responses) if responses else 0.0,
+        latency=LatencyStats.from_latencies(
+            np.asarray([r.latency_s for r in responses])
+        ),
+    )
+
+
 def per_kind_stats(result: ServingResult) -> tuple[KindStats, ...]:
     """Break a serving run down by request kind.
 
@@ -324,26 +392,15 @@ def per_kind_stats(result: ServingResult) -> tuple[KindStats, ...]:
     kinds.update(f.request.kind for f in result.fails)
     ordered = [k for k in _KIND_ORDER if k in kinds]
     ordered += sorted(kinds.difference(_KIND_ORDER))
-    span = result.span_seconds
-    stats = []
-    for kind in ordered:
-        responses = [r for r in result.responses if r.kind == kind]
-        n_shed = sum(1 for s in result.sheds if s.request.kind == kind)
-        n_failed = sum(1 for f in result.fails if f.request.kind == kind)
-        met = sum(1 for r in responses if r.met_deadline)
-        stats.append(
-            KindStats(
-                kind=kind,
-                n_offered=len(responses) + n_shed + n_failed,
-                n_completed=len(responses),
-                n_shed=n_shed,
-                n_deadline_met=met,
-                goodput_rps=met / span if span > 0 else 0.0,
-                deadline_hit_rate=met / len(responses) if responses else 0.0,
-                latency=LatencyStats.from_latencies(
-                    np.asarray([r.latency_s for r in responses])
-                ),
-                n_failed=n_failed,
-            )
+    return tuple(
+        KindStats(
+            kind=kind,
+            **group_fields(
+                [r for r in result.responses if r.kind == kind],
+                [s for s in result.sheds if s.request.kind == kind],
+                [f for f in result.fails if f.request.kind == kind],
+                result.span_seconds,
+            ),
         )
-    return tuple(stats)
+        for kind in ordered
+    )

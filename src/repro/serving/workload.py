@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.validation import (
+    check_bounds,
     check_count,
     check_non_negative_finite,
     check_positive_finite,
@@ -63,6 +64,27 @@ def make_market_tape(
     return monte_carlo(yield_curve, hazard_curve, n_states, seed=seed).tensor
 
 
+def stream_spec(mix, var_rows, quote_deadline_s, reval_deadline_s, var_deadline_s):
+    """Check a request stream's payload parameters: the ``(quote, reval,
+    var)`` mix, the VaR width and the per-kind ``(lo, hi)`` relative
+    deadlines.  Returns the mix as probabilities and the deadline ranges
+    by kind."""
+    probs = np.asarray(mix, dtype=np.float64)
+    if probs.shape != (3,) or not np.all(probs >= 0) or not np.isclose(probs.sum(), 1.0):
+        raise ValidationError(
+            f"mix must be three non-negative probabilities summing to 1, got {mix}"
+        )
+    check_count(var_rows, "var_rows")
+    deadlines = {
+        "quote": quote_deadline_s,
+        "reval": reval_deadline_s,
+        "var": var_deadline_s,
+    }
+    for kind, bounds in deadlines.items():
+        check_bounds(bounds, f"{kind}_deadline_s")
+    return probs, deadlines
+
+
 def make_request_stream(
     n_requests: int,
     *,
@@ -110,28 +132,13 @@ def make_request_stream(
     check_count(n_requests, "n_requests")
     check_count(n_states, "n_states")
     check_count(n_positions, "n_positions")
-    probs = np.asarray(mix, dtype=np.float64)
-    if probs.shape != (3,) or not np.all(probs >= 0) or not np.isclose(probs.sum(), 1.0):
-        raise ValidationError(
-            f"mix must be three non-negative probabilities summing to 1, got {mix}"
-        )
-    check_count(var_rows, "var_rows")
-    for name, (lo, hi) in (
-        ("quote_deadline_s", quote_deadline_s),
-        ("reval_deadline_s", reval_deadline_s),
-        ("var_deadline_s", var_deadline_s),
-    ):
-        if not 0.0 < lo <= hi:
-            raise ValidationError(f"{name} must satisfy 0 < lo <= hi, got {(lo, hi)}")
+    probs, deadline_range = stream_spec(
+        mix, var_rows, quote_deadline_s, reval_deadline_s, var_deadline_s
+    )
 
     times = make_arrivals(traffic, n_requests, rate_hz, seed=seed)
     gen = np.random.default_rng(seed + 1)
     kinds = gen.choice(("quote", "reval", "var"), size=n_requests, p=probs)
-    deadline_range = {
-        "quote": quote_deadline_s,
-        "reval": reval_deadline_s,
-        "var": var_deadline_s,
-    }
     k_var = min(var_rows, n_states)
     requests: list[PricingRequest] = []
     for i, (t, kind) in enumerate(zip(times, kinds)):

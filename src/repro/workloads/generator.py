@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.curves import HazardCurve, YieldCurve
 from repro.core.types import CDSOption
-from repro.core.validation import check_count
+from repro.core.validation import check_bounds, check_count
 from repro.errors import ValidationError
 
 __all__ = [
@@ -82,9 +82,8 @@ def make_option_portfolio(
 ) -> list[CDSOption]:
     """A random portfolio of ``n_options`` CDS contracts."""
     check_count(n_options, "n_options")
+    check_bounds(maturity_range, "maturity_range")
     lo, hi = maturity_range
-    if not 0.0 < lo <= hi:
-        raise ValidationError(f"bad maturity_range {maturity_range}")
     rlo, rhi = recovery_range
     if not 0.0 <= rlo <= rhi < 1.0:
         raise ValidationError(f"bad recovery_range {recovery_range}")

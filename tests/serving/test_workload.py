@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import ValidationError
-from repro.serving import make_market_tape
+from repro.gateway import make_tenant_stream
+from repro.serving import make_market_tape, make_request_stream
+
+INF, NAN = float("inf"), float("nan")
 
 
 class TestMarketTape:
@@ -19,3 +22,33 @@ class TestMarketTape:
                 serving_scenario.hazard_curve(),
                 n_states,
             )
+
+
+@pytest.mark.parametrize("make", [make_request_stream, make_tenant_stream])
+@pytest.mark.parametrize(
+    "keywords, match",
+    [
+        pytest.param(
+            {"quote_deadline_s": (1e-3, INF)},
+            r"quote_deadline_s must satisfy 0 < lo <= hi < inf, got \(0\.001, inf\)",
+            id="inf",
+        ),
+        pytest.param(
+            {"reval_deadline_s": (NAN, 5e-2)}, "reval_deadline_s must satisfy", id="nan"
+        ),
+        pytest.param(
+            {"var_deadline_s": (2e-1, 5e-2)}, "var_deadline_s must satisfy", id="lo>hi"
+        ),
+        pytest.param(
+            {"quote_deadline_s": (0.0, 2e-2)}, "quote_deadline_s must satisfy", id="lo=0"
+        ),
+        pytest.param(
+            {"mix": (0.5, 0.5, 0.5)}, "mix must be three non-negative", id="mix"
+        ),
+    ],
+)
+def test_bad_stream_payloads_rejected_naming_them(make, keywords, match):
+    """Both stream generators refuse a bad mix or deadline range with a
+    ValidationError naming it, before NumPy sees it."""
+    with pytest.raises(ValidationError, match=match):
+        make(20, rate_hz=1000.0, n_states=4, n_positions=4, **keywords)

@@ -53,7 +53,6 @@ ENTRY_DIRS = ("benchmarks", "examples", "perfbench")
 #: tuple is not updated.
 TEST_ONLY = (
     "repro.analysis.capacity",
-    "repro.core.daycount",
     "repro.dataflow.pipeline",
     "repro.hls.schedule",
     "repro.io",
@@ -67,7 +66,6 @@ TEST_ONLY_NAMES = (
     "repro.analysis.capacity.compare_platforms",
     "repro.analysis.compare.compare_ratio",
     "repro.analysis.metrics.geometric_mean",
-    "repro.core.daycount.year_fraction",
     "repro.core.schedule.schedule_lengths",
     "repro.dataflow.engine.collector",
     "repro.dataflow.engine.feeder",

@@ -75,6 +75,8 @@ class TestPortfolioGenerator:
             make_option_portfolio(0)
         with pytest.raises(ValidationError):
             make_option_portfolio(5, maturity_range=(2.0, 1.0))
+        with pytest.raises(ValidationError, match="maturity_range must satisfy"):
+            make_option_portfolio(5, maturity_range=(1.0, float("inf")))
         with pytest.raises(ValidationError):
             make_option_portfolio(5, recovery_range=(0.5, 1.5))
 
