@@ -215,6 +215,7 @@ class ClusterTimingRig:
         check_count(n_cards, "n_cards")
         self.cost_model = cost_model
         self.link = link
+        self._dispatch_s = link.dispatch_seconds(1)
         self.sim = sim if sim is not None else Simulation()
         recorder = telemetry.recorder if telemetry is not None else None
         self.telemetry = telemetry
@@ -266,32 +267,39 @@ class ClusterTimingRig:
         stretches the host dispatch and a straggler the card window.  A
         chunk that dies comes back as a :class:`FailedWindow` — the
         card was down when the chunk reached the head of its queue, or
-        a crash cut its window short.  Under the empty plan every
-        factor is exactly 1 and no window fails.
+        a crash cut its window short.  Under a plan that cannot touch
+        timing (:attr:`~repro.faults.health.ClusterHealth.
+        touches_timing`), the empty plan included, every factor is
+        exactly 1 and no window fails, so the dispatch is the two plain
+        reservations and asks the plan nothing.
         """
         health = self.health
+        host_s = self._dispatch_s
+        if health.touches_timing:
+            host_s *= health.link_factor(self.host.peek_start(ready_s))
         issued = self.host.reserve(
             ready_s,
-            self.link.dispatch_seconds(1)
-            * health.link_factor(self.host.peek_start(ready_s)),
+            host_s,
             span_name="dispatch",
             span_kind="host_link",
             span_args={"card": card_index},
         )
         self.last_host_window = issued
         card = self.cards[card_index]
-        start = card.peek_start(issued.done_s)
-        if health.card_down(card_index, start):
-            return FailedWindow(card.name, issued.done_s, start, start, 0.0)
         service = self.cost_model.service_seconds(
             n_rows, n_cells, contention=contention
         )
-        service *= health.service_factor(card_index, start, service)
         span = {
             "span_name": "chunk",
             "span_kind": "dispatch",
             "span_args": {"rows": n_rows, "cells": n_cells},
         }
+        if not health.touches_timing:
+            return card.reserve(issued.done_s, service, **span)
+        start = card.peek_start(issued.done_s)
+        if health.card_down(card_index, start):
+            return FailedWindow(card.name, issued.done_s, start, start, 0.0)
+        service *= health.service_factor(card_index, start, service)
         crash_s = health.crash_during(card_index, start, start + service)
         if crash_s is not None:
             # The card genuinely burned [start, crash) before dying.

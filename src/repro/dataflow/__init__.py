@@ -15,8 +15,6 @@ paper's optimisations manipulate:
   FIFO ready queue; token timestamps propagate via ``max`` constraints, a
   full stream's writer is released once by the next pop (release-once
   back-pressure), and cycle counts are deterministic for that queue order;
-* **pipelined-loop helpers** (:mod:`~repro.dataflow.pipeline`) — initiation
-  interval (II) and latency modelling for ``#pragma HLS PIPELINE`` loops;
 * **analysis** (:mod:`~repro.dataflow.graph`, :mod:`~repro.dataflow.stats`,
   :mod:`~repro.dataflow.tracing`) — topology export (paper Figs. 1-3),
   stall statistics and event traces.
@@ -32,7 +30,6 @@ results stay numerically checkable.
 from repro.dataflow.stream import Stream, StreamStats
 from repro.dataflow.process import Delay, Process, ProcessState, Read, Write
 from repro.dataflow.engine import SimulationResult, Simulator
-from repro.dataflow.pipeline import LoopTiming, pipelined_loop_cycles
 from repro.dataflow.graph import DataflowGraph
 
 __all__ = [
@@ -45,7 +42,5 @@ __all__ = [
     "Delay",
     "Simulator",
     "SimulationResult",
-    "LoopTiming",
-    "pipelined_loop_cycles",
     "DataflowGraph",
 ]

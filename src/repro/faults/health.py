@@ -18,9 +18,14 @@ failure-aware layers ask:
 
 The view is pure arithmetic over the plan — no mutable state — so the
 same plan gives the same answers in every run, which is what keeps
-fault reports bit-reproducible.  Every dispatch consults it, fault-free
-runs included (they carry the empty plan), so the questions a run asks
-per dispatch answer in O(1) when no card ever goes down.
+fault reports bit-reproducible.  Every dispatch reads it, fault-free
+runs included (they carry the empty plan).  A plan with no crash, no
+straggler and no link degradation cannot move a dispatch's timing, and
+:attr:`ClusterHealth.touches_timing` says so once: the dispatch then
+asks none of the questions above.  The flag rests on the kinds of event
+in the plan, never on a time horizon: a straggler window's
+:meth:`service_factor` walks ``(start + s) - start``, which can differ
+from ``s`` in the last bit even before the window opens.
 """
 
 from __future__ import annotations
@@ -68,7 +73,16 @@ class ClusterHealth:
             (d.at_s, d.until_s, d.factor) for d in plan.link_degradations
         ]
         self._all_cards = tuple(range(n_cards))
-        self._never_down = not plan.crashes
+        #: Whether the plan crashes no card: every card is always up and
+        #: capacity is never reduced.
+        self.never_down = not any(self._down)
+        #: Whether the plan can move a dispatch's timing: a crash, a
+        #: straggler or a link degradation.  A plan with none of them
+        #: times every dispatch as two plain reservations (link outages
+        #: are host downtime, which the host resource applies itself).
+        self.touches_timing = (
+            not self.never_down or any(self._slow) or bool(self._link_deg)
+        )
 
     # ------------------------------------------------------------------
     # Card availability
@@ -81,7 +95,7 @@ class ClusterHealth:
 
     def healthy_cards(self, t: float) -> tuple[int, ...]:
         """Cards outside every outage window at instant ``t``."""
-        if self._never_down:
+        if self.never_down:
             return self._all_cards
         return tuple(
             c for c in range(self.n_cards) if not self.card_down(c, t)
@@ -164,7 +178,7 @@ class ClusterHealth:
     # ------------------------------------------------------------------
     def capacity_reduced(self, t: float) -> bool:
         """Whether any card is down at ``t`` (degradation-ladder gate)."""
-        return not self._never_down and len(self.healthy_cards(t)) < self.n_cards
+        return not self.never_down and len(self.healthy_cards(t)) < self.n_cards
 
     def first_fault_s(self) -> float:
         """Instant the first fault begins (inf for an empty plan)."""

@@ -209,9 +209,11 @@ class Gateway:
                 self.servers[0]._check_request(req)
                 book.profile(req.tenant)
         self.servers[0]._check_trace(trace)
-        if faults is not None and not 0 <= fault_server < self.n_servers:
+        if faults is not None and not (
+            is_index(fault_server) and 0 <= fault_server < self.n_servers
+        ):
             raise ValidationError(
-                f"fault_server must index a server, got {fault_server}"
+                f"fault_server must index a server, got {fault_server!r}"
             )
         n_states = self.tape.n_scenarios
         for time, row in ticks or ():
@@ -420,6 +422,7 @@ class Gateway:
             if dropped:
                 invalidations_total.inc(dropped)
 
+        self.servers[0]._prime(trace)
         sim.feed(
             [req.arrival_s for req in trace], trace, on_arrival, label="arrival"
         )

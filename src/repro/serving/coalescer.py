@@ -151,10 +151,12 @@ class MicroBatchCoalescer:
                 self._sheds.append(ShedRecord(req, t, "deadline"))
             else:
                 alive.append(req)
-        alive.sort(key=lambda r: (-r.priority, r.arrival_s, r.request_id))
+        if len(alive) > 1:
+            alive.sort(key=lambda r: (-r.priority, r.arrival_s, r.request_id))
         taken = alive[: self.queue.max_batch]
         leftover = alive[self.queue.max_batch :]
-        leftover.sort(key=lambda r: (r.arrival_s, r.request_id))
+        if len(leftover) > 1:
+            leftover.sort(key=lambda r: (r.arrival_s, r.request_id))
         self._pending = leftover + rest
         if not taken:
             return None
@@ -232,7 +234,8 @@ class MicroBatchCoalescer:
                 f"{request.arrival_s} after {self._last_offer_s}"
             )
         self._last_offer_s = request.arrival_s
-        batches = self.advance(request.arrival_s)
+        # With nothing pending no linger timer can be due.
+        batches = self.advance(request.arrival_s) if self._pending else []
         self._pending.append(request)
         self._earliest_deadline = min(self._earliest_deadline, request.deadline_s)
         if len(self._pending) >= self.queue.max_batch:

@@ -9,14 +9,17 @@ cluster layer's :class:`~repro.cluster.batching.BatchQueue`), answers
 each batch from the server's table of its frozen tape, and shards the
 batch's rows for *timing* across cluster cards with the existing
 :class:`~repro.cluster.scheduler.ClusterScheduler` policies, weighted by
-each row's kernel-cell cost.  The table is filled lazily: a batch's rows
-that no earlier batch read are priced in **one** whole-book call into
-the backend its risk engine's session binds (via
+each row's kernel-cell cost.  Before its first arrival a replay primes
+the table: the distinct rows its trace reads that the table lacks are
+priced in whole-book calls of :data:`PRIME_ROWS` rows into the backend
+its risk engine's session binds (via
 :meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows` and
 :meth:`~repro.api.PricingBackend.price_rows`), so host pricing work
 scales with the distinct market states a replay touches, not with its
-requests.  Only ``supports_streaming`` backends are accepted — the
-capability flag of the unified API.
+requests.  A batch whose rows a failed primed fill left unpriced fills
+them itself in one call, and fails as that fill does.  Only
+``supports_streaming`` backends are accepted — the capability flag of
+the unified API.
 
 Two clocks run side by side, exactly as in the risk subsystem:
 
@@ -51,8 +54,8 @@ are still pending, in flight or awaiting retry is shed — backpressure),
 the coalescer (pending requests whose deadline expires before their
 batch forms are shed), and the health-aware dispatcher of
 :mod:`repro.serving.faulted`.  A fault-free replay is the empty fault
-plan; a non-empty plan adds retries, circuit breakers and the
-degradation ladder on the same path.
+plan, which the dispatch path never consults; a non-empty plan adds
+retries, circuit breakers and the degradation ladder on the same path.
 """
 
 from __future__ import annotations
@@ -90,20 +93,26 @@ __all__ = ["QuoteServer", "VAR_CONFIDENCE"]
 #: Confidence level of the VaR-refresh request family.
 VAR_CONFIDENCE = 0.95
 
+#: Tape rows per kernel call when a replay primes the table: small
+#: enough that the fill adds little to peak memory, and 16-state kernel
+#: chunks price the fastest.
+PRIME_ROWS = 16
+
 
 class QuoteServer:
     """Simulated-time online pricing service over the cluster.
 
     The tape is read-only, so each (row, contract) spread and each row's
     reval P&L is a pure function of the row.  The server keeps them in
-    one table, filled the first time a batch reads the row and never
-    invalidated; every replay, and every lane of a gateway, reads the
-    same table.  It holds at most ``tape.n_scenarios x n_positions``
-    spreads plus one P&L and one priced-row entry per row (about 75 KB
-    for a 256-state tape and a 32-position book), and the error text of
-    each cell whose annuity is invalid: only a batch whose requests read
-    such a cell fails, naming the first of them (tape row, then book
-    index).
+    one table, filled when the first replay whose trace reads the row
+    primes it (or, after a failed primed fill, when a batch first reads
+    it) and never invalidated; every replay, and every lane of a
+    gateway, reads the same table.  It holds at most
+    ``tape.n_scenarios x n_positions`` spreads plus one P&L and one
+    priced-row entry per row (about 75 KB for a 256-state tape and a
+    32-position book), and the error text of each cell whose annuity is
+    invalid: only a batch whose requests read such a cell fails, naming
+    the first of them (tape row, then book index).
 
     Parameters
     ----------
@@ -338,6 +347,23 @@ class QuoteServer:
             values.extend(self._values([req], spreads, self._pnl_rows(pv), at))
         return values
 
+    def _prime(self, trace: Sequence[PricingRequest]) -> None:
+        """Price every tape row ``trace`` reads that the table lacks, in
+        :data:`PRIME_ROWS`-row fills, before the first arrival.
+
+        A fill that raises a :class:`~repro.errors.ValidationError`
+        leaves its rows unpriced: the first batch that reads one fills
+        it lazily and fails as it would without the prime, naming the
+        row that batch reads, and a bad row that only shed requests read
+        never fails the replay.
+        """
+        rows = sorted({r for req in trace for r in req.rows} - self._priced)
+        for start in range(0, len(rows), PRIME_ROWS):
+            try:
+                self._fill(rows[start:start + PRIME_ROWS])
+            except ValidationError:
+                pass
+
     def _fill(self, rows: list[int]) -> None:
         """Price tape ``rows`` into the table: one whole-book call.
 
@@ -403,16 +429,16 @@ class QuoteServer:
     def _run_batch(self, batch: MicroBatch, dispatcher) -> None:
         """Answer one micro-batch and hand it to the lane's dispatcher.
 
-        Host numerics: the batch's rows not yet in the table are priced
-        in ONE whole-book kernel call
+        Host numerics: the batch's rows not yet in the table (a failed
+        primed fill left them unpriced) are priced in ONE whole-book
+        kernel call
         (:meth:`~repro.risk.engine.ScenarioRiskEngine.quote_rows`), and
         every request reads the table.  The card sharding the
         dispatcher times, and the cells it charges, are the batch's own
         whatever the table already held.
         """
-        new = [r for r in batch.rows if r not in self._priced]
-        if new:
-            self._fill(new)
+        if not self._priced.issuperset(batch.rows):
+            self._fill([r for r in batch.rows if r not in self._priced])
         if self._bad_cells:
             self._check_cells(batch)
         dispatcher.run_batch(
@@ -498,6 +524,7 @@ class QuoteServer:
             monitor.attach(
                 sim, lane.metrics, n_cards=self.n_cards, health=lane.health
             )
+        self._prime(trace)
 
         def on_arrival(req: PricingRequest) -> None:
             lane.tick(req.arrival_s)

@@ -6,6 +6,10 @@ dispatch` against the replay's :class:`~repro.faults.FaultPlan`.  A
 fault-free replay carries the empty plan: no card is ever down, no
 window stretches or fails, nothing retries, and every chunk is the plain
 host-then-card busy-window recurrence the timing-conformance suite pins.
+What such a plan can never do costs nothing: the rig times the chunk
+without asking the plan, breakers are read only after a failed
+dispatch, a one-chunk dispatch contends with nothing, and the hedge
+check runs only with hedging enabled.
 
 The model, per micro-batch:
 
@@ -152,7 +156,7 @@ class FaultedDispatcher:
         maps each of its rows, in order, to the kernel cells it costs.
         """
         state = _BatchState(batch, values, weight)
-        self.n_outstanding += batch.n_requests
+        self.n_outstanding += len(batch.requests)
         self._dispatch(state, list(weight), batch.formed_s, attempt=0)
 
     # ------------------------------------------------------------------
@@ -163,10 +167,12 @@ class FaultedDispatcher:
         The rows are sharded by kernel-cell weight; the heaviest chunks
         land on the least-busy cards (online in-flight balancing).
         """
-        rows = [r for r in rows if r in state.pending]
-        if not rows:
-            return
-        state.attempts = max(state.attempts, attempt + 1)
+        if attempt:
+            # A first attempt carries every row, all still pending.
+            rows = [r for r in rows if r in state.pending]
+            if not rows:
+                return
+            state.attempts = max(state.attempts, attempt + 1)
         healthy = self.health.healthy_cards(t)
         # Breakers only leave the closed state after a failed dispatch.
         allowed = (
@@ -184,25 +190,36 @@ class FaultedDispatcher:
         cards = self.rig.cards
         if len(rows) == 1:
             # Every policy puts one row in one chunk on the least-busy
-            # card, which one pass finds without the partitioner.
-            chunks = [[0]]
-            by_busy = [min(allowed, key=lambda c: (cards[c].busy_until, c))]
+            # card, which one pass finds without the partitioner: the
+            # first such card in ``allowed``'s ascending order.
+            chunks = [rows]
+            best = allowed[0]
+            for c in allowed:
+                if cards[c].busy_until < cards[best].busy_until:
+                    best = c
+            by_busy = [best]
         else:
             weights = [float(state.weight[r]) for r in rows]
             sub = self.server.scheduler.partition(weights, len(allowed))
             validate_partition(sub, len(rows))
-            chunks = sorted(
-                (chunk for chunk in sub if chunk),
-                key=lambda chunk: -sum(weights[i] for i in chunk),
-            )
+            chunks = [
+                [rows[i] for i in chunk]
+                for chunk in sorted(
+                    (chunk for chunk in sub if chunk),
+                    key=lambda chunk: -sum(weights[i] for i in chunk),
+                )
+            ]
             by_busy = sorted(allowed, key=lambda c: (cards[c].busy_until, c))
-        factor = self.server.link.contention_factor(len(chunks))
+        # One chunk contends with nothing: its factor is exactly 1.
+        factor = (
+            self.server.link.contention_factor(len(chunks))
+            if len(chunks) > 1
+            else 1.0
+        )
 
         successes: list[tuple[list[int], int, Reservation, Reservation]] = []
         failures: list[tuple[list[int], float]] = []
-        for slot, chunk in enumerate(chunks):
-            card = by_busy[slot]
-            chunk_rows = [rows[i] for i in chunk]
+        for card, chunk_rows in zip(by_busy, chunks):
             window = self._dispatch_chunk(state, chunk_rows, card, t, factor)
             if isinstance(window, FailedWindow):
                 failures.append((chunk_rows, window.done_s))
@@ -210,7 +227,8 @@ class FaultedDispatcher:
                 successes.append(
                     (chunk_rows, card, self.rig.last_host_window, window)
                 )
-        self._maybe_hedge(state, successes, by_busy, t, factor)
+        if self.hedge.enabled:
+            self._maybe_hedge(state, successes, by_busy, t, factor)
         for chunk_rows, card, issued, window in successes:
             for r in chunk_rows:
                 state.placed[r] = (card, issued, window)
@@ -224,28 +242,33 @@ class FaultedDispatcher:
     def _dispatch_chunk(self, state: _BatchState, chunk_rows: list[int],
                         card: int, t: float, factor: float) -> Reservation:
         """One chunk onto one card; returns its (possibly failed) window."""
-        n_cells = sum(state.weight[r] for r in chunk_rows)
+        n_cells = sum(map(state.weight.__getitem__, chunk_rows))
         window = self.rig.dispatch(
             t, card, len(chunk_rows), n_cells, contention=factor
         )
-        breaker = self.breakers[card]
         if isinstance(window, FailedWindow):
             self.counters.n_failed_dispatches += 1
             self.counters.wasted_work_s += (
                 window.service_s + self.rig.last_host_window.service_s
             )
-            breaker.record_failure(window.done_s)
+            self.breakers[card].record_failure(window.done_s)
             return window
         self.counters.useful_work_s += window.service_s
-        breaker.record_success(window.done_s)
+        if self.counters.n_failed_dispatches:
+            # Before the first failure every breaker is closed with no
+            # failure counted, which a success leaves as it is.
+            self.breakers[card].record_success(window.done_s)
         self._card_rows[card].inc(len(chunk_rows))
         self._card_cells[card].inc(n_cells)
         return window
 
     def _maybe_hedge(self, state: _BatchState, successes, by_busy,
                      t: float, factor: float) -> None:
-        """Duplicate the slowest straggling chunk; first finisher wins."""
-        if not self.hedge.enabled or len(successes) < 2 or len(by_busy) < 2:
+        """Duplicate the slowest straggling chunk; first finisher wins.
+
+        Called only with hedging enabled.
+        """
+        if len(successes) < 2 or len(by_busy) < 2:
             return
         budget = self.hedge.max_hedges_per_batch
         dones = sorted(window.done_s for *_, window in successes)
@@ -333,7 +356,12 @@ class FaultedDispatcher:
                 self.counters.n_failed_requests += 1
                 continue
             placed = state.placed
-            completion = max(placed[r][2].done_s for r in req.rows)
+            if len(req.rows) == 1:
+                card, _, window = placed[req.rows[0]]
+                completion, cards = window.done_s, (card,)
+            else:
+                completion = max(placed[r][2].done_s for r in req.rows)
+                cards = tuple(sorted({placed[r][0] for r in req.rows}))
             if self.recorder.enabled:
                 self._record_phases(req, batch, placed, completion)
             self.responses.append(
@@ -347,7 +375,7 @@ class FaultedDispatcher:
                     latency_s=completion - req.arrival_s,
                     met_deadline=completion <= req.deadline_s,
                     batch_id=batch.batch_id,
-                    cards=tuple(sorted({placed[r][0] for r in req.rows})),
+                    cards=cards,
                     tenant=req.tenant,
                 )
             )

@@ -107,27 +107,31 @@ class Lane:
         for batch in batches:
             self.server._run_batch(batch, self.dispatcher)
             self._n_batches.inc()
-            self._batch_requests.inc(batch.n_requests)
+            self._batch_requests.inc(len(batch.requests))
             self._batch_rows.inc(len(batch.rows))
 
     def tick(self, now: float) -> None:
         """The per-arrival housekeeping, before admission.
 
-        Returns at once while nothing in the lane is due by ``now``: no
-        linger timer or pending deadline (the coalescer's next due
-        time) and no in-flight completion.  Both are read live, since a
-        retry can change the in-flight window between two arrivals.
+        Each step runs only when it is due by ``now``: the coalescer's
+        linger timers and deadline reaping at its next due time, the
+        in-flight drain at the earliest completion.  Before its due
+        time, the coalescer's steps form no batch and shed nothing.
+        Both times are read live, since a retry can change the
+        in-flight window between two arrivals.
         """
-        if self.coalescer.next_due_s > now and self.in_flight.next_done_s > now:
-            return
-        self.run(self.coalescer.advance(now))
+        coalescer_due = self.coalescer.next_due_s <= now
+        if coalescer_due:
+            self.run(self.coalescer.advance(now))
         # Drain *after* the linger sweep: batches it dispatched may
         # already have completed by this arrival, and counting them as
         # in-flight would shed requests from an idle server.
-        self.in_flight.drain(now)
-        # Expired pending requests can never be priced; reap them so
-        # dead work does not trip the admission bound.
-        self.coalescer.reap(now)
+        if self.in_flight.next_done_s <= now:
+            self.in_flight.drain(now)
+        if coalescer_due:
+            # Expired pending requests can never be priced; reap them
+            # so dead work does not trip the admission bound.
+            self.coalescer.reap(now)
 
     def offer(self, req: PricingRequest, now: float) -> bool:
         """Admit ``req`` to the coalescer or shed it; True when admitted."""
@@ -142,7 +146,7 @@ class Lane:
         # Degradation ladder: while capacity is reduced, shed the
         # low-priority tiers at a fraction of the admission bound —
         # var refreshes go first, quotes keep the full queue.
-        if self.health.capacity_reduced(now):
+        if not self.health.never_down and self.health.capacity_reduced(now):
             frac = DEGRADE_FRACTIONS[req.kind]
             if frac < 1.0 and outstanding >= frac * self.queue_depth:
                 self._shed(req, now, ShedReason.DEGRADED)

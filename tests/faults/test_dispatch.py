@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.faults import FaultPlan, HedgePolicy, RetryPolicy
+from repro.faults import ClusterHealth, FaultPlan, HedgePolicy, RetryPolicy
 from repro.serving.request import ShedReason
 
 #: Crash under a straggler: service windows on card 1 stretch 80x from
@@ -32,6 +32,18 @@ class TestZeroFaultIdentity:
         assert server.last_fault_report is None
         assert empty == legacy
         assert empty.n_failed == 0 and empty.fails == ()
+
+    def test_a_plan_that_never_lands_answers_as_no_plan(self, server, stream):
+        """A crash and a link degradation far past the trace send every
+        dispatch down the path that asks the plan; it must time each one
+        exactly as the plain path of the empty plan.  (A straggler would
+        not: its window's arithmetic can move the last bit.)"""
+        plan = FaultPlan.from_spec("crash:card=1,at=1e9;link:at=1e9,for=1,factor=2")
+        assert ClusterHealth(plan, server.n_cards).touches_timing
+        clean = server.serve(stream)
+        far = server.serve(stream, faults=plan)
+        assert far.responses == clean.responses
+        assert far.sheds == clean.sheds
 
 
 class TestConservation:

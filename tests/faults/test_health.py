@@ -54,6 +54,22 @@ class TestAvailability:
         assert not h.card_down(2, 0.5)
         assert not h.capacity_reduced(0.5)
 
+    @pytest.mark.parametrize(
+        "spec,touches",
+        [
+            ("", False),
+            ("linkout:at=0.1,for=0.1", False),
+            ("crash:card=1,at=1e9", True),
+            ("slow:card=0,at=1e9,for=1,factor=2", True),
+            ("link:at=1e9,for=1,factor=2", True),
+        ],
+    )
+    def test_touches_timing_by_kind_of_event(self, spec, touches):
+        """A link outage is host downtime, which the host resource
+        applies itself; crashes, stragglers and link degradations touch
+        a dispatch's timing however late they land."""
+        assert health(spec).touches_timing is touches
+
     def test_plan_validated_against_cluster(self):
         with pytest.raises(ValidationError):
             health("crash:card=5,at=0.1", n_cards=4)

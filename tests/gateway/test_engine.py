@@ -345,3 +345,17 @@ class TestFaults:
         # clean lane is untouched by the plan
         clean = gw.serve(stream)
         assert res.servers[0].n_offered == clean.servers[0].n_offered
+
+    @pytest.mark.parametrize("index", [0.5, True, math.nan, -1, 2])
+    def test_fault_server_must_index_a_server(self, gateway, stream, index):
+        """Only an integer in [0, n_servers) picks the faulted lane (2
+        is n_servers here): 0.5 would fault no lane and True lane 1,
+        while the report carried the plan either way."""
+        from repro.faults import FaultPlan
+
+        assert gateway.n_servers == 2
+        plan = FaultPlan.from_spec("correlated:cards=0+1,at=0.0", seed=7)
+        with pytest.raises(
+            ValidationError, match="fault_server must index a server"
+        ):
+            gateway.serve(stream, faults=plan, fault_server=index)

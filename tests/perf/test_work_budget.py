@@ -16,11 +16,15 @@ counters are bound once per replay; and a lane's tick does nothing
 while nothing in it is due.
 
 A quote server prices each market state of its tape once: the host
-kernel prices the whole book for each distinct row a replay reads, in
-no more calls than rows, however many requests read it.  A batch-1
-replay pays for the kernel, not the wrappers: a one-row dispatch skips
-the partitioner, and only building a risk engine prices a single market
-state.
+kernel prices the whole book for each distinct row a replay reads,
+however many requests read it, and a replay primes the table in one
+call per :data:`~repro.serving.engine.PRIME_ROWS` of those rows before
+its first arrival.  A batch-1 replay pays for the kernel, not the
+wrappers: a one-row dispatch skips the partitioner, and only building a
+risk engine prices a single market state.
+
+A fault-free replay carries the empty fault plan and asks it nothing:
+no health question, no breaker success and no hedge check.
 
 A gateway's replicas are lanes of one quote server, so however many
 there are, one risk engine binds the book once.
@@ -37,6 +41,7 @@ one-state chunk prices the padded rows as a single group.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -56,6 +61,7 @@ from repro.core.vector_pricing import (
     price_packed_many,
 )
 from repro.dataflow.engine import Simulator
+from repro.faults import CircuitBreaker, ClusterHealth
 from repro.gateway import (
     DEFAULT_TENANTS,
     Gateway,
@@ -65,6 +71,8 @@ from repro.gateway import (
 from repro.risk import Scenario, ScenarioRiskEngine, make_book, monte_carlo
 from repro.serving import QuoteServer, make_market_tape, make_request_stream
 from repro.serving.coalescer import MicroBatchCoalescer
+from repro.serving.engine import PRIME_ROWS
+from repro.serving.faulted import FaultedDispatcher
 from repro.sim.events import EventQueue
 from repro.telemetry import KernelProfiler
 from repro.workloads.scenarios import PaperScenario
@@ -75,14 +83,14 @@ N_TICKS = 10
 
 #: ``repro`` Python calls per request of each small replay below (per
 #: scenario for the timed revalue), as counted by :func:`_python_calls`.
-#: The gateway's count was set when the per-arrival bookkeeping became
-#: O(1) (from 52.2); the coalesced server's when each batch became one
-#: direct kernel call (from 21.6); the batch-1 server's when the server
-#: came to price each tape row once (from 73.0, and 89.2 before that);
-#: the revalue's was first set when the risk engine came to bind its
+#: The three replays' counts were set when the empty fault plan came to
+#: cost nothing on the dispatch path and a replay to prime its table
+#: (from 31.6, 20.7 and 51.9; the batch-1 server's was 73.0 before the
+#: server priced each tape row once, and 89.2 before that); the
+#: revalue's was first set when the risk engine came to bind its
 #: backend directly (29.16 before).  The budget allows 10% on top.
 CALLS_PER_OP = {
-    "gateway": 31.6, "server": 20.7, "batch1": 51.9, "revalue": 29.1
+    "gateway": 28.9, "server": 16.9, "batch1": 35.7, "revalue": 29.1
 }
 
 
@@ -378,7 +386,7 @@ def test_host_prices_each_distinct_row_once(
     scenario, book, tape, ticks, name
 ):
     """On a fresh server, kernel cells are the book times the distinct
-    rows the trace reads, priced in at most that many calls."""
+    rows the trace reads, priced in one call per ``PRIME_ROWS`` rows."""
     if name == "gateway":
         trace, extra = _tenant_trace(400), {"ticks": ticks}
         system = Gateway(
@@ -398,12 +406,37 @@ def test_host_prices_each_distinct_row_once(
     assert profiler.registry.get("kernel_cells_total").value == (
         N_POSITIONS * rows
     )
-    assert profiler.registry.get("kernel_calls_total").value <= rows
+    assert profiler.registry.get("kernel_calls_total").value <= math.ceil(
+        rows / PRIME_ROWS
+    )
 
 
 # ----------------------------------------------------------------------
 # Batch-1 quotes
 # ----------------------------------------------------------------------
+#: What only a fault plan that touches timing can need: the health
+#: questions, the breakers' success path and the hedge check.
+FAULT_MACHINERY = (
+    (ClusterHealth, "card_down"),
+    (ClusterHealth, "service_factor"),
+    (ClusterHealth, "crash_during"),
+    (ClusterHealth, "link_factor"),
+    (ClusterHealth, "capacity_reduced"),
+    (CircuitBreaker, "record_success"),
+    (FaultedDispatcher, "_maybe_hedge"),
+)
+
+
+def test_a_fault_free_replay_asks_the_fault_machinery_nothing(
+    batch1_server, monkeypatch
+):
+    counts = {}
+    for cls, name in FAULT_MACHINERY:
+        key = f"{cls.__name__}.{name}"
+        counts[key] = 0
+        monkeypatch.setattr(cls, name, _counted(counts, key, getattr(cls, name)))
+    batch1_server.serve(_server_trace(400))
+    assert counts == dict.fromkeys(counts, 0)
 
 
 def test_batch1_partitions_only_multi_row_dispatches(

@@ -575,6 +575,55 @@ class TestTapeTable:
         with pytest.raises(ValidationError, match="for scenario 3, option"):
             bad.serve(quotes)
 
+    @staticmethod
+    def _nan_shift_server(server, tape, serving_scenario, rows, **kwargs):
+        """A server over ``tape`` with a NaN recovery shift in ``rows``."""
+        shifts = np.zeros(tape.n_scenarios)
+        shifts[list(rows)] = np.nan
+        return QuoteServer(
+            server.book,
+            replace(tape, recovery_shifts=shifts),
+            scenario=serving_scenario,
+            n_cards=2,
+            **kwargs,
+        )
+
+    def test_a_bad_row_read_only_by_a_shed_request_spares_the_replay(
+        self, server, tape, serving_scenario
+    ):
+        """The replay primes the rows its trace reads before the first
+        arrival; the fill that meets row 3's NaN shift leaves its rows
+        to the batches that read them.  Only a request shed on
+        backpressure reads row 3, so the replay completes."""
+        bad = self._nan_shift_server(
+            server, tape, serving_scenario, [3],
+            queue=BatchQueue(max_batch=1, linger_s=0.0), queue_depth=1,
+        )
+        trace = [
+            PricingRequest(0, "quote", 0.0, 1.0, rows=(1,), option_index=0),
+            PricingRequest(1, "quote", 0.0, 1.0, rows=(3,), option_index=0),
+            PricingRequest(2, "quote", 0.5, 1.0, rows=(2,), option_index=0),
+        ]
+        served = bad.serve(trace)
+        assert (served.n_completed, served.n_shed) == (2, 1)
+        assert served.sheds[0].request.request_id == 1
+        assert served.sheds[0].reason is ShedReason.BACKPRESSURE
+
+    def test_a_failed_replay_names_the_bad_row_its_batch_reads(
+        self, server, tape, serving_scenario
+    ):
+        """Rows 3 and 9 carry NaN shifts and row 9 is read first.  The
+        primed fill of both fails naming row 3; the batch that reads row
+        9 then fills it alone and names it."""
+        bad = self._nan_shift_server(server, tape, serving_scenario, [3, 9])
+        trace = [
+            PricingRequest(0, "quote", 0.0, 1.0, rows=(9,), option_index=0),
+            PricingRequest(1, "quote", 0.5, 1.5, rows=(3,), option_index=0),
+        ]
+        with pytest.raises(ValidationError) as err:
+            bad.serve(trace)
+        assert str(err.value) == "non-finite recovery shift for scenario 9: nan"
+
     def test_each_row_is_priced_once_across_replays(
         self, serving_scenario, tape, stream
     ):

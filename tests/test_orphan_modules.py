@@ -53,7 +53,6 @@ ENTRY_DIRS = ("benchmarks", "examples", "perfbench")
 #: tuple is not updated.
 TEST_ONLY = (
     "repro.analysis.capacity",
-    "repro.dataflow.pipeline",
     "repro.hls.schedule",
     "repro.io",
 )
@@ -70,7 +69,6 @@ TEST_ONLY_NAMES = (
     "repro.dataflow.engine.collector",
     "repro.dataflow.engine.feeder",
     "repro.dataflow.engine.transformer",
-    "repro.dataflow.pipeline.nested_loop_cycles",
     "repro.dataflow.stats.stall_fraction",
     "repro.fpga.floorplan.require_fit_or_explain",
     "repro.hls.pragmas.DataflowPragma",
