@@ -155,32 +155,32 @@ def per_tenant_stats(
     """
     profiles = tuple(profiles)
     default = profiles[0].name
-    tiers = {p.name: p.tier for p in profiles}
+    # One pass: each record into its tenant's (responses, sheds, fails).
+    # Records of a tenant outside ``profiles`` stay out.
+    groups = {p.name: ([], [], []) for p in profiles}
+    for slot, tenants, records in (
+        (0, [r.tenant for r in responses], responses),
+        (1, [s.request.tenant for s in sheds], sheds),
+        (2, [f.request.tenant for f in fails], fails),
+    ):
+        for tenant, record in zip(tenants, records):
+            group = groups.get(default if tenant is None else tenant)
+            if group is not None:
+                group[slot].append(record)
     stats = []
     for profile in profiles:
-        name = profile.name
-
-        def owns(tenant: str | None, name=name) -> bool:
-            return (tenant if tenant is not None else default) == name
-
-        mine = [r for r in responses if owns(r.tenant)]
-        my_sheds = [s for s in sheds if owns(s.request.tenant)]
+        mine, my_sheds, my_fails = groups[profile.name]
         stats.append(
             TenantStats(
-                tenant=name,
-                tier=tiers[name],
-                n_shed_quota=sum(
-                    1 for s in my_sheds if s.reason is ShedReason.QUOTA
+                tenant=profile.name,
+                tier=profile.tier,
+                n_shed_quota=[s.reason for s in my_sheds].count(
+                    ShedReason.QUOTA
                 ),
-                n_cache_hits=sum(
-                    1 for r in mine if r.request_id in cache_response_ids
+                n_cache_hits=len(
+                    [r for r in mine if r.request_id in cache_response_ids]
                 ),
-                **group_fields(
-                    mine,
-                    my_sheds,
-                    [f for f in fails if owns(f.request.tenant)],
-                    span_s,
-                ),
+                **group_fields(mine, my_sheds, my_fails, span_s),
             )
         )
     return tuple(stats)

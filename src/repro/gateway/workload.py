@@ -14,14 +14,27 @@ Two generators on top of :mod:`repro.workloads.traffic`:
 * :func:`make_tick_stream` — a seeded stream of market-tape ticks
   ``(time, row)`` driving the cache's tick invalidation.
 
-Both are deterministic in their seed.
+Both are deterministic in their seed.  A tenant stream makes the same
+``Generator`` draws, in the same order, as drawing one request at a time
+(the ``BENCH_gateway.json`` replay and the gateway goldens rest on it),
+but a run of consecutive quotes, which draw only doubles, takes them in
+one ``random`` call.  That rests on how NumPy's generator draws, which
+the test suite checks on the running NumPy: ``uniform(lo, hi)`` is
+``lo + (hi - lo) * random()``, ``random((m, 3))`` makes the ``3 * m``
+draws of scalar ``random()`` calls in row-major order, and
+``choice(n, p=p)`` maps one ``random()`` double through the CDF
+(:class:`~repro.workloads.traffic.ChoiceSampler`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.validation import check_count, check_index
+from repro.core.validation import (
+    check_count,
+    check_index,
+    check_positive_finite,
+)
 from repro.errors import ValidationError
 from repro.serving.request import PricingRequest
 from repro.serving.workload import KIND_PRIORITY, stream_spec
@@ -107,39 +120,57 @@ def make_tenant_stream(
     )
     gen = np.random.default_rng(seed + 1)
     kinds = gen.choice(("quote", "reval", "var"), size=n_requests, p=probs)
-    # Same draws as per-request ``gen.choice(n, p=...)``, without
-    # re-validating the weights and rebuilding the CDF per request.
     row_sampler = ChoiceSampler(zipf_weights(n_states, QUOTE_SKEW))
     option_sampler = ChoiceSampler(zipf_weights(n_positions, QUOTE_SKEW))
     k_var = min(var_rows, n_states)
-    requests: list[PricingRequest] = []
-    for i, (t, kind, ti) in enumerate(zip(times, kinds, tenant_idx)):
-        tenant = tenants[int(ti)]
-        lo, hi = deadline_range[kind]
-        deadline = float(t + tenant.deadline_scale * gen.uniform(lo, hi))
-        option_index = None
-        if kind == "quote":
-            rows = (row_sampler.draw(gen),)
-            option_index = option_sampler.draw(gen)
-        elif kind == "reval":
-            rows = (int(gen.integers(n_states)),)
-        else:  # var
-            rows = tuple(
-                int(r) for r in np.sort(gen.choice(n_states, k_var, replace=False))
-            )
-        requests.append(
-            PricingRequest(
-                request_id=i,
-                kind=str(kind),
-                arrival_s=float(t),
-                deadline_s=deadline,
-                rows=rows,
-                option_index=option_index,
-                priority=KIND_PRIORITY[str(kind)],
-                tenant=tenant.name,
-            )
+    kind_of = kinds.tolist()
+    # Payloads in trace order.  A quote draws three doubles and nothing
+    # else (its deadline ``uniform`` and the row and contract
+    # ``choice(p=...)``), so each run of quotes takes its doubles in one
+    # ``random`` call, draw for draw; revals and VaRs draw one at a time.
+    # ``baseline`` is each relative deadline before the tenant scales it;
+    # a quote's is ``uniform``'s arithmetic on its bounds as doubles.
+    baseline = np.empty(n_requests)
+    rows: list = [None] * n_requests
+    options: list = [None] * n_requests
+    quote = kinds == "quote"
+    edges = np.flatnonzero(quote[1:] != quote[:-1]) + 1
+    cuts = [0, *edges.tolist(), n_requests]
+    lo, hi = map(float, deadline_range["quote"])
+    for start, stop in zip(cuts, cuts[1:]):
+        if quote[start]:
+            u = gen.random((stop - start, 3))
+            baseline[start:stop] = lo + (hi - lo) * u[:, 0]
+            rows[start:stop] = [(r,) for r in row_sampler.pick(u[:, 1]).tolist()]
+            options[start:stop] = option_sampler.pick(u[:, 2]).tolist()
+            continue
+        for i in range(start, stop):
+            kind = kind_of[i]
+            baseline[i] = gen.uniform(*deadline_range[kind])
+            if kind == "reval":
+                rows[i] = (int(gen.integers(n_states)),)
+            else:  # var
+                rows[i] = tuple(
+                    np.sort(gen.choice(n_states, k_var, replace=False)).tolist()
+                )
+    scales = np.array([p.deadline_scale for p in tenants], dtype=np.float64)
+    deadlines = (times + scales[tenant_idx] * baseline).tolist()
+    names = [tenants[ti].name for ti in tenant_idx.tolist()]
+    return [
+        PricingRequest(
+            request_id=i,
+            kind=kind,
+            arrival_s=t,
+            deadline_s=deadline,
+            rows=r,
+            option_index=option_index,
+            priority=KIND_PRIORITY[kind],
+            tenant=name,
         )
-    return requests
+        for i, (kind, t, deadline, r, option_index, name) in enumerate(
+            zip(kind_of, times.tolist(), deadlines, rows, options, names)
+        )
+    ]
 
 
 def make_tick_stream(
@@ -173,6 +204,7 @@ def make_tick_stream(
     """
     check_index(n_ticks, "n_ticks")
     check_count(n_states, "n_states")
+    check_positive_finite(rate_hz, "rate_hz")
     if n_ticks == 0:
         return []
     times = poisson_arrivals(n_ticks, rate_hz, seed=seed + TICK_SEED_OFFSET)

@@ -27,8 +27,6 @@ ordered times in seconds.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 import numpy as np
 
 from repro.core.validation import (
@@ -45,7 +43,6 @@ __all__ = [
     "diurnal_arrivals",
     "make_arrivals",
     "zipf_weights",
-    "zipf_choices",
     "ChoiceSampler",
     "multi_tenant_arrivals",
     "TRAFFIC_PROCESSES",
@@ -251,46 +248,19 @@ def zipf_weights(n_items: int, exponent: float = 1.1) -> np.ndarray:
     return weights / weights.sum()
 
 
-def zipf_choices(
-    n_draws: int,
-    n_items: int,
-    *,
-    exponent: float = 1.1,
-    seed: int = 0,
-) -> np.ndarray:
-    """Seeded i.i.d. draws from the :func:`zipf_weights` distribution.
-
-    Parameters
-    ----------
-    n_draws:
-        Sample size (>= 1).
-    n_items / exponent:
-        Forwarded to :func:`zipf_weights`.
-    seed:
-        Deterministic generator seed.
-
-    Returns
-    -------
-    np.ndarray
-        ``(n_draws,)`` integer ranks in ``[0, n_items)``.
-    """
-    check_count(n_draws, "n_draws")
-    gen = np.random.default_rng(seed)
-    return gen.choice(n_items, size=n_draws, p=zipf_weights(n_items, exponent))
-
-
 class ChoiceSampler:
-    """One-at-a-time draws of ``Generator.choice(n, p=p)``, draw for draw.
+    """Vectorised draws of ``Generator.choice(n, p=p)``, draw for draw.
 
     ``choice`` validates ``p`` and rebuilds its CDF on every call, which
     dominates a per-request draw.  The sampler validates once and builds
     the CDF once, exactly as ``choice`` does (the cumulative sum divided
-    by its last element); :meth:`draw` then inverts one
-    ``gen.random()`` double with a right-sided binary search — the
-    ``searchsorted(..., side="right")`` of ``choice``, here on a Python
-    list, which compares the same doubles faster.  A draw therefore
-    consumes the same stream and returns the same index as
-    ``int(gen.choice(len(p), p=p))``; the test suite pins that equality.
+    by its last element); :meth:`pick` then maps uniform doubles to
+    indices with ``searchsorted(..., side="right")``, the rule ``choice``
+    applies to the one ``gen.random()`` double it draws per sample.  So
+    ``pick(gen.random(m))`` consumes the same stream and returns the same
+    indices as ``m`` calls of ``gen.choice(len(p), p=p)``, and a caller
+    can draw the doubles of many samples, interleaved with other doubles,
+    in one call; the test suite pins that equality.
 
     Parameters
     ----------
@@ -315,11 +285,11 @@ class ChoiceSampler:
             raise ValidationError(f"p must sum to 1, got {total!r}")
         cdf = p.cumsum()
         cdf /= cdf[-1]
-        self._cdf = cdf.tolist()
+        self._cdf = cdf
 
-    def draw(self, gen: np.random.Generator) -> int:
-        """One category index, consuming one ``gen.random()`` double."""
-        return bisect_right(self._cdf, gen.random())
+    def pick(self, u) -> np.ndarray:
+        """The category index of each uniform double in ``u``."""
+        return self._cdf.searchsorted(u, side="right")
 
 
 def multi_tenant_arrivals(
@@ -345,8 +315,8 @@ def multi_tenant_arrivals(
     rate_hz:
         Aggregate offered rate.
     tenant_weights:
-        Per-tenant share of the offered load (non-negative, at least one
-        positive); normalised internally.
+        Per-tenant share of the offered load: finite and non-negative,
+        with a finite, positive sum; normalised internally.
     traffic:
         Arrival-process registry key for the merged stream.
     seed:
@@ -364,13 +334,17 @@ def multi_tenant_arrivals(
     weights = np.asarray(tenant_weights, dtype=np.float64)
     if weights.ndim != 1 or weights.size == 0:
         raise ValidationError("tenant_weights must be a non-empty 1-D vector")
-    if not np.all(weights >= 0) or not weights.sum() > 0:
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        total = weights.sum()
+    # Non-negative entries with a finite sum are each finite too.
+    if not (np.all(weights >= 0) and 0 < total < np.inf):
         raise ValidationError(
-            "tenant_weights must be non-negative with a positive sum"
+            "tenant_weights must be finite and non-negative with a finite, "
+            f"positive sum, got {tenant_weights!r}"
         )
     times = make_arrivals(traffic, n_arrivals, rate_hz, seed=seed, **kwargs)
     gen = np.random.default_rng(seed + _TENANT_SEED_OFFSET)
-    tenants = gen.choice(weights.size, size=n_arrivals, p=weights / weights.sum())
+    tenants = gen.choice(weights.size, size=n_arrivals, p=weights / total)
     return times, tenants
 
 

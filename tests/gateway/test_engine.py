@@ -17,9 +17,16 @@ from repro.gateway import (
     PASSTHROUGH_TENANT,
     TenantProfile,
     make_tenant_stream,
+    make_tick_stream,
+    per_tenant_stats,
 )
 from repro.serving import PricingRequest, QuoteServer, make_request_stream
-from repro.serving.request import ShedReason
+from repro.serving.request import (
+    FailRecord,
+    PricingResponse,
+    ShedReason,
+    ShedRecord,
+)
 from repro.telemetry import Telemetry
 
 from .conftest import N_POSITIONS, N_STATES, small_gateway
@@ -90,6 +97,57 @@ class TestTenantStream:
             n_positions=N_POSITIONS, var_rows=6, seed=seed,
         )
         assert _stream_digest(stream) == self.DIGESTS[seed]
+
+
+class TestTickStream:
+    @pytest.mark.parametrize("n_ticks", [0, 5])
+    @pytest.mark.parametrize("rate_hz", [math.nan, -5.0, 0.0, math.inf])
+    def test_rate_checked_even_with_no_ticks(self, n_ticks, rate_hz):
+        with pytest.raises(ValidationError, match="rate_hz must be"):
+            make_tick_stream(n_ticks, rate_hz=rate_hz, n_states=4)
+
+
+class TestPerTenantStats:
+    @staticmethod
+    def _request(i, tenant):
+        return PricingRequest(
+            request_id=i, kind="reval", arrival_s=0.0, deadline_s=1.0,
+            rows=(0,), tenant=tenant,
+        )
+
+    def test_each_record_billed_once_to_its_tenant(self):
+        """Unlabelled records go to the first profile; records of a
+        tenant outside the profiles are left out."""
+        tenants = [None, "gold", "silver", "nobody", "gold", None]
+        responses = [
+            PricingResponse(
+                request_id=i, kind="reval", value=0.0, arrival_s=0.0,
+                formed_s=0.0, completion_s=0.5, latency_s=0.5,
+                met_deadline=i != 4, batch_id=0, cards=(0,), tenant=t,
+            )
+            for i, t in enumerate(tenants)
+        ]
+        sheds = [
+            ShedRecord(self._request(10, "silver"), 0.1, ShedReason.QUOTA),
+            ShedRecord(self._request(11, None), 0.1, ShedReason.QUOTA),
+            ShedRecord(self._request(12, "silver"), 0.1, ShedReason.DEADLINE),
+            ShedRecord(self._request(13, "nobody"), 0.1, ShedReason.QUOTA),
+        ]
+        fails = [FailRecord(self._request(20, "gold"), 0.2, attempts=2)]
+        gold, silver = per_tenant_stats(
+            responses, sheds, fails, profiles=DEFAULT_TENANTS[:2],
+            span_s=2.0, cache_response_ids=frozenset({0, 2, 3}),
+        )
+        assert (gold.tenant, gold.tier, silver.tenant) == (
+            "gold", "gold", "silver"
+        )
+        assert (gold.n_offered, gold.n_completed, gold.n_shed,
+                gold.n_shed_quota, gold.n_failed, gold.n_cache_hits,
+                gold.n_deadline_met) == (6, 4, 1, 1, 1, 1, 3)
+        assert (silver.n_offered, silver.n_completed, silver.n_shed,
+                silver.n_shed_quota, silver.n_failed, silver.n_cache_hits,
+                silver.n_deadline_met) == (3, 1, 2, 1, 0, 1, 1)
+        assert gold.goodput_rps == 1.5 and silver.goodput_rps == 0.5
 
 
 class TestServe:

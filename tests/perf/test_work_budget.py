@@ -37,18 +37,24 @@ The host kernel gathers and reduces payment slots, not the book's
 padding: a chunk of several market states prices each contract in a
 group no wider than its schedule rounded up to the bucket block, and a
 one-state chunk prices the padded rows as a single group.
+
+A generated tenant trace draws each run of consecutive quotes in one
+``Generator`` call, and a gateway's per-tenant roll-up files each
+outcome under its tenant once.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+import repro.gateway.metrics
 import repro.telemetry.metrics
 from repro.api import PricingBackend, VectorizedBackend
 from repro.cluster.batching import BatchQueue
@@ -87,10 +93,12 @@ N_TICKS = 10
 #: cost nothing on the dispatch path and a replay to prime its table
 #: (from 31.6, 20.7 and 51.9; the batch-1 server's was 73.0 before the
 #: server priced each tape row once, and 89.2 before that); the
-#: revalue's was first set when the risk engine came to bind its
-#: backend directly (29.16 before).  The budget allows 10% on top.
+#: gateway's dropped from 28.9 when its per-tenant roll-up stopped
+#: calling a filter once per record and tenant; the revalue's was first
+#: set when the risk engine came to bind its backend directly (29.16
+#: before).  The budget allows 10% on top.
 CALLS_PER_OP = {
-    "gateway": 28.9, "server": 16.9, "batch1": 35.7, "revalue": 29.1
+    "gateway": 27.0, "server": 16.9, "batch1": 35.7, "revalue": 29.1
 }
 
 
@@ -276,6 +284,35 @@ def ticks():
     return make_tick_stream(N_TICKS, rate_hz=2_000.0, n_states=N_STATES, seed=11)
 
 
+class _CountingGenerator:
+    """A NumPy ``Generator`` that counts its method calls."""
+
+    def __init__(self, gen: np.random.Generator, counts: dict) -> None:
+        self._gen, self._counts = gen, counts
+
+    def __getattr__(self, name):
+        attr = getattr(self._gen, name)
+        return _counted(self._counts, "calls", attr) if callable(attr) else attr
+
+
+#: ``Generator`` calls per generated tenant-trace request: a run of
+#: consecutive quotes draws in one call (2.95 per request when each
+#: request drew one at a time; 0.18 measured since).
+GENERATOR_CALLS_PER_REQUEST = 0.25
+
+
+def test_generator_calls_per_generated_request(monkeypatch):
+    counts = {"calls": 0}
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random,
+        "default_rng",
+        lambda seed=None: _CountingGenerator(default_rng(seed), counts),
+    )
+    trace = _tenant_trace(400)
+    assert counts["calls"] / len(trace) <= GENERATOR_CALLS_PER_REQUEST
+
+
 @pytest.fixture(scope="module")
 def replays(gateway, server, batch1_server, ticks):
     """Each small replay: its trace and a call that serves it."""
@@ -339,32 +376,46 @@ def test_idle_lanes_skip_their_tick(replays, work, name):
 _UNCOUNTED = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>", "<lambda>"}
 
 
-def _python_calls(replay) -> int:
-    """Python function calls into ``repro`` while ``replay()`` runs."""
-    package = str(Path(repro.__file__).parent)
-    n = 0
+def _frames(replay, root: Path) -> Counter:
+    """Python frames entered while ``replay()`` runs, by function name,
+    of code in the file or package ``root`` (a generator's frame counts
+    once per resume)."""
+    prefix = str(root)
+    frames = Counter()
 
     def profile(frame, event, arg):
-        nonlocal n
-        if event == "call":
-            code = frame.f_code
-            if code.co_name not in _UNCOUNTED and code.co_filename.startswith(
-                package
-            ):
-                n += 1
+        if event == "call" and frame.f_code.co_filename.startswith(prefix):
+            frames[frame.f_code.co_name] += 1
 
     sys.setprofile(profile)
     try:
         replay()
     finally:
         sys.setprofile(None)
-    return n
+    return frames
+
+
+def _python_calls(replay) -> int:
+    """Python function calls into ``repro`` while ``replay()`` runs."""
+    frames = _frames(replay, Path(repro.__file__).parent)
+    return sum(n for name, n in frames.items() if name not in _UNCOUNTED)
 
 
 @pytest.mark.parametrize("name", ["gateway", "server", "batch1"])
 def test_python_calls_per_request(replays, name):
     trace, replay = replays[name]
     assert _python_calls(replay) / len(trace) <= 1.1 * CALLS_PER_OP[name]
+
+
+def test_tenant_roll_up_files_each_record_once(gateway, ticks):
+    """``per_tenant_stats`` buckets the outcomes in one pass: no scan per
+    tenant through a per-record ``owns`` call, and no frame of its own
+    per record."""
+    metrics = Path(repro.gateway.metrics.__file__)
+    short = _frames(lambda: gateway.serve(_tenant_trace(300), ticks=ticks), metrics)
+    long = _frames(lambda: gateway.serve(_tenant_trace(600), ticks=ticks), metrics)
+    assert long["owns"] == 0
+    assert long == short
 
 
 def test_python_calls_per_scenario_of_a_timed_revalue(scenario, book):

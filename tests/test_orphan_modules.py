@@ -89,7 +89,6 @@ TEST_ONLY_NAMES = (
     "repro.telemetry.export.parse_prometheus_text",
     "repro.telemetry.export.prometheus_text",
     "repro.telemetry.export.write_spans_csv",
-    "repro.workloads.traffic.zipf_choices",
 )
 
 

@@ -14,7 +14,6 @@ from repro.workloads.traffic import (
     make_arrivals,
     multi_tenant_arrivals,
     poisson_arrivals,
-    zipf_choices,
     zipf_weights,
 )
 
@@ -156,31 +155,22 @@ class TestZipf:
     def test_empirical_popularity_moments_pinned(self):
         """Sampled rank frequencies must match the analytic weights."""
         n_items, s = 16, 1.1
-        draws = zipf_choices(N, n_items, exponent=s, seed=7)
-        counts = np.bincount(draws, minlength=n_items) / N
         w = zipf_weights(n_items, exponent=s)
+        draws = ChoiceSampler(w).pick(np.random.default_rng(7).random(N))
+        counts = np.bincount(draws, minlength=n_items) / N
         np.testing.assert_allclose(counts[:4], w[:4], rtol=0.05)
         # Head concentration: top rank beats the uniform share 1/n.
         assert counts[0] > 2.0 / n_items
-
-    def test_choices_deterministic_in_seed(self):
-        a = zipf_choices(500, 32, seed=3)
-        b = zipf_choices(500, 32, seed=3)
-        c = zipf_choices(500, 32, seed=4)
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             zipf_weights(0)
         with pytest.raises(ValidationError):
             zipf_weights(8, exponent=-0.1)
-        with pytest.raises(ValidationError):
-            zipf_choices(0, 8)
 
 
 class TestChoiceSampler:
-    """The sampler must replay ``Generator.choice(n, p=p)`` draw for draw.
+    """``pick`` must replay ``Generator.choice(n, p=p)`` draw for draw.
 
     A NumPy release that changes how ``choice`` maps its uniform double
     to an index fails here, before it can silently move every gateway
@@ -196,22 +186,45 @@ class TestChoiceSampler:
         via_choice = np.random.default_rng(seed)
         via_sampler = np.random.default_rng(seed)
         expected = [int(via_choice.choice(n, p=p)) for _ in range(300)]
-        assert [sampler.draw(via_sampler) for _ in range(300)] == expected
+        assert sampler.pick(via_sampler.random(300)).tolist() == expected
         assert (
             via_sampler.bit_generator.state == via_choice.bit_generator.state
         )
 
     def test_interleaved_with_other_draws(self):
-        """Two samplers sharing one generator with other draws in between
-        (the make_tenant_stream pattern) stay on choice's stream."""
+        """Runs of (deadline, row, contract) doubles drawn as one block,
+        with 32-bit bounded draws between runs (the make_tenant_stream
+        pattern), stay on the stream of per-sample ``uniform`` and
+        ``choice`` calls."""
         rows, opts = zipf_weights(64, 1.2), zipf_weights(32, 1.2)
         row_s, opt_s = ChoiceSampler(rows), ChoiceSampler(opts)
         a, b = np.random.default_rng(17), np.random.default_rng(17)
-        for _ in range(200):
-            assert a.uniform(1.0, 2.0) == b.uniform(1.0, 2.0)
-            assert row_s.draw(b) == int(a.choice(64, p=rows))
-            assert opt_s.draw(b) == int(a.choice(32, p=opts))
+        for m in (1, 5, 2, 40, 1, 9):
+            expected = [
+                (
+                    a.uniform(1.0, 2.0),
+                    int(a.choice(64, p=rows)),
+                    int(a.choice(32, p=opts)),
+                )
+                for _ in range(m)
+            ]
+            u = b.random((m, 3))
+            drawn = zip(
+                (1.0 + (2.0 - 1.0) * u[:, 0]).tolist(),
+                row_s.pick(u[:, 1]).tolist(),
+                opt_s.pick(u[:, 2]).tolist(),
+            )
+            assert list(drawn) == expected
+            assert a.integers(64) == b.integers(64)
         assert a.bit_generator.state == b.bit_generator.state
+
+    def test_a_double_on_a_cdf_step_goes_right(self):
+        """``choice``'s ``side="right"``: a double equal to a step of the
+        CDF picks the next category, so a zero-weight category is never
+        picked, not even by the 0.0 that ``random()`` can return."""
+        assert ChoiceSampler([0.0, 1.0]).pick(0.0) == 1
+        sampler = ChoiceSampler([0.25, 0.25, 0.5])
+        assert sampler.pick([0.0, 0.25, 0.5]).tolist() == [0, 1, 2]
 
     def test_arbitrary_weights_with_zeros(self):
         p = np.random.default_rng(5).dirichlet(np.ones(40))
@@ -219,7 +232,7 @@ class TestChoiceSampler:
         p /= p.sum()
         sampler = ChoiceSampler(p)
         a, b = np.random.default_rng(9), np.random.default_rng(9)
-        draws = [sampler.draw(b) for _ in range(2000)]
+        draws = sampler.pick(b.random(2000)).tolist()
         assert draws == [int(a.choice(40, p=p)) for _ in range(2000)]
         assert not {0, 13, 39} & set(draws)
 
@@ -275,3 +288,15 @@ class TestMultiTenantArrivals:
             multi_tenant_arrivals(10, RATE, (0.5, -0.1))
         with pytest.raises(ValidationError):
             multi_tenant_arrivals(10, RATE, (0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(1.0, math.inf), (1.0, 1e308, 1e308), (0.5, math.nan)],
+        ids=["inf", "sum-overflows", "nan"],
+    )
+    def test_bad_weights_refused_naming_them(self, weights):
+        """Refused by name before NumPy's ``choice`` sees them: an
+        infinite weight or an overflowing sum once died there with
+        ``Probabilities contain NaN`` / ``do not sum to 1``."""
+        with pytest.raises(ValidationError, match="tenant_weights must be"):
+            multi_tenant_arrivals(10, RATE, weights)
