@@ -166,11 +166,6 @@ class CDSCluster:
     link:
         Host-path timing model (default :class:`~repro.cluster.
         interconnect.HostLinkModel`).
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry` handle: card busy
-        windows become spans when it records, and each :meth:`run`
-        publishes ``cluster_*`` roll-up metrics into its registry.  The
-        result is identical either way.
 
     Examples
     --------
@@ -189,7 +184,6 @@ class CDSCluster:
         n_engines: int = 5,
         scheduler: ClusterScheduler | str | None = None,
         link: HostLinkModel | None = None,
-        telemetry=None,
     ) -> None:
         check_count(n_cards, "n_cards")
         self.scenario = scenario if scenario is not None else PaperScenario()
@@ -204,7 +198,6 @@ class CDSCluster:
         else:
             self.scheduler = scheduler
         self.link = link if link is not None else HostLinkModel()
-        self.telemetry = telemetry
 
     @property
     def n_cards(self) -> int:
@@ -260,12 +253,8 @@ class CDSCluster:
         # kernel + contended-PCIe time is one busy window reserved from
         # t=0 (all chunks are issued at batch start).
         sim = Simulation()
-        recorder = (
-            self.telemetry.recorder if self.telemetry is not None else None
-        )
         card_resources = [
-            Resource(f"card{node.card_id}", sim=sim, recorder=recorder)
-            for node in self.nodes
+            Resource(f"card{node.card_id}", sim=sim) for node in self.nodes
         ]
         spreads = np.empty(len(options), dtype=float)
         reports: list[CardReport] = []
@@ -289,14 +278,7 @@ class CDSCluster:
             spreads[chunk] = result.spreads_bps
             kernel = sc.clock.seconds(result.kernel_cycles)
             pcie = result.pcie_seconds * factor
-            window = resource.reserve(
-                0.0,
-                kernel + pcie,
-                span_name="card_batch",
-                span_kind="cluster",
-                span_args={"options": len(chunk)},
-            )
-            busy.append(window.done_s)
+            busy.append(resource.reserve(0.0, kernel + pcie).done_s)
             reports.append(
                 CardReport(
                     card_id=node.card_id,
@@ -320,26 +302,6 @@ class CDSCluster:
         # the analysis layer imports this package for its scaling table.
         watts = sum(r.watts for r in reports)
         rate = len(options) / makespan
-        if self.telemetry is not None:
-            out = self.telemetry.metrics
-            out.counter(
-                "cluster_batches_total", "cluster batches run"
-            ).inc()
-            out.counter(
-                "cluster_options_total", "options priced across batches"
-            ).inc(len(options))
-            out.counter(
-                "cluster_dispatches_total", "host dispatches issued"
-            ).inc(dispatches)
-            out.gauge(
-                "cluster_makespan_seconds", "latest batch makespan"
-            ).set(makespan)
-            out.gauge(
-                "cluster_options_per_second", "latest batch throughput"
-            ).set(rate)
-            out.gauge(
-                "cluster_options_per_watt", "latest batch power efficiency"
-            ).set(rate / watts)
         return ClusterResult(
             spreads_bps=spreads,
             n_cards=self.n_cards,

@@ -10,8 +10,8 @@ Since the unified telemetry layer (:mod:`repro.telemetry`) landed, this
 module is an *adapter*: a :class:`Trace` can mirror every event into a
 telemetry span recorder (``Trace(recorder=...)``), and :attr:`Trace.spans`
 views the recorded events as :class:`~repro.telemetry.Span` instants, so
-dataflow traces export through the same Chrome-trace/CSV pipeline as
-serving and risk runs.  A standalone :class:`Trace` (no recorder) keeps
+dataflow traces export through the same Chrome-trace writer as serving
+and risk runs.  A standalone :class:`Trace` (no recorder) keeps
 its events for the occupancy analyses only.
 """
 

@@ -26,6 +26,8 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.faults.health import ClusterHealth
 from repro.faults.plan import FaultPlan
 
@@ -85,12 +87,11 @@ class PhaseStats:
 
 
 def _p99_ms(latencies: list[float]) -> float:
-    # Nearest-rank, not np.percentile: the fault_report.json golden pins it.
+    # The nearest-rank p99 (NumPy's inverted_cdf rule), not the linear
+    # one the serving report uses: the fault_report.json golden pins it.
     if not latencies:
         return 0.0
-    ordered = sorted(latencies)
-    rank = max(0, math.ceil(0.99 * len(ordered)) - 1)
-    return ordered[rank] * 1e3
+    return float(np.percentile(latencies, 99, method="inverted_cdf")) * 1e3
 
 
 def _phase(name: str, start_s: float, end_s: float,

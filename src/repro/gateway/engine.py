@@ -239,30 +239,17 @@ class Gateway:
 
         # Gateway-level tallies and outcome streams.
         gw = MetricsRegistry()
-        hits_total = gw.counter(
-            "gateway_cache_hits_total", "quotes answered from the cache"
-        )
-        joins_total = gw.counter(
-            "gateway_cache_joins_total", "quotes coalesced onto a leader"
-        )
-        misses_total = gw.counter(
-            "gateway_cache_misses_total", "cacheable quotes that led a flight"
-        )
-        invalidations_total = gw.counter(
-            "gateway_cache_invalidations_total", "cache entries dropped by ticks"
-        )
+        hits_total = gw.counter("gateway_cache_hits_total")
+        joins_total = gw.counter("gateway_cache_joins_total")
+        misses_total = gw.counter("gateway_cache_misses_total")
+        invalidations_total = gw.counter("gateway_cache_invalidations_total")
         requests_total = CounterFamily(
-            gw, "gateway_requests_total", "requests offered to the gateway",
-            label="tenant",
+            gw, "gateway_requests_total", label="tenant"
         )
         shed_quota_total = CounterFamily(
-            gw, "gateway_shed_quota_total", "requests rejected by tenant quotas",
-            label="tenant",
+            gw, "gateway_shed_quota_total", label="tenant"
         )
-        routed_total = CounterFamily(
-            gw, "gateway_routed_total", "requests routed to servers",
-            label="server",
-        )
+        routed_total = CounterFamily(gw, "gateway_routed_total", label="server")
         cache_responses: list[PricingResponse] = []
         quota_sheds: list[ShedRecord] = []
         waiter_sheds: list[ShedRecord] = []
@@ -506,15 +493,7 @@ class Gateway:
             return
         out = self.telemetry.metrics
         out.absorb(gw)
-        out.gauge(
-            "gateway_cache_hit_rate", "served-from-cache fraction of quotes"
-        ).set(result.cache_hit_rate)
-        out.gauge(
-            "gateway_goodput_rps", "gateway-wide in-deadline completions per second"
-        ).set(result.goodput_rps)
-        out.gauge(
-            "gateway_span_seconds", "first arrival to last completion"
-        ).set(result.span_seconds)
-        out.counter(
-            "gateway_requests_completed_total", "requests answered via the gateway"
-        ).inc(result.n_completed)
+        out.gauge("gateway_cache_hit_rate").set(result.cache_hit_rate)
+        out.gauge("gateway_goodput_rps").set(result.goodput_rps)
+        out.gauge("gateway_span_seconds").set(result.span_seconds)
+        out.counter("gateway_requests_completed_total").inc(result.n_completed)

@@ -392,9 +392,7 @@ class Monitor:
                     },
                 )
             telemetry.metrics.counter(
-                "monitor_alerts_total",
-                "SLO burn-rate alerts fired",
-                labels={"slo": alert.objective},
+                "monitor_alerts_total", labels={"slo": alert.objective}
             ).inc()
 
 

@@ -19,10 +19,9 @@ series:
 
 Aggregators are plain names (``mean``/``min``/``max``/``sum``/
 ``count``/``last``) plus ``p<q>`` percentiles (``p50``, ``p99``, …),
-computed exactly over the window by :func:`numpy.percentile` — windows
-are bounded, so streaming estimation is unnecessary here (the P²
-estimators stay in :mod:`repro.telemetry.metrics`, where streams are
-unbounded).
+computed exactly over the window by :func:`numpy.percentile`'s default
+linear rule, the rule the serving report and
+:class:`~repro.telemetry.metrics.Histogram` use.
 """
 
 from __future__ import annotations

@@ -408,33 +408,23 @@ def simulate_grid_run(
 def _publish_grid(out, timing: ClusterTiming, repricings: int) -> None:
     """The grid roll-up as ``risk_grid_*`` metrics (fault counters too)."""
     counters = [
-        ("scenarios_total", "scenarios revalued on the grid", timing.n_scenarios),
-        ("dispatches_total", "host dispatches feeding the grid",
-         timing.dispatches),
-        ("repricings_total", "grid cells (scenario x position)", repricings),
+        ("scenarios_total", timing.n_scenarios),
+        ("dispatches_total", timing.dispatches),
+        ("repricings_total", repricings),
     ]
     gauges = [
-        ("makespan_seconds", "slowest card plus serial dispatch",
-         timing.makespan_seconds),
-        ("batch_seconds", "one scenario's batch cost quantum",
-         timing.batch_seconds),
-        ("repricings_per_watt", "power efficiency of the run",
-         timing.repricings_per_watt),
+        ("makespan_seconds", timing.makespan_seconds),
+        ("batch_seconds", timing.batch_seconds),
+        ("repricings_per_watt", timing.repricings_per_watt),
     ]
     if isinstance(timing, FaultedClusterTiming):
         counters += [
-            ("repartitions_total", "card deaths that re-sharded work",
-             timing.n_repartitions),
-            ("rescheduled_total", "scenarios moved off dead cards",
-             timing.n_rescheduled),
-            ("failed_scenarios_total", "scenarios stranded by faults",
-             timing.n_failed_scenarios),
+            ("repartitions_total", timing.n_repartitions),
+            ("rescheduled_total", timing.n_rescheduled),
+            ("failed_scenarios_total", timing.n_failed_scenarios),
         ]
-        gauges.append(
-            ("wasted_seconds", "busy time destroyed by crashes",
-             timing.wasted_seconds)
-        )
-    for name, help_, value in counters:
-        out.counter(f"risk_grid_{name}", help_).inc(value)
-    for name, help_, value in gauges:
-        out.gauge(f"risk_grid_{name}", help_).set(value)
+        gauges.append(("wasted_seconds", timing.wasted_seconds))
+    for name, value in counters:
+        out.counter(f"risk_grid_{name}").inc(value)
+    for name, value in gauges:
+        out.gauge(f"risk_grid_{name}").set(value)

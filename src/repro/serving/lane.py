@@ -70,17 +70,13 @@ class Lane:
         # not loose integers, so the roll-up and the telemetry publish
         # read the same counters.
         self.metrics = MetricsRegistry()
-        self._n_batches = self.metrics.counter(
-            "serving_batches_total", "micro-batches dispatched"
-        )
+        self._n_batches = self.metrics.counter("serving_batches_total")
         self._batch_requests = self.metrics.counter(
-            "serving_batch_requests_total", "requests carried by batches"
+            "serving_batch_requests_total"
         )
-        self._batch_rows = self.metrics.counter(
-            "serving_batch_rows_total", "deduplicated market rows batched"
-        )
+        self._batch_rows = self.metrics.counter("serving_batch_rows_total")
         self._shed_queue = self.metrics.counter(
-            "serving_requests_shed_queue_total", "arrivals shed on backpressure"
+            "serving_requests_shed_queue_total"
         )
         self.dispatcher = FaultedDispatcher(
             server, rig, self.plan, retry=retry, hedge=hedge,
@@ -224,20 +220,14 @@ class Lane:
         counters = self.dispatcher.counters
         counters.n_breaker_trips = self.dispatcher.breakers.n_trips
         counters.n_breaker_probes = self.dispatcher.breakers.n_probes
-        for name, help_, value in (
-            ("serving_retries_total", "failed dispatches re-dispatched",
-             counters.n_retries),
-            ("serving_hedges_total", "duplicate straggler dispatches",
-             counters.n_hedges),
-            ("serving_breaker_trips_total", "circuit-breaker open transitions",
-             counters.n_breaker_trips),
-            ("serving_requests_failed_total", "requests failed after retries",
-             counters.n_failed_requests),
-            ("serving_requests_shed_degraded_total",
-             "arrivals shed by the degradation ladder",
-             counters.n_shed_degraded),
+        for name, value in (
+            ("serving_retries_total", counters.n_retries),
+            ("serving_hedges_total", counters.n_hedges),
+            ("serving_breaker_trips_total", counters.n_breaker_trips),
+            ("serving_requests_failed_total", counters.n_failed_requests),
+            ("serving_requests_shed_degraded_total", counters.n_shed_degraded),
         ):
-            self.metrics.counter(name, help_).inc(value)
+            self.metrics.counter(name).inc(value)
 
     def _summarise(self, responses, sheds, fails) -> ServingResult:
         outcome = outcome_fields(self.trace, responses, sheds)
@@ -288,40 +278,29 @@ class Lane:
             return
         out = telemetry.metrics
         out.absorb(self.metrics)
-        for name, help_, value in (
-            ("serving_requests_offered_total",
-             "requests offered to the server", result.n_offered),
-            ("serving_requests_completed_total", "requests answered",
-             result.n_completed),
-            ("serving_requests_shed_deadline_total",
-             "pending requests expired", result.n_shed_deadline),
-            ("serving_deadline_met_total", "responses inside their deadline",
-             result.n_deadline_met),
+        for name, value in (
+            ("serving_requests_offered_total", result.n_offered),
+            ("serving_requests_completed_total", result.n_completed),
+            ("serving_requests_shed_deadline_total", result.n_shed_deadline),
+            ("serving_deadline_met_total", result.n_deadline_met),
         ):
-            out.counter(name, help_).inc(value)
-        out.histogram(
-            "serving_latency_seconds", "per-request latency (simulated)"
-        ).observe_many(r.latency_s for r in result.responses)
-        for name, help_, value in (
-            ("serving_span_seconds", "first arrival to last completion",
-             result.span_seconds),
-            ("serving_throughput_rps", "completions per second",
-             result.throughput_rps),
-            ("serving_goodput_rps", "in-deadline completions per second",
-             result.goodput_rps),
-            ("serving_shed_rate", "shed fraction of offered load",
-             result.shed_rate),
-            ("serving_host_busy_seconds", "simulated host-thread busy time",
-             self.rig.host.busy_seconds),
+            out.counter(name).inc(value)
+        out.histogram("serving_latency_seconds").observe_many(
+            r.latency_s for r in result.responses
+        )
+        for name, value in (
+            ("serving_span_seconds", result.span_seconds),
+            ("serving_throughput_rps", result.throughput_rps),
+            ("serving_goodput_rps", result.goodput_rps),
+            ("serving_shed_rate", result.shed_rate),
+            ("serving_host_busy_seconds", self.rig.host.busy_seconds),
         ):
-            out.gauge(name, help_).set(value)
+            out.gauge(name).set(value)
         for card_id, resource in enumerate(self.rig.cards):
             labels = {"card": str(card_id)}
-            out.gauge(
-                "serving_card_busy_seconds", "simulated card busy time",
-                labels=labels,
-            ).set(resource.busy_seconds)
-            out.gauge(
-                "serving_card_utilisation", "busy fraction of the serving span",
-                labels=labels,
-            ).set(resource.utilisation(result.span_seconds))
+            out.gauge("serving_card_busy_seconds", labels=labels).set(
+                resource.busy_seconds
+            )
+            out.gauge("serving_card_utilisation", labels=labels).set(
+                resource.utilisation(result.span_seconds)
+            )

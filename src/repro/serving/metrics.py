@@ -49,41 +49,18 @@ class LatencyStats:
     max_s: float
 
     @classmethod
-    def from_latencies(
-        cls, latencies_s: np.ndarray, *, empty: str = "zero"
-    ) -> "LatencyStats":
-        """Summarise a latency vector.
+    def from_latencies(cls, latencies_s: np.ndarray) -> "LatencyStats":
+        """Summarise a latency vector (values in seconds, all >= 0).
 
-        Degenerate samples have an explicit contract:
-
-        * **empty** vectors follow ``empty``: ``"zero"`` (default, the
-          historical behaviour — every field 0), ``"nan"`` (``n=0`` with
-          NaN statistics, so an empty sample can never be mistaken for a
-          fast one), or ``"raise"`` (:class:`~repro.errors.
-          ValidationError`);
-        * **single-sample** vectors are well-defined, not special-cased:
-          every percentile, the mean and the max equal the one sample.
-
-        Parameters
-        ----------
-        latencies_s:
-            Latency vector in seconds (all values must be >= 0).
-        empty:
-            Policy for zero-length input: ``"zero"``, ``"nan"`` or
-            ``"raise"``.
+        An empty vector gives every field 0.  A single sample is not
+        special-cased: every percentile, the mean and the max equal it.
+        Percentiles use NumPy's default linear rule, the rule the
+        ``serving_latency_seconds`` histogram publishes.
         """
-        if empty not in ("zero", "nan", "raise"):
-            raise ValidationError(
-                f"unknown empty policy {empty!r}; "
-                f"choose from ['nan', 'raise', 'zero']"
-            )
         lat = np.asarray(latencies_s, dtype=np.float64)
         if lat.size == 0:
-            if empty == "raise":
-                raise ValidationError("cannot summarise an empty latency sample")
-            fill = float("nan") if empty == "nan" else 0.0
             return cls(
-                n=0, mean_s=fill, p50_s=fill, p95_s=fill, p99_s=fill, max_s=fill
+                n=0, mean_s=0.0, p50_s=0.0, p95_s=0.0, p99_s=0.0, max_s=0.0
             )
         if np.any(np.isnan(lat)):
             raise ValidationError("latencies must not contain NaN")

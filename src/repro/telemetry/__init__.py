@@ -4,10 +4,10 @@ The observability substrate over :mod:`repro.sim`: every
 :class:`~repro.sim.Resource` busy window and every request phase in the
 serving path can be recorded as a :class:`~repro.telemetry.spans.Span`
 keyed to the simulated clock, run tallies live in a
-:class:`~repro.telemetry.metrics.MetricsRegistry` (counters, gauges,
-streaming-quantile histograms), and :mod:`repro.telemetry.export`
-serialises both — Chrome trace-event JSON for Perfetto timelines,
-Prometheus text exposition, flat span CSV.
+:class:`~repro.telemetry.metrics.MetricsRegistry` (counters, gauges and
+histograms whose quantiles follow the serving report's rule), and
+:mod:`repro.telemetry.export` serialises both — Chrome trace-event JSON
+for Perfetto timelines, and a versioned JSON metrics snapshot.
 
 Recording is opt-in: the default :data:`NULL_TELEMETRY` handle costs one
 attribute check per would-be span, and every report stays byte-identical
@@ -22,12 +22,8 @@ from repro.telemetry.export import (
     chrome_trace,
     load_chrome_trace,
     metrics_snapshot,
-    parse_prometheus_text,
-    prometheus_text,
-    spans_csv,
     write_chrome_trace,
     write_metrics_snapshot,
-    write_spans_csv,
 )
 from repro.telemetry.metrics import (
     Counter,
@@ -64,10 +60,6 @@ __all__ = [
     "escape_label_value",
     "metric_key",
     "metrics_snapshot",
-    "parse_prometheus_text",
-    "prometheus_text",
-    "spans_csv",
     "write_chrome_trace",
     "write_metrics_snapshot",
-    "write_spans_csv",
 ]

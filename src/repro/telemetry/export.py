@@ -1,6 +1,4 @@
-"""Exporters: Chrome trace-event JSON, Prometheus text, flat span CSV.
-
-Three serialisations of one telemetry run:
+"""Exporters: Chrome trace-event JSON and the metrics snapshot.
 
 * :func:`chrome_trace` — the Chrome trace-event format (the JSON that
   ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_ open
@@ -9,11 +7,8 @@ Three serialisations of one telemetry run:
   ``trace_id``) become async begin/end (``"b"``/``"e"``) pairs keyed by
   the trace id, so each request renders as its own lane of sequential
   phases.  Timestamps are microseconds of *simulated* time.
-* :func:`prometheus_text` — the text exposition format, one
-  ``# HELP``/``# TYPE`` block per metric; histograms render as summaries
-  (quantile-labelled samples plus ``_sum``/``_count``).
-* :func:`spans_csv` — a flat CSV of spans for spreadsheet/pandas
-  consumption.
+* :func:`metrics_snapshot` — a versioned JSON dump of a metrics
+  registry (the ``--metrics-out`` body).
 
 :func:`load_chrome_trace` inverts :func:`chrome_trace`, which is what
 the ``repro-cds trace`` subcommand builds its summary from.
@@ -22,7 +17,7 @@ the ``repro-cds trace`` subcommand builds its summary from.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 
 from repro.errors import ValidationError
@@ -33,10 +28,6 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "load_chrome_trace",
-    "prometheus_text",
-    "parse_prometheus_text",
-    "spans_csv",
-    "write_spans_csv",
     "metrics_snapshot",
     "write_metrics_snapshot",
 ]
@@ -226,203 +217,6 @@ def load_chrome_trace(source) -> tuple[Span, ...]:
         )
     spans.sort(key=lambda s: (s.start_s, s.end_s, s.track, s.name))
     return tuple(spans)
-
-
-# ----------------------------------------------------------------------
-def _prom_name(key: str) -> tuple[str, str]:
-    """Split a registry key into ``(bare name, label suffix)``."""
-    if "{" in key:
-        name, _, rest = key.partition("{")
-        return name, "{" + rest
-    return key, ""
-
-
-def _escape_help(text: str) -> str:
-    """Escape a ``# HELP`` line body (backslash and newline only —
-    quotes are legal in help text)."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """Render a registry in the Prometheus text exposition format.
-
-    Counters and gauges emit one sample each; histograms emit a summary
-    (quantile-labelled samples, ``_sum`` and ``_count``).  Metrics
-    sharing a bare name emit one ``# HELP``/``# TYPE`` block.  Label
-    values arrive pre-escaped by :func:`~repro.telemetry.metrics.
-    metric_key`; help text is escaped here — so an exposition built from
-    hostile strings still parses line by line
-    (:func:`parse_prometheus_text` is the inverse).
-    """
-    lines: list[str] = []
-    typed: set[str] = set()
-    for key, metric in registry.items():
-        name, labels = _prom_name(key)
-        if name not in typed:
-            typed.add(name)
-            if metric.help_text:
-                lines.append(f"# HELP {name} {_escape_help(metric.help_text)}")
-            prom_type = (
-                "summary" if metric.kind == "histogram" else metric.kind
-            )
-            lines.append(f"# TYPE {name} {prom_type}")
-        if metric.kind == "histogram":
-            snap = metric.snapshot()
-            base_labels = labels[1:-1] if labels else ""
-            for q in metric.quantiles:
-                value = metric.quantile(q)
-                quantile_label = f'quantile="{q}"'
-                inner = (
-                    f"{base_labels},{quantile_label}"
-                    if base_labels
-                    else quantile_label
-                )
-                rendered = "nan" if snap["count"] == 0 else repr(value)
-                lines.append(f"{name}{{{inner}}} {rendered}")
-            lines.append(f"{name}_sum{labels} {repr(snap['sum'])}")
-            lines.append(f"{name}_count{labels} {snap['count']}")
-        else:
-            value = metric.value
-            rendered = str(int(value)) if value == int(value) else repr(value)
-            lines.append(f"{key} {rendered}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _parse_label_block(inner: str) -> dict[str, str]:
-    """Parse ``k="v",...`` honouring ``\\\\``, ``\\"`` and ``\\n`` escapes."""
-    labels: dict[str, str] = {}
-    i, n = 0, len(inner)
-    while i < n:
-        eq = inner.index("=", i)
-        key = inner[i:eq]
-        if inner[eq + 1] != '"':
-            raise ValidationError(
-                f"label value for {key!r} is not quoted: {inner!r}"
-            )
-        value_chars: list[str] = []
-        i = eq + 2
-        while True:
-            if i >= n:
-                raise ValidationError(f"unterminated label value: {inner!r}")
-            ch = inner[i]
-            if ch == "\\":
-                esc = inner[i + 1] if i + 1 < n else ""
-                if esc == "\\":
-                    value_chars.append("\\")
-                elif esc == '"':
-                    value_chars.append('"')
-                elif esc == "n":
-                    value_chars.append("\n")
-                else:
-                    raise ValidationError(
-                        f"bad escape \\{esc} in label value: {inner!r}"
-                    )
-                i += 2
-            elif ch == '"':
-                i += 1
-                break
-            else:
-                value_chars.append(ch)
-                i += 1
-        labels[key] = "".join(value_chars)
-        if i < n:
-            if inner[i] != ",":
-                raise ValidationError(
-                    f"expected ',' between labels at {i}: {inner!r}"
-                )
-            i += 1
-    return labels
-
-
-def parse_prometheus_text(text: str) -> dict:
-    """Parse a text exposition back into samples, help and types.
-
-    The inverse of :func:`prometheus_text` for documents it wrote —
-    which is exactly what the escaping round-trip test needs: render a
-    registry holding hostile label values (quotes, backslashes,
-    newlines), parse it back, and compare.  Returns::
-
-        {
-          "samples": [{"name": ..., "labels": {...}, "value": ...}, ...],
-          "help": {bare_name: help_text, ...},
-          "type": {bare_name: prom_type, ...},
-        }
-
-    Label values are unescaped; sample order follows the document.
-    """
-    samples: list[dict] = []
-    help_of: dict[str, str] = {}
-    type_of: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("# HELP "):
-            name, _, help_text = line[len("# HELP "):].partition(" ")
-            help_of[name] = help_text.replace("\\n", "\n").replace(
-                "\\\\", "\\"
-            )
-            continue
-        if line.startswith("# TYPE "):
-            name, _, prom_type = line[len("# TYPE "):].partition(" ")
-            type_of[name] = prom_type
-            continue
-        if line.startswith("#"):
-            continue
-        key, _, rendered = line.rpartition(" ")
-        if "{" in key:
-            name, _, rest = key.partition("{")
-            if not rest.endswith("}"):
-                raise ValidationError(f"malformed sample key: {key!r}")
-            labels = _parse_label_block(rest[:-1])
-        else:
-            name, labels = key, {}
-        samples.append(
-            {"name": name, "labels": labels, "value": float(rendered)}
-        )
-    return {"samples": samples, "help": help_of, "type": type_of}
-
-
-# ----------------------------------------------------------------------
-#: Column order of the flat span CSV.
-CSV_COLUMNS = (
-    "name",
-    "category",
-    "track",
-    "trace_id",
-    "kind",
-    "start_s",
-    "end_s",
-    "duration_s",
-)
-
-
-def spans_csv(spans) -> str:
-    """Flatten spans to CSV (header + one row per span, record order)."""
-    resolved = _resolve_spans(spans)
-    lines = [",".join(CSV_COLUMNS)]
-    for s in resolved:
-        lines.append(
-            ",".join(
-                (
-                    s.name,
-                    s.category,
-                    s.track,
-                    "" if s.trace_id is None else str(s.trace_id),
-                    s.kind,
-                    repr(s.start_s),
-                    repr(s.end_s),
-                    repr(s.duration_s),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_spans_csv(path, spans) -> Path:
-    """Serialise :func:`spans_csv` to ``path``; returns the path."""
-    path = Path(path)
-    path.write_text(spans_csv(spans))
-    return path
 
 
 # ----------------------------------------------------------------------

@@ -1,28 +1,27 @@
-"""The metrics registry: counters, gauges, streaming-quantile histograms.
+"""The metrics registry: counters, gauges and exact histograms.
 
 One process-local registry replaces the ad-hoc tallies that used to live
 inside each layer (serving's batch counters, the risk grid's dispatch
-sum, the cluster roll-up): code paths increment named metrics while they
-run, report dataclasses read those metrics back, and the exporters
-(:mod:`repro.telemetry.export`) serialise the registry as a Prometheus
-text exposition or a JSON snapshot.
+sum): code paths increment named metrics while they run, report
+dataclasses read those metrics back, and
+:func:`~repro.telemetry.export.metrics_snapshot` serialises the registry
+as JSON.
 
-Quantiles stream.  :class:`Histogram` keeps exact ``count``/``sum``/
-``min``/``max`` plus one P² estimator (Jain & Chlamtac, 1985) per
-tracked quantile, so a million latency observations cost five markers
-each instead of a stored vector.  Report percentiles that must stay
-bit-identical to their pre-registry values (``LatencyStats``) keep using
-exact vectors; the streaming histograms serve the export path, where an
-estimate over an unbounded stream is the point.
+A :class:`Histogram` keeps its observations and reads quantiles with
+NumPy's default (linear) rule, the rule
+:class:`~repro.serving.metrics.LatencyStats` uses: a published latency
+quantile equals the report's.
 
-Metrics may carry Prometheus-style labels; a labelled metric's registry
-key renders as ``name{k="v",...}`` with keys sorted, which keeps
-snapshots deterministic.
+Metrics may carry labels; a labelled metric's registry key renders as
+``name{k="v",...}`` with keys sorted, which keeps snapshots
+deterministic.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+
+import numpy as np
 
 from repro.core.validation import check_range
 from repro.errors import ValidationError
@@ -37,8 +36,8 @@ __all__ = [
     "metric_key",
 ]
 
-#: Quantiles a histogram tracks unless told otherwise.
-DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
+#: Quantile levels a histogram snapshot reports.
+SNAPSHOT_QUANTILES = (0.5, 0.95, 0.99)
 
 
 def escape_label_value(value: str) -> str:
@@ -82,9 +81,8 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help_text: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help_text = help_text
         self._value = 0.0
 
     @property
@@ -110,9 +108,8 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help_text: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help_text = help_text
         self._value = 0.0
 
     @property
@@ -129,167 +126,72 @@ class Gauge:
         return self._value
 
 
-class _P2Quantile:
-    """One streaming quantile: the P² algorithm (Jain & Chlamtac, 1985).
-
-    Five markers track the running estimate of quantile ``q`` in O(1)
-    memory and time per observation.  Until five observations arrive the
-    estimate is exact (sorted-buffer interpolation).
-    """
-
-    def __init__(self, q: float) -> None:
-        check_range(q, "quantile", "(0, 1)")
-        self.q = q
-        self._heights: list[float] = []  # marker heights (or warm-up buffer)
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2 * q, 1.0 + 4 * q, 3.0 + 2 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self.n = 0
-
-    def observe(self, x: float) -> None:
-        """Fold one observation into the estimate."""
-        self.n += 1
-        if self.n <= 5:
-            self._heights.append(x)
-            if self.n == 5:
-                self._heights.sort()
-            return
-        h = self._heights
-        # Cell containing x; clamp the extremes to x itself.
-        if x < h[0]:
-            h[0] = x
-            k = 0
-        elif x >= h[4]:
-            h[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= h[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            self._positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Adjust the three interior markers toward their desired spots.
-        for i in range(1, 4):
-            d = self._desired[i] - self._positions[i]
-            pos, prev_pos, next_pos = (
-                self._positions[i],
-                self._positions[i - 1],
-                self._positions[i + 1],
-            )
-            if (d >= 1.0 and next_pos - pos > 1.0) or (
-                d <= -1.0 and prev_pos - pos < -1.0
-            ):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                self._positions[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + d / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, p = self._heights, self._positions
-        j = i + int(d)
-        return h[i] + d * (h[j] - h[i]) / (p[j] - p[i])
-
-    @property
-    def value(self) -> float:
-        """Current estimate (``nan`` before any observation)."""
-        if self.n == 0:
-            return float("nan")
-        if self.n <= 5:
-            ordered = sorted(self._heights)
-            # Exact linear interpolation over the warm-up buffer.
-            rank = self.q * (len(ordered) - 1)
-            lo = int(rank)
-            hi = min(lo + 1, len(ordered) - 1)
-            frac = rank - lo
-            return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-        return self._heights[2]
-
-
 class Histogram:
-    """Streaming distribution summary: exact moments, P² quantiles.
+    """A distribution that keeps every observation.
 
-    Parameters
-    ----------
-    name / help_text:
-        Identity in the registry and expositions.
-    quantiles:
-        Quantile levels to track (default ``(0.5, 0.95, 0.99)``).
+    Memory is one float per observation.  Two histograms run:
+    ``serving_latency_seconds`` (every completed request, observed once
+    per replay from the result's responses) and
+    ``kernel_chunk_wall_seconds`` (one observation per kernel chunk).
+    :meth:`quantile` is :func:`numpy.quantile`'s default linear rule,
+    which is exactly ``LatencyStats``' ``np.percentile(lat, 100 * q)``.
     """
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help_text: str = "",
-        *,
-        quantiles: Iterable[float] = DEFAULT_QUANTILES,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help_text = help_text
-        self.quantiles = tuple(quantiles)
-        if not self.quantiles:
-            raise ValidationError(f"histogram {name!r} needs >= 1 quantile")
-        self._estimators = {q: _P2Quantile(q) for q in self.quantiles}
-        self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
+        self._values: list[float] = []
 
     def observe(self, x: float) -> None:
-        """Fold one observation into every tracked statistic."""
-        x = float(x)
-        self.count += 1
-        self.sum += x
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-        for est in self._estimators.values():
-            est.observe(x)
+        """Record one observation."""
+        self._values.append(float(x))
 
     def observe_many(self, xs: Iterable[float]) -> None:
-        """Fold a batch of observations, in order."""
-        for x in xs:
-            self.observe(x)
-
-    def quantile(self, q: float) -> float:
-        """Current estimate of a tracked quantile level."""
-        if q not in self._estimators:
-            raise ValidationError(
-                f"histogram {self.name!r} does not track q={q}; "
-                f"tracked: {self.quantiles}"
-            )
-        return self._estimators[q].value
+        """Record a batch of observations, in order."""
+        self._values.extend(map(float, xs))
 
     @property
-    def mean(self) -> float:
-        """Running mean (``nan`` when empty)."""
-        return self.sum / self.count if self.count else float("nan")
+    def count(self) -> int:
+        """Observations so far."""
+        return len(self._values)
+
+    @property
+    def sum(self) -> float:
+        """Total, added left to right in observation order."""
+        total = 0.0
+        for x in self._values:
+            total += x
+        return total
+
+    @property
+    def min(self) -> float:
+        """Smallest observation (``inf`` when empty)."""
+        return min(self._values, default=float("inf"))
+
+    @property
+    def max(self) -> float:
+        """Largest observation (``-inf`` when empty)."""
+        return max(self._values, default=float("-inf"))
+
+    def quantile(self, q: float) -> float:
+        """The ``q`` quantile by NumPy's linear rule (``nan`` when empty)."""
+        check_range(q, "quantile", "(0, 1)")
+        if not self._values:
+            return float("nan")
+        return float(np.quantile(self._values, q))
 
     def snapshot(self) -> dict:
-        """JSON-friendly summary (empty streams report null-ish floats)."""
-        empty = self.count == 0
+        """JSON-friendly summary (an empty histogram reports nulls)."""
+        empty = not self._values
         return {
             "count": self.count,
             "sum": self.sum,
             "min": None if empty else self.min,
             "max": None if empty else self.max,
             "quantiles": {
-                str(q): (None if empty else self._estimators[q].value)
-                for q in self.quantiles
+                str(q): None if empty else self.quantile(q)
+                for q in SNAPSHOT_QUANTILES
             },
         }
 
@@ -303,17 +205,16 @@ class CounterFamily(dict):
     only ever holds label values that were counted.
     """
 
-    def __init__(self, registry: MetricsRegistry, name: str,
-                 help_text: str = "", *, label: str) -> None:
+    def __init__(self, registry: MetricsRegistry, name: str, *,
+                 label: str) -> None:
         super().__init__()
         self._registry = registry
         self._name = name
-        self._help_text = help_text
         self._label = label
 
     def __missing__(self, value) -> Counter:
         counter = self[value] = self._registry.counter(
-            self._name, self._help_text, labels={self._label: str(value)}
+            self._name, labels={self._label: str(value)}
         )
         return counter
 
@@ -330,7 +231,7 @@ class MetricsRegistry:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
 
     # ------------------------------------------------------------------
-    def _get_or_create(self, cls, key: str, factory):
+    def _get_or_create(self, cls, key: str):
         existing = self._metrics.get(key)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -339,45 +240,26 @@ class MetricsRegistry:
                     f"{cls.kind}"
                 )
             return existing
-        metric = factory()
-        self._metrics[key] = metric
+        metric = self._metrics[key] = cls(key)
         return metric
 
     def counter(
-        self,
-        name: str,
-        help_text: str = "",
-        *,
-        labels: Mapping[str, str] | None = None,
+        self, name: str, *, labels: Mapping[str, str] | None = None
     ) -> Counter:
         """Get or create a counter."""
-        key = metric_key(name, labels)
-        return self._get_or_create(Counter, key, lambda: Counter(key, help_text))
+        return self._get_or_create(Counter, metric_key(name, labels))
 
     def gauge(
-        self,
-        name: str,
-        help_text: str = "",
-        *,
-        labels: Mapping[str, str] | None = None,
+        self, name: str, *, labels: Mapping[str, str] | None = None
     ) -> Gauge:
         """Get or create a gauge."""
-        key = metric_key(name, labels)
-        return self._get_or_create(Gauge, key, lambda: Gauge(key, help_text))
+        return self._get_or_create(Gauge, metric_key(name, labels))
 
     def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        *,
-        labels: Mapping[str, str] | None = None,
-        quantiles: Iterable[float] = DEFAULT_QUANTILES,
+        self, name: str, *, labels: Mapping[str, str] | None = None
     ) -> Histogram:
-        """Get or create a streaming-quantile histogram."""
-        key = metric_key(name, labels)
-        return self._get_or_create(
-            Histogram, key, lambda: Histogram(key, help_text, quantiles=quantiles)
-        )
+        """Get or create a histogram."""
+        return self._get_or_create(Histogram, metric_key(name, labels))
 
     # ------------------------------------------------------------------
     def __contains__(self, key: str) -> bool:
@@ -411,19 +293,18 @@ class MetricsRegistry:
         """Fold another registry's counters and gauges into this one.
 
         Counters add, gauges overwrite — the publish step of a run-local
-        registry into a session-level one.  Histograms cannot be merged
-        (P² markers do not compose); re-observe the underlying stream on
-        the target registry instead.
+        registry into a session-level one.  Histograms are refused:
+        observe the stream on the target registry instead.
         """
         for key, metric in other.items():
             if isinstance(metric, Counter):
-                self.counter(metric.name, metric.help_text).inc(metric.value)
+                self.counter(metric.name).inc(metric.value)
             elif isinstance(metric, Gauge):
-                self.gauge(metric.name, metric.help_text).set(metric.value)
+                self.gauge(metric.name).set(metric.value)
             else:
                 raise ValidationError(
-                    f"cannot absorb histogram {key!r}: P² estimators do "
-                    "not merge; observe the stream on the target registry"
+                    f"cannot absorb histogram {key!r}: observe its stream "
+                    "on the target registry"
                 )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -11,8 +11,7 @@ a context manager), it folds every chunk into a metrics registry —
 * ``kernel_rows_total`` / ``kernel_cells_total`` — market-state rows and
   (row, option) cells priced;
 * ``kernel_wall_seconds_total`` — measured host wall-time in the kernel;
-* ``kernel_chunk_wall_seconds`` — streaming-quantile histogram of
-  per-chunk wall-times —
+* ``kernel_chunk_wall_seconds`` — histogram of per-chunk wall-times —
 
 and, once the simulated run completes, pairs that against the simulated
 card busy time (:meth:`set_simulated_busy`) so a report can show the
@@ -49,24 +48,12 @@ class KernelProfiler:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._previous_hook = None
         self._installed = False
-        self._calls = self.registry.counter(
-            "kernel_calls_total", "price_packed_many entries"
-        )
-        self._chunks = self.registry.counter(
-            "kernel_chunks_total", "internal kernel chunks executed"
-        )
-        self._rows = self.registry.counter(
-            "kernel_rows_total", "market-state rows priced"
-        )
-        self._cells = self.registry.counter(
-            "kernel_cells_total", "(row, option) cells priced"
-        )
-        self._wall = self.registry.counter(
-            "kernel_wall_seconds_total", "measured host wall-time in the kernel"
-        )
-        self._chunk_wall = self.registry.histogram(
-            "kernel_chunk_wall_seconds", "per-chunk host wall-time"
-        )
+        self._calls = self.registry.counter("kernel_calls_total")
+        self._chunks = self.registry.counter("kernel_chunks_total")
+        self._rows = self.registry.counter("kernel_rows_total")
+        self._cells = self.registry.counter("kernel_cells_total")
+        self._wall = self.registry.counter("kernel_wall_seconds_total")
+        self._chunk_wall = self.registry.histogram("kernel_chunk_wall_seconds")
 
     # ------------------------------------------------------------------
     def on_call(self) -> None:
@@ -112,16 +99,12 @@ class KernelProfiler:
         simulated device second — how much the modelled cluster would
         beat this host by).
         """
-        self.registry.gauge(
-            "kernel_simulated_busy_seconds",
-            "simulated device busy time for the profiled work",
-        ).set(busy_seconds)
+        self.registry.gauge("kernel_simulated_busy_seconds").set(busy_seconds)
         wall = self._wall.value
         if busy_seconds > 0 and wall > 0:
-            self.registry.gauge(
-                "kernel_wall_vs_simulated_ratio",
-                "host wall seconds per simulated device busy second",
-            ).set(wall / busy_seconds)
+            self.registry.gauge("kernel_wall_vs_simulated_ratio").set(
+                wall / busy_seconds
+            )
 
     @property
     def n_chunks(self) -> int:

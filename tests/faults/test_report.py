@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     ClusterHealth,
@@ -11,6 +16,7 @@ from repro.faults import (
     FaultReport,
     build_fault_report,
 )
+from repro.faults.report import _p99_ms
 
 
 def report(
@@ -91,6 +97,59 @@ class TestPhases:
         comps = [(k / 100.0, k * 1e-3) for k in range(1, 11)]
         fr = report("crash:card=0,at=0.5,repair=0.1", comps, span_s=1.0)
         assert fr.phases[0].p99_latency_ms == pytest.approx(10.0)
+
+
+def nearest_rank_p99_ms(latencies: list[float]) -> float:
+    """The phase p99 as the report computed it before it called NumPy."""
+    if not latencies:
+        return 0.0
+    ordered = sorted(latencies)
+    rank = max(0, math.ceil(0.99 * len(ordered)) - 1)
+    return ordered[rank] * 1e3
+
+
+@st.composite
+def latency_samples(draw) -> list[float]:
+    """1-2,000 latencies: all distinct, ties from a small pool, or
+    constant runs."""
+    n = draw(st.integers(min_value=1, max_value=2_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.exponential(1e-3, size=draw(st.integers(1, 40)))
+    style = draw(st.sampled_from(("distinct", "ties", "runs")))
+    if style == "distinct":
+        values = rng.exponential(1e-3, size=n)
+    elif style == "ties":
+        values = rng.choice(pool, size=n)
+    else:
+        values = np.resize(np.repeat(pool, rng.integers(1, 300, pool.size)), n)
+    return values.tolist()
+
+
+class TestP99Rule:
+    @given(latencies=latency_samples())
+    @example(latencies=[1e-3])
+    @example(latencies=[2e-3] * 2_000)
+    @example(latencies=[k * 1e-3 for k in range(1, 101)])
+    @settings(max_examples=200, deadline=None)
+    def test_p99_is_the_nearest_rank_loop(self, latencies):
+        got, want = _p99_ms(latencies), nearest_rank_p99_ms(latencies)
+        assert got == want, (
+            "NumPy's percentile(..., method='inverted_cdf') no longer picks "
+            f"the nearest-rank p99 of {len(latencies)} values: "
+            f"{got!r} != {want!r}"
+        )
+
+    def test_empty_phase_reads_zero(self):
+        assert _p99_ms([]) == 0.0
+
+    @pytest.mark.parametrize(
+        ("n", "rank"), [(1, 1), (99, 99), (100, 99), (101, 100), (200, 198)]
+    )
+    def test_p99_is_the_ceil_rank_order_statistic(self, n, rank):
+        # Latencies 1..n ms, slowest first: the p99 is the
+        # ceil(0.99 n)-th smallest, never an interpolation between two.
+        latencies = [k * 1e-3 for k in range(n, 0, -1)]
+        assert _p99_ms(latencies) == pytest.approx(rank, abs=1e-9)
 
 
 class TestSerialisation:

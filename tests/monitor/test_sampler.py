@@ -28,7 +28,7 @@ def _run(events, *, period_s=1.0, names=None, finish_at=None, probes=()):
 
 class TestSampling:
     def test_samples_land_on_grid(self):
-        inc = lambda reg: reg.counter("hits_total", "h").inc()  # noqa: E731
+        inc = lambda reg: reg.counter("hits_total").inc()  # noqa: E731
         sampler = _run(
             [(0.4, inc), (1.2, inc), (2.7, inc), (3.1, inc)],
             finish_at=4.0,
@@ -39,24 +39,24 @@ class TestSampling:
     def test_sample_is_as_of_the_boundary(self):
         # The event AT t=1.0 must not be included in the t=1.0 sample:
         # the hook fires before the callback runs.
-        inc = lambda reg: reg.counter("hits_total", "h").inc()  # noqa: E731
+        inc = lambda reg: reg.counter("hits_total").inc()  # noqa: E731
         sampler = _run([(0.5, inc), (1.0, inc)], finish_at=2.0)
         series = sampler.series["hits_total"]
         assert series.times == (1.0, 2.0)
         assert series.values == (1.0, 2.0)
 
     def test_counter_series_kind(self):
-        inc = lambda reg: reg.counter("hits_total", "h").inc()  # noqa: E731
-        gset = lambda reg: reg.gauge("depth", "d").set(7.0)  # noqa: E731
+        inc = lambda reg: reg.counter("hits_total").inc()  # noqa: E731
+        gset = lambda reg: reg.gauge("depth").set(7.0)  # noqa: E731
         sampler = _run([(0.1, inc), (0.2, gset)], finish_at=1.0)
         assert sampler.series["hits_total"].kind == "counter"
         assert sampler.series["depth"].kind == "gauge"
 
     def test_name_filter_matches_bare_name_of_labelled_metrics(self):
         def fn(reg):
-            reg.counter("rows_total", "r", labels={"card": "0"}).inc(5)
-            reg.counter("rows_total", "r", labels={"card": "1"}).inc(7)
-            reg.counter("other_total", "o").inc()
+            reg.counter("rows_total", labels={"card": "0"}).inc(5)
+            reg.counter("rows_total", labels={"card": "1"}).inc(7)
+            reg.counter("other_total").inc()
 
         sampler = _run([(0.1, fn)], names=("rows_total",), finish_at=1.0)
         keys = set(sampler.series)
@@ -64,8 +64,8 @@ class TestSampling:
 
     def test_histograms_are_not_sampled(self):
         def fn(reg):
-            reg.histogram("lat_seconds", "l").observe(0.1)
-            reg.counter("hits_total", "h").inc()
+            reg.histogram("lat_seconds").observe(0.1)
+            reg.counter("hits_total").inc()
 
         sampler = _run([(0.1, fn)], finish_at=1.0)
         assert set(sampler.series) == {"hits_total"}
@@ -91,7 +91,7 @@ class TestProbes:
 
 class TestFinish:
     def test_finish_flushes_remaining_boundaries(self):
-        inc = lambda reg: reg.counter("hits_total", "h").inc()  # noqa: E731
+        inc = lambda reg: reg.counter("hits_total").inc()  # noqa: E731
         sampler = _run([(0.5, inc)], finish_at=3.0)
         series = sampler.series["hits_total"]
         assert series.times == (1.0, 2.0, 3.0)
@@ -99,7 +99,7 @@ class TestFinish:
         assert series.values == (1.0, 1.0, 1.0)
 
     def test_finish_is_idempotent(self):
-        inc = lambda reg: reg.counter("hits_total", "h").inc()  # noqa: E731
+        inc = lambda reg: reg.counter("hits_total").inc()  # noqa: E731
         sampler = _run([(0.5, inc)], finish_at=2.0)
         before = sampler.series["hits_total"].times
         sampler.finish(5.0)

@@ -8,7 +8,6 @@ than whatever NumPy happens to do.
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 import pytest
@@ -97,21 +96,6 @@ class TestLatencyStatsEmpty:
         assert stats.n == 0
         assert stats.mean_s == 0.0
         assert stats.p99_s == 0.0
-
-    def test_nan_policy(self):
-        stats = LatencyStats.from_latencies(np.array([]), empty="nan")
-        assert stats.n == 0
-        for value in (stats.mean_s, stats.p50_s, stats.p95_s, stats.p99_s,
-                      stats.max_s):
-            assert math.isnan(value)
-
-    def test_raise_policy(self):
-        with pytest.raises(ValidationError):
-            LatencyStats.from_latencies(np.array([]), empty="raise")
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValidationError):
-            LatencyStats.from_latencies(np.array([1.0]), empty="drop")
 
 
 class TestLatencyStatsDegenerate:

@@ -14,12 +14,14 @@ retried requests still emit exactly the four phases.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.batching import BatchQueue
 from repro.faults import FaultPlan
 from repro.risk.engine import make_book
 from repro.serving import QuoteServer
+from repro.serving.metrics import LatencyStats
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 from .conftest import N_POSITIONS
@@ -127,10 +129,30 @@ class TestMetricsPublication:
         assert m.get("serving_batches_total").value == result.n_dispatches
 
     def test_latency_histogram_count(self, recorded):
+        """Published quantiles are the report's, exactly: one rule."""
         telemetry, result = recorded
         h = telemetry.metrics.get("serving_latency_seconds")
-        assert h.count == result.n_completed
-        assert h.max == pytest.approx(result.latency.max_s)
+        assert h.count == result.n_completed == result.latency.n
+        assert h.quantile(0.5) == result.latency.p50_s
+        assert h.quantile(0.95) == result.latency.p95_s
+        assert h.quantile(0.99) == result.latency.p99_s
+        assert h.max == result.latency.max_s
+
+    def test_latency_histogram_spans_replays(
+        self, serving_scenario, tape, stream, plan
+    ):
+        """A second replay adds its latencies to the same histogram."""
+        telemetry = Telemetry.recording()
+        server = _make_server(serving_scenario, tape, telemetry)
+        results = [server.serve(stream, faults=plan) for _ in range(2)]
+        both = LatencyStats.from_latencies(np.asarray(
+            [r.latency_s for result in results for r in result.responses]
+        ))
+        h = telemetry.metrics.get("serving_latency_seconds")
+        assert h.count == both.n == 2 * results[0].n_completed
+        assert (h.quantile(0.5), h.quantile(0.99), h.max) == (
+            both.p50_s, both.p99_s, both.max_s
+        )
 
     def test_fault_counters_only_under_faults(self, recorded, plan):
         telemetry, _ = recorded

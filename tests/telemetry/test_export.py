@@ -1,4 +1,4 @@
-"""Exporter tests: Chrome trace round-trip, Prometheus text, CSV, snapshot."""
+"""Exporter tests: Chrome trace round-trip and the metrics snapshot."""
 
 import json
 
@@ -11,8 +11,6 @@ from repro.telemetry import (
     chrome_trace,
     load_chrome_trace,
     metrics_snapshot,
-    prometheus_text,
-    spans_csv,
     write_chrome_trace,
     write_metrics_snapshot,
 )
@@ -78,43 +76,6 @@ class TestChromeTrace:
             load_chrome_trace(payload)
 
 
-class TestPrometheusText:
-    def test_exposition(self):
-        reg = MetricsRegistry()
-        reg.counter("requests_total", "requests seen").inc(3)
-        reg.gauge("util").set(0.5)
-        reg.histogram("lat", "latency").observe_many([1.0, 2.0, 3.0])
-        text = prometheus_text(reg)
-        assert "# HELP requests_total requests seen" in text
-        assert "# TYPE requests_total counter" in text
-        assert "requests_total 3" in text
-        assert "util 0.5" in text
-        assert "# TYPE lat summary" in text
-        assert 'lat{quantile="0.5"}' in text
-        assert "lat_sum 6.0" in text
-        assert "lat_count 3" in text
-
-    def test_labelled_metrics_share_one_type_block(self):
-        reg = MetricsRegistry()
-        reg.counter("rows", labels={"card": "0"}).inc(1)
-        reg.counter("rows", labels={"card": "1"}).inc(2)
-        text = prometheus_text(reg)
-        assert text.count("# TYPE rows counter") == 1
-        assert 'rows{card="0"} 1' in text
-        assert 'rows{card="1"} 2' in text
-
-
-class TestSpansCsv:
-    def test_header_and_rows(self, recorder):
-        lines = spans_csv(recorder).strip().splitlines()
-        assert lines[0] == (
-            "name,category,track,trace_id,kind,start_s,end_s,duration_s"
-        )
-        assert len(lines) == 1 + len(recorder.spans)
-        assert lines[1].startswith("card_batch,resource,card0,,cluster,")
-        assert lines[2].startswith("coalesce,request,requests,7,quote,")
-
-
 class TestMetricsSnapshot:
     def test_versioned_payload(self, tmp_path):
         reg = MetricsRegistry()
@@ -124,3 +85,36 @@ class TestMetricsSnapshot:
         assert snap["metrics"]["n"]["value"] == 2.0
         path = write_metrics_snapshot(tmp_path / "metrics.json", reg)
         assert json.loads(path.read_text()) == snap
+
+    def test_every_type_reported(self):
+        reg = MetricsRegistry()
+        reg.counter("requests_total").inc(3)
+        reg.gauge("util").set(0.5)
+        reg.histogram("lat").observe_many([1.0, 2.0, 3.0])
+        assert metrics_snapshot(reg)["metrics"] == {
+            "lat": {"type": "histogram", "value": {
+                "count": 3, "sum": 6.0, "min": 1.0, "max": 3.0,
+                "quantiles": {"0.5": 2.0, "0.95": 2.9, "0.99": 2.98},
+            }},
+            "requests_total": {"type": "counter", "value": 3.0},
+            "util": {"type": "gauge", "value": 0.5},
+        }
+
+    def test_labelled_metrics_keep_their_type(self):
+        reg = MetricsRegistry()
+        reg.counter("rows", labels={"card": "0"}).inc(1)
+        reg.counter("rows", labels={"card": "1"}).inc(2)
+        assert metrics_snapshot(reg)["metrics"] == {
+            'rows{card="0"}': {"type": "counter", "value": 1.0},
+            'rows{card="1"}': {"type": "counter", "value": 2.0},
+        }
+
+    def test_empty_histogram_writes_nulls(self, tmp_path):
+        reg = MetricsRegistry()
+        reg.histogram("lat")
+        path = write_metrics_snapshot(tmp_path / "metrics.json", reg)
+        value = json.loads(path.read_text())["metrics"]["lat"]["value"]
+        assert value == {
+            "count": 0, "sum": 0.0, "min": None, "max": None,
+            "quantiles": {"0.5": None, "0.95": None, "0.99": None},
+        }

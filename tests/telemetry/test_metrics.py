@@ -1,9 +1,13 @@
-"""Unit tests for the metrics registry and the P² quantile histogram."""
+"""Unit tests for the metrics registry and the exact histogram."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import ValidationError
+from repro.serving.metrics import LatencyStats
 from repro.telemetry import CounterFamily, MetricsRegistry, metric_key
 from repro.telemetry.metrics import Histogram
 
@@ -57,33 +61,65 @@ class TestHistogram:
     def test_exact_under_five_samples(self):
         h = Histogram("lat")
         h.observe_many([3.0, 1.0, 2.0])
-        # Warm-up buffer: exact interpolated percentiles.
-        assert h.quantile(0.5) == pytest.approx(2.0)
+        assert h.quantile(0.5) == 2.0
         assert h.count == 3
         assert h.min == 1.0 and h.max == 3.0
 
-    def test_p2_tracks_large_stream(self):
+    def test_tracks_large_stream_exactly(self):
         rng = np.random.default_rng(42)
         sample = rng.exponential(scale=1.0, size=20_000)
         h = Histogram("lat")
         h.observe_many(sample)
-        for q in (0.5, 0.95, 0.99):
-            exact = float(np.quantile(sample, q))
-            assert h.quantile(q) == pytest.approx(exact, rel=0.05)
+        for q, percent in ((0.5, 50), (0.95, 95), (0.99, 99)):
+            assert h.quantile(q) == float(np.quantile(sample, q))
+            assert h.quantile(q) == float(np.percentile(sample, percent))
         assert h.count == sample.size
         assert h.sum == pytest.approx(float(sample.sum()))
-        assert h.max == pytest.approx(float(sample.max()))
+        assert h.max == float(sample.max())
 
-    def test_untracked_quantile_rejected(self):
+    def test_any_level_answered_nan_refused(self):
         h = Histogram("lat")
-        with pytest.raises(ValidationError):
-            h.quantile(0.25)
+        h.observe_many([4.0, 1.0, 3.0, 2.0])
+        assert h.quantile(0.25) == 1.75
+        with pytest.raises(ValidationError, match="quantile"):
+            h.quantile(float("nan"))
+
+    def test_sum_adds_left_to_right(self):
+        values = [1e16, 1.0, -1e16, 1.0]
+        h = Histogram("lat")
+        h.observe_many(values)
+        total = 0.0
+        for x in values:
+            total += x
+        assert h.sum == total == 1.0
 
     def test_empty_snapshot_is_nullish(self):
         snap = Histogram("lat").snapshot()
         assert snap["count"] == 0
         assert snap["min"] is None
         assert snap["quantiles"]["0.5"] is None
+
+    @given(latencies=arrays(
+        np.float64, st.integers(1, 500),
+        elements=st.floats(0.0, 1.0, allow_subnormal=False),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_quantiles_are_the_latency_report(self, latencies):
+        h = Histogram("lat")
+        h.observe_many(latencies)
+        stats = LatencyStats.from_latencies(latencies)
+        assert h.count == stats.n
+        assert (h.quantile(0.5), h.quantile(0.95), h.quantile(0.99)) == (
+            stats.p50_s, stats.p95_s, stats.p99_s
+        )
+        assert h.max == stats.max_s
+
+    def test_snapshot_reports_the_report_levels(self):
+        h = Histogram("lat")
+        h.observe_many([0.4, 0.1, 0.3, 0.2])
+        assert h.snapshot()["quantiles"] == {
+            str(q): h.quantile(q) for q in (0.5, 0.95, 0.99)
+        }
 
 
 class TestRegistry:
@@ -105,7 +141,7 @@ class TestRegistry:
 
     def test_counter_family_registers_each_value_on_first_use(self):
         reg = MetricsRegistry()
-        rows = CounterFamily(reg, "rows", "rows priced", label="card")
+        rows = CounterFamily(reg, "rows", label="card")
         assert reg.names() == ()
         rows[1].inc(3)
         rows[1].inc(2)

@@ -1,16 +1,22 @@
-"""Prometheus exposition escaping: hostile label values round-trip."""
+"""Label escaping: hostile label values stay distinct snapshot keys.
+
+Label values such as tenant names come from outside the program; the
+metrics snapshot must still key each one by itself, through a JSON
+round trip.
+"""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.errors import ValidationError
 from repro.telemetry import (
     MetricsRegistry,
     escape_label_value,
     metric_key,
-    parse_prometheus_text,
-    prometheus_text,
+    metrics_snapshot,
+    write_metrics_snapshot,
 )
 
 #: The three reserved characters, alone and combined, plus traps like a
@@ -54,65 +60,48 @@ class TestRoundTrip:
     @pytest.mark.parametrize("value", HOSTILE_VALUES)
     def test_label_value_round_trips(self, value):
         registry = MetricsRegistry()
-        registry.counter("m_total", "help", labels={"k": value}).inc(2)
-        parsed = parse_prometheus_text(prometheus_text(registry))
-        (sample,) = parsed["samples"]
-        assert sample["name"] == "m_total"
-        assert sample["labels"] == {"k": value}
-        assert sample["value"] == 2.0
+        for i, v in enumerate(HOSTILE_VALUES):
+            registry.counter("m_total", labels={"k": v}).inc(i + 1)
+        snap = json.loads(json.dumps(metrics_snapshot(registry)))["metrics"]
+        assert len(snap) == len(HOSTILE_VALUES)
+        key = metric_key("m_total", {"k": value})
+        count = HOSTILE_VALUES.index(value) + 1.0
+        assert snap[key] == {"type": "counter", "value": count}
 
     def test_multiple_labels_round_trip(self):
         registry = MetricsRegistry()
-        registry.gauge(
-            "g", "help", labels={"a": 'x"1', "b": "y\\2", "c": "z\n3"}
-        ).set(1.5)
-        parsed = parse_prometheus_text(prometheus_text(registry))
-        (sample,) = parsed["samples"]
-        assert sample["labels"] == {"a": 'x"1', "b": "y\\2", "c": "z\n3"}
+        labels = {"a": 'x"1', "b": "y\\2", "c": "z\n3"}
+        registry.gauge("g", labels=labels).set(1.5)
+        snap = json.loads(json.dumps(metrics_snapshot(registry)))
+        assert snap["metrics"] == {
+            metric_key("g", labels): {"type": "gauge", "value": 1.5}
+        }
+        assert metric_key("g", labels) == 'g{a="x\\"1",b="y\\\\2",c="z\\n3"}'
 
-    def test_help_text_round_trips(self):
-        registry = MetricsRegistry()
-        registry.counter("m_total", "help with \\ and\nnewline").inc()
-        parsed = parse_prometheus_text(prometheus_text(registry))
-        assert parsed["help"]["m_total"] == "help with \\ and\nnewline"
-
-    def test_exposition_stays_line_parseable(self):
+    def test_written_snapshot_keeps_every_key(self, tmp_path):
         registry = MetricsRegistry()
         for i, value in enumerate(HOSTILE_VALUES):
             registry.counter(
-                "evil_total", "h", labels={"k": value, "i": str(i)}
+                "evil_total", labels={"k": value, "i": str(i)}
             ).inc()
-        text = prometheus_text(registry)
-        # Every sample line is one line: name{...} value.
-        samples = [
-            line for line in text.splitlines()
-            if line and not line.startswith("#")
-        ]
-        assert len(samples) == len(HOSTILE_VALUES)
-        parsed = parse_prometheus_text(text)
-        recovered = {s["labels"]["k"] for s in parsed["samples"]}
-        assert recovered == set(HOSTILE_VALUES)
+        path = write_metrics_snapshot(tmp_path / "metrics.json", registry)
+        keys = set(json.loads(path.read_text())["metrics"])
+        assert keys == {
+            metric_key("evil_total", {"k": value, "i": str(i)})
+            for i, value in enumerate(HOSTILE_VALUES)
+        }
+        assert len(keys) == len(HOSTILE_VALUES)
+        assert not any("\n" in key for key in keys)
 
     def test_types_reported(self):
         registry = MetricsRegistry()
-        registry.counter("c_total", "h").inc()
-        registry.gauge("g", "h").set(1.0)
-        registry.histogram("h_seconds", "h").observe(0.5)
-        parsed = parse_prometheus_text(prometheus_text(registry))
-        assert parsed["type"] == {
-            "c_total": "counter", "g": "gauge", "h_seconds": "summary",
+        labels = {"tenant": 'a"b\nc'}
+        registry.counter("c_total", labels=labels).inc()
+        registry.gauge("g", labels=labels).set(1.0)
+        registry.histogram("h_seconds", labels=labels).observe(0.5)
+        snap = json.loads(json.dumps(metrics_snapshot(registry)))["metrics"]
+        assert {key: entry["type"] for key, entry in snap.items()} == {
+            metric_key("c_total", labels): "counter",
+            metric_key("g", labels): "gauge",
+            metric_key("h_seconds", labels): "histogram",
         }
-
-
-class TestParserErrors:
-    def test_unterminated_value_raises(self):
-        with pytest.raises(ValidationError):
-            parse_prometheus_text('m{k="unterminated} 1')
-
-    def test_unquoted_value_raises(self):
-        with pytest.raises(ValidationError):
-            parse_prometheus_text("m{k=bare} 1")
-
-    def test_bad_escape_raises(self):
-        with pytest.raises(ValidationError):
-            parse_prometheus_text('m{k="bad\\t"} 1')

@@ -314,6 +314,22 @@ class TestServeCommand:
                                   "--max-delay", "0"]) == 0
         assert "goodput" in capsys.readouterr().out
 
+    def test_serve_metrics_out_quantiles_equal_report(self, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        assert main(SERVE_ARGS + ["--seed", "7", "--json",
+                                  "--metrics-out", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)["latency"]
+        hist = json.loads(path.read_text())["metrics"][
+            "serving_latency_seconds"]["value"]
+        published = (
+            hist["count"],
+            *(hist["quantiles"][q] for q in ("0.5", "0.95", "0.99")),
+            hist["max"],
+        )
+        assert published == tuple(
+            report[k] for k in ("n", "p50_s", "p95_s", "p99_s", "max_s")
+        )
+
     def test_serve_infinite_rate_is_clean(self, capsys):
         assert main(["--options", "16", "serve", "--requests", "50",
                      "--states", "8", "--rate", "inf"]) == 2

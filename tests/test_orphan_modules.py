@@ -86,9 +86,6 @@ TEST_ONLY_NAMES = (
     "repro.io.save",
     "repro.risk.measures.expected_shortfall",
     "repro.risk.scenarios.recovery_shocks",
-    "repro.telemetry.export.parse_prometheus_text",
-    "repro.telemetry.export.prometheus_text",
-    "repro.telemetry.export.write_spans_csv",
 )
 
 
