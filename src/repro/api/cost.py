@@ -159,14 +159,20 @@ class DispatchCostModel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FailedWindow(Reservation):
     """A chunk's card window that a fault cut short.
 
     The chunk died at ``done_s``; ``service_s`` is the card time it
     burned first, zero when the card was already down as the chunk
-    reached the head of its queue.
+    reached the head of its queue.  It is a :class:`Reservation`, with
+    its slots and ``__init__``, but never equal to one.
     """
+
+    # Not ``slots=True``: on Python 3.10 that declares the inherited
+    # slots again, so the parent's stores fill the old slots and every
+    # read of the new ones raises AttributeError.
+    __slots__ = ()
 
 
 class ClusterTimingRig:

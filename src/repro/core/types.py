@@ -7,17 +7,22 @@ The types mirror the data the paper's engine consumes:
 * a vector of options, each ``(maturity, payment frequency, recovery rate)``
   — :class:`CDSOption`;
 * one spread result per option — :class:`CDSResult`.
+
+:func:`slot_stores` serves the slotted frozen records built once per
+request elsewhere in the library.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.validation import check_count, check_positive_finite, check_range
 from repro.errors import ValidationError
 
-__all__ = ["RatePoint", "CDSOption", "LegBreakdown", "CDSResult"]
+__all__ = [
+    "RatePoint", "CDSOption", "LegBreakdown", "CDSResult", "slot_stores"
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,3 +127,16 @@ class CDSResult:
     def spread_pct(self) -> float:
         """Spread as a percentage of the loan (paper: bps / 100)."""
         return self.spread_bps / 100.0
+
+
+def slot_stores(cls) -> tuple:
+    """The store of each field of the slotted dataclass ``cls``, in field
+    order: its slot descriptor's ``__set__``, called as ``store(obj, value)``.
+
+    A frozen dataclass's generated ``__init__`` routes every field
+    through ``object.__setattr__``, one call per field.  A record built
+    once per request instead writes a hand-written ``__init__`` that
+    checks its arguments and then stores each field through its slot,
+    which the frozen guard (``__setattr__``) never sees.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))

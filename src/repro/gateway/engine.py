@@ -200,7 +200,7 @@ class Gateway:
         """
         if not requests:
             raise ValidationError("request trace must be non-empty")
-        trace = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+        trace = sorted(requests, key=attrgetter("arrival_s", "request_id"))
         book = TenantBook(self.tenants)
         if not set(map(attrgetter("tenant"), trace)) <= {None, *book.names}:
             # An unknown tenant: the first bad request in trace order
@@ -272,17 +272,10 @@ class Gateway:
         ) -> None:
             cache_responses.append(
                 PricingResponse(
-                    request_id=req.request_id,
-                    kind=req.kind,
-                    value=entry.value,
-                    arrival_s=req.arrival_s,
-                    formed_s=formed,
-                    completion_s=completion,
-                    latency_s=completion - req.arrival_s,
-                    met_deadline=completion <= req.deadline_s,
-                    batch_id=entry.batch_id,
-                    cards=entry.cards,
-                    tenant=req.tenant,
+                    req.request_id, req.kind, entry.value,
+                    req.arrival_s, formed, completion,
+                    completion - req.arrival_s, completion <= req.deadline_s,
+                    entry.batch_id, entry.cards, req.tenant,
                 )
             )
 
@@ -398,7 +391,11 @@ class Gateway:
             boosted = (
                 req
                 if profile.priority_boost == 0
-                else replace(req, priority=req.priority + profile.priority_boost)
+                else PricingRequest(
+                    req.request_id, req.kind, req.arrival_s, req.deadline_s,
+                    req.rows, req.option_index,
+                    req.priority + profile.priority_boost, req.tenant,
+                )
             )
             if lanes[index].offer(boosted, now) and key is not None:
                 cache.begin(key, boosted)
@@ -456,12 +453,12 @@ class Gateway:
             all_sheds.extend(result.sheds)
             all_fails.extend(result.fails)
 
-        all_responses.sort(key=lambda r: (r.completion_s, r.request_id))
-        all_sheds.sort(key=lambda s: (s.time_s, s.request.request_id))
-        all_fails.sort(key=lambda f: (f.time_s, f.request.request_id))
+        all_responses.sort(key=attrgetter("completion_s", "request_id"))
+        all_sheds.sort(key=attrgetter("time_s", "request.request_id"))
+        all_fails.sort(key=attrgetter("time_s", "request.request_id"))
         outcome = outcome_fields(trace, all_responses, all_sheds)
         stats = cache.stats if cache is not None else None
-        cache_ids = frozenset(r.request_id for r in cache_responses)
+        cache_ids = frozenset(map(attrgetter("request_id"), cache_responses))
         result = GatewayResult(
             **outcome,
             n_shed=len(all_sheds),

@@ -156,21 +156,13 @@ def make_tenant_stream(
     scales = np.array([p.deadline_scale for p in tenants], dtype=np.float64)
     deadlines = (times + scales[tenant_idx] * baseline).tolist()
     names = [tenants[ti].name for ti in tenant_idx.tolist()]
-    return [
-        PricingRequest(
-            request_id=i,
-            kind=kind,
-            arrival_s=t,
-            deadline_s=deadline,
-            rows=r,
-            option_index=option_index,
-            priority=KIND_PRIORITY[kind],
-            tenant=name,
+    priorities = map(KIND_PRIORITY.__getitem__, kind_of)
+    return list(
+        map(
+            PricingRequest, range(n_requests), kind_of, times.tolist(),
+            deadlines, rows, options, priorities, names,
         )
-        for i, (kind, t, deadline, r, option_index, name) in enumerate(
-            zip(kind_of, times.tolist(), deadlines, rows, options, names)
-        )
-    ]
+    )
 
 
 def make_tick_stream(

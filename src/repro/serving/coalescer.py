@@ -28,15 +28,20 @@ import math
 from dataclasses import dataclass, field
 
 from repro.cluster.batching import BatchQueue
+from repro.core.types import slot_stores
 from repro.errors import ValidationError
-from repro.serving.request import PricingRequest, ShedRecord
+from repro.serving.request import PricingRequest, ShedReason, ShedRecord
 
 __all__ = ["MicroBatch", "MicroBatchCoalescer"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MicroBatch:
     """One coalesced micro-batch handed to the dispatcher.
+
+    Built once per formed batch: its ``__init__`` refuses an empty
+    batch, derives ``rows`` and stores each field through its slot
+    (:func:`~repro.core.types.slot_stores`).
 
     Attributes
     ----------
@@ -49,7 +54,8 @@ class MicroBatch:
         Members in ``(priority desc, arrival, id)`` order.
     rows:
         Sorted distinct market-state rows across the members, derived
-        once when the batch forms.
+        once when the batch forms (a one-row request alone in its batch
+        lends its own ``rows``).
     """
 
     batch_id: int
@@ -57,16 +63,28 @@ class MicroBatch:
     requests: tuple[PricingRequest, ...]
     rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.requests:
+    def __init__(
+        self, batch_id: int, formed_s: float, requests: tuple[PricingRequest, ...]
+    ) -> None:
+        if not requests:
             raise ValidationError("a micro-batch cannot be empty")
-        rows = {r for req in self.requests for r in req.rows}
-        object.__setattr__(self, "rows", tuple(sorted(rows)))
+        if len(requests) == 1 and len(requests[0].rows) == 1:
+            rows = requests[0].rows
+        else:
+            rows = tuple(sorted({r for req in requests for r in req.rows}))
+        set_batch_id, set_formed_s, set_requests, set_rows = _BATCH_STORES
+        set_batch_id(self, batch_id)
+        set_formed_s(self, formed_s)
+        set_requests(self, requests)
+        set_rows(self, rows)
 
     @property
     def n_requests(self) -> int:
         """Requests in the batch."""
         return len(self.requests)
+
+
+_BATCH_STORES = slot_stores(MicroBatch)
 
 
 class MicroBatchCoalescer:
@@ -148,7 +166,7 @@ class MicroBatchCoalescer:
         alive = []
         for req in eligible:
             if req.deadline_s <= t:
-                self._sheds.append(ShedRecord(req, t, "deadline"))
+                self._sheds.append(ShedRecord(req, t, ShedReason.DEADLINE))
             else:
                 alive.append(req)
         if len(alive) > 1:
@@ -160,9 +178,7 @@ class MicroBatchCoalescer:
         self._pending = leftover + rest
         if not taken:
             return None
-        batch = MicroBatch(
-            batch_id=self._next_batch_id, formed_s=t, requests=tuple(taken)
-        )
+        batch = MicroBatch(self._next_batch_id, t, tuple(taken))
         self._next_batch_id += 1
         return batch
 
@@ -205,7 +221,7 @@ class MicroBatchCoalescer:
         reaped = 0
         for r in self._pending:
             if r.deadline_s <= now:
-                self._sheds.append(ShedRecord(r, now, "deadline"))
+                self._sheds.append(ShedRecord(r, now, ShedReason.DEADLINE))
                 reaped += 1
             else:
                 alive.append(r)

@@ -346,12 +346,7 @@ class FaultedDispatcher:
                 fail_s = max(state.failed[r][0] for r in failed)
                 reason = state.failed[max(failed, key=lambda r: state.failed[r][0])][1]
                 self.fails.append(
-                    FailRecord(
-                        request=req,
-                        time_s=fail_s,
-                        attempts=state.attempts,
-                        reason=reason,
-                    )
+                    FailRecord(req, fail_s, state.attempts, reason)
                 )
                 self.counters.n_failed_requests += 1
                 continue
@@ -366,17 +361,10 @@ class FaultedDispatcher:
                 self._record_phases(req, batch, placed, completion)
             self.responses.append(
                 PricingResponse(
-                    request_id=req.request_id,
-                    kind=req.kind,
-                    value=value,
-                    arrival_s=req.arrival_s,
-                    formed_s=batch.formed_s,
-                    completion_s=completion,
-                    latency_s=completion - req.arrival_s,
-                    met_deadline=completion <= req.deadline_s,
-                    batch_id=batch.batch_id,
-                    cards=cards,
-                    tenant=req.tenant,
+                    req.request_id, req.kind, value,
+                    req.arrival_s, batch.formed_s, completion,
+                    completion - req.arrival_s, completion <= req.deadline_s,
+                    batch.batch_id, cards, req.tenant,
                 )
             )
             self.in_flight.push(completion)

@@ -19,6 +19,8 @@ ladder never engages and nothing retries.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.faults.plan import FaultPlan
 from repro.faults.report import FaultReport, build_fault_report
 from repro.faults.retry import HedgePolicy, RetryPolicy
@@ -188,11 +190,11 @@ class Lane:
                 )
         if not self.plan.is_empty:
             self._count_faults()
+        by_time = attrgetter("time_s")
         sheds = sorted(
-            self.queue_sheds + list(self.coalescer.sheds),
-            key=lambda s: s.time_s,
+            self.queue_sheds + list(self.coalescer.sheds), key=by_time
         )
-        fails = sorted(self.dispatcher.fails, key=lambda f: f.time_s)
+        fails = sorted(self.dispatcher.fails, key=by_time)
         result = self._summarise(self.dispatcher.responses, sheds, fails)
         if self.trace:
             self._publish(result)

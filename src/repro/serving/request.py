@@ -23,6 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from repro.core.types import slot_stores
 from repro.core.validation import is_index
 from repro.errors import ValidationError
 
@@ -74,9 +75,68 @@ class ShedReason(str, enum.Enum):
 SHED_REASONS: tuple[str, ...] = tuple(r.value for r in ShedReason)
 
 
-@dataclass(frozen=True)
+def _check_request(kind, arrival_s, deadline_s, rows, option_index) -> None:
+    """Every check of a :class:`PricingRequest`'s arguments (``rows``
+    already a tuple), in order, raising
+    :class:`~repro.errors.ValidationError` on the first that fails."""
+    if kind not in REQUEST_KINDS:
+        raise ValidationError(
+            f"unknown request kind {kind!r}; "
+            f"choose from {sorted(REQUEST_KINDS)}"
+        )
+    if not math.isfinite(arrival_s) or arrival_s < 0:
+        raise ValidationError(
+            f"arrival_s must be finite and >= 0, got {arrival_s}"
+        )
+    if not math.isfinite(deadline_s) or deadline_s <= arrival_s:
+        raise ValidationError(
+            f"deadline_s must exceed arrival_s, got {deadline_s} "
+            f"vs arrival {arrival_s}"
+        )
+    if not rows or not all(type(r) is int and r >= 0 for r in rows):
+        # Plain ints skip `is_index`, whose ABC check made stream
+        # generation 30-45% slower.  Here NumPy integers pass, bools
+        # and non-integers do not.
+        if not all(map(is_index, rows)):
+            raise ValidationError(
+                f"rows must be integer indices, got {rows!r}"
+            )
+        if not rows or any(not r >= 0 for r in rows):
+            raise ValidationError(
+                "rows must be a non-empty tuple of non-negative indices"
+            )
+    if kind in ("quote", "reval") and len(rows) != 1:
+        raise ValidationError(
+            f"a {kind} request prices exactly one market state, "
+            f"got {len(rows)} rows"
+        )
+    if kind == "quote":
+        if type(option_index) is not int and option_index is not None:
+            if not is_index(option_index):
+                raise ValidationError(
+                    f"option_index must be an integer, got {option_index!r}"
+                )
+        if option_index is None or not option_index >= 0:
+            raise ValidationError(
+                "a quote request needs a non-negative option_index"
+            )
+    elif option_index is not None:
+        raise ValidationError(
+            f"option_index only applies to quote requests, not {kind!r}"
+        )
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PricingRequest:
     """One client request against the serving system.
+
+    Built once per offered request, so its ``__init__`` is written out:
+    a request of the shape the stream generators emit passes one chained
+    test, anything else runs every check in turn, and each field is then
+    stored through its slot (:func:`~repro.core.types.slot_stores`).
+    The parameters are the fields, in order, with the same defaults;
+    equality, hashing, ``repr``, ``dataclasses.replace`` and pickling
+    are the dataclass machinery's.
 
     Attributes
     ----------
@@ -94,6 +154,9 @@ class PricingRequest:
     rows:
         Market-state row indices into the server's scenario-tensor tape.
         ``quote``/``reval`` carry exactly one row, ``var`` one or more.
+        Any iterable is taken as ``tuple(rows)`` before it is checked,
+        so a request built from a list, an iterator or an array equals,
+        and hashes like, the one built from the tuple.
     option_index:
         Book position being quoted (``quote`` only).
     priority:
@@ -113,57 +176,39 @@ class PricingRequest:
     priority: int = 0
     tenant: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in REQUEST_KINDS:
-            raise ValidationError(
-                f"unknown request kind {self.kind!r}; "
-                f"choose from {sorted(REQUEST_KINDS)}"
-            )
-        if not math.isfinite(self.arrival_s) or self.arrival_s < 0:
-            raise ValidationError(
-                f"arrival_s must be finite and >= 0, got {self.arrival_s}"
-            )
-        if not math.isfinite(self.deadline_s) or self.deadline_s <= self.arrival_s:
-            raise ValidationError(
-                f"deadline_s must exceed arrival_s, got {self.deadline_s} "
-                f"vs arrival {self.arrival_s}"
-            )
-        rows = self.rows
-        if not rows or not all(type(r) is int and r >= 0 for r in rows):
-            # Plain ints skip `is_index`, whose ABC check made stream
-            # generation 30-45% slower.  Here NumPy integers pass, bools
-            # and non-integers do not.
-            if not all(map(is_index, rows)):
-                raise ValidationError(
-                    f"rows must be integer indices, got {rows!r}"
-                )
-            if not rows or any(not r >= 0 for r in rows):
-                raise ValidationError(
-                    "rows must be a non-empty tuple of non-negative indices"
-                )
+    def __init__(
+        self, request_id: int, kind: str, arrival_s: float, deadline_s: float,
+        rows: tuple[int, ...], option_index: int | None = None,
+        priority: int = 0, tenant: str | None = None,
+    ) -> None:
         if type(rows) is not tuple:
-            # Stored as a tuple, so a request built from a list hashes.
-            object.__setattr__(self, "rows", tuple(rows))
-        if self.kind in ("quote", "reval") and len(self.rows) != 1:
-            raise ValidationError(
-                f"a {self.kind} request prices exactly one market state, "
-                f"got {len(self.rows)} rows"
+            rows = tuple(rows)
+        # A one-row quote or reval on plain ints in time order passes
+        # every check of `_check_request`; NaN and inf fail the chain.
+        if not (
+            0 <= arrival_s < deadline_s < math.inf
+            and len(rows) == 1
+            and type(rows[0]) is int
+            and rows[0] >= 0
+            and (
+                (kind == "quote" and type(option_index) is int
+                 and option_index >= 0)
+                or (kind == "reval" and option_index is None)
             )
-        if self.kind == "quote":
-            index = self.option_index
-            if type(index) is not int and index is not None:
-                if not is_index(index):
-                    raise ValidationError(
-                        f"option_index must be an integer, got {index!r}"
-                    )
-            if index is None or not index >= 0:
-                raise ValidationError(
-                    "a quote request needs a non-negative option_index"
-                )
-        elif self.option_index is not None:
-            raise ValidationError(
-                f"option_index only applies to quote requests, not {self.kind!r}"
-            )
+        ):
+            _check_request(kind, arrival_s, deadline_s, rows, option_index)
+        (
+            set_request_id, set_kind, set_arrival_s, set_deadline_s,
+            set_rows, set_option_index, set_priority, set_tenant,
+        ) = _REQUEST_STORES
+        set_request_id(self, request_id)
+        set_kind(self, kind)
+        set_arrival_s(self, arrival_s)
+        set_deadline_s(self, deadline_s)
+        set_rows(self, rows)
+        set_option_index(self, option_index)
+        set_priority(self, priority)
+        set_tenant(self, tenant)
 
     @property
     def n_rows(self) -> int:
@@ -181,9 +226,16 @@ class PricingRequest:
         return self.n_rows * n_positions
 
 
-@dataclass(frozen=True)
+_REQUEST_STORES = slot_stores(PricingRequest)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PricingResponse:
     """The priced outcome of one request, with its simulated timing.
+
+    Built once per answered request: its ``__init__`` stores each field
+    through its slot (:func:`~repro.core.types.slot_stores`), and checks
+    nothing.
 
     Attributes
     ----------
@@ -218,10 +270,50 @@ class PricingResponse:
     cards: tuple[int, ...]
     tenant: str | None = None
 
+    def __init__(
+        self, request_id: int, kind: str, value: float, arrival_s: float,
+        formed_s: float, completion_s: float, latency_s: float,
+        met_deadline: bool, batch_id: int, cards: tuple[int, ...],
+        tenant: str | None = None,
+    ) -> None:
+        (
+            set_request_id, set_kind, set_value, set_arrival_s, set_formed_s,
+            set_completion_s, set_latency_s, set_met_deadline, set_batch_id,
+            set_cards, set_tenant,
+        ) = _RESPONSE_STORES
+        set_request_id(self, request_id)
+        set_kind(self, kind)
+        set_value(self, value)
+        set_arrival_s(self, arrival_s)
+        set_formed_s(self, formed_s)
+        set_completion_s(self, completion_s)
+        set_latency_s(self, latency_s)
+        set_met_deadline(self, met_deadline)
+        set_batch_id(self, batch_id)
+        set_cards(self, cards)
+        set_tenant(self, tenant)
 
-@dataclass(frozen=True)
+
+_RESPONSE_STORES = slot_stores(PricingResponse)
+
+
+def _shed_reason(reason, what: str) -> ShedReason:
+    """``reason`` as a :class:`ShedReason`, refusing an unknown one."""
+    try:
+        return ShedReason(reason)
+    except ValueError:
+        raise ValidationError(
+            f"unknown {what} reason {reason!r}; "
+            f"choose from {sorted(SHED_REASONS)}"
+        ) from None
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ShedRecord:
     """A request the server dropped instead of pricing.
+
+    Its ``__init__`` normalises ``reason`` and stores each field through
+    its slot (:func:`~repro.core.types.slot_stores`).
 
     Attributes
     ----------
@@ -239,18 +331,21 @@ class ShedRecord:
     time_s: float
     reason: ShedReason
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.reason, ShedReason):
-            try:
-                object.__setattr__(self, "reason", ShedReason(self.reason))
-            except ValueError:
-                raise ValidationError(
-                    f"unknown shed reason {self.reason!r}; "
-                    f"choose from {sorted(SHED_REASONS)}"
-                ) from None
+    def __init__(
+        self, request: PricingRequest, time_s: float, reason: ShedReason
+    ) -> None:
+        if not isinstance(reason, ShedReason):
+            reason = _shed_reason(reason, "shed")
+        set_request, set_time_s, set_reason = _SHED_STORES
+        set_request(self, request)
+        set_time_s(self, time_s)
+        set_reason(self, reason)
 
 
-@dataclass(frozen=True)
+_SHED_STORES = slot_stores(ShedRecord)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class FailRecord:
     """A request that was admitted but failed despite retries.
 
@@ -258,7 +353,9 @@ class FailRecord:
     dispatched, the dispatches kept dying (card crashes, breaker-open
     rejections) and the retry budget ran out.  Failed requests are a
     third terminal state next to completed and shed — the conservation
-    property counts all three exactly once.
+    property counts all three exactly once.  The ``__init__`` normalises
+    ``reason``, checks ``attempts`` and stores each field through its
+    slot (:func:`~repro.core.types.slot_stores`).
 
     Attributes
     ----------
@@ -277,16 +374,19 @@ class FailRecord:
     attempts: int
     reason: ShedReason = ShedReason.CARD_FAILURE
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.reason, ShedReason):
-            try:
-                object.__setattr__(self, "reason", ShedReason(self.reason))
-            except ValueError:
-                raise ValidationError(
-                    f"unknown failure reason {self.reason!r}; "
-                    f"choose from {sorted(SHED_REASONS)}"
-                ) from None
-        if not self.attempts >= 1:
-            raise ValidationError(
-                f"attempts must be >= 1, got {self.attempts}"
-            )
+    def __init__(
+        self, request: PricingRequest, time_s: float, attempts: int,
+        reason: ShedReason = ShedReason.CARD_FAILURE,
+    ) -> None:
+        if not isinstance(reason, ShedReason):
+            reason = _shed_reason(reason, "failure")
+        if not attempts >= 1:
+            raise ValidationError(f"attempts must be >= 1, got {attempts}")
+        set_request, set_time_s, set_attempts, set_reason = _FAIL_STORES
+        set_request(self, request)
+        set_time_s(self, time_s)
+        set_attempts(self, attempts)
+        set_reason(self, reason)
+
+
+_FAIL_STORES = slot_stores(FailRecord)

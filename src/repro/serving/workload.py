@@ -152,15 +152,9 @@ def make_request_stream(
             rows = (int(gen.integers(n_states)),)
         requests.append(
             PricingRequest(
-                request_id=i,
-                kind=str(kind),
-                arrival_s=float(t),
-                deadline_s=deadline,
-                rows=rows,
-                option_index=(
-                    int(gen.integers(n_positions)) if kind == "quote" else None
-                ),
-                priority=KIND_PRIORITY[str(kind)],
+                i, str(kind), float(t), deadline, rows,
+                int(gen.integers(n_positions)) if kind == "quote" else None,
+                KIND_PRIORITY[str(kind)],
             )
         )
     return requests

@@ -21,15 +21,20 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from repro.core.types import slot_stores
 from repro.errors import ValidationError
 from repro.sim.engine import Simulation
 
 __all__ = ["Reservation", "Resource", "CompletionTracker"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Reservation:
     """One busy window granted by a :class:`Resource`.
+
+    Built once per reservation: its ``__init__`` stores each field
+    through its slot (:func:`~repro.core.types.slot_stores`), and checks
+    nothing.
 
     Attributes
     ----------
@@ -51,10 +56,26 @@ class Reservation:
     done_s: float
     service_s: float
 
+    def __init__(
+        self, resource: str, ready_s: float, start_s: float, done_s: float,
+        service_s: float,
+    ) -> None:
+        set_resource, set_ready_s, set_start_s, set_done_s, set_service_s = (
+            _RESERVATION_STORES
+        )
+        set_resource(self, resource)
+        set_ready_s(self, ready_s)
+        set_start_s(self, start_s)
+        set_done_s(self, done_s)
+        set_service_s(self, service_s)
+
     @property
     def waited_s(self) -> float:
         """Queueing delay before service began."""
         return self.start_s - self.ready_s
+
+
+_RESERVATION_STORES = slot_stores(Reservation)
 
 
 class Resource:
@@ -193,13 +214,7 @@ class Resource:
         self.busy_until = done
         self.busy_seconds += service_s
         self.n_reservations += 1
-        reservation = Reservation(
-            resource=self.name,
-            ready_s=ready_s,
-            start_s=start,
-            done_s=done,
-            service_s=service_s,
-        )
+        reservation = Reservation(self.name, ready_s, start, done, service_s)
         recorder = self.recorder
         if recorder is not None and recorder.enabled:
             recorder.record(

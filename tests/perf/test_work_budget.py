@@ -40,7 +40,12 @@ one-state chunk prices the padded rows as a single group.
 
 A generated tenant trace draws each run of consecutive quotes in one
 ``Generator`` call, and a gateway's per-tenant roll-up files each
-outcome under its tenant once.
+outcome under its tenant once.  A gateway replay sorts and counts its
+outcomes in C passes, with no lambda or generator frame per record.
+
+A call count includes the methods ``dataclasses`` generates (their code
+has the file name ``<string>``): a record built through a generated
+``__init__`` costs a frame as surely as one with a written ``__init__``.
 """
 
 from __future__ import annotations
@@ -54,7 +59,9 @@ import numpy as np
 import pytest
 
 import repro
+import repro.gateway.engine
 import repro.gateway.metrics
+import repro.serving.metrics
 import repro.telemetry.metrics
 from repro.api import PricingBackend, VectorizedBackend
 from repro.cluster.batching import BatchQueue
@@ -88,17 +95,13 @@ N_STATES = 12
 N_TICKS = 10
 
 #: ``repro`` Python calls per request of each small replay below (per
-#: scenario for the timed revalue), as counted by :func:`_python_calls`.
-#: The three replays' counts were set when the empty fault plan came to
-#: cost nothing on the dispatch path and a replay to prime its table
-#: (from 31.6, 20.7 and 51.9; the batch-1 server's was 73.0 before the
-#: server priced each tape row once, and 89.2 before that); the
-#: gateway's dropped from 28.9 when its per-tenant roll-up stopped
-#: calling a filter once per record and tenant; the revalue's was first
-#: set when the risk engine came to bind its backend directly (29.16
-#: before).  The budget allows 10% on top.
+#: scenario for the timed revalue), as counted by :func:`_python_calls`,
+#: generated dataclass frames included.  Set when the per-request records
+#: came to store each field through its slot from a written ``__init__``
+#: (28.66, 18.21, 39.70 and 32.77 before, counted the same way).  The
+#: budget allows 10% on top.
 CALLS_PER_OP = {
-    "gateway": 27.0, "server": 16.9, "batch1": 35.7, "revalue": 29.1
+    "gateway": 28.35, "server": 18.14, "batch1": 38.70, "revalue": 32.77
 }
 
 
@@ -376,15 +379,15 @@ def test_idle_lanes_skip_their_tick(replays, work, name):
 _UNCOUNTED = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>", "<lambda>"}
 
 
-def _frames(replay, root: Path) -> Counter:
+def _frames(replay, *roots) -> Counter:
     """Python frames entered while ``replay()`` runs, by function name,
-    of code in the file or package ``root`` (a generator's frame counts
-    once per resume)."""
-    prefix = str(root)
+    of code in the files or packages ``roots`` (a generator's frame
+    counts once per resume)."""
+    prefixes = tuple(map(str, roots))
     frames = Counter()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(prefix):
+        if event == "call" and frame.f_code.co_filename.startswith(prefixes):
             frames[frame.f_code.co_name] += 1
 
     sys.setprofile(profile)
@@ -395,9 +398,14 @@ def _frames(replay, root: Path) -> Counter:
     return frames
 
 
+#: The file name of the code ``dataclasses`` generates.
+GENERATED = "<string>"
+
+
 def _python_calls(replay) -> int:
-    """Python function calls into ``repro`` while ``replay()`` runs."""
-    frames = _frames(replay, Path(repro.__file__).parent)
+    """Python function calls into ``repro`` while ``replay()`` runs,
+    generated dataclass methods included."""
+    frames = _frames(replay, Path(repro.__file__).parent, GENERATED)
     return sum(n for name, n in frames.items() if name not in _UNCOUNTED)
 
 
@@ -416,6 +424,22 @@ def test_tenant_roll_up_files_each_record_once(gateway, ticks):
     long = _frames(lambda: gateway.serve(_tenant_trace(600), ticks=ticks), metrics)
     assert long["owns"] == 0
     assert long == short
+
+
+def test_gateway_outcomes_take_no_frame_per_record(gateway, ticks):
+    """The gateway sorts its trace and outcomes by ``attrgetter`` keys,
+    and the outcome roll-ups count in ``map`` and ``list.count``
+    passes: no lambda or generator frame per record."""
+    engine = Path(repro.gateway.engine.__file__)
+    metrics = Path(repro.serving.metrics.__file__)
+
+    def frames(n: int) -> tuple[int, int, int]:
+        trace = _tenant_trace(n)
+        here = _frames(lambda: gateway.serve(trace, ticks=ticks), engine)
+        there = _frames(lambda: gateway.serve(trace, ticks=ticks), metrics)
+        return here["<lambda>"], here["<genexpr>"], there["<genexpr>"]
+
+    assert frames(600) == frames(300)
 
 
 def test_python_calls_per_scenario_of_a_timed_revalue(scenario, book):

@@ -82,6 +82,46 @@ class TestPricingRequest:
         assert listed == tupled and hash(listed) == hash(tupled)
 
 
+    @pytest.mark.parametrize(
+        "make_rows",
+        [
+            lambda: iter([4, 5]),
+            lambda: (r for r in (4, 5)),
+            lambda: np.array([4, 5]),
+            lambda: np.array([4, 5], dtype=np.int32),
+        ],
+        ids=["iterator", "generator", "array", "int32-array"],
+    )
+    def test_rows_of_any_iterable_are_its_tuple(self, make_rows):
+        """An iterator's rows were consumed by the check and an empty
+        tuple stored; a multi-row array raised NumPy's truth-value
+        error.  Both build what the same rows as a list build."""
+        built = PricingRequest(0, "var", 0.0, 1.0, make_rows())
+        listed = PricingRequest(0, "var", 0.0, 1.0, [4, 5])
+        assert built.rows == (4, 5)
+        assert built == listed and hash(built) == hash(listed)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (iter([]), "rows must be a non-empty tuple of non-negative indices"),
+            (iter([1.5]), "rows must be integer indices, got (1.5,)"),
+            (np.array([-1, 2]), "rows must be a non-empty tuple of non-negative"),
+            (np.array([0.5, 2.0]), "rows must be integer indices, got"),
+        ],
+        ids=["empty-iterator", "float-iterator", "negative-array", "float-array"],
+    )
+    def test_rows_of_any_iterable_are_checked_as_its_tuple(self, rows, message):
+        with pytest.raises(ValidationError) as err:
+            PricingRequest(0, "var", 0.0, 1.0, rows)
+        assert str(err.value).startswith(message)
+
+    def test_one_element_array_holding_zero(self):
+        """Its truth value is false, so it was refused as empty."""
+        q = quote(rows=np.array([0]))
+        assert q.rows == (0,) and q == quote(rows=(0,))
+
+
 class TestShedRecord:
     def test_reasons(self):
         q = quote()
