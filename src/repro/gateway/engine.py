@@ -336,7 +336,7 @@ class Gateway:
                 resolve_outcomes()
             profile = book.profile(req.tenant)
             requests_total[profile.name].inc()
-            if not book.admit(req.tenant, now):
+            if not book.admit(profile, now):
                 quota_sheds.append(ShedRecord(req, now, ShedReason.QUOTA))
                 shed_quota_total[profile.name].inc()
                 if recorder.enabled:

@@ -157,9 +157,10 @@ class TenantBook:
                 f"unknown tenant {tenant!r}; choose from {sorted(self._by_name)}"
             ) from None
 
-    def admit(self, tenant: str | None, now_s: float) -> bool:
-        """Charge the tenant's token bucket (unlimited tenants always pass)."""
-        bucket = self._buckets.get(self.profile(tenant).name)
+    def admit(self, profile: TenantProfile, now_s: float) -> bool:
+        """Charge the token bucket of ``profile``, one of the book's own
+        (:meth:`profile` looks it up); unlimited tenants always pass."""
+        bucket = self._buckets.get(profile.name)
         return True if bucket is None else bucket.try_take(now_s)
 
 

@@ -229,6 +229,8 @@ class QuoteServer:
         self._spreads = np.empty((tape.n_scenarios, self.n_positions))
         self._pnl = np.empty(tape.n_scenarios)
         self._bad_cells: dict[tuple[int, int], str] = {}
+        #: The contracts a reval or VaR reads of its rows: the whole book.
+        self._whole_book = range(self.n_positions)
         #: Resilience summary of the most recent faulted :meth:`serve`
         #: (``None`` after a fault-free replay).
         self.last_fault_report: FaultReport | None = None
@@ -387,18 +389,22 @@ class QuoteServer:
         self._pnl[rows] = self._pnl_rows(pv)
         self._priced.update(rows)
 
-    @staticmethod
-    def _wanted(batch: MicroBatch) -> dict[int, set[int] | None]:
+    def _wanted(self, batch: MicroBatch) -> dict[int, set[int] | range]:
         """The contracts each of the batch's rows is read for, in row
         order: a quote reads its contract, a reval or VaR the whole book
-        (``None``)."""
-        wanted: dict[int, set[int] | None] = {r: set() for r in batch.rows}
+        (``range(n_positions)``)."""
+        book = self._whole_book
+        wanted: dict[int, set[int] | range | None] = dict.fromkeys(batch.rows)
         for req in batch.requests:
-            for r in req.rows:
-                if req.kind == "quote" and wanted[r] is not None:
-                    wanted[r].add(req.option_index)
-                elif req.kind != "quote":
-                    wanted[r] = None
+            if req.kind != "quote":
+                for r in req.rows:
+                    wanted[r] = book
+                continue
+            contracts = wanted[req.rows[0]]
+            if contracts is None:
+                wanted[req.rows[0]] = {req.option_index}
+            elif contracts is not book:
+                contracts.add(req.option_index)
         return wanted
 
     def _check_cells(self, batch: MicroBatch) -> None:
@@ -406,9 +412,7 @@ class QuoteServer:
         then book index."""
         wanted = self._wanted(batch)
         read = [
-            (r, k)
-            for r, k in self._bad_cells
-            if r in wanted and (wanted[r] is None or k in wanted[r])
+            (r, k) for r, k in self._bad_cells if r in wanted and k in wanted[r]
         ]
         if read:
             raise ValidationError(self._bad_cells[min(read)])
@@ -421,10 +425,10 @@ class QuoteServer:
         never a sum: the card prices each row once however many requests
         share it.
         """
-        return {
-            r: self.n_positions if opts is None else len(opts)
-            for r, opts in self._wanted(batch).items()
-        }
+        weights: dict[int, int] = {}
+        for r, contracts in self._wanted(batch).items():
+            weights[r] = len(contracts)
+        return weights
 
     def _run_batch(self, batch: MicroBatch, dispatcher) -> None:
         """Answer one micro-batch and hand it to the lane's dispatcher.
@@ -515,7 +519,7 @@ class QuoteServer:
         """
         if not requests:
             raise ValidationError("request trace must be non-empty")
-        trace = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
+        trace = sorted(requests, key=attrgetter("arrival_s", "request_id"))
         self._check_trace(trace)
 
         lane = self.lane(faults, hedge=hedge, retry=retry)

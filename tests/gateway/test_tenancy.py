@@ -85,16 +85,17 @@ class TestTenantBook:
 
     def test_admit_charges_only_quota_tenants(self):
         book = TenantBook(DEFAULT_TENANTS)
+        gold = book.profile("gold")
         for _ in range(1000):
-            assert book.admit("gold", 0.0)  # unlimited
-        bronze = next(p for p in DEFAULT_TENANTS if p.name == "bronze")
+            assert book.admit(gold, 0.0)  # unlimited
+        bronze = book.profile("bronze")
         cap = bronze.bucket_capacity
-        admitted = sum(book.admit("bronze", 0.0) for _ in range(int(cap) + 10))
+        admitted = sum(book.admit(bronze, 0.0) for _ in range(int(cap) + 10))
         assert admitted == int(cap)
 
     def test_passthrough_never_sheds(self):
         book = TenantBook((PASSTHROUGH_TENANT,))
-        assert all(book.admit(None, 0.0) for _ in range(100))
+        assert all(book.admit(book.profile(None), 0.0) for _ in range(100))
 
     def test_validation(self):
         with pytest.raises(ValidationError):

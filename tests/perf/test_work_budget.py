@@ -39,9 +39,13 @@ group no wider than its schedule rounded up to the bucket block, and a
 one-state chunk prices the padded rows as a single group.
 
 A generated tenant trace draws each run of consecutive quotes in one
-``Generator`` call, and a gateway's per-tenant roll-up files each
-outcome under its tenant once.  A gateway replay sorts and counts its
-outcomes in C passes, with no lambda or generator frame per record.
+``Generator`` call, a generated serving trace reads each run between
+two VaRs in one bit-generator call, and a gateway's per-tenant roll-up
+files each outcome under its tenant once.  A gateway replay sorts and
+counts its outcomes in C passes, with no lambda or generator frame per
+record, and looks each arrival's tenant up once; a quote server sorts
+its trace and weighs its batches with no lambda or dict-comprehension
+frame per request.
 
 A call count includes the methods ``dataclasses`` generates (their code
 has the file name ``<string>``): a record built through a generated
@@ -61,6 +65,7 @@ import pytest
 import repro
 import repro.gateway.engine
 import repro.gateway.metrics
+import repro.serving.engine
 import repro.serving.metrics
 import repro.telemetry.metrics
 from repro.api import PricingBackend, VectorizedBackend
@@ -78,6 +83,7 @@ from repro.faults import CircuitBreaker, ClusterHealth
 from repro.gateway import (
     DEFAULT_TENANTS,
     Gateway,
+    TenantBook,
     make_tenant_stream,
     make_tick_stream,
 )
@@ -96,12 +102,13 @@ N_TICKS = 10
 
 #: ``repro`` Python calls per request of each small replay below (per
 #: scenario for the timed revalue), as counted by :func:`_python_calls`,
-#: generated dataclass frames included.  Set when the per-request records
-#: came to store each field through its slot from a written ``__init__``
-#: (28.66, 18.21, 39.70 and 32.77 before, counted the same way).  The
-#: budget allows 10% on top.
+#: generated dataclass frames included.  Set when the gateway came to look
+#: each arrival's tenant up once and the quote server to keep the whole
+#: book's contract range instead of reading the book size per row (28.35,
+#: 18.14, 38.70 and 32.77 before, counted the same way).  The budget
+#: allows 10% on top.
 CALLS_PER_OP = {
-    "gateway": 28.35, "server": 18.14, "batch1": 38.70, "revalue": 32.77
+    "gateway": 27.20, "server": 17.82, "batch1": 38.36, "revalue": 32.77
 }
 
 
@@ -288,23 +295,37 @@ def ticks():
 
 
 class _CountingGenerator:
-    """A NumPy ``Generator`` that counts its method calls."""
+    """A NumPy ``Generator`` that counts its method calls and those of its
+    bit generator; attribute writes (a bit generator's ``state``) reach
+    the wrapped object."""
 
-    def __init__(self, gen: np.random.Generator, counts: dict) -> None:
-        self._gen, self._counts = gen, counts
+    def __init__(self, gen, counts: dict) -> None:
+        object.__setattr__(self, "_gen", gen)
+        object.__setattr__(self, "_counts", counts)
 
     def __getattr__(self, name):
         attr = getattr(self._gen, name)
+        if name == "bit_generator":
+            return _CountingGenerator(attr, self._counts)
         return _counted(self._counts, "calls", attr) if callable(attr) else attr
 
-
-#: ``Generator`` calls per generated tenant-trace request: a run of
-#: consecutive quotes draws in one call (2.95 per request when each
-#: request drew one at a time; 0.18 measured since).
-GENERATOR_CALLS_PER_REQUEST = 0.25
+    def __setattr__(self, name, value):
+        setattr(self._gen, name, value)
 
 
-def test_generator_calls_per_generated_request(monkeypatch):
+#: ``Generator`` and bit-generator calls per generated request.  A tenant
+#: trace draws each run of consecutive quotes in one call (2.95 per
+#: request when each request drew one at a time; 0.18 measured since).
+#: A serving trace reads each run between two VaRs in one ``random_raw``
+#: call (2.9 per request when each request drew one at a time; 0.07
+#: measured since).
+GENERATOR_CALLS_PER_REQUEST = {"tenant": 0.25, "server": 0.1}
+
+
+@pytest.mark.parametrize("name", ["tenant", "server"])
+def test_generator_calls_per_generated_request(monkeypatch, name):
+    make = {"tenant": _tenant_trace, "server": _server_trace}[name]
+    expected = make(400)
     counts = {"calls": 0}
     default_rng = np.random.default_rng
     monkeypatch.setattr(
@@ -312,8 +333,9 @@ def test_generator_calls_per_generated_request(monkeypatch):
         "default_rng",
         lambda seed=None: _CountingGenerator(default_rng(seed), counts),
     )
-    trace = _tenant_trace(400)
-    assert counts["calls"] / len(trace) <= GENERATOR_CALLS_PER_REQUEST
+    trace = make(400)
+    assert trace == expected
+    assert counts["calls"] / len(trace) <= GENERATOR_CALLS_PER_REQUEST[name]
 
 
 @pytest.fixture(scope="module")
@@ -440,6 +462,35 @@ def test_gateway_outcomes_take_no_frame_per_record(gateway, ticks):
         return here["<lambda>"], here["<genexpr>"], there["<genexpr>"]
 
     assert frames(600) == frames(300)
+
+
+def test_a_serve_takes_no_frame_per_request_to_sort_or_weigh(batch1_server):
+    """``QuoteServer.serve`` sorts its trace by an ``attrgetter`` key,
+    and a batch's row weights count :meth:`QuoteServer._wanted`'s sets
+    in a plain loop: no lambda or dict-comprehension frame per
+    request."""
+    engine = Path(repro.serving.engine.__file__)
+
+    def frames(n: int) -> tuple[int, int]:
+        trace = _server_trace(n)
+        here = _frames(lambda: batch1_server.serve(trace), engine)
+        return here["<lambda>"], here["<dictcomp>"]
+
+    assert frames(600) == frames(300)
+
+
+def test_one_tenant_profile_lookup_per_arrival(gateway, ticks, monkeypatch):
+    """The gateway looks an arrival's tenant up once and charges that
+    profile's bucket."""
+    counts = {"profile": 0}
+    monkeypatch.setattr(
+        TenantBook,
+        "profile",
+        _counted(counts, "profile", TenantBook.profile),
+    )
+    trace = _tenant_trace(400)
+    gateway.serve(trace, ticks=ticks)
+    assert counts["profile"] == len(trace)
 
 
 def test_python_calls_per_scenario_of_a_timed_revalue(scenario, book):

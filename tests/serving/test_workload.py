@@ -45,6 +45,12 @@ class TestMarketTape:
         pytest.param(
             {"mix": (0.5, 0.5, 0.5)}, "mix must be three non-negative", id="mix"
         ),
+        # Within np.isclose of 1 but beyond Generator.choice's tolerance.
+        pytest.param(
+            {"mix": (0.9, 0.1, 5e-6)},
+            r"mix must be three non-negative .* got \(0\.9, 0\.1, 5e-06\)",
+            id="mix-sum",
+        ),
     ],
 )
 def test_bad_stream_payloads_rejected_naming_them(make, keywords, match):
